@@ -16,7 +16,7 @@ use mlir_rl_env::{
 };
 use mlir_rl_nn::{Linear, Lstm, MaskedCategorical, Mlp, Param, Scratch, Tensor2};
 
-use crate::policy::{lstm_step_tensors, rank_candidates, ActionRecord, PolicyHyperparams};
+use crate::policy::{lstm_step_tensors_into, rank_candidates, ActionRecord, PolicyHyperparams};
 use crate::ppo::{GroupResult, InferenceGroup, InferenceMode, PolicyModel};
 
 /// The flat policy network: same embedding and backbone as the
@@ -43,6 +43,9 @@ pub struct FlatPolicyNetwork {
     /// Reusable batched logits buffer for `rank_actions_batch`.
     #[serde(skip)]
     batch_scratch: Scratch<Tensor2>,
+    /// Reusable LSTM step tensors for the batched paths.
+    #[serde(skip)]
+    step_scratch: Scratch<[Tensor2; 2]>,
 }
 
 impl FlatPolicyNetwork {
@@ -66,6 +69,7 @@ impl FlatPolicyNetwork {
             pending_logits: Scratch::default(),
             pending_batches: Scratch::default(),
             batch_scratch: Scratch::default(),
+            step_scratch: Scratch::default(),
         }
     }
 
@@ -128,15 +132,16 @@ impl FlatPolicyNetwork {
     /// bit-identical to [`FlatPolicyNetwork::logits_train`] per
     /// observation.
     fn logits_train_batch(&mut self, batch: &ObservationBatch) -> Tensor2 {
-        let steps = lstm_step_tensors(batch);
-        let embedding = self.lstm.forward_batch(&steps);
+        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
+        let embedding = self.lstm.forward_batch(&self.step_scratch.0);
         let z = self.backbone.forward_batch(&embedding);
         self.head.forward_batch(&z)
     }
 
     /// Batched inference logits into a reusable buffer.
     fn infer_logits_batch(&mut self, batch: &ObservationBatch, out: &mut Tensor2) {
-        let steps = lstm_step_tensors(batch);
+        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
+        let steps = &self.step_scratch.0;
         let embedding = self.lstm.infer_batch(&[&steps[0], &steps[1]]);
         let z = self.backbone.infer_batch(embedding);
         self.head.infer_batch_into(z, out);
@@ -236,7 +241,7 @@ impl PolicyModel for FlatPolicyNetwork {
             .collect();
         let grad_z = self.head.backward(&grad);
         let grad_embedding = self.backbone.backward(&grad_z);
-        self.lstm.backward(&grad_embedding);
+        self.lstm.backward_params(&grad_embedding);
     }
 
     fn zero_grad(&mut self) {
@@ -302,7 +307,7 @@ impl PolicyModel for FlatPolicyNetwork {
         }
         let grad_z = self.head.backward_batch(&grads);
         let grad_embedding = self.backbone.backward_batch(&grad_z);
-        self.lstm.backward_batch(&grad_embedding);
+        self.lstm.backward_params_batch(&grad_embedding);
     }
 
     fn rank_actions(

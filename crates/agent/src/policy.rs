@@ -108,10 +108,10 @@ pub struct PolicyNetwork {
     /// [`PolicyNetwork::rank_actions_batch`].
     #[serde(skip)]
     batch_scratch: Scratch<HeadBatch>,
-    /// Reusable LSTM step tensors for batched inference: the packed
+    /// Reusable LSTM step tensors for the batched paths: the packed
     /// producer/consumer rows are copied into these instead of freshly
-    /// allocated tensors, so repeated batched calls (e.g. aggregator ticks)
-    /// reuse one arena.
+    /// allocated tensors, so repeated batched calls (aggregator ticks, PPO
+    /// minibatches) reuse one arena.
     #[serde(skip)]
     step_scratch: Scratch<[Tensor2; 2]>,
     /// Reusable packed-row arena for [`PolicyNetwork::infer_groups`].
@@ -170,20 +170,9 @@ impl HeadBatch {
 
 /// Packs an observation batch into the two LSTM time-step tensors
 /// (producers first, consumers second — the same order the per-vector paths
-/// feed the embedding LSTM).
-pub(crate) fn lstm_step_tensors(batch: &ObservationBatch) -> [Tensor2; 2] {
-    let rows = batch.len();
-    let cols = batch.feature_len();
-    [
-        Tensor2::from_flat(rows, cols, batch.producers().to_vec()),
-        Tensor2::from_flat(rows, cols, batch.consumers().to_vec()),
-    ]
-}
-
-/// Allocation-reusing form of [`lstm_step_tensors`]: copies the packed rows
-/// into existing step tensors (bit-identical contents, no fresh buffers), so
-/// long-lived inference paths — the aggregator's per-tick arena in
-/// particular — stop allocating two tensors per batch.
+/// feed the embedding LSTM), copying the packed rows into existing step
+/// tensors: every network keeps one such pair as scratch, so neither
+/// inference ticks nor PPO minibatches allocate two tensors per batch.
 pub(crate) fn lstm_step_tensors_into(batch: &ObservationBatch, steps: &mut [Tensor2; 2]) {
     let rows = batch.len();
     let cols = batch.feature_len();
@@ -313,8 +302,8 @@ impl PolicyNetwork {
     /// of every head tensor is bit-identical to
     /// [`PolicyNetwork::forward_heads_train`] on observation `i`.
     fn forward_heads_train_batch(&mut self, batch: &ObservationBatch) -> HeadBatch {
-        let steps = lstm_step_tensors(batch);
-        let embedding = self.lstm.forward_batch(&steps);
+        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
+        let embedding = self.lstm.forward_batch(&self.step_scratch.0);
         let z = self.backbone.forward_batch(&embedding);
         HeadBatch {
             transformation: self.transformation_head.forward_batch(&z),
@@ -329,8 +318,8 @@ impl PolicyNetwork {
     /// (bit-identical per row to [`PolicyNetwork::infer_heads`]). The LSTM
     /// step tensors come from a scratch arena reused across calls.
     fn infer_heads_batch(&mut self, batch: &ObservationBatch, out: &mut HeadBatch) {
-        let mut steps = std::mem::take(&mut self.step_scratch).0;
-        lstm_step_tensors_into(batch, &mut steps);
+        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
+        let steps = &self.step_scratch.0;
         let embedding = self.lstm.infer_batch(&[&steps[0], &steps[1]]);
         let z = self.backbone.infer_batch(embedding);
         self.transformation_head
@@ -341,7 +330,6 @@ impl PolicyNetwork {
         self.fusion_head.infer_batch_into(z, &mut out.fusion);
         self.interchange_head
             .infer_batch_into(z, &mut out.interchange);
-        self.step_scratch = Scratch(steps);
     }
 
     fn tile_head_logits(outputs: &HeadOutputs, kind: TransformationKind) -> &[f64] {
@@ -536,7 +524,7 @@ impl PolicyNetwork {
         add(self.fusion_head.backward(&grads.fusion));
         add(self.interchange_head.backward(&grads.interchange));
         let grad_embedding = self.backbone.backward(&grad_z);
-        self.lstm.backward(&grad_embedding);
+        self.lstm.backward_params(&grad_embedding);
     }
 
     /// Batched [`PolicyNetwork::evaluate`]: recomputes log-probabilities
@@ -642,7 +630,7 @@ impl PolicyNetwork {
         let g = self.interchange_head.backward_batch(&grads.interchange);
         add(&mut grad_z, g);
         let grad_embedding = self.backbone.backward_batch(&grad_z);
-        self.lstm.backward_batch(&grad_embedding);
+        self.lstm.backward_params_batch(&grad_embedding);
     }
 
     /// Ranks up to `k` distinct candidate actions for an observation (the
@@ -1082,6 +1070,136 @@ mod tests {
                 GroupResult::Ranked(_) => panic!("sample group answered with ranking"),
             }
         }
+    }
+
+    /// Reset observations at the paper's 3252-feature representation: a
+    /// consumer with a producer (`relu` of a `matmul`) and a producer-less
+    /// operation, whose producer vector is all zeros.
+    fn paper_observations() -> [Observation; 2] {
+        let mut env =
+            OptimizationEnv::new(EnvConfig::paper(), CostModel::new(MachineModel::default()));
+        let mut b = ModuleBuilder::new("fused");
+        let a = b.argument("A", vec![64, 128]);
+        let w = b.argument("B", vec![128, 32]);
+        let mm = b.matmul(a, w);
+        b.relu(mm);
+        let fused = env.reset(b.finish()).unwrap();
+        let mut b = ModuleBuilder::new("lone");
+        let a = b.argument("A", vec![256, 64]);
+        let w = b.argument("B", vec![64, 96]);
+        b.matmul(a, w);
+        let lone = env.reset(b.finish()).unwrap();
+        [fused, lone]
+    }
+
+    /// Head logits through the layers' plain-loop `forward_inference`
+    /// reference paths: every zero multiplied, one accumulator chain per
+    /// output, no tiling and no column lists.
+    fn dense_oracle_heads(p: &PolicyNetwork, obs: &Observation) -> HeadOutputs {
+        let embedding = p
+            .lstm
+            .forward_inference(&[obs.producer.clone(), obs.consumer.clone()]);
+        let z = p.backbone.forward_inference(&embedding);
+        HeadOutputs {
+            transformation: p.transformation_head.forward_inference(&z),
+            tiling: p.tiling_head.forward_inference(&z),
+            parallelization: p.parallelization_head.forward_inference(&z),
+            fusion: p.fusion_head.forward_inference(&z),
+            interchange: p.interchange_head.forward_inference(&z),
+        }
+    }
+
+    fn head_bits(heads: &HeadOutputs) -> Vec<u64> {
+        [
+            &heads.transformation,
+            &heads.tiling,
+            &heads.parallelization,
+            &heads.fusion,
+            &heads.interchange,
+        ]
+        .into_iter()
+        .flatten()
+        .map(|v| v.to_bits())
+        .collect()
+    }
+
+    #[test]
+    fn sparse_observations_decode_like_the_dense_oracle_bit_for_bit() {
+        let observations = paper_observations();
+        let [fused, lone] = &observations;
+        // The inputs are what the sparse-column contraction is for.
+        let nnz = |v: &[f64]| v.iter().filter(|x| **x != 0.0).count();
+        assert_eq!(fused.consumer.len(), 3252);
+        assert!(nnz(&fused.producer) > 0 && nnz(&fused.producer) * 2 <= 3252);
+        assert!(nnz(&fused.consumer) > 0 && nnz(&fused.consumer) * 2 <= 3252);
+        assert_eq!(nnz(&lone.producer), 0, "a producer-less operation");
+
+        let hyper = PolicyHyperparams {
+            hidden_size: 24,
+            backbone_layers: 2,
+        };
+        let mut p =
+            PolicyNetwork::new(EnvConfig::paper(), hyper, &mut ChaCha8Rng::seed_from_u64(3));
+        let oracle: Vec<HeadOutputs> = observations
+            .iter()
+            .map(|obs| dense_oracle_heads(&p, obs))
+            .collect();
+
+        // select_action: the logits, then the greedy and the sampled draw.
+        for (obs, heads) in observations.iter().zip(&oracle) {
+            let mut got = HeadOutputs::default();
+            p.infer_heads(obs, &mut got);
+            assert_eq!(head_bits(&got), head_bits(heads));
+            for greedy in [true, false] {
+                let record = p.select_action(obs, greedy, &mut ChaCha8Rng::seed_from_u64(7));
+                let expected = p.decide(obs, heads, greedy, &mut ChaCha8Rng::seed_from_u64(7));
+                assert_eq!(record, expected);
+            }
+        }
+
+        // rank_actions_batch: both patterns in one batch, the all-zero
+        // producer row next to a non-zero one.
+        let frontier = [fused, lone, fused];
+        let frontier_heads = [&oracle[0], &oracle[1], &oracle[0]];
+        let oracle_ranking = |k: usize, rng: &mut ChaCha8Rng| -> Vec<Vec<ActionRecord>> {
+            frontier
+                .iter()
+                .zip(frontier_heads)
+                .map(|(obs, heads)| {
+                    rank_candidates(k, rng, |greedy, rng| p.decide(obs, heads, greedy, rng))
+                })
+                .collect()
+        };
+        let expected_ranked = oracle_ranking(3, &mut ChaCha8Rng::seed_from_u64(11));
+        let ranked = p.rank_actions_batch(&frontier, 3, &mut ChaCha8Rng::seed_from_u64(11));
+        assert_eq!(ranked, expected_ranked);
+
+        // infer_groups: a rank group and a sample group sharing one batch.
+        let mut sample_rng = ChaCha8Rng::seed_from_u64(13);
+        let expected_sampled: Vec<ActionRecord> = [(lone, &oracle[1]), (fused, &oracle[0])]
+            .into_iter()
+            .map(|(obs, heads)| p.decide(obs, heads, false, &mut sample_rng))
+            .collect();
+        let mut groups = vec![
+            InferenceGroup {
+                observations: frontier.into_iter().cloned().collect(),
+                mode: InferenceMode::Rank { k: 3 },
+                rng: ChaCha8Rng::seed_from_u64(11),
+            },
+            InferenceGroup {
+                observations: vec![lone.clone(), fused.clone()],
+                mode: InferenceMode::Sample { greedy: false },
+                rng: ChaCha8Rng::seed_from_u64(13),
+            },
+        ];
+        let results = p.infer_groups(&mut groups);
+        let [GroupResult::Ranked(ranked_group), GroupResult::Sampled(sampled_group)] =
+            results.as_slice()
+        else {
+            panic!("one ranked and one sampled result");
+        };
+        assert_eq!(ranked_group, &expected_ranked);
+        assert_eq!(sampled_group, &expected_sampled);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use mlir_rl_env::{EnvConfig, Observation, ObservationBatch};
 use mlir_rl_nn::{Linear, Lstm, Mlp, Param, Scratch, Tensor2};
 
-use crate::policy::{lstm_step_tensors, PolicyHyperparams};
+use crate::policy::{lstm_step_tensors_into, PolicyHyperparams};
 
 /// The value network.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -24,6 +24,9 @@ pub struct ValueNetwork {
     /// Reusable batched output buffer for [`ValueNetwork::predict_batch`].
     #[serde(skip)]
     batch_out: Scratch<Tensor2>,
+    /// Reusable LSTM step tensors for the batched paths.
+    #[serde(skip)]
+    step_scratch: Scratch<[Tensor2; 2]>,
 }
 
 impl ValueNetwork {
@@ -42,10 +45,14 @@ impl ValueNetwork {
             head,
             infer_out: Scratch::default(),
             batch_out: Scratch::default(),
+            step_scratch: Scratch::default(),
         }
     }
 
-    /// Estimates the state value without caching (rollout collection).
+    /// Estimates the state value through the layers' plain-loop
+    /// `forward_inference` reference paths: the oracle
+    /// [`ValueNetwork::predict_fast`] and [`ValueNetwork::predict_batch`]
+    /// are tested bit for bit against, not a hot path.
     pub fn predict(&self, obs: &Observation) -> f64 {
         let sequence = vec![obs.producer.clone(), obs.consumer.clone()];
         let embedding = self.lstm.forward_inference(&sequence);
@@ -79,7 +86,8 @@ impl ValueNetwork {
     /// using internal scratch. Entry `i` is bit-identical to
     /// [`ValueNetwork::predict`] on observation `i`.
     pub fn predict_batch(&mut self, batch: &ObservationBatch) -> Vec<f64> {
-        let steps = lstm_step_tensors(batch);
+        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
+        let steps = &self.step_scratch.0;
         let embedding = self.lstm.infer_batch(&[&steps[0], &steps[1]]);
         let z = self.backbone.infer_batch(embedding);
         let mut out = std::mem::take(&mut self.batch_out).0;
@@ -94,8 +102,8 @@ impl ValueNetwork {
     /// caching activations for [`ValueNetwork::backward_batch`]. Entry `i`
     /// is bit-identical to `forward` on observation `i`.
     pub fn forward_batch(&mut self, batch: &ObservationBatch) -> Vec<f64> {
-        let steps = lstm_step_tensors(batch);
-        let embedding = self.lstm.forward_batch(&steps);
+        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
+        let embedding = self.lstm.forward_batch(&self.step_scratch.0);
         let z = self.backbone.forward_batch(&embedding);
         self.head.forward_batch(&z).into_flat()
     }
@@ -109,7 +117,7 @@ impl ValueNetwork {
     pub fn backward(&mut self, grad_value: f64) {
         let grad_z = self.head.backward(&[grad_value]);
         let grad_embedding = self.backbone.backward(&grad_z);
-        self.lstm.backward(&grad_embedding);
+        self.lstm.backward_params(&grad_embedding);
     }
 
     /// Batched backward pass for the most recent un-consumed
@@ -125,7 +133,7 @@ impl ValueNetwork {
         let g = Tensor2::from_flat(grad_values.len(), 1, grad_values.to_vec());
         let grad_z = self.head.backward_batch(&g);
         let grad_embedding = self.backbone.backward_batch(&grad_z);
-        self.lstm.backward_batch(&grad_embedding);
+        self.lstm.backward_params_batch(&grad_embedding);
     }
 
     /// Clears gradients and caches.

@@ -2167,6 +2167,23 @@ pub struct NnThroughputRow {
     pub lstm_infer_speedup: f64,
 }
 
+/// The embedding LSTM at the shape it is deployed in — `feature_len`
+/// inputs, sequence length 2 — at one batch size: rows/sec on real reset
+/// observations (under 2 % dense, so the kernels contract over the
+/// non-zero columns only) against dense random vectors of the same shape
+/// (every column contracted over).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ObservationLstmRow {
+    /// Sequences per `infer_batch` call (`infer` at 1).
+    pub batch: usize,
+    /// Rows/sec fed real observations.
+    pub observation_rows: f64,
+    /// Rows/sec fed dense random vectors.
+    pub dense_rows: f64,
+    /// `observation_rows / dense_rows`.
+    pub speedup: f64,
+}
+
 /// The `exp_nn_throughput` report: rows/sec for batched vs per-vector
 /// forward, inference and backward at PPO/beam-realistic shapes.
 #[derive(Debug, Clone, PartialEq)]
@@ -2180,6 +2197,33 @@ pub struct NnThroughputReport {
     pub layers: usize,
     /// One row per measured batch size.
     pub rows: Vec<NnThroughputRow>,
+    /// Input size of the observation-shaped LSTM:
+    /// `EnvConfig::paper().feature_len()`.
+    pub feature_len: usize,
+    /// Mean non-zeros per observation vector fed to it.
+    pub observation_nnz: f64,
+    /// The observation-shaped LSTM, one row per measured batch size.
+    pub observation_lstm: Vec<ObservationLstmRow>,
+}
+
+impl ObservationLstmRow {
+    /// One JSON object per measured batch size.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\n");
+        let fields = [
+            ("batch", self.batch as f64),
+            ("observation_rows", self.observation_rows),
+            ("dense_rows", self.dense_rows),
+            ("speedup", self.speedup),
+        ];
+        let last = fields.len() - 1;
+        for (i, (name, value)) in fields.into_iter().enumerate() {
+            json::field(&mut out, 2, name, json::number(value));
+            out.push_str(if i == last { "\n" } else { ",\n" });
+        }
+        out.push_str("  }");
+        out
+    }
 }
 
 impl NnThroughputRow {
@@ -2230,6 +2274,31 @@ impl NnThroughputReport {
             "rows",
             json::array(self.rows.iter().map(NnThroughputRow::to_json)),
         );
+        out.push_str(",\n");
+        json::field(
+            &mut out,
+            1,
+            "feature_len",
+            json::number(self.feature_len as f64),
+        );
+        out.push_str(",\n");
+        json::field(
+            &mut out,
+            1,
+            "observation_nnz",
+            json::number(self.observation_nnz),
+        );
+        out.push_str(",\n");
+        json::field(
+            &mut out,
+            1,
+            "observation_lstm",
+            json::array(
+                self.observation_lstm
+                    .iter()
+                    .map(ObservationLstmRow::to_json),
+            ),
+        );
         out.push_str("\n}");
         out
     }
@@ -2270,6 +2339,23 @@ impl fmt::Display for NnThroughputReport {
                 r.lstm_infer_speedup,
             )?;
         }
+        writeln!(
+            f,
+            "== observation-shaped lstm ({} -> {}, sequence 2; {:.1} non-zeros per vector; rows/sec) ==",
+            self.feature_len, self.hidden, self.observation_nnz
+        )?;
+        writeln!(
+            f,
+            "{:>6}  {:>14} {:>14} {:>8}",
+            "batch", "observations", "dense random", "x"
+        )?;
+        for r in &self.observation_lstm {
+            writeln!(
+                f,
+                "{:>6}  {:>14.0} {:>14.0} {:>7.2}x",
+                r.batch, r.observation_rows, r.dense_rows, r.speedup
+            )?;
+        }
         Ok(())
     }
 }
@@ -2294,6 +2380,13 @@ fn measure_rows_per_sec<F: FnMut(&mut f64) -> usize>(budget_s: f64, mut rep: F) 
 /// other scale uses the paper's 512-unit PPO shape. Both sides of each
 /// comparison compute bit-identical results (the batched kernels fix their
 /// accumulation order), so the ratio is pure engine throughput.
+///
+/// Those layers are dense and square. The shape that decides serving cost
+/// is the embedding LSTM's input layer — `EnvConfig::paper()`'s 3252
+/// features, under 2 % of them non-zero — so the report also runs the LSTM
+/// at that shape on the reset observations of
+/// `dl_ops::evaluation_benchmark()`, next to dense random vectors of the
+/// same shape.
 pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
     use mlir_rl_nn::{Lstm, Mlp, Tensor2};
     use rand::Rng;
@@ -2415,11 +2508,75 @@ pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
         });
     }
 
+    // --- The embedding LSTM at its deployed input shape -----------------
+    let env_config = EnvConfig::paper();
+    let feature_len = env_config.feature_len();
+    let mut env = OptimizationEnv::new(env_config, CostModel::new(MachineModel::default()));
+    let observations: Vec<[Vec<f64>; 2]> = dl_ops::evaluation_benchmark()
+        .into_iter()
+        .filter_map(|(_, module)| env.reset(module))
+        .map(|obs| [obs.producer, obs.consumer])
+        .collect();
+    assert!(
+        !observations.is_empty(),
+        "no operator produced an observation"
+    );
+    let nnz: usize = observations
+        .iter()
+        .flatten()
+        .map(|v| v.iter().filter(|x| **x != 0.0).count())
+        .sum();
+    let dense: Vec<[Vec<f64>; 2]> = (0..observations.len())
+        .map(|_| {
+            std::array::from_fn(|_| (0..feature_len).map(|_| rng.gen_range(0.5..1.0)).collect())
+        })
+        .collect();
+    let wide_template = Lstm::new(feature_len, hidden, &mut rng);
+    let mut observation_lstm = Vec::new();
+    for batch in [1usize, 16] {
+        let rows_per_sec = |inputs: &[[Vec<f64>; 2]]| {
+            let mut lstm = wide_template.clone();
+            if batch == 1 {
+                return measure_rows_per_sec(budget_s, |timer| {
+                    let start = Instant::now();
+                    for [producer, consumer] in inputs {
+                        std::hint::black_box(lstm.infer(&[producer, consumer]));
+                    }
+                    *timer += start.elapsed().as_secs_f64();
+                    inputs.len()
+                });
+            }
+            let steps: [Tensor2; 2] = std::array::from_fn(|t| {
+                Tensor2::from_rows(
+                    feature_len,
+                    (0..batch).map(|r| inputs[r % inputs.len()][t].as_slice()),
+                )
+            });
+            measure_rows_per_sec(budget_s, |timer| {
+                let start = Instant::now();
+                std::hint::black_box(lstm.infer_batch(&[&steps[0], &steps[1]]));
+                *timer += start.elapsed().as_secs_f64();
+                batch
+            })
+        };
+        let observation_rows = rows_per_sec(&observations);
+        let dense_rows = rows_per_sec(&dense);
+        observation_lstm.push(ObservationLstmRow {
+            batch,
+            observation_rows,
+            dense_rows,
+            speedup: observation_rows / dense_rows.max(1e-9),
+        });
+    }
+
     NnThroughputReport {
         input: hidden,
         hidden,
         layers,
         rows,
+        feature_len,
+        observation_nnz: nnz as f64 / (2 * observations.len()) as f64,
+        observation_lstm,
     }
 }
 
@@ -2858,9 +3015,26 @@ mod tests {
                 assert!(v.is_finite() && v > 0.0);
             }
         }
+        // The observation-shaped LSTM: real inputs are sparse, and the
+        // kernels are faster on them than on dense vectors of that shape.
+        assert_eq!(report.feature_len, 3252);
+        assert!(report.observation_nnz > 0.0 && report.observation_nnz < 0.05 * 3252.0);
+        assert_eq!(report.observation_lstm.len(), 2);
+        for r in &report.observation_lstm {
+            assert!(r.dense_rows.is_finite() && r.dense_rows > 0.0);
+            assert!(
+                r.observation_rows >= r.dense_rows,
+                "batch {}: {} rows/s on observations, {} on dense vectors",
+                r.batch,
+                r.observation_rows,
+                r.dense_rows
+            );
+        }
         let printed = report.to_string();
         assert!(printed.contains("nn throughput"));
         assert!(printed.contains("mlp forward"));
+        assert!(printed.contains("observation-shaped lstm"));
+        assert!(report.to_json().contains("\"observation_lstm\""));
     }
 
     #[test]

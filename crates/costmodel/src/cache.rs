@@ -37,7 +37,13 @@
 //! choosing the victim by least estimator-seconds-saved
 //! (`estimate.total_s × hit count`), probation before protected, oldest
 //! insertion breaking ties. Victim selection is a deterministic total order,
-//! so the surviving set never depends on hash-map iteration order.
+//! so the surviving set never depends on hash-map iteration order. Each
+//! shard keeps its entries indexed in that order (a `BTreeMap` from
+//! victim rank to key, re-ranked whenever a hit count or segment
+//! changes), so an eviction or a demotion takes the first entry of a range
+//! in `O(log n)`: a full table costs the same per insert at the default
+//! 65 536 entries as at 256, and a service that fills it mid-run keeps its
+//! request rate.
 //!
 //! ## Accounting contract
 //!
@@ -78,9 +84,8 @@
 //! the `cached_estimates_match_uncached` property test exercises the
 //! construction.
 
-use std::cmp::Ordering as CmpOrdering;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
@@ -238,15 +243,20 @@ impl CacheEntry {
     }
 }
 
-/// Deterministic victim order: probation before protected, then least
-/// seconds-saved, then oldest insertion. Total (seq is unique per shard),
-/// so the minimum is independent of iteration order.
-fn victim_order(a: &CacheEntry, b: &CacheEntry) -> CmpOrdering {
-    let seg = |e: &CacheEntry| matches!(e.segment, Segment::Protected) as u8;
-    seg(a)
-        .cmp(&seg(b))
-        .then(a.saved_s().total_cmp(&b.saved_s()))
-        .then(a.seq.cmp(&b.seq))
+/// An entry's place in the deterministic victim order: probation before
+/// protected, then least seconds-saved, then oldest insertion. Total (`seq`
+/// is unique per shard), so the minimum is independent of iteration order.
+/// The seconds are carried as the integer whose order is
+/// [`f64::total_cmp`]'s.
+type VictimRank = (bool, i64, u64);
+
+fn victim_rank(entry: &CacheEntry) -> VictimRank {
+    let bits = entry.saved_s().to_bits() as i64;
+    (
+        entry.segment == Segment::Protected,
+        bits ^ (((bits >> 63) as u64) >> 1) as i64,
+        entry.seq,
+    )
 }
 
 /// What one shard insert did, for counter and probe accounting.
@@ -274,6 +284,9 @@ struct LookupEffects {
 #[derive(Debug, Default)]
 struct CacheShard {
     map: HashMap<ScheduleKey, CacheEntry>,
+    /// Every entry of `map` by [`victim_rank`]: the first is the next
+    /// victim, the first protected one the next demotion.
+    order: BTreeMap<VictimRank, ScheduleKey>,
     /// Next insertion sequence number.
     next_seq: u64,
     /// Entries currently in the protected segment.
@@ -284,37 +297,41 @@ struct CacheShard {
 }
 
 impl CacheShard {
+    /// Applies `change` to the entry of `key` (which must be present) and
+    /// moves it to its new place in the victim order.
+    fn rerank(&mut self, key: &ScheduleKey, change: impl FnOnce(&mut CacheEntry)) {
+        let entry = self.map.get_mut(key).expect("re-ranked entry must exist");
+        self.order.remove(&victim_rank(entry));
+        change(entry);
+        self.order.insert(victim_rank(entry), *key);
+    }
+
     /// Records a hit on `key` (which must be present): bumps the entry's
     /// hit count and promotes probation entries, demoting the least
     /// valuable protected entry when the protected segment would exceed
     /// `protected_cap`. Returns whether a promotion happened.
     fn on_hit(&mut self, key: &ScheduleKey, protected_cap: usize) -> bool {
-        let entry = self.map.get_mut(key).expect("hit entry must exist");
-        entry.hits += 1;
-        if entry.segment == Segment::Protected {
+        let mut promoted = false;
+        self.rerank(key, |entry| {
+            entry.hits += 1;
+            promoted = entry.segment == Segment::Probation;
+            entry.segment = Segment::Protected;
+        });
+        if !promoted {
             return false;
         }
-        entry.segment = Segment::Protected;
         self.protected += 1;
         self.promotions += 1;
         if self.protected > protected_cap {
             // Demote the least valuable *other* protected entry; the entry
             // that just earned promotion keeps it.
             let demote = self
-                .map
-                .iter()
-                .filter(|(k, e)| e.segment == Segment::Protected && *k != key)
-                .min_by(|a, b| {
-                    a.1.saved_s()
-                        .total_cmp(&b.1.saved_s())
-                        .then(a.1.seq.cmp(&b.1.seq))
-                })
-                .map(|(k, _)| *k);
+                .order
+                .range((true, i64::MIN, 0)..)
+                .map(|(_, k)| *k)
+                .find(|k| k != key);
             if let Some(victim) = demote {
-                self.map
-                    .get_mut(&victim)
-                    .expect("victim key just observed")
-                    .segment = Segment::Probation;
+                self.rerank(&victim, |entry| entry.segment = Segment::Probation);
                 self.protected -= 1;
             }
         }
@@ -338,13 +355,8 @@ impl CacheShard {
             evicted_hits: None,
         };
         if self.map.len() >= cap {
-            let victim = self
-                .map
-                .iter()
-                .min_by(|a, b| victim_order(a.1, b.1))
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                let evicted = self.map.remove(&victim).expect("victim key just observed");
+            if let Some((_, victim)) = self.order.pop_first() {
+                let evicted = self.map.remove(&victim).expect("ranked key is in the map");
                 if evicted.segment == Segment::Protected {
                     self.protected -= 1;
                 }
@@ -354,15 +366,14 @@ impl CacheShard {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.map.insert(
-            key,
-            CacheEntry {
-                estimate,
-                hits,
-                segment: Segment::Probation,
-                seq,
-            },
-        );
+        let entry = CacheEntry {
+            estimate,
+            hits,
+            segment: Segment::Probation,
+            seq,
+        };
+        self.order.insert(victim_rank(&entry), key);
+        self.map.insert(key, entry);
         self.insertions += 1;
         outcome
     }
@@ -550,8 +561,8 @@ impl SharedEvalCache {
         let index = self.shard_index(&key);
         {
             let mut shard = self.shards[index].lock().expect("cache shard poisoned");
-            if let Some(entry) = shard.map.get_mut(&key) {
-                entry.hits += hits;
+            if shard.map.contains_key(&key) {
+                shard.rerank(&key, |entry| entry.hits += hits);
                 return false;
             }
         }
@@ -661,6 +672,7 @@ impl SharedEvalCache {
         for shard in self.shards.iter() {
             let mut shard = shard.lock().expect("cache shard poisoned");
             shard.map.clear();
+            shard.order.clear();
             shard.protected = 0;
         }
     }
@@ -1671,6 +1683,106 @@ mod tests {
             stats[0].promotions > stats[0].protected as u64,
             "over-cap promotions demoted"
         );
+    }
+
+    /// The ordered index must pick the victims and demotions a scan of the
+    /// whole shard would: a reference shard, written as that scan, is driven
+    /// through the same inserts, hits and merges.
+    #[test]
+    fn indexed_victims_equal_the_full_scan() {
+        #[derive(Clone)]
+        struct Ref {
+            key: ScheduleKey,
+            saved_unit: f64,
+            hits: u64,
+            protected: bool,
+            seq: u64,
+        }
+        let scan_min = |entries: &[Ref], only_protected: bool, skip: Option<ScheduleKey>| {
+            entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| (!only_protected || e.protected) && Some(e.key) != skip)
+                .min_by(|(_, a), (_, b)| {
+                    a.protected
+                        .cmp(&b.protected)
+                        .then(
+                            (a.saved_unit * a.hits as f64)
+                                .total_cmp(&(b.saved_unit * b.hits as f64)),
+                        )
+                        .then(a.seq.cmp(&b.seq))
+                })
+                .map(|(i, _)| i)
+        };
+        let (cap, protected_cap) = (24, 12);
+        let mut shard = CacheShard::default();
+        let mut reference: Vec<Ref> = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for step in 0..6000 {
+            let key = ScheduleKey {
+                module: next(40),
+                schedule: 0,
+            };
+            let present = reference.iter().position(|e| e.key == key);
+            match (present, next(3)) {
+                (Some(at), 0 | 1) => {
+                    shard.on_hit(&key, protected_cap);
+                    reference[at].hits += 1;
+                    if !reference[at].protected {
+                        reference[at].protected = true;
+                        if reference.iter().filter(|e| e.protected).count() > protected_cap {
+                            let demote = scan_min(&reference, true, Some(key)).expect("others");
+                            reference[demote].protected = false;
+                        }
+                    }
+                }
+                (Some(at), _) => {
+                    let hits = next(4);
+                    shard.rerank(&key, |entry| entry.hits += hits);
+                    reference[at].hits += hits;
+                }
+                (None, _) => {
+                    // A few distinct costs (ties fall to `seq`), some
+                    // entries arriving warm as a merge delivers them.
+                    let total_s = [0.0, 0.5, 0.5, 2.0, 1e-9][next(5) as usize];
+                    let hits = if next(4) == 0 { next(6) } else { 0 };
+                    if reference.len() >= cap {
+                        let victim = scan_min(&reference, false, None).expect("full");
+                        reference.remove(victim);
+                    }
+                    shard.insert_entry(key, synthetic_estimate(total_s), hits, cap);
+                    reference.push(Ref {
+                        key,
+                        saved_unit: total_s,
+                        hits,
+                        protected: false,
+                        seq: step,
+                    });
+                }
+            }
+            assert_eq!(shard.map.len(), reference.len(), "step {step}");
+            assert_eq!(shard.order.len(), reference.len(), "step {step}");
+            for e in &reference {
+                let entry = shard.map.get(&e.key).expect("same surviving set");
+                assert_eq!(
+                    (entry.hits, entry.segment == Segment::Protected),
+                    (e.hits, e.protected),
+                    "step {step}"
+                );
+                assert_eq!(shard.order.get(&victim_rank(entry)), Some(&e.key));
+            }
+            assert_eq!(
+                shard.protected,
+                reference.iter().filter(|e| e.protected).count()
+            );
+        }
+        assert!(shard.evictions > 100 && shard.promotions > 100);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::activation::relu_in_place;
 use crate::param::Param;
-use crate::scratch::{resize_buffer, Scratch};
+use crate::scratch::Scratch;
 use crate::tensor::{matmul_nt, Tensor2};
 
 /// A fully connected layer `y = W x + b`.
@@ -50,11 +50,12 @@ impl Linear {
     }
 
     /// The shared affine map `W x + b` for one sample, written into `out`
-    /// (resized to the output size). Every per-vector forward/inference
-    /// entry point funnels through here.
+    /// (resized to the output size): the per-vector training forward and
+    /// the scratch inference entry funnel through here.
     fn affine_row_into(&self, x: &[f64], out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.weight.cols, "matvec dimension mismatch");
-        resize_buffer(out, self.weight.rows);
+        // No zero-fill: the kernel overwrites every element.
+        out.resize(self.weight.rows, 0.0);
         matmul_nt(
             x,
             &self.weight.value,
@@ -116,14 +117,19 @@ impl Linear {
         y
     }
 
-    /// Forward pass without caching (inference only).
+    /// Forward pass without caching, written over the plain
+    /// [`Param::matvec`] loop: the reference the kernel-backed paths
+    /// ([`Linear::forward`], [`Linear::infer_into`], the batched forms) are
+    /// tested bit for bit against; it is not a hot path.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` does not match the input size.
     pub fn forward_inference(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = Vec::new();
-        self.affine_row_into(x, &mut y);
+        let mut y = self.weight.matvec(x);
+        for (yi, b) in y.iter_mut().zip(&self.bias.value) {
+            *yi += b;
+        }
         y
     }
 
@@ -283,7 +289,8 @@ impl Mlp {
         self.forward_batch(&Tensor2::from_row(x)).into_flat()
     }
 
-    /// Forward pass without caching (inference only).
+    /// Forward pass without caching over [`Linear::forward_inference`]:
+    /// the plain-loop reference for the kernel-backed paths.
     pub fn forward_inference(&self, x: &[f64]) -> Vec<f64> {
         let n = self.layers.len();
         let mut h = x.to_vec();
@@ -335,8 +342,7 @@ impl Mlp {
     /// [`Mlp::forward_inference`].
     pub fn infer(&mut self, x: &[f64]) -> &[f64] {
         let mut bufs = std::mem::take(&mut self.infer_buffers).0;
-        bufs.input.resize(1, x.len());
-        bufs.input.row_mut(0).copy_from_slice(x);
+        bufs.input.assign_flat(1, x.len(), x);
         let idx = self.run_infer(&bufs.input, &mut bufs.pp);
         self.infer_buffers = Scratch(bufs);
         self.infer_buffers.0.pp[idx].row(0)

@@ -13,6 +13,13 @@
 //! to the historical single-sample loops; `backward_batch` accumulates
 //! parameter gradients sample-major in reverse row order, exactly like a
 //! per-sample replay of [`Lstm::backward`] against stacked caches.
+//!
+//! The inputs are sparse — an observation vector is under 2 % dense and the
+//! first step's hidden state is all zeros — so each forward step lists the
+//! non-zero columns of `x` and of `h` once for its four gate products, the
+//! backward pass lists each sample's own once for the four gates' `W`/`U`
+//! gradient accumulation, and both contract over the lists alone,
+//! bit-identically (proof in [`crate::tensor`]).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -20,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use crate::activation::{sigmoid_in_place, tanh_in_place};
 use crate::param::Param;
 use crate::scratch::Scratch;
-use crate::tensor::Tensor2;
+use crate::tensor::{ActiveCols, Tensor2};
 
 /// Cached values of one (batched) LSTM time step, needed for
 /// backpropagation. Every field is `batch x size` row-major.
@@ -44,6 +51,8 @@ struct LstmScratch {
     c: Tensor2,
     gates: [Tensor2; 4],
     uh: Tensor2,
+    x_cols: ActiveCols,
+    h_cols: ActiveCols,
 }
 
 /// A single-layer LSTM.
@@ -95,6 +104,35 @@ impl Lstm {
         self.hidden_size
     }
 
+    /// Pre-activation of one gate, `z = W_g x + (U_g h + b_g)`, with the
+    /// same per-element addition order as the historical single-sample
+    /// cell. `x_cols` / `h_cols` are the column lists of `x` / `h`; `uh` is
+    /// working memory.
+    #[allow(clippy::too_many_arguments)]
+    fn gate_pre_into(
+        &self,
+        gate: usize,
+        x: &Tensor2,
+        x_cols: &ActiveCols,
+        h: &Tensor2,
+        h_cols: &ActiveCols,
+        z: &mut Tensor2,
+        uh: &mut Tensor2,
+    ) {
+        self.w[gate].matmul_batch_cols_into(x, x_cols, z);
+        self.u[gate].matmul_batch_cols_into(h, h_cols, uh);
+        for r in 0..z.rows() {
+            for ((zi, uhi), bi) in z
+                .row_mut(r)
+                .iter_mut()
+                .zip(uh.row(r))
+                .zip(&self.b[gate].value)
+            {
+                *zi += uhi + bi;
+            }
+        }
+    }
+
     /// One batched cell step: `x`, `h_prev`, `c_prev` are `batch x size`.
     /// Row `b` of every output is bit-identical to the single-sample cell
     /// on row `b` of the inputs.
@@ -105,21 +143,14 @@ impl Lstm {
         c_prev: &Tensor2,
     ) -> (Tensor2, Tensor2, StepCache) {
         let rows = x.rows();
-        let pre = |gate: usize| -> Tensor2 {
-            // z_g = W_g x + (U_g h + b_g), with the same per-element
-            // addition order as the historical single-sample cell.
-            let mut z = self.w[gate].matmul_batch(x);
-            let uh = self.u[gate].matmul_batch(h_prev);
-            for r in 0..rows {
-                for ((zi, uhi), bi) in z
-                    .row_mut(r)
-                    .iter_mut()
-                    .zip(uh.row(r))
-                    .zip(&self.b[gate].value)
-                {
-                    *zi += uhi + bi;
-                }
-            }
+        let mut x_cols = ActiveCols::default();
+        x_cols.scan(x.data(), rows, x.cols());
+        let mut h_cols = ActiveCols::default();
+        h_cols.scan(h_prev.data(), rows, h_prev.cols());
+        let mut uh = Tensor2::default();
+        let mut pre = |gate: usize| -> Tensor2 {
+            let mut z = Tensor2::default();
+            self.gate_pre_into(gate, x, &x_cols, h_prev, &h_cols, &mut z, &mut uh);
             z
         };
         let mut i = pre(0);
@@ -206,23 +237,40 @@ impl Lstm {
         self.forward_batch(&steps).into_flat()
     }
 
-    /// Inference-only forward (no caching).
+    /// Inference-only forward (no caching), written as the plain
+    /// single-sample cell over [`Param::matvec`] — dense sequential loops,
+    /// no tiling, no column lists. This is the reference every kernel-backed
+    /// path ([`Lstm::forward`], [`Lstm::infer`], the batched forms) is
+    /// tested bit for bit against; it is not a hot path.
     ///
     /// # Panics
     ///
     /// Panics if the sequence is empty or any input has the wrong size.
     pub fn forward_inference(&self, sequence: &[Vec<f64>]) -> Vec<f64> {
         assert!(!sequence.is_empty(), "LSTM sequence must not be empty");
-        let mut h = Tensor2::zeros(1, self.hidden_size);
-        let mut c = Tensor2::zeros(1, self.hidden_size);
+        let mut h = vec![0.0; self.hidden_size];
+        let mut c = vec![0.0; self.hidden_size];
         for x in sequence {
-            let step = Tensor2::from_row(x);
-            self.check_step(&step, 1);
-            let (nh, nc, _) = self.step_batch(&step, &h, &c);
-            h = nh;
-            c = nc;
+            assert_eq!(x.len(), self.input_size, "LSTM input size mismatch");
+            let mut gates: [Vec<f64>; 4] = std::array::from_fn(|gate| {
+                let mut z = self.w[gate].matvec(x);
+                let uh = self.u[gate].matvec(&h);
+                for ((zi, uhi), bi) in z.iter_mut().zip(&uh).zip(&self.b[gate].value) {
+                    *zi += uhi + bi;
+                }
+                z
+            });
+            sigmoid_in_place(&mut gates[0]);
+            sigmoid_in_place(&mut gates[1]);
+            tanh_in_place(&mut gates[2]);
+            sigmoid_in_place(&mut gates[3]);
+            let [i, f, g, o] = &gates;
+            for e in 0..self.hidden_size {
+                c[e] = f[e] * c[e] + i[e] * g[e];
+                h[e] = o[e] * c[e].tanh();
+            }
         }
-        h.into_flat()
+        h
     }
 
     /// Core of the scratch-based inference paths: runs the cell over the
@@ -235,27 +283,12 @@ impl Lstm {
         let hs = self.hidden_size;
         s.h.resize(rows, hs);
         s.c.resize(rows, hs);
-        s.uh.resize(rows, hs);
-        for gate in &mut s.gates {
-            gate.resize(rows, hs);
-        }
         for x in steps {
             self.check_step(x, rows);
-            // Pre-activations: z_g = W_g x + (U_g h + b_g), exactly as in
-            // `step_batch` so results stay bit-identical.
-            for gate in 0..4 {
-                self.w[gate].matmul_batch_into(x, &mut s.gates[gate]);
-                self.u[gate].matmul_batch_into(&s.h, &mut s.uh);
-                for r in 0..rows {
-                    for ((zi, uhi), bi) in s.gates[gate]
-                        .row_mut(r)
-                        .iter_mut()
-                        .zip(s.uh.row(r))
-                        .zip(&self.b[gate].value)
-                    {
-                        *zi += uhi + bi;
-                    }
-                }
+            s.x_cols.scan(x.data(), rows, x.cols());
+            s.h_cols.scan(s.h.data(), rows, hs);
+            for (gate, z) in s.gates.iter_mut().enumerate() {
+                self.gate_pre_into(gate, x, &s.x_cols, &s.h, &s.h_cols, z, &mut s.uh);
             }
             sigmoid_in_place(s.gates[0].data_mut());
             sigmoid_in_place(s.gates[1].data_mut());
@@ -302,8 +335,7 @@ impl Lstm {
         let mut inputs = std::mem::take(&mut self.infer_inputs).0;
         inputs.resize(sequence.len(), Tensor2::default());
         for (staged, x) in inputs.iter_mut().zip(sequence) {
-            staged.resize(1, x.len());
-            staged.row_mut(0).copy_from_slice(x);
+            staged.assign_flat(1, x.len(), x);
         }
         let mut s = std::mem::take(&mut self.infer_scratch).0;
         self.run_infer(inputs.iter(), 1, &mut s);
@@ -312,18 +344,14 @@ impl Lstm {
         self.infer_scratch.0.h.row(0)
     }
 
-    /// Batched backpropagation through time for the most recent un-consumed
-    /// forward call, given the gradients with respect to the final hidden
-    /// states (`batch x hidden`). Accumulates parameter gradients
-    /// **sample-major in reverse row order** (bit-identical to replaying
-    /// [`Lstm::backward`] per sample against stacked caches) and returns
-    /// the per-step input gradients (`batch x input` each).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cached forward call is available or the gradient shape
-    /// does not match.
-    pub fn backward_batch(&mut self, grad_h_final: &Tensor2) -> Vec<Tensor2> {
+    /// The one backpropagation-through-time body: consumes the most recent
+    /// cached forward call and accumulates parameter gradients
+    /// **sample-major in reverse row order** (bit-identical to a per-sample
+    /// replay against stacked caches). With `want_grad_x` it also returns
+    /// the per-step input gradients (`batch x input` each) — four
+    /// `H x input` products per step that no network needs, since the
+    /// LSTM's inputs are observations; without, it returns an empty `Vec`.
+    fn bptt(&mut self, grad_h_final: &Tensor2, want_grad_x: bool) -> Vec<Tensor2> {
         let caches = self
             .cached_sequences
             .pop()
@@ -336,10 +364,14 @@ impl Lstm {
             "gradient size mismatch"
         );
         let h = self.hidden_size;
-        let mut grad_x: Vec<Tensor2> = caches
-            .iter()
-            .map(|_| Tensor2::zeros(rows, self.input_size))
-            .collect();
+        let mut grad_x: Vec<Tensor2> = if want_grad_x {
+            caches
+                .iter()
+                .map(|_| Tensor2::zeros(rows, self.input_size))
+                .collect()
+        } else {
+            Vec::new()
+        };
         // Pre-activation gradients per step and gate, kept so the parameter
         // accumulation below can run in per-sample replay order.
         let mut dpres: Vec<[Tensor2; 4]> = Vec::with_capacity(caches.len());
@@ -399,13 +431,18 @@ impl Lstm {
             let gate_grads = [di_pre, df_pre, dg_pre, do_pre];
             let mut dh_prev = Tensor2::zeros(rows, h);
             for (gate, dpre) in gate_grads.iter().enumerate() {
-                self.w[gate].matmul_batch_transposed_into(dpre, &mut tmp);
-                for (acc, v) in grad_x[t].data_mut().iter_mut().zip(tmp.data()) {
-                    *acc += v;
+                if want_grad_x {
+                    self.w[gate].matmul_batch_transposed_into(dpre, &mut tmp);
+                    for (acc, v) in grad_x[t].data_mut().iter_mut().zip(tmp.data()) {
+                        *acc += v;
+                    }
                 }
-                self.u[gate].matmul_batch_transposed_into(dpre, &mut tmp);
-                for (acc, v) in dh_prev.data_mut().iter_mut().zip(tmp.data()) {
-                    *acc += v;
+                // Step 0 has no earlier step to hand a hidden gradient to.
+                if t > 0 {
+                    self.u[gate].matmul_batch_transposed_into(dpre, &mut tmp);
+                    for (acc, v) in dh_prev.data_mut().iter_mut().zip(tmp.data()) {
+                        *acc += v;
+                    }
                 }
             }
             dpres.push(gate_grads);
@@ -418,12 +455,17 @@ impl Lstm {
         // Parameter accumulation in per-sample replay order: sample-major
         // (reverse rows), then reverse time, then gates — the exact `+=`
         // sequence B stacked per-vector backward calls perform.
+        let (mut x_cols, mut h_cols) = (ActiveCols::default(), ActiveCols::default());
         for b in (0..rows).rev() {
             for (cache, step_dpres) in caches.iter().zip(&dpres).rev() {
+                // This sample's own non-zero columns, shared by the gates.
+                let (x, h_prev) = (cache.x.row(b), cache.h_prev.row(b));
+                x_cols.scan(x, 1, x.len());
+                h_cols.scan(h_prev, 1, h_prev.len());
                 for (gate, gate_dpre) in step_dpres.iter().enumerate() {
                     let dpre = gate_dpre.row(b);
-                    self.w[gate].add_outer_to_grad(dpre, cache.x.row(b));
-                    self.u[gate].add_outer_to_grad(dpre, cache.h_prev.row(b));
+                    self.w[gate].add_outer_to_grad_cols(dpre, x, &x_cols);
+                    self.u[gate].add_outer_to_grad_cols(dpre, h_prev, &h_cols);
                     for (gb, g) in self.b[gate].grad.iter_mut().zip(dpre) {
                         *gb += g;
                     }
@@ -433,10 +475,46 @@ impl Lstm {
         grad_x
     }
 
-    /// Backpropagation through time for the most recent un-consumed forward
-    /// call, given the gradient with respect to the final hidden state (a
-    /// thin wrapper over batch-of-1). Accumulates parameter gradients and
-    /// returns the gradients with respect to the input sequence.
+    /// Batched backpropagation through time for the most recent un-consumed
+    /// forward call, given the gradients with respect to the final hidden
+    /// states (`batch x hidden`). Accumulates parameter gradients
+    /// **sample-major in reverse row order** (bit-identical to replaying
+    /// [`Lstm::backward_params`] per sample against stacked caches). This
+    /// is the entry the networks call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no cached forward call is available or the gradient shape
+    /// does not match.
+    pub fn backward_params_batch(&mut self, grad_h_final: &Tensor2) {
+        self.bptt(grad_h_final, false);
+    }
+
+    /// [`Lstm::backward_params_batch`] for one sequence (a thin wrapper
+    /// over batch-of-1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no cached forward call is available.
+    pub fn backward_params(&mut self, grad_h_final: &[f64]) {
+        self.backward_params_batch(&Tensor2::from_row(grad_h_final));
+    }
+
+    /// [`Lstm::backward_params_batch`] that also returns the per-step
+    /// gradients with respect to the inputs (`batch x input` each) — for
+    /// gradient checks; the same parameter gradients, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no cached forward call is available or the gradient shape
+    /// does not match.
+    pub fn backward_batch(&mut self, grad_h_final: &Tensor2) -> Vec<Tensor2> {
+        self.bptt(grad_h_final, true)
+    }
+
+    /// [`Lstm::backward_batch`] for one sequence (a thin wrapper over
+    /// batch-of-1): accumulates parameter gradients and returns the
+    /// gradients with respect to the input sequence.
     ///
     /// # Panics
     ///

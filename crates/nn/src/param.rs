@@ -3,7 +3,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::tensor::{add_matmul_tn_rev, matmul_nn, matmul_nt, Tensor2};
+use crate::tensor::{add_matmul_tn_rev, matmul_nn, matmul_nt, matmul_nt_cols, ActiveCols, Tensor2};
 
 /// A trainable parameter: a dense matrix (or vector when `cols == 1`) with
 /// an accumulated gradient.
@@ -82,23 +82,21 @@ impl Param {
         self.grad.iter_mut().for_each(|g| *g = 0.0);
     }
 
-    /// Matrix-vector product `value * x`.
+    /// Matrix-vector product `value * x`: the plain reference loop the
+    /// kernels are tested against. Each output element is one sequential
+    /// sum over ascending columns seeded from `+0.0` (spelled out rather
+    /// than `Iterator::sum`, whose neutral element is `-0.0`).
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         let mut out = vec![0.0; self.rows];
-        for (slot, row) in out.iter_mut().zip(self.value.chunks_exact(self.cols)) {
-            *slot = row.iter().zip(x).map(|(w, xi)| w * xi).sum();
-        }
+        self.matvec_into(x, &mut out);
         out
     }
 
-    /// Matrix-vector product `value * x` written into `out` (the
-    /// allocation-free twin of [`Param::matvec`], used on inference hot
-    /// paths; produces bit-identical results).
+    /// [`Param::matvec`] written into `out`.
     ///
     /// # Panics
     ///
@@ -108,7 +106,11 @@ impl Param {
         assert_eq!(out.len(), self.rows, "matvec output size mismatch");
         for (r, slot) in out.iter_mut().enumerate() {
             let row = &self.value[r * self.cols..(r + 1) * self.cols];
-            *slot = row.iter().zip(x).map(|(w, xi)| w * xi).sum();
+            let mut acc = 0.0;
+            for (w, xi) in row.iter().zip(x) {
+                acc += w * xi;
+            }
+            *slot = acc;
         }
     }
 
@@ -144,6 +146,25 @@ impl Param {
         }
     }
 
+    /// [`Param::add_outer_to_grad`] over the listed columns of `x` only
+    /// (`cols` scanned from `x`, or from a batch holding it as a row).
+    /// Bit-identical:
+    /// every skipped product is `±0.0`, and a gradient that started at
+    /// `+0.0` holds no `-0.0` for it to change (see [`crate::tensor`]).
+    pub(crate) fn add_outer_to_grad_cols(&mut self, y: &[f64], x: &[f64], cols: &ActiveCols) {
+        let Some(idx) = cols.sparse() else {
+            return self.add_outer_to_grad(y, x);
+        };
+        assert_eq!(y.len(), self.rows, "outer product row mismatch");
+        assert_eq!(x.len(), self.cols, "outer product col mismatch");
+        for (r, yr) in y.iter().enumerate() {
+            let row = &mut self.grad[r * self.cols..(r + 1) * self.cols];
+            for &c in idx {
+                row[c as usize] += yr * x[c as usize];
+            }
+        }
+    }
+
     /// Batched matrix product `x * value^T` (`x` is one sample per row):
     /// row `i` of the result is bit-identical to
     /// [`Param::matvec`]`(x.row(i))` for every batch size. Writes into
@@ -154,13 +175,30 @@ impl Param {
     /// Panics if `x.cols() != self.cols`.
     pub fn matmul_batch_into(&self, x: &Tensor2, out: &mut Tensor2) {
         assert_eq!(x.cols(), self.cols, "matmul_batch dimension mismatch");
-        out.resize(x.rows(), self.rows);
+        out.reshape_for_overwrite(x.rows(), self.rows);
         matmul_nt(
             x.data(),
             &self.value,
             x.rows(),
             self.rows,
             self.cols,
+            out.data_mut(),
+        );
+    }
+
+    /// [`Param::matmul_batch_into`] with `x`'s column list supplied by the
+    /// caller, who scanned it from this `x` and shares it between several
+    /// products.
+    pub(crate) fn matmul_batch_cols_into(&self, x: &Tensor2, cols: &ActiveCols, out: &mut Tensor2) {
+        assert_eq!(x.cols(), self.cols, "matmul_batch dimension mismatch");
+        out.reshape_for_overwrite(x.rows(), self.rows);
+        matmul_nt_cols(
+            x.data(),
+            &self.value,
+            x.rows(),
+            self.rows,
+            self.cols,
+            cols,
             out.data_mut(),
         );
     }
@@ -186,7 +224,7 @@ impl Param {
             self.rows,
             "matmul_batch_transposed dimension mismatch"
         );
-        out.resize(y.rows(), self.cols);
+        out.reshape_for_overwrite(y.rows(), self.cols);
         matmul_nn(
             y.data(),
             &self.value,
@@ -269,6 +307,26 @@ mod tests {
         p.value = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         assert_eq!(p.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
         assert_eq!(p.matvec_transposed(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
+    }
+
+    #[test]
+    fn matvec_is_seeded_from_positive_zero_like_the_kernels() {
+        // Every product is -0.0 (zero input x negative weights), or there
+        // are no products at all: `Iterator::sum` would return -0.0.
+        let mut p = Param::zeros(2, 3);
+        p.value = vec![-1.0, -2.0, -3.0, -4.0, -5.0, -6.0];
+        let x = [0.0; 3];
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(p.matvec(&x)), vec![0; 2]);
+        let mut out = [1.0; 2];
+        p.matvec_into(&x, &mut out);
+        assert_eq!(bits(out.to_vec()), vec![0; 2]);
+        assert_eq!(bits(Param::zeros(2, 0).matvec(&[])), vec![0; 2]);
+        // ... and that is what the kernel computes.
+        let kernel = p.matmul_batch(&Tensor2::from_row(&x));
+        assert_eq!(bits(kernel.into_flat()), vec![0; 2]);
+        let empty = Param::zeros(2, 0).matmul_batch(&Tensor2::zeros(1, 0));
+        assert_eq!(bits(empty.into_flat()), vec![0; 2]);
     }
 
     #[test]

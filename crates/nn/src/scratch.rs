@@ -30,13 +30,6 @@ impl<T> PartialEq for Scratch<T> {
     }
 }
 
-/// Grows `buf` to exactly `len` elements, zero-filled (contents are always
-/// fully overwritten by the caller; zeroing keeps resize semantics simple).
-pub fn resize_buffer(buf: &mut Vec<f64>, len: usize) {
-    buf.clear();
-    buf.resize(len, 0.0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,14 +45,5 @@ mod tests {
         let a: Scratch<Vec<f64>> = Scratch(vec![1.0]);
         let b: Scratch<Vec<f64>> = Scratch(vec![2.0, 3.0]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn resize_gives_exact_length() {
-        let mut v = vec![7.0; 3];
-        resize_buffer(&mut v, 5);
-        assert_eq!(v, vec![0.0; 5]);
-        resize_buffer(&mut v, 2);
-        assert_eq!(v.len(), 2);
     }
 }

@@ -1,21 +1,56 @@
 //! Row-major matrices and the blocked, deterministically-ordered matmul
 //! kernels behind every batched network path.
 //!
-//! The per-vector inference/training paths (`Param::matvec` and friends)
-//! accumulate each output element as one sequential left-to-right sum over
-//! the contraction dimension. The kernels here block the *independent*
-//! dimensions (batch rows and output features) for instruction-level
-//! parallelism and cache reuse, but keep exactly one accumulator per output
-//! element that walks the contraction dimension in the same fixed order —
-//! so a batched product is **bit-for-bit identical, row by row, to the
-//! per-vector loops** for every batch size (property-tested). That is what
-//! lets the whole stack (layers, heads, PPO, beam search) migrate to
-//! batched inference without perturbing a single determinism test.
+//! The per-vector reference loops (`Param::matvec` and friends) accumulate
+//! each output element as one sequential left-to-right sum over the
+//! contraction dimension, seeded from `+0.0`. The kernels here block the
+//! *independent* dimensions (batch rows and output features) for
+//! instruction-level parallelism and cache reuse, but keep exactly one
+//! accumulator per output element that walks the contraction dimension in
+//! the same ascending order — so a batched product is **bit-for-bit
+//! identical, row by row, to the per-vector loops** for every batch size
+//! (property-tested). That is what lets the whole stack (layers, heads,
+//! PPO, beam search) batch without perturbing a single determinism test.
 //!
-//! Why batching wins even without SIMD reassociation: a lone dot product is
+//! Why tiling wins even without SIMD reassociation: a lone dot product is
 //! latency-bound on its single accumulator chain. A 4x4 register tile runs
-//! sixteen independent chains side by side, which is where the measured
-//! multi-x `exp_nn_throughput` speedup comes from.
+//! sixteen independent chains side by side; a lone row (batch-1 inference,
+//! or the rows left over below a 4-row band) runs 1x8 tiles, eight chains.
+//!
+//! # Contracting over the non-zero columns only
+//!
+//! The paper's observation vector is under 2 % dense (zero-padded access
+//! matrices, a one-hot action history), the first LSTM step's hidden state
+//! is all zeros, and a ReLU output is about half zeros. [`matmul_nt`]
+//! therefore lists — once per call, ascending, into reused scratch — the
+//! columns of the left operand that are non-zero in at least one row, and
+//! when at most half the columns are listed it contracts over the list
+//! only. Otherwise it runs the dense loop. The choice is made from the
+//! input itself; there is no switch.
+//!
+//! The result is the same **bit for bit** as the dense loop's whenever the
+//! right operand is finite. Proof. Every output element is one sequential
+//! sum `acc = (..((+0.0 + t_0) + t_1) + ..) + t_{k-1}` with `t_p = a_p *
+//! b_p`. (1) An accumulator seeded `+0.0` is never `-0.0`: IEEE-754
+//! round-to-nearest addition returns `-0.0` only for `-0.0 + -0.0`; an
+//! exact cancellation `x + (-x)` gives `+0.0`, and a non-zero exact sum of
+//! two floats never rounds to zero. By induction from the seed no partial
+//! sum is `-0.0`. (2) A skipped column holds `±0.0` in every row, so with
+//! `b_p` finite, `t_p = ±0.0`. (3) Adding `±0.0` to an accumulator that is
+//! not `-0.0` returns it unchanged: `+0.0 + ±0.0 = +0.0`, and `x + ±0.0 = x`
+//! for every non-zero, infinite or NaN `x`. So dropping the term changes
+//! no partial sum, and the listed terms are still added in ascending `p`.
+//! The one difference: a skipped `0 * NaN` or `0 * inf` would have
+//! poisoned the dense sum with NaN; the sparse path leaves it out.
+//!
+//! The same argument covers weight-gradient accumulation over a sparse
+//! input (`Param::add_outer_to_grad_cols`, which the LSTM backward feeds
+//! each sample's own column list): gradient buffers start at `+0.0` after
+//! `zero_grad` and only ever take `+=`, so by (1) they hold no `-0.0`, and
+//! by (3) the `±0.0` products of the skipped columns would have changed
+//! nothing.
+
+use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
@@ -23,6 +58,8 @@ use serde::{Deserialize, Serialize};
 const MR: usize = 4;
 /// Register-tile width (output columns per tile).
 const NR: usize = 4;
+/// Tile width for a lone row of the left operand: eight accumulator chains.
+const ROW_NR: usize = 8;
 
 /// A dense row-major matrix of `f64` values.
 ///
@@ -142,12 +179,20 @@ impl Tensor2 {
         self.rows += 1;
     }
 
-    /// Reshapes to `rows x cols`, zero-filling (scratch reuse: contents are
-    /// always fully overwritten by the caller).
+    /// Reshapes to `rows x cols`, zero-filling.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Reshapes to `rows x cols` leaving the contents unspecified (stale
+    /// values, zeros where the buffer grew): for outputs the caller
+    /// overwrites entirely, which a zero-fill would only write twice.
+    pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
         self.data.resize(rows * cols, 0.0);
     }
 
@@ -193,7 +238,7 @@ impl Tensor2 {
     /// `M x N`).
     pub fn matmul_nt_into(&self, rhs: &Tensor2, out: &mut Tensor2) {
         assert_eq!(self.cols, rhs.cols, "matmul_nt contraction mismatch");
-        out.resize(self.rows, rhs.rows);
+        out.reshape_for_overwrite(self.rows, rhs.rows);
         matmul_nt(
             &self.data,
             &rhs.data,
@@ -222,7 +267,7 @@ impl Tensor2 {
     /// `M x N`).
     pub fn matmul_nn_into(&self, rhs: &Tensor2, out: &mut Tensor2) {
         assert_eq!(self.cols, rhs.rows, "matmul_nn contraction mismatch");
-        out.resize(self.rows, rhs.cols);
+        out.reshape_for_overwrite(self.rows, rhs.cols);
         matmul_nn(
             &self.data,
             &rhs.data,
@@ -234,65 +279,177 @@ impl Tensor2 {
     }
 }
 
+/// The columns of a left operand worth contracting over: the ascending
+/// list of those non-zero in at least one row, or "all of them" when more
+/// than half are. Built by [`ActiveCols::scan`] into storage the owner
+/// reuses, and valid only for the operand it was scanned from — the LSTM
+/// scans a step's input once and shares the list between its four gates.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ActiveCols {
+    /// Ascending column indices; complete only when `sparse`.
+    idx: Vec<u32>,
+    sparse: bool,
+}
+
+impl ActiveCols {
+    /// Columns are tested a block at a time, so that the long all-zero
+    /// stretches of an observation vector cost one vectorised test each.
+    const BLOCK: usize = 64;
+
+    /// Lists the columns of the row-major `m x k` operand `a` that hold a
+    /// non-zero (`-0.0` counts as zero) in at least one row, giving up as
+    /// soon as more than half of them do.
+    pub(crate) fn scan(&mut self, a: &[f64], m: usize, k: usize) {
+        assert_eq!(a.len(), m * k);
+        assert!(
+            u32::try_from(k).is_ok(),
+            "contraction dimension exceeds u32"
+        );
+        self.idx.clear();
+        self.sparse = true;
+        for start in (0..k).step_by(Self::BLOCK) {
+            let end = (start + Self::BLOCK).min(k);
+            // `bits << 1 != 0` is `v != 0.0` (it drops the sign of `-0.0`
+            // and keeps NaN), as integer ORs the compiler vectorises.
+            let block_is_live = (0..m).any(|r| {
+                let ored = a[r * k + start..r * k + end]
+                    .iter()
+                    .fold(0, |acc, v| acc | (v.to_bits() << 1));
+                ored != 0
+            });
+            if !block_is_live {
+                continue;
+            }
+            for p in start..end {
+                if (0..m).any(|r| a[r * k + p] != 0.0) {
+                    self.idx.push(p as u32);
+                }
+            }
+            if self.idx.len() * 2 > k {
+                self.sparse = false;
+                return;
+            }
+        }
+    }
+
+    /// The listed columns when contracting over them alone pays, `None`
+    /// when the dense loop should run.
+    pub(crate) fn sparse(&self) -> Option<&[u32]> {
+        self.sparse.then_some(&self.idx)
+    }
+}
+
+thread_local! {
+    /// Column-list scratch for [`matmul_nt`] calls that bring no list of
+    /// their own (every `Linear` layer), so they stay allocation-free.
+    static SCAN_SCRATCH: RefCell<ActiveCols> = RefCell::new(ActiveCols::default());
+}
+
+/// One `R x C` register tile of `a * b^T` at row `i`, column `j`: `R * C`
+/// independent accumulator chains, each a sequential sum seeded from
+/// `+0.0` over the contraction indices `ps` yields, in that order.
+#[inline(always)]
+fn dot_tile<const R: usize, const C: usize>(
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    i: usize,
+    j: usize,
+    ps: impl Iterator<Item = usize>,
+) -> [[f64; C]; R] {
+    let arows: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let brows: [&[f64]; C] = std::array::from_fn(|c| &b[(j + c) * k..(j + c + 1) * k]);
+    let mut acc = [[0.0f64; C]; R];
+    for p in ps {
+        for (accr, arow) in acc.iter_mut().zip(&arows) {
+            let av = arow[p];
+            for (slot, brow) in accr.iter_mut().zip(&brows) {
+                *slot += av * brow[p];
+            }
+        }
+    }
+    acc
+}
+
+/// Rows `i..i + R` of `out = a * b^T`: `R x C` tiles across the output
+/// columns, `R x 1` tiles over the columns left below a full tile.
+fn matmul_nt_band<const R: usize, const C: usize, I>(
+    a: &[f64],
+    b: &[f64],
+    n: usize,
+    k: usize,
+    i: usize,
+    ps: &I,
+    out: &mut [f64],
+) where
+    I: Iterator<Item = usize> + Clone,
+{
+    let mut j = 0;
+    while j + C <= n {
+        let acc = dot_tile::<R, C>(a, b, k, i, j, ps.clone());
+        for (r, accr) in acc.iter().enumerate() {
+            out[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(accr);
+        }
+        j += C;
+    }
+    while j < n {
+        let acc = dot_tile::<R, 1>(a, b, k, i, j, ps.clone());
+        for (r, accr) in acc.iter().enumerate() {
+            out[(i + r) * n + j] = accr[0];
+        }
+        j += 1;
+    }
+}
+
+/// [`matmul_nt`] over the contraction indices `ps` yields: full `MR`-row
+/// bands in `MR x NR` tiles, the rows left over (all of them at batch 1)
+/// one at a time in `1 x ROW_NR` tiles.
+fn matmul_nt_over<I>(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, ps: I, out: &mut [f64])
+where
+    I: Iterator<Item = usize> + Clone,
+{
+    let mut i = 0;
+    while i + MR <= m {
+        matmul_nt_band::<MR, NR, I>(a, b, n, k, i, &ps, out);
+        i += MR;
+    }
+    while i < m {
+        matmul_nt_band::<1, ROW_NR, I>(a, b, n, k, i, &ps, out);
+        i += 1;
+    }
+}
+
 /// `out = a * b^T` where `a` is `m x k`, `b` is `n x k`, `out` is `m x n`,
-/// all row-major. Each output element is one sequential sum over `p = 0..k`
-/// (bit-identical to [`crate::Param::matvec`] per row); the `m`/`n`
-/// dimensions are register-tiled `MR x NR` for instruction-level
-/// parallelism.
+/// all row-major. Each output element is one sequential sum over ascending
+/// `p` seeded from `+0.0` (bit-identical to [`crate::Param::matvec`] per
+/// row); the `m`/`n` dimensions are register-tiled for instruction-level
+/// parallelism. When at most half of `a`'s columns hold a non-zero, only
+/// those are contracted over — same bits for finite `b`, see the
+/// [module docs](self).
 pub fn matmul_nt(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, out: &mut [f64]) {
+    SCAN_SCRATCH.with_borrow_mut(|cols| {
+        cols.scan(a, m, k);
+        matmul_nt_cols(a, b, m, n, k, cols, out);
+    });
+}
+
+/// [`matmul_nt`] with the column list of `a` supplied by the caller (it
+/// must have been scanned from this `a`).
+pub(crate) fn matmul_nt_cols(
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    n: usize,
+    k: usize,
+    cols: &ActiveCols,
+    out: &mut [f64],
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    if m == 1 {
-        // Per-vector fast path: the classic matvec loop, no tiling overhead
-        // (this is the shape every rollout-time inference call takes).
-        for (j, slot) in out.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
-            for (av, bv) in a.iter().zip(brow) {
-                acc += av * bv;
-            }
-            *slot = acc;
-        }
-        return;
-    }
-    let mut i = 0;
-    while i < m {
-        let mh = MR.min(m - i);
-        let mut j = 0;
-        while j < n {
-            let nh = NR.min(n - j);
-            if mh == MR && nh == NR {
-                // Full register tile: 16 independent accumulator chains.
-                let mut acc = [[0.0f64; NR]; MR];
-                for p in 0..k {
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let av = a[(i + r) * k + p];
-                        for (c, slot) in accr.iter_mut().enumerate() {
-                            *slot += av * b[(j + c) * k + p];
-                        }
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    out[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(accr);
-                }
-            } else {
-                // Edge tile: plain sequential dot per element (same order).
-                for r in 0..mh {
-                    let arow = &a[(i + r) * k..(i + r + 1) * k];
-                    for c in 0..nh {
-                        let brow = &b[(j + c) * k..(j + c + 1) * k];
-                        let mut acc = 0.0;
-                        for (av, bv) in arow.iter().zip(brow) {
-                            acc += av * bv;
-                        }
-                        out[(i + r) * n + j + c] = acc;
-                    }
-                }
-            }
-            j += nh;
-        }
-        i += mh;
+    match cols.sparse() {
+        Some(idx) => matmul_nt_over(a, b, m, n, k, idx.iter().map(|&p| p as usize), out),
+        None => matmul_nt_over(a, b, m, n, k, 0..k, out),
     }
 }
 

@@ -1,0 +1,315 @@
+//! The kernels contract over the non-zero columns of their left operand
+//! only (see `mlir_rl_nn::tensor`). These properties hold them, bit for
+//! bit, to plain sequential references that multiply every zero: a
+//! hand-written dot product for the forward kernel, and a single-sample
+//! LSTM written over the dense `Param` loops (`matvec`,
+//! `matvec_transposed`, `add_outer_to_grad`) for the layer's forward, its
+//! weight-gradient accumulation and its batched backward.
+
+use mlir_rl_nn::tensor::matmul_nt;
+use mlir_rl_nn::{sigmoid_in_place, tanh_in_place, Lstm, Param, Tensor2};
+use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+
+/// Batch sizes: a lone row, below / at / above one 4-row band, many bands.
+const BATCHES: [usize; 5] = [1, 3, 4, 5, 16];
+
+/// How many of `k` columns hold a non-zero in at least one row: none, 1 %,
+/// 10 %, the last count that takes the sparse path (`nnz * 2 <= k`), the
+/// first that takes the dense one, 90 %.
+fn active_columns(k: usize, density: usize) -> usize {
+    let active = match density {
+        0 => 0,
+        1 => k.div_ceil(100),
+        2 => k.div_ceil(10),
+        3 => k / 2,
+        4 => k / 2 + 1,
+        _ => (k * 9).div_ceil(10),
+    };
+    active.min(k)
+}
+
+/// An `m x k` batch with exactly `active` columns non-zero somewhere: each
+/// has one owner row and appears in every other row with probability 1/2,
+/// so the rows' patterns differ; with `m > 1` one row is left entirely
+/// zero (a producer-less operation); every zero is `+0.0` or `-0.0` at
+/// random.
+fn sparse_batch(m: usize, k: usize, active: usize, rng: &mut ChaCha8Rng) -> Tensor2 {
+    let mut x = Tensor2::zeros(m, k);
+    for v in x.data_mut() {
+        *v = if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+    }
+    let zero_row = (m > 1).then(|| rng.gen_range(0..m));
+    let live_rows: Vec<usize> = (0..m).filter(|r| Some(*r) != zero_row).collect();
+    let mut columns: Vec<usize> = (0..k).collect();
+    columns.shuffle(rng);
+    for &c in &columns[..active] {
+        let owner = *live_rows.choose(rng).expect("at least one live row");
+        for &r in &live_rows {
+            if r == owner || rng.gen_bool(0.5) {
+                let v: f64 = rng.gen_range(-2.0..2.0);
+                x.row_mut(r)[c] = if v == 0.0 { 1.0 } else { v };
+            }
+        }
+    }
+    x
+}
+
+fn random_values(len: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
+    (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The twelve parameters of an [`Lstm`] (`W`, `U`, `b` for the gates
+/// `i f g o`) driving the textbook single-sample cell through the dense
+/// `Param` loops only.
+struct ReferenceLstm {
+    w: Vec<Param>,
+    u: Vec<Param>,
+    b: Vec<Param>,
+}
+
+/// What one reference step keeps for its backward pass.
+struct ReferenceStep {
+    x: Vec<f64>,
+    h_prev: Vec<f64>,
+    c_prev: Vec<f64>,
+    gates: [Vec<f64>; 4],
+    tanh_c: Vec<f64>,
+}
+
+impl ReferenceLstm {
+    fn of(lstm: &Lstm) -> Self {
+        let mut params: Vec<Param> = lstm
+            .clone()
+            .parameters_mut()
+            .into_iter()
+            .map(|p| p.clone())
+            .collect();
+        let b = params.split_off(8);
+        let u = params.split_off(4);
+        Self { w: params, u, b }
+    }
+
+    fn forward(&self, sequence: &[&[f64]]) -> (Vec<f64>, Vec<ReferenceStep>) {
+        let hidden = self.b[0].rows;
+        let mut h = vec![0.0; hidden];
+        let mut c = vec![0.0; hidden];
+        let mut steps = Vec::new();
+        for x in sequence {
+            let mut gates: [Vec<f64>; 4] = std::array::from_fn(|gate| {
+                let mut z = self.w[gate].matvec(x);
+                let uh = self.u[gate].matvec(&h);
+                for ((zi, uhi), bi) in z.iter_mut().zip(&uh).zip(&self.b[gate].value) {
+                    *zi += uhi + bi;
+                }
+                z
+            });
+            sigmoid_in_place(&mut gates[0]);
+            sigmoid_in_place(&mut gates[1]);
+            tanh_in_place(&mut gates[2]);
+            sigmoid_in_place(&mut gates[3]);
+            let (h_prev, c_prev) = (h.clone(), c.clone());
+            let mut tanh_c = vec![0.0; hidden];
+            for e in 0..hidden {
+                c[e] = gates[1][e] * c_prev[e] + gates[0][e] * gates[2][e];
+                tanh_c[e] = c[e].tanh();
+                h[e] = gates[3][e] * tanh_c[e];
+            }
+            steps.push(ReferenceStep {
+                x: x.to_vec(),
+                h_prev,
+                c_prev,
+                gates,
+                tanh_c,
+            });
+        }
+        (h, steps)
+    }
+
+    /// Backpropagation through time for one sample: accumulates into the
+    /// parameters' gradients (reverse time, then gates) and returns the
+    /// per-step input gradients.
+    fn backward(&mut self, steps: &[ReferenceStep], grad_h_final: &[f64]) -> Vec<Vec<f64>> {
+        let hidden = grad_h_final.len();
+        let mut grad_x = vec![Vec::new(); steps.len()];
+        let mut dpres: Vec<[Vec<f64>; 4]> = Vec::new();
+        let mut dh = grad_h_final.to_vec();
+        let mut dc = vec![0.0; hidden];
+        for (t, step) in steps.iter().enumerate().rev() {
+            let [i, f, g, o] = &step.gates;
+            let mut dpre: [Vec<f64>; 4] = std::array::from_fn(|_| vec![0.0; hidden]);
+            for e in 0..hidden {
+                let tc = step.tanh_c[e];
+                let d_o = dh[e] * tc;
+                dc[e] += dh[e] * o[e] * (1.0 - tc * tc);
+                let di = dc[e] * g[e];
+                let dg = dc[e] * i[e];
+                let df = dc[e] * step.c_prev[e];
+                dpre[0][e] = di * i[e] * (1.0 - i[e]);
+                dpre[1][e] = df * f[e] * (1.0 - f[e]);
+                dpre[2][e] = dg * (1.0 - g[e] * g[e]);
+                dpre[3][e] = d_o * o[e] * (1.0 - o[e]);
+                dc[e] *= f[e];
+            }
+            let mut gx = vec![0.0; step.x.len()];
+            let mut dh_prev = vec![0.0; hidden];
+            for (gate, d) in dpre.iter().enumerate() {
+                for (acc, v) in gx.iter_mut().zip(self.w[gate].matvec_transposed(d)) {
+                    *acc += v;
+                }
+                for (acc, v) in dh_prev.iter_mut().zip(self.u[gate].matvec_transposed(d)) {
+                    *acc += v;
+                }
+            }
+            grad_x[t] = gx;
+            dpres.push(dpre);
+            dh = dh_prev;
+        }
+        dpres.reverse();
+        for (step, dpre) in steps.iter().zip(&dpres).rev() {
+            for (gate, d) in dpre.iter().enumerate() {
+                self.w[gate].add_outer_to_grad(d, &step.x);
+                self.u[gate].add_outer_to_grad(d, &step.h_prev);
+                for (gb, g) in self.b[gate].grad.iter_mut().zip(d) {
+                    *gb += g;
+                }
+            }
+        }
+        grad_x
+    }
+
+    fn grads(&self) -> Vec<Vec<u64>> {
+        self.w
+            .iter()
+            .chain(&self.u)
+            .chain(&self.b)
+            .map(|p| bits(&p.grad))
+            .collect()
+    }
+}
+
+fn lstm_grads(lstm: &mut Lstm) -> Vec<Vec<u64>> {
+    lstm.parameters_mut()
+        .iter()
+        .map(|p| bits(&p.grad))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Forward: `matmul_nt` and `Param::matmul_batch` equal one sequential
+    /// `+0.0`-seeded sum over every column, and `Param::matvec`.
+    #[test]
+    fn forward_kernel_equals_the_plain_sequential_sum(
+        batch in 0usize..5,
+        n in 1usize..21,
+        k in 1usize..90,
+        density in 0usize..6,
+        seed in 0u64..1 << 32,
+    ) {
+        let m = BATCHES[batch];
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let x = sparse_batch(m, k, active_columns(k, density), &mut rng);
+        let mut w = Param::zeros(n, k);
+        w.value = random_values(n * k, &mut rng);
+
+        let mut expected = vec![0.0; m * n];
+        for r in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0;
+                for p in 0..k {
+                    acc += x.row(r)[p] * w.value[j * k + p];
+                }
+                expected[r * n + j] = acc;
+            }
+        }
+
+        let mut raw = vec![f64::NAN; m * n];
+        matmul_nt(x.data(), &w.value, m, n, k, &mut raw);
+        prop_assert_eq!(bits(&raw), bits(&expected), "matmul_nt m={} n={} k={}", m, n, k);
+        let batched = w.matmul_batch(&x);
+        prop_assert_eq!(bits(batched.data()), bits(&expected));
+        for r in 0..m {
+            prop_assert_eq!(bits(&w.matvec(x.row(r))), bits(&expected[r * n..(r + 1) * n]));
+        }
+    }
+
+    /// The LSTM over observation-shaped steps: every forward form equals
+    /// the dense reference cell; the parameters-only backward, the
+    /// input-gradient-returning backward and a per-sample replay all leave
+    /// the gradients the reference accumulates, `W` included.
+    #[test]
+    fn lstm_forward_and_weight_gradients_equal_the_dense_reference(
+        batch in 0usize..5,
+        hidden in 1usize..11,
+        input in 1usize..70,
+        producer_density in 0usize..6,
+        consumer_density in 0usize..6,
+        seed in 0u64..1 << 32,
+    ) {
+        let m = BATCHES[batch];
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let steps = [
+            sparse_batch(m, input, active_columns(input, producer_density), &mut rng),
+            sparse_batch(m, input, active_columns(input, consumer_density), &mut rng),
+        ];
+        let grad_h = Tensor2::from_flat(m, hidden, random_values(m * hidden, &mut rng));
+        let mut lstm = Lstm::new(input, hidden, &mut rng);
+        let mut reference = ReferenceLstm::of(&lstm);
+
+        // Forward, sample by sample, and the reference's backward in the
+        // order a replay against stacked caches visits a minibatch: last
+        // sample first.
+        let forwards: Vec<_> = (0..m)
+            .map(|r| reference.forward(&[steps[0].row(r), steps[1].row(r)]))
+            .collect();
+        let mut reference_grad_x = vec![Vec::new(); m];
+        for r in (0..m).rev() {
+            reference_grad_x[r] = reference.backward(&forwards[r].1, grad_h.row(r));
+        }
+
+        let trained = lstm.forward_batch(&steps);
+        let inferred = lstm.infer_batch(&[&steps[0], &steps[1]]).clone();
+        for (r, (h, _)) in forwards.iter().enumerate() {
+            prop_assert_eq!(bits(trained.row(r)), bits(h), "forward_batch row {}", r);
+            prop_assert_eq!(bits(inferred.row(r)), bits(h), "infer_batch row {}", r);
+            let sequence = [steps[0].row(r), steps[1].row(r)];
+            prop_assert_eq!(bits(lstm.infer(&sequence)), bits(h), "infer row {}", r);
+            let owned = sequence.map(<[f64]>::to_vec);
+            prop_assert_eq!(bits(&lstm.forward_inference(&owned)), bits(h));
+        }
+
+        // The parameters-only backward (what the networks call).
+        lstm.backward_params_batch(&grad_h);
+        prop_assert_eq!(lstm_grads(&mut lstm), reference.grads());
+
+        // The input-gradient-returning form: same gradients, plus grad_x.
+        lstm.zero_grad();
+        lstm.forward_batch(&steps);
+        let grad_x = lstm.backward_batch(&grad_h);
+        prop_assert_eq!(lstm_grads(&mut lstm), reference.grads());
+        for (r, per_step) in reference_grad_x.iter().enumerate() {
+            for (t, gx) in per_step.iter().enumerate() {
+                prop_assert_eq!(bits(grad_x[t].row(r)), bits(gx), "grad_x t={} row {}", t, r);
+            }
+        }
+
+        // Per-sample replay: forwards stacked in order, backwards popped
+        // in reverse.
+        lstm.zero_grad();
+        for r in 0..m {
+            lstm.forward(&[steps[0].row(r).to_vec(), steps[1].row(r).to_vec()]);
+        }
+        for r in (0..m).rev() {
+            lstm.backward_params(grad_h.row(r));
+        }
+        prop_assert_eq!(lstm_grads(&mut lstm), reference.grads());
+    }
+}
