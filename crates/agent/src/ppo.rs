@@ -21,13 +21,13 @@
 //! own noise stream) derived deterministically from a base seed and the
 //! episode index. Because no state flows between episodes, the batch can be
 //! fanned out across `std::thread` workers — each worker takes an
-//! environment clone, an inference-only snapshot of the policy and a value
-//! network clone, and collects episodes `w, w + W, w + 2W, ...` — and the
-//! merged result is **bit-for-bit identical to serial collection** for a
-//! fixed seed, no matter the worker count. All workers share one sharded
-//! thread-shared cost-model cache (the master environment is switched to
-//! shared-cache mode before the fan-out), so the parallel hit-rate matches
-//! serial collection and warmth persists across iterations with no
+//! environment duplicate, an inference-only snapshot of the policy and a
+//! value network clone, and collects episodes `w, w + W, w + 2W, ...` — and
+//! the merged result is **bit-for-bit identical to serial collection** for
+//! a fixed seed, no matter the worker count. The worker environments are
+//! handles onto the master environment's own sharded cost-model cache
+//! ([`OptimizationEnv::clone_sharing_cache`]), so the parallel hit-rate
+//! matches serial collection and warmth persists across iterations with no
 //! fold-back step.
 
 use rand::seq::SliceRandom;
@@ -477,22 +477,21 @@ fn collect_seeded_episode<P: PolicyModel>(
 /// Collects `modules.len()` episodes, fanning them out over `workers`
 /// threads.
 ///
-/// Worker `w` collects episodes `w, w + W, w + 2W, ...` on its own clones
-/// of the environment, an inference-only snapshot of the policy, and the
-/// value network; results are merged back in episode order. Every episode's
+/// Worker `w` collects episodes `w, w + W, w + 2W, ...` on its own
+/// duplicate of the environment, an inference-only snapshot of the policy
+/// and a clone of the value network; results are merged back in episode order. Every episode's
 /// randomness comes from [`episode_seed`]`(base_seed, episode)`, so a fixed
 /// `base_seed` produces bit-for-bit identical trajectories for any worker
 /// count — `workers == 1` *is* serial collection.
 ///
-/// When fanning out over more than one worker, the master environment's
-/// evaluation cache is switched to the sharded thread-shared backend
-/// ([`OptimizationEnv::enable_shared_cache`]) first, so worker environments
-/// are handles onto *one* table: every estimate is computed at most once
-/// per batch (modulo benign races) and the warm table persists across
-/// batches with no fold-back step. Serial collection keeps the lock-free
-/// local table (an already-shared cache stays shared). Because cached
-/// values are deterministic functions of the schedule, the backend affects
-/// only hit/miss counts, never the collected trajectories.
+/// Worker environments are [`OptimizationEnv::clone_sharing_cache`]
+/// duplicates of `env` — handles onto `env`'s own evaluation table — so
+/// every estimate is computed at most once per batch (modulo benign races)
+/// and the warm table persists across batches with no fold-back step;
+/// serial collection looks up in that same table through `env` itself.
+/// Because cached values are deterministic functions of the schedule, table
+/// warmth and capacity affect only hit/miss counts, never the collected
+/// trajectories.
 pub fn collect_rollouts<P: PolicyModel>(
     env: &mut OptimizationEnv,
     modules: &[&Module],
@@ -507,8 +506,6 @@ pub fn collect_rollouts<P: PolicyModel>(
     let mut slots: Vec<Option<Trajectory>> = (0..n).map(|_| None).collect();
 
     if workers <= 1 {
-        // Serial collection stays on the cache's current backend — the
-        // local two-level table needs no locks.
         for (episode, slot) in slots.iter_mut().enumerate() {
             *slot = Some(collect_seeded_episode(
                 env,
@@ -521,17 +518,15 @@ pub fn collect_rollouts<P: PolicyModel>(
             ));
         }
     } else {
-        // Parallel collection goes through one sharded thread-shared
-        // evaluation cache: worker clones taken below are handles onto the
-        // same table, so an estimate computed by any worker serves hits to
-        // every other worker within the same batch — the parallel hit-rate
+        // The worker environments taken below are handles onto the master's
+        // table, so an estimate computed by any worker serves hits to every
+        // other worker within the same batch — the parallel hit-rate
         // matches serial collection instead of every worker re-discovering
-        // the same schedules on a cold clone.
-        env.enable_shared_cache();
+        // the same schedules on a cold copy.
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for worker in 0..workers {
-                let mut worker_env = env.clone();
+                let mut worker_env = env.clone_sharing_cache();
                 let mut worker_policy = policy.clone();
                 let mut worker_value = value.clone();
                 handles.push(scope.spawn(move || {
@@ -1062,12 +1057,8 @@ mod tests {
             21,
             2,
         );
-        // Workers are handles onto the master's shared table, so their
-        // entries are visible to the master with no fold-back step.
-        assert!(
-            env.cache().is_shared(),
-            "collection must switch the cache to the shared backend"
-        );
+        // Workers are handles onto the master's table, so their entries are
+        // visible to the master with no fold-back step.
         assert!(
             !env.cache().is_empty(),
             "parallel collection must warm the master cache"

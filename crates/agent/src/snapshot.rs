@@ -2,7 +2,7 @@
 //!
 //! The vendored `serde` is a no-op stub (nothing in the tree performs real
 //! serialization through it), so network snapshots use the same hand-rolled
-//! binary idiom as the cost-model cache (`mlir_rl_costmodel::EvalCache`):
+//! binary idiom as the cost-model cache (`mlir_rl_costmodel::SharedEvalCache`):
 //! a magic tag, a format version, little-endian shapes and `f64` bit
 //! patterns, and an FNV-1a checksum trailer. Round-tripping is *bitwise*:
 //! a restored network ranks and samples exactly like the original, which is
@@ -10,6 +10,7 @@
 //! [`crate::online::PolicyRegistry`] without perturbing the per-version
 //! determinism contract.
 
+use mlir_rl_ir::Fnv1a;
 use mlir_rl_nn::Param;
 
 use crate::flat::FlatPolicyNetwork;
@@ -79,24 +80,6 @@ impl std::fmt::Display for WeightsError {
 
 impl std::error::Error for WeightsError {}
 
-/// FNV-1a over a byte stream (the repo-wide fingerprint primitive).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Encodes `params` (in `parameters_mut()` order) into the snapshot format.
 fn encode(params: &[&mut Param]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -110,9 +93,8 @@ fn encode(params: &[&mut Param]) -> Vec<u8> {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
-    let mut fnv = Fnv::new();
-    fnv.write(&out);
-    out.extend_from_slice(&fnv.finish().to_le_bytes());
+    let checksum = Fnv1a::hash(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -126,9 +108,7 @@ fn decode(params: &mut [&mut Param], bytes: &[u8]) -> Result<(), WeightsError> {
     }
     let (payload, trailer) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    let mut fnv = Fnv::new();
-    fnv.write(payload);
-    if fnv.finish() != stored {
+    if Fnv1a::hash(payload) != stored {
         return Err(WeightsError::Corrupt);
     }
     struct Cursor<'a>(&'a [u8]);
@@ -185,7 +165,7 @@ fn decode(params: &mut [&mut Param], bytes: &[u8]) -> Result<(), WeightsError> {
 
 /// Fingerprints `params`: FNV-1a over shapes and weight bit patterns.
 fn fingerprint(params: &[&mut Param]) -> u64 {
-    let mut fnv = Fnv::new();
+    let mut fnv = Fnv1a::new();
     for param in params {
         fnv.write(&(param.rows as u64).to_le_bytes());
         fnv.write(&(param.cols as u64).to_le_bytes());

@@ -36,7 +36,7 @@ pub use optimizer::{MlirRlOptimizer, OptimizationOutcome, OptimizerConfig};
 pub use report::{Figure, Series, SpeedupTable};
 pub use service::{
     wait_all, OptimizationRequest, OptimizationResponse, OptimizationService, PendingResponse,
-    ResponseStatus, ServiceConfig, ServiceMetrics, ServiceStats, BACKPRESSURE_PREFIX,
+    ResponseStatus, ServiceConfig, ServiceMetrics, BACKPRESSURE_PREFIX,
 };
 
 /// Re-export of the agent crate.

@@ -182,12 +182,10 @@ impl MlirRlOptimizer {
 
     /// The internal single-worker [`OptimizationService`] the deployment
     /// wrappers submit to, built on first use from the current policy and
-    /// the optimizer's (shared) evaluation cache.
+    /// the optimizer's evaluation cache (the service's workers join the
+    /// optimizer's own table, so warmth flows both ways).
     pub fn service(&mut self) -> &OptimizationService {
         if self.service.is_none() {
-            // Shared mode first, so the service's workers join the
-            // optimizer's own table and warmth flows both ways.
-            self.env.enable_shared_cache();
             self.service = Some(OptimizationService::from_env_template(
                 &self.env,
                 self.trainer.policy.clone(),
@@ -203,7 +201,6 @@ impl MlirRlOptimizer {
     /// serve requests from the returned service while the optimizer keeps
     /// training or goes away entirely.
     pub fn spawn_service(&mut self, workers: usize) -> OptimizationService {
-        self.env.enable_shared_cache();
         OptimizationService::from_env_template(&self.env, self.trainer.policy.clone(), workers)
     }
 
@@ -220,7 +217,6 @@ impl MlirRlOptimizer {
     /// queue capacity, quota or client weight).
     pub fn spawn_service_with(&mut self, config: &ServiceConfig) -> OptimizationService {
         config.try_validate().expect("invalid service config");
-        self.env.enable_shared_cache();
         OptimizationService::from_env_template_with(&self.env, self.trainer.policy.clone(), config)
     }
 

@@ -114,7 +114,7 @@ use mlir_rl_costmodel::{
     module_fingerprint, CostModel, EvalBudget, EvalCache, MachineModel, SharedEvalCache,
 };
 use mlir_rl_env::{EnvConfig, OptimizationEnv};
-use mlir_rl_ir::Module;
+use mlir_rl_ir::{Fnv1a, Module};
 use mlir_rl_obs::{EventKind, MetricsRegistry, ProbeRef, TraceRecorder, TraceSnapshot};
 use mlir_rl_search::{
     BatchSearchReport, SearchDriver, SearchJob, SearchOutcome, SearchSpec, Searcher, StopToken,
@@ -596,7 +596,7 @@ impl OptimizationResponse {
     /// Two runs of the same request set produce equal fingerprints for
     /// matching requests, regardless of worker count or arrival order.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         h.write(self.module.as_bytes());
         h.write(self.searcher.as_bytes());
         h.write(format!("{:?}", self.status).as_bytes());
@@ -621,27 +621,6 @@ impl OptimizationResponse {
             h.write(format!("{:?}", outcome.best_schedule).as_bytes());
         }
         h.finish()
-    }
-}
-
-/// FNV-1a, stable across Rust releases (unlike `DefaultHasher`), so
-/// fingerprints can be compared across builds and recorded in fixtures.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= *b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -1004,45 +983,6 @@ struct OnlineShared {
     sample_every: u64,
     /// Completed responses seen by the sampling gate.
     sample_counter: AtomicU64,
-}
-
-/// Aggregate serving statistics, snapshot by
-/// [`OptimizationService::stats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceStats {
-    /// Requests submitted so far.
-    pub submitted: u64,
-    /// Requests answered [`ResponseStatus::Completed`].
-    pub completed: u64,
-    /// Requests answered [`ResponseStatus::Stopped`].
-    pub stopped: u64,
-    /// Requests answered [`ResponseStatus::Skipped`].
-    pub skipped: u64,
-    /// Requests answered [`ResponseStatus::Rejected`].
-    pub rejected: u64,
-    /// Requests currently waiting in the queue.
-    pub pending: u64,
-    /// Lifetime hits of the service's persistent shared cache.
-    pub cache_hits: u64,
-    /// Lifetime misses (estimator runs) of the persistent shared cache.
-    pub cache_misses: u64,
-    /// Cost-model lookups charged against the global eval budget
-    /// (includes outstanding reservations not yet reconciled).
-    pub budget_spent: u64,
-    /// The global eval-budget cap (`None` = unlimited).
-    pub budget_cap: Option<u64>,
-}
-
-impl ServiceStats {
-    /// Lifetime fraction of lookups served by the persistent cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 /// A point-in-time snapshot of the service's overload-observability
@@ -1713,19 +1653,18 @@ impl OptimizationService {
     /// becomes an error instead of a panic.
     pub fn try_new(config: ServiceConfig, policy: PolicyNetwork) -> Result<Self, String> {
         config.try_validate()?;
-        let mut env =
-            OptimizationEnv::new(config.env.clone(), CostModel::new(config.machine.clone()));
-        env.enable_shared_cache();
+        let env = OptimizationEnv::new(config.env.clone(), CostModel::new(config.machine.clone()));
         Ok(Self::from_env_template_with(&env, policy, &config))
     }
 
-    /// Creates a service whose requests run against (a clone of) the given
-    /// environment. If `env` is already in shared-cache mode the service
-    /// **joins that table** — this is how the deprecated
-    /// [`crate::MlirRlOptimizer`] facade keeps one warm cache across its
-    /// own calls and the service's; otherwise the service starts its own
-    /// table seeded with the environment's memoized entries. Serving knobs
-    /// are [`ServiceConfig::quick`] defaults with the given worker count.
+    /// Creates a service whose requests run against duplicates of the given
+    /// environment that **join its evaluation table**
+    /// ([`OptimizationEnv::clone_sharing_cache`]) — this is how the
+    /// deprecated [`crate::MlirRlOptimizer`] facade keeps one warm cache
+    /// across its own calls and the service's. Pass a plain clone of the
+    /// environment to serve from a private copy of its entries instead.
+    /// Serving knobs are [`ServiceConfig::quick`] defaults with the given
+    /// worker count.
     pub fn from_env_template(env: &OptimizationEnv, policy: PolicyNetwork, workers: usize) -> Self {
         Self::from_env_template_with(env, policy, &ServiceConfig::quick().with_workers(workers))
     }
@@ -1738,15 +1677,13 @@ impl OptimizationService {
         policy: PolicyNetwork,
         config: &ServiceConfig,
     ) -> Self {
-        let mut template = env.clone();
+        let mut template = env.clone_sharing_cache();
         if let Some(capacity) = config.cache_capacity {
             // A configured capacity always means a fresh table of exactly
-            // that bound, even when the template already shares one.
-            template.replace_cache(EvalCache::with_shared_backend(SharedEvalCache::new(
-                capacity,
-            )));
+            // that bound, not the template's.
+            template.replace_cache(EvalCache::new(capacity));
         }
-        let cache = template.enable_shared_cache();
+        let cache = template.cache().shared_backend().clone();
         // Warm restart: merge the previous process's snapshot in before any
         // request runs. A missing or corrupt file is a clean cold start —
         // determinism is unaffected either way, only the hit-rate changes.
@@ -1844,7 +1781,7 @@ impl OptimizationService {
         let workers = (0..config.workers.max(1))
             .map(|worker| {
                 let shared = Arc::clone(&shared);
-                let env = template.clone();
+                let env = template.clone_sharing_cache();
                 let policy = policy.clone();
                 let client = aggregator.as_ref().map(InferenceAggregator::client);
                 std::thread::spawn(move || worker_loop(shared, env, policy, client, worker))
@@ -2100,28 +2037,6 @@ impl OptimizationService {
         &self.shared.cache
     }
 
-    /// Snapshot of the serving statistics.
-    pub fn stats(&self) -> ServiceStats {
-        let pending = self
-            .shared
-            .state
-            .lock()
-            .expect("service state poisoned")
-            .depth as u64;
-        ServiceStats {
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            stopped: self.shared.stopped.load(Ordering::Relaxed),
-            skipped: self.shared.skipped.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            pending,
-            cache_hits: self.shared.cache.hits(),
-            cache_misses: self.shared.cache.misses(),
-            budget_spent: self.shared.budget.spent(),
-            budget_cap: self.shared.budget.cap(),
-        }
-    }
-
     /// Snapshot of the overload-observability surface (see
     /// [`ServiceMetrics`]).
     pub fn metrics(&self) -> ServiceMetrics {
@@ -2313,7 +2228,7 @@ impl std::fmt::Debug for OptimizationService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OptimizationService")
             .field("workers", &self.workers.len())
-            .field("stats", &self.stats())
+            .field("metrics", &self.metrics())
             .finish()
     }
 }
@@ -2710,10 +2625,10 @@ mod tests {
         assert_eq!(response.evaluations, outcome.evaluations);
         assert!(response.queue_s >= 0.0 && response.service_s > 0.0);
         assert!(response.error.is_none());
-        let stats = service.stats();
+        let stats = service.metrics();
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.completed, 1);
-        assert_eq!(stats.pending, 0);
+        assert_eq!(stats.queue_depth, 0);
         // Reconciliation nets the budget back to the real spend.
         assert_eq!(stats.budget_spent, response.total_lookups() as u64);
     }
@@ -2741,10 +2656,10 @@ mod tests {
             .submit(OptimizationRequest::new(module(64), SearchSpec::Greedy))
             .wait();
         assert_eq!(ok.status, ResponseStatus::Completed);
-        assert_eq!(service.stats().rejected, 2);
+        assert_eq!(service.metrics().rejected, 2);
         // Both rejections refunded their reservations in full.
         assert_eq!(
-            service.stats().budget_spent,
+            service.metrics().budget_spent,
             ok.total_lookups() as u64,
             "rejected requests must not leak budget reservations"
         );

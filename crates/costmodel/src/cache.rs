@@ -11,23 +11,21 @@
 //! module and its per-operation schedules so repeated schedules never re-run
 //! the roofline estimator.
 //!
-//! The cache has two backends:
+//! There is one table implementation, [`SharedEvalCache`]: a sharded hash
+//! table behind `Arc<Mutex<_>>` shards whose clones *are* the same table.
+//! Estimator runs happen *outside* the shard locks (a lost race costs one
+//! duplicate evaluation, never a wrong value). An [`EvalCache`] is a
+//! per-handle view of one such table — the handle's own hit/miss counters
+//! and trace probe over a table it either owns ([`EvalCache::new`]) or
+//! joined ([`EvalCache::with_shared_backend`]). The rollout engine, the
+//! schedule-search driver, racing portfolios and the service hand every
+//! worker a handle joined to one table, so all workers and all branches of
+//! a search hit one cache and the parallel hit-rate matches serial
+//! collection. Cloning an [`EvalCache`] is the opposite operation: it
+//! copies the entries into a private table, so the clone and the original
+//! diverge from there on.
 //!
-//! * **Local** (the default) — a two-level table: a frozen [`Arc`]-shared
-//!   snapshot plus a small local overlay for new entries. Cloning copies the
-//!   overlay but only bumps a reference count for the snapshot;
-//!   [`EvalCache::absorb`]ing a clone back walks only its overlay.
-//!   [`EvalCache::consolidate`] folds the overlay into the snapshot.
-//! * **Shared** — a [`SharedEvalCache`]: one sharded hash table behind
-//!   `Arc<Mutex<_>>` shards, so every clone *is* the same table. The rollout
-//!   engine and the schedule-search driver put their environments in this
-//!   mode ([`EvalCache::make_shared`]) so all workers and all branches of a
-//!   search hit one cache — the parallel hit-rate matches serial collection
-//!   instead of every worker re-discovering the same schedules. Estimator
-//!   runs happen *outside* the shard locks (a lost race costs one duplicate
-//!   evaluation, never a wrong value).
-//!
-//! ## Eviction policy (shared backend)
+//! ## Eviction policy
 //!
 //! Each shard is a segmented (2Q-style) table. A new key enters the
 //! *probation* segment; the first hit promotes it to the *protected*
@@ -67,7 +65,9 @@
 //!
 //! [`SharedEvalCache::snapshot_to`] serializes the table to a compact
 //! versioned binary file (magic `MLRC`, format version, FNV-1a checksum
-//! trailer); [`SharedEvalCache::restore_from`] merges a snapshot back in.
+//! trailer), written to a temporary sibling and renamed into place so a
+//! failed write never damages the previous snapshot;
+//! [`SharedEvalCache::restore_from`] merges a snapshot back in.
 //! A corrupt or truncated snapshot is rejected *before* any entry is
 //! applied — the error is returned, the table is untouched, and the caller
 //! cold-starts; restore never panics. [`SharedEvalCache::absorb`] merges
@@ -87,12 +87,14 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::fs::File;
 use std::hash::{Hash, Hasher};
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mlir_rl_ir::{Module, OpId};
+use mlir_rl_ir::{Fnv1a, Module, OpId};
 use mlir_rl_obs::{EventKind, ProbeRef};
 use mlir_rl_transforms::ScheduledModule;
 
@@ -547,12 +549,6 @@ impl SharedEvalCache {
         outcome
     }
 
-    /// Inserts an already-computed estimate (misses of `lookup_with` and
-    /// migration from a local cache). An existing key keeps its incumbent.
-    fn insert(&self, key: ScheduleKey, estimate: ModuleEstimate) {
-        self.apply_insert(key, estimate, 0);
-    }
-
     /// Merges one foreign entry: an incumbent keeps its estimate and gains
     /// the foreign hit count (warmth reconciled); a new key is inserted
     /// with the foreign hit count, evicting if needed. Returns whether a
@@ -715,19 +711,38 @@ impl SharedEvalCache {
                 }
             }
         }
-        let checksum = fnv1a(&out);
+        let checksum = Fnv1a::hash(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
 
-    /// Writes a snapshot of the table to `path` (atomic enough for a
-    /// single writer: the whole byte image is built first, then written in
-    /// one call). Returns the number of entries written.
+    /// Writes a snapshot of the table to `path` and returns the number of
+    /// entries written. The image goes to a temporary sibling in the same
+    /// directory, is flushed to disk and then renamed over `path`, so a
+    /// crash or a full disk mid-write leaves the previous snapshot intact;
+    /// on any error the temporary file is removed and `path` is untouched.
     pub fn snapshot_to(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
+        let path = path.as_ref();
         let bytes = self.to_snapshot_bytes();
         // Entry count sits right after magic + version.
         let count = u64::from_le_bytes(bytes[8..16].try_into().expect("fixed header"));
-        std::fs::write(path, &bytes)?;
+        let mut temp = path.as_os_str().to_owned();
+        temp.push(format!(".tmp-{}", std::process::id()));
+        let temp = PathBuf::from(temp);
+        let written = File::create(&temp).and_then(|mut file| {
+            file.write_all(&bytes)?;
+            file.sync_all()?;
+            std::fs::rename(&temp, path)
+        });
+        if let Err(err) = written {
+            std::fs::remove_file(&temp).ok();
+            return Err(err.into());
+        }
+        // Best effort: make the rename itself durable. Whether or not this
+        // succeeds, `path` holds one whole image, the old or the new.
+        if let Some(Ok(dir)) = path.parent().map(File::open) {
+            dir.sync_all().ok();
+        }
         Ok(count)
     }
 
@@ -755,18 +770,6 @@ impl SharedEvalCache {
         let bytes = std::fs::read(path)?;
         self.restore_from_bytes(&bytes)
     }
-}
-
-/// FNV-1a over `bytes`: the snapshot checksum. Deterministic, dependency
-/// free, and plenty to catch truncation and bit rot (this guards against
-/// accidents, not adversaries).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Bounds-checked little-endian reader over a snapshot image.
@@ -813,7 +816,7 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, ModuleEstimate, u64)
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 8);
     let checksum = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    if fnv1a(body) != checksum {
+    if Fnv1a::hash(body) != checksum {
         return Err(SnapshotError::Corrupt("checksum mismatch"));
     }
     let mut reader = SnapshotReader {
@@ -865,24 +868,19 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, ModuleEstimate, u64)
     Ok(entries)
 }
 
-/// A memoization table for [`ModuleEstimate`]s with hit/miss accounting.
-#[derive(Debug, Clone)]
+/// One handle's view of a memoization table for [`ModuleEstimate`]s: the
+/// hit/miss counters of the lookups made *through this handle* and the
+/// handle's trace probe, over exactly one [`SharedEvalCache`] — a private
+/// one ([`EvalCache::new`]) or one that other handles look up in too
+/// ([`EvalCache::with_shared_backend`]).
+#[derive(Debug)]
 pub struct EvalCache {
-    /// Frozen snapshot shared (by `Arc`) between clones (local backend).
-    shared: Arc<HashMap<ScheduleKey, ModuleEstimate>>,
-    /// New entries since the last [`EvalCache::consolidate`] (local backend).
-    local: HashMap<ScheduleKey, ModuleEstimate>,
-    /// When set, every lookup goes through this thread-shared table instead
-    /// of the local maps.
-    backend: Option<SharedEvalCache>,
-    capacity: usize,
+    table: SharedEvalCache,
     hits: u64,
     misses: u64,
     /// Trace probe carried by this handle: every lookup classification
-    /// (hit/miss), shared-backend budget charge, eviction and promotion is
-    /// mirrored as a trace event. Disabled (no-op) by default; cloning
-    /// shares the sink, so an environment clone handed to a racing search
-    /// thread keeps emitting into the same trace.
+    /// (hit/miss), budget charge, eviction and promotion is mirrored as a
+    /// trace event. Disabled (no-op) by default.
     probe: ProbeRef,
 }
 
@@ -892,23 +890,31 @@ impl Default for EvalCache {
     }
 }
 
-impl EvalCache {
-    /// Creates a cache holding at most `capacity` estimates. The local
-    /// backend bounds the snapshot-plus-overlay pair: when a new key would
-    /// exceed the bound, the overlay generation-resets (or, if the frozen
-    /// snapshot alone exhausts the capacity, the snapshot is shed and the
-    /// overlay keeps memoizing) — memoization never silently stops. The
-    /// shared backend evicts entry-wise; see [`SharedEvalCache`].
-    pub fn new(capacity: usize) -> Self {
+impl Clone for EvalCache {
+    /// A private copy, sharing nothing with the original afterwards: a
+    /// fresh table of the same capacity (and its own unlimited spend
+    /// ledger) holding the same entries, which re-enter probation with
+    /// their hit counts as after a snapshot restore. To get another handle
+    /// on the *same* table, pass a clone of [`EvalCache::shared_backend`]
+    /// to [`EvalCache::with_shared_backend`].
+    fn clone(&self) -> Self {
+        let table = SharedEvalCache::new(self.table.capacity());
+        table.absorb(&self.table);
         Self {
-            shared: Arc::new(HashMap::new()),
-            local: HashMap::new(),
-            backend: None,
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-            probe: ProbeRef::none(),
+            table,
+            hits: self.hits,
+            misses: self.misses,
+            probe: self.probe.clone(),
         }
+    }
+}
+
+impl EvalCache {
+    /// Creates a handle that owns a fresh table holding at most `capacity`
+    /// estimates (see [`SharedEvalCache::new`]: exact bound, entry-wise
+    /// eviction).
+    pub fn new(capacity: usize) -> Self {
+        Self::with_shared_backend(SharedEvalCache::new(capacity))
     }
 
     /// Attaches (or detaches, with [`ProbeRef::none`]) the trace probe this
@@ -922,52 +928,22 @@ impl EvalCache {
         &self.probe
     }
 
-    /// A cache whose lookups go through an existing thread-shared table —
-    /// how a *freshly constructed* environment joins a table other
-    /// environments already share (e.g. a service worker building a
-    /// per-request environment override while keeping the service's one
-    /// persistent cache). Equivalent to cloning an environment that was put
-    /// in shared mode, but usable when the configurations differ.
+    /// A handle whose lookups go through an existing table — how worker
+    /// environments, per-request environment overrides and racing search
+    /// members share one cache. The handle's counters start at zero and
+    /// its probe is off.
     pub fn with_shared_backend(backend: SharedEvalCache) -> Self {
-        let mut cache = Self::new(DEFAULT_EVAL_CACHE_CAPACITY);
-        cache.backend = Some(backend);
-        cache
-    }
-
-    /// Converts this cache to the thread-shared sharded backend, migrating
-    /// every memoized entry (in key order, so shard placement and any
-    /// overflow eviction are deterministic), and returns a handle to the
-    /// shared table. Idempotent: a cache already in shared mode just
-    /// returns its handle. Clones taken *after* the conversion share the
-    /// table.
-    pub fn make_shared(&mut self) -> SharedEvalCache {
-        if let Some(backend) = &self.backend {
-            return backend.clone();
+        Self {
+            table: backend,
+            hits: 0,
+            misses: 0,
+            probe: ProbeRef::none(),
         }
-        let backend = SharedEvalCache::new(self.capacity);
-        let mut entries: Vec<(ScheduleKey, ModuleEstimate)> = self
-            .shared
-            .iter()
-            .map(|(k, e)| (*k, e.clone()))
-            .chain(self.local.drain())
-            .collect();
-        entries.sort_by_key(|(k, _)| (k.module, k.schedule));
-        for (key, estimate) in entries {
-            backend.insert(key, estimate);
-        }
-        self.shared = Arc::new(HashMap::new());
-        self.backend = Some(backend.clone());
-        backend
     }
 
-    /// True when lookups go through a thread-shared table.
-    pub fn is_shared(&self) -> bool {
-        self.backend.is_some()
-    }
-
-    /// The shared backend handle, when in shared mode.
-    pub fn shared_backend(&self) -> Option<&SharedEvalCache> {
-        self.backend.as_ref()
+    /// The table this handle looks up in.
+    pub fn shared_backend(&self) -> &SharedEvalCache {
+        &self.table
     }
 
     /// Looks up the estimate for `scheduled`, running `model` only on a
@@ -987,19 +963,9 @@ impl EvalCache {
         model: &CostModel,
         scheduled: &ScheduledModule,
     ) -> (ModuleEstimate, bool) {
-        if let Some(backend) = &self.backend {
-            let (estimate, effects) = backend.lookup_with(key, model, scheduled, Clone::clone);
-            self.count(effects.was_hit);
-            self.emit_lookup(effects);
-            return (estimate, effects.was_hit);
-        }
-        let (estimate, was_hit) = self.local_lookup(key, model, scheduled);
-        let estimate = estimate.clone();
-        self.emit_lookup(LookupEffects {
-            was_hit,
-            ..LookupEffects::default()
-        });
-        (estimate, was_hit)
+        let (estimate, effects) = self.table.lookup_with(key, model, scheduled, Clone::clone);
+        self.record(effects);
+        (estimate, effects.was_hit)
     }
 
     /// Cheapest lookup: only the total time, no estimate clone. Returns
@@ -1010,26 +976,21 @@ impl EvalCache {
         model: &CostModel,
         scheduled: &ScheduledModule,
     ) -> (f64, bool) {
-        if let Some(backend) = &self.backend {
-            let (total_s, effects) = backend.lookup_with(key, model, scheduled, |e| e.total_s);
-            self.count(effects.was_hit);
-            self.emit_lookup(effects);
-            return (total_s, effects.was_hit);
-        }
-        let (estimate, was_hit) = self.local_lookup(key, model, scheduled);
-        let total_s = estimate.total_s;
-        self.emit_lookup(LookupEffects {
-            was_hit,
-            ..LookupEffects::default()
-        });
-        (total_s, was_hit)
+        let (total_s, effects) = self.table.lookup_with(key, model, scheduled, |e| e.total_s);
+        self.record(effects);
+        (total_s, effects.was_hit)
     }
 
-    /// Mirrors one lookup into the trace: the hit/miss classification, a
-    /// shared-backend budget charge on miss, and any promotion or eviction
-    /// the lookup performed. Purely observational: emission never touches
-    /// the lookup result, so traced and untraced runs stay bit-identical.
-    fn emit_lookup(&self, effects: LookupEffects) {
+    /// Counts one lookup on this handle and mirrors it into the trace: the
+    /// hit/miss classification, the budget charge of a miss, and any
+    /// promotion or eviction the lookup performed. Emission is purely
+    /// observational, so traced and untraced runs stay bit-identical.
+    fn record(&mut self, effects: LookupEffects) {
+        if effects.was_hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
         if !self.probe.is_enabled() {
             return;
         }
@@ -1041,71 +1002,13 @@ impl EvalCache {
             }
         } else {
             self.probe.emit(EventKind::CacheMiss, None, [0, 0, 0]);
-            if let Some(backend) = &self.backend {
-                let budget = backend.budget();
-                self.probe
-                    .emit(EventKind::BudgetCharge, None, [1, budget.spent(), 0]);
-            }
+            let spent = self.table.budget().spent();
+            self.probe
+                .emit(EventKind::BudgetCharge, None, [1, spent, 0]);
             if let Some(victim_hits) = effects.evicted_hits {
                 self.probe
                     .emit(EventKind::CacheEvict, None, [effects.shard, victim_hits, 0]);
             }
-        }
-    }
-
-    fn count(&mut self, was_hit: bool) {
-        if was_hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-    }
-
-    fn local_lookup(
-        &mut self,
-        key: ScheduleKey,
-        model: &CostModel,
-        scheduled: &ScheduledModule,
-    ) -> (&ModuleEstimate, bool) {
-        use std::collections::hash_map::Entry;
-        if self.shared.contains_key(&key) {
-            self.hits += 1;
-            return (self.shared.get(&key).expect("checked above"), true);
-        }
-        // Bound snapshot + overlay against the capacity, counting only a
-        // genuinely new key. When the frozen snapshot alone exhausts the
-        // capacity, shed the snapshot and keep memoizing through the
-        // overlay — resetting the overlay in that state would wipe it on
-        // *every* new key and silently stop memoization.
-        if !self.local.contains_key(&key) && self.local.len() + self.shared.len() >= self.capacity {
-            if self.shared.len() >= self.capacity {
-                self.shared = Arc::new(HashMap::new());
-            } else {
-                self.local.clear();
-            }
-        }
-        match self.local.entry(key) {
-            Entry::Occupied(entry) => {
-                self.hits += 1;
-                (entry.into_mut(), true)
-            }
-            Entry::Vacant(entry) => {
-                self.misses += 1;
-                (entry.insert(model.estimate_scheduled(scheduled)), false)
-            }
-        }
-    }
-
-    /// Folds the local overlay into the shared snapshot, so clones share one
-    /// snapshot and carry an empty overlay. No-op in shared mode (there is
-    /// nothing local to fold).
-    pub fn consolidate(&mut self) {
-        if self.local.is_empty() {
-            return;
-        }
-        let shared = Arc::make_mut(&mut self.shared);
-        for (key, estimate) in self.local.drain() {
-            shared.entry(key).or_insert(estimate);
         }
     }
 
@@ -1119,7 +1022,8 @@ impl EvalCache {
         self.misses
     }
 
-    /// Fraction of lookups served from the cache (0 when never queried).
+    /// Fraction of this handle's lookups served from the cache (0 when
+    /// never queried).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -1129,75 +1033,14 @@ impl EvalCache {
         }
     }
 
-    /// Number of memoized estimates (of the shared table when in shared
-    /// mode).
+    /// Number of estimates memoized in the table.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Some(backend) => backend.len(),
-            None => self.shared.len() + self.local.len(),
-        }
+        self.table.len()
     }
 
     /// True if nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops all memoized estimates (counters are kept).
-    pub fn clear(&mut self) {
-        self.local.clear();
-        self.shared = Arc::new(HashMap::new());
-        if let Some(backend) = &self.backend {
-            backend.clear();
-        }
-    }
-
-    /// Merges another cache's entries into this one (worker caches are
-    /// folded back into the trainer's master cache after a parallel rollout
-    /// batch). When both caches are handles onto the same shared table this
-    /// is a no-op; otherwise the other cache's entries are walked into this
-    /// one. Counters are not merged: hit/miss accounting stays with the
-    /// cache that observed the lookups.
-    pub fn absorb(&mut self, other: EvalCache) {
-        if let (Some(a), Some(b)) = (&self.backend, &other.backend) {
-            if a.same_table(b) {
-                return;
-            }
-        }
-        if let Some(backend) = &self.backend {
-            // Shared receiver: push the other cache's entries in, sorted by
-            // key so shard placement and overflow eviction stay
-            // deterministic.
-            let mut entries: Vec<(ScheduleKey, ModuleEstimate)> = other
-                .shared
-                .iter()
-                .map(|(k, e)| (*k, e.clone()))
-                .chain(other.local)
-                .collect();
-            entries.sort_by_key(|(k, _)| (k.module, k.schedule));
-            for (key, estimate) in entries {
-                backend.insert(key, estimate);
-            }
-            return;
-        }
-        if !Arc::ptr_eq(&self.shared, &other.shared) {
-            for (key, estimate) in other.shared.iter() {
-                if self.len() >= self.capacity {
-                    break;
-                }
-                if !self.shared.contains_key(key) {
-                    self.local.entry(*key).or_insert_with(|| estimate.clone());
-                }
-            }
-        }
-        for (key, estimate) in other.local {
-            if self.len() >= self.capacity {
-                break;
-            }
-            if !self.shared.contains_key(&key) {
-                self.local.entry(key).or_insert(estimate);
-            }
-        }
     }
 }
 
@@ -1249,15 +1092,11 @@ mod tests {
         let cached = cache.estimate(&cm, &sm);
         assert_eq!(direct, cached);
         assert_eq!(cache.misses(), 1);
-        // Second lookup is a hit and returns the identical estimate; the
-        // hit survives consolidation into the shared snapshot.
+        // Second lookup is a hit and returns the identical estimate.
         let again = cache.estimate(&cm, &sm);
         assert_eq!(direct, again);
         assert_eq!(cache.hits(), 1);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
-        cache.consolidate();
-        assert_eq!(direct, cache.estimate(&cm, &sm));
-        assert_eq!(cache.hits(), 2);
     }
 
     #[test]
@@ -1303,134 +1142,53 @@ mod tests {
     }
 
     #[test]
-    fn capacity_overflow_resets_the_table() {
+    fn capacity_bounds_the_owned_table() {
         let cm = CostModel::new(MachineModel::default());
         let mut cache = EvalCache::new(2);
         for size in [32u64, 48, 64] {
             let sm = ScheduledModule::new(matmul(size, size, size));
             cache.estimate(&cm, &sm);
         }
+        assert_eq!(cache.shared_backend().capacity(), 2);
         assert!(cache.len() <= 2, "capacity must bound the table");
         assert_eq!(cache.misses(), 3);
+        assert_eq!(
+            cache.shared_backend().evictions(),
+            1,
+            "overflow evicts one entry, it does not reset the table"
+        );
     }
 
     #[test]
-    fn consolidated_full_cache_still_memoizes() {
-        // Regression: when the frozen snapshot alone reaches capacity,
-        // every new-key insert used to wipe the (empty) overlay and drop
-        // the new entry's chance of memoization entirely. The snapshot is
-        // shed instead and the overlay keeps serving hits.
+    fn clone_is_a_private_copy_of_the_table() {
         let cm = CostModel::new(MachineModel::default());
-        let mut cache = EvalCache::new(2);
-        for size in [32u64, 48] {
-            let sm = ScheduledModule::new(matmul(size, size, size));
-            cache.estimate(&cm, &sm);
-        }
-        cache.consolidate();
-        assert_eq!(cache.len(), 2, "snapshot holds the full capacity");
-
-        let fresh = ScheduledModule::new(matmul(96, 96, 96));
-        cache.estimate(&cm, &fresh); // sheds the snapshot, lands in overlay
-        let misses_before = cache.misses();
-        let (_, was_hit) = cache.estimate_keyed(schedule_key(&fresh), &cm, &fresh);
-        assert!(was_hit, "a consolidated-full cache must keep memoizing");
-        assert_eq!(cache.misses(), misses_before);
-        assert!(cache.len() <= 2, "the bound still holds after the shed");
-    }
-
-    #[test]
-    fn absorb_merges_entries_without_touching_counters() {
-        let cm = CostModel::new(MachineModel::default());
-        let mut a = EvalCache::default();
-        let mut b = EvalCache::default();
-        let sm = ScheduledModule::new(matmul(64, 64, 64));
-        b.estimate(&cm, &sm);
-        a.absorb(b);
-        assert_eq!(a.len(), 1);
-        assert_eq!(a.misses(), 0);
-        // The absorbed entry now serves hits.
-        a.estimate(&cm, &sm);
-        assert_eq!(a.hits(), 1);
-    }
-
-    #[test]
-    fn absorb_merges_a_foreign_snapshot_too() {
-        let cm = CostModel::new(MachineModel::default());
-        let mut a = EvalCache::default();
-        let mut b = EvalCache::default();
-        let sm = ScheduledModule::new(matmul(48, 48, 48));
-        b.estimate(&cm, &sm);
-        b.consolidate();
-        a.absorb(b);
-        assert_eq!(a.len(), 1);
-        a.estimate(&cm, &sm);
-        assert_eq!(a.hits(), 1);
-    }
-
-    #[test]
-    fn clones_share_the_snapshot_cheaply() {
-        let cm = CostModel::new(MachineModel::default());
-        let mut master = EvalCache::default();
+        let mut master = EvalCache::new(64);
         for size in [32u64, 48, 64] {
             let sm = ScheduledModule::new(matmul(size, size, size));
             master.estimate(&cm, &sm);
         }
-        master.consolidate();
-        let mut worker = master.clone();
-        // Worker hits come from the shared snapshot; new entries land in
-        // the worker's (initially empty) overlay only.
+        let mut copy = master.clone();
+        assert!(!copy.shared_backend().same_table(master.shared_backend()));
+        assert_eq!(copy.shared_backend().capacity(), 64);
+        // The copy starts with the master's entries...
         let sm = ScheduledModule::new(matmul(32, 32, 32));
-        worker.estimate(&cm, &sm);
-        assert_eq!(worker.hits(), master.hits() + 1);
+        copy.estimate(&cm, &sm);
+        assert_eq!(copy.hits(), master.hits() + 1);
+        // ...and what it learns afterwards stays with it.
         let fresh = ScheduledModule::new(matmul(96, 96, 96));
-        worker.estimate(&cm, &fresh);
-        assert_eq!(worker.len(), 4);
+        copy.estimate(&cm, &fresh);
+        assert_eq!(copy.len(), 4);
         assert_eq!(master.len(), 3);
-        // Folding the worker back transfers only the new entry.
-        master.absorb(worker);
-        assert_eq!(master.len(), 4);
-    }
-
-    #[test]
-    fn make_shared_migrates_entries_and_shares_between_clones() {
-        let cm = CostModel::new(MachineModel::default());
-        let mut master = EvalCache::default();
-        let sm = ScheduledModule::new(matmul(64, 64, 64));
-        master.estimate(&cm, &sm);
-        master.consolidate();
-        let overlay = ScheduledModule::new(matmul(48, 48, 48));
-        master.estimate(&cm, &overlay);
-        let handle = master.make_shared();
-        assert!(master.is_shared());
-        assert_eq!(master.len(), 2, "snapshot and overlay entries migrate");
-
-        // A clone taken after the conversion is a handle to the same table:
-        // entries inserted through one handle serve hits through the other.
-        let mut worker = master.clone();
-        let fresh = ScheduledModule::new(matmul(96, 96, 96));
-        let misses_before = worker.misses();
-        worker.estimate(&cm, &fresh);
-        assert_eq!(worker.misses(), misses_before + 1, "fresh key is a miss");
         let (_, was_hit) = master.estimate_keyed(schedule_key(&fresh), &cm, &fresh);
-        assert!(was_hit, "the worker's insert is visible to the master");
-        assert_eq!(handle.len(), 3);
-
-        // Migrated entries serve hits too, and shared values match direct
-        // evaluation.
-        let (est, was_hit) = master.estimate_keyed(schedule_key(&sm), &cm, &sm);
-        assert!(was_hit);
-        assert_eq!(est, cm.estimate_scheduled(&sm));
-
-        // make_shared is idempotent.
-        assert!(master.make_shared().same_table(&handle));
+        assert!(!was_hit, "a copy's insert must not reach the original");
     }
 
     #[test]
     fn shared_global_counters_aggregate_across_handles() {
         let cm = CostModel::new(MachineModel::default());
         let mut a = EvalCache::default();
-        let handle = a.make_shared();
-        let mut b = a.clone();
+        let handle = a.shared_backend().clone();
+        let mut b = EvalCache::with_shared_backend(handle.clone());
         let sm = ScheduledModule::new(matmul(64, 64, 64));
         a.estimate(&cm, &sm); // global miss
         b.estimate(&cm, &sm); // global hit
@@ -1445,27 +1203,12 @@ mod tests {
     #[test]
     fn absorb_between_same_table_handles_is_a_noop() {
         let cm = CostModel::new(MachineModel::default());
-        let mut a = EvalCache::default();
-        a.make_shared();
-        let mut b = a.clone();
+        let a = EvalCache::default();
+        let mut b = EvalCache::with_shared_backend(a.shared_backend().clone());
         let sm = ScheduledModule::new(matmul(64, 64, 64));
         b.estimate(&cm, &sm);
-        a.absorb(b);
+        assert_eq!(a.shared_backend().absorb(b.shared_backend()), 0);
         assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn absorb_local_into_shared_migrates_entries() {
-        let cm = CostModel::new(MachineModel::default());
-        let mut shared = EvalCache::default();
-        shared.make_shared();
-        let mut local = EvalCache::default();
-        let sm = ScheduledModule::new(matmul(64, 64, 64));
-        local.estimate(&cm, &sm);
-        shared.absorb(local);
-        assert_eq!(shared.len(), 1);
-        let (_, was_hit) = shared.estimate_keyed(schedule_key(&sm), &cm, &sm);
-        assert!(was_hit);
     }
 
     #[test]
@@ -1866,6 +1609,51 @@ mod tests {
 
         // The pristine image still restores fine afterwards.
         assert_eq!(target.restore_from_bytes(&good).expect("valid"), 5);
+    }
+
+    #[test]
+    fn failed_snapshot_write_keeps_the_previous_snapshot() {
+        let cm = CostModel::new(MachineModel::default());
+        let dir = std::env::temp_dir().join(format!("mlir-rl-snap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch directory");
+        let path = dir.join("cache.snap");
+        let temp = dir.join(format!("cache.snap.tmp-{}", std::process::id()));
+        let table_of = |entries: u64| {
+            let table = SharedEvalCache::new(64);
+            for i in 1..=entries {
+                let sm = ScheduledModule::new(matmul(16 * i, 16 * i, 16 * i));
+                table.total_s_keyed(schedule_key(&sm), &cm, &sm);
+            }
+            table
+        };
+
+        let old = table_of(1);
+        assert_eq!(old.snapshot_to(&path).expect("first write"), 1);
+        assert!(!temp.exists(), "a successful write leaves no temp sibling");
+        let good = std::fs::read(&path).expect("snapshot exists");
+
+        // A directory squatting on the temp name fails the next write
+        // before it can touch `path`; so does a missing target directory.
+        let newer = table_of(3);
+        std::fs::create_dir(&temp).expect("blocker");
+        assert!(matches!(
+            newer.snapshot_to(&path),
+            Err(SnapshotError::Io(_))
+        ));
+        let nowhere = dir.join("missing").join("cache.snap");
+        assert!(matches!(
+            newer.snapshot_to(&nowhere),
+            Err(SnapshotError::Io(_))
+        ));
+        assert_eq!(std::fs::read(&path).expect("still there"), good);
+        let restored = SharedEvalCache::new(64);
+        assert_eq!(restored.restore_from(&path).expect("previous image"), 1);
+        assert_eq!(restored.to_snapshot_bytes(), old.to_snapshot_bytes());
+
+        std::fs::remove_dir(&temp).expect("remove blocker");
+        assert_eq!(newer.snapshot_to(&path).expect("second write"), 3);
+        assert!(!temp.exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -13,7 +13,6 @@ use serde::{Deserialize, Serialize};
 
 use mlir_rl_costmodel::{
     module_fingerprint, schedule_fingerprint, CostModel, EvalCache, MeasurementNoise, ScheduleKey,
-    SharedEvalCache,
 };
 use mlir_rl_ir::{Module, OpId};
 use mlir_rl_obs::ProbeRef;
@@ -117,6 +116,16 @@ pub struct EpisodeSnapshot {
 }
 
 /// The optimization environment.
+///
+/// Every environment looks its cost-model evaluations up in one
+/// [`mlir_rl_costmodel::SharedEvalCache`] table, and the two ways to
+/// duplicate an environment differ only in which table the duplicate uses:
+/// [`Clone::clone`] gives an independent environment — a private table that
+/// starts with the original's entries — while
+/// [`OptimizationEnv::clone_sharing_cache`] gives another handle on the
+/// *same* table, which is what worker threads of one rollout batch, search
+/// or service take. [`OptimizationEnv::new`] starts an empty private table;
+/// [`OptimizationEnv::replace_cache`] swaps the table for any other.
 #[derive(Debug, Clone)]
 pub struct OptimizationEnv {
     config: EnvConfig,
@@ -245,13 +254,32 @@ impl OptimizationEnv {
         std::mem::replace(&mut self.cache, cache)
     }
 
-    /// Switches the evaluation cache to the sharded thread-shared backend
-    /// (idempotent) and returns a handle to the shared table. Environment
-    /// clones taken *after* this call all hit the same table — the rollout
-    /// engine and the search driver use this so every worker and every
-    /// search branch shares one cache.
-    pub fn enable_shared_cache(&mut self) -> SharedEvalCache {
-        self.cache.make_shared()
+    /// A duplicate of this environment (configuration, cost model, live
+    /// episode, probe) whose lookups go through the *same* evaluation
+    /// table: an estimate computed by either serves hits to the other. The
+    /// rollout engine, the search driver, racing portfolios and the service
+    /// give every worker one of these, so all workers and all branches of a
+    /// search share one cache. Per-handle hit/miss counters start at zero.
+    pub fn clone_sharing_cache(&self) -> Self {
+        let mut cache = EvalCache::with_shared_backend(self.cache.shared_backend().clone());
+        cache.set_probe(self.cache.probe().clone());
+        Self {
+            config: self.config.clone(),
+            cost_model: self.cost_model.clone(),
+            noise: self.noise.clone(),
+            scheduled: self.scheduled.clone(),
+            op_order: self.op_order.clone(),
+            current_index: self.current_index,
+            histories: self.histories.clone(),
+            baseline_s: self.baseline_s,
+            current_s: self.current_s,
+            steps_on_current_op: self.steps_on_current_op,
+            total_steps: self.total_steps,
+            evaluations: self.evaluations,
+            cache_hits: self.cache_hits,
+            cache,
+            module_fp: self.module_fp,
+        }
     }
 
     /// Total cost-model lookups so far this episode
@@ -561,7 +589,7 @@ impl OptimizationEnv {
 mod tests {
     use super::*;
     use crate::action::InterchangeSpec;
-    use mlir_rl_costmodel::MachineModel;
+    use mlir_rl_costmodel::{MachineModel, SharedEvalCache};
     use mlir_rl_ir::ModuleBuilder;
 
     fn matmul_relu_module() -> Module {
@@ -786,6 +814,8 @@ mod tests {
 
     #[test]
     fn shared_cache_mode_preserves_episode_results() {
+        // A handle joined to somebody else's table behaves exactly like a
+        // private one.
         let module = matmul_relu_module();
         let run = |e: &mut OptimizationEnv| {
             e.reset(module.clone()).unwrap();
@@ -795,17 +825,59 @@ mod tests {
             let out = e.step(&Action::NoTransformation);
             (out.reward, e.stats())
         };
-        let mut local = env();
-        let mut shared = env();
-        let handle = shared.enable_shared_cache();
-        let (r_local, s_local) = run(&mut local);
-        let (r_shared, s_shared) = run(&mut shared);
-        assert_eq!(r_local, r_shared);
-        assert_eq!(s_local, s_shared);
+        let mut private = env();
+        let mut joined = env();
+        let table = SharedEvalCache::new(1 << 10);
+        joined.replace_cache(EvalCache::with_shared_backend(table.clone()));
+        let (r_private, s_private) = run(&mut private);
+        let (r_joined, s_joined) = run(&mut joined);
+        assert_eq!(r_private, r_joined);
+        assert_eq!(s_private, s_joined);
         assert_eq!(
-            handle.hits() + handle.misses(),
-            s_shared.total_lookups() as u64
+            table.hits() + table.misses(),
+            s_joined.total_lookups() as u64
         );
+    }
+
+    #[test]
+    fn clones_copy_the_table_and_sharing_clones_join_it() {
+        let module = matmul_relu_module();
+        let table = |e: &OptimizationEnv| e.cache().shared_backend().clone();
+        let tiled_episode = |e: &mut OptimizationEnv| {
+            e.reset(module.clone()).unwrap();
+            e.step(&Action::TiledFusion {
+                tile_indices: vec![2, 2],
+            });
+            e.step(&Action::NoTransformation);
+            e.stats()
+        };
+        let mut original = env();
+
+        // A sharing clone is another handle on the same table: what it
+        // computes is a hit through the original.
+        let mut sharing = original.clone_sharing_cache();
+        assert!(table(&sharing).same_table(&table(&original)));
+        let learned = tiled_episode(&mut sharing);
+        assert!(learned.evaluations > 0);
+        let replay = tiled_episode(&mut original);
+        assert_eq!(replay.evaluations, 0, "every schedule is already known");
+        assert_eq!(replay.cache_hits, learned.total_lookups());
+
+        // A plain clone starts from the same entries in a table of its
+        // own, and what it learns stays with it.
+        let entries = original.cache().len();
+        let mut copy = original.clone();
+        assert!(!table(&copy).same_table(&table(&original)));
+        assert_eq!(tiled_episode(&mut copy), replay);
+        let mut b = ModuleBuilder::new("other");
+        let x = b.argument("x", vec![32, 32]);
+        b.relu(x);
+        copy.reset(b.finish()).unwrap();
+        assert_eq!(copy.cache().len(), entries + 1);
+        assert_eq!(original.cache().len(), entries);
+
+        // Two environments made with `new` never meet.
+        assert!(!table(&env()).same_table(&table(&env())));
     }
 
     #[test]

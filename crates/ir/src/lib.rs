@@ -34,6 +34,7 @@
 pub mod affine;
 pub mod builder;
 pub mod error;
+pub mod fnv;
 pub mod module;
 pub mod op;
 pub mod parser;
@@ -43,6 +44,7 @@ pub mod types;
 pub use affine::{AccessMatrix, AffineExpr, AffineMap};
 pub use builder::ModuleBuilder;
 pub use error::IrError;
+pub use fnv::Fnv1a;
 pub use module::{Module, Value, ValueDef};
 pub use op::{ArithCounts, IteratorType, LinalgOp, OpCategory, OpId, OpKind, ValueId};
 pub use types::{ElementType, TensorType};

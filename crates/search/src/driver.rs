@@ -55,14 +55,17 @@ impl<'a, P: PolicyModel> SearchJob<'a, P> {
 /// [`Searcher`] with its own environment handle and policy snapshot —
 /// the batch-serving entry point of the search subsystem.
 ///
-/// Before the fan-out the template environment's evaluation cache is
-/// switched to the sharded thread-shared backend, so every worker (and
-/// every branch of every search) hits one table; the report carries the
-/// table's global hit/miss counters for the batch. Each module's search is
-/// seeded with `episode_seed(base_seed, module_index)`, so the outcomes are
-/// **bit-for-bit identical for any worker count** (cached values are
-/// deterministic; only cache hit/miss *counts* may differ) — the worker
-/// count is purely a throughput knob, exactly like the rollout engine's.
+/// Every worker environment is an
+/// [`OptimizationEnv::clone_sharing_cache`] duplicate of the template, so
+/// every worker (and every branch of every search) hits the template's own
+/// evaluation table, which stays warm for the caller's next batch (pass a
+/// plain clone of the template to search on a private copy instead); the
+/// report carries the table's global hit/miss counters for the batch. Each
+/// module's search is seeded with `episode_seed(base_seed, module_index)`,
+/// so the outcomes are **bit-for-bit identical for any worker count**
+/// (cached values are deterministic; only cache hit/miss *counts* may
+/// differ) — the worker count is purely a throughput knob, exactly like the
+/// rollout engine's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchDriver {
     /// Worker threads (1 = search in the calling thread).
@@ -127,8 +130,8 @@ impl SearchDriver {
         jobs: &[SearchJob<P>],
     ) -> BatchSearchReport {
         let start = Instant::now();
-        let mut master = env_template.clone();
-        let shared = master.enable_shared_cache();
+        let mut master = env_template.clone_sharing_cache();
+        let shared = master.cache().shared_backend().clone();
         let hits_before = shared.hits();
         let misses_before = shared.misses();
 
@@ -145,7 +148,7 @@ impl SearchDriver {
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(workers);
                 for worker in 0..workers {
-                    let mut worker_env = master.clone();
+                    let mut worker_env = master.clone_sharing_cache();
                     let mut worker_policy = policy.clone();
                     handles.push(scope.spawn(move || {
                         let mut collected = Vec::new();

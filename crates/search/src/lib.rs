@@ -106,7 +106,7 @@ mod tests {
     use mlir_rl_baselines::{MullapudiAutoscheduler, VendorLibrary, VendorMode};
     use mlir_rl_costmodel::{CostModel, MachineModel};
     use mlir_rl_env::{EnvConfig, OptimizationEnv};
-    use mlir_rl_ir::{Module, ModuleBuilder};
+    use mlir_rl_ir::{Fnv1a, Module, ModuleBuilder};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -380,17 +380,6 @@ mod tests {
         );
     }
 
-    /// FNV-1a over a debug rendering: a hasher that is stable across Rust
-    /// releases (unlike `DefaultHasher`), for golden fixtures.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in bytes {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     #[test]
     fn mcts_default_outcome_matches_the_pr3_golden_fixture() {
         // Golden values captured from the pre-progressive-widening searcher
@@ -414,11 +403,11 @@ mod tests {
         assert_eq!(outcome.baseline_s.to_bits(), 0x3f5dd0531cbb2a40);
         assert_eq!(outcome.nodes_expanded, 10);
         assert_eq!(
-            fnv1a(format!("{:?}", outcome.best_actions).as_bytes()),
+            Fnv1a::hash(format!("{:?}", outcome.best_actions).as_bytes()),
             0x2777147686d1c6a8
         );
         assert_eq!(
-            fnv1a(format!("{:?}", outcome.best_schedule).as_bytes()),
+            Fnv1a::hash(format!("{:?}", outcome.best_schedule).as_bytes()),
             0xd4ec86798fd6e591
         );
     }

@@ -224,9 +224,6 @@ impl<P: PolicyModel> Portfolio<P> {
         rank: usize,
         stop: &StopToken,
     ) -> SearchOutcome {
-        // Member threads must share one table; idempotent when the driver
-        // already put the environment in shared mode.
-        env.enable_shared_cache();
         let ledger = self.ledger();
         // The race runs in its own claimant space, linked to the external
         // token: member claims stay internal, while an external cancel or
@@ -236,12 +233,13 @@ impl<P: PolicyModel> Portfolio<P> {
         let mut raced: Vec<(usize, SearchOutcome, bool)> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.members.len());
             for (member_rank, member) in self.members.iter().enumerate() {
-                let mut member_env = env.clone();
+                // Member threads share the caller's evaluation table.
+                let mut member_env = env.clone_sharing_cache();
                 let mut member_policy = policy.clone();
                 let race = &race;
                 let ledger = ledger.clone();
                 handles.push(scope.spawn(move || {
-                    // The cloned environment carries the request's probe, so
+                    // The member environment carries the request's probe, so
                     // racing members trace into the same request lane.
                     let probe = member_env.probe().clone();
                     let name = member.name();

@@ -97,7 +97,7 @@ fn main() {
             );
         }
     }
-    let stats = service.stats();
+    let stats = service.metrics();
     println!(
         "\nservice lifetime: {} completed requests, shared-cache hit-rate {:.1}%;",
         stats.completed,

@@ -50,7 +50,7 @@ fn main() {
             response.queue_s * 1e3,
         );
     }
-    let stats = service.stats();
+    let stats = service.metrics();
     println!(
         "service: {} requests served, cache hit-rate {:.1}%",
         stats.completed,

@@ -2,8 +2,8 @@
 //! across worker counts and cost-model cache accounting, exercised through
 //! the public crate APIs end to end.
 
-use mlir_rl_agent::{collect_rollouts, PolicyHyperparams, PpoConfig, PpoTrainer, Trajectory};
-use mlir_rl_costmodel::{CostModel, MachineModel};
+use mlir_rl_agent::{collect_rollouts, PolicyHyperparams, PpoConfig, PpoTrainer, RolloutBatch};
+use mlir_rl_costmodel::{CostModel, EvalCache, MachineModel};
 use mlir_rl_env::{EnvConfig, OptimizationEnv, RewardMode};
 use mlir_rl_ir::{Module, ModuleBuilder};
 
@@ -30,9 +30,20 @@ fn fixture(config: &EnvConfig) -> (OptimizationEnv, PpoTrainer<mlir_rl_agent::Po
     (env, trainer)
 }
 
-fn collect(config: &EnvConfig, modules: &[&Module], workers: usize) -> Vec<Trajectory> {
+/// One batch at `workers` workers on a fresh environment whose evaluation
+/// table holds `capacity` entries (`None`: the default), returned with the
+/// environment so its cache can be inspected.
+fn collect(
+    config: &EnvConfig,
+    modules: &[&Module],
+    capacity: Option<usize>,
+    workers: usize,
+) -> (RolloutBatch, OptimizationEnv) {
     let (mut env, mut trainer) = fixture(config);
-    collect_rollouts(
+    if let Some(capacity) = capacity {
+        env.replace_cache(EvalCache::new(capacity));
+    }
+    let batch = collect_rollouts(
         &mut env,
         modules,
         &mut trainer.policy,
@@ -40,8 +51,8 @@ fn collect(config: &EnvConfig, modules: &[&Module], workers: usize) -> Vec<Traje
         false,
         777,
         workers,
-    )
-    .trajectories
+    );
+    (batch, env)
 }
 
 #[test]
@@ -49,19 +60,39 @@ fn fixed_seed_parallel_rollouts_are_identical_to_serial() {
     let config = EnvConfig::small();
     let dataset = dataset();
     let modules: Vec<&Module> = dataset.iter().chain(dataset.iter()).collect();
-    let serial = collect(&config, &modules, 1);
-    for workers in [2, 3, 6] {
-        let parallel = collect(&config, &modules, workers);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
+    let (serial, _) = collect(&config, &modules, None, 1);
+    // Worker counts on the default table, and serial collection on a table
+    // of four entries: neither may move a bit of any trajectory.
+    for (capacity, workers) in [(None, 2), (None, 3), (None, 6), (Some(4), 1)] {
+        let (batch, env) = collect(&config, &modules, capacity, workers);
+        let case = format!("capacity {capacity:?}, {workers} workers");
+        assert_eq!(serial.trajectories.len(), batch.trajectories.len());
+        for (a, b) in serial.trajectories.iter().zip(&batch.trajectories) {
             assert_eq!(a.transitions.len(), b.transitions.len());
             for (x, y) in a.transitions.iter().zip(&b.transitions) {
-                assert_eq!(x.record, y.record, "{workers} workers: actions diverged");
-                assert_eq!(x.reward, y.reward, "{workers} workers: rewards diverged");
-                assert_eq!(x.value, y.value, "{workers} workers: values diverged");
+                assert_eq!(x.record, y.record, "{case}: actions diverged");
+                assert_eq!(x.reward, y.reward, "{case}: rewards diverged");
+                assert_eq!(x.value, y.value, "{case}: values diverged");
             }
             assert_eq!(a.stats.speedup, b.stats.speedup);
             assert_eq!(a.stats.steps, b.stats.steps);
+        }
+        // Every lookup of the batch went through the environment's one
+        // table and was classified exactly once.
+        let table = env.cache().shared_backend();
+        assert_eq!(batch.total_lookups(), serial.total_lookups(), "{case}");
+        assert_eq!(
+            (batch.evaluations as u64, batch.cache_hits as u64),
+            (table.misses(), table.hits()),
+            "{case}"
+        );
+        if let Some(capacity) = capacity {
+            // A full table evicts entry by entry and never overshoots.
+            assert!(table.evictions() > 0, "{case}: the batch must overflow");
+            assert!(table.len() <= capacity, "{case}");
+            assert!(batch.evaluations > serial.evaluations, "{case}");
+        } else {
+            assert_eq!(table.evictions(), 0, "{case}");
         }
     }
 }

@@ -374,7 +374,7 @@ fn budget_exhaustion_skips_in_submission_order_at_any_worker_count() {
             service.resume();
             let responses = wait_all(&pending);
             assert_eq!(responses[0].status, ResponseStatus::Completed);
-            assert_eq!(service.stats().skipped, 2);
+            assert_eq!(service.metrics().skipped, 2);
         }
     }
 }
@@ -538,7 +538,7 @@ fn rejected_requests_answer_with_errors_and_service_survives() {
         .unwrap()
         .contains("schedule length"));
     assert_eq!(responses[2].status, ResponseStatus::Completed);
-    let stats = service.stats();
+    let stats = service.metrics();
     assert_eq!(stats.rejected, 2);
     assert_eq!(stats.completed, 1);
 }
