@@ -35,7 +35,9 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use mlir_rl_env::{EnvConfig, EpisodeStats, Observation, ObservationBatch, OptimizationEnv};
+use mlir_rl_env::{
+    hit_rate, EnvConfig, EpisodeStats, Observation, ObservationBatch, OptimizationEnv,
+};
 use mlir_rl_ir::Module;
 use mlir_rl_nn::{clip_grad_norm, Adam, Param};
 
@@ -436,12 +438,7 @@ impl RolloutBatch {
 
     /// Fraction of evaluation requests served by the cache.
     pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.total_lookups();
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        hit_rate(self.cache_hits as u64, self.evaluations as u64)
     }
 
     /// Total cost-model lookups of the batch

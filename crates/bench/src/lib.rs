@@ -520,44 +520,18 @@ impl RolloutThroughput {
     /// Machine-readable record of the run (one JSON object) for
     /// `BENCH_*.json` trajectories.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        json::field(
-            &mut out,
-            1,
-            "experiment",
-            json::string("exp_rollout_throughput"),
-        );
-        out.push_str(",\n");
-        json::field(&mut out, 1, "episodes", json::number(self.episodes as f64));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "steps", json::number(self.steps as f64));
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "serial_steps_per_sec",
-            json::number(self.serial_steps_per_sec),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "parallel_steps_per_sec",
-            json::number(self.parallel_steps_per_sec),
-        );
-        out.push_str(",\n");
-        json::field(&mut out, 1, "workers", json::number(self.workers as f64));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "speedup", json::number(self.speedup));
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "cache_hit_rate",
-            json::number(self.cache_hit_rate),
-        );
-        out.push_str("\n}");
-        out
+        let numbers = [
+            ("episodes", self.episodes as f64),
+            ("steps", self.steps as f64),
+            ("serial_steps_per_sec", self.serial_steps_per_sec),
+            ("parallel_steps_per_sec", self.parallel_steps_per_sec),
+            ("workers", self.workers as f64),
+            ("speedup", self.speedup),
+            ("cache_hit_rate", self.cache_hit_rate),
+        ];
+        let mut fields = vec![("experiment", json::string("exp_rollout_throughput"))];
+        fields.extend(numbers.map(|(key, value)| (key, json::number(value))));
+        json::object(1, fields)
     }
 }
 
@@ -913,39 +887,23 @@ impl PortfolioReport {
             out
         };
 
-        let mut out = String::from("{\n");
-        json::field(&mut out, 1, "experiment", json::string("exp_portfolio"));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "workers", json::number(self.workers as f64));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "table", self.table.to_json());
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "singles",
-            json::array(self.singles.iter().map(summary_json)),
-        );
-        out.push_str(",\n");
-        json::field(&mut out, 1, "round_robin", summary_json(&self.round_robin));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "racing", summary_json(&self.racing));
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "members",
-            json::array(self.members.iter().map(member_json)),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "racing_members",
-            json::array(self.racing_members.iter().map(member_json)),
-        );
-        out.push_str(",\n");
-        for (key, value) in [
+        let mut fields = vec![
+            ("experiment", json::string("exp_portfolio")),
+            ("workers", json::number(self.workers as f64)),
+            ("table", self.table.to_json()),
+            (
+                "singles",
+                json::array(self.singles.iter().map(summary_json)),
+            ),
+            ("round_robin", summary_json(&self.round_robin)),
+            ("racing", summary_json(&self.racing)),
+            ("members", json::array(self.members.iter().map(member_json))),
+            (
+                "racing_members",
+                json::array(self.racing_members.iter().map(member_json)),
+            ),
+        ];
+        let numbers = [
             ("singles_evaluations", self.singles_evaluations as f64),
             ("singles_hit_rate", self.singles_hit_rate),
             ("best_single_hit_rate", self.best_single_hit_rate),
@@ -960,18 +918,13 @@ impl PortfolioReport {
                 "racing_mean_winner_lookups",
                 self.racing_mean_winner_lookups,
             ),
-        ] {
-            json::field(&mut out, 1, key, json::number(value));
-            out.push_str(",\n");
-        }
-        json::field(
-            &mut out,
-            1,
+        ];
+        fields.extend(numbers.map(|(key, value)| (key, json::number(value))));
+        fields.push((
             "racing_worker_invariant",
             self.racing_worker_invariant.to_string(),
-        );
-        out.push_str("\n}");
-        out
+        ));
+        json::object(1, fields)
     }
 }
 
@@ -1373,106 +1326,63 @@ impl ServiceReport {
     /// Machine-readable record of the run (one JSON object) for
     /// `BENCH_*.json` trajectories.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        json::field(&mut out, 1, "experiment", json::string("exp_service"));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "modules", json::number(self.modules as f64));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "rounds", json::number(self.rounds as f64));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "workers", json::number(self.workers as f64));
-        out.push_str(",\n");
-        json::field(
-            &mut out,
+        let streams = [
+            &self.warm,
+            &self.batched,
+            &self.restored,
+            &self.tiny,
+            &self.cold,
+        ];
+        json::object(
             1,
-            "batched_workers",
-            json::number(self.batched_workers as f64),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "streams",
-            json::array(
-                [
-                    self.warm.to_json(),
-                    self.batched.to_json(),
-                    self.restored.to_json(),
-                    self.tiny.to_json(),
-                    self.cold.to_json(),
-                ]
-                .into_iter(),
-            ),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "restored_entries",
-            json::number(self.restored_entries as f64),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "restored_fingerprints_match",
-            self.restored_fingerprints_match.to_string(),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "tiny_capacity",
-            json::number(self.tiny_capacity as f64),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "tiny_cache_evictions",
-            json::number(self.tiny_cache_evictions as f64),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "tiny_fingerprints_match",
-            self.tiny_fingerprints_match.to_string(),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "rows_per_batch",
-            json::number(self.rows_per_batch),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "batched_fingerprints_match",
-            self.batched_fingerprints_match.to_string(),
-        );
-        out.push_str(",\n");
-        let (completed, stopped, skipped, rejected) = self.statuses;
-        json::field(
-            &mut out,
-            1,
-            "statuses",
-            format!(
-                "{{\"completed\": {completed}, \"stopped\": {stopped}, \"skipped\": {skipped}, \"rejected\": {rejected}}}"
-            ),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "determinism_invariant",
-            self.determinism_invariant.to_string(),
-        );
-        out.push_str("\n}");
-        out
+            [
+                ("experiment", json::string("exp_service")),
+                ("modules", json::number(self.modules as f64)),
+                ("rounds", json::number(self.rounds as f64)),
+                ("workers", json::number(self.workers as f64)),
+                ("batched_workers", json::number(self.batched_workers as f64)),
+                (
+                    "streams",
+                    json::array(streams.into_iter().map(ServiceStreamSummary::to_json)),
+                ),
+                (
+                    "restored_entries",
+                    json::number(self.restored_entries as f64),
+                ),
+                (
+                    "restored_fingerprints_match",
+                    self.restored_fingerprints_match.to_string(),
+                ),
+                ("tiny_capacity", json::number(self.tiny_capacity as f64)),
+                (
+                    "tiny_cache_evictions",
+                    json::number(self.tiny_cache_evictions as f64),
+                ),
+                (
+                    "tiny_fingerprints_match",
+                    self.tiny_fingerprints_match.to_string(),
+                ),
+                ("rows_per_batch", json::number(self.rows_per_batch)),
+                (
+                    "batched_fingerprints_match",
+                    self.batched_fingerprints_match.to_string(),
+                ),
+                ("statuses", statuses_json(self.statuses)),
+                (
+                    "determinism_invariant",
+                    self.determinism_invariant.to_string(),
+                ),
+            ],
+        )
     }
+}
+
+/// The `(completed, stopped, skipped, rejected)` counts of a served stream
+/// as a one-line JSON object (`exp_service` and `exp_load` records).
+fn statuses_json((completed, stopped, skipped, rejected): (usize, usize, usize, usize)) -> String {
+    format!(
+        "{{\"completed\": {completed}, \"stopped\": {stopped}, \"skipped\": {skipped}, \"rejected\": {rejected}}}"
+    )
 }
 
 /// Deterministic Fisher-Yates shuffle (the vendored `rand` stub has no
@@ -1816,10 +1726,7 @@ impl LoadReport {
     /// latency fields are surfaced at the top level (in addition to the
     /// nested metrics snapshot) so CI can assert on them directly.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        json::field(&mut out, 1, "experiment", json::string("exp_load"));
-        out.push_str(",\n");
-        for (key, value) in [
+        let numbers = [
             ("modules", self.modules as f64),
             ("requests", self.requests as f64),
             ("burst", self.burst as f64),
@@ -1834,23 +1741,12 @@ impl LoadReport {
             ("service_p99_s", self.metrics.service_p99_s),
             ("bounded_high_water", self.metrics.queue_high_water as f64),
             ("unbounded_high_water", self.unbounded_high_water as f64),
-        ] {
-            json::field(&mut out, 1, key, json::number(value));
-            out.push_str(",\n");
-        }
-        let (completed, stopped, skipped, rejected) = self.statuses;
-        json::field(
-            &mut out,
-            1,
-            "statuses",
-            format!(
-                "{{\"completed\": {completed}, \"stopped\": {stopped}, \"skipped\": {skipped}, \"rejected\": {rejected}}}"
-            ),
-        );
-        out.push_str(",\n");
-        json::field(&mut out, 1, "metrics", self.metrics.to_json());
-        out.push_str("\n}");
-        out
+        ];
+        let mut fields = vec![("experiment", json::string("exp_load"))];
+        fields.extend(numbers.map(|(key, value)| (key, json::number(value))));
+        fields.push(("statuses", statuses_json(self.statuses)));
+        fields.push(("metrics", self.metrics.to_json()));
+        json::object(1, fields)
     }
 }
 
@@ -2209,27 +2105,19 @@ pub struct NnThroughputReport {
 impl ObservationLstmRow {
     /// One JSON object per measured batch size.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
         let fields = [
             ("batch", self.batch as f64),
             ("observation_rows", self.observation_rows),
             ("dense_rows", self.dense_rows),
             ("speedup", self.speedup),
         ];
-        let last = fields.len() - 1;
-        for (i, (name, value)) in fields.into_iter().enumerate() {
-            json::field(&mut out, 2, name, json::number(value));
-            out.push_str(if i == last { "\n" } else { ",\n" });
-        }
-        out.push_str("  }");
-        out
+        json::object(2, fields.map(|(name, value)| (name, json::number(value))))
     }
 }
 
 impl NnThroughputRow {
     /// One JSON object per measured batch size.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
         let fields = [
             ("batch", self.batch as f64),
             ("forward_looped", self.forward_looped),
@@ -2245,13 +2133,7 @@ impl NnThroughputRow {
             ("lstm_infer_batched", self.lstm_infer_batched),
             ("lstm_infer_speedup", self.lstm_infer_speedup),
         ];
-        let last = fields.len() - 1;
-        for (i, (name, value)) in fields.into_iter().enumerate() {
-            json::field(&mut out, 2, name, json::number(value));
-            out.push_str(if i == last { "\n" } else { ",\n" });
-        }
-        out.push_str("  }");
-        out
+        json::object(2, fields.map(|(name, value)| (name, json::number(value))))
     }
 }
 
@@ -2259,48 +2141,29 @@ impl NnThroughputReport {
     /// Machine-readable record of the run (one JSON object) for
     /// `BENCH_*.json` trajectories.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        json::field(&mut out, 1, "experiment", json::string("exp_nn_throughput"));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "input", json::number(self.input as f64));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "hidden", json::number(self.hidden as f64));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "layers", json::number(self.layers as f64));
-        out.push_str(",\n");
-        json::field(
-            &mut out,
+        json::object(
             1,
-            "rows",
-            json::array(self.rows.iter().map(NnThroughputRow::to_json)),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "feature_len",
-            json::number(self.feature_len as f64),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "observation_nnz",
-            json::number(self.observation_nnz),
-        );
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "observation_lstm",
-            json::array(
-                self.observation_lstm
-                    .iter()
-                    .map(ObservationLstmRow::to_json),
-            ),
-        );
-        out.push_str("\n}");
-        out
+            [
+                ("experiment", json::string("exp_nn_throughput")),
+                ("input", json::number(self.input as f64)),
+                ("hidden", json::number(self.hidden as f64)),
+                ("layers", json::number(self.layers as f64)),
+                (
+                    "rows",
+                    json::array(self.rows.iter().map(NnThroughputRow::to_json)),
+                ),
+                ("feature_len", json::number(self.feature_len as f64)),
+                ("observation_nnz", json::number(self.observation_nnz)),
+                (
+                    "observation_lstm",
+                    json::array(
+                        self.observation_lstm
+                            .iter()
+                            .map(ObservationLstmRow::to_json),
+                    ),
+                ),
+            ],
+        )
     }
 }
 
@@ -2754,9 +2617,6 @@ impl OnlineReport {
     /// Machine-readable record of the run (one JSON object) for
     /// `BENCH_*.json` trajectories.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        json::field(&mut out, 1, "experiment", json::string("exp_online"));
-        out.push_str(",\n");
         let numbers = [
             ("modules", self.modules as f64),
             ("workers", self.workers as f64),
@@ -2771,22 +2631,15 @@ impl OnlineReport {
             ("pre_geomean", self.pre_geomean),
             ("post_geomean", self.post_geomean),
         ];
-        for (name, value) in numbers {
-            json::field(&mut out, 1, name, json::number(value));
-            out.push_str(",\n");
-        }
         let flags = [
             ("pre_fingerprints_stable", self.pre_fingerprints_stable),
             ("post_fingerprints_stable", self.post_fingerprints_stable),
             ("versions_pinned", self.versions_pinned),
         ];
-        let last = flags.len() - 1;
-        for (i, (name, value)) in flags.into_iter().enumerate() {
-            json::field(&mut out, 1, name, value.to_string());
-            out.push_str(if i == last { "\n" } else { ",\n" });
-        }
-        out.push('}');
-        out
+        let mut fields = vec![("experiment", json::string("exp_online"))];
+        fields.extend(numbers.map(|(name, value)| (name, json::number(value))));
+        fields.extend(flags.map(|(name, value)| (name, value.to_string())));
+        json::object(1, fields)
     }
 }
 

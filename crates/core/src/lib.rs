@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 
+mod metrics;
 pub mod optimizer;
 pub mod report;
 pub mod service;

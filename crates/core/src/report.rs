@@ -63,16 +63,6 @@ impl SpeedupTable {
 
     /// Serializes the table to JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        json::field(&mut out, 1, "title", json::string(&self.title));
-        out.push_str(",\n");
-        json::field(
-            &mut out,
-            1,
-            "columns",
-            json::array(self.columns.iter().map(|c| json::string(c))),
-        );
-        out.push_str(",\n");
         let rows = self.rows.iter().map(|(name, values)| {
             format!(
                 "[{}, {}]",
@@ -80,9 +70,17 @@ impl SpeedupTable {
                 json::array(values.iter().map(|v| json::number(*v)))
             )
         });
-        json::field(&mut out, 1, "rows", json::array(rows));
-        out.push_str("\n}");
-        out
+        json::object(
+            1,
+            [
+                ("title", json::string(&self.title)),
+                (
+                    "columns",
+                    json::array(self.columns.iter().map(|c| json::string(c))),
+                ),
+                ("rows", json::array(rows)),
+            ],
+        )
     }
 }
 
@@ -132,6 +130,27 @@ pub mod json {
     /// Appends an indented `"name": value` field (no trailing comma).
     pub fn field(out: &mut String, indent: usize, name: &str, value: String) {
         let _ = write!(out, "{}{}: {}", "  ".repeat(indent), string(name), value);
+    }
+
+    /// Joins pre-rendered `(name, value)` fields into a multi-line object:
+    /// one field per line at `indent` levels, the closing brace one level
+    /// out (so an object nested as a field value at level `indent - 1`
+    /// lines up). No fields give `{}`.
+    pub fn object<'a>(
+        indent: usize,
+        fields: impl IntoIterator<Item = (&'a str, String)>,
+    ) -> String {
+        let mut out = String::from("{");
+        for (i, (name, value)) in fields.into_iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            field(&mut out, indent, name, value);
+        }
+        if out.len() > 1 {
+            out.push('\n');
+            out.push_str(&"  ".repeat(indent.saturating_sub(1)));
+        }
+        out.push('}');
+        out
     }
 }
 
@@ -242,13 +261,6 @@ impl Figure {
 
     /// Serializes the figure to JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        json::field(&mut out, 1, "title", json::string(&self.title));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "x_label", json::string(&self.x_label));
-        out.push_str(",\n");
-        json::field(&mut out, 1, "y_label", json::string(&self.y_label));
-        out.push_str(",\n");
         let series = self.series.iter().map(|s| {
             let points = s
                 .points
@@ -260,9 +272,15 @@ impl Figure {
                 json::array(points)
             )
         });
-        json::field(&mut out, 1, "series", json::array(series));
-        out.push_str("\n}");
-        out
+        json::object(
+            1,
+            [
+                ("title", json::string(&self.title)),
+                ("x_label", json::string(&self.x_label)),
+                ("y_label", json::string(&self.y_label)),
+                ("series", json::array(series)),
+            ],
+        )
     }
 }
 
@@ -318,6 +336,20 @@ mod tests {
         assert!((g[0] - 4.0).abs() < 1e-9);
         assert!(g[1].is_nan());
         assert!(t.to_string().contains('-'));
+    }
+
+    #[test]
+    fn json_object_joins_fields_and_indents_the_closing_brace() {
+        assert_eq!(json::object(1, []), "{}");
+        assert_eq!(
+            json::object(1, [("a", json::number(1.0))]),
+            "{\n  \"a\": 1\n}"
+        );
+        let inner = json::object(2, [("x", json::string("y")), ("z", "null".to_string())]);
+        assert_eq!(
+            json::object(1, [("n", json::number(0.5)), ("inner", inner)]),
+            "{\n  \"n\": 0.5,\n  \"inner\": {\n    \"x\": \"y\",\n    \"z\": null\n  }\n}"
+        );
     }
 
     #[test]

@@ -163,6 +163,16 @@ pub fn schedule_key(scheduled: &ScheduledModule) -> ScheduleKey {
     }
 }
 
+/// Fraction of `hits + misses` lookups that were hits (0 when there were no
+/// lookups) — the one definition behind every hit-rate this workspace
+/// reports, from a single cache handle up to the service metrics.
+pub fn hit_rate(hits: u64, misses: u64) -> f64 {
+    match hits + misses {
+        0 => 0.0,
+        total => hits as f64 / total as f64,
+    }
+}
+
 /// Why a cache snapshot could not be written or restored. Restore failures
 /// leave the table untouched; callers cold-start instead of panicking.
 #[derive(Debug)]
@@ -622,12 +632,7 @@ impl SharedEvalCache {
 
     /// Global fraction of lookups served from the table.
     pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits(), self.misses());
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
+        hit_rate(self.hits(), self.misses())
     }
 
     /// Number of memoized estimates across all shards.
@@ -1025,12 +1030,7 @@ impl EvalCache {
     /// Fraction of this handle's lookups served from the cache (0 when
     /// never queried).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        hit_rate(self.hits, self.misses)
     }
 
     /// Number of estimates memoized in the table.

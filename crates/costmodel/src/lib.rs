@@ -42,7 +42,7 @@ pub mod noise;
 
 pub use budget::EvalBudget;
 pub use cache::{
-    module_fingerprint, schedule_fingerprint, schedule_key, CacheShardStats, EvalCache,
+    hit_rate, module_fingerprint, schedule_fingerprint, schedule_key, CacheShardStats, EvalCache,
     ScheduleKey, SharedEvalCache, SnapshotError, DEFAULT_EVAL_CACHE_CAPACITY, SHARED_CACHE_SHARDS,
 };
 pub use estimator::{speedup, CostModel, ModuleEstimate, TimeEstimate};

@@ -45,3 +45,7 @@ pub use env::{EpisodeSnapshot, EpisodeStats, Observation, OptimizationEnv, StepO
 pub use features::{extract_features, zero_features, ActionHistory, ObservationBatch};
 pub use mask::{compute_mask, ActionMask};
 pub use reward::{log_speedup, speedup_from_log, step_reward};
+
+/// The workspace's one hit-rate definition, re-exported for crates that reach
+/// the cost model only through the environment (`mlir-rl-agent`).
+pub use mlir_rl_costmodel::hit_rate;

@@ -7,6 +7,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use mlir_rl_agent::PolicyModel;
+use mlir_rl_costmodel::hit_rate;
 use mlir_rl_env::{Action, OptimizationEnv};
 use mlir_rl_ir::Module;
 use mlir_rl_transforms::Schedule;
@@ -57,12 +58,7 @@ impl SearchOutcome {
 
     /// Fraction of lookups served by the cache.
     pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.total_lookups();
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        hit_rate(self.cache_hits as u64, self.evaluations as u64)
     }
 }
 

@@ -314,23 +314,64 @@ fn tracing_is_observational_and_traces_every_request() {
     assert!(chrome.contains("\"traceEvents\""));
     assert!(chrome.matches("\"ph\":\"X\"").count() >= n);
     assert_eq!(snapshot.to_jsonl().lines().count(), snapshot.events.len());
+}
 
-    // The unified Prometheus exposition covers serving, cache and budget
-    // series plus the raw latency histograms.
-    let exposition = traced_service.prometheus();
-    for series in [
-        "mlir_rl_requests_submitted_total",
-        "mlir_rl_requests_completed_total",
-        "mlir_rl_cache_hits_total",
-        "mlir_rl_budget_spent",
-        "mlir_rl_queue_wait_seconds_bucket",
-        "mlir_rl_service_time_seconds_count",
-    ] {
-        assert!(
-            exposition.contains(series),
-            "{series} missing from the Prometheus exposition"
+/// The golden pin of both metrics surfaces: a paused, never-used service
+/// reads all-zero counters, so `ServiceMetrics::to_json` is pinned byte for
+/// byte and the Prometheus exposition line for line (sorted, because only
+/// the set of `# HELP` / `# TYPE` / sample lines is the contract, not the
+/// order series are registered in). Every JSON key and every series name,
+/// label, type and help string is in the pin, so a series dropped from or
+/// mistyped in either surface fails here.
+#[test]
+fn metrics_json_and_prometheus_match_the_golden_pin() {
+    let service = OptimizationService::new(ServiceConfig::quick().paused(), policy(1));
+    assert_eq!(
+        service.metrics().to_json() + "\n",
+        include_str!("golden/service_metrics.json")
+    );
+    let exposition = service.prometheus();
+    let mut lines: Vec<&str> = exposition.lines().collect();
+    lines.sort_unstable();
+    assert_eq!(
+        lines.join("\n") + "\n",
+        include_str!("golden/service_prometheus_sorted.txt")
+    );
+}
+
+/// Prometheus naming: a counter only ever grows, and exactly the counters
+/// carry a `_total` / histogram suffix. `mlir_rl_budget_spent` includes
+/// outstanding reservations that `EvalBudget::refund` hands back, so it is
+/// a gauge. Checked with every optional series present (budget cap set,
+/// aggregator on).
+#[test]
+fn exactly_the_counter_series_carry_counter_suffixes() {
+    let service = OptimizationService::new(
+        ServiceConfig::quick()
+            .paused()
+            .with_eval_budget(1_000)
+            .with_inference_batching(16, 500),
+        policy(1),
+    );
+    let exposition = service.prometheus();
+    let mut typed = 0;
+    for line in exposition.lines() {
+        let Some(rest) = line.strip_prefix("# TYPE ") else {
+            continue;
+        };
+        let (name, kind) = rest.split_once(' ').expect("# TYPE <name> <kind>");
+        let counter_name = ["_total", "_bucket", "_sum", "_count"]
+            .iter()
+            .any(|suffix| name.ends_with(suffix));
+        assert_eq!(
+            kind == "counter",
+            counter_name,
+            "{name} is exported as a {kind}"
         );
+        typed += 1;
     }
+    assert!(typed > 40, "the exposition lost its # TYPE lines");
+    assert!(exposition.contains("mlir_rl_inference_rows_per_batch_bucket{le=\"+Inf\"} 0"));
 }
 
 #[test]
@@ -830,33 +871,6 @@ fn online_training_feeds_experiences_and_hot_swaps_the_policy() {
     assert!(metrics.online_train_steps >= 1);
     assert!(metrics.policy_swaps >= 1);
     assert_eq!(metrics.policy_version, version);
-    for field in [
-        "\"policy_version\"",
-        "\"policy_swaps\"",
-        "\"online_experiences_accepted\"",
-        "\"online_experiences_dropped\"",
-        "\"online_train_steps\"",
-        "\"online_gate_rejects\"",
-    ] {
-        assert!(
-            metrics.to_json().contains(field),
-            "{field} missing from ServiceMetrics::to_json"
-        );
-    }
-    let exposition = service.prometheus();
-    for series in [
-        "mlir_rl_online_policy_version",
-        "mlir_rl_online_policy_swaps_total",
-        "mlir_rl_online_experiences_accepted_total",
-        "mlir_rl_online_experiences_dropped_total",
-        "mlir_rl_online_train_steps_total",
-        "mlir_rl_online_gate_rejects_total",
-    ] {
-        assert!(
-            exposition.contains(series),
-            "{series} missing from the Prometheus exposition"
-        );
-    }
 
     // The trace holds the subsystem's lifecycle events.
     let snapshot = service.trace_snapshot().expect("tracing is on");
