@@ -755,6 +755,37 @@ mod tests {
     }
 
     #[test]
+    fn a_published_version_is_immune_to_the_trainer() {
+        use crate::snapshot::WeightSnapshot;
+        use mlir_rl_costmodel::{CostModel, MachineModel};
+        // Version 0 and the trainer's network start on the same buffers.
+        let policy = test_policy(3);
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let value = ValueNetwork::new(policy.env_config(), policy.hyperparams(), &mut rng);
+        let registry = PolicyRegistry::new(policy.clone());
+        let mut trainer = PpoTrainer::with_policy(policy, value, PpoConfig::small(), rng);
+        let image = |snapshot: &PolicySnapshot| {
+            let mut network = snapshot.policy.clone();
+            (network.weights_to_bytes(), network.weights_fingerprint())
+        };
+        let mut env = OptimizationEnv::new(
+            trainer.policy.env_config().clone(),
+            CostModel::new(MachineModel::default()),
+        );
+        let v0 = registry.checkout();
+        let v0_image = image(&v0);
+        trainer.train_iteration(&mut env, &[test_module()]);
+        // ... and so do version 1 and the trainer, right after the publish.
+        registry.publish(trainer.policy.clone());
+        let v1 = registry.checkout();
+        let v1_image = image(&v1);
+        assert_ne!(v0_image.1, v1_image.1, "the step must have moved weights");
+        trainer.train_iteration(&mut env, &[test_module()]);
+        assert_ne!(trainer.policy.weights_fingerprint(), v1_image.1);
+        assert!(image(&v0) == v0_image && image(&v1) == v1_image);
+    }
+
+    #[test]
     fn config_validation_rejects_zero_knobs() {
         let ok = OnlineTrainingConfig::default();
         assert!(ok.try_validate().is_ok());

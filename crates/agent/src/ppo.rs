@@ -412,6 +412,16 @@ pub fn episode_seed(base: u64, episode: u64) -> u64 {
 
 /// The number of rollout workers matching the machine's available
 /// parallelism (fallback 1).
+///
+/// Whether fanning out pays depends on the batch, not only on the cores.
+/// Measured at 2 vCPUs with 32x2 networks at paper width (PR 16, after
+/// network clones stopped copying weights): 2 workers collect 4-episode
+/// batches at **1.01x** of one worker (median of 9 traced runs, range
+/// 0.88-1.19; 0.26x before) — a ~1.3 ms batch does not amortise the
+/// ~85 us `thread::scope` + two spawns and the two-episode imbalance —
+/// while 48-episode batches read 1.07-1.76x at 2 workers. Nothing here
+/// gates on batch size yet; a persistent pool or a measured threshold is
+/// the next step (ROADMAP, "training side").
 pub fn default_rollout_workers() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)

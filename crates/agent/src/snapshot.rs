@@ -89,7 +89,7 @@ fn encode(params: &[&mut Param]) -> Vec<u8> {
     for param in params {
         out.extend_from_slice(&(param.rows as u32).to_le_bytes());
         out.extend_from_slice(&(param.cols as u32).to_le_bytes());
-        for &v in &param.value {
+        for &v in param.value() {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
@@ -149,7 +149,7 @@ fn decode(params: &mut [&mut Param], bytes: &[u8]) -> Result<(), WeightsError> {
                 found: (rows, cols),
             });
         }
-        let raw = cursor.take(param.value.len() * 8)?;
+        let raw = cursor.take(param.len() * 8)?;
         let values = raw
             .chunks_exact(8)
             .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
@@ -158,7 +158,7 @@ fn decode(params: &mut [&mut Param], bytes: &[u8]) -> Result<(), WeightsError> {
     }
     // Pass 2: commit.
     for (param, values) in params.iter_mut().zip(staged) {
-        param.value = values;
+        param.set_value(values);
     }
     Ok(())
 }
@@ -169,7 +169,7 @@ fn fingerprint(params: &[&mut Param]) -> u64 {
     for param in params {
         fnv.write(&(param.rows as u64).to_le_bytes());
         fnv.write(&(param.cols as u64).to_le_bytes());
-        for &v in &param.value {
+        for &v in param.value() {
             fnv.write(&v.to_bits().to_le_bytes());
         }
     }
@@ -336,6 +336,41 @@ mod tests {
         let a = original.predict(&obs);
         let b = restored.predict(&obs);
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    /// Two bare tensors: the smallest thing that has a weight image.
+    struct Pair([Param; 2]);
+
+    impl WeightSnapshot for Pair {
+        fn snapshot_params(&mut self) -> Vec<&mut Param> {
+            self.0.iter_mut().collect()
+        }
+    }
+
+    #[test]
+    fn an_image_written_before_weights_were_shared_round_trips_byte_for_byte() {
+        // Written by the PR 15 encoder (plain `Vec` values, eager gradient)
+        // for `[[1.5, -0.0]]` and `[[-2.25], [f64::MIN_POSITIVE]]`, whose
+        // fingerprint it reported as below.
+        const IMAGE: [u8; 68] = [
+            77, 76, 82, 87, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 248,
+            63, 0, 0, 0, 0, 0, 0, 0, 128, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 192, 0, 0,
+            0, 0, 0, 0, 16, 0, 207, 176, 115, 49, 184, 162, 67, 46,
+        ];
+        const FINGERPRINT: u64 = 0xc70b_3e9b_0368_896e;
+        let mut pair = Pair([Param::zeros(1, 2), Param::zeros(2, 1)]);
+        let before = pair.0.clone();
+        pair.restore_weights(&IMAGE).expect("a version-1 image");
+        let bits = |p: &Param| p.value().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pair.0[0]), [1.5f64.to_bits(), (-0.0f64).to_bits()]);
+        assert_eq!(
+            bits(&pair.0[1]),
+            [(-2.25f64).to_bits(), f64::MIN_POSITIVE.to_bits()]
+        );
+        assert_eq!(pair.weights_to_bytes(), IMAGE);
+        assert_eq!(pair.weights_fingerprint(), FINGERPRINT);
+        // The load replaced the buffers; holders of the old ones keep them.
+        assert!(before.iter().all(|p| p.value().iter().all(|v| *v == 0.0)));
     }
 
     #[test]

@@ -490,6 +490,14 @@ pub struct RolloutThroughput {
     pub speedup: f64,
     /// Cost-model cache hit-rate observed during the serial collection.
     pub cache_hit_rate: f64,
+    /// What one fan-out pays per worker before it collects anything: the
+    /// median microseconds to clone a 32x2 policy + value network pair at
+    /// [`EnvConfig::paper`] width (the benchmark's `rollout-collect` shape;
+    /// the rollouts above run on [`EnvConfig::small`], which hides it).
+    pub paper_network_clone_us: f64,
+    /// Median microseconds of an empty two-thread `thread::scope` — the
+    /// other fixed cost of a fan-out, for scale.
+    pub scope_spawn_us: f64,
 }
 
 impl fmt::Display for RolloutThroughput {
@@ -512,6 +520,16 @@ impl fmt::Display for RolloutThroughput {
             f,
             "cost-model cache hit-rate {:>11.1}%",
             self.cache_hit_rate * 100.0
+        )?;
+        writeln!(
+            f,
+            "paper-width network clone {:>10.1}us",
+            self.paper_network_clone_us
+        )?;
+        writeln!(
+            f,
+            "2-thread scope spawn      {:>10.1}us",
+            self.scope_spawn_us
         )
     }
 }
@@ -528,6 +546,8 @@ impl RolloutThroughput {
             ("workers", self.workers as f64),
             ("speedup", self.speedup),
             ("cache_hit_rate", self.cache_hit_rate),
+            ("paper_network_clone_us", self.paper_network_clone_us),
+            ("scope_spawn_us", self.scope_spawn_us),
         ];
         let mut fields = vec![("experiment", json::string("exp_rollout_throughput"))];
         fields.extend(numbers.map(|(key, value)| (key, json::number(value))));
@@ -577,6 +597,21 @@ pub fn rollout_throughput(scale: &ExperimentScale, workers: usize) -> RolloutThr
     let (serial_sps, serial_batch) = run(1);
     let (parallel_sps, _parallel_batch) = run(workers.max(1));
 
+    let paper_hyper = PolicyHyperparams {
+        hidden_size: 32,
+        backbone_layers: 2,
+    };
+    let paper_nets = PpoTrainer::new(&EnvConfig::paper(), paper_hyper, PpoConfig::paper(), 17);
+    let paper_network_clone_us = median_us(|| {
+        std::hint::black_box((paper_nets.policy.clone(), paper_nets.value.clone()));
+    });
+    let scope_spawn_us = median_us(|| {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {});
+            scope.spawn(|| {});
+        });
+    });
+
     RolloutThroughput {
         episodes,
         steps: serial_batch.total_steps(),
@@ -585,7 +620,21 @@ pub fn rollout_throughput(scale: &ExperimentScale, workers: usize) -> RolloutThr
         workers: workers.max(1),
         speedup: parallel_sps / serial_sps.max(1e-9),
         cache_hit_rate: serial_batch.cache_hit_rate(),
+        paper_network_clone_us,
+        scope_spawn_us,
     }
+}
+
+/// Median wall time of 32 calls of `f`, in microseconds.
+fn median_us(mut f: impl FnMut()) -> f64 {
+    let samples: Vec<f64> = (0..32)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    median(&samples).expect("32 samples")
 }
 
 // ---------------------------------------------------------------------------
@@ -2847,6 +2896,9 @@ mod tests {
             "repeated baselines must produce cache hits"
         );
         assert!(report.to_string().contains("cache hit-rate"));
+        assert!(report.paper_network_clone_us > 0.0 && report.scope_spawn_us > 0.0);
+        assert!(report.to_string().contains("network clone"));
+        assert!(report.to_json().contains("\"paper_network_clone_us\""));
     }
 
     #[test]

@@ -65,15 +65,18 @@ impl Adam {
         let bias2 = 1.0 - self.beta2.powf(t);
         for (idx, p) in params.iter_mut().enumerate() {
             assert_eq!(self.m[idx].len(), p.len(), "parameter shape changed");
-            for i in 0..p.len() {
-                let g = p.grad[i];
-                self.m[idx][i] = self.beta1 * self.m[idx][i] + (1.0 - self.beta1) * g;
-                self.v[idx][i] = self.beta2 * self.v[idx][i] + (1.0 - self.beta2) * g * g;
-                let m_hat = self.m[idx][i] / bias1;
-                let v_hat = self.v[idx][i] / bias2;
-                p.value[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
+            // Resolved once per parameter: the value accessor un-shares the
+            // weights, which must not be paid per element.
+            let (value, grad) = p.value_and_grad_mut();
+            let moments = self.m[idx].iter_mut().zip(&mut self.v[idx]);
+            for ((w, g), (m, v)) in value.iter_mut().zip(grad).zip(moments) {
+                *m = self.beta1 * *m + (1.0 - self.beta1) * *g;
+                *v = self.beta2 * *v + (1.0 - self.beta2) * *g * *g;
+                let m_hat = *m / bias1;
+                let v_hat = *v / bias2;
+                *w -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
+                *g = 0.0;
             }
-            p.zero_grad();
         }
     }
 }
@@ -105,11 +108,11 @@ mod tests {
         let mut x = Param::zeros(1, 1);
         let mut adam = Adam::new(0.1);
         for _ in 0..500 {
-            let grad = 2.0 * (x.value[0] - 3.0);
-            x.grad[0] = grad;
+            let grad = 2.0 * (x.value()[0] - 3.0);
+            x.grad_mut()[0] = grad;
             adam.step(&mut [&mut x]);
         }
-        assert!((x.value[0] - 3.0).abs() < 1e-2, "x = {}", x.value[0]);
+        assert!((x.value()[0] - 3.0).abs() < 1e-2, "x = {}", x.value()[0]);
         assert_eq!(adam.steps(), 500);
     }
 
@@ -120,41 +123,41 @@ mod tests {
         let mut adam = Adam::new(0.05);
         for _ in 0..800 {
             // f = (a0 - 1)^2 + (a1 + 2)^2 + (b - 0.5)^2
-            a.grad[0] = 2.0 * (a.value[0] - 1.0);
-            a.grad[1] = 2.0 * (a.value[1] + 2.0);
-            b.grad[0] = 2.0 * (b.value[0] - 0.5);
+            a.grad_mut()[0] = 2.0 * (a.value()[0] - 1.0);
+            a.grad_mut()[1] = 2.0 * (a.value()[1] + 2.0);
+            b.grad_mut()[0] = 2.0 * (b.value()[0] - 0.5);
             adam.step(&mut [&mut a, &mut b]);
         }
-        assert!((a.value[0] - 1.0).abs() < 0.05);
-        assert!((a.value[1] + 2.0).abs() < 0.05);
-        assert!((b.value[0] - 0.5).abs() < 0.05);
+        assert!((a.value()[0] - 1.0).abs() < 0.05);
+        assert!((a.value()[1] + 2.0).abs() < 0.05);
+        assert!((b.value()[0] - 0.5).abs() < 0.05);
     }
 
     #[test]
     fn step_clears_gradients() {
         let mut x = Param::zeros(1, 1);
-        x.grad[0] = 1.0;
+        x.grad_mut()[0] = 1.0;
         let mut adam = Adam::new(0.01);
         adam.step(&mut [&mut x]);
-        assert_eq!(x.grad[0], 0.0);
+        assert_eq!(x.grad()[0], 0.0);
     }
 
     #[test]
     fn clip_grad_norm_scales_large_gradients() {
         let mut a = Param::zeros(1, 2);
-        a.grad = vec![3.0, 4.0];
+        a.grad_mut().copy_from_slice(&[3.0, 4.0]);
         let norm = clip_grad_norm(&mut [&mut a], 1.0);
         assert!((norm - 5.0).abs() < 1e-12);
-        let new_norm = (a.grad[0] * a.grad[0] + a.grad[1] * a.grad[1]).sqrt();
+        let new_norm = a.grad_norm_squared().sqrt();
         assert!((new_norm - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn clip_grad_norm_leaves_small_gradients_alone() {
         let mut a = Param::zeros(1, 2);
-        a.grad = vec![0.1, 0.2];
+        a.grad_mut().copy_from_slice(&[0.1, 0.2]);
         clip_grad_norm(&mut [&mut a], 10.0);
-        assert_eq!(a.grad, vec![0.1, 0.2]);
+        assert_eq!(a.grad(), [0.1, 0.2]);
     }
 
     #[test]

@@ -58,13 +58,13 @@ impl Linear {
         out.resize(self.weight.rows, 0.0);
         matmul_nt(
             x,
-            &self.weight.value,
+            self.weight.value(),
             1,
             self.weight.rows,
             self.weight.cols,
             out,
         );
-        for (yi, b) in out.iter_mut().zip(&self.bias.value) {
+        for (yi, b) in out.iter_mut().zip(self.bias.value()) {
             *yi += b;
         }
     }
@@ -74,7 +74,7 @@ impl Linear {
     fn affine_batch_into(&self, x: &Tensor2, out: &mut Tensor2) {
         self.weight.matmul_batch_into(x, out);
         for r in 0..out.rows() {
-            for (yi, b) in out.row_mut(r).iter_mut().zip(&self.bias.value) {
+            for (yi, b) in out.row_mut(r).iter_mut().zip(self.bias.value()) {
                 *yi += b;
             }
         }
@@ -127,7 +127,7 @@ impl Linear {
     /// Panics if `x.len()` does not match the input size.
     pub fn forward_inference(&self, x: &[f64]) -> Vec<f64> {
         let mut y = self.weight.matvec(x);
-        for (yi, b) in y.iter_mut().zip(&self.bias.value) {
+        for (yi, b) in y.iter_mut().zip(self.bias.value()) {
             *yi += b;
         }
         y
@@ -164,8 +164,9 @@ impl Linear {
             .expect("backward called without a matching forward");
         assert_eq!(grad_output.rows(), x.rows(), "gradient batch size mismatch");
         self.weight.add_outer_batch_to_grad(grad_output, &x);
+        let bias_grad = self.bias.grad_mut();
         for b in (0..grad_output.rows()).rev() {
-            for (gb, g) in self.bias.grad.iter_mut().zip(grad_output.row(b)) {
+            for (gb, g) in bias_grad.iter_mut().zip(grad_output.row(b)) {
                 *gb += g;
             }
         }
@@ -449,10 +450,10 @@ mod tests {
             {
                 let mut params = perturbed.parameters_mut();
                 let idx = r * 3 + c;
-                params[0].value[idx] += eps;
+                params[0].value_mut()[idx] += eps;
             }
             let fd = (loss(&perturbed, &x) - base) / eps;
-            let analytic = l.parameters_mut()[0].grad[r * 3 + c];
+            let analytic = l.parameters_mut()[0].grad()[r * 3 + c];
             assert!(
                 (fd - analytic).abs() < 1e-4,
                 "weight ({r},{c}): fd {fd} vs {analytic}"
@@ -520,8 +521,8 @@ mod tests {
         l.backward(&[1.0]);
         let params = l.parameters_mut();
         // dW = [1,0] + [0,1] = [1,1]; db = 2.
-        assert_eq!(params[0].grad, vec![1.0, 1.0]);
-        assert_eq!(params[1].grad, vec![2.0]);
+        assert_eq!(params[0].grad(), [1.0, 1.0]);
+        assert_eq!(params[1].grad(), [2.0]);
     }
 
     #[test]
@@ -620,7 +621,7 @@ mod tests {
         let pb = batched.parameters_mut();
         let ps = serial.parameters_mut();
         for (a, b) in pb.iter().zip(&ps) {
-            assert_eq!(a.grad, b.grad);
+            assert_eq!(a.grad(), b.grad());
         }
     }
 
@@ -633,6 +634,6 @@ mod tests {
         assert!(mlp
             .parameters_mut()
             .iter()
-            .all(|p| p.grad.iter().all(|g| *g == 0.0)));
+            .all(|p| p.grad().iter().all(|g| *g == 0.0)));
     }
 }

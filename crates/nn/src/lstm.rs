@@ -81,7 +81,7 @@ impl Lstm {
         let w = std::array::from_fn(|_| Param::xavier(hidden_size, input_size, rng));
         let u = std::array::from_fn(|_| Param::xavier(hidden_size, hidden_size, rng));
         let mut b: [Param; 4] = std::array::from_fn(|_| Param::zeros(hidden_size, 1));
-        b[1].value.iter_mut().for_each(|v| *v = 1.0);
+        b[1].value_mut().fill(1.0);
         Self {
             input_size,
             hidden_size,
@@ -126,7 +126,7 @@ impl Lstm {
                 .row_mut(r)
                 .iter_mut()
                 .zip(uh.row(r))
-                .zip(&self.b[gate].value)
+                .zip(self.b[gate].value())
             {
                 *zi += uhi + bi;
             }
@@ -255,7 +255,7 @@ impl Lstm {
             let mut gates: [Vec<f64>; 4] = std::array::from_fn(|gate| {
                 let mut z = self.w[gate].matvec(x);
                 let uh = self.u[gate].matvec(&h);
-                for ((zi, uhi), bi) in z.iter_mut().zip(&uh).zip(&self.b[gate].value) {
+                for ((zi, uhi), bi) in z.iter_mut().zip(&uh).zip(self.b[gate].value()) {
                     *zi += uhi + bi;
                 }
                 z
@@ -466,7 +466,7 @@ impl Lstm {
                     let dpre = gate_dpre.row(b);
                     self.w[gate].add_outer_to_grad_cols(dpre, x, &x_cols);
                     self.u[gate].add_outer_to_grad_cols(dpre, h_prev, &h_cols);
-                    for (gb, g) in self.b[gate].grad.iter_mut().zip(dpre) {
+                    for (gb, g) in self.b[gate].grad_mut().iter_mut().zip(dpre) {
                         *gb += g;
                     }
                 }
@@ -650,7 +650,7 @@ mod tests {
         let pb = batched.parameters_mut();
         let ps = serial.parameters_mut();
         for (a, b) in pb.iter().zip(&ps) {
-            assert_eq!(a.grad, b.grad);
+            assert_eq!(a.grad(), b.grad());
         }
     }
 
@@ -694,12 +694,10 @@ mod tests {
         // output-gate bias.
         let checks: [(usize, usize); 3] = [(0, 1), (5, 2), (11, 0)];
         for (param_idx, entry) in checks {
-            let analytic = {
-                let mut lstm_ref = lstm.clone();
-                lstm_ref.parameters_mut()[param_idx].grad[entry]
-            };
+            // Read from `lstm` itself: a clone does not carry the gradient.
+            let analytic = lstm.parameters_mut()[param_idx].grad()[entry];
             let mut perturbed = lstm.clone();
-            perturbed.parameters_mut()[param_idx].value[entry] += eps;
+            perturbed.parameters_mut()[param_idx].value_mut()[entry] += eps;
             let fd = (perturbed.forward_inference(&seq).iter().sum::<f64>() - base) / eps;
             assert!(
                 (fd - analytic).abs() < 1e-4,
@@ -723,6 +721,6 @@ mod tests {
         assert!(lstm
             .parameters_mut()
             .iter()
-            .all(|p| p.grad.iter().all(|g| *g == 0.0)));
+            .all(|p| p.grad().iter().all(|g| *g == 0.0)));
     }
 }

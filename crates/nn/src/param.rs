@@ -1,36 +1,63 @@
 //! Trainable parameter tensors.
+//!
+//! # Ownership rule
+//!
+//! A [`Param`] is two buffers with two different owners:
+//!
+//! * **Values are shared, copy-on-write.** They live behind an `Arc`; a
+//!   clone is a reference count, whatever the size of the tensor, so
+//!   handing a network to a rollout worker, a service worker, a racing
+//!   searcher or the policy registry copies no weights. The write paths —
+//!   [`Param::value_mut`] / [`Param::value_and_grad_mut`] (init,
+//!   `Adam::step`) — un-share first (`Arc::make_mut`: a private copy if
+//!   anyone else holds the buffer, nothing otherwise), and
+//!   [`Param::set_value`] (weight-snapshot load) swaps in a fresh buffer.
+//!   A reader of a clone therefore never sees a later write to its source:
+//!   a published policy version is immune to the trainer.
+//! * **The gradient is per instance, lazily `+0.0`.** It is working state
+//!   like [`Scratch`] buffers: a clone starts without one, `PartialEq`
+//!   ignores it, and it materialises `+0.0`-filled on the first
+//!   [`Param::zero_grad`] or accumulation. Starting at `+0.0` is the
+//!   precondition of the sparse-gradient proof in [`crate::tensor`].
+//!   [`Param::grad`] of a never-materialised gradient is the empty slice.
+//!
+//! **Resolve a write accessor once per parameter per step, never per
+//! element.** Each call checks the reference count (and the gradient's
+//! length); `p.value_mut()[i] -= ..` inside the Adam loop measured
+//! `train-ppo` at 36.5 jobs/s against 52 with the slices taken before the
+//! loop.
+
+use std::sync::Arc;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::scratch::Scratch;
 use crate::tensor::{add_matmul_tn_rev, matmul_nn, matmul_nt, matmul_nt_cols, ActiveCols, Tensor2};
 
 /// A trainable parameter: a dense matrix (or vector when `cols == 1`) with
 /// an accumulated gradient.
 ///
-/// Values are stored row-major. Layers accumulate into [`Param::grad`]
-/// during the backward pass; the optimizer consumes and clears it.
+/// Values are stored row-major and shared copy-on-write between clones;
+/// the gradient belongs to one instance (see the [module docs](self)).
+/// Layers accumulate into the gradient during the backward pass; the
+/// optimizer consumes and clears it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Param {
     /// Number of rows (output features for a weight matrix).
     pub rows: usize,
     /// Number of columns (input features for a weight matrix).
     pub cols: usize,
-    /// Row-major values.
-    pub value: Vec<f64>,
-    /// Row-major accumulated gradient.
-    pub grad: Vec<f64>,
+    /// Row-major values, shared with every clone until one of them writes.
+    value: Arc<Vec<f64>>,
+    /// Row-major accumulated gradient; empty until first needed.
+    grad: Scratch<Vec<f64>>,
 }
 
 impl Param {
     /// Creates a parameter filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            value: vec![0.0; rows * cols],
-            grad: vec![0.0; rows * cols],
-        }
+        Self::from_values(rows, cols, vec![0.0; rows * cols])
     }
 
     /// Creates a parameter with Xavier/Glorot-uniform initialization.
@@ -39,12 +66,74 @@ impl Param {
         let value = (0..rows * cols)
             .map(|_| rng.gen_range(-limit..limit))
             .collect();
+        Self::from_values(rows, cols, value)
+    }
+
+    fn from_values(rows: usize, cols: usize, value: Vec<f64>) -> Self {
         Self {
             rows,
             cols,
-            value,
-            grad: vec![0.0; rows * cols],
+            value: Arc::new(value),
+            grad: Scratch::default(),
         }
+    }
+
+    /// The row-major values.
+    pub fn value(&self) -> &[f64] {
+        &self.value
+    }
+
+    /// The row-major values for writing. Un-shares them first: if a clone
+    /// still holds the buffer this instance gets a private copy.
+    pub fn value_mut(&mut self) -> &mut [f64] {
+        Arc::make_mut(&mut self.value).as_mut_slice()
+    }
+
+    /// Replaces the values with a fresh buffer (nothing is copied; clones
+    /// keep the old one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value.len()` does not match the parameter's.
+    pub fn set_value(&mut self, value: Vec<f64>) {
+        assert_eq!(value.len(), self.len(), "value length mismatch");
+        self.value = Arc::new(value);
+    }
+
+    /// The row-major accumulated gradient, or the empty slice if this
+    /// instance never materialised one (equivalent to all `+0.0`).
+    pub fn grad(&self) -> &[f64] {
+        &self.grad.0
+    }
+
+    /// The gradient for writing, materialised `+0.0`-filled on first use.
+    pub fn grad_mut(&mut self) -> &mut [f64] {
+        if self.grad.0.len() != self.value.len() {
+            self.grad.0 = vec![0.0; self.value.len()];
+        }
+        &mut self.grad.0
+    }
+
+    /// [`Param::value_mut`] and [`Param::grad_mut`] together — what an
+    /// optimizer step takes, once, before its element loop.
+    pub fn value_and_grad_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        self.grad_mut();
+        (
+            Arc::make_mut(&mut self.value).as_mut_slice(),
+            &mut self.grad.0,
+        )
+    }
+
+    /// True if `other` reads the very same value buffer (one is a clone of
+    /// the other and neither has written since).
+    pub fn shares_value_with(&self, other: &Param) -> bool {
+        Arc::ptr_eq(&self.value, &other.value)
+    }
+
+    /// True if any other instance holds this value buffer, i.e. the next
+    /// write would copy it.
+    pub fn is_value_shared(&self) -> bool {
+        Arc::strong_count(&self.value) > 1
     }
 
     /// Number of scalar values.
@@ -74,12 +163,14 @@ impl Param {
     /// Panics if the indices are out of range.
     pub fn add_grad(&mut self, row: usize, col: usize, g: f64) {
         assert!(row < self.rows && col < self.cols, "index out of range");
-        self.grad[row * self.cols + col] += g;
+        let idx = row * self.cols + col;
+        self.grad_mut()[idx] += g;
     }
 
-    /// Clears the accumulated gradient.
+    /// Resets the accumulated gradient to `+0.0`, materialising it if this
+    /// instance has none yet.
     pub fn zero_grad(&mut self) {
-        self.grad.iter_mut().for_each(|g| *g = 0.0);
+        self.grad_mut().fill(0.0);
     }
 
     /// Matrix-vector product `value * x`: the plain reference loop the
@@ -138,8 +229,10 @@ impl Param {
     pub fn add_outer_to_grad(&mut self, y: &[f64], x: &[f64]) {
         assert_eq!(y.len(), self.rows, "outer product row mismatch");
         assert_eq!(x.len(), self.cols, "outer product col mismatch");
+        let cols = self.cols;
+        let grad = self.grad_mut();
         for (r, yr) in y.iter().enumerate() {
-            let row = &mut self.grad[r * self.cols..(r + 1) * self.cols];
+            let row = &mut grad[r * cols..(r + 1) * cols];
             for (c, xc) in x.iter().enumerate() {
                 row[c] += yr * xc;
             }
@@ -157,8 +250,10 @@ impl Param {
         };
         assert_eq!(y.len(), self.rows, "outer product row mismatch");
         assert_eq!(x.len(), self.cols, "outer product col mismatch");
+        let width = self.cols;
+        let grad = self.grad_mut();
         for (r, yr) in y.iter().enumerate() {
-            let row = &mut self.grad[r * self.cols..(r + 1) * self.cols];
+            let row = &mut grad[r * width..(r + 1) * width];
             for &c in idx {
                 row[c as usize] += yr * x[c as usize];
             }
@@ -262,24 +357,29 @@ impl Param {
             y.rows(),
             self.rows,
             self.cols,
-            &mut self.grad,
+            self.grad_mut(),
         );
     }
 
-    /// L2 norm of the gradient (used for gradient clipping).
+    /// Squared L2 norm of the gradient (used for gradient clipping); `+0.0`
+    /// for a never-materialised gradient. Seeded from `+0.0`: squares are
+    /// never `-0.0`, so this is bit-identical to `Iterator::sum` whenever
+    /// there is anything to add.
     pub fn grad_norm_squared(&self) -> f64 {
-        self.grad.iter().map(|g| g * g).sum()
+        self.grad.0.iter().fold(0.0, |acc, g| acc + g * g)
     }
 
-    /// Scales the gradient in place.
+    /// Scales the gradient in place (a never-materialised gradient is all
+    /// zeros and stays unmaterialised).
     pub fn scale_grad(&mut self, factor: f64) {
-        self.grad.iter_mut().for_each(|g| *g *= factor);
+        self.grad.0.iter_mut().for_each(|g| *g *= factor);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adam::{clip_grad_norm, Adam};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -296,15 +396,15 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let p = Param::xavier(64, 32, &mut rng);
         let limit = (6.0 / 96.0f64).sqrt();
-        assert!(p.value.iter().all(|v| v.abs() <= limit));
+        assert!(p.value().iter().all(|v| v.abs() <= limit));
         // Not all zeros.
-        assert!(p.value.iter().any(|v| v.abs() > 1e-6));
+        assert!(p.value().iter().any(|v| v.abs() > 1e-6));
     }
 
     #[test]
     fn matvec_and_transpose() {
         let mut p = Param::zeros(2, 3);
-        p.value = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        p.set_value(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(p.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
         assert_eq!(p.matvec_transposed(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
     }
@@ -314,7 +414,7 @@ mod tests {
         // Every product is -0.0 (zero input x negative weights), or there
         // are no products at all: `Iterator::sum` would return -0.0.
         let mut p = Param::zeros(2, 3);
-        p.value = vec![-1.0, -2.0, -3.0, -4.0, -5.0, -6.0];
+        p.set_value(vec![-1.0, -2.0, -3.0, -4.0, -5.0, -6.0]);
         let x = [0.0; 3];
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         assert_eq!(bits(p.matvec(&x)), vec![0; 2]);
@@ -333,20 +433,99 @@ mod tests {
     fn outer_product_grad_accumulation() {
         let mut p = Param::zeros(2, 2);
         p.add_outer_to_grad(&[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(p.grad, vec![3.0, 4.0, 6.0, 8.0]);
+        assert_eq!(p.grad(), [3.0, 4.0, 6.0, 8.0]);
         p.add_outer_to_grad(&[1.0, 0.0], &[1.0, 1.0]);
-        assert_eq!(p.grad, vec![4.0, 5.0, 6.0, 8.0]);
+        assert_eq!(p.grad(), [4.0, 5.0, 6.0, 8.0]);
         p.zero_grad();
-        assert!(p.grad.iter().all(|g| *g == 0.0));
+        assert_eq!(p.grad(), [0.0; 4]);
     }
 
     #[test]
     fn grad_norm_and_scaling() {
         let mut p = Param::zeros(1, 2);
-        p.grad = vec![3.0, 4.0];
+        p.grad_mut().copy_from_slice(&[3.0, 4.0]);
         assert_eq!(p.grad_norm_squared(), 25.0);
         p.scale_grad(0.5);
-        assert_eq!(p.grad, vec![1.5, 2.0]);
+        assert_eq!(p.grad(), [1.5, 2.0]);
+    }
+
+    fn random_param(rows: usize, cols: usize, seed: u64) -> Param {
+        Param::xavier(rows, cols, &mut ChaCha8Rng::seed_from_u64(seed))
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_clone_shares_the_values_and_equals_its_source() {
+        let mut source = random_param(4, 3, 1);
+        let early = source.clone();
+        assert!(early.shares_value_with(&source) && source.is_value_shared());
+        assert_eq!(early, source);
+        // ... also once the source holds a gradient the clone does not.
+        source.add_grad(1, 2, 0.5);
+        let late = source.clone();
+        assert!(late.shares_value_with(&source) && late.grad().is_empty());
+        assert_eq!(late, source);
+        assert_eq!(early, late);
+        drop((early, late));
+        assert!(!source.is_value_shared());
+    }
+
+    #[test]
+    fn a_step_on_the_clone_unshares_exactly_what_it_wrote() {
+        let (mut a, mut b) = (random_param(3, 2, 2), random_param(2, 2, 3));
+        let before = (bits(a.value()), bits(b.value()));
+        let mut stepped = a.clone();
+        let kept = b.clone();
+        stepped.add_grad(0, 1, 1.0);
+        Adam::new(0.1).step(&mut [&mut stepped]);
+        assert!(!stepped.shares_value_with(&a) && !a.is_value_shared());
+        assert!(kept.shares_value_with(&b));
+        assert_eq!((bits(a.value()), bits(b.value())), before);
+        assert_ne!(stepped, a);
+        // A step on the sole owner writes in place: nothing to un-share.
+        let at = a.value().as_ptr();
+        a.add_grad(0, 0, 1.0);
+        b.add_grad(0, 0, 1.0);
+        Adam::new(0.1).step(&mut [&mut a, &mut b]);
+        assert_eq!(a.value().as_ptr(), at);
+        assert!(!kept.shares_value_with(&b));
+        assert_eq!(bits(kept.value()), before.1);
+    }
+
+    #[test]
+    fn a_clone_starts_from_a_positive_zero_gradient() {
+        let mut source = random_param(3, 8, 4);
+        source.grad_mut().fill(-1.5);
+        let mut clone = source.clone();
+        assert!(clone.grad().is_empty());
+        assert_eq!(bits(clone.grad_mut()), vec![0; 24]);
+        // The sparse-gradient precondition: from `zero_grad` on, the clone
+        // accumulates exactly like a parameter that never had a source.
+        let mut fresh = Param::zeros(3, 8);
+        let (y, x) = ([0.5, -2.0, 0.0], [0.0, -1.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]);
+        let mut cols = ActiveCols::default();
+        cols.scan(&x, 1, x.len());
+        assert!(cols.sparse().is_some());
+        let mut clone = source.clone();
+        for p in [&mut clone, &mut fresh] {
+            p.zero_grad();
+            p.add_outer_to_grad_cols(&y, &x, &cols);
+        }
+        assert_eq!(bits(clone.grad()), bits(fresh.grad()));
+        assert!(clone.grad().iter().any(|g| *g != 0.0));
+        assert!(source.grad().iter().all(|g| *g == -1.5));
+    }
+
+    #[test]
+    fn a_gradient_nobody_wrote_costs_nothing() {
+        let mut p = random_param(5, 5, 5);
+        assert_eq!(p.grad_norm_squared().to_bits(), 0);
+        p.scale_grad(3.0);
+        assert_eq!(clip_grad_norm(&mut [&mut p], 1e-3).to_bits(), 0);
+        assert_eq!(p.grad().len() + p.grad.0.capacity(), 0);
     }
 
     #[test]

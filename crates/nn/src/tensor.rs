@@ -551,7 +551,7 @@ mod tests {
 
     fn random_param(rows: usize, cols: usize, rng: &mut ChaCha8Rng) -> Param {
         let mut p = Param::zeros(rows, cols);
-        p.value = (0..rows * cols).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        p.set_value((0..rows * cols).map(|_| rng.gen_range(-2.0..2.0)).collect());
         p
     }
 
@@ -585,7 +585,7 @@ mod tests {
         for (m, n, k) in [(1, 7, 5), (4, 4, 9), (5, 6, 3), (16, 9, 17), (3, 12, 1)] {
             let a = random_tensor(m, k, &mut rng);
             let w = random_param(n, k, &mut rng);
-            let wt = Tensor2::from_flat(n, k, w.value.clone());
+            let wt = Tensor2::from_flat(n, k, w.value().to_vec());
             let out = a.matmul_nt(&wt);
             for i in 0..m {
                 assert_eq!(out.row(i), w.matvec(a.row(i)).as_slice(), "row {i}");
@@ -599,7 +599,7 @@ mod tests {
         for (m, n, k) in [(1, 5, 4), (4, 4, 4), (6, 10, 7), (13, 3, 8)] {
             let a = random_tensor(m, k, &mut rng);
             let w = random_param(k, n, &mut rng);
-            let wt = Tensor2::from_flat(k, n, w.value.clone());
+            let wt = Tensor2::from_flat(k, n, w.value().to_vec());
             let out = a.matmul_nn(&wt);
             for i in 0..m {
                 assert_eq!(
@@ -620,13 +620,13 @@ mod tests {
             // Reference: per-sample add_outer_to_grad in reverse batch order,
             // starting from a non-zero accumulator.
             let mut reference = random_param(m, n, &mut rng);
-            reference.grad = (0..m * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut batched = reference.grad.clone();
+            let mut batched: Vec<f64> = (0..m * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            reference.grad_mut().copy_from_slice(&batched);
             for p in (0..bsz).rev() {
                 reference.add_outer_to_grad(dy.row(p), x.row(p));
             }
             add_matmul_tn_rev(dy.data(), x.data(), bsz, m, n, &mut batched);
-            assert_eq!(batched, reference.grad, "bsz={bsz} m={m} n={n}");
+            assert_eq!(batched, reference.grad(), "bsz={bsz} m={m} n={n}");
         }
     }
 

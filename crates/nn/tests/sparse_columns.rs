@@ -105,7 +105,7 @@ impl ReferenceLstm {
             let mut gates: [Vec<f64>; 4] = std::array::from_fn(|gate| {
                 let mut z = self.w[gate].matvec(x);
                 let uh = self.u[gate].matvec(&h);
-                for ((zi, uhi), bi) in z.iter_mut().zip(&uh).zip(&self.b[gate].value) {
+                for ((zi, uhi), bi) in z.iter_mut().zip(&uh).zip(self.b[gate].value()) {
                     *zi += uhi + bi;
                 }
                 z
@@ -176,7 +176,7 @@ impl ReferenceLstm {
             for (gate, d) in dpre.iter().enumerate() {
                 self.w[gate].add_outer_to_grad(d, &step.x);
                 self.u[gate].add_outer_to_grad(d, &step.h_prev);
-                for (gb, g) in self.b[gate].grad.iter_mut().zip(d) {
+                for (gb, g) in self.b[gate].grad_mut().iter_mut().zip(d) {
                     *gb += g;
                 }
             }
@@ -189,7 +189,7 @@ impl ReferenceLstm {
             .iter()
             .chain(&self.u)
             .chain(&self.b)
-            .map(|p| bits(&p.grad))
+            .map(|p| bits(p.grad()))
             .collect()
     }
 }
@@ -197,7 +197,7 @@ impl ReferenceLstm {
 fn lstm_grads(lstm: &mut Lstm) -> Vec<Vec<u64>> {
     lstm.parameters_mut()
         .iter()
-        .map(|p| bits(&p.grad))
+        .map(|p| bits(p.grad()))
         .collect()
 }
 
@@ -218,21 +218,21 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let x = sparse_batch(m, k, active_columns(k, density), &mut rng);
         let mut w = Param::zeros(n, k);
-        w.value = random_values(n * k, &mut rng);
+        w.set_value(random_values(n * k, &mut rng));
 
         let mut expected = vec![0.0; m * n];
         for r in 0..m {
             for j in 0..n {
                 let mut acc = 0.0;
                 for p in 0..k {
-                    acc += x.row(r)[p] * w.value[j * k + p];
+                    acc += x.row(r)[p] * w.value()[j * k + p];
                 }
                 expected[r * n + j] = acc;
             }
         }
 
         let mut raw = vec![f64::NAN; m * n];
-        matmul_nt(x.data(), &w.value, m, n, k, &mut raw);
+        matmul_nt(x.data(), w.value(), m, n, k, &mut raw);
         prop_assert_eq!(bits(&raw), bits(&expected), "matmul_nt m={} n={} k={}", m, n, k);
         let batched = w.matmul_batch(&x);
         prop_assert_eq!(bits(batched.data()), bits(&expected));

@@ -59,7 +59,7 @@ proptest! {
         let pb = batched.parameters_mut();
         let ps = serial.parameters_mut();
         for (a, b) in pb.iter().zip(&ps) {
-            prop_assert_eq!(&a.grad, &b.grad);
+            prop_assert_eq!(a.grad(), b.grad());
         }
     }
 
@@ -95,7 +95,7 @@ proptest! {
         let pb = batched.parameters_mut();
         let ps = serial.parameters_mut();
         for (a, b) in pb.iter().zip(&ps) {
-            prop_assert_eq!(&a.grad, &b.grad);
+            prop_assert_eq!(a.grad(), b.grad());
         }
     }
 
@@ -143,7 +143,7 @@ proptest! {
         let pb = batched.parameters_mut();
         let ps = serial.parameters_mut();
         for (a, b) in pb.iter().zip(&ps) {
-            prop_assert_eq!(&a.grad, &b.grad);
+            prop_assert_eq!(a.grad(), b.grad());
         }
     }
 }
@@ -245,12 +245,20 @@ fn ppo_batched_update_is_bit_identical_to_per_sample_replay() {
     let ps = serial.policy.0.parameters_mut();
     assert_eq!(pb.len(), ps.len());
     for (a, b) in pb.iter().zip(&ps) {
-        assert_eq!(a.value, b.value, "policy parameters must be bitwise equal");
+        assert_eq!(
+            a.value(),
+            b.value(),
+            "policy parameters must be bitwise equal"
+        );
     }
     let vb = batched.value.parameters_mut();
     let vs = serial.value.parameters_mut();
     for (a, b) in vb.iter().zip(&vs) {
-        assert_eq!(a.value, b.value, "value parameters must be bitwise equal");
+        assert_eq!(
+            a.value(),
+            b.value(),
+            "value parameters must be bitwise equal"
+        );
     }
 }
 
@@ -288,7 +296,7 @@ fn value_network_batch_paths_match_serial() {
     let pb = batched.parameters_mut();
     let ps = serial.parameters_mut();
     for (a, b) in pb.iter().zip(&ps) {
-        assert_eq!(a.grad, b.grad, "value gradients must be bitwise equal");
+        assert_eq!(a.grad(), b.grad(), "value gradients must be bitwise equal");
     }
 }
 
@@ -360,6 +368,6 @@ fn policy_evaluate_batch_matches_serial_evaluate() {
     let pb = batched.parameters_mut();
     let ps = serial.parameters_mut();
     for (a, b) in pb.iter().zip(&ps) {
-        assert_eq!(a.grad, b.grad, "policy gradients must be bitwise equal");
+        assert_eq!(a.grad(), b.grad(), "policy gradients must be bitwise equal");
     }
 }

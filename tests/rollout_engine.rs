@@ -2,10 +2,13 @@
 //! across worker counts and cost-model cache accounting, exercised through
 //! the public crate APIs end to end.
 
-use mlir_rl_agent::{collect_rollouts, PolicyHyperparams, PpoConfig, PpoTrainer, RolloutBatch};
+use mlir_rl_agent::{
+    collect_rollouts, PolicyHyperparams, PolicyNetwork, PpoConfig, PpoTrainer, RolloutBatch,
+};
 use mlir_rl_costmodel::{CostModel, EvalCache, MachineModel};
 use mlir_rl_env::{EnvConfig, OptimizationEnv, RewardMode};
 use mlir_rl_ir::{Module, ModuleBuilder};
+use mlir_rl_search::{GreedyPolicy, SearchDriver};
 
 fn dataset() -> Vec<Module> {
     let mut out = Vec::new();
@@ -20,7 +23,7 @@ fn dataset() -> Vec<Module> {
     out
 }
 
-fn fixture(config: &EnvConfig) -> (OptimizationEnv, PpoTrainer<mlir_rl_agent::PolicyNetwork>) {
+fn fixture(config: &EnvConfig) -> (OptimizationEnv, PpoTrainer<PolicyNetwork>) {
     let env = OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
     let hyper = PolicyHyperparams {
         hidden_size: 16,
@@ -30,16 +33,38 @@ fn fixture(config: &EnvConfig) -> (OptimizationEnv, PpoTrainer<mlir_rl_agent::Po
     (env, trainer)
 }
 
+/// True if no other network instance holds any of `trainer`'s weight
+/// buffers, i.e. its next `Adam::step` copies nothing.
+fn owns_its_weights(trainer: &mut PpoTrainer<PolicyNetwork>) -> bool {
+    let policy = trainer.policy.parameters_mut();
+    let value = trainer.value.parameters_mut();
+    policy.iter().chain(&value).all(|p| !p.is_value_shared())
+}
+
 /// One batch at `workers` workers on a fresh environment whose evaluation
 /// table holds `capacity` entries (`None`: the default), returned with the
-/// environment so its cache can be inspected.
+/// environment so its cache can be inspected. `trained` first runs one
+/// `train_iteration` (on an environment of its own) while a clone of both
+/// networks is alive, so the batch is collected with materialised
+/// gradients and weights that went through a copy-on-write.
 fn collect(
     config: &EnvConfig,
     modules: &[&Module],
     capacity: Option<usize>,
     workers: usize,
+    trained: bool,
 ) -> (RolloutBatch, OptimizationEnv) {
     let (mut env, mut trainer) = fixture(config);
+    if trained {
+        let mut published = (trainer.policy.clone(), trainer.value.clone());
+        trainer.train_iteration(&mut env.clone(), &dataset());
+        let (old, new) = (
+            published.0.parameters_mut(),
+            trainer.policy.parameters_mut(),
+        );
+        assert!(old.iter().zip(&new).all(|(o, n)| !o.shares_value_with(n)));
+        assert!(new.iter().all(|p| !p.grad().is_empty()));
+    }
     if let Some(capacity) = capacity {
         env.replace_cache(EvalCache::new(capacity));
     }
@@ -60,12 +85,23 @@ fn fixed_seed_parallel_rollouts_are_identical_to_serial() {
     let config = EnvConfig::small();
     let dataset = dataset();
     let modules: Vec<&Module> = dataset.iter().chain(dataset.iter()).collect();
-    let (serial, _) = collect(&config, &modules, None, 1);
-    // Worker counts on the default table, and serial collection on a table
-    // of four entries: neither may move a bit of any trajectory.
-    for (capacity, workers) in [(None, 2), (None, 3), (None, 6), (Some(4), 1)] {
-        let (batch, env) = collect(&config, &modules, capacity, workers);
-        let case = format!("capacity {capacity:?}, {workers} workers");
+    for trained in [false, true] {
+        let (serial, _) = collect(&config, &modules, None, 1, trained);
+        assert_rollouts_match_serial(&config, &modules, &serial, trained);
+    }
+}
+
+/// Worker counts on the default table, and serial collection on a table of
+/// four entries: neither may move a bit of any trajectory of `serial`.
+fn assert_rollouts_match_serial(
+    config: &EnvConfig,
+    modules: &[&Module],
+    serial: &RolloutBatch,
+    trained: bool,
+) {
+    for (capacity, workers) in [(None, 2), (None, 3), (None, 4), (None, 6), (Some(4), 1)] {
+        let (batch, env) = collect(config, modules, capacity, workers, trained);
+        let case = format!("capacity {capacity:?}, {workers} workers, trained {trained}");
         assert_eq!(serial.trajectories.len(), batch.trajectories.len());
         for (a, b) in serial.trajectories.iter().zip(&batch.trajectories) {
             assert_eq!(a.transitions.len(), b.transitions.len());
@@ -159,4 +195,31 @@ fn training_through_the_engine_is_reproducible() {
     );
     let c = run(4);
     assert_eq!(a, c, "worker count must not change training trajectories");
+}
+
+#[test]
+fn fan_out_leaves_no_share_of_the_callers_weights_behind() {
+    // Workers read the caller's weight buffers through their clones; once
+    // the fan-out returns, the caller must be the only holder again, or the
+    // trainer's next `Adam::step` would copy every tensor for nothing.
+    let config = EnvConfig::small();
+    let dataset = dataset();
+    let modules: Vec<&Module> = dataset.iter().collect();
+    let (mut env, mut trainer) = fixture(&config);
+    assert!(owns_its_weights(&mut trainer));
+    collect_rollouts(
+        &mut env,
+        &modules,
+        &mut trainer.policy,
+        &mut trainer.value,
+        false,
+        5,
+        2,
+    );
+    assert!(owns_its_weights(&mut trainer), "collect_rollouts leaked");
+    SearchDriver::new(2).run(&env, &trainer.policy, &GreedyPolicy, &dataset);
+    assert!(owns_its_weights(&mut trainer), "SearchDriver leaked");
+    // A live clone is what sharing looks like — the check is not vacuous.
+    let _clone = trainer.policy.clone();
+    assert!(!owns_its_weights(&mut trainer));
 }

@@ -770,6 +770,42 @@ fn fingerprint_distinguishes_policy_versions_even_with_identical_weights() {
     );
 }
 
+/// A published version reads the weight buffers of the network it was
+/// cloned from. Training that network afterwards — while requests pinned
+/// to the version are still queued — must not move a bit of their
+/// responses: the trainer's first write takes a private copy.
+#[test]
+fn requests_pinned_to_a_version_are_immune_to_training_its_source() {
+    use mlir_rl::agent::{PpoConfig, PpoTrainer, ValueNetwork, WeightSnapshot};
+    use mlir_rl::costmodel::{CostModel, MachineModel};
+    use mlir_rl::env::OptimizationEnv;
+
+    let config = ServiceConfig::quick().with_workers(2).paused();
+    let untouched = OptimizationService::new(config.clone(), policy(7));
+    let expected = untouched.submit_batch(request_set());
+    untouched.resume();
+
+    let source = policy(7);
+    let service = OptimizationService::new(config, source.clone());
+    let pending = service.submit_batch(request_set());
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let value = ValueNetwork::new(source.env_config(), source.hyperparams(), &mut rng);
+    let mut env = OptimizationEnv::new(
+        source.env_config().clone(),
+        CostModel::new(MachineModel::default()),
+    );
+    let mut trainer = PpoTrainer::with_policy(source, value, PpoConfig::small(), rng);
+    let before = trainer.policy.weights_fingerprint();
+    trainer.train_iteration(&mut env, &[chain(32, 32, 32)]);
+    assert_ne!(trainer.policy.weights_fingerprint(), before);
+    assert_eq!(service.policy().clone().weights_fingerprint(), before);
+
+    service.resume();
+    for (served, expected) in wait_all(&pending).iter().zip(wait_all(&expected)) {
+        assert_eq!(served.fingerprint(), expected.fingerprint());
+    }
+}
+
 /// Tracing stays purely observational while swaps land mid-stream.
 #[test]
 fn tracing_moves_no_bit_while_swaps_land() {
