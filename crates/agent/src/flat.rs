@@ -17,7 +17,7 @@ use mlir_rl_env::{
 use mlir_rl_nn::{Linear, Lstm, MaskedCategorical, Mlp, Param, Scratch, Tensor2};
 
 use crate::policy::{lstm_step_tensors_into, rank_candidates, ActionRecord, PolicyHyperparams};
-use crate::ppo::{GroupResult, InferenceGroup, InferenceMode, PolicyModel};
+use crate::ppo::PolicyModel;
 
 /// The flat policy network: same embedding and backbone as the
 /// multi-discrete policy, but a single categorical head over the whole flat
@@ -348,66 +348,12 @@ impl PolicyModel for FlatPolicyNetwork {
         self.batch_scratch = Scratch(logits);
         out
     }
-
-    fn infer_groups(&mut self, groups: &mut [InferenceGroup]) -> Vec<GroupResult> {
-        let total_rows: usize = groups.iter().map(|g| g.observations.len()).sum();
-        if total_rows == 0 {
-            return groups
-                .iter()
-                .map(|g| match g.mode {
-                    InferenceMode::Rank { .. } => GroupResult::Ranked(Vec::new()),
-                    InferenceMode::Sample { .. } => GroupResult::Sampled(Vec::new()),
-                })
-                .collect();
-        }
-        let batch =
-            ObservationBatch::from_observations(groups.iter().flat_map(|g| g.observations.iter()));
-        let mut logits = std::mem::take(&mut self.batch_scratch).0;
-        self.infer_logits_batch(&batch, &mut logits);
-        let mut results = Vec::with_capacity(groups.len());
-        let mut base = 0;
-        for group in groups.iter_mut() {
-            let InferenceGroup {
-                observations,
-                mode,
-                rng,
-            } = group;
-            match *mode {
-                InferenceMode::Rank { k } => {
-                    let mut ranked = Vec::with_capacity(observations.len());
-                    for (j, obs) in observations.iter().enumerate() {
-                        let mask = self.flat_mask(obs);
-                        ranked.push(rank_candidates(k, rng, |greedy, rng| {
-                            self.record_from_logits(obs, logits.row(base + j), &mask, greedy, rng)
-                        }));
-                    }
-                    results.push(GroupResult::Ranked(ranked));
-                }
-                InferenceMode::Sample { greedy } => {
-                    let mut sampled = Vec::with_capacity(observations.len());
-                    for (j, obs) in observations.iter().enumerate() {
-                        let mask = self.flat_mask(obs);
-                        sampled.push(self.record_from_logits(
-                            obs,
-                            logits.row(base + j),
-                            &mask,
-                            greedy,
-                            rng,
-                        ));
-                    }
-                    results.push(GroupResult::Sampled(sampled));
-                }
-            }
-            base += observations.len();
-        }
-        self.batch_scratch = Scratch(logits);
-        results
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ppo::{GroupResult, InferenceGroup, InferenceMode};
     use mlir_rl_costmodel::{CostModel, MachineModel};
     use mlir_rl_env::OptimizationEnv;
     use mlir_rl_ir::ModuleBuilder;
@@ -458,7 +404,7 @@ mod tests {
     #[test]
     fn infer_groups_matches_direct_calls() {
         let obs = observation();
-        let mut batched = flat_policy();
+        let mut grouped = flat_policy();
         let mut groups = vec![
             InferenceGroup {
                 observations: vec![obs.clone(), obs.clone()],
@@ -471,7 +417,7 @@ mod tests {
                 rng: ChaCha8Rng::seed_from_u64(32),
             },
         ];
-        let results = batched.infer_groups(&mut groups);
+        let results = grouped.infer_groups(&mut groups);
 
         let mut direct = flat_policy();
         let mut rng = ChaCha8Rng::seed_from_u64(31);

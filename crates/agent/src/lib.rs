@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod aggregator;
 pub mod flat;
 pub mod online;
 pub mod policy;
@@ -43,10 +42,6 @@ pub mod ppo;
 pub mod snapshot;
 pub mod value;
 
-pub use aggregator::{
-    AggregatorClient, AggregatorStats, InferenceAggregator, InferenceBatching, RunGuard,
-    ROWS_PER_BATCH_BUCKETS,
-};
 pub use flat::FlatPolicyNetwork;
 pub use online::{
     greedy_geomean, Experience, ExperienceStream, OnlineTrainer, OnlineTrainerStats,

@@ -27,8 +27,6 @@ use mlir_rl_env::{
 use mlir_rl_nn::{Linear, Lstm, MaskedCategorical, Mlp, Param, Scratch, Tensor2};
 use mlir_rl_transforms::TransformationKind;
 
-use crate::ppo::{GroupResult, InferenceGroup, InferenceMode};
-
 /// Hyper-parameters of the network (the paper uses 512 units everywhere;
 /// the default here is smaller so that the benchmark harness trains in
 /// minutes on one machine — pass 512 to reproduce the paper's sizes).
@@ -110,13 +108,10 @@ pub struct PolicyNetwork {
     batch_scratch: Scratch<HeadBatch>,
     /// Reusable LSTM step tensors for the batched paths: the packed
     /// producer/consumer rows are copied into these instead of freshly
-    /// allocated tensors, so repeated batched calls (aggregator ticks, PPO
+    /// allocated tensors, so repeated batched calls (beam frontiers, PPO
     /// minibatches) reuse one arena.
     #[serde(skip)]
     step_scratch: Scratch<[Tensor2; 2]>,
-    /// Reusable packed-row arena for [`PolicyNetwork::infer_groups`].
-    #[serde(skip)]
-    pack_scratch: Scratch<ObservationBatch>,
 }
 
 /// Per-head logits of one forward pass (training mode keeps them to build
@@ -246,7 +241,6 @@ impl PolicyNetwork {
             pending_batches: Scratch::default(),
             batch_scratch: Scratch::default(),
             step_scratch: Scratch::default(),
-            pack_scratch: Scratch::default(),
         }
     }
 
@@ -680,79 +674,6 @@ impl PolicyNetwork {
         out
     }
 
-    /// Batched [`crate::PolicyModel::infer_groups`]: packs the rows of
-    /// *all* groups into one reused [`ObservationBatch`], runs a single
-    /// batched head inference for the whole set, and decodes each group
-    /// against its own rows with its own RNG. Because every row of the
-    /// blocked batched kernels is bit-identical to the per-vector path, and
-    /// RNG consumption is threaded per group exactly like the direct calls,
-    /// the results do not depend on which groups happened to share a batch.
-    /// All scratch buffers (packed rows, step tensors, head logits) live on
-    /// `self` and are reused across calls — repeated aggregator ticks
-    /// allocate nothing new after the first.
-    pub(crate) fn infer_groups(&mut self, groups: &mut [InferenceGroup]) -> Vec<GroupResult> {
-        let total_rows: usize = groups.iter().map(|g| g.observations.len()).sum();
-        if total_rows == 0 {
-            return groups
-                .iter()
-                .map(|g| match g.mode {
-                    InferenceMode::Rank { .. } => GroupResult::Ranked(Vec::new()),
-                    InferenceMode::Sample { .. } => GroupResult::Sampled(Vec::new()),
-                })
-                .collect();
-        }
-        let feature_len = groups
-            .iter()
-            .find_map(|g| g.observations.first())
-            .map(|obs| obs.producer.len())
-            .expect("non-zero row count implies at least one observation");
-        let mut batch = std::mem::take(&mut self.pack_scratch).0;
-        batch.clear();
-        if batch.feature_len() != feature_len {
-            batch = ObservationBatch::new(feature_len);
-        }
-        for group in groups.iter() {
-            for obs in &group.observations {
-                batch.push(obs);
-            }
-        }
-        let mut heads = std::mem::take(&mut self.batch_scratch).0;
-        self.infer_heads_batch(&batch, &mut heads);
-        let mut results = Vec::with_capacity(groups.len());
-        let mut base = 0;
-        for group in groups.iter_mut() {
-            let InferenceGroup {
-                observations,
-                mode,
-                rng,
-            } = group;
-            match *mode {
-                InferenceMode::Rank { k } => {
-                    let mut ranked = Vec::with_capacity(observations.len());
-                    for (j, obs) in observations.iter().enumerate() {
-                        let row = heads.row_outputs(base + j);
-                        ranked.push(rank_candidates(k, rng, |greedy, rng| {
-                            self.decide(obs, &row, greedy, rng)
-                        }));
-                    }
-                    results.push(GroupResult::Ranked(ranked));
-                }
-                InferenceMode::Sample { greedy } => {
-                    let mut sampled = Vec::with_capacity(observations.len());
-                    for (j, obs) in observations.iter().enumerate() {
-                        let row = heads.row_outputs(base + j);
-                        sampled.push(self.decide(obs, &row, greedy, rng));
-                    }
-                    results.push(GroupResult::Sampled(sampled));
-                }
-            }
-            base += observations.len();
-        }
-        self.batch_scratch = Scratch(heads);
-        self.pack_scratch = Scratch(batch);
-        results
-    }
-
     /// Computes the log-prob, entropy and per-head logit gradients
     /// (`coeff_logprob * dlogp/dlogits + coeff_entropy * dH/dlogits`) of a
     /// stored action under the given head outputs.
@@ -935,6 +856,7 @@ pub fn permutation_log_prob(logits: &[f64], permutation: &[usize]) -> (f64, f64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ppo::{GroupResult, InferenceGroup, InferenceMode, PolicyModel};
     use mlir_rl_costmodel::{CostModel, MachineModel};
     use mlir_rl_env::OptimizationEnv;
     use mlir_rl_ir::ModuleBuilder;
@@ -1013,63 +935,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         p.backward_batch(&[(&obs, &record)], &[(1.0, 0.01)]);
         p.zero_grad();
-    }
-
-    #[test]
-    fn infer_groups_is_bitwise_identical_to_direct_calls_and_reuses_scratch() {
-        let obs = observation();
-        // Mixed modes in one shared batch, decoded twice through the same
-        // network so the second tick runs entirely on reused scratch
-        // arenas (packed rows, step tensors, head logits).
-        let make_groups = || {
-            vec![
-                InferenceGroup {
-                    observations: vec![obs.clone(), obs.clone()],
-                    mode: InferenceMode::Rank { k: 3 },
-                    rng: ChaCha8Rng::seed_from_u64(21),
-                },
-                InferenceGroup {
-                    observations: Vec::new(),
-                    mode: InferenceMode::Rank { k: 2 },
-                    rng: ChaCha8Rng::seed_from_u64(22),
-                },
-                InferenceGroup {
-                    observations: vec![obs.clone()],
-                    mode: InferenceMode::Sample { greedy: false },
-                    rng: ChaCha8Rng::seed_from_u64(23),
-                },
-            ]
-        };
-        let mut batched_policy = policy();
-        let mut first = make_groups();
-        let tick_one = batched_policy.infer_groups(&mut first);
-        let mut second = make_groups();
-        let tick_two = batched_policy.infer_groups(&mut second);
-
-        // Direct path: fresh policy, one call per group.
-        let mut direct_policy = policy();
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let direct_rank = direct_policy.rank_actions_batch(&[&obs, &obs], 3, &mut rng);
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let direct_sample = direct_policy.select_action(&obs, false, &mut rng);
-
-        for tick in [&tick_one, &tick_two] {
-            assert_eq!(tick.len(), 3);
-            match &tick[0] {
-                GroupResult::Ranked(ranked) => assert_eq!(ranked, &direct_rank),
-                GroupResult::Sampled(_) => panic!("rank group answered with samples"),
-            }
-            match &tick[1] {
-                GroupResult::Ranked(ranked) => assert!(ranked.is_empty()),
-                GroupResult::Sampled(_) => panic!("rank group answered with samples"),
-            }
-            match &tick[2] {
-                GroupResult::Sampled(sampled) => {
-                    assert_eq!(sampled.as_slice(), std::slice::from_ref(&direct_sample));
-                }
-                GroupResult::Ranked(_) => panic!("sample group answered with ranking"),
-            }
-        }
     }
 
     /// Reset observations at the paper's 3252-feature representation: a
@@ -1174,7 +1039,7 @@ mod tests {
         let ranked = p.rank_actions_batch(&frontier, 3, &mut ChaCha8Rng::seed_from_u64(11));
         assert_eq!(ranked, expected_ranked);
 
-        // infer_groups: a rank group and a sample group sharing one batch.
+        // infer_groups: a rank group, then a sample group.
         let mut sample_rng = ChaCha8Rng::seed_from_u64(13);
         let expected_sampled: Vec<ActionRecord> = [(lone, &oracle[1]), (fused, &oracle[0])]
             .into_iter()
@@ -1192,7 +1057,7 @@ mod tests {
                 rng: ChaCha8Rng::seed_from_u64(13),
             },
         ];
-        let results = p.infer_groups(&mut groups);
+        let results = PolicyModel::infer_groups(&mut p, &mut groups);
         let [GroupResult::Ranked(ranked_group), GroupResult::Sampled(sampled_group)] =
             results.as_slice()
         else {
@@ -1205,13 +1070,13 @@ mod tests {
     #[test]
     fn infer_groups_with_no_rows_returns_empty_shapes() {
         let mut p = policy();
-        assert!(p.infer_groups(&mut []).is_empty());
+        assert!(PolicyModel::infer_groups(&mut p, &mut []).is_empty());
         let mut groups = vec![InferenceGroup {
             observations: Vec::new(),
             mode: InferenceMode::Sample { greedy: true },
             rng: ChaCha8Rng::seed_from_u64(0),
         }];
-        match &p.infer_groups(&mut groups)[..] {
+        match &PolicyModel::infer_groups(&mut p, &mut groups)[..] {
             [GroupResult::Sampled(records)] => assert!(records.is_empty()),
             other => panic!("unexpected shape: {} results", other.len()),
         }

@@ -44,7 +44,7 @@ use mlir_rl_nn::{clip_grad_norm, Adam, Param};
 use crate::policy::{rank_candidates, ActionRecord, PolicyHyperparams, PolicyNetwork};
 use crate::value::ValueNetwork;
 
-/// How one queued [`InferenceGroup`] wants its observations decoded.
+/// How one [`InferenceGroup`] wants its observations decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InferenceMode {
     /// Decode like [`PolicyModel::rank_actions_batch`]: up to `k` distinct
@@ -61,11 +61,11 @@ pub enum InferenceMode {
     },
 }
 
-/// One unit of policy inference queued by a searcher: a set of observations
-/// that must be decoded together with a single RNG threaded across them in
-/// order. Groups are the unit the cross-request inference aggregator packs
-/// into shared batches — a group is never split, so per-group RNG
-/// consumption matches the direct call exactly.
+/// One unit of policy inference: a set of observations decoded together
+/// with a single RNG threaded across them in order, so per-group RNG
+/// consumption matches the direct call exactly. Kept, with
+/// [`InferenceMode`], [`GroupResult`] and [`PolicyModel::infer_groups`],
+/// because the frozen `benchmark/` package overrides that method.
 #[derive(Debug, Clone)]
 pub struct InferenceGroup {
     /// The observations to decode, in submission order.
@@ -178,13 +178,12 @@ pub trait PolicyModel: Clone + Send {
             .collect()
     }
 
-    /// Runs a set of independent inference groups, returning one result per
-    /// group in order and leaving each group's `rng` advanced exactly as
-    /// the equivalent direct call would. The default decodes group by
-    /// group; networks with a batched tensor engine override it to pack
-    /// *all* groups' rows into one forward pass per layer — the override
-    /// must stay bit-identical, row for row, to this loop (the
-    /// cross-request aggregator's determinism guarantee rests on it).
+    /// Runs a set of independent inference groups group by group,
+    /// returning one result per group in order and leaving each group's
+    /// `rng` advanced exactly as the equivalent direct call would. Nothing
+    /// in the workspace calls or overrides it since PR 18 deleted the
+    /// cross-request aggregator; it stays because the frozen `benchmark/`
+    /// package overrides it (`benchmark/src/probe.rs`).
     fn infer_groups(&mut self, groups: &mut [InferenceGroup]) -> Vec<GroupResult> {
         groups
             .iter_mut()
@@ -263,9 +262,6 @@ impl PolicyModel for PolicyNetwork {
         rng: &mut ChaCha8Rng,
     ) -> Vec<Vec<ActionRecord>> {
         PolicyNetwork::rank_actions_batch(self, observations, k, rng)
-    }
-    fn infer_groups(&mut self, groups: &mut [InferenceGroup]) -> Vec<GroupResult> {
-        PolicyNetwork::infer_groups(self, groups)
     }
 }
 

@@ -1,23 +1,20 @@
 //! Prints the request-stream serving experiment: a sustained stream of
 //! `OptimizationRequest`s (greedy / beam / widened-MCTS / random specs over
 //! the DL-operator evaluation workloads) served by one **warm persistent**
-//! `OptimizationService`, the same service with **cross-request inference
-//! batching** (one shared `Tensor2` pipeline under the workers), a fresh
-//! service that **restored** the warm cache's snapshot at startup, a
-//! **tiny-cache** service under forced entry-wise eviction, and
-//! **cold per-request** services — with the cross-request shared-cache
-//! hit-rate gap, request throughput, mean aggregator rows-per-batch, queue
-//! and service timings, and the determinism checks (response fingerprints
+//! `OptimizationService`, a fresh service that **restored** the warm
+//! cache's snapshot at startup, a **tiny-cache** service under forced
+//! entry-wise eviction, and **cold per-request** services — with the
+//! cross-request shared-cache hit-rate gap, request throughput, queue and
+//! service timings, and the determinism checks (response fingerprints
 //! bit-identical across 1/2/4 workers and shuffled submission orders, and
-//! batched / restored / tiny-cache streams bit-identical to the warm
-//! stream response for response).
+//! restored / tiny-cache streams bit-identical to the warm stream response
+//! for response).
 //!
 //! Scale with `MLIR_RL_SCALE` (`smoke` / `standard` / `full`) or pass
 //! `--smoke`; worker count with `MLIR_RL_WORKERS` (default: available
 //! parallelism). Pass `--json` for a machine-readable record, and
-//! `--trace <path>` to record a structured trace of the batched run —
-//! request lifecycles plus `batch_formed` instants — and export it as
-//! Chrome trace-event JSON.
+//! `--trace <path>` to record a structured trace of the warm run's request
+//! lifecycles and export it as Chrome trace-event JSON.
 
 use mlir_rl_bench::{cli, export_trace, service_throughput_traced, DEFAULT_TRACE_CAPACITY};
 
@@ -44,15 +41,6 @@ fn main() {
     assert!(
         report.determinism_invariant,
         "service responses diverged across worker counts / submission orders"
-    );
-    assert!(
-        report.batched_fingerprints_match,
-        "aggregated inference changed a response vs the unbatched stream"
-    );
-    assert!(
-        report.rows_per_batch > 1.0,
-        "the aggregator failed to coalesce: {} rows per batch",
-        report.rows_per_batch
     );
     assert!(
         report.restored_entries > 0,

@@ -1154,8 +1154,8 @@ pub fn portfolio_speedups(scale: &ExperimentScale, workers: usize) -> PortfolioR
 /// Aggregates of one request stream run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStreamSummary {
-    /// Stream label (`warm-service` / `batched-service` /
-    /// `restored-service` / `tiny-cache-service` / `cold-per-request`).
+    /// Stream label (`warm-service` / `restored-service` /
+    /// `tiny-cache-service` / `cold-per-request`).
     pub name: String,
     /// Requests served.
     pub requests: usize,
@@ -1242,14 +1242,8 @@ pub struct ServiceReport {
     pub rounds: usize,
     /// Worker threads of the warm service.
     pub workers: usize,
-    /// Worker threads of the batched (aggregated-inference) service —
-    /// at least 4 so cross-request coalescing has concurrency to pack.
-    pub batched_workers: usize,
     /// The warm persistent-service stream.
     pub warm: ServiceStreamSummary,
-    /// The warm stream re-served with cross-request inference batching
-    /// ([`ServiceConfig::with_inference_batching`]).
-    pub batched: ServiceStreamSummary,
     /// The warm stream re-served by a **fresh** service that restored the
     /// warm service's cache snapshot at startup
     /// ([`ServiceConfig::with_cache_snapshot`]) — the storage-tier
@@ -1281,12 +1275,6 @@ pub struct ServiceReport {
     /// Whether response fingerprints were bit-identical across 1/2/4
     /// workers and two shuffled submission orders.
     pub determinism_invariant: bool,
-    /// Mean observation rows per aggregator batch in the batched stream
-    /// (> 1 means cross-request work actually shared forward passes).
-    pub rows_per_batch: f64,
-    /// Whether every batched response fingerprint matched its warm
-    /// (unbatched) counterpart bit for bit.
-    pub batched_fingerprints_match: bool,
 }
 
 impl fmt::Display for ServiceReport {
@@ -1296,13 +1284,7 @@ impl fmt::Display for ServiceReport {
             "== exp_service: request-stream serving ({} modules x {} rounds, {} workers) ==",
             self.modules, self.rounds, self.workers
         )?;
-        for s in [
-            &self.warm,
-            &self.batched,
-            &self.restored,
-            &self.tiny,
-            &self.cold,
-        ] {
+        for s in [&self.warm, &self.restored, &self.tiny, &self.cold] {
             writeln!(
                 f,
                 "{:<18} {:>7.2} req/s  geomean {:>6.2}x  evals {:>8}  lookups {:>8}  hit-rate {:>5.1}%  queue {:>8.4}s  service {:>8.4}s",
@@ -1350,17 +1332,6 @@ impl fmt::Display for ServiceReport {
         )?;
         writeln!(
             f,
-            "batching           {:.2} rows/batch at {} workers, fingerprints {}",
-            self.rows_per_batch,
-            self.batched_workers,
-            if self.batched_fingerprints_match {
-                "bit-identical to the unbatched stream"
-            } else {
-                "DIVERGED"
-            }
-        )?;
-        writeln!(
-            f,
             "determinism        {}",
             if self.determinism_invariant {
                 "responses bit-identical across 1/2/4 workers and shuffled submission orders"
@@ -1375,13 +1346,7 @@ impl ServiceReport {
     /// Machine-readable record of the run (one JSON object) for
     /// `BENCH_*.json` trajectories.
     pub fn to_json(&self) -> String {
-        let streams = [
-            &self.warm,
-            &self.batched,
-            &self.restored,
-            &self.tiny,
-            &self.cold,
-        ];
+        let streams = [&self.warm, &self.restored, &self.tiny, &self.cold];
         json::object(
             1,
             [
@@ -1389,7 +1354,6 @@ impl ServiceReport {
                 ("modules", json::number(self.modules as f64)),
                 ("rounds", json::number(self.rounds as f64)),
                 ("workers", json::number(self.workers as f64)),
-                ("batched_workers", json::number(self.batched_workers as f64)),
                 (
                     "streams",
                     json::array(streams.into_iter().map(ServiceStreamSummary::to_json)),
@@ -1410,11 +1374,6 @@ impl ServiceReport {
                 (
                     "tiny_fingerprints_match",
                     self.tiny_fingerprints_match.to_string(),
-                ),
-                ("rows_per_batch", json::number(self.rows_per_batch)),
-                (
-                    "batched_fingerprints_match",
-                    self.batched_fingerprints_match.to_string(),
                 ),
                 ("statuses", statuses_json(self.statuses)),
                 (
@@ -1470,15 +1429,12 @@ fn service_request_stream(
 ///
 /// 1. one **warm persistent** [`OptimizationService`] — every request warms
 ///    the one shared evaluation cache for every later request,
-/// 2. the same persistent service with **cross-request inference
-///    batching** ([`ServiceConfig::with_inference_batching`]) — the
-///    workers' policy calls coalesce into shared `Tensor2` batches, and
-/// 3. a **restored** service — a fresh process-equivalent service that
+/// 2. a **restored** service — a fresh process-equivalent service that
 ///    restores the warm cache's snapshot file at startup
 ///    ([`ServiceConfig::with_cache_snapshot`]) — the storage-tier restart,
-/// 4. a **tiny-cache** service ([`ServiceConfig::with_cache_capacity`]) —
+/// 3. a **tiny-cache** service ([`ServiceConfig::with_cache_capacity`]) —
 ///    the same stream under forced entry-wise eviction, and
-/// 5. **cold per-request** services — a fresh service (fresh cache) per
+/// 4. **cold per-request** services — a fresh service (fresh cache) per
 ///    request, the deployment the paper's one-shot evaluate script implies,
 ///
 /// and verifies the request-level determinism contract by re-serving the
@@ -1486,10 +1442,8 @@ fn service_request_stream(
 /// comparing response fingerprints. The acceptance invariants: the warm
 /// service's shared-cache hit-rate strictly beats the cold baseline's, the
 /// warm-restarted (restored) service's hit-rate beats the cold baseline's
-/// at bit-identical fingerprints, the tiny-cache stream evicts entry-wise
-/// while staying bit-identical, and the batched stream's fingerprints
-/// match the warm stream's bit for bit while packing more than one row per
-/// aggregator batch.
+/// at bit-identical fingerprints, and the tiny-cache stream evicts
+/// entry-wise while staying bit-identical.
 pub fn service_throughput(scale: &ExperimentScale, workers: usize) -> ServiceReport {
     service_throughput_traced(scale, workers, None).0
 }
@@ -1497,8 +1451,7 @@ pub fn service_throughput(scale: &ExperimentScale, workers: usize) -> ServiceRep
 /// [`service_throughput`] with optional structured tracing:
 /// `trace_capacity` is the per-ring event capacity
 /// ([`ServiceConfig::with_tracing`]), and the returned snapshot covers the
-/// whole batched stream — request lifecycles plus the aggregator's
-/// `batch_formed` instants. `None` runs exactly [`service_throughput`].
+/// whole warm stream. `None` runs exactly [`service_throughput`].
 pub fn service_throughput_traced(
     scale: &ExperimentScale,
     workers: usize,
@@ -1563,39 +1516,6 @@ pub fn service_throughput_traced(
             .filter(|r| r.status == ResponseStatus::Rejected)
             .count(),
     );
-
-    // --- batched: the same stream through the cross-request inference
-    // aggregator, with enough workers that batches can actually pack rows
-    // from concurrent requests. Fingerprints must match the warm stream
-    // bit for bit — batching is a throughput lever, never a result lever.
-    let batched_workers = workers.max(4);
-    let mut batched_config = ServiceConfig::quick()
-        .with_workers(batched_workers)
-        .with_inference_batching(16, 200);
-    if let Some(capacity) = trace_capacity {
-        batched_config = batched_config.with_tracing(capacity);
-    }
-    let batched_service = rl.spawn_service_with(&batched_config);
-    // Same clean-slate start as the warm stream, so the two streams'
-    // throughput numbers are comparable.
-    batched_service.cache().clear();
-    let start = Instant::now();
-    let pending = batched_service.submit_batch(stream.clone());
-    let batched_responses = wait_all(&pending);
-    let batched = ServiceStreamSummary::from_responses(
-        "batched-service",
-        &batched_responses,
-        start.elapsed().as_secs_f64(),
-    );
-    let aggregator_stats = batched_service
-        .aggregator_stats()
-        .expect("batched service has batching enabled");
-    let rows_per_batch = aggregator_stats.mean_rows_per_batch();
-    let batched_fingerprints_match = warm_responses.len() == batched_responses.len()
-        && warm_responses
-            .iter()
-            .zip(&batched_responses)
-            .all(|(w, b)| w.fingerprint() == b.fingerprint());
 
     // --- cold: a fresh service (fresh cache) per request ---------------
     let service_config = ServiceConfig::quick();
@@ -1692,28 +1612,18 @@ pub fn service_throughput_traced(
         fingerprints == reference
     });
 
-    // Prefer the batched service's snapshot: it carries the same request
-    // lifecycle events as the warm one *plus* the aggregator's
-    // `batch_formed` instants, so one trace shows requests and the
-    // batches their inference rode in.
-    let snapshot = batched_service
-        .trace_snapshot()
-        .or_else(|| warm_service.trace_snapshot());
+    let snapshot = warm_service.trace_snapshot();
     (
         ServiceReport {
             modules: workloads.len(),
             rounds,
             workers: workers.max(1),
-            batched_workers,
             warm,
-            batched,
             restored,
             tiny,
             cold,
             statuses,
             determinism_invariant,
-            rows_per_batch,
-            batched_fingerprints_match,
             restored_entries,
             restored_fingerprints_match,
             tiny_capacity,
@@ -3053,30 +2963,12 @@ mod tests {
         assert_eq!(stopped + skipped + rejected, 0);
         assert!(report.warm.geomean_speedup > 0.0);
         assert_eq!(report.warm.geomean_speedup, report.cold.geomean_speedup);
-        // The aggregated-inference stream: same results bit for bit, with
-        // real cross-request coalescing (more than one row per batch).
-        assert_eq!(report.batched.requests, report.warm.requests);
-        assert!(
-            report.batched_fingerprints_match,
-            "aggregated inference must not move a bit of any response"
-        );
-        assert_eq!(report.batched.geomean_speedup, report.warm.geomean_speedup);
-        assert!(report.batched_workers >= 4);
-        assert!(
-            report.rows_per_batch > 1.0,
-            "the batched stream must pack more than one row per batch, got {}",
-            report.rows_per_batch
-        );
         let printed = report.to_string();
         assert!(printed.contains("warm-service"));
-        assert!(printed.contains("batched-service"));
-        assert!(printed.contains("rows/batch"));
         assert!(printed.contains("bit-identical"));
         let json = report.to_json();
         assert!(json.contains("\"exp_service\""));
         assert!(json.contains("\"hit_rate\""));
-        assert!(json.contains("\"rows_per_batch\""));
-        assert!(json.contains("\"batched_fingerprints_match\": true"));
     }
 
     #[test]

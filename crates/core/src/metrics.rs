@@ -11,7 +11,7 @@
 //! `register` call from that row, so a series cannot exist in one surface
 //! and be missing or mistyped in another. Adding a series is one row here
 //! plus its one-line read in `OptimizationService::metrics`. The members
-//! that are not one number (the three raw histograms and the optional
+//! that are not one number (the two raw histograms and the optional
 //! budget cap) and the derived hit rate are written by hand below the
 //! table.
 
@@ -235,39 +235,6 @@ service_metrics! {
         /// `EvalBudget::refund` hands back when a request is reconciled.
         budget_spent: u64, gauge("budget_spent",
             "Cost-model lookups charged against the eval budget");
-        /// Batches formed by the cross-request inference aggregator. Zero
-        /// when the service runs without [`ServiceConfig::with_inference_batching`].
-        inference_batches: u64, counter("inference_batches_total",
-            "Batches formed by the cross-request inference aggregator");
-        /// Observation rows packed across all aggregator batches.
-        inference_rows: u64, counter("inference_rows_total",
-            "Observation rows packed across aggregator batches");
-        /// Mean rows per aggregator batch (`rows / batches`; 0 when no batch
-        /// has formed). The headline coalescing gauge: values above 1 mean
-        /// cross-request work actually shared forward passes.
-        inference_rows_per_batch_mean: f64, gauge("inference_rows_per_batch_mean",
-            "Mean rows per aggregator batch");
-        /// Batches flushed because pending rows reached `max_batch`.
-        inference_flush_size: u64, counter("inference_flush_size_total",
-            "Aggregator flushes triggered by max_batch");
-        /// Batches flushed because the oldest group waited `max_wait_us`.
-        inference_flush_timeout: u64, counter("inference_flush_timeout_total",
-            "Aggregator flushes triggered by max_wait_us");
-        /// Batches flushed because every registered in-flight run was already
-        /// waiting (no more rows could arrive).
-        inference_flush_idle: u64, counter("inference_flush_idle_total",
-            "Aggregator flushes with every in-flight run waiting");
-        /// Batches flushed while draining the queue at shutdown.
-        inference_flush_drain: u64, counter("inference_flush_drain_total",
-            "Aggregator flushes while draining at shutdown");
-        /// Batches run inline on the submitting worker (leader-combining)
-        /// rather than by the dedicated inference thread — a subset of the
-        /// reason counters above.
-        inference_flush_inline: u64, counter("inference_flush_inline_total",
-            "Aggregator flushes run inline on a submitting worker");
-        /// Mean time a group spent queued before its batch ran, in seconds.
-        inference_queue_wait_mean_s: f64, gauge("inference_queue_wait_mean_s",
-            "Mean seconds a group waited for its batch");
         /// The policy version new submits are admitted with right now (0
         /// until a swap is published).
         policy_version: u64, gauge("online_policy_version",
@@ -303,10 +270,6 @@ service_metrics! {
         service_hist_buckets: Vec<u64>;
         /// The global eval-budget cap (`None` = unlimited).
         budget_cap: Option<u64>;
-        /// Rows-per-batch histogram: bucket `i` counts batches whose row
-        /// count `r` satisfies `floor(log2(r)) == i` (the last bucket absorbs
-        /// the tail). Empty when batching is off.
-        inference_rows_per_batch_buckets: Vec<u64>;
     }
 }
 
@@ -349,11 +312,6 @@ impl ServiceMetrics {
             json::number(self.cache_hit_rate()),
         );
         splice("budget_spent", "budget_cap", cap);
-        splice(
-            "inference_queue_wait_mean_s",
-            "inference_rows_per_batch_buckets",
-            counts(&self.inference_rows_per_batch_buckets),
-        );
         json::object(1, fields)
     }
 
@@ -377,57 +335,36 @@ impl ServiceMetrics {
                 -1.0,
             ),
         }
-        // Latency buckets are bounded above by 2^(i+1) µs, exported in
-        // seconds; `_sum` is approximated by `mean * count`.
-        let seconds = |i: usize| format!("{:.6}", (1u64 << (i + 1)) as f64 / 1e6);
-        let count = |buckets: &[u64]| buckets.iter().sum::<u64>() as f64;
         register_histogram(
             registry,
             "mlir_rl_queue_wait_seconds",
             "Queue wait distribution",
             &self.queue_hist_buckets,
-            seconds,
-            self.queue_mean_s * count(&self.queue_hist_buckets),
+            self.queue_mean_s,
         );
         register_histogram(
             registry,
             "mlir_rl_service_time_seconds",
             "Search run-time distribution",
             &self.service_hist_buckets,
-            seconds,
-            self.service_mean_s * count(&self.service_hist_buckets),
-        );
-        // Rows-per-batch bounds are row counts, not seconds: bucket i holds
-        // batches with floor(log2(rows)) == i, so its inclusive upper bound
-        // is 2^(i+1) - 1. `_sum` is exact here (total rows).
-        register_histogram(
-            registry,
-            "mlir_rl_inference_rows_per_batch",
-            "Rows-per-batch distribution",
-            &self.inference_rows_per_batch_buckets,
-            |i| format!("{}", (1u64 << (i + 1)) - 1),
-            self.inference_rows as f64,
+            self.service_mean_s,
         );
     }
 }
 
-/// Exports raw per-bucket counts as one Prometheus histogram: cumulative
-/// `{name}_bucket{le=…}` counters for the touched buckets and the last one
-/// (untouched buckets are skipped to keep the exposition compact), the
-/// `+Inf` bucket, `{name}_sum` and `{name}_count`. `le` renders bucket
-/// `i`'s upper bound; `sum` is the caller's total of the recorded values.
-/// No buckets (a histogram that is switched off) exports nothing.
+/// Exports raw per-bucket latency counts as one Prometheus histogram:
+/// cumulative `{name}_bucket{le=…}` counters for the touched buckets and the
+/// last one (untouched buckets are skipped to keep the exposition compact),
+/// the `+Inf` bucket, `{name}_sum` and `{name}_count`. Bucket `i` is bounded
+/// above by 2^(i+1) µs, exported in seconds; `_sum` is approximated by
+/// `mean_s * count`.
 fn register_histogram(
     registry: &mut MetricsRegistry,
     name: &str,
     help: &str,
     buckets: &[u64],
-    le: impl Fn(usize) -> String,
-    sum: f64,
+    mean_s: f64,
 ) {
-    if buckets.is_empty() {
-        return;
-    }
     let bucket_name = format!("{name}_bucket");
     let mut cumulative = 0u64;
     for (i, count) in buckets.iter().enumerate() {
@@ -438,12 +375,12 @@ fn register_histogram(
         registry.counter_with(
             &bucket_name,
             help,
-            &[("le", le(i).as_str())],
+            &[("le", &format!("{:.6}", (1u64 << (i + 1)) as f64 / 1e6))],
             cumulative as f64,
         );
     }
     registry.counter_with(&bucket_name, help, &[("le", "+Inf")], cumulative as f64);
-    registry.counter(&format!("{name}_sum"), help, sum);
+    registry.counter(&format!("{name}_sum"), help, mean_s * cumulative as f64);
     registry.counter(&format!("{name}_count"), help, cumulative as f64);
 }
 
@@ -451,28 +388,19 @@ fn register_histogram(
 mod tests {
     use super::*;
 
-    /// The folded bucket loop, pinned on both of its callers' shapes:
-    /// touched buckets + the last, cumulative counts, `+Inf`, `_sum` as
-    /// given and `_count`; and nothing at all for a switched-off histogram.
+    /// The bucket loop: touched buckets + the last, cumulative counts,
+    /// `+Inf`, `_sum` as `mean_s * count` and `_count`.
     #[test]
     fn histograms_export_cumulative_touched_buckets() {
         let mut registry = MetricsRegistry::new();
-        register_histogram(
-            &mut registry,
-            "rows",
-            "Rows",
-            &[2, 0, 3, 0],
-            |i| format!("{}", (1u64 << (i + 1)) - 1),
-            17.0,
-        );
-        register_histogram(&mut registry, "off", "Off", &[], |_| unreachable!(), 0.0);
+        register_histogram(&mut registry, "wait", "Wait", &[2, 0, 3, 0], 0.5);
         assert_eq!(
             registry.to_prometheus(),
-            "# HELP rows_bucket Rows\n# TYPE rows_bucket counter\n\
-             rows_bucket{le=\"1\"} 2\nrows_bucket{le=\"7\"} 5\nrows_bucket{le=\"15\"} 5\n\
-             rows_bucket{le=\"+Inf\"} 5\n\
-             # HELP rows_sum Rows\n# TYPE rows_sum counter\nrows_sum 17\n\
-             # HELP rows_count Rows\n# TYPE rows_count counter\nrows_count 5\n"
+            "# HELP wait_bucket Wait\n# TYPE wait_bucket counter\n\
+             wait_bucket{le=\"0.000002\"} 2\nwait_bucket{le=\"0.000008\"} 5\n\
+             wait_bucket{le=\"0.000016\"} 5\nwait_bucket{le=\"+Inf\"} 5\n\
+             # HELP wait_sum Wait\n# TYPE wait_sum counter\nwait_sum 2.5\n\
+             # HELP wait_count Wait\n# TYPE wait_count counter\nwait_count 5\n"
         );
     }
 

@@ -106,9 +106,8 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use mlir_rl_agent::{
-    AggregatorClient, AggregatorStats, Experience, ExperienceStream, InferenceAggregator,
-    InferenceBatching, OnlineTrainer, OnlineTrainerStats, OnlineTrainingConfig, PolicyNetwork,
-    PolicyRegistry, PolicySnapshot,
+    Experience, ExperienceStream, OnlineTrainer, OnlineTrainerStats, OnlineTrainingConfig,
+    PolicyNetwork, PolicyRegistry, PolicySnapshot,
 };
 use mlir_rl_costmodel::{
     module_fingerprint, CostModel, EvalBudget, EvalCache, MachineModel, SharedEvalCache,
@@ -185,16 +184,6 @@ pub struct ServiceConfig {
     /// purely observational: responses stay bit-identical
     /// ([`OptimizationResponse::fingerprint`] never covers trace data).
     pub trace_capacity: Option<usize>,
-    /// Cross-request inference batching, or `None` (the default) for
-    /// direct per-worker policy calls. When set, workers enqueue their
-    /// policy-inference calls with a shared [`InferenceAggregator`] whose
-    /// dedicated thread packs whatever is pending — across requests,
-    /// searchers and clients — into one batched forward pass per tick
-    /// (flushing at `max_batch` rows or after `max_wait_us`). Purely a
-    /// throughput lever: the blocked tensor kernels make every batched row
-    /// bit-identical to the per-vector path and groups keep their own RNGs,
-    /// so responses and fingerprints are unchanged by how rows coalesce.
-    pub inference_batching: Option<InferenceBatching>,
     /// Capacity of the service's persistent shared evaluation cache, or
     /// `None` (the default) to keep the template environment's capacity.
     /// When set, the service always starts its *own* table of this
@@ -220,10 +209,7 @@ pub struct ServiceConfig {
     /// through the service's policy registry. Requests pin the published
     /// version at submit and finish on it regardless of later swaps;
     /// [`OptimizationResponse::policy_version`] reports the version each
-    /// response ran under. Incompatible with
-    /// [`ServiceConfig::inference_batching`] (the aggregator's shared
-    /// inference thread holds one policy clone and cannot honor per-run
-    /// version pinning).
+    /// response ran under.
     pub online_training: Option<OnlineTrainingConfig>,
 }
 
@@ -245,7 +231,6 @@ impl ServiceConfig {
             client_weights: Vec::new(),
             start_paused: false,
             trace_capacity: None,
-            inference_batching: None,
             cache_capacity: None,
             cache_snapshot: None,
             online_training: None,
@@ -307,15 +292,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables cross-request inference batching: pending policy calls
-    /// flush as one shared batch at `max_batch` rows or after
-    /// `max_wait_us` microseconds, whichever comes first (see
-    /// [`ServiceConfig::inference_batching`]). Both knobs must be non-zero.
-    pub fn with_inference_batching(mut self, max_batch: usize, max_wait_us: u64) -> Self {
-        self.inference_batching = Some(InferenceBatching {
-            max_batch,
-            max_wait_us,
-        });
+    /// Accepted and ignored since PR 18: every worker runs its own forward.
+    /// Stays because the frozen `benchmark/` package calls it.
+    pub fn with_inference_batching(self, _max_batch: usize, _max_wait_us: u64) -> Self {
         self
     }
 
@@ -367,22 +346,6 @@ impl ServiceConfig {
                     .to_string(),
             );
         }
-        if let Some(batching) = &self.inference_batching {
-            if batching.max_batch == 0 {
-                return Err(
-                    "inference_batching.max_batch must be at least 1 (0 can never flush; \
-                     use None to disable batching)"
-                        .to_string(),
-                );
-            }
-            if batching.max_wait_us == 0 {
-                return Err(
-                    "inference_batching.max_wait_us must be at least 1 (0 gives rows no \
-                     time to coalesce; use None to disable batching)"
-                        .to_string(),
-                );
-            }
-        }
         if self.cache_capacity == Some(0) {
             return Err(
                 "cache_capacity must be at least 1 (0 memoizes nothing; use None for the default)"
@@ -397,14 +360,6 @@ impl ServiceConfig {
         }
         if let Some(online) = &self.online_training {
             online.try_validate()?;
-            if self.inference_batching.is_some() {
-                return Err(
-                    "online_training is incompatible with inference_batching: the \
-                     aggregator's shared inference thread holds one policy clone and \
-                     cannot honor per-run policy-version pinning"
-                        .to_string(),
-                );
-            }
         }
         Ok(())
     }
@@ -917,6 +872,34 @@ struct OnlineShared {
     sample_counter: AtomicU64,
 }
 
+/// What [`OptimizationService::aggregator_stats`] would return; never
+/// constructed. Exactly the members the frozen `benchmark/` package reads.
+#[derive(Debug, Clone, Copy)]
+pub struct AggregatorStats {
+    /// Batches flushed.
+    pub batches: u64,
+    /// Flushes triggered by a full batch.
+    pub flush_size: u64,
+    /// Flushes triggered because every in-flight run was waiting.
+    pub flush_idle: u64,
+    /// Flushes triggered by the wait bound.
+    pub flush_timeout: u64,
+    /// Flushes run on the submitting thread.
+    pub flush_inline: u64,
+}
+
+impl AggregatorStats {
+    /// Mean observation rows per batch.
+    pub fn mean_rows_per_batch(&self) -> f64 {
+        0.0
+    }
+
+    /// Mean seconds a group waited for its flush.
+    pub fn mean_queue_wait_s(&self) -> f64 {
+        0.0
+    }
+}
+
 /// A long-lived optimization service: worker threads serving
 /// [`OptimizationRequest`]s against one policy snapshot, one persistent
 /// shared evaluation cache and one global [`EvalBudget`]. See the module
@@ -927,15 +910,10 @@ pub struct OptimizationService {
     policy: PolicyNetwork,
     workers: Vec<JoinHandle<()>>,
     /// Present iff the service was built with
-    /// [`ServiceConfig::with_inference_batching`]: the shared batch
-    /// pipeline the workers route their policy inference through. Shut
-    /// down *after* the workers (no client may be left waiting on it).
-    aggregator: Option<InferenceAggregator>,
-    /// Present iff the service was built with
     /// [`ServiceConfig::with_online_training`]: the background PPO trainer
     /// that drains the experience stream and publishes promoted policy
     /// versions into the registry. Shut down after the workers (they feed
-    /// its stream) and before the aggregator.
+    /// its stream).
     trainer: Option<OnlineTrainer>,
     next_id: AtomicU64,
 }
@@ -1031,13 +1009,10 @@ impl OptimizationService {
             service_hist: LatencyHistogram::new(),
             recorder: config.trace_capacity.map(|capacity| {
                 // One ring per worker plus the submit side, plus one for
-                // the aggregator's inference thread when batching is on,
-                // plus one for the online trainer when training is on —
-                // every ring stays single-writer.
-                let writers = config.workers.max(1)
-                    + 1
-                    + usize::from(config.inference_batching.is_some())
-                    + usize::from(config.online_training.is_some());
+                // the online trainer when training is on — every ring stays
+                // single-writer.
+                let writers =
+                    config.workers.max(1) + 1 + usize::from(config.online_training.is_some());
                 TraceRecorder::new(capacity, writers)
             }),
             registry: Arc::new(PolicyRegistry::new(policy.clone())),
@@ -1047,21 +1022,12 @@ impl OptimizationService {
                 sample_counter: AtomicU64::new(0),
             }),
         });
-        let aggregator = config.inference_batching.map(|batching| {
-            let probe = match &shared.recorder {
-                Some(recorder) => recorder.probe(config.workers.max(1) + 1),
-                None => ProbeRef::none(),
-            };
-            InferenceAggregator::spawn(policy.clone(), batching, probe)
-        });
         // The trainer runs against a *private* environment (own cache, own
         // cost model clone): its gate probes and PPO rollouts must never
         // perturb the serving cache's hit-rate metrics or the eval budget.
         let trainer = config.online_training.as_ref().map(|online| {
             let probe = match &shared.recorder {
-                Some(recorder) => recorder.probe(
-                    config.workers.max(1) + 1 + usize::from(config.inference_batching.is_some()),
-                ),
+                Some(recorder) => recorder.probe(config.workers.max(1) + 1),
                 None => ProbeRef::none(),
             };
             let trainer_env =
@@ -1086,8 +1052,7 @@ impl OptimizationService {
                 let shared = Arc::clone(&shared);
                 let env = template.clone_sharing_cache();
                 let policy = policy.clone();
-                let client = aggregator.as_ref().map(InferenceAggregator::client);
-                std::thread::spawn(move || worker_loop(shared, env, policy, client, worker))
+                std::thread::spawn(move || worker_loop(shared, env, policy, worker))
             })
             .collect();
         Self {
@@ -1095,7 +1060,6 @@ impl OptimizationService {
             template,
             policy,
             workers,
-            aggregator,
             trainer,
             next_id: AtomicU64::new(0),
         }
@@ -1285,19 +1249,7 @@ impl OptimizationService {
     /// and already-queued requests keep the version they were admitted
     /// with; only later submits see the new weights. The network must have
     /// the same observation/action shape as the service policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the service was built with
-    /// [`ServiceConfig::with_inference_batching`]: the aggregator's shared
-    /// inference thread holds one policy clone and cannot honor
-    /// per-request version pinning.
     pub fn swap_policy(&self, policy: PolicyNetwork) -> u64 {
-        assert!(
-            self.aggregator.is_none(),
-            "swap_policy is incompatible with inference batching: the aggregator \
-             holds one policy clone and cannot honor per-request version pinning"
-        );
         self.shared.registry.publish(policy)
     }
 
@@ -1347,7 +1299,6 @@ impl OptimizationService {
             let state = self.shared.state.lock().expect("service state poisoned");
             (state.depth as u64, state.lanes.len() as u64)
         };
-        let inference = self.aggregator_stats().unwrap_or_default();
         let online_stats = self.online_stats().unwrap_or_default();
         let s = &self.shared;
         ServiceMetrics {
@@ -1383,20 +1334,6 @@ impl OptimizationService {
             cache_restored: s.cache_restored,
             budget_spent: s.budget.spent(),
             budget_cap: s.budget.cap(),
-            inference_batches: inference.batches,
-            inference_rows: inference.rows,
-            inference_rows_per_batch_mean: inference.mean_rows_per_batch(),
-            inference_flush_size: inference.flush_size,
-            inference_flush_timeout: inference.flush_timeout,
-            inference_flush_idle: inference.flush_idle,
-            inference_flush_drain: inference.flush_drain,
-            inference_flush_inline: inference.flush_inline,
-            inference_queue_wait_mean_s: inference.mean_queue_wait_s(),
-            inference_rows_per_batch_buckets: if self.aggregator.is_some() {
-                inference.rows_per_batch.to_vec()
-            } else {
-                Vec::new()
-            },
             policy_version: s.registry.version(),
             policy_swaps: s.registry.swaps(),
             online_experiences_accepted: s
@@ -1412,12 +1349,10 @@ impl OptimizationService {
         }
     }
 
-    /// A point-in-time snapshot of the inference aggregator's counters
-    /// (batches, rows, flush reasons, queue waits), or `None` when the
-    /// service was built without
-    /// [`ServiceConfig::with_inference_batching`].
+    /// Always `None` since PR 18 deleted the cross-request aggregator.
+    /// Stays because the frozen `benchmark/` package calls it.
     pub fn aggregator_stats(&self) -> Option<AggregatorStats> {
-        self.aggregator.as_ref().map(InferenceAggregator::stats)
+        None
     }
 
     /// Whether the service records a structured trace
@@ -1508,11 +1443,6 @@ impl OptimizationService {
         if let Some(trainer) = &mut self.trainer {
             trainer.shutdown();
         }
-        // Only after every worker exited: no client can be blocked on a
-        // reply, so draining and joining the inference thread is safe.
-        if let Some(aggregator) = &mut self.aggregator {
-            aggregator.shutdown();
-        }
         // Quiesced: persist the cache for the next process. Best effort —
         // a failed write costs the next start its warmth, nothing else.
         if let Some(path) = &self.shared.cache_snapshot {
@@ -1550,7 +1480,6 @@ fn worker_loop(
     shared: Arc<ServiceShared>,
     mut env: OptimizationEnv,
     mut policy: PolicyNetwork,
-    client: Option<AggregatorClient>,
     worker: usize,
 ) {
     // Worker `w` owns ring `1 + w` exclusively, so its writes never
@@ -1595,7 +1524,6 @@ fn worker_loop(
                     &mut env,
                     &mut policy,
                     &mut policy_version,
-                    client.as_ref(),
                     job,
                     &probe,
                 );
@@ -1619,7 +1547,6 @@ fn execute(
     env: &mut OptimizationEnv,
     policy: &mut PolicyNetwork,
     policy_version: &mut u64,
-    client: Option<&AggregatorClient>,
     job: QueuedJob,
     worker_probe: &ProbeRef,
 ) {
@@ -1760,36 +1687,15 @@ fn execute(
     // scratch buffers are overwritten by every forward pass, so the worker
     // keeps serving after a caught panic.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        match client {
-            // Batching on: route every policy call through the shared
-            // aggregator. The run guard registers this in-flight run so
-            // the aggregator's idle rule knows how many runs can still
-            // contribute rows to the batch under formation.
-            Some(client) => {
-                let searcher = job.request.spec.build::<AggregatorClient>();
-                let mut client = client.clone();
-                let _guard = client.run_guard();
-                searcher.search_with_stop(
-                    run_env,
-                    &mut client,
-                    &job.request.module,
-                    job.request.seed,
-                    RUN_RANK,
-                    &job.stop,
-                )
-            }
-            None => {
-                let searcher = job.request.spec.build::<PolicyNetwork>();
-                searcher.search_with_stop(
-                    run_env,
-                    policy,
-                    &job.request.module,
-                    job.request.seed,
-                    RUN_RANK,
-                    &job.stop,
-                )
-            }
-        }
+        let searcher = job.request.spec.build::<PolicyNetwork>();
+        searcher.search_with_stop(
+            run_env,
+            policy,
+            &job.request.module,
+            job.request.seed,
+            RUN_RANK,
+            &job.stop,
+        )
     }));
     let outcome = match result {
         Ok(outcome) => outcome,
@@ -2304,182 +2210,6 @@ mod tests {
             .as_deref()
             .unwrap()
             .starts_with(BACKPRESSURE_PREFIX));
-    }
-
-    #[test]
-    fn zero_batching_knobs_fail_validation_instead_of_wedging() {
-        assert!(ServiceConfig::quick()
-            .with_inference_batching(0, 200)
-            .try_validate()
-            .is_err());
-        assert!(ServiceConfig::quick()
-            .with_inference_batching(16, 0)
-            .try_validate()
-            .is_err());
-        assert!(OptimizationService::try_new(
-            ServiceConfig::quick().with_inference_batching(0, 0),
-            policy()
-        )
-        .is_err());
-        assert!(ServiceConfig::quick()
-            .with_inference_batching(16, 200)
-            .try_validate()
-            .is_ok());
-    }
-
-    /// The tentpole determinism guarantee at the service level: routing
-    /// every worker's inference through the shared aggregator leaves all
-    /// response payloads identical to the direct per-worker path.
-    #[test]
-    fn batched_responses_are_identical_to_direct_responses() {
-        let requests = || {
-            vec![
-                OptimizationRequest::new(module(64), SearchSpec::Greedy).with_seed(7),
-                OptimizationRequest::new(module(96), SearchSpec::beam(2)).with_seed(8),
-                OptimizationRequest::new(module(64), SearchSpec::mcts(6, 2)).with_seed(9),
-                OptimizationRequest::new(module(128), SearchSpec::beam(3)).with_seed(10),
-            ]
-        };
-        let run = |config: ServiceConfig| {
-            let service = OptimizationService::new(config, policy());
-            let responses: Vec<OptimizationResponse> = service
-                .submit_batch(requests())
-                .into_iter()
-                .map(|p| p.wait())
-                .collect();
-            (responses, service.metrics())
-        };
-        let (direct, direct_metrics) = run(ServiceConfig::quick().with_workers(2));
-        let (batched, batched_metrics) = run(ServiceConfig::quick()
-            .with_workers(2)
-            .with_inference_batching(16, 500));
-        for (d, b) in direct.iter().zip(&batched) {
-            assert_eq!(d.status, ResponseStatus::Completed);
-            assert_eq!(
-                d.fingerprint(),
-                b.fingerprint(),
-                "aggregated inference changed the result for {}",
-                d.module
-            );
-            assert_eq!(d.outcome, b.outcome);
-            assert_eq!(d.evaluations, b.evaluations);
-        }
-        assert_eq!(direct_metrics.inference_batches, 0);
-        assert!(direct_metrics.inference_rows_per_batch_buckets.is_empty());
-        assert!(
-            batched_metrics.inference_batches > 0,
-            "batching on must form at least one batch"
-        );
-        assert_eq!(
-            batched_metrics
-                .inference_rows_per_batch_buckets
-                .iter()
-                .sum::<u64>(),
-            batched_metrics.inference_batches,
-            "every batch lands in exactly one rows-per-batch bucket"
-        );
-        assert!(batched_metrics.inference_rows >= batched_metrics.inference_batches);
-    }
-
-    /// `max_batch = 1` degenerates to one group per flush — bitwise the
-    /// direct path — and size/timeout configurations agree per response.
-    #[test]
-    fn flush_policies_agree_on_every_response() {
-        let requests = || {
-            vec![
-                OptimizationRequest::new(module(64), SearchSpec::Greedy).with_seed(3),
-                OptimizationRequest::new(module(96), SearchSpec::beam(2)).with_seed(4),
-            ]
-        };
-        let run = |config: ServiceConfig| -> Vec<u64> {
-            let service = OptimizationService::new(config, policy());
-            service
-                .submit_batch(requests())
-                .into_iter()
-                .map(|p| p.wait().fingerprint())
-                .collect()
-        };
-        let direct = run(ServiceConfig::quick());
-        // Degenerate size flush, generous timeout.
-        let single = run(ServiceConfig::quick().with_inference_batching(1, 1_000_000));
-        // Size-dominated: batches fill before the timeout fires.
-        let sized = run(ServiceConfig::quick()
-            .with_workers(2)
-            .with_inference_batching(64, 1_000_000));
-        // Timeout-dominated: a tiny wait forces frequent flushes.
-        let timed = run(ServiceConfig::quick()
-            .with_workers(2)
-            .with_inference_batching(64, 1));
-        assert_eq!(direct, single);
-        assert_eq!(direct, sized);
-        assert_eq!(direct, timed);
-    }
-
-    #[test]
-    fn aggregator_metrics_reach_json_and_prometheus() {
-        let service = OptimizationService::new(
-            ServiceConfig::quick()
-                .with_workers(2)
-                .with_inference_batching(16, 500),
-            policy(),
-        );
-        for p in service.submit_batch(vec![
-            OptimizationRequest::new(module(64), SearchSpec::Greedy).with_seed(1),
-            OptimizationRequest::new(module(96), SearchSpec::beam(2)).with_seed(2),
-        ]) {
-            assert_eq!(p.wait().status, ResponseStatus::Completed);
-        }
-        let stats = service.aggregator_stats().expect("batching enabled");
-        assert!(stats.batches > 0 && stats.rows >= stats.batches);
-        let metrics = service.metrics();
-        assert_eq!(metrics.inference_batches, stats.batches);
-        assert!(metrics.inference_rows_per_batch_mean >= 1.0);
-        // Which keys and series exist is pinned by the golden test in
-        // `tests/service_api.rs`; here the live values must arrive.
-        let (batches, rows) = (stats.batches, stats.rows);
-        let json = metrics.to_json();
-        assert!(json.contains(&format!("\"inference_batches\": {batches},")));
-        let text = service.prometheus();
-        for sample in [
-            format!("mlir_rl_inference_batches_total {batches}\n"),
-            format!("mlir_rl_inference_rows_per_batch_bucket{{le=\"+Inf\"}} {batches}\n"),
-            format!("mlir_rl_inference_rows_per_batch_count {batches}\n"),
-            format!("mlir_rl_inference_rows_per_batch_sum {rows}\n"),
-        ] {
-            assert!(text.contains(&sample), "missing {sample:?} in {text}");
-        }
-    }
-
-    #[test]
-    fn batched_traces_carry_batch_formed_events() {
-        let mut service = OptimizationService::new(
-            ServiceConfig::quick()
-                .with_workers(2)
-                .with_inference_batching(16, 500)
-                .with_tracing(4096),
-            policy(),
-        );
-        for p in service.submit_batch(vec![
-            OptimizationRequest::new(module(64), SearchSpec::Greedy).with_seed(5),
-            OptimizationRequest::new(module(96), SearchSpec::beam(2)).with_seed(6),
-        ]) {
-            assert_eq!(p.wait().status, ResponseStatus::Completed);
-        }
-        service.shutdown();
-        let snapshot = service.trace_snapshot().expect("tracing enabled");
-        let formed: Vec<_> = snapshot
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::BatchFormed)
-            .collect();
-        assert!(
-            !formed.is_empty(),
-            "batching with tracing must record batch_formed events"
-        );
-        for event in formed {
-            assert!(event.args[0] >= 1, "a batch has at least one row");
-            assert!(event.args[1] >= 1, "a batch has at least one group");
-        }
     }
 
     #[test]

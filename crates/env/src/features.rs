@@ -88,15 +88,6 @@ impl ObservationBatch {
         self.len += 1;
     }
 
-    /// Empties the batch while keeping the feature length and the packed
-    /// row storage, so a long-lived batch (e.g. an inference aggregator's
-    /// tick arena) can be refilled without reallocating.
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.producers.clear();
-        self.consumers.clear();
-    }
-
     /// Number of observations in the batch.
     pub fn len(&self) -> usize {
         self.len

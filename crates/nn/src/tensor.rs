@@ -199,8 +199,8 @@ impl Tensor2 {
     /// Copies a row-major buffer into the tensor, reshaping to
     /// `rows x cols` while reusing the existing allocation. This is the
     /// arena-friendly counterpart of [`Tensor2::from_flat`]: a long-lived
-    /// scratch tensor (e.g. an inference aggregator's per-tick step
-    /// tensors) can be refilled every tick without a fresh `Vec`.
+    /// scratch tensor (e.g. a network's batched LSTM step tensors) can be
+    /// refilled every call without a fresh `Vec`.
     ///
     /// # Panics
     ///

@@ -92,10 +92,6 @@ pub enum EventKind {
     BudgetCharge = 18,
     /// Evaluation budget was returned (args: `[delta, spent_after, 0]`).
     BudgetRefund = 19,
-    /// The inference aggregator flushed one cross-request batch; the label
-    /// is the flush reason (`size`, `timeout`, `idle`, `drain`) and the
-    /// args are `[rows, groups, oldest_wait_us]`.
-    BatchFormed = 20,
     /// A full cache shard evicted one entry to admit a new key
     /// (args: `[shard, victim_hits, 0]`).
     CacheEvict = 21,
@@ -115,7 +111,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// All kinds, in discriminant order (for decode and for docs/tests).
-    pub const ALL: [EventKind; 26] = [
+    pub const ALL: [EventKind; 25] = [
         EventKind::Submitted,
         EventKind::Queued,
         EventKind::Rejected,
@@ -136,7 +132,6 @@ impl EventKind {
         EventKind::CacheMiss,
         EventKind::BudgetCharge,
         EventKind::BudgetRefund,
-        EventKind::BatchFormed,
         EventKind::CacheEvict,
         EventKind::CachePromote,
         EventKind::PolicySwap,
@@ -144,9 +139,10 @@ impl EventKind {
         EventKind::TrainStep,
     ];
 
-    /// Decodes a discriminant written by [`EventKind::as_u8`].
+    /// Decodes a discriminant written by [`EventKind::as_u8`]. Matches by
+    /// value, not position: discriminant 20 is retired and stays unused.
     pub fn from_u8(raw: u8) -> Option<EventKind> {
-        EventKind::ALL.get(raw as usize).copied()
+        EventKind::ALL.into_iter().find(|kind| kind.as_u8() == raw)
     }
 
     /// The stable wire discriminant of this kind.
@@ -177,7 +173,6 @@ impl EventKind {
             EventKind::CacheMiss => "cache_miss",
             EventKind::BudgetCharge => "budget_charge",
             EventKind::BudgetRefund => "budget_refund",
-            EventKind::BatchFormed => "batch_formed",
             EventKind::CacheEvict => "cache_evict",
             EventKind::CachePromote => "cache_promote",
             EventKind::PolicySwap => "policy_swap",
@@ -1052,6 +1047,7 @@ mod tests {
         for kind in EventKind::ALL {
             assert_eq!(EventKind::from_u8(kind.as_u8()), Some(kind));
         }
+        assert_eq!(EventKind::from_u8(20), None, "retired discriminant");
         assert_eq!(EventKind::from_u8(200), None);
     }
 

@@ -29,12 +29,10 @@ use crate::searcher::{
 /// greedy decoding (property-tested; the batched ranking is bit-identical
 /// to ranking each state separately).
 ///
-/// The per-call RNG contract is load-bearing beyond this module: each
-/// `rank_actions_batch` call consumes exactly the draws its oversampled
-/// ranking needs, in frontier order, and nothing in between. The service's
-/// cross-request inference aggregator relies on this to route the same
-/// calls through a shared batch pipeline (`mlir_rl_agent::aggregator`)
-/// while keeping every trajectory bit-identical to the direct path.
+/// The per-call RNG contract: each `rank_actions_batch` call consumes
+/// exactly the draws its oversampled ranking needs, in frontier order, and
+/// nothing in between — which is what keeps the batched frontier ranking
+/// bit-identical to ranking each state on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BeamSearch {
     /// Beam width: surviving states per step *and* candidate actions ranked

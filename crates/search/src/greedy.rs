@@ -17,10 +17,7 @@ use crate::searcher::{
 /// every step. Zero search on top of the policy; every other searcher is
 /// measured against this.
 ///
-/// Greedy selection consumes **no** RNG draws — a contract the service's
-/// cross-request inference aggregator (`mlir_rl_agent::aggregator`)
-/// depends on: greedy rows can join any batch without shifting another
-/// request's RNG stream, so aggregated and direct runs stay bit-identical.
+/// Greedy selection consumes **no** RNG draws.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GreedyPolicy;
 

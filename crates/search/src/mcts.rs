@@ -25,12 +25,9 @@ use crate::searcher::{
 /// ranking and playouts, selection ties break toward the lower edge index,
 /// and cost-model values are deterministic whether they hit or miss the
 /// cache — so the outcome is independent of how many driver threads run
-/// around it (property-tested). Because that RNG advances only inside the
-/// policy calls this searcher issues (ranking and playout sampling, in
-/// program order), the service's cross-request inference aggregator
-/// (`mlir_rl_agent::aggregator`) can batch those calls across requests
-/// without perturbing the search: each submitted group carries its own
-/// RNG, which comes back advanced exactly as a direct call would leave it.
+/// around it (property-tested). That RNG advances only inside the policy
+/// calls this searcher issues (ranking and playout sampling, in program
+/// order).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mcts {
     /// Number of selection/expansion/playout iterations.
