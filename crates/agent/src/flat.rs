@@ -16,7 +16,10 @@ use mlir_rl_env::{
 };
 use mlir_rl_nn::{Linear, Lstm, MaskedCategorical, Mlp, Param, Scratch, Tensor2};
 
-use crate::policy::{lstm_step_tensors_into, rank_candidates, ActionRecord, PolicyHyperparams};
+use crate::policy::{
+    dense_sequence, embed_observation, lstm_step_tensors_into, rank_candidates, ActionRecord,
+    PolicyHyperparams,
+};
 use crate::ppo::PolicyModel;
 
 /// The flat policy network: same embedding and backbone as the
@@ -103,7 +106,7 @@ impl FlatPolicyNetwork {
                         })
                     }
                     Action::Interchange(mlir_rl_env::InterchangeSpec::Candidate(c)) => {
-                        *c < mlir_rl_env::enumerated_candidates(obs.num_loops).len()
+                        *c < mlir_rl_env::num_enumerated_candidates(obs.num_loops)
                     }
                     _ => true,
                 };
@@ -114,16 +117,25 @@ impl FlatPolicyNetwork {
 
     /// Allocation-free inference logits into `out`.
     fn infer_logits(&mut self, obs: &Observation, out: &mut Vec<f64>) {
-        let embedding = self
-            .lstm
-            .infer(&[obs.producer.as_slice(), obs.consumer.as_slice()]);
+        let embedding = embed_observation(&mut self.lstm, obs);
         let z = self.backbone.infer(embedding);
         self.head.infer_into(z, out);
     }
 
+    /// The batch-1 inference logits next to the same logits through the
+    /// layers' plain-loop `forward_inference` references, for the
+    /// bit-for-bit test shared with [`crate::PolicyNetwork`].
+    #[cfg(test)]
+    pub(crate) fn logits_and_dense_oracle(&mut self, obs: &Observation) -> [Vec<f64>; 2] {
+        let mut logits = Vec::new();
+        self.infer_logits(obs, &mut logits);
+        let embedding = self.lstm.forward_inference(&dense_sequence(obs));
+        let z = self.backbone.forward_inference(&embedding);
+        [logits, self.head.forward_inference(&z)]
+    }
+
     fn logits_train(&mut self, obs: &Observation) -> Vec<f64> {
-        let sequence = vec![obs.producer.clone(), obs.consumer.clone()];
-        let embedding = self.lstm.forward(&sequence);
+        let embedding = self.lstm.forward(&dense_sequence(obs));
         let z = self.backbone.forward(&embedding);
         self.head.forward(&z)
     }

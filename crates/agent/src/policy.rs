@@ -175,6 +175,27 @@ pub(crate) fn lstm_step_tensors_into(batch: &ObservationBatch, steps: &mut [Tens
     steps[1].assign_flat(rows, cols, batch.consumers());
 }
 
+/// The embedding LSTM over one observation (producer first, consumer
+/// second) for the batch-1 inference paths, reading each vector as the list
+/// of non-zeros it is stored as: `O(non-zeros)` input memory and no dense
+/// view, bit-identical to the dense forms.
+pub(crate) fn embed_observation<'a>(lstm: &'a mut Lstm, obs: &Observation) -> &'a [f64] {
+    for features in [&obs.producer, &obs.consumer] {
+        assert_eq!(
+            features.len(),
+            lstm.input_size(),
+            "LSTM input size mismatch"
+        );
+    }
+    lstm.infer_nonzeros(&[obs.producer.nonzeros(), obs.consumer.nonzeros()])
+}
+
+/// An observation's two vectors as the owned dense sequence the caching
+/// single-sample forward and the `forward_inference` oracles take.
+pub(crate) fn dense_sequence(obs: &Observation) -> [Vec<f64>; 2] {
+    [obs.producer.to_vec(), obs.consumer.to_vec()]
+}
+
 /// The shared candidate-ranking procedure behind
 /// [`crate::PolicyModel::rank_actions`]: the greedy draw first, then
 /// oversampled distinct candidates sorted by descending log-probability.
@@ -262,8 +283,7 @@ impl PolicyNetwork {
     /// Training-mode forward pass: caches activations in every layer for a
     /// later [`PolicyNetwork::backward`].
     fn forward_heads_train(&mut self, obs: &Observation) -> HeadOutputs {
-        let sequence = vec![obs.producer.clone(), obs.consumer.clone()];
-        let embedding = self.lstm.forward(&sequence);
+        let embedding = self.lstm.forward(&dense_sequence(obs));
         let z = self.backbone.forward(&embedding);
         HeadOutputs {
             transformation: self.transformation_head.forward(&z),
@@ -277,9 +297,7 @@ impl PolicyNetwork {
     /// Allocation-free inference forward pass into reusable buffers
     /// (bit-identical to the caching path's numerics).
     fn infer_heads(&mut self, obs: &Observation, out: &mut HeadOutputs) {
-        let embedding = self
-            .lstm
-            .infer(&[obs.producer.as_slice(), obs.consumer.as_slice()]);
+        let embedding = embed_observation(&mut self.lstm, obs);
         let z = self.backbone.infer(embedding);
         self.transformation_head
             .infer_into(z, &mut out.transformation);
@@ -856,9 +874,11 @@ pub fn permutation_log_prob(logits: &[f64], permutation: &[usize]) -> (f64, f64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::FlatPolicyNetwork;
     use crate::ppo::{GroupResult, InferenceGroup, InferenceMode, PolicyModel};
+    use crate::value::ValueNetwork;
     use mlir_rl_costmodel::{CostModel, MachineModel};
-    use mlir_rl_env::OptimizationEnv;
+    use mlir_rl_env::{Features, OptimizationEnv};
     use mlir_rl_ir::ModuleBuilder;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -961,9 +981,7 @@ mod tests {
     /// reference paths: every zero multiplied, one accumulator chain per
     /// output, no tiling and no column lists.
     fn dense_oracle_heads(p: &PolicyNetwork, obs: &Observation) -> HeadOutputs {
-        let embedding = p
-            .lstm
-            .forward_inference(&[obs.producer.clone(), obs.consumer.clone()]);
+        let embedding = p.lstm.forward_inference(&dense_sequence(obs));
         let z = p.backbone.forward_inference(&embedding);
         HeadOutputs {
             transformation: p.transformation_head.forward_inference(&z),
@@ -992,8 +1010,9 @@ mod tests {
     fn sparse_observations_decode_like_the_dense_oracle_bit_for_bit() {
         let observations = paper_observations();
         let [fused, lone] = &observations;
-        // The inputs are what the sparse-column contraction is for.
-        let nnz = |v: &[f64]| v.iter().filter(|x| **x != 0.0).count();
+        // The inputs are what the sparse-column contraction is for, and
+        // arrive as the lists it contracts over.
+        let nnz = |f: &Features| f.nonzeros().0.len();
         assert_eq!(fused.consumer.len(), 3252);
         assert!(nnz(&fused.producer) > 0 && nnz(&fused.producer) * 2 <= 3252);
         assert!(nnz(&fused.consumer) > 0 && nnz(&fused.consumer) * 2 <= 3252);
@@ -1020,6 +1039,26 @@ mod tests {
                 let expected = p.decide(obs, heads, greedy, &mut ChaCha8Rng::seed_from_u64(7));
                 assert_eq!(record, expected);
             }
+        }
+
+        // The other two batch-1 networks read the same lists: the critic
+        // against its `predict` oracle, the flat policy's logits against
+        // the plain loops.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut value = ValueNetwork::new(&EnvConfig::paper(), hyper, &mut rng);
+        let mut flat = FlatPolicyNetwork::new(EnvConfig::paper(), hyper, &mut rng);
+        for obs in &observations {
+            assert_eq!(
+                value.predict_fast(obs).to_bits(),
+                value.predict(obs).to_bits()
+            );
+            let [logits, oracle] = flat.logits_and_dense_oracle(obs);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&logits), bits(&oracle));
+        }
+        // None of it asked an observation for a dense view.
+        for obs in &observations {
+            assert!(!obs.producer.is_materialized() && !obs.consumer.is_materialized());
         }
 
         // rank_actions_batch: both patterns in one batch, the all-zero

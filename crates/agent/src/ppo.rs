@@ -410,14 +410,15 @@ pub fn episode_seed(base: u64, episode: u64) -> u64 {
 /// parallelism (fallback 1).
 ///
 /// Whether fanning out pays depends on the batch, not only on the cores.
-/// Measured at 2 vCPUs with 32x2 networks at paper width (PR 16, after
-/// network clones stopped copying weights): 2 workers collect 4-episode
-/// batches at **1.01x** of one worker (median of 9 traced runs, range
-/// 0.88-1.19; 0.26x before) — a ~1.3 ms batch does not amortise the
-/// ~85 us `thread::scope` + two spawns and the two-episode imbalance —
-/// while 48-episode batches read 1.07-1.76x at 2 workers. Nothing here
-/// gates on batch size yet; a persistent pool or a measured threshold is
-/// the next step (ROADMAP, "training side").
+/// Measured at 2 vCPUs with 32x2 networks at paper width: 2 workers
+/// collect 4-episode batches at **0.88-0.93x** of one worker (PR 20, three
+/// traced runs: ~37k steps/s serial against ~33k at 2 workers; 1.01x at
+/// PR 16, when the serial side read ~19k) — a ~1.0 ms batch does not
+/// amortise the ~85 us `thread::scope` + two spawns and the two-episode
+/// imbalance — while 48-episode batches read 1.07-1.76x at 2 workers
+/// (PR 16). Nothing here gates on batch size yet; since serial collection
+/// is ahead on small batches, one measured threshold is the next step
+/// rather than a persistent pool (ROADMAP, "training side").
 pub fn default_rollout_workers() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -882,7 +883,7 @@ impl<P: PolicyModel> PpoTrainer<P> {
 mod tests {
     use super::*;
     use mlir_rl_costmodel::{CostModel, MachineModel};
-    use mlir_rl_env::EnvConfig;
+    use mlir_rl_env::{EnvConfig, Features};
     use mlir_rl_ir::ModuleBuilder;
 
     fn small_dataset() -> Vec<Module> {
@@ -1214,8 +1215,8 @@ mod tests {
         // A hand-built trajectory: zero rewards then a final reward of 2,
         // zero value estimates everywhere -> every return equals 2.
         let obs_placeholder = || Observation {
-            consumer: vec![0.0],
-            producer: vec![0.0],
+            consumer: Features::zeros(1),
+            producer: Features::zeros(1),
             mask: mlir_rl_env::ActionMask {
                 transformation: [true; 6],
                 tile_sizes: vec![],

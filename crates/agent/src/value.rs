@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use mlir_rl_env::{EnvConfig, Observation, ObservationBatch};
 use mlir_rl_nn::{Linear, Lstm, Mlp, Param, Scratch, Tensor2};
 
-use crate::policy::{lstm_step_tensors_into, PolicyHyperparams};
+use crate::policy::{dense_sequence, embed_observation, lstm_step_tensors_into, PolicyHyperparams};
 
 /// The value network.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -54,8 +54,7 @@ impl ValueNetwork {
     /// [`ValueNetwork::predict_fast`] and [`ValueNetwork::predict_batch`]
     /// are tested bit for bit against, not a hot path.
     pub fn predict(&self, obs: &Observation) -> f64 {
-        let sequence = vec![obs.producer.clone(), obs.consumer.clone()];
-        let embedding = self.lstm.forward_inference(&sequence);
+        let embedding = self.lstm.forward_inference(&dense_sequence(obs));
         let z = self.backbone.forward_inference(&embedding);
         self.head.forward_inference(&z)[0]
     }
@@ -64,9 +63,7 @@ impl ValueNetwork {
     /// scratch buffers; bit-identical results. This is the path the rollout
     /// engine uses.
     pub fn predict_fast(&mut self, obs: &Observation) -> f64 {
-        let embedding = self
-            .lstm
-            .infer(&[obs.producer.as_slice(), obs.consumer.as_slice()]);
+        let embedding = embed_observation(&mut self.lstm, obs);
         let z = self.backbone.infer(embedding);
         self.head.infer_into(z, &mut self.infer_out.0);
         self.infer_out.0[0]
@@ -75,8 +72,7 @@ impl ValueNetwork {
     /// Estimates the state value, caching activations for
     /// [`ValueNetwork::backward`].
     pub fn forward(&mut self, obs: &Observation) -> f64 {
-        let sequence = vec![obs.producer.clone(), obs.consumer.clone()];
-        let embedding = self.lstm.forward(&sequence);
+        let embedding = self.lstm.forward(&dense_sequence(obs));
         let z = self.backbone.forward(&embedding);
         self.head.forward(&z)[0]
     }

@@ -29,7 +29,9 @@ use mlir_rl_core::{
     SpeedupTable,
 };
 use mlir_rl_costmodel::{median, CostModel, MachineModel};
-use mlir_rl_env::{ActionSpaceMode, EnvConfig, InterchangeMode, OptimizationEnv, RewardMode};
+use mlir_rl_env::{
+    ActionSpaceMode, EnvConfig, Features, InterchangeMode, OptimizationEnv, RewardMode,
+};
 use mlir_rl_ir::Module;
 use mlir_rl_obs::{recorder_overhead_ns, TraceSnapshot};
 use mlir_rl_search::{
@@ -2033,6 +2035,10 @@ pub struct ObservationLstmRow {
     pub batch: usize,
     /// Rows/sec fed real observations.
     pub observation_rows: f64,
+    /// Rows/sec fed the same observations as the `(columns, values)` lists
+    /// they are stored as (`Lstm::infer_nonzeros`, what `select_action`
+    /// runs): no staging copy and no scan. Batch 1 only.
+    pub list_rows: Option<f64>,
     /// Rows/sec fed dense random vectors.
     pub dense_rows: f64,
     /// `observation_rows / dense_rows`.
@@ -2067,6 +2073,7 @@ impl ObservationLstmRow {
         let fields = [
             ("batch", self.batch as f64),
             ("observation_rows", self.observation_rows),
+            ("list_rows", self.list_rows.unwrap_or(f64::NAN)),
             ("dense_rows", self.dense_rows),
             ("speedup", self.speedup),
         ];
@@ -2168,14 +2175,15 @@ impl fmt::Display for NnThroughputReport {
         )?;
         writeln!(
             f,
-            "{:>6}  {:>14} {:>14} {:>8}",
-            "batch", "observations", "dense random", "x"
+            "{:>6}  {:>14} {:>14} {:>14} {:>8}",
+            "batch", "observations", "as lists", "dense random", "x"
         )?;
         for r in &self.observation_lstm {
+            let list_rows = r.list_rows.map_or("-".to_string(), |v| format!("{v:.0}"));
             writeln!(
                 f,
-                "{:>6}  {:>14.0} {:>14.0} {:>7.2}x",
-                r.batch, r.observation_rows, r.dense_rows, r.speedup
+                "{:>6}  {:>14.0} {:>14} {:>14.0} {:>7.2}x",
+                r.batch, r.observation_rows, list_rows, r.dense_rows, r.speedup
             )?;
         }
         Ok(())
@@ -2334,20 +2342,17 @@ pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
     let env_config = EnvConfig::paper();
     let feature_len = env_config.feature_len();
     let mut env = OptimizationEnv::new(env_config, CostModel::new(MachineModel::default()));
-    let observations: Vec<[Vec<f64>; 2]> = dl_ops::evaluation_benchmark()
+    let lists: Vec<[Features; 2]> = dl_ops::evaluation_benchmark()
         .into_iter()
         .filter_map(|(_, module)| env.reset(module))
         .map(|obs| [obs.producer, obs.consumer])
         .collect();
-    assert!(
-        !observations.is_empty(),
-        "no operator produced an observation"
-    );
-    let nnz: usize = observations
+    assert!(!lists.is_empty(), "no operator produced an observation");
+    let observations: Vec<[Vec<f64>; 2]> = lists
         .iter()
-        .flatten()
-        .map(|v| v.iter().filter(|x| **x != 0.0).count())
-        .sum();
+        .map(|[producer, consumer]| [producer.to_vec(), consumer.to_vec()])
+        .collect();
+    let nnz: usize = lists.iter().flatten().map(|f| f.nonzeros().0.len()).sum();
     let dense: Vec<[Vec<f64>; 2]> = (0..observations.len())
         .map(|_| {
             std::array::from_fn(|_| (0..feature_len).map(|_| rng.gen_range(0.5..1.0)).collect())
@@ -2383,9 +2388,22 @@ pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
         };
         let observation_rows = rows_per_sec(&observations);
         let dense_rows = rows_per_sec(&dense);
+        let list_rows = (batch == 1).then(|| {
+            let mut lstm = wide_template.clone();
+            measure_rows_per_sec(budget_s, |timer| {
+                let start = Instant::now();
+                for [producer, consumer] in &lists {
+                    let sequence = [producer.nonzeros(), consumer.nonzeros()];
+                    std::hint::black_box(lstm.infer_nonzeros(&sequence));
+                }
+                *timer += start.elapsed().as_secs_f64();
+                lists.len()
+            })
+        });
         observation_lstm.push(ObservationLstmRow {
             batch,
             observation_rows,
+            list_rows,
             dense_rows,
             speedup: observation_rows / dense_rows.max(1e-9),
         });
@@ -2844,12 +2862,16 @@ mod tests {
                 r.observation_rows,
                 r.dense_rows
             );
+            // The list entry is measured where it runs: at batch 1.
+            assert_eq!(r.list_rows.is_some(), r.batch == 1);
+            assert!(r.list_rows.is_none_or(|v| v.is_finite() && v > 0.0));
         }
         let printed = report.to_string();
         assert!(printed.contains("nn throughput"));
         assert!(printed.contains("mlp forward"));
         assert!(printed.contains("observation-shaped lstm"));
         assert!(report.to_json().contains("\"observation_lstm\""));
+        assert!(report.to_json().contains("\"list_rows\""));
     }
 
     #[test]

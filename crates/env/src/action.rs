@@ -155,6 +155,14 @@ pub fn enumerated_candidates(n: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// `enumerated_candidates(n).len()` without building the list: the mask
+/// needs only the count, every step.
+pub fn num_enumerated_candidates(n: usize) -> usize {
+    (1..=3usize)
+        .map(|distance| n.saturating_sub(distance))
+        .sum()
+}
+
 /// The identity permutation with positions `a` and `b` swapped.
 pub fn swap_permutation(n: usize, a: usize, b: usize) -> Vec<usize> {
     let mut p: Vec<usize> = (0..n).collect();
@@ -250,6 +258,9 @@ mod tests {
         // Shallow nests have fewer candidates.
         assert_eq!(enumerated_candidates(2).len(), 1);
         assert_eq!(enumerated_candidates(1).len(), 0);
+        for n in 0..=16 {
+            assert_eq!(num_enumerated_candidates(n), enumerated_candidates(n).len());
+        }
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::action::num_enumerated_candidates;
+
 /// How the interchange action is represented by the policy (Sec. IV-A-1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum InterchangeMode {
@@ -105,7 +107,7 @@ impl EnvConfig {
 
     /// Number of enumerated interchange candidates, `3N - 6` (clamped at 1).
     pub fn num_enumerated_interchanges(&self) -> usize {
-        (3 * self.max_loops).saturating_sub(6).max(1)
+        num_enumerated_candidates(self.max_loops).max(1)
     }
 
     /// Length of the per-operation feature vector produced by the feature

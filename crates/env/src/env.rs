@@ -20,7 +20,7 @@ use mlir_rl_transforms::{ScheduledModule, TransformError, TransformationKind};
 
 use crate::action::Action;
 use crate::config::{EnvConfig, RewardMode};
-use crate::features::{extract_features, zero_features, ActionHistory};
+use crate::features::{extract_features, zero_features, ActionHistory, Features};
 use crate::mask::{compute_mask, ActionMask};
 use crate::reward::{log_speedup, step_reward};
 
@@ -28,11 +28,11 @@ use crate::reward::{log_speedup, step_reward};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Observation {
     /// Representation vector of the operation being optimized (the
-    /// consumer).
-    pub consumer: Vec<f64>,
-    /// Representation vector of its last producer (all zeros when there is
-    /// none).
-    pub producer: Vec<f64>,
+    /// consumer), as the list of its non-zeros.
+    pub consumer: Features,
+    /// Representation vector of its last producer (all zeros — an empty
+    /// list — when there is none).
+    pub producer: Features,
     /// Action masks for every policy head.
     pub mask: ActionMask,
     /// Number of loops of the operation being optimized.
@@ -594,7 +594,7 @@ mod tests {
         assert_eq!(obs.num_loops, 2);
         assert!(e.baseline_time_s() > 0.0);
         // Its producer slot holds the matmul features (non-zero).
-        assert!(obs.producer.iter().any(|v| *v != 0.0));
+        assert!(obs.producer.as_slice().iter().any(|v| *v != 0.0));
     }
 
     #[test]

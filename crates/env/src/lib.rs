@@ -38,11 +38,15 @@ pub mod mask;
 pub mod reward;
 
 pub use action::{
-    enumerated_candidates, flat_action_space, swap_permutation, Action, FlatAction, InterchangeSpec,
+    enumerated_candidates, flat_action_space, num_enumerated_candidates, swap_permutation, Action,
+    FlatAction, InterchangeSpec,
 };
 pub use config::{ActionSpaceMode, EnvConfig, InterchangeMode, RewardMode};
 pub use env::{EpisodeSnapshot, EpisodeStats, Observation, OptimizationEnv, StepOutcome};
-pub use features::{extract_features, zero_features, ActionHistory, ObservationBatch};
+pub use features::{
+    extract_features, extract_features_dense, zero_features, ActionHistory, Features,
+    ObservationBatch,
+};
 pub use mask::{compute_mask, ActionMask};
 pub use reward::{log_speedup, speedup_from_log, step_reward};
 

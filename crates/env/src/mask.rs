@@ -13,7 +13,7 @@ use mlir_rl_transforms::{
     ScheduledModule, Transformation, TransformationKind, MAX_VECTORIZABLE_INNER_EXTENT,
 };
 
-use crate::action::enumerated_candidates;
+use crate::action::num_enumerated_candidates;
 use crate::config::EnvConfig;
 
 /// Masks for every head of the multi-discrete policy.
@@ -100,7 +100,7 @@ pub fn compute_mask(scheduled: &ScheduledModule, op: OpId, config: &EnvConfig) -
         })
         .collect();
 
-    let interchange_candidates = vec![open && n >= 2; enumerated_candidates(n).len().max(1)];
+    let interchange_candidates = vec![open && n >= 2; num_enumerated_candidates(n).max(1)];
     let level_pointer = vec![open; n.max(1)];
 
     let _ = MAX_VECTORIZABLE_INNER_EXTENT; // documented constant, checked via `scheduled.check`

@@ -115,9 +115,25 @@ impl AffineExpr {
     /// iterator outside `0..num_dims`.
     pub fn coefficients(&self, num_dims: usize) -> Result<(Vec<i64>, i64), IrError> {
         let mut coeffs = vec![0i64; num_dims];
-        let mut constant = 0i64;
-        self.accumulate(1, &mut coeffs, &mut constant)?;
+        let constant = self.coefficients_into(&mut coeffs)?;
         Ok((coeffs, constant))
+    }
+
+    /// Allocation-free [`AffineExpr::coefficients`]: overwrites `coeffs`
+    /// (one slot per iterator, so `coeffs.len()` is the number of
+    /// dimensions) with the per-dimension coefficients and returns the
+    /// constant. The feature extractor walks every indexing-map result of
+    /// an operation through one reused buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::DimOutOfRange`] if the expression references an
+    /// iterator outside `0..coeffs.len()`; `coeffs` is then unspecified.
+    pub fn coefficients_into(&self, coeffs: &mut [i64]) -> Result<i64, IrError> {
+        coeffs.fill(0);
+        let mut constant = 0i64;
+        self.accumulate(1, coeffs, &mut constant)?;
+        Ok(constant)
     }
 
     fn accumulate(
@@ -339,14 +355,27 @@ impl AffineMap {
     /// Returns true if the map is a permutation of a subset of the iterators
     /// (i.e. every result is a distinct bare iterator).
     pub fn is_projected_permutation(&self) -> bool {
-        let mut seen = vec![false; self.num_dims];
-        for r in &self.results {
-            match r.as_dim() {
-                Some(d) if !seen[d] => seen[d] = true,
-                _ => return false,
-            }
+        // Runs per operand per environment step (the extractor's and the
+        // mask's vectorization pre-condition): the iterators seen so far
+        // are a bitset while they fit one, a vector beyond.
+        if self.num_dims <= u128::BITS as usize {
+            let mut seen = 0u128;
+            self.results_are_dims(|d| {
+                let fresh = seen & (1 << d) == 0;
+                seen |= 1 << d;
+                fresh
+            })
+        } else {
+            let mut seen = vec![false; self.num_dims];
+            self.results_are_dims(|d| !std::mem::replace(&mut seen[d], true))
         }
-        true
+    }
+
+    /// True if every result is a bare iterator that `accept` takes.
+    fn results_are_dims(&self, mut accept: impl FnMut(usize) -> bool) -> bool {
+        self.results
+            .iter()
+            .all(|r| r.as_dim().is_some_and(&mut accept))
     }
 
     /// Returns the iterator index used by the last (fastest-varying) result
@@ -501,6 +530,18 @@ mod tests {
     }
 
     #[test]
+    fn coefficients_into_overwrites_a_reused_buffer() {
+        let mut buf = [7i64; 3];
+        let e = AffineExpr::dim(0) + AffineExpr::dim(1) * 2 - AffineExpr::constant(3);
+        assert_eq!(e.coefficients_into(&mut buf), Ok(-3));
+        assert_eq!(buf, [1, 2, 0]);
+        // The next expression sees none of the previous one's entries.
+        assert_eq!(AffineExpr::dim(2).coefficients_into(&mut buf), Ok(0));
+        assert_eq!(buf, [0, 0, 1]);
+        assert!(AffineExpr::dim(3).coefficients_into(&mut buf).is_err());
+    }
+
+    #[test]
     fn expr_display() {
         let e = AffineExpr::dim(0) + AffineExpr::dim(2) * 3;
         assert_eq!(e.to_string(), "d0 + 3 * d2");
@@ -621,6 +662,16 @@ mod tests {
         )
         .unwrap();
         assert!(!map.is_projected_permutation());
+    }
+
+    #[test]
+    fn projected_permutation_beyond_one_bitset_word() {
+        // 128 iterators fit the bitset, 129 take the vector: same answers.
+        for num_dims in [128, 129] {
+            let last = num_dims - 1;
+            assert!(AffineMap::projection(num_dims, &[last, 0, 64]).is_projected_permutation());
+            assert!(!AffineMap::projection(num_dims, &[last, 0, last]).is_projected_permutation());
+        }
     }
 
     #[test]

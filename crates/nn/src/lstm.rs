@@ -19,7 +19,8 @@
 //! non-zero columns of `x` and of `h` once for its four gate products, the
 //! backward pass lists each sample's own once for the four gates' `W`/`U`
 //! gradient accumulation, and both contract over the lists alone,
-//! bit-identically (proof in [`crate::tensor`]).
+//! bit-identically (proof in [`crate::tensor`]). An input that arrives as
+//! its non-zero list ([`Lstm::infer_nonzeros`]) skips the listing.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -72,6 +73,11 @@ pub struct Lstm {
     /// wrapper (one per time step).
     #[serde(skip)]
     infer_inputs: Scratch<Vec<Tensor2>>,
+    /// `1 x input` staging rows for [`Lstm::infer_nonzeros`] (one per time
+    /// step), all `+0.0` between calls: a call scatters its listed values
+    /// in and clears exactly those entries on the way out.
+    #[serde(skip)]
+    zeroed_inputs: Scratch<Vec<Tensor2>>,
 }
 
 impl Lstm {
@@ -91,6 +97,7 @@ impl Lstm {
             cached_sequences: Vec::new(),
             infer_scratch: Scratch::default(),
             infer_inputs: Scratch::default(),
+            zeroed_inputs: Scratch::default(),
         }
     }
 
@@ -275,17 +282,22 @@ impl Lstm {
 
     /// Core of the scratch-based inference paths: runs the cell over the
     /// given steps with all working memory in `s`; leaves the final hidden
-    /// states in `s.h`.
+    /// states in `s.h`. A step comes with the ascending list of its
+    /// non-zero columns when the caller has it, and is scanned for it
+    /// otherwise.
     fn run_infer<'a, I>(&self, steps: I, rows: usize, s: &mut LstmScratch)
     where
-        I: Iterator<Item = &'a Tensor2>,
+        I: Iterator<Item = (&'a Tensor2, Option<&'a [u32]>)>,
     {
         let hs = self.hidden_size;
         s.h.resize(rows, hs);
         s.c.resize(rows, hs);
-        for x in steps {
+        for (x, listed) in steps {
             self.check_step(x, rows);
-            s.x_cols.scan(x.data(), rows, x.cols());
+            match listed {
+                Some(cols) => s.x_cols.adopt(cols, x.cols()),
+                None => s.x_cols.scan(x.data(), rows, x.cols()),
+            }
             s.h_cols.scan(s.h.data(), rows, hs);
             for (gate, z) in s.gates.iter_mut().enumerate() {
                 self.gate_pre_into(gate, x, &s.x_cols, &s.h, &s.h_cols, z, &mut s.uh);
@@ -318,7 +330,7 @@ impl Lstm {
         assert!(!sequence.is_empty(), "LSTM sequence must not be empty");
         let rows = sequence[0].rows();
         let mut s = std::mem::take(&mut self.infer_scratch).0;
-        self.run_infer(sequence.iter().copied(), rows, &mut s);
+        self.run_infer(sequence.iter().map(|x| (*x, None)), rows, &mut s);
         self.infer_scratch = Scratch(s);
         &self.infer_scratch.0.h
     }
@@ -338,9 +350,54 @@ impl Lstm {
             staged.assign_flat(1, x.len(), x);
         }
         let mut s = std::mem::take(&mut self.infer_scratch).0;
-        self.run_infer(inputs.iter(), 1, &mut s);
+        self.run_infer(inputs.iter().map(|x| (x, None)), 1, &mut s);
         self.infer_scratch = Scratch(s);
         self.infer_inputs = Scratch(inputs);
+        self.infer_scratch.0.h.row(0)
+    }
+
+    /// [`Lstm::infer`] for inputs held as their non-zeros: each time step
+    /// is `(columns, values)` — strictly ascending columns and, in the same
+    /// order, the values there; every other entry of the step is `+0.0`.
+    /// Touches `O(listed)` input memory instead of copying and scanning
+    /// `input_size` floats per step. The kernels are the ones `infer` runs,
+    /// over the same column list a scan of the dense vector would find (the
+    /// dense loop when more than half the columns are listed), so the
+    /// result is bit-identical to [`Lstm::forward_inference`] on the dense
+    /// vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sequence is empty, a step's columns and values differ
+    /// in length, or its columns are not strictly ascending and below
+    /// `input_size`.
+    pub fn infer_nonzeros(&mut self, sequence: &[(&[u32], &[f64])]) -> &[f64] {
+        assert!(!sequence.is_empty(), "LSTM sequence must not be empty");
+        let mut inputs = std::mem::take(&mut self.zeroed_inputs).0;
+        inputs.resize_with(sequence.len(), || Tensor2::zeros(1, self.input_size));
+        for (staged, (cols, values)) in inputs.iter_mut().zip(sequence) {
+            assert_eq!(cols.len(), values.len(), "LSTM column list mismatch");
+            assert!(
+                cols.windows(2).all(|w| w[0] < w[1])
+                    && cols.last().is_none_or(|c| (*c as usize) < self.input_size),
+                "LSTM input columns must be strictly ascending and in range"
+            );
+            let row = staged.data_mut();
+            for (col, value) in cols.iter().zip(*values) {
+                row[*col as usize] = *value;
+            }
+        }
+        let mut s = std::mem::take(&mut self.infer_scratch).0;
+        let steps = inputs.iter().zip(sequence);
+        self.run_infer(steps.map(|(x, (cols, _))| (x, Some(*cols))), 1, &mut s);
+        self.infer_scratch = Scratch(s);
+        for (staged, (cols, _)) in inputs.iter_mut().zip(sequence) {
+            let row = staged.data_mut();
+            for col in *cols {
+                row[*col as usize] = 0.0;
+            }
+        }
+        self.zeroed_inputs = Scratch(inputs);
         self.infer_scratch.0.h.row(0)
     }
 

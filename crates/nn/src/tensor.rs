@@ -26,7 +26,10 @@
 //! columns of the left operand that are non-zero in at least one row, and
 //! when at most half the columns are listed it contracts over the list
 //! only. Otherwise it runs the dense loop. The choice is made from the
-//! input itself; there is no switch.
+//! input itself; there is no switch. A caller that already holds the list
+//! (an observation is stored as its non-zeros) hands it over instead of
+//! having it found again ([`crate::Lstm::infer_nonzeros`]): same list,
+//! same rule, same kernel, same bits.
 //!
 //! The result is the same **bit for bit** as the dense loop's whenever the
 //! right operand is finite. Proof. Every output element is one sequential
@@ -281,9 +284,11 @@ impl Tensor2 {
 
 /// The columns of a left operand worth contracting over: the ascending
 /// list of those non-zero in at least one row, or "all of them" when more
-/// than half are. Built by [`ActiveCols::scan`] into storage the owner
-/// reuses, and valid only for the operand it was scanned from — the LSTM
-/// scans a step's input once and shares the list between its four gates.
+/// than half are. Built by [`ActiveCols::scan`] — or taken over from a
+/// caller who already has the list, [`ActiveCols::adopt`] — into storage
+/// the owner reuses, and valid only for the operand it was built for — the
+/// LSTM lists a step's input once and shares the list between its four
+/// gates.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ActiveCols {
     /// Ascending column indices; complete only when `sparse`.
@@ -330,6 +335,17 @@ impl ActiveCols {
                 return;
             }
         }
+    }
+
+    /// Takes a list the caller already has and has checked — strictly
+    /// ascending, below `k`, covering every non-zero column of the
+    /// `k`-column operand — instead of scanning for it; the dense loop runs
+    /// under the same rule as after a scan, when more than half the columns
+    /// are listed.
+    pub(crate) fn adopt(&mut self, cols: &[u32], k: usize) {
+        self.idx.clear();
+        self.idx.extend_from_slice(cols);
+        self.sparse = cols.len() * 2 <= k;
     }
 
     /// The listed columns when contracting over them alone pays, `None`

@@ -313,3 +313,82 @@ proptest! {
         prop_assert_eq!(lstm_grads(&mut lstm), reference.grads());
     }
 }
+
+/// A strictly ascending `(columns, values)` list of `nnz` random non-zeros
+/// among `width` columns, with the dense vector it stands for.
+fn random_list(width: usize, nnz: usize, rng: &mut ChaCha8Rng) -> (Vec<u32>, Vec<f64>, Vec<f64>) {
+    let mut columns: Vec<usize> = (0..width).collect();
+    columns.shuffle(rng);
+    columns.truncate(nnz);
+    columns.sort_unstable();
+    let mut dense = vec![0.0; width];
+    let mut values = Vec::with_capacity(nnz);
+    for &c in &columns {
+        let v: f64 = rng.gen_range(-2.0..2.0);
+        dense[c] = if v == 0.0 { 1.0 } else { v };
+        values.push(dense[c]);
+    }
+    (columns.iter().map(|c| *c as u32).collect(), values, dense)
+}
+
+/// `Lstm::infer_nonzeros` on a two-step sequence of lists against the dense
+/// plain-loop oracle on the vectors they stand for.
+fn assert_list_entry_matches_oracle(lstm: &mut Lstm, width: usize, nnz: [usize; 2], seed: u64) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let steps = nnz.map(|n| random_list(width, n, &mut rng));
+    let oracle = lstm.forward_inference(&[steps[0].2.clone(), steps[1].2.clone()]);
+    let lists = [
+        (steps[0].0.as_slice(), steps[0].1.as_slice()),
+        (steps[1].0.as_slice(), steps[1].1.as_slice()),
+    ];
+    assert_eq!(
+        bits(lstm.infer_nonzeros(&lists)),
+        bits(&oracle),
+        "nnz {nnz:?}"
+    );
+    // The dense entry on the same vectors agrees too, before and after.
+    let dense = [steps[0].2.as_slice(), steps[1].2.as_slice()];
+    assert_eq!(bits(lstm.infer(&dense)), bits(&oracle));
+}
+
+#[test]
+fn list_entry_equals_the_dense_oracle_bit_for_bit() {
+    // (a) Paper width, an observation's sparsity (mean 21 non-zeros, at
+    // most 57 measured).
+    const WIDTH: usize = 3252;
+    let mut wide = Lstm::new(WIDTH, 6, &mut ChaCha8Rng::seed_from_u64(1));
+    for (seed, nnz) in [[21, 18], [57, 3], [1, 40]].into_iter().enumerate() {
+        assert_list_entry_matches_oracle(&mut wide, WIDTH, nnz, seed as u64);
+    }
+    // (b) An empty list next to a non-empty one: the producer-less step.
+    assert_list_entry_matches_oracle(&mut wide, WIDTH, [0, 24], 10);
+    assert_list_entry_matches_oracle(&mut wide, WIDTH, [0, 0], 11);
+
+    // (c) Lists past half the width take the dense loop: the last count on
+    // the sparse side of the rule, the first on the dense side, all of them.
+    let mut narrow = Lstm::new(40, 5, &mut ChaCha8Rng::seed_from_u64(2));
+    for (seed, nnz) in [[20, 21], [21, 20], [40, 33]].into_iter().enumerate() {
+        assert_list_entry_matches_oracle(&mut narrow, 40, nnz, 20 + seed as u64);
+    }
+
+    // (d) The staging rows are all-zero again after every call. Only the
+    // dense loop reads entries that are not listed, so that is where a
+    // leftover would show: after lists covering every column, a shorter
+    // pair that still takes the dense loop answers like a fresh clone.
+    assert_list_entry_matches_oracle(&mut narrow, 40, [40, 40], 30);
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    let steps = [21, 22].map(|nnz| random_list(40, nnz, &mut rng));
+    let lists = [
+        (steps[0].0.as_slice(), steps[0].1.as_slice()),
+        (steps[1].0.as_slice(), steps[1].1.as_slice()),
+    ];
+    let used = bits(narrow.infer_nonzeros(&lists));
+    assert_eq!(used, bits(narrow.clone().infer_nonzeros(&lists)));
+}
+
+#[test]
+#[should_panic(expected = "strictly ascending")]
+fn list_entry_rejects_unordered_columns() {
+    let mut lstm = Lstm::new(8, 2, &mut ChaCha8Rng::seed_from_u64(3));
+    lstm.infer_nonzeros(&[(&[3, 1], &[1.0, 1.0])]);
+}

@@ -2,10 +2,18 @@
 //! and the cost model.
 
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 use mlir_rl_costmodel::{CostModel, EvalCache, MachineModel};
+use mlir_rl_env::{
+    extract_features_dense, Action, ActionHistory, EnvConfig, Features, OptimizationEnv,
+};
 use mlir_rl_ir::{parser::parse_module, printer::print_module, ModuleBuilder, OpId};
+use mlir_rl_search::random_action;
 use mlir_rl_transforms::{ScheduledModule, Transformation};
+use mlir_rl_workloads::dl_ops::{random_operator, DlOperator};
+use mlir_rl_workloads::sequences::random_sequence;
 
 fn matmul(m: u64, n: u64, k: u64) -> mlir_rl_ir::Module {
     let mut b = ModuleBuilder::new("pm");
@@ -175,6 +183,76 @@ proptest! {
             let (from_b, _) = b.estimate_keyed(*key, &cm, sm);
             prop_assert_eq!(&from_a, oracle);
             prop_assert_eq!(&from_b, oracle);
+        }
+    }
+
+    /// Observations are stored as their non-zeros: along random masked
+    /// action walks over random operator sequences and single operators, at
+    /// the paper's maxima and at the small configuration (where deep nests
+    /// and many-operand ops are truncated), both lists read back — bit for
+    /// bit — as the dense reference extractor's vectors, and are well
+    /// formed. The reference is fed the action history the test keeps by
+    /// Appendix A's rule, not the environment's copy of it.
+    #[test]
+    fn observation_lists_equal_the_dense_reference_extractor(
+        seed in 0u64..1 << 32,
+        sequence in 0u32..2,
+        paper in 0u32..2,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let module = if sequence == 1 {
+            let length = rng.gen_range(1..6);
+            random_sequence(length, &mut rng)
+        } else {
+            random_operator(DlOperator::ALL[seed as usize % DlOperator::ALL.len()], &mut rng)
+        };
+        let config = if paper == 1 { EnvConfig::paper() } else { EnvConfig::small() };
+        let mut histories = vec![ActionHistory::new(); module.ops().len()];
+        let mut env = OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
+        let mut observation = env.reset(module);
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let check_list = |features: &Features| {
+            let (cols, values) = features.nonzeros();
+            assert_eq!(features.len(), config.feature_len());
+            assert_eq!(cols.len(), values.len());
+            assert!(cols.windows(2).all(|w| w[0] < w[1]), "columns not ascending");
+            assert!(cols.iter().all(|c| (*c as usize) < features.len()));
+            assert!(values.iter().all(|v| *v != 0.0), "a stored zero");
+        };
+        while let Some(obs) = observation {
+            let scheduled = env.scheduled().expect("episode is live");
+            let dense = |op: OpId| extract_features_dense(scheduled, op, &histories[op.0], &config);
+            check_list(&obs.consumer);
+            check_list(&obs.producer);
+            prop_assert_eq!(bits(obs.consumer.as_slice()), bits(&dense(obs.op)));
+            match scheduled.module().last_producer(obs.op) {
+                Some(producer) => {
+                    prop_assert_eq!(bits(obs.producer.as_slice()), bits(&dense(producer)));
+                }
+                None => {
+                    prop_assert!(obs.producer.nonzeros().0.is_empty());
+                    prop_assert_eq!(bits(obs.producer.as_slice()), vec![0; config.feature_len()]);
+                }
+            }
+
+            let action = random_action(&obs, &config, &mut rng);
+            let outcome = env.step(&action);
+            if outcome.applied {
+                let state = env.scheduled().expect("episode is live").state(obs.op);
+                match &action {
+                    Action::Tiling { tile_indices }
+                    | Action::TiledParallelization { tile_indices }
+                    | Action::TiledFusion { tile_indices } => {
+                        histories[obs.op.0].push_tiled(tile_indices.clone());
+                    }
+                    Action::Interchange(_) => {
+                        histories[obs.op.0].push_interchange(state.order.clone());
+                    }
+                    Action::Vectorization | Action::NoTransformation => {}
+                }
+            }
+            observation = outcome.observation;
         }
     }
 

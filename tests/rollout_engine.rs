@@ -6,9 +6,11 @@ use mlir_rl_agent::{
     collect_rollouts, PolicyHyperparams, PolicyNetwork, PpoConfig, PpoTrainer, RolloutBatch,
 };
 use mlir_rl_costmodel::{CostModel, EvalCache, MachineModel};
-use mlir_rl_env::{EnvConfig, OptimizationEnv, RewardMode};
+use mlir_rl_env::{EnvConfig, ObservationBatch, OptimizationEnv, RewardMode};
 use mlir_rl_ir::{Module, ModuleBuilder};
 use mlir_rl_search::{GreedyPolicy, SearchDriver};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 fn dataset() -> Vec<Module> {
     let mut out = Vec::new();
@@ -222,4 +224,53 @@ fn fan_out_leaves_no_share_of_the_callers_weights_behind() {
     // A live clone is what sharing looks like — the check is not vacuous.
     let _clone = trainer.policy.clone();
     assert!(!owns_its_weights(&mut trainer));
+}
+
+#[test]
+fn nothing_on_a_hot_path_builds_a_dense_observation() {
+    // Observations are stored and read as lists of their non-zeros. At the
+    // paper's width a dense view is 26 KB per vector, so any path that asks
+    // for one per step shows up here as a materialised view.
+    let config = EnvConfig::paper();
+    let dataset = dataset();
+    let modules: Vec<&Module> = dataset.iter().collect();
+    let dense_views = |batch: &RolloutBatch| {
+        let transitions = batch.trajectories.iter().flat_map(|t| &t.transitions);
+        transitions
+            .flat_map(|t| [&t.observation.consumer, &t.observation.producer])
+            .filter(|features| features.is_materialized())
+            .count()
+    };
+    for workers in [1, 2] {
+        // Sampling and the critic: `select_action` and `predict_fast`.
+        let (batch, _) = collect(&config, &modules, None, workers, false);
+        assert!(batch.total_steps() > 0);
+        assert_eq!(dense_views(&batch), 0, "{workers} workers");
+
+        // Packing for the batched networks scatters from the lists.
+        let (_, mut trainer) = fixture(&config);
+        let observations: Vec<_> = batch
+            .trajectories
+            .iter()
+            .flat_map(|t| t.transitions.iter().map(|t| &t.observation))
+            .collect();
+        let packed = ObservationBatch::from_observations(observations.iter().copied());
+        assert_eq!(packed.len(), observations.len());
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let ranked = trainer
+            .policy
+            .rank_actions_batch(&observations, 2, &mut rng);
+        assert_eq!(ranked.len(), observations.len());
+        assert_eq!(dense_views(&batch), 0, "{workers} workers, after packing");
+
+        // The view exists once somebody asks, stays with the value that was
+        // asked, and changes nothing about what the value is.
+        let obs = observations[0];
+        assert_eq!(obs.consumer.as_slice().len(), config.feature_len());
+        assert!(obs.consumer.is_materialized());
+        let copy = obs.clone();
+        assert!(!copy.consumer.is_materialized());
+        assert_eq!(&copy, obs);
+        assert_eq!(dense_views(&batch), 1);
+    }
 }

@@ -17,12 +17,14 @@
 //! 4. **Snapshot hygiene**: running any searcher on an environment does
 //!    not poison it — a snapshot taken before the search restores to a
 //!    bitwise-identical mid-episode state afterwards.
+//! 5. **Observations stay lists**: no searcher asks an observation for its
+//!    dense view on the way to or from the policy.
 
 use proptest::prelude::*;
 
-use mlir_rl_agent::{PolicyHyperparams, PolicyNetwork};
+use mlir_rl_agent::{ActionRecord, PolicyHyperparams, PolicyModel, PolicyNetwork};
 use mlir_rl_costmodel::{CostModel, MachineModel};
-use mlir_rl_env::{EnvConfig, OptimizationEnv};
+use mlir_rl_env::{EnvConfig, Observation, OptimizationEnv};
 use mlir_rl_ir::{Module, ModuleBuilder};
 use mlir_rl_obs::TraceRecorder;
 use mlir_rl_search::{
@@ -58,8 +60,8 @@ fn chain(m: u64, n: u64, k: u64) -> Module {
 }
 
 /// One roster entry: the searcher plus which battery clauses apply to it.
-struct Entry {
-    searcher: Box<dyn Searcher<PolicyNetwork>>,
+struct Entry<P: PolicyModel = PolicyNetwork> {
+    searcher: Box<dyn Searcher<P>>,
     /// Seeded with the greedy trajectory: must be `>=` greedy decoding.
     greedy_seeded: bool,
     /// Runs members on racing threads: the per-member hit/miss split (but
@@ -68,7 +70,7 @@ struct Entry {
     racing: bool,
 }
 
-fn entry(searcher: impl Searcher<PolicyNetwork> + 'static, greedy_seeded: bool) -> Entry {
+fn entry<P: PolicyModel>(searcher: impl Searcher<P> + 'static, greedy_seeded: bool) -> Entry<P> {
     Entry {
         searcher: Box::new(searcher),
         greedy_seeded,
@@ -77,7 +79,9 @@ fn entry(searcher: impl Searcher<PolicyNetwork> + 'static, greedy_seeded: bool) 
 }
 
 /// Every `Searcher` implementation, in one table. New searchers go here.
-fn roster() -> Vec<Entry> {
+/// Generic over the policy so a clause can run the table with a checking
+/// wrapper around the network.
+fn roster<P: PolicyModel + 'static>() -> Vec<Entry<P>> {
     vec![
         entry(GreedyPolicy, true),
         entry(BeamSearch::new(1), true),
@@ -518,4 +522,89 @@ proptest! {
             }
         }
     }
+}
+
+/// A policy network that fails the test when an observation reaches it, or
+/// leaves it, holding a dense view: observations are lists of non-zeros,
+/// and at paper width a dense view per search node is 26 KB nobody reads.
+#[derive(Clone)]
+struct DenseFree {
+    network: PolicyNetwork,
+    observations_seen: usize,
+}
+
+impl DenseFree {
+    fn check(&mut self, observations: &[&Observation]) {
+        for obs in observations {
+            assert!(
+                !obs.consumer.is_materialized() && !obs.producer.is_materialized(),
+                "an observation on the search path holds a dense view"
+            );
+        }
+        self.observations_seen += observations.len();
+    }
+}
+
+impl PolicyModel for DenseFree {
+    fn select_action(
+        &mut self,
+        obs: &Observation,
+        greedy: bool,
+        rng: &mut ChaCha8Rng,
+    ) -> ActionRecord {
+        let record = self.network.select_action(obs, greedy, rng);
+        self.check(&[obs]);
+        record
+    }
+    fn evaluate(&mut self, obs: &Observation, record: &ActionRecord) -> (f64, f64) {
+        self.network.evaluate(obs, record)
+    }
+    fn backward(&mut self, obs: &Observation, record: &ActionRecord, lp: f64, ent: f64) {
+        self.network.backward(obs, record, lp, ent);
+    }
+    fn zero_grad(&mut self) {
+        self.network.zero_grad();
+    }
+    fn parameters_mut(&mut self) -> Vec<&mut mlir_rl_nn::Param> {
+        self.network.parameters_mut()
+    }
+    fn rank_actions(
+        &mut self,
+        obs: &Observation,
+        k: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<ActionRecord> {
+        let ranked = self.network.rank_actions(obs, k, rng);
+        self.check(&[obs]);
+        ranked
+    }
+    fn rank_actions_batch(
+        &mut self,
+        observations: &[&Observation],
+        k: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<Vec<ActionRecord>> {
+        let ranked = self.network.rank_actions_batch(observations, k, rng);
+        self.check(observations);
+        ranked
+    }
+}
+
+#[test]
+fn battery_no_searcher_materialises_a_dense_observation() {
+    let module = chain(96, 48, 64);
+    let mut policy_backed = 0;
+    for e in roster::<DenseFree>() {
+        let mut p = DenseFree {
+            network: policy(3),
+            observations_seen: 0,
+        };
+        let outcome = e.searcher.search(&mut env(), &mut p, &module, 17);
+        assert!(outcome.nodes_expanded > 0, "{}", e.searcher.name());
+        // Racing members search on clones, which keep their own count.
+        policy_backed += usize::from(p.observations_seen > 0);
+    }
+    // Not vacuous: all but `RandomSearch` and the racing portfolio put
+    // observations through this instance.
+    assert!(policy_backed >= 8, "only {policy_backed} searchers checked");
 }
