@@ -11,74 +11,29 @@
 //!   types) of every timing-dependent `--json` report, which CI's python
 //!   reads by key.
 
-use mlir_rl_bench::{
-    ablation_interchange, action_space_size, datasets, fig5_operators, fig6_action_space,
-    fig7_reward_modes, load_test, nn_throughput, online_learning, portfolio_speedups,
-    rollout_throughput, service_throughput, table3_models, table4_lqcd, ExperimentScale,
-};
-use mlir_rl_core::report::json;
-
-/// The paper document: one entry per deterministic experiment, each entry
-/// that experiment's `--json` report.
-fn paper_document(scale: &ExperimentScale) -> String {
-    let entry = |name: &str, parts: Vec<(&'static str, String)>| {
-        let mut fields = vec![("experiment", json::string(&format!("exp_{name}")))];
-        fields.extend(parts);
-        json::object(2, fields)
-    };
-    let (table2, table5) = datasets();
-    let (by_iteration, by_time) = fig7_reward_modes(scale);
-    let table = |name: &'static str, table: mlir_rl_core::SpeedupTable| {
-        (name, entry(name, vec![("table", table.to_json())]))
-    };
-    json::object(
-        1,
-        [
-            table("action_space_size", action_space_size()),
-            (
-                "datasets",
-                entry(
-                    "datasets",
-                    vec![("table2", table2.to_json()), ("table5", table5.to_json())],
-                ),
-            ),
-            table("fig5", fig5_operators(scale)),
-            table("table3", table3_models(scale)),
-            table("table4", table4_lqcd(scale)),
-            table("ablation_interchange", ablation_interchange(scale)),
-            (
-                "fig6",
-                entry("fig6", vec![("figure", fig6_action_space(scale).to_json())]),
-            ),
-            (
-                "fig7",
-                entry(
-                    "fig7",
-                    vec![
-                        ("by_iteration", by_iteration.to_json()),
-                        ("by_time", by_time.to_json()),
-                    ],
-                ),
-            ),
-        ],
-    )
-}
+use mlir_rl_bench::cli::ExpArgs;
+use mlir_rl_bench::report::Rendered;
+use mlir_rl_bench::{paper_document, registry, ExperimentScale};
 
 /// The `--json` report of every experiment whose values depend on timing,
 /// at smoke scale, in `report_keys.txt` order.
 fn timing_reports() -> Vec<(&'static str, String)> {
-    let scale = ExperimentScale::smoke();
-    vec![
-        (
-            "rollout_throughput",
-            rollout_throughput(&scale, 2).to_json(),
-        ),
-        ("nn_throughput", nn_throughput(&scale).to_json()),
-        ("portfolio", portfolio_speedups(&scale, 2).to_json()),
-        ("service", service_throughput(&scale, 2).to_json()),
-        ("load", load_test(&scale, 2).to_json()),
-        ("online", online_learning(&scale, 2).to_json()),
-    ]
+    let args = ExpArgs::new(ExperimentScale::smoke(), 2);
+    let names = [
+        "rollout_throughput",
+        "nn_throughput",
+        "portfolio",
+        "service",
+        "load",
+        "online",
+    ];
+    names
+        .map(|name| {
+            let experiment = registry::find(name).expect("a registered experiment");
+            let (report, _) = (experiment.run)(&args);
+            (name, Rendered::new(name, report.as_ref()).to_json())
+        })
+        .to_vec()
 }
 
 /// Fails with the first differing line instead of two multi-kilobyte blobs.

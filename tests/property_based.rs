@@ -272,3 +272,44 @@ proptest! {
         prop_assert!(speedup.is_finite() && speedup > 0.0);
     }
 }
+
+/// The law the paper's action space rests on (Sec. IV-B): the mask is a
+/// promise — an action it allows is never refused. Seeded random masked
+/// walks to episode end over the training dataset at the small
+/// configuration and over the evaluation benchmark at the paper's maxima:
+/// every step reports `applied`.
+#[test]
+fn mask_allowed_actions_are_always_applied() {
+    let training = mlir_rl_workloads::full_training_dataset(0.1, 23);
+    let evaluation = mlir_rl_workloads::dl_ops::evaluation_benchmark();
+    let walks = [
+        (EnvConfig::small(), training),
+        (
+            EnvConfig::paper(),
+            evaluation.into_iter().map(|(_, module)| module).collect(),
+        ),
+    ];
+    let mut steps = 0usize;
+    for (config, modules) in walks {
+        let mut env = OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
+        for (index, module) in modules.into_iter().enumerate() {
+            for seed in 0..4u64 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed << 32 | index as u64);
+                let name = module.name().to_string();
+                let mut observation = env.reset(module.clone());
+                while let Some(obs) = observation {
+                    let action = random_action(&obs, &config, &mut rng);
+                    let outcome = env.step(&action);
+                    assert!(
+                        outcome.applied,
+                        "{name}, seed {seed}: the mask allowed {action:?} on {:?} but it was refused",
+                        obs.op
+                    );
+                    steps += 1;
+                    observation = outcome.observation;
+                }
+            }
+        }
+    }
+    assert!(steps > 8_000, "only {steps} masked steps were walked");
+}

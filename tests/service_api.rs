@@ -777,7 +777,7 @@ fn online_config() -> mlir_rl::agent::OnlineTrainingConfig {
         },
         // Gate off: every train step publishes, so the smoke test needs no
         // luck to observe a swap. The gate's metric itself is covered by
-        // the agent crate's greedy_geomean tests and the exp_online CI run.
+        // the agent crate's greedy_geomean tests and the `exp online` CI run.
         promotion_gate: false,
         max_probe_modules: 8,
         max_steps: None,
