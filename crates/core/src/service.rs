@@ -2036,6 +2036,93 @@ mod tests {
         });
     }
 
+    /// The dispatcher alone — no workers, no clock: three lanes (weights
+    /// 3 / 1 / 1), an in-flight quota of 2, mixed priorities, and the exact
+    /// `(lane, job id)` sequence they pop in.
+    #[test]
+    fn dispatch_order_is_pinned() {
+        let weights = vec![("a".to_string(), 3)];
+        let snapshot = PolicyRegistry::new(policy()).checkout();
+        let mut state = ServiceState {
+            lanes: Vec::new(),
+            index: HashMap::new(),
+            cursor: 0,
+            depth: 0,
+            paused: false,
+            shutdown: false,
+        };
+        let push = |state: &mut ServiceState, client: &str, id: u64, priority: i32| {
+            let lane = state.lane_for(client, &weights);
+            state.lanes[lane].heap.push(QueuedJob {
+                id,
+                submitted: Instant::now(),
+                reserved: 0,
+                policy: Arc::clone(&snapshot),
+                request: OptimizationRequest::new(module(8), SearchSpec::Greedy)
+                    .with_priority(priority)
+                    .with_client(client),
+                stop: StopToken::new(),
+                slot: ResponseSlot::new(),
+            });
+            state.depth += 1;
+        };
+        let pop = |state: &mut ServiceState| match state.pop_next(Some(2)) {
+            Popped::Job(job, lane) => Ok((lane, job.id)),
+            Popped::Blocked => Err("blocked"),
+            Popped::Idle => Err("idle"),
+        };
+        let done = |state: &mut ServiceState, lane: usize| state.lanes[lane].in_flight -= 1;
+        let (a, b, c) = (0, 1, 2);
+
+        for (client, id, priority) in [
+            ("a", 0, 0),
+            ("b", 1, 0),
+            ("a", 2, 5),
+            ("c", 3, 0),
+            ("a", 4, 0),
+            ("b", 5, 9),
+            ("a", 6, 0),
+            ("c", 7, 0),
+        ] {
+            push(&mut state, client, id, priority);
+        }
+        // One replenish (3 / 1 / 1) serves a round; `a` keeps two credits
+        // and spends one more before its quota closes it; priorities lead
+        // inside a lane, submission order breaks their ties.
+        assert_eq!(pop(&mut state), Ok((a, 2)));
+        assert_eq!(pop(&mut state), Ok((b, 5)));
+        assert_eq!(pop(&mut state), Ok((c, 3)));
+        assert_eq!(pop(&mut state), Ok((a, 0)));
+        assert_eq!(pop(&mut state), Ok((b, 1)));
+        assert_eq!(pop(&mut state), Ok((c, 7)));
+        // `a` still queues 4 and 6 but has two in flight; `b` and `c` are
+        // drained: work is queued and nobody may take it.
+        assert_eq!(pop(&mut state), Err("blocked"));
+        done(&mut state, a);
+        assert_eq!(pop(&mut state), Ok((a, 4)));
+        assert_eq!(pop(&mut state), Err("blocked"));
+        done(&mut state, a);
+        // A fresh replenish: `a` pops its last job with two credits left.
+        assert_eq!(pop(&mut state), Ok((a, 6)));
+        assert_eq!(pop(&mut state), Err("idle"));
+
+        // The scan that serves `b` passes the drained `a`, which forfeits
+        // those two credits ...
+        done(&mut state, b);
+        push(&mut state, "b", 8, 0);
+        assert_eq!(pop(&mut state), Ok((b, 8)));
+        // ... so when `a` and `c` both have work again, `a` has nothing
+        // banked to jump the cursor with: `c` goes first.
+        done(&mut state, a);
+        done(&mut state, c);
+        push(&mut state, "a", 9, 0);
+        push(&mut state, "c", 10, 0);
+        assert_eq!(pop(&mut state), Ok((c, 10)));
+        assert_eq!(pop(&mut state), Ok((a, 9)));
+        assert_eq!(pop(&mut state), Err("idle"));
+        assert_eq!(state.depth, 0);
+    }
+
     #[test]
     fn priorities_order_the_queue_without_changing_outcomes() {
         // A paused 1-worker service: the high-priority latecomer runs

@@ -1570,6 +1570,91 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_cache_image_round_trips_byte_for_byte() {
+        // Two entries, in the image's shard order: one hit once after a
+        // merge that carried 4 hits (protected, two ops), one never hit
+        // (probation, a `-0.0` and a `f64::MIN_POSITIVE` among its times).
+        // Every snapshot file on disk is laid out like this; a codec change
+        // that moves a byte orphans them all.
+        const IMAGE: [u8; 226] = [
+            77, 76, 82, 67, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 64, 2, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 208, 63,
+            0, 0, 0, 0, 0, 0, 192, 63, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 208, 63, 8, 7, 6,
+            5, 4, 3, 2, 1, 24, 23, 22, 21, 20, 19, 18, 17, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 248, 63, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 248,
+            63, 0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 248, 63, 178,
+            118, 53, 180, 231, 220, 6, 47,
+        ];
+        let time = |compute_s, memory_s, overhead_s, total_s| TimeEstimate {
+            compute_s,
+            memory_s,
+            overhead_s,
+            total_s,
+        };
+        let probation = (
+            ScheduleKey {
+                module: 0x0102_0304_0506_0708,
+                schedule: 0x1112_1314_1516_1718,
+            },
+            ModuleEstimate {
+                per_op: vec![(OpId(7), time(1.5, -0.0, f64::MIN_POSITIVE, 1.5))],
+                total_s: 1.5,
+            },
+        );
+        let protected = (
+            ScheduleKey {
+                module: 2,
+                schedule: 0,
+            },
+            ModuleEstimate {
+                per_op: vec![
+                    (OpId(0), time(0.25, 2.0, 0.0, 2.0)),
+                    (OpId(1), time(0.25, 0.125, 0.0, 0.25)),
+                ],
+                total_s: 2.25,
+            },
+        );
+        let cm = CostModel::new(MachineModel::default());
+        let sm = ScheduledModule::new(matmul(16, 16, 16));
+        let table = SharedEvalCache::new(64);
+        assert!(table.merge_entry(probation.0, probation.1.clone(), 0));
+        assert!(table.merge_entry(protected.0, protected.1.clone(), 4));
+        assert_eq!(table.total_s_keyed(protected.0, &cm, &sm), (2.25, true));
+        let stats = table.shard_stats();
+        assert_eq!(stats.iter().map(|s| s.protected).sum::<usize>(), 1);
+        assert_eq!(table.to_snapshot_bytes(), IMAGE);
+
+        // The literal restores: both estimates come back bit for bit, as
+        // hits, and the saved hit counts with them (a restored entry
+        // re-enters probation, so only its segment byte may differ).
+        let restored = SharedEvalCache::new(64);
+        assert_eq!(restored.restore_from_bytes(&IMAGE).expect("version 1"), 2);
+        for (key, want) in [&probation, &protected] {
+            let (got, was_hit) = restored.estimate_keyed(*key, &cm, &sm);
+            assert!(was_hit);
+            assert_eq!(got.total_s.to_bits(), want.total_s.to_bits());
+            for ((op, got), (want_op, want)) in got.per_op.iter().zip(&want.per_op) {
+                assert_eq!(op, want_op);
+                for (g, w) in [
+                    (got.compute_s, want.compute_s),
+                    (got.memory_s, want.memory_s),
+                    (got.overhead_s, want.overhead_s),
+                    (got.total_s, want.total_s),
+                ] {
+                    assert_eq!(g.to_bits(), w.to_bits());
+                }
+            }
+        }
+        // Both were just hit once more: saved hits + 1, both protected.
+        let again = restored.to_snapshot_bytes();
+        assert_eq!(again.len(), IMAGE.len());
+        assert_eq!((again[32], again[40]), (6, 1), "hits, segment of entry 0");
+        assert_eq!((again[153], again[161]), (1, 1), "hits, segment of entry 1");
+    }
+
+    #[test]
     fn corrupt_snapshots_are_rejected_without_mutation() {
         let cm = CostModel::new(MachineModel::default());
         let source = SharedEvalCache::new(64);
