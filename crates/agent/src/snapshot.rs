@@ -1,15 +1,17 @@
 //! Versioned binary weight snapshots for the policy and value networks.
 //!
 //! The vendored `serde` is a no-op stub (nothing in the tree performs real
-//! serialization through it), so network snapshots use the same hand-rolled
-//! binary idiom as the cost-model cache (`mlir_rl_costmodel::SharedEvalCache`):
-//! a magic tag, a format version, little-endian shapes and `f64` bit
-//! patterns, and an FNV-1a checksum trailer. Round-tripping is *bitwise*:
+//! serialization through it), so network snapshots are images of the
+//! workspace's one framed layout ([`mlir_rl_ir::frame`], shared with the
+//! cost-model cache's `MLRC` snapshot): the `MLRW` magic tag, a format
+//! version, little-endian shapes and `f64` bit patterns, and an FNV-1a
+//! checksum trailer. Round-tripping is *bitwise*:
 //! a restored network ranks and samples exactly like the original, which is
 //! what lets a deserialized snapshot be swapped into the service's
 //! [`crate::online::PolicyRegistry`] without perturbing the per-version
 //! determinism contract.
 
+use mlir_rl_ir::frame::{self, FrameError};
 use mlir_rl_ir::Fnv1a;
 use mlir_rl_nn::Param;
 
@@ -48,7 +50,8 @@ pub enum WeightsError {
         /// The snapshot's `(rows, cols)`.
         found: (usize, usize),
     },
-    /// The checksum trailer did not match the payload.
+    /// The checksum trailer did not match the payload, or bytes remain
+    /// after the last tensor.
     Corrupt,
 }
 
@@ -80,11 +83,20 @@ impl std::fmt::Display for WeightsError {
 
 impl std::error::Error for WeightsError {}
 
+impl From<FrameError> for WeightsError {
+    fn from(err: FrameError) -> Self {
+        match err {
+            FrameError::Truncated => Self::Truncated,
+            FrameError::BadMagic => Self::BadMagic,
+            FrameError::BadVersion(v) => Self::BadVersion(v),
+            FrameError::Checksum | FrameError::Trailing => Self::Corrupt,
+        }
+    }
+}
+
 /// Encodes `params` (in `parameters_mut()` order) into the snapshot format.
 fn encode(params: &[&mut Param]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&WEIGHTS_MAGIC);
-    out.extend_from_slice(&WEIGHTS_VERSION.to_le_bytes());
+    let mut out = frame::begin(WEIGHTS_MAGIC, WEIGHTS_VERSION);
     out.extend_from_slice(&(params.len() as u32).to_le_bytes());
     for param in params {
         out.extend_from_slice(&(param.rows as u32).to_le_bytes());
@@ -93,9 +105,7 @@ fn encode(params: &[&mut Param]) -> Vec<u8> {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
-    let checksum = Fnv1a::hash(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    frame::seal(out)
 }
 
 /// Decodes a snapshot produced by [`encode`] back into `params`.
@@ -103,34 +113,8 @@ fn encode(params: &[&mut Param]) -> Vec<u8> {
 /// Validation happens before any write: a failed restore leaves the
 /// network untouched.
 fn decode(params: &mut [&mut Param], bytes: &[u8]) -> Result<(), WeightsError> {
-    if bytes.len() < WEIGHTS_MAGIC.len() + 4 + 4 + 8 {
-        return Err(WeightsError::Truncated);
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    if Fnv1a::hash(payload) != stored {
-        return Err(WeightsError::Corrupt);
-    }
-    struct Cursor<'a>(&'a [u8]);
-    impl<'a> Cursor<'a> {
-        fn take(&mut self, n: usize) -> Result<&'a [u8], WeightsError> {
-            if self.0.len() < n {
-                return Err(WeightsError::Truncated);
-            }
-            let (head, tail) = self.0.split_at(n);
-            self.0 = tail;
-            Ok(head)
-        }
-    }
-    let mut cursor = Cursor(payload);
-    if cursor.take(4)? != WEIGHTS_MAGIC {
-        return Err(WeightsError::BadMagic);
-    }
-    let version = u32::from_le_bytes(cursor.take(4)?.try_into().expect("4 bytes"));
-    if version != WEIGHTS_VERSION {
-        return Err(WeightsError::BadVersion(version));
-    }
-    let count = u32::from_le_bytes(cursor.take(4)?.try_into().expect("4 bytes")) as usize;
+    let mut reader = frame::open(bytes, WEIGHTS_MAGIC, WEIGHTS_VERSION)?;
+    let count = reader.u32()? as usize;
     if count != params.len() {
         return Err(WeightsError::ParamCount {
             expected: params.len(),
@@ -140,8 +124,8 @@ fn decode(params: &mut [&mut Param], bytes: &[u8]) -> Result<(), WeightsError> {
     // Pass 1: validate every shape and stage the decoded values.
     let mut staged: Vec<Vec<f64>> = Vec::with_capacity(count);
     for (index, param) in params.iter().enumerate() {
-        let rows = u32::from_le_bytes(cursor.take(4)?.try_into().expect("4 bytes")) as usize;
-        let cols = u32::from_le_bytes(cursor.take(4)?.try_into().expect("4 bytes")) as usize;
+        let rows = reader.u32()? as usize;
+        let cols = reader.u32()? as usize;
         if rows != param.rows || cols != param.cols {
             return Err(WeightsError::ShapeMismatch {
                 index,
@@ -149,13 +133,14 @@ fn decode(params: &mut [&mut Param], bytes: &[u8]) -> Result<(), WeightsError> {
                 found: (rows, cols),
             });
         }
-        let raw = cursor.take(param.len() * 8)?;
+        let raw = reader.take(param.len() * 8)?;
         let values = raw
             .chunks_exact(8)
             .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
             .collect();
         staged.push(values);
     }
+    reader.finish()?;
     // Pass 2: commit.
     for (param, values) in params.iter_mut().zip(staged) {
         param.set_value(values);

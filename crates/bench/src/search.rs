@@ -114,8 +114,15 @@ impl Report for SearchReport {
 /// `scale.trajectories_per_iteration`.
 pub fn search_speedups(scale: &ExperimentScale, workers: usize) -> SearchReport {
     let dataset = dl_ops::training_dataset(scale.dataset_scale, 81);
-    let mut rl = train_mlir_rl(EnvConfig::small(), &dataset, scale, 9);
+    let rl = train_mlir_rl(EnvConfig::small(), &dataset, scale, 9);
     let workloads = evaluation_modules();
+    // One environment template for every searcher: the driver's workers
+    // join its evaluation table, so each batch warms the next.
+    let env = OptimizationEnv::new(
+        EnvConfig::small(),
+        CostModel::new(MachineModel::xeon_e5_2680_v4()),
+    );
+    let driver = SearchDriver::new(workers).with_seed(9);
 
     let budget = scale.trajectories_per_iteration;
     let searchers: Vec<Box<dyn Searcher<PolicyNetwork>>> = vec![
@@ -136,7 +143,7 @@ pub fn search_speedups(scale: &ExperimentScale, workers: usize) -> SearchReport 
     let mut summaries = Vec::new();
     let mut per_module: Vec<Vec<f64>> = vec![Vec::new(); workloads.len()];
     for searcher in &searchers {
-        let report = rl.optimize_batch(&workloads, searcher.as_ref(), workers);
+        let report = driver.run(&env, rl.policy(), searcher.as_ref(), &workloads);
         for (i, outcome) in report.outcomes.iter().enumerate() {
             per_module[i].push(outcome.speedup);
         }

@@ -41,15 +41,17 @@ pub(crate) struct LatencyHistogram {
     sum_us: AtomicU64,
 }
 
-impl LatencyHistogram {
-    pub(crate) fn new() -> Self {
+impl Default for LatencyHistogram {
+    fn default() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_us: AtomicU64::new(0),
         }
     }
+}
 
+impl LatencyHistogram {
     pub(crate) fn record(&self, seconds: f64) {
         let us = (seconds * 1e6).max(0.0) as u64;
         let idx = (63 - us.max(1).leading_zeros() as usize).min(HIST_BUCKETS - 1);
@@ -192,8 +194,10 @@ service_metrics! {
         /// Maximum queue depth ever observed — under a burst against a
         /// bounded queue this plateaus at the capacity.
         queue_high_water: u64, gauge("queue_high_water", "Maximum queue depth observed");
-        /// Distinct client lanes created so far (the anonymous lane counts
-        /// once it has seen a request).
+        /// Client lanes created so far (the anonymous lane counts once it
+        /// has seen a request). Monotone: a lane is dropped when its client
+        /// has nothing queued or in flight, and a client that returns
+        /// after that gets — and counts as — a new one.
         clients: u64, gauge("clients", "Distinct client lanes created");
         /// Median queue wait in seconds (bucket upper bound).
         queue_p50_s: f64, json;
@@ -406,7 +410,7 @@ mod tests {
 
     #[test]
     fn latency_histogram_reports_bucket_upper_bounds_and_the_exact_mean() {
-        let hist = LatencyHistogram::new();
+        let hist = LatencyHistogram::default();
         assert_eq!((hist.quantile(0.5), hist.mean()), (0.0, 0.0));
         for seconds in [0.25, 0.25, 0.25, 4.0] {
             hist.record(seconds);

@@ -2,26 +2,12 @@
 //! optimize modules, mirroring how the released artifact wraps the trained
 //! policy behind `scripts/evaluate.sh`.
 //!
-//! Deployment goes through the request/response serving layer
-//! ([`crate::service`]): the facade lazily builds an internal
-//! [`OptimizationService`] (one worker, sharing the facade's evaluation
-//! cache and current policy snapshot), submits
-//! [`OptimizationRequest`]s to it, and unwraps the responses. The original
-//! per-method entry points — [`MlirRlOptimizer::optimize`],
-//! [`MlirRlOptimizer::search`], [`MlirRlOptimizer::optimize_all`],
-//! [`MlirRlOptimizer::optimize_batch`], [`MlirRlOptimizer::portfolio`],
-//! [`MlirRlOptimizer::optimize_portfolio_batch`] — are **kept as thin
-//! deprecated wrappers** for compatibility; new code should submit
-//! requests with a [`mlir_rl_search::SearchSpec`] instead:
-//!
-//! | deprecated facade method          | service equivalent                                   |
-//! |-----------------------------------|------------------------------------------------------|
-//! | `optimize(m)`                     | `submit(Request::new(m, SearchSpec::Greedy))`        |
-//! | `optimize_all(ms)`                | `submit_batch` of greedy requests                    |
-//! | `search(m, &searcher)`            | `SearchSpec` request, or `run_searcher` for custom objects |
-//! | `optimize_batch(ms, &s, w)`       | `submit_batch`, or `run_searcher_batch` for custom objects |
-//! | `portfolio(m, &p)`                | `submit` with `SearchSpec::Portfolio { .. }`         |
-//! | `optimize_portfolio_batch(..)`    | `submit_batch` with `SearchSpec::Portfolio { .. }`   |
+//! Train here, serve there: [`MlirRlOptimizer::train`] runs PPO, and
+//! [`MlirRlOptimizer::optimize`] is the paper's one call — greedy decoding
+//! of one module, answered by an internal single-worker
+//! [`OptimizationService`] on the optimizer's own evaluation cache. Anything
+//! else (other searchers, batches, priorities, deadlines) is a request to
+//! that service or to one from [`MlirRlOptimizer::spawn_service`].
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -30,13 +16,11 @@ use serde::{Deserialize, Serialize};
 use mlir_rl_agent::PolicyNetwork;
 use mlir_rl_agent::{IterationStats, PolicyHyperparams, PpoConfig, PpoTrainer};
 use mlir_rl_costmodel::{CostModel, MachineModel};
-use mlir_rl_env::{EnvConfig, EpisodeStats, OptimizationEnv};
+use mlir_rl_env::{EnvConfig, OptimizationEnv};
 use mlir_rl_ir::Module;
-use mlir_rl_search::{BatchSearchReport, Portfolio, SearchOutcome, SearchSpec, Searcher};
+use mlir_rl_search::{SearchOutcome, SearchSpec};
 
-use crate::service::{
-    wait_all, OptimizationRequest, OptimizationService, PendingResponse, ServiceConfig,
-};
+use crate::service::{OptimizationRequest, OptimizationService, PendingResponse, ServiceConfig};
 
 /// The outcome of optimizing one module.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,17 +33,6 @@ pub struct OptimizationOutcome {
     pub speedup: f64,
     /// Environment steps used.
     pub steps: usize,
-}
-
-impl From<EpisodeStats> for OptimizationOutcome {
-    fn from(stats: EpisodeStats) -> Self {
-        Self {
-            baseline_s: stats.baseline_s,
-            optimized_s: stats.final_s,
-            speedup: stats.speedup,
-            steps: stats.steps,
-        }
-    }
 }
 
 impl From<&SearchOutcome> for OptimizationOutcome {
@@ -124,11 +97,10 @@ impl OptimizerConfig {
 
 /// The end-to-end optimizer: an environment plus a PPO-trained agent.
 ///
-/// Deployment entry points route through an internal
-/// [`OptimizationService`] that shares the optimizer's evaluation cache, so
-/// warmth persists across `optimize`/`search`/batch calls and across
-/// directly submitted requests alike. Training invalidates the service's
-/// policy snapshot; the next deployment call rebuilds it (the cache
+/// [`MlirRlOptimizer::optimize`] and [`MlirRlOptimizer::submit`] route
+/// through an internal [`OptimizationService`] that shares the optimizer's
+/// evaluation cache, so warmth persists across calls. Training invalidates
+/// the service's policy snapshot; the next call rebuilds it (the cache
 /// survives).
 #[derive(Debug)]
 pub struct MlirRlOptimizer {
@@ -180,17 +152,14 @@ impl MlirRlOptimizer {
         self.trainer.train(&mut self.env, dataset, iterations)
     }
 
-    /// The internal single-worker [`OptimizationService`] the deployment
-    /// wrappers submit to, built on first use from the current policy and
+    /// The internal single-worker [`OptimizationService`] that
+    /// [`MlirRlOptimizer::optimize`] and [`MlirRlOptimizer::submit`] use,
+    /// built on first use from the current policy and
     /// the optimizer's evaluation cache (the service's workers join the
     /// optimizer's own table, so warmth flows both ways).
     pub fn service(&mut self) -> &OptimizationService {
         if self.service.is_none() {
-            self.service = Some(OptimizationService::from_env_template(
-                &self.env,
-                self.trainer.policy.clone(),
-                1,
-            ));
+            self.service = Some(self.spawn_service(1));
         }
         self.service.as_ref().expect("just built")
     }
@@ -201,7 +170,7 @@ impl MlirRlOptimizer {
     /// serve requests from the returned service while the optimizer keeps
     /// training or goes away entirely.
     pub fn spawn_service(&mut self, workers: usize) -> OptimizationService {
-        OptimizationService::from_env_template(&self.env, self.trainer.policy.clone(), workers)
+        self.spawn_service_with(&ServiceConfig::quick().with_workers(workers))
     }
 
     /// Like [`MlirRlOptimizer::spawn_service`], but with the serving knobs
@@ -217,7 +186,7 @@ impl MlirRlOptimizer {
     /// queue capacity, quota or client weight).
     pub fn spawn_service_with(&mut self, config: &ServiceConfig) -> OptimizationService {
         config.try_validate().expect("invalid service config");
-        OptimizationService::from_env_template_with(&self.env, self.trainer.policy.clone(), config)
+        OptimizationService::from_env_template(&self.env, self.trainer.policy.clone(), config)
     }
 
     /// Submits one [`OptimizationRequest`] to the internal service.
@@ -230,21 +199,13 @@ impl MlirRlOptimizer {
         self.service().submit_batch(requests)
     }
 
-    /// Draws the next deployment seed (each wrapper call consumes exactly
-    /// one, preserving the pre-service seed sequence).
-    fn next_seed(&mut self) -> u64 {
-        use rand::Rng;
-        self.rng.gen()
-    }
-
-    /// Optimizes one module by greedy policy decoding (the paper's
-    /// deployment behavior).
-    ///
-    /// **Deprecated in favor of the service API**: submit
-    /// `OptimizationRequest::new(module, SearchSpec::Greedy)` via
-    /// [`MlirRlOptimizer::submit`] (this wrapper does exactly that).
+    /// Optimizes one module by greedy policy decoding — the paper's
+    /// deployment call: `OptimizationRequest::new(module, SearchSpec::Greedy)`
+    /// submitted to the internal service, with a seed drawn from the
+    /// optimizer's own stream (exactly one draw per call).
     pub fn optimize(&mut self, module: &Module) -> OptimizationOutcome {
-        let seed = self.next_seed();
+        use rand::Rng;
+        let seed = self.rng.gen();
         let response = self
             .submit(OptimizationRequest::new(module.clone(), SearchSpec::Greedy).with_seed(seed))
             .wait();
@@ -253,122 +214,12 @@ impl MlirRlOptimizer {
             .expect("a valid greedy request always completes"))
             .into()
     }
-
-    /// Searches the schedule space of one module with any [`Searcher`]
-    /// object (beam, MCTS, random, a baseline adapter, ...) guided by the
-    /// current policy. The service's evaluation cache stays warm across
-    /// calls.
-    ///
-    /// **Deprecated in favor of the service API**: submit a
-    /// [`SearchSpec`] request, or use
-    /// [`OptimizationService::run_searcher`] for custom searcher objects
-    /// that have no spec (this wrapper routes there).
-    pub fn search(
-        &mut self,
-        module: &Module,
-        searcher: &dyn Searcher<PolicyNetwork>,
-    ) -> SearchOutcome {
-        let seed = self.next_seed();
-        self.service().run_searcher(searcher, module, seed)
-    }
-
-    /// Optimizes a batch of modules, returning `(module name, outcome)`
-    /// pairs.
-    ///
-    /// **Deprecated in favor of the service API**: this is
-    /// [`MlirRlOptimizer::submit_batch`] of greedy requests (one seed per
-    /// module, in order) plus a blocking [`wait_all`].
-    pub fn optimize_all(&mut self, modules: &[Module]) -> Vec<(String, OptimizationOutcome)> {
-        let requests: Vec<OptimizationRequest> = modules
-            .iter()
-            .map(|m| {
-                let seed = self.next_seed();
-                OptimizationRequest::new(m.clone(), SearchSpec::Greedy).with_seed(seed)
-            })
-            .collect();
-        let pending = self.submit_batch(requests);
-        wait_all(&pending)
-            .into_iter()
-            .map(|response| {
-                let outcome = response
-                    .outcome
-                    .expect("a valid greedy request always completes");
-                (response.module, (&outcome).into())
-            })
-            .collect()
-    }
-
-    /// Optimizes a batch of modules with a [`Searcher`] object, fanned out
-    /// over `workers` threads; all searches share the service's persistent
-    /// evaluation cache. Outcomes are identical for any worker count.
-    ///
-    /// **Deprecated in favor of the service API**: submit a batch of
-    /// [`SearchSpec`] requests, or use
-    /// [`OptimizationService::run_searcher_batch`] for custom searcher
-    /// objects (this wrapper routes there).
-    pub fn optimize_batch(
-        &mut self,
-        modules: &[Module],
-        searcher: &dyn Searcher<PolicyNetwork>,
-        workers: usize,
-    ) -> BatchSearchReport {
-        let base_seed = self.next_seed();
-        self.service()
-            .run_searcher_batch(searcher, modules, base_seed, workers)
-    }
-
-    /// Optimizes one module with a [`Portfolio`] of searchers, returning
-    /// the best schedule any member found with per-member attribution in
-    /// [`SearchOutcome::members`].
-    ///
-    /// **Deprecated in favor of the service API**: submit an
-    /// `OptimizationRequest` with `SearchSpec::Portfolio { .. }`.
-    pub fn portfolio(
-        &mut self,
-        module: &Module,
-        portfolio: &Portfolio<PolicyNetwork>,
-    ) -> SearchOutcome {
-        self.search(module, portfolio)
-    }
-
-    /// Optimizes a batch of modules with a [`Portfolio`] fanned out over
-    /// `workers` threads; every module and every roster member shares the
-    /// service's persistent evaluation cache. Outcomes are identical for
-    /// any worker count.
-    ///
-    /// **Deprecated in favor of the service API**: submit a batch of
-    /// `SearchSpec::Portfolio { .. }` requests.
-    pub fn optimize_portfolio_batch(
-        &mut self,
-        modules: &[Module],
-        portfolio: &Portfolio<PolicyNetwork>,
-        workers: usize,
-    ) -> BatchSearchReport {
-        let base_seed = self.next_seed();
-        self.service()
-            .run_searcher_batch(portfolio, modules, base_seed, workers)
-    }
-
-    /// Average policy-inference plus transformation-application time per
-    /// code sample over the given modules, in seconds (the Sec. VII-B
-    /// overhead measurement).
-    pub fn compilation_overhead_s(&mut self, modules: &[Module]) -> f64 {
-        if modules.is_empty() {
-            return 0.0;
-        }
-        let start = std::time::Instant::now();
-        for module in modules {
-            let _ = self.optimize(module);
-        }
-        start.elapsed().as_secs_f64() / modules.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mlir_rl_ir::ModuleBuilder;
-    use mlir_rl_search::GreedyPolicy;
 
     fn tiny_dataset() -> Vec<Module> {
         (0..3)
@@ -417,65 +268,44 @@ mod tests {
         let history = opt.train(&modules, 2);
         assert_eq!(history.len(), 2);
         assert_eq!(opt.training_history().len(), 2);
-        let results = opt.optimize_all(&modules);
-        assert_eq!(results.len(), 3);
-        for (name, outcome) in &results {
-            assert!(!name.is_empty());
-            assert!(outcome.speedup.is_finite());
+        for module in &modules {
+            assert!(opt.optimize(module).speedup.is_finite());
         }
     }
 
     #[test]
-    fn search_and_batch_driver_work_through_the_facade() {
+    fn spec_requests_share_the_facade_service() {
         let mut opt = MlirRlOptimizer::new(tiny_config());
         let modules = tiny_dataset();
         let greedy = opt.optimize(&modules[0]);
-        let beam = opt.search(&modules[0], &mlir_rl_search::BeamSearch::new(4));
+        let submit = |opt: &mut MlirRlOptimizer, spec| {
+            opt.submit(OptimizationRequest::new(modules[0].clone(), spec))
+                .wait()
+        };
+        let beam = submit(&mut opt, SearchSpec::beam(4));
         assert!(
-            beam.speedup >= greedy.speedup,
+            beam.speedup() >= greedy.speedup,
             "beam search is seeded with the greedy trajectory"
         );
-        let report = opt.optimize_batch(&modules, &mlir_rl_search::BeamSearch::new(2), 2);
-        assert_eq!(report.outcomes.len(), modules.len());
-        assert!(report.geomean_speedup() > 0.0);
-        assert!(report.shared_cache_hits + report.shared_cache_misses > 0);
-    }
-
-    #[test]
-    fn portfolio_entry_points_work_through_the_facade() {
-        use mlir_rl_search::{BeamSearch, Mcts};
-        let mut opt = MlirRlOptimizer::new(tiny_config());
-        let modules = tiny_dataset();
-        let roster = || {
-            Portfolio::round_robin()
-                .with_member(GreedyPolicy)
-                .with_member(BeamSearch::new(2))
-                .with_member(Mcts::new(4).with_branch(2))
-        };
-        let outcome = opt.portfolio(&modules[0], &roster());
+        assert!(beam.cache_hits > 0, "the greedy call warmed the one cache");
+        let roster = vec![
+            SearchSpec::Greedy,
+            SearchSpec::beam(2),
+            SearchSpec::mcts(4, 2),
+        ];
+        let portfolio = submit(&mut opt, SearchSpec::round_robin(roster));
+        let outcome = portfolio.outcome.expect("completed");
         assert_eq!(outcome.members.len(), 3);
-        let greedy = opt.optimize(&modules[0]);
         assert!(
             outcome.speedup >= greedy.speedup,
             "a greedy-seeded portfolio is never worse than greedy"
         );
-        let report = opt.optimize_portfolio_batch(&modules, &roster(), 2);
-        assert_eq!(report.outcomes.len(), modules.len());
-        let attribution = report.member_attribution();
-        assert_eq!(attribution.len(), 3);
-        assert_eq!(
-            attribution.iter().map(|m| m.wins).sum::<usize>(),
-            modules.len()
+        let batch = opt.submit_batch(
+            (modules.iter().cloned())
+                .map(|m| OptimizationRequest::new(m, SearchSpec::beam(2)))
+                .collect(),
         );
-    }
-
-    #[test]
-    fn compilation_overhead_is_measured() {
-        let mut opt = MlirRlOptimizer::new(tiny_config());
-        let modules = tiny_dataset();
-        let overhead = opt.compilation_overhead_s(&modules[..1]);
-        assert!(overhead > 0.0 && overhead < 10.0);
-        assert_eq!(opt.compilation_overhead_s(&[]), 0.0);
+        assert_eq!(crate::service::wait_all(&batch).len(), modules.len());
     }
 
     #[test]

@@ -64,9 +64,10 @@
 //! ## Persistence and warmth exchange
 //!
 //! [`SharedEvalCache::snapshot_to`] serializes the table to a compact
-//! versioned binary file (magic `MLRC`, format version, FNV-1a checksum
-//! trailer), written to a temporary sibling and renamed into place so a
-//! failed write never damages the previous snapshot;
+//! versioned binary file (an `MLRC` image of the workspace's one framed
+//! layout, [`mlir_rl_ir::frame`]: magic, format version, FNV-1a checksum
+//! trailer; written to a temporary sibling and renamed into place so a
+//! failed write never damages the previous snapshot);
 //! [`SharedEvalCache::restore_from`] merges a snapshot back in.
 //! A corrupt or truncated snapshot is rejected *before* any entry is
 //! applied — the error is returned, the table is untouched, and the caller
@@ -87,14 +88,13 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::fs::File;
 use std::hash::{Hash, Hasher};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mlir_rl_ir::{Fnv1a, Module, OpId};
+use mlir_rl_ir::frame::{self, FrameError};
+use mlir_rl_ir::{Module, OpId};
 use mlir_rl_obs::{EventKind, ProbeRef};
 use mlir_rl_transforms::ScheduledModule;
 
@@ -205,6 +205,12 @@ impl std::error::Error for SnapshotError {
 impl From<std::io::Error> for SnapshotError {
     fn from(err: std::io::Error) -> Self {
         SnapshotError::Io(err)
+    }
+}
+
+impl From<FrameError> for SnapshotError {
+    fn from(err: FrameError) -> Self {
+        SnapshotError::Corrupt(err.what())
     }
 }
 
@@ -698,9 +704,8 @@ impl SharedEvalCache {
             batch.sort_by_key(|(k, _, _, _)| (k.module, k.schedule));
             entries.extend(batch);
         }
-        let mut out = Vec::with_capacity(64 + entries.len() * 64);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        let mut out = frame::begin(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+        out.reserve(entries.len() * 96);
         out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
         for (key, estimate, hits, segment) in &entries {
             out.extend_from_slice(&key.module.to_le_bytes());
@@ -716,39 +721,20 @@ impl SharedEvalCache {
                 }
             }
         }
-        let checksum = Fnv1a::hash(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        frame::seal(out)
     }
 
     /// Writes a snapshot of the table to `path` and returns the number of
-    /// entries written. The image goes to a temporary sibling in the same
-    /// directory, is flushed to disk and then renamed over `path`, so a
-    /// crash or a full disk mid-write leaves the previous snapshot intact;
-    /// on any error the temporary file is removed and `path` is untouched.
+    /// entries written, through [`frame::write_atomic`]: a crash or a full
+    /// disk mid-write leaves the previous snapshot intact, and on any
+    /// error `path` is untouched.
     pub fn snapshot_to(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
-        let path = path.as_ref();
         let bytes = self.to_snapshot_bytes();
+        frame::write_atomic(path.as_ref(), &bytes)?;
         // Entry count sits right after magic + version.
-        let count = u64::from_le_bytes(bytes[8..16].try_into().expect("fixed header"));
-        let mut temp = path.as_os_str().to_owned();
-        temp.push(format!(".tmp-{}", std::process::id()));
-        let temp = PathBuf::from(temp);
-        let written = File::create(&temp).and_then(|mut file| {
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-            std::fs::rename(&temp, path)
-        });
-        if let Err(err) = written {
-            std::fs::remove_file(&temp).ok();
-            return Err(err.into());
-        }
-        // Best effort: make the rename itself durable. Whether or not this
-        // succeeds, `path` holds one whole image, the old or the new.
-        if let Some(Ok(dir)) = path.parent().map(File::open) {
-            dir.sync_all().ok();
-        }
-        Ok(count)
+        Ok(u64::from_le_bytes(
+            bytes[8..16].try_into().expect("fixed header"),
+        ))
     }
 
     /// Merges a snapshot produced by [`SharedEvalCache::to_snapshot_bytes`]
@@ -777,99 +763,43 @@ impl SharedEvalCache {
     }
 }
 
-/// Bounds-checked little-endian reader over a snapshot image.
-struct SnapshotReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapshotReader<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(SnapshotError::Corrupt("length overflow"))?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Corrupt(what));
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8-byte slice"),
-        ))
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, SnapshotError> {
-        Ok(self.take(1, what)?[0])
-    }
-}
-
 /// Fully validates a snapshot image and decodes its entries. Pure: touches
 /// no cache state, so callers can reject corrupt images before mutating.
 #[allow(clippy::type_complexity)]
 fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, ModuleEstimate, u64)>, SnapshotError> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 4 + 8 + 8 {
-        return Err(SnapshotError::Corrupt("image shorter than header"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let checksum = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    if Fnv1a::hash(body) != checksum {
-        return Err(SnapshotError::Corrupt("checksum mismatch"));
-    }
-    let mut reader = SnapshotReader {
-        bytes: body,
-        pos: 0,
-    };
-    if reader.take(4, "magic")? != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::Corrupt("bad magic"));
-    }
-    let version = u32::from_le_bytes(reader.take(4, "version")?.try_into().expect("4-byte slice"));
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::Corrupt("unknown format version"));
-    }
-    let count = reader.u64("entry count")?;
+    let mut reader = frame::open(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+    let count = reader.u64()?;
     let mut entries = Vec::new();
     for _ in 0..count {
         let key = ScheduleKey {
-            module: reader.u64("key module")?,
-            schedule: reader.u64("key schedule")?,
+            module: reader.u64()?,
+            schedule: reader.u64()?,
         };
-        let hits = reader.u64("entry hits")?;
-        let segment = reader.u8("entry segment")?;
-        if segment > 1 {
+        let hits = reader.u64()?;
+        if reader.u8()? > 1 {
             return Err(SnapshotError::Corrupt("unknown segment tag"));
         }
-        let total_s = reader.f64("entry total")?;
-        let per_op_len = reader.u64("per-op count")?;
-        // 40 bytes per op record: reject counts the body cannot hold
+        let total_s = reader.f64()?;
+        let per_op_len = reader.u64()?;
+        // 40 bytes per op record: reject counts the image cannot hold
         // before allocating.
-        if per_op_len > (body.len() as u64) / 40 {
+        if per_op_len > (reader.remaining() as u64) / 40 {
             return Err(SnapshotError::Corrupt("per-op count exceeds image"));
         }
         let mut per_op = Vec::with_capacity(per_op_len as usize);
         for _ in 0..per_op_len {
-            let op = OpId(reader.u64("op id")? as usize);
+            let op = OpId(reader.u64()? as usize);
             let t = TimeEstimate {
-                compute_s: reader.f64("op compute")?,
-                memory_s: reader.f64("op memory")?,
-                overhead_s: reader.f64("op overhead")?,
-                total_s: reader.f64("op total")?,
+                compute_s: reader.f64()?,
+                memory_s: reader.f64()?,
+                overhead_s: reader.f64()?,
+                total_s: reader.f64()?,
             };
             per_op.push((op, t));
         }
         entries.push((key, ModuleEstimate { per_op, total_s }, hits));
     }
-    if reader.pos != body.len() {
-        return Err(SnapshotError::Corrupt("trailing bytes after entries"));
-    }
+    reader.finish()?;
     Ok(entries)
 }
 
@@ -1702,7 +1632,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mlir-rl-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("scratch directory");
         let path = dir.join("cache.snap");
-        let temp = dir.join(format!("cache.snap.tmp-{}", std::process::id()));
         let table_of = |entries: u64| {
             let table = SharedEvalCache::new(64);
             for i in 1..=entries {
@@ -1711,33 +1640,54 @@ mod tests {
             }
             table
         };
+        let listing = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .expect("scratch directory")
+                .map(|entry| entry.expect("entry").file_name())
+                .collect();
+            names.sort();
+            names
+        };
 
         let old = table_of(1);
         assert_eq!(old.snapshot_to(&path).expect("first write"), 1);
-        assert!(!temp.exists(), "a successful write leaves no temp sibling");
+        assert_eq!(listing(), ["cache.snap"], "a write leaves no temp sibling");
         let good = std::fs::read(&path).expect("snapshot exists");
 
-        // A directory squatting on the temp name fails the next write
-        // before it can touch `path`; so does a missing target directory.
+        // A snapshot whose name leaves no room for the temp suffix: the next
+        // write fails creating its sibling, before it can touch the image.
         let newer = table_of(3);
-        std::fs::create_dir(&temp).expect("blocker");
+        let cramped = dir.join("s".repeat(250));
+        std::fs::write(&cramped, &good).expect("previous image");
         assert!(matches!(
-            newer.snapshot_to(&path),
+            newer.snapshot_to(&cramped),
             Err(SnapshotError::Io(_))
         ));
+        assert_eq!(std::fs::read(&cramped).expect("still there"), good);
+        let restored = SharedEvalCache::new(64);
+        assert_eq!(restored.restore_from(&cramped).expect("previous image"), 1);
+        assert_eq!(restored.to_snapshot_bytes(), old.to_snapshot_bytes());
+        std::fs::remove_file(&cramped).expect("scratch file");
+
+        // A missing target directory fails too, and so does a rename onto
+        // an occupied directory — after which the sibling is cleaned up.
         let nowhere = dir.join("missing").join("cache.snap");
         assert!(matches!(
             newer.snapshot_to(&nowhere),
             Err(SnapshotError::Io(_))
         ));
+        let occupied = dir.join("occupied");
+        std::fs::create_dir(&occupied).expect("blocker");
+        std::fs::write(occupied.join("file"), b"x").expect("blocker content");
+        assert!(matches!(
+            newer.snapshot_to(&occupied),
+            Err(SnapshotError::Io(_))
+        ));
+        assert_eq!(listing(), ["cache.snap", "occupied"]);
         assert_eq!(std::fs::read(&path).expect("still there"), good);
-        let restored = SharedEvalCache::new(64);
-        assert_eq!(restored.restore_from(&path).expect("previous image"), 1);
-        assert_eq!(restored.to_snapshot_bytes(), old.to_snapshot_bytes());
 
-        std::fs::remove_dir(&temp).expect("remove blocker");
         assert_eq!(newer.snapshot_to(&path).expect("second write"), 3);
-        assert!(!temp.exists());
+        assert_eq!(listing(), ["cache.snap", "occupied"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -35,6 +35,7 @@ pub mod affine;
 pub mod builder;
 pub mod error;
 pub mod fnv;
+pub mod frame;
 pub mod module;
 pub mod op;
 pub mod parser;

@@ -29,8 +29,7 @@ use crate::searcher::Searcher;
 /// Each variant mirrors one searcher of this crate; [`SearchSpec::name`]
 /// matches the display name the built searcher reports in its outcomes.
 /// Custom [`Searcher`] objects (e.g. the baseline adapters) have no spec —
-/// they go through the borrowed batch entry points instead of the request
-/// queue.
+/// they run through [`crate::SearchDriver`] instead of a request queue.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SearchSpec {
     /// Greedy policy decoding ([`GreedyPolicy`]) — the paper's deployment

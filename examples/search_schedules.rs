@@ -6,7 +6,9 @@
 //! Run with `cargo run --release --example search_schedules`.
 
 use mlir_rl_core::{MlirRlOptimizer, OptimizerConfig};
-use mlir_rl_search::{BeamSearch, GreedyPolicy, Mcts, RandomSearch, Searcher};
+use mlir_rl_costmodel::CostModel;
+use mlir_rl_env::OptimizationEnv;
+use mlir_rl_search::{BeamSearch, GreedyPolicy, Mcts, RandomSearch, SearchDriver, Searcher};
 use mlir_rl_workloads::dl_ops;
 
 fn main() {
@@ -20,6 +22,11 @@ fn main() {
         .map(|(_, m)| m)
         .collect();
     let workers = mlir_rl_agent::default_rollout_workers();
+    // One environment template for every searcher: the driver's workers
+    // join its evaluation table, so each batch warms the next.
+    let config = optimizer.config();
+    let env = OptimizationEnv::new(config.env.clone(), CostModel::new(config.machine.clone()));
+    let driver = SearchDriver::new(workers).with_seed(config.seed);
     println!(
         "\nbatch-optimizing {} workloads over {workers} worker(s):\n",
         workloads.len()
@@ -32,7 +39,7 @@ fn main() {
         Box::new(RandomSearch::new(24)),
     ];
     for searcher in &searchers {
-        let report = optimizer.optimize_batch(&workloads, searcher.as_ref(), workers);
+        let report = driver.run(&env, optimizer.policy(), searcher.as_ref(), &workloads);
         println!(
             "  {:<12} geomean speedup {:>6.2}x | {:>6} cost-model evals | shared-cache hit-rate {:>5.1}% | {:.2}s",
             searcher.name(),
