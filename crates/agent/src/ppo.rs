@@ -14,21 +14,43 @@
 //! per network layer per minibatch instead of one matvec sweep per sample,
 //! bit-identical to the per-sample replay path (property-tested).
 //!
+//! # The update runs as two chains
+//!
+//! Per minibatch the update is two chains over disjoint state — policy:
+//! `evaluate_batch` → surrogate coefficients → `backward_batch` → clip →
+//! Adam; value: `forward_batch` → squared-error gradients →
+//! `backward_batch` → clip → Adam — that share only read-only inputs (the
+//! samples with their advantages and returns, fixed before the first
+//! minibatch, and each epoch's shuffled index order, drawn before the
+//! chains start). [`PpoTrainer::train_iteration`] therefore runs the value
+//! chain on one scoped thread (`ppo-value-update`) and the policy chain on
+//! the calling thread, each walking every epoch and minibatch on its own
+//! with nothing between them until the join. Each chain adds to its own
+//! loss sums in the serial order, so the statistics, every weight and both
+//! optimizer states are bit-identical to the interleaved loop (kept as a
+//! test-only reference in this module's tests). There is one code path: on
+//! a single CPU the two threads take turns and cost what the interleaved
+//! loop did.
+//!
 //! # Rollout engine
 //!
 //! Episode collection is handled by [`collect_rollouts`]: every episode of
 //! a batch gets its own RNG (and, when measurement noise is enabled, its
 //! own noise stream) derived deterministically from a base seed and the
 //! episode index. Because no state flows between episodes, the batch can be
-//! fanned out across `std::thread` workers — each worker takes an
-//! environment duplicate, an inference-only snapshot of the policy and a
-//! value network clone, and collects episodes `w, w + W, w + 2W, ...` — and
-//! the merged result is **bit-for-bit identical to serial collection** for
-//! a fixed seed, no matter the worker count. The worker environments are
-//! handles onto the master environment's own sharded cost-model cache
-//! ([`OptimizationEnv::clone_sharing_cache`]), so the parallel hit-rate
-//! matches serial collection and warmth persists across iterations with no
-//! fold-back step.
+//! fanned out across `std::thread` workers — the caller is worker 0 on its
+//! own environment and networks, every further worker takes an environment
+//! duplicate, an inference-only snapshot of the policy and a value network
+//! clone, and each claims the next uncollected episode index from one
+//! shared counter until none is left — and the merged result is
+//! **bit-for-bit identical to serial collection** for a fixed seed, no
+//! matter the worker count or which thread collected which episode. The
+//! worker environments are handles onto the master environment's own
+//! sharded cost-model cache ([`OptimizationEnv::clone_sharing_cache`]), so
+//! the parallel hit-rate matches serial collection and warmth persists
+//! across iterations with no fold-back step.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -117,7 +139,8 @@ pub trait PolicyModel: Clone + Send {
 
     /// Batched [`PolicyModel::evaluate`] over a minibatch. `batch` must be
     /// the packed form of the items' observations in the same order (the
-    /// caller packs once and shares it with the value network). The default
+    /// PPO update's policy chain packs it per minibatch; the value chain
+    /// packs its own). The default
     /// implementation loops per sample; networks with a batched inference
     /// engine override it with one blocked matmul per layer. Overrides must
     /// stay bit-identical, entry for entry, to the per-sample loop.
@@ -410,15 +433,19 @@ pub fn episode_seed(base: u64, episode: u64) -> u64 {
 /// parallelism (fallback 1).
 ///
 /// Whether fanning out pays depends on the batch, not only on the cores.
-/// Measured at 2 vCPUs with 32x2 networks at paper width: 2 workers
-/// collect 4-episode batches at **0.88-0.93x** of one worker (PR 20, three
-/// traced runs: ~37k steps/s serial against ~33k at 2 workers; 1.01x at
-/// PR 16, when the serial side read ~19k) — a ~1.0 ms batch does not
-/// amortise the ~85 us `thread::scope` + two spawns and the two-episode
-/// imbalance — while 48-episode batches read 1.07-1.76x at 2 workers
-/// (PR 16). Nothing here gates on batch size yet; since serial collection
-/// is ahead on small batches, one measured threshold is the next step
-/// rather than a persistent pool (ROADMAP, "training side").
+/// [`collect_rollouts`] makes its caller worker 0, so `W` workers cost
+/// `W - 1` spawns and one set of clones per spawned thread (a scope with
+/// one spawn reads 56-105 us, `exp rollout_throughput`). Measured at
+/// 2 vCPUs with 32x2 networks at paper width (PR 23, three traced
+/// `rollout-collect` runs a side): 2 workers collect 4-episode batches at
+/// **0.99-1.01x** of one worker (34.8-35.6k steps/s serial against
+/// 34.6-35.9k), where the striding fan-out that parked its caller read
+/// 0.82-0.85x on the same day (35.5-38.1k against 29.1-31.3k);
+/// 48-episode batches read 1.07-1.76x at 2 workers (PR 16). What is left
+/// of the small-batch gap is not spawn cost: with both threads collecting,
+/// each thread's time per step rises by about half (ROADMAP, "training
+/// side"), so a batch-size threshold would not close it and nothing here
+/// gates on one.
 pub fn default_rollout_workers() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -481,21 +508,34 @@ fn collect_seeded_episode<P: PolicyModel>(
 /// Collects `modules.len()` episodes, fanning them out over `workers`
 /// threads.
 ///
-/// Worker `w` collects episodes `w, w + W, w + 2W, ...` on its own
-/// duplicate of the environment, an inference-only snapshot of the policy
-/// and a clone of the value network; results are merged back in episode order. Every episode's
+/// The caller is worker 0 and collects on `env`, `policy` and `value`
+/// themselves; each of the other `workers - 1` threads (`rollout-worker-<w>`)
+/// gets its own duplicate of the environment, an inference-only snapshot
+/// of the policy and a clone of the value network. Every thread claims the
+/// next uncollected episode index from one shared counter until none is
+/// left, and results are merged back in episode order. Every episode's
 /// randomness comes from [`episode_seed`]`(base_seed, episode)`, so a fixed
 /// `base_seed` produces bit-for-bit identical trajectories for any worker
-/// count — `workers == 1` *is* serial collection.
+/// count and any claim order — with `workers == 1` nothing is spawned and
+/// the caller's claim loop *is* serial collection.
+///
+/// Which episode `env` is left holding afterwards is unspecified (the last
+/// one the caller happened to claim); only its noise stream is put in a
+/// canonical post-batch state.
 ///
 /// Worker environments are [`OptimizationEnv::clone_sharing_cache`]
 /// duplicates of `env` — handles onto `env`'s own evaluation table — so
 /// every estimate is computed at most once per batch (modulo benign races)
-/// and the warm table persists across batches with no fold-back step;
-/// serial collection looks up in that same table through `env` itself.
-/// Because cached values are deterministic functions of the schedule, table
-/// warmth and capacity affect only hit/miss counts, never the collected
-/// trajectories.
+/// and the warm table persists across batches with no fold-back step; the
+/// caller looks up in that same table through `env` itself. Because cached
+/// values are deterministic functions of the schedule, table warmth and
+/// capacity affect only hit/miss counts, never the collected trajectories.
+///
+/// # Panics
+///
+/// Panics if collecting an episode panics on any thread: the caller's own
+/// panic resumes once the spawned workers have drained the counter, a
+/// spawned worker's surfaces as `"rollout worker panicked"`.
 pub fn collect_rollouts<P: PolicyModel>(
     env: &mut OptimizationEnv,
     modules: &[&Module],
@@ -507,11 +547,18 @@ pub fn collect_rollouts<P: PolicyModel>(
 ) -> RolloutBatch {
     let n = modules.len();
     let workers = workers.max(1).min(n.max(1));
-    let mut slots: Vec<Option<Trajectory>> = (0..n).map(|_| None).collect();
-
-    if workers <= 1 {
-        for (episode, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(collect_seeded_episode(
+    // One claim loop for every thread, the caller included. `Relaxed`: the
+    // counter only hands out indices and publishes no data — trajectories
+    // reach the caller through `join`.
+    let next_episode = AtomicUsize::new(0);
+    let collect_claimed = |env: &mut OptimizationEnv, policy: &mut P, value: &mut ValueNetwork| {
+        let mut collected = Vec::new();
+        loop {
+            let episode = next_episode.fetch_add(1, Ordering::Relaxed);
+            if episode >= n {
+                return collected;
+            }
+            let trajectory = collect_seeded_episode(
                 env,
                 modules[episode],
                 policy,
@@ -519,61 +566,49 @@ pub fn collect_rollouts<P: PolicyModel>(
                 greedy,
                 base_seed,
                 episode,
-            ));
+            );
+            collected.push((episode, trajectory));
         }
-    } else {
-        // The worker environments taken below are handles onto the master's
-        // table, so an estimate computed by any worker serves hits to every
-        // other worker within the same batch — the parallel hit-rate
-        // matches serial collection instead of every worker re-discovering
-        // the same schedules on a cold copy.
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for worker in 0..workers {
+    };
+
+    let mut collected = std::thread::scope(|scope| {
+        // The worker environments are handles onto the master's table, so
+        // an estimate computed by any thread serves hits to every other
+        // within the same batch — the parallel hit-rate matches serial
+        // collection instead of every worker re-discovering the same
+        // schedules on a cold copy.
+        let handles: Vec<_> = (1..workers)
+            .map(|worker| {
                 let mut worker_env = env.clone_sharing_cache();
                 let mut worker_policy = policy.clone();
                 let mut worker_value = value.clone();
-                handles.push(scope.spawn(move || {
-                    let mut collected = Vec::new();
-                    let mut episode = worker;
-                    while episode < n {
-                        collected.push((
-                            episode,
-                            collect_seeded_episode(
-                                &mut worker_env,
-                                modules[episode],
-                                &mut worker_policy,
-                                &mut worker_value,
-                                greedy,
-                                base_seed,
-                                episode,
-                            ),
-                        ));
-                        episode += workers;
-                    }
-                    collected
-                }));
-            }
-            for handle in handles {
-                for (episode, trajectory) in handle.join().expect("rollout worker panicked") {
-                    slots[episode] = Some(trajectory);
-                }
-            }
-        });
-    }
+                let collect_claimed = &collect_claimed;
+                std::thread::Builder::new()
+                    .name(format!("rollout-worker-{worker}"))
+                    .spawn_scoped(scope, move || {
+                        collect_claimed(&mut worker_env, &mut worker_policy, &mut worker_value)
+                    })
+                    .expect("failed to spawn a rollout worker")
+            })
+            .collect();
+        let mut collected = collect_claimed(env, policy, value);
+        for handle in handles {
+            collected.extend(handle.join().expect("rollout worker panicked"));
+        }
+        collected
+    });
+    // Every index was claimed exactly once; merge by episode.
+    collected.sort_unstable_by_key(|(episode, _)| *episode);
+    let trajectories: Vec<Trajectory> = collected.into_iter().map(|(_, t)| t).collect();
 
     // Leave the master environment's noise stream in a canonical post-batch
-    // state: serial collection consumed it episode by episode while parallel
-    // collection only consumed worker clones' streams, so without this the
-    // master's later measurements would depend on the worker count.
+    // state: it was last reseeded for whichever episode the caller claimed
+    // last, so without this the master's later measurements would depend on
+    // the worker count and the claim order.
     if let Some(noise_seed) = env.config().noise_seed {
         env.reseed_noise(episode_seed(noise_seed.wrapping_add(base_seed), n as u64));
     }
 
-    let trajectories: Vec<Trajectory> = slots
-        .into_iter()
-        .map(|t| t.expect("every episode was assigned to a worker"))
-        .collect();
     let evaluations = trajectories.iter().map(|t| t.stats.evaluations).sum();
     let cache_hits = trajectories.iter().map(|t| t.stats.cache_hits).sum();
     RolloutBatch {
@@ -637,6 +672,109 @@ impl IterationStats {
     /// (`evaluations + cache_hits`).
     pub fn total_lookups(&self) -> usize {
         self.evaluations + self.cache_hits
+    }
+}
+
+/// One sample of an update: observation, stored action, normalised
+/// advantage, return.
+type Sample<'a> = (&'a Observation, &'a ActionRecord, f64, f64);
+
+/// What the policy chain of one update sums up, in minibatch order.
+#[derive(Debug, Default)]
+struct PolicySums {
+    policy_loss: f64,
+    entropy: f64,
+    /// Samples seen, over all epochs.
+    updates: usize,
+}
+
+/// The read-only inputs the two chains of one PPO update share.
+#[derive(Debug)]
+struct Update<'a> {
+    config: &'a PpoConfig,
+    batch: &'a [Sample<'a>],
+    /// One shuffled index order over `batch` per epoch.
+    orders: &'a [Vec<usize>],
+}
+
+impl Update<'_> {
+    /// Every minibatch of every epoch, in update order.
+    fn minibatches(&self) -> impl Iterator<Item = &[usize]> {
+        let size = self.config.minibatch_size.max(1);
+        self.orders.iter().flat_map(move |order| order.chunks(size))
+    }
+
+    /// A minibatch's observations, packed for the batched engine. Each
+    /// chain packs its own, one minibatch at a time: a shared set would
+    /// have to hold every minibatch of the iteration at once.
+    fn pack(&self, chunk: &[usize]) -> ObservationBatch {
+        ObservationBatch::from_observations(chunk.iter().map(|&idx| self.batch[idx].0))
+    }
+
+    /// The policy chain: clipped-surrogate loss with an entropy bonus, one
+    /// batched forward and one batched backward per layer per minibatch
+    /// (the stacked activations mean the backward pass never re-runs the
+    /// forward network).
+    fn policy_chain<P: PolicyModel>(&self, policy: &mut P, optimizer: &mut Adam) -> PolicySums {
+        let config = self.config;
+        let mut sums = PolicySums::default();
+        for chunk in self.minibatches() {
+            policy.zero_grad();
+            let scale = 1.0 / chunk.len() as f64;
+            let items: Vec<(&Observation, &ActionRecord)> = chunk
+                .iter()
+                .map(|&idx| (self.batch[idx].0, self.batch[idx].1))
+                .collect();
+            let evals = policy.evaluate_batch(&self.pack(chunk), &items);
+            let mut coeffs: Vec<(f64, f64)> = Vec::with_capacity(chunk.len());
+            for (&idx, &(log_prob, entropy)) in chunk.iter().zip(&evals) {
+                let (_, record, advantage, _) = &self.batch[idx];
+                let ratio = (log_prob - record.log_prob).exp();
+                let clipped = ratio.clamp(1.0 - config.clip_range, 1.0 + config.clip_range);
+                let surrogate = (ratio * advantage).min(clipped * advantage);
+                sums.policy_loss += -surrogate;
+                sums.entropy += entropy;
+                // Gradient of the loss w.r.t. log_prob: the surrogate is
+                // active only when the un-clipped branch is selected.
+                let use_unclipped = (ratio * advantage) <= (clipped * advantage) + 1e-12;
+                let dl_dlogp = if use_unclipped {
+                    -advantage * ratio
+                } else {
+                    0.0
+                };
+                coeffs.push((dl_dlogp * scale, -config.entropy_coef * scale));
+                sums.updates += 1;
+            }
+            // Parameter gradients accumulate in reverse sample order —
+            // bit-identical to replaying per-sample backward calls against
+            // the stacks.
+            policy.backward_batch(&items, &coeffs);
+            clip_grad_norm(&mut policy.parameters_mut(), config.max_grad_norm);
+            optimizer.step(&mut policy.parameters_mut());
+        }
+        sums
+    }
+
+    /// The value chain: squared-error loss against the returns. Returns the
+    /// summed loss.
+    fn value_chain(&self, value: &mut ValueNetwork, optimizer: &mut Adam) -> f64 {
+        let config = self.config;
+        let mut value_loss = 0.0;
+        for chunk in self.minibatches() {
+            value.zero_grad();
+            let scale = 1.0 / chunk.len() as f64;
+            let values = value.forward_batch(&self.pack(chunk));
+            let mut grads: Vec<f64> = Vec::with_capacity(chunk.len());
+            for (&idx, &v) in chunk.iter().zip(&values) {
+                let v_err = v - self.batch[idx].3;
+                value_loss += 0.5 * v_err * v_err;
+                grads.push(config.value_coef * v_err * scale);
+            }
+            value.backward_batch(&grads);
+            clip_grad_norm(&mut value.parameters_mut(), config.max_grad_norm);
+            optimizer.step(&mut value.parameters_mut());
+        }
+        value_loss
     }
 }
 
@@ -733,7 +871,7 @@ impl<P: PolicyModel> PpoTrainer<P> {
         // --- Advantages ---------------------------------------------------
         // The batch borrows observations/records from the trajectories; no
         // per-transition clones are made.
-        let mut batch: Vec<(&Observation, &ActionRecord, f64, f64)> = Vec::new();
+        let mut batch: Vec<Sample> = Vec::new();
         for traj in &trajectories {
             let (advantages, returns) =
                 compute_gae(traj, self.config.gamma, self.config.gae_lambda);
@@ -751,69 +889,37 @@ impl<P: PolicyModel> PpoTrainer<P> {
         }
 
         // --- Update -------------------------------------------------------
-        let mut policy_loss_acc = 0.0;
-        let mut value_loss_acc = 0.0;
-        let mut entropy_acc = 0.0;
-        let mut updates = 0usize;
-        for _epoch in 0..self.config.update_epochs {
-            let mut indices: Vec<usize> = (0..batch.len()).collect();
-            indices.shuffle(&mut self.rng);
-            for chunk in indices.chunks(self.config.minibatch_size.max(1)) {
-                self.policy.zero_grad();
-                self.value.zero_grad();
-                let scale = 1.0 / chunk.len() as f64;
-                // Pass 1: the whole minibatch goes through ONE batched
-                // forward per layer (policy heads and value head) instead
-                // of one matvec sweep per sample; the stacked activations
-                // mean the backward pass never re-runs the forward network.
-                let items: Vec<(&Observation, &ActionRecord)> = chunk
-                    .iter()
-                    .map(|&idx| (batch[idx].0, batch[idx].1))
-                    .collect();
-                // Packed once, shared by the policy and the value network.
-                let obs_batch =
-                    ObservationBatch::from_observations(items.iter().map(|(obs, _)| *obs));
-                let evals = self.policy.evaluate_batch(&obs_batch, &items);
-                let values = self.value.forward_batch(&obs_batch);
-                let mut policy_coeffs: Vec<(f64, f64)> = Vec::with_capacity(chunk.len());
-                let mut value_grads: Vec<f64> = Vec::with_capacity(chunk.len());
-                for ((&idx, &(log_prob, entropy)), &v) in chunk.iter().zip(&evals).zip(&values) {
-                    let (_, record, advantage, ret) = &batch[idx];
-                    // Policy: clipped surrogate objective.
-                    let ratio = (log_prob - record.log_prob).exp();
-                    let clipped =
-                        ratio.clamp(1.0 - self.config.clip_range, 1.0 + self.config.clip_range);
-                    let surrogate = (ratio * advantage).min(clipped * advantage);
-                    policy_loss_acc += -surrogate;
-                    entropy_acc += entropy;
-                    // Gradient of the loss w.r.t. log_prob: the surrogate is
-                    // active only when the un-clipped branch is selected.
-                    let use_unclipped = (ratio * advantage) <= (clipped * advantage) + 1e-12;
-                    let dl_dlogp = if use_unclipped {
-                        -advantage * ratio
-                    } else {
-                        0.0
-                    };
-
-                    // Value: squared-error loss.
-                    let v_err = v - ret;
-                    value_loss_acc += 0.5 * v_err * v_err;
-                    policy_coeffs.push((dl_dlogp * scale, -self.config.entropy_coef * scale));
-                    value_grads.push(self.config.value_coef * v_err * scale);
-                    updates += 1;
-                }
-                // Pass 2: one batched backward per layer, accumulating
-                // parameter gradients in reverse sample order — bit-identical
-                // to replaying per-sample backward calls against the stacks.
-                self.policy.backward_batch(&items, &policy_coeffs);
-                self.value.backward_batch(&value_grads);
-                clip_grad_norm(&mut self.policy.parameters_mut(), self.config.max_grad_norm);
-                clip_grad_norm(&mut self.value.parameters_mut(), self.config.max_grad_norm);
-                self.policy_optimizer
-                    .step(&mut self.policy.parameters_mut());
-                self.value_optimizer.step(&mut self.value.parameters_mut());
-            }
-        }
+        // Every epoch's shuffled order is drawn before the chains start (the
+        // same draws in the same order; nothing else consumes the RNG during
+        // the update), so the two chains share only read-only inputs.
+        let orders: Vec<Vec<usize>> = (0..self.config.update_epochs)
+            .map(|_| {
+                let mut indices: Vec<usize> = (0..batch.len()).collect();
+                indices.shuffle(&mut self.rng);
+                indices
+            })
+            .collect();
+        let update = Update {
+            config: &self.config,
+            batch: &batch,
+            orders: &orders,
+        };
+        let (policy, policy_optimizer) = (&mut self.policy, &mut self.policy_optimizer);
+        let (value, value_optimizer) = (&mut self.value, &mut self.value_optimizer);
+        // The value chain on its own thread, the policy chain on this one,
+        // nothing between them until the join.
+        let (policy_sums, value_loss) = std::thread::scope(|scope| {
+            let value_chain = std::thread::Builder::new()
+                .name("ppo-value-update".into())
+                .spawn_scoped(scope, || update.value_chain(value, value_optimizer))
+                .expect("failed to spawn the value update thread");
+            let policy_sums = update.policy_chain(policy, policy_optimizer);
+            (
+                policy_sums,
+                value_chain.join().expect("value update panicked"),
+            )
+        });
+        let updates = policy_sums.updates.max(1) as f64;
 
         // --- Stats ----------------------------------------------------------
         let n_traj = trajectories.len() as f64;
@@ -835,9 +941,9 @@ impl<P: PolicyModel> PpoTrainer<P> {
             mean_speedup,
             geomean_speedup,
             mean_reward,
-            policy_loss: policy_loss_acc / updates.max(1) as f64,
-            value_loss: value_loss_acc / updates.max(1) as f64,
-            entropy: entropy_acc / updates.max(1) as f64,
+            policy_loss: policy_sums.policy_loss / updates,
+            value_loss: value_loss / updates,
+            entropy: policy_sums.entropy / updates,
             evaluations,
             cumulative_evaluations: self.cumulative_evaluations,
             cache_hits,
@@ -882,6 +988,8 @@ impl<P: PolicyModel> PpoTrainer<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::FlatPolicyNetwork;
+    use crate::snapshot::WeightSnapshot;
     use mlir_rl_costmodel::{CostModel, MachineModel};
     use mlir_rl_env::{EnvConfig, Features};
     use mlir_rl_ir::ModuleBuilder;
@@ -1308,5 +1416,408 @@ mod tests {
         assert!(eval
             .iter()
             .all(|e| e.speedup.is_finite() && e.speedup > 0.0));
+    }
+
+    /// The parent's `train_iteration`, verbatim: one loop that interleaves
+    /// the policy and the value update minibatch by minibatch and draws each
+    /// epoch's shuffle as it gets there. The reference the two-chain update
+    /// is held to, bit for bit.
+    fn train_iteration_interleaved<P: PolicyModel>(
+        trainer: &mut PpoTrainer<P>,
+        env: &mut OptimizationEnv,
+        dataset: &[Module],
+    ) -> IterationStats {
+        assert!(!dataset.is_empty(), "training dataset must not be empty");
+        let iteration = trainer.history.len();
+
+        // --- Collect ------------------------------------------------------
+        let modules: Vec<&Module> = (0..trainer.config.trajectories_per_iteration)
+            .map(|i| {
+                &dataset
+                    [(iteration * trainer.config.trajectories_per_iteration + i) % dataset.len()]
+            })
+            .collect();
+        let base_seed = trainer.rng.gen::<u64>();
+        let batch_result = collect_rollouts(
+            env,
+            &modules,
+            &mut trainer.policy,
+            &mut trainer.value,
+            false,
+            base_seed,
+            trainer.config.rollout_workers,
+        );
+        let evaluations = batch_result.evaluations;
+        let cache_hits = batch_result.cache_hits;
+        let trajectories = batch_result.trajectories;
+
+        // --- Advantages ---------------------------------------------------
+        // The batch borrows observations/records from the trajectories; no
+        // per-transition clones are made.
+        let mut batch: Vec<(&Observation, &ActionRecord, f64, f64)> = Vec::new();
+        for traj in &trajectories {
+            let (advantages, returns) =
+                compute_gae(traj, trainer.config.gamma, trainer.config.gae_lambda);
+            for (i, t) in traj.transitions.iter().enumerate() {
+                batch.push((&t.observation, &t.record, advantages[i], returns[i]));
+            }
+        }
+        // Normalize advantages across the batch.
+        let mean_adv = batch.iter().map(|b| b.2).sum::<f64>() / batch.len().max(1) as f64;
+        let var_adv =
+            batch.iter().map(|b| (b.2 - mean_adv).powi(2)).sum::<f64>() / batch.len().max(1) as f64;
+        let std_adv = var_adv.sqrt().max(1e-8);
+        for b in &mut batch {
+            b.2 = (b.2 - mean_adv) / std_adv;
+        }
+
+        // --- Update -------------------------------------------------------
+        let mut policy_loss_acc = 0.0;
+        let mut value_loss_acc = 0.0;
+        let mut entropy_acc = 0.0;
+        let mut updates = 0usize;
+        for _epoch in 0..trainer.config.update_epochs {
+            let mut indices: Vec<usize> = (0..batch.len()).collect();
+            indices.shuffle(&mut trainer.rng);
+            for chunk in indices.chunks(trainer.config.minibatch_size.max(1)) {
+                trainer.policy.zero_grad();
+                trainer.value.zero_grad();
+                let scale = 1.0 / chunk.len() as f64;
+                // Pass 1: the whole minibatch goes through ONE batched
+                // forward per layer (policy heads and value head) instead
+                // of one matvec sweep per sample; the stacked activations
+                // mean the backward pass never re-runs the forward network.
+                let items: Vec<(&Observation, &ActionRecord)> = chunk
+                    .iter()
+                    .map(|&idx| (batch[idx].0, batch[idx].1))
+                    .collect();
+                // Packed once, shared by the policy and the value network.
+                let obs_batch =
+                    ObservationBatch::from_observations(items.iter().map(|(obs, _)| *obs));
+                let evals = trainer.policy.evaluate_batch(&obs_batch, &items);
+                let values = trainer.value.forward_batch(&obs_batch);
+                let mut policy_coeffs: Vec<(f64, f64)> = Vec::with_capacity(chunk.len());
+                let mut value_grads: Vec<f64> = Vec::with_capacity(chunk.len());
+                for ((&idx, &(log_prob, entropy)), &v) in chunk.iter().zip(&evals).zip(&values) {
+                    let (_, record, advantage, ret) = &batch[idx];
+                    // Policy: clipped surrogate objective.
+                    let ratio = (log_prob - record.log_prob).exp();
+                    let clipped = ratio.clamp(
+                        1.0 - trainer.config.clip_range,
+                        1.0 + trainer.config.clip_range,
+                    );
+                    let surrogate = (ratio * advantage).min(clipped * advantage);
+                    policy_loss_acc += -surrogate;
+                    entropy_acc += entropy;
+                    // Gradient of the loss w.r.t. log_prob: the surrogate is
+                    // active only when the un-clipped branch is selected.
+                    let use_unclipped = (ratio * advantage) <= (clipped * advantage) + 1e-12;
+                    let dl_dlogp = if use_unclipped {
+                        -advantage * ratio
+                    } else {
+                        0.0
+                    };
+
+                    // Value: squared-error loss.
+                    let v_err = v - ret;
+                    value_loss_acc += 0.5 * v_err * v_err;
+                    policy_coeffs.push((dl_dlogp * scale, -trainer.config.entropy_coef * scale));
+                    value_grads.push(trainer.config.value_coef * v_err * scale);
+                    updates += 1;
+                }
+                // Pass 2: one batched backward per layer, accumulating
+                // parameter gradients in reverse sample order — bit-identical
+                // to replaying per-sample backward calls against the stacks.
+                trainer.policy.backward_batch(&items, &policy_coeffs);
+                trainer.value.backward_batch(&value_grads);
+                clip_grad_norm(
+                    &mut trainer.policy.parameters_mut(),
+                    trainer.config.max_grad_norm,
+                );
+                clip_grad_norm(
+                    &mut trainer.value.parameters_mut(),
+                    trainer.config.max_grad_norm,
+                );
+                trainer
+                    .policy_optimizer
+                    .step(&mut trainer.policy.parameters_mut());
+                trainer
+                    .value_optimizer
+                    .step(&mut trainer.value.parameters_mut());
+            }
+        }
+
+        // --- Stats ----------------------------------------------------------
+        let n_traj = trajectories.len() as f64;
+        let mean_speedup = trajectories.iter().map(|t| t.stats.speedup).sum::<f64>() / n_traj;
+        let geomean_speedup = (trajectories
+            .iter()
+            .map(|t| t.stats.speedup.max(1e-12).ln())
+            .sum::<f64>()
+            / n_traj)
+            .exp();
+        let mean_reward = trajectories
+            .iter()
+            .map(|t| t.transitions.iter().map(|tr| tr.reward).sum::<f64>())
+            .sum::<f64>()
+            / n_traj;
+        trainer.cumulative_evaluations += evaluations;
+        let stats = IterationStats {
+            iteration,
+            mean_speedup,
+            geomean_speedup,
+            mean_reward,
+            policy_loss: policy_loss_acc / updates.max(1) as f64,
+            value_loss: value_loss_acc / updates.max(1) as f64,
+            entropy: entropy_acc / updates.max(1) as f64,
+            evaluations,
+            cumulative_evaluations: trainer.cumulative_evaluations,
+            cache_hits,
+        };
+        trainer.history.push(stats);
+        stats
+    }
+
+    /// Everything the update writes, as bits.
+    #[derive(Debug, PartialEq)]
+    struct TrainingState {
+        /// Value bits of every `parameters_mut()` entry, policy then value.
+        weights: Vec<Vec<u64>>,
+        adam_steps: [u64; 2],
+        /// `WeightSnapshot` checksums, policy then value.
+        fingerprints: [u64; 2],
+    }
+
+    fn training_state<P: PolicyModel + WeightSnapshot>(
+        trainer: &mut PpoTrainer<P>,
+    ) -> TrainingState {
+        let bits = |params: Vec<&mut Param>| -> Vec<Vec<u64>> {
+            params
+                .iter()
+                .map(|p| p.value().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let mut weights = bits(trainer.policy.parameters_mut());
+        weights.extend(bits(trainer.value.parameters_mut()));
+        TrainingState {
+            weights,
+            adam_steps: [
+                trainer.policy_optimizer.steps(),
+                trainer.value_optimizer.steps(),
+            ],
+            fingerprints: [
+                trainer.policy.weights_fingerprint(),
+                trainer.value.weights_fingerprint(),
+            ],
+        }
+    }
+
+    fn assert_two_chains_equal_the_interleaved_loop<P: PolicyModel + WeightSnapshot>(
+        build: impl Fn() -> PpoTrainer<P>,
+    ) {
+        let dataset = small_dataset();
+        let (mut env_chains, mut chains) = (env(), build());
+        let (mut env_loop, mut interleaved) = (env(), build());
+        for iteration in 0..6 {
+            let a = chains.train_iteration(&mut env_chains, &dataset);
+            let b = train_iteration_interleaved(&mut interleaved, &mut env_loop, &dataset);
+            assert_eq!(a, b, "iteration {iteration}: stats differ");
+            for (x, y) in [
+                (a.policy_loss, b.policy_loss),
+                (a.value_loss, b.value_loss),
+                (a.entropy, b.entropy),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits(), "iteration {iteration}: loss bits");
+            }
+            assert!(
+                training_state(&mut chains) == training_state(&mut interleaved),
+                "iteration {iteration}: weights, Adam steps or snapshot checksums differ"
+            );
+        }
+        assert!(chains.policy_optimizer.steps() > 0 && chains.value_optimizer.steps() > 0);
+        assert_eq!(chains.history(), interleaved.history());
+        assert_eq!(
+            chains.rng.gen::<u64>(),
+            interleaved.rng.gen::<u64>(),
+            "the update must leave the trainer's RNG where the loop left it"
+        );
+    }
+
+    #[test]
+    fn two_chain_update_equals_the_interleaved_loop_bit_for_bit() {
+        let hyper = PolicyHyperparams {
+            hidden_size: 16,
+            backbone_layers: 1,
+        };
+        assert_two_chains_equal_the_interleaved_loop(|| {
+            PpoTrainer::new(&EnvConfig::small(), hyper, tiny_ppo(), 31)
+        });
+        assert_two_chains_equal_the_interleaved_loop(|| {
+            let mut rng = ChaCha8Rng::seed_from_u64(32);
+            let policy = FlatPolicyNetwork::new(EnvConfig::small(), hyper, &mut rng);
+            let value = ValueNetwork::new(&EnvConfig::small(), hyper, &mut rng);
+            PpoTrainer::with_policy(policy, value, tiny_ppo(), rng)
+        });
+    }
+
+    #[test]
+    fn update_handles_an_empty_batch_and_an_oversized_minibatch() {
+        // Every trajectory zero-length: a module without operations ends
+        // its episode at reset, so the update has no sample to walk.
+        let (mut env, mut trainer) = engine_fixture(2);
+        let empty = vec![ModuleBuilder::new("no-ops").finish()];
+        let stats = trainer.train_iteration(&mut env, &empty);
+        assert_eq!(
+            (stats.policy_loss, stats.value_loss, stats.entropy),
+            (0.0, 0.0, 0.0)
+        );
+        assert_eq!(trainer.policy_optimizer.steps(), 0, "no minibatch, no step");
+        assert_eq!(trainer.value_optimizer.steps(), 0);
+        let config = tiny_ppo();
+        let orders = vec![Vec::new(); config.update_epochs];
+        let update = Update {
+            config: &config,
+            batch: &[],
+            orders: &orders,
+        };
+        assert_eq!(update.minibatches().count(), 0);
+        let sums = update.policy_chain(&mut trainer.policy, &mut trainer.policy_optimizer);
+        assert_eq!(sums.updates, 0);
+
+        // A minibatch larger than the batch: one chunk per epoch, on both
+        // chains.
+        let (mut env, mut trainer) = engine_fixture(2);
+        trainer.config.minibatch_size = 1 << 20;
+        let stats = trainer.train_iteration(&mut env, &small_dataset());
+        assert!(stats.policy_loss.is_finite() && stats.value_loss.is_finite());
+        let epochs = trainer.config.update_epochs as u64;
+        assert_eq!(trainer.policy_optimizer.steps(), epochs);
+        assert_eq!(trainer.value_optimizer.steps(), epochs);
+    }
+
+    /// The caller's measurement-noise stream after a batch, observed as
+    /// the noisy baseline of one more reset.
+    fn next_noisy_baseline(env: &mut OptimizationEnv) -> u64 {
+        env.reset(small_dataset()[0].clone());
+        env.stats().baseline_s.to_bits()
+    }
+
+    #[test]
+    fn fan_out_battery_every_worker_count_collects_the_serial_batch() {
+        let dataset = small_dataset();
+        for noise_seed in [None, Some(11)] {
+            let mut config = EnvConfig::small();
+            config.noise_seed = noise_seed;
+            let collect = |episodes: usize, workers: usize| {
+                let mut env =
+                    OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
+                let hyper = PolicyHyperparams {
+                    hidden_size: 16,
+                    backbone_layers: 1,
+                };
+                let mut trainer = PpoTrainer::new(&config, hyper, tiny_ppo(), 5);
+                let modules: Vec<&Module> = dataset.iter().cycle().take(episodes).collect();
+                let batch = collect_rollouts(
+                    &mut env,
+                    &modules,
+                    &mut trainer.policy,
+                    &mut trainer.value,
+                    false,
+                    77,
+                    workers,
+                );
+                (batch, next_noisy_baseline(&mut env))
+            };
+            for episodes in [0, 1, 2, 7] {
+                let (serial, serial_noise) = collect(episodes, 1);
+                assert_eq!(serial.trajectories.len(), episodes);
+                for workers in [2, 3, 8] {
+                    let (parallel, parallel_noise) = collect(episodes, workers);
+                    assert_trajectories_identical(&serial.trajectories, &parallel.trajectories);
+                    assert_eq!(serial.total_lookups(), parallel.total_lookups());
+                    assert_eq!(
+                        serial_noise, parallel_noise,
+                        "{episodes} episodes, {workers} workers, noise {noise_seed:?}: \
+                         the caller's noise stream must not depend on the worker count"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A policy that panics at the first step of one chosen episode,
+    /// recognised by the first draw of that episode's RNG.
+    #[derive(Clone)]
+    struct PanicsOnEpisode {
+        inner: PolicyNetwork,
+        first_draw: u64,
+    }
+
+    impl PolicyModel for PanicsOnEpisode {
+        fn select_action(
+            &mut self,
+            obs: &Observation,
+            greedy: bool,
+            rng: &mut ChaCha8Rng,
+        ) -> ActionRecord {
+            assert!(
+                rng.clone().gen::<u64>() != self.first_draw,
+                "poisoned episode"
+            );
+            self.inner.select_action(obs, greedy, rng)
+        }
+        fn evaluate(&mut self, obs: &Observation, record: &ActionRecord) -> (f64, f64) {
+            self.inner.evaluate(obs, record)
+        }
+        fn backward(&mut self, obs: &Observation, record: &ActionRecord, lp: f64, ent: f64) {
+            self.inner.backward(obs, record, lp, ent);
+        }
+        fn zero_grad(&mut self) {
+            self.inner.zero_grad();
+        }
+        fn parameters_mut(&mut self) -> Vec<&mut Param> {
+            self.inner.parameters_mut()
+        }
+    }
+
+    #[test]
+    fn a_panicking_episode_panics_the_fan_out_instead_of_hanging_it() {
+        let dataset = small_dataset();
+        let modules: Vec<&Module> = dataset.iter().cycle().take(7).collect();
+        let base_seed = 9;
+        for workers in [1, 2, 3] {
+            for poisoned in [0, 3, 6] {
+                let (mut env, mut trainer) = engine_fixture(1);
+                let mut policy = PanicsOnEpisode {
+                    inner: trainer.policy.clone(),
+                    first_draw: ChaCha8Rng::seed_from_u64(episode_seed(base_seed, poisoned))
+                        .gen::<u64>(),
+                };
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    collect_rollouts(
+                        &mut env,
+                        &modules,
+                        &mut policy,
+                        &mut trainer.value,
+                        false,
+                        base_seed,
+                        workers,
+                    )
+                }));
+                let payload = outcome.expect_err("the poisoned episode must panic the batch");
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                // The caller's own panic resumes as it was raised; a spawned
+                // worker's is reported by the join.
+                assert!(
+                    message.contains("poisoned episode")
+                        || message.starts_with("rollout worker panicked"),
+                    "{workers} workers, episode {poisoned}: unexpected panic {message:?}"
+                );
+            }
+        }
     }
 }

@@ -38,9 +38,11 @@ report! {
         /// `rollout-collect` shape; the rollouts above run on
         /// [`EnvConfig::small`], which hides it).
         paper_network_clone_us: f64 = "paper-width network clone (us)",
-        /// Median microseconds of an empty two-thread `thread::scope` — the
-        /// other fixed cost of a fan-out, for scale.
-        scope_spawn_us: f64 = "2-thread scope spawn (us)",
+        /// Median microseconds of a `thread::scope` with one empty named
+        /// spawn — the other fixed cost of a two-worker fan-out, for scale:
+        /// the caller collects as worker 0, so `W` workers pay `W - 1`
+        /// spawns.
+        scope_spawn_us: f64 = "scope + 1 named spawn (us)",
     }
 }
 
@@ -53,7 +55,7 @@ impl Report for RolloutThroughput {
             self.cache_hit_rate > 0.0,
             // A fan-out must not copy weights: ~1 us while clones share
             // them, ~6 000 us when they deep-copied them (and their
-            // gradients); an empty 2-thread scope is ~90 us for scale.
+            // gradients); a scope with one empty spawn is 56-105 us for scale.
             self.paper_network_clone_us > 0.0 && self.paper_network_clone_us < 500.0,
             self.scope_spawn_us > 0.0,
         )
@@ -109,8 +111,10 @@ pub fn rollout_throughput(scale: &ExperimentScale, workers: usize) -> RolloutThr
     });
     let scope_spawn_us = median_us(|| {
         std::thread::scope(|scope| {
-            scope.spawn(|| {});
-            scope.spawn(|| {});
+            std::thread::Builder::new()
+                .name("rollout-worker-1".into())
+                .spawn_scoped(scope, || {})
+                .expect("failed to spawn a thread");
         });
     });
 

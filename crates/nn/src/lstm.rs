@@ -41,7 +41,6 @@ struct StepCache {
     f: Tensor2,
     g: Tensor2,
     o: Tensor2,
-    c: Tensor2,
     tanh_c: Tensor2,
 }
 
@@ -142,12 +141,13 @@ impl Lstm {
 
     /// One batched cell step: `x`, `h_prev`, `c_prev` are `batch x size`.
     /// Row `b` of every output is bit-identical to the single-sample cell
-    /// on row `b` of the inputs.
+    /// on row `b` of the inputs. The previous state is taken by value: it
+    /// moves into the step's cache, which is its only later reader.
     fn step_batch(
         &self,
         x: &Tensor2,
-        h_prev: &Tensor2,
-        c_prev: &Tensor2,
+        h_prev: Tensor2,
+        c_prev: Tensor2,
     ) -> (Tensor2, Tensor2, StepCache) {
         let rows = x.rows();
         let mut x_cols = ActiveCols::default();
@@ -157,7 +157,7 @@ impl Lstm {
         let mut uh = Tensor2::default();
         let mut pre = |gate: usize| -> Tensor2 {
             let mut z = Tensor2::default();
-            self.gate_pre_into(gate, x, &x_cols, h_prev, &h_cols, &mut z, &mut uh);
+            self.gate_pre_into(gate, x, &x_cols, &h_prev, &h_cols, &mut z, &mut uh);
             z
         };
         let mut i = pre(0);
@@ -189,13 +189,12 @@ impl Lstm {
         }
         let cache = StepCache {
             x: x.clone(),
-            h_prev: h_prev.clone(),
-            c_prev: c_prev.clone(),
+            h_prev,
+            c_prev,
             i,
             f,
             g,
             o,
-            c: c.clone(),
             tanh_c,
         };
         (h, c, cache)
@@ -223,9 +222,8 @@ impl Lstm {
         let mut caches = Vec::with_capacity(sequence.len());
         for x in sequence {
             self.check_step(x, rows);
-            let (nh, nc, cache) = self.step_batch(x, &h, &c);
-            h = nh;
-            c = nc;
+            let cache;
+            (h, c, cache) = self.step_batch(x, h, c);
             caches.push(cache);
         }
         self.cached_sequences.push(caches);
