@@ -17,8 +17,7 @@ use mlir_rl_env::{
 use mlir_rl_nn::{Linear, Lstm, MaskedCategorical, Mlp, Param, Scratch, Tensor2};
 
 use crate::policy::{
-    dense_sequence, embed_observation, lstm_step_tensors_into, rank_candidates, ActionRecord,
-    PolicyHyperparams,
+    embed_observation, lstm_step_tensors_into, rank_candidates, ActionRecord, PolicyHyperparams,
 };
 use crate::ppo::PolicyModel;
 
@@ -35,12 +34,9 @@ pub struct FlatPolicyNetwork {
     /// Reusable logits buffer for rollout-time action selection.
     #[serde(skip)]
     logits_scratch: Scratch<Vec<f64>>,
-    /// Logits of pending `evaluate` calls, consumed in reverse order by
-    /// `backward` so the backward pass never re-runs the forward network.
-    #[serde(skip)]
-    pending_logits: Scratch<Vec<Vec<f64>>>,
     /// Batched logits of pending `evaluate_batch` calls, consumed by
-    /// `backward_batch`.
+    /// `backward_batch` so the backward pass never re-runs the forward
+    /// network.
     #[serde(skip)]
     pending_batches: Scratch<Vec<Tensor2>>,
     /// Reusable batched logits buffer for `rank_actions_batch`.
@@ -69,7 +65,6 @@ impl FlatPolicyNetwork {
             backbone,
             head,
             logits_scratch: Scratch::default(),
-            pending_logits: Scratch::default(),
             pending_batches: Scratch::default(),
             batch_scratch: Scratch::default(),
             step_scratch: Scratch::default(),
@@ -129,20 +124,17 @@ impl FlatPolicyNetwork {
     pub(crate) fn logits_and_dense_oracle(&mut self, obs: &Observation) -> [Vec<f64>; 2] {
         let mut logits = Vec::new();
         self.infer_logits(obs, &mut logits);
-        let embedding = self.lstm.forward_inference(&dense_sequence(obs));
+        let embedding = self
+            .lstm
+            .forward_inference(&crate::policy::dense_sequence(obs));
         let z = self.backbone.forward_inference(&embedding);
         [logits, self.head.forward_inference(&z)]
     }
 
-    fn logits_train(&mut self, obs: &Observation) -> Vec<f64> {
-        let embedding = self.lstm.forward(&dense_sequence(obs));
-        let z = self.backbone.forward(&embedding);
-        self.head.forward(&z)
-    }
-
-    /// Batched training-mode logits: one blocked matmul per layer, rows
-    /// bit-identical to [`FlatPolicyNetwork::logits_train`] per
-    /// observation.
+    /// Batched training-mode logits: one blocked matmul per layer, caching
+    /// every layer's activations for the backward pass; row `i` is
+    /// bit-identical to [`FlatPolicyNetwork::infer_logits`] on observation
+    /// `i`.
     fn logits_train_batch(&mut self, batch: &ObservationBatch) -> Tensor2 {
         lstm_step_tensors_into(batch, &mut self.step_scratch.0);
         let embedding = self.lstm.forward_batch(&self.step_scratch.0);
@@ -221,46 +213,10 @@ impl PolicyModel for FlatPolicyNetwork {
         record
     }
 
-    fn evaluate(&mut self, obs: &Observation, record: &ActionRecord) -> (f64, f64) {
-        let logits = self.logits_train(obs);
-        let mask = self.flat_mask(obs);
-        let dist = MaskedCategorical::new(&logits, &mask);
-        let out = (dist.log_prob(record.kind_index), dist.entropy());
-        self.pending_logits.0.push(logits);
-        out
-    }
-
-    fn backward(
-        &mut self,
-        obs: &Observation,
-        record: &ActionRecord,
-        coeff_logprob: f64,
-        coeff_entropy: f64,
-    ) {
-        let logits = self
-            .pending_logits
-            .0
-            .pop()
-            .expect("backward called without a matching evaluate");
-        let mask = self.flat_mask(obs);
-        let dist = MaskedCategorical::new(&logits, &mask);
-        let lp = dist.log_prob_grad(record.kind_index);
-        let eg = dist.entropy_grad();
-        let grad: Vec<f64> = lp
-            .iter()
-            .zip(&eg)
-            .map(|(l, e)| coeff_logprob * l + coeff_entropy * e)
-            .collect();
-        let grad_z = self.head.backward(&grad);
-        let grad_embedding = self.backbone.backward(&grad_z);
-        self.lstm.backward_params(&grad_embedding);
-    }
-
     fn zero_grad(&mut self) {
         self.lstm.zero_grad();
         self.backbone.zero_grad();
         self.head.zero_grad();
-        self.pending_logits.0.clear();
         self.pending_batches.0.clear();
     }
 

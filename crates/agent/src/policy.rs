@@ -93,11 +93,6 @@ pub struct PolicyNetwork {
     /// Reusable head-logit buffers for [`PolicyNetwork::select_action`].
     #[serde(skip)]
     head_scratch: Scratch<HeadOutputs>,
-    /// Head outputs of pending [`PolicyNetwork::evaluate`] calls, consumed
-    /// in reverse order by [`PolicyNetwork::backward`] so the backward pass
-    /// never re-runs the forward network.
-    #[serde(skip)]
-    pending_outputs: Scratch<Vec<HeadOutputs>>,
     /// Batched head outputs of pending [`PolicyNetwork::evaluate_batch`]
     /// calls, consumed by [`PolicyNetwork::backward_batch`].
     #[serde(skip)]
@@ -190,8 +185,8 @@ pub(crate) fn embed_observation<'a>(lstm: &'a mut Lstm, obs: &Observation) -> &'
     lstm.infer_nonzeros(&[obs.producer.nonzeros(), obs.consumer.nonzeros()])
 }
 
-/// An observation's two vectors as the owned dense sequence the caching
-/// single-sample forward and the `forward_inference` oracles take.
+/// An observation's two vectors as the owned dense sequence the
+/// `forward_inference` oracles take.
 pub(crate) fn dense_sequence(obs: &Observation) -> [Vec<f64>; 2] {
     [obs.producer.to_vec(), obs.consumer.to_vec()]
 }
@@ -258,7 +253,6 @@ impl PolicyNetwork {
             env_config,
             hyper,
             head_scratch: Scratch::default(),
-            pending_outputs: Scratch::default(),
             pending_batches: Scratch::default(),
             batch_scratch: Scratch::default(),
             step_scratch: Scratch::default(),
@@ -280,22 +274,8 @@ impl PolicyNetwork {
         self.parameters_mut().iter().map(|p| p.len()).sum()
     }
 
-    /// Training-mode forward pass: caches activations in every layer for a
-    /// later [`PolicyNetwork::backward`].
-    fn forward_heads_train(&mut self, obs: &Observation) -> HeadOutputs {
-        let embedding = self.lstm.forward(&dense_sequence(obs));
-        let z = self.backbone.forward(&embedding);
-        HeadOutputs {
-            transformation: self.transformation_head.forward(&z),
-            tiling: self.tiling_head.forward(&z),
-            parallelization: self.parallelization_head.forward(&z),
-            fusion: self.fusion_head.forward(&z),
-            interchange: self.interchange_head.forward(&z),
-        }
-    }
-
     /// Allocation-free inference forward pass into reusable buffers
-    /// (bit-identical to the caching path's numerics).
+    /// (bit-identical to the layers' `forward_inference` oracles).
     fn infer_heads(&mut self, obs: &Observation, out: &mut HeadOutputs) {
         let embedding = embed_observation(&mut self.lstm, obs);
         let z = self.backbone.infer(embedding);
@@ -311,8 +291,8 @@ impl PolicyNetwork {
     /// Batched training-mode forward pass over a packed observation batch:
     /// one blocked matmul per layer for the whole batch, caching every
     /// layer's activations for [`PolicyNetwork::backward_batch`]. Row `i`
-    /// of every head tensor is bit-identical to
-    /// [`PolicyNetwork::forward_heads_train`] on observation `i`.
+    /// of every head tensor is bit-identical to [`PolicyNetwork::infer_heads`]
+    /// on observation `i`.
     fn forward_heads_train_batch(&mut self, batch: &ObservationBatch) -> HeadBatch {
         lstm_step_tensors_into(batch, &mut self.step_scratch.0);
         let embedding = self.lstm.forward_batch(&self.step_scratch.0);
@@ -485,66 +465,12 @@ impl PolicyNetwork {
         }
     }
 
-    /// Recomputes the log-probability and entropy of a stored action under
-    /// the *current* parameters, caching activations for
-    /// [`PolicyNetwork::backward`].
-    pub fn evaluate(&mut self, obs: &Observation, record: &ActionRecord) -> (f64, f64) {
-        let outputs = self.forward_heads_train(obs);
-        let (log_prob, entropy, _) = self.log_prob_and_grads(obs, record, &outputs, 0.0, 0.0);
-        self.pending_outputs.0.push(outputs);
-        (log_prob, entropy)
-    }
-
-    /// Backward pass for the most recent un-consumed
-    /// [`PolicyNetwork::evaluate`] call: accumulates `coeff_logprob *
-    /// d log_prob / d θ + coeff_entropy * d entropy / d θ` into the
-    /// parameter gradients. When a minibatch is processed with several
-    /// `evaluate` calls first, the matching `backward` calls must come in
-    /// reverse order (the layer caches are stacks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called without a matching `evaluate`.
-    pub fn backward(
-        &mut self,
-        obs: &Observation,
-        record: &ActionRecord,
-        coeff_logprob: f64,
-        coeff_entropy: f64,
-    ) {
-        // The head outputs were stored by `evaluate`, so no part of the
-        // forward network has to run again.
-        let outputs = self
-            .pending_outputs
-            .0
-            .pop()
-            .expect("backward called without a matching evaluate");
-        let (_, _, grads) =
-            self.log_prob_and_grads(obs, record, &outputs, coeff_logprob, coeff_entropy);
-
-        // Push gradients through the heads into the backbone embedding.
-        let h = self.hyper.hidden_size;
-        let mut grad_z = vec![0.0; h];
-        let mut add = |g: Vec<f64>| {
-            for (a, b) in grad_z.iter_mut().zip(&g) {
-                *a += b;
-            }
-        };
-        add(self.transformation_head.backward(&grads.transformation));
-        add(self.tiling_head.backward(&grads.tiling));
-        add(self.parallelization_head.backward(&grads.parallelization));
-        add(self.fusion_head.backward(&grads.fusion));
-        add(self.interchange_head.backward(&grads.interchange));
-        let grad_embedding = self.backbone.backward(&grad_z);
-        self.lstm.backward_params(&grad_embedding);
-    }
-
-    /// Batched [`PolicyNetwork::evaluate`]: recomputes log-probabilities
-    /// and entropies of a whole minibatch through one batched forward pass
-    /// per layer, caching the batch for
+    /// Recomputes the log-probabilities and entropies of a minibatch of
+    /// stored actions under the *current* parameters through one batched
+    /// forward pass per layer, caching the batch for
     /// [`PolicyNetwork::backward_batch`]. `batch` must pack the items'
-    /// observations in order. Bit-identical, entry for entry, to calling
-    /// `evaluate` once per item.
+    /// observations in order. Bit-identical, entry for entry, to one call
+    /// per item.
     pub fn evaluate_batch(
         &mut self,
         batch: &ObservationBatch,
@@ -568,11 +494,14 @@ impl PolicyNetwork {
         out
     }
 
-    /// Batched [`PolicyNetwork::backward`] for the most recent un-consumed
-    /// [`PolicyNetwork::evaluate_batch`] call. `coeffs[i]` holds
-    /// `(coeff_logprob, coeff_entropy)` for item `i`. Parameter gradients
-    /// accumulate in reverse item order — bit-identical to calling
-    /// `backward` once per item in reverse (the stacked-replay sequence).
+    /// Backward pass for the most recent un-consumed
+    /// [`PolicyNetwork::evaluate_batch`] call: accumulates `coeff_logprob *
+    /// d log_prob / d θ + coeff_entropy * d entropy / d θ` into the
+    /// parameter gradients, with `coeffs[i]` holding `(coeff_logprob,
+    /// coeff_entropy)` for item `i`. Parameter gradients accumulate in
+    /// reverse item order — bit-identical to one call per item in reverse
+    /// (the stacked-replay sequence). The head outputs were stored by
+    /// `evaluate_batch`, so no part of the forward network runs again.
     ///
     /// # Panics
     ///
@@ -616,9 +545,8 @@ impl PolicyNetwork {
             grads.interchange.row_mut(i).copy_from_slice(&g.interchange);
         }
 
-        // Push gradients through the heads into the backbone embedding, in
-        // the same head order (and starting from zeros) as the per-sample
-        // backward pass.
+        // Push gradients through the heads into the backbone embedding, head
+        // by head, starting from zeros.
         let rows = items.len();
         let h = self.hyper.hidden_size;
         let mut grad_z = Tensor2::zeros(rows, h);
@@ -798,7 +726,6 @@ impl PolicyNetwork {
         self.parallelization_head.zero_grad();
         self.fusion_head.zero_grad();
         self.interchange_head.zero_grad();
-        self.pending_outputs.0.clear();
         self.pending_batches.0.clear();
     }
 

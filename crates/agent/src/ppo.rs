@@ -11,8 +11,10 @@
 //! [`mlir_rl_env::ObservationBatch`] and pushed through the batched tensor
 //! engine ([`PolicyModel::evaluate_batch`] / `backward_batch` and
 //! [`ValueNetwork::forward_batch`] / `backward_batch`): one blocked matmul
-//! per network layer per minibatch instead of one matvec sweep per sample,
-//! bit-identical to the per-sample replay path (property-tested).
+//! per network layer per minibatch. This pair is the only training code the
+//! networks have; it is bit-identical to the same minibatch fed through it
+//! one sample at a time (property-tested), so batching is a throughput
+//! choice, never a numerics change.
 //!
 //! # The update runs as two chains
 //!
@@ -113,6 +115,13 @@ pub enum GroupResult {
 ///
 /// `Clone + Send` is required so the rollout engine can hand each worker
 /// thread an inference-only snapshot of the policy.
+///
+/// Training goes through one pair, [`PolicyModel::evaluate_batch`] /
+/// [`PolicyModel::backward_batch`], which every implementation provides.
+/// The per-sample [`PolicyModel::evaluate`] / [`PolicyModel::backward`]
+/// are defaults that run a batch of one; only tests call them, and they
+/// stay on the trait because the frozen `benchmark/` package's `Probed`
+/// wrapper overrides them (`benchmark/src/probe.rs`).
 pub trait PolicyModel: Clone + Send {
     /// Samples (or greedily selects) an action for an observation.
     fn select_action(
@@ -121,51 +130,49 @@ pub trait PolicyModel: Clone + Send {
         greedy: bool,
         rng: &mut ChaCha8Rng,
     ) -> ActionRecord;
-    /// Recomputes log-probability and entropy of a stored action, caching
-    /// activations for [`PolicyModel::backward`].
-    fn evaluate(&mut self, obs: &Observation, record: &ActionRecord) -> (f64, f64);
-    /// Accumulates `coeff_logprob * dlogp/dθ + coeff_entropy * dH/dθ`.
+    /// Clears gradients and cached activations.
+    fn zero_grad(&mut self);
+    /// Trainable parameters in a stable order.
+    fn parameters_mut(&mut self) -> Vec<&mut Param>;
+
+    /// Recomputes the log-probability and entropy of every stored action
+    /// of a minibatch under the current parameters, caching activations
+    /// for the matching [`PolicyModel::backward_batch`]. `batch` must be
+    /// the packed form of the items' observations in the same order (the
+    /// PPO update's policy chain packs it per minibatch; the value chain
+    /// packs its own).
+    fn evaluate_batch(
+        &mut self,
+        batch: &ObservationBatch,
+        items: &[(&Observation, &ActionRecord)],
+    ) -> Vec<(f64, f64)>;
+
+    /// Backward pass for the most recent un-consumed
+    /// [`PolicyModel::evaluate_batch`] call: accumulates
+    /// `coeff_logprob * dlogp/dθ + coeff_entropy * dH/dθ` per item, with
+    /// `coeffs[i]` holding `(coeff_logprob, coeff_entropy)` for item `i`.
+    /// Parameter gradients accumulate in **reverse** item order, so the
+    /// result does not depend on how a minibatch is split into calls.
+    fn backward_batch(&mut self, items: &[(&Observation, &ActionRecord)], coeffs: &[(f64, f64)]);
+
+    /// [`PolicyModel::evaluate_batch`] for one action (a batch of one).
+    fn evaluate(&mut self, obs: &Observation, record: &ActionRecord) -> (f64, f64) {
+        let batch = ObservationBatch::from_observations(std::iter::once(obs));
+        self.evaluate_batch(&batch, &[(obs, record)])[0]
+    }
+
+    /// [`PolicyModel::backward_batch`] for the most recent un-consumed
+    /// [`PolicyModel::evaluate`] (a batch of one); several `evaluate` calls
+    /// are answered by `backward` calls in reverse order (the layer caches
+    /// are stacks).
     fn backward(
         &mut self,
         obs: &Observation,
         record: &ActionRecord,
         coeff_logprob: f64,
         coeff_entropy: f64,
-    );
-    /// Clears gradients and cached activations.
-    fn zero_grad(&mut self);
-    /// Trainable parameters in a stable order.
-    fn parameters_mut(&mut self) -> Vec<&mut Param>;
-
-    /// Batched [`PolicyModel::evaluate`] over a minibatch. `batch` must be
-    /// the packed form of the items' observations in the same order (the
-    /// PPO update's policy chain packs it per minibatch; the value chain
-    /// packs its own). The default
-    /// implementation loops per sample; networks with a batched inference
-    /// engine override it with one blocked matmul per layer. Overrides must
-    /// stay bit-identical, entry for entry, to the per-sample loop.
-    fn evaluate_batch(
-        &mut self,
-        batch: &ObservationBatch,
-        items: &[(&Observation, &ActionRecord)],
-    ) -> Vec<(f64, f64)> {
-        let _ = batch;
-        items
-            .iter()
-            .map(|(obs, record)| self.evaluate(obs, record))
-            .collect()
-    }
-
-    /// Batched [`PolicyModel::backward`] for the most recent un-consumed
-    /// [`PolicyModel::evaluate_batch`] call; `coeffs[i]` is
-    /// `(coeff_logprob, coeff_entropy)` for item `i`. The default replays
-    /// per-sample backward calls in **reverse** item order (the layer
-    /// caches are stacks); overrides must accumulate gradients in exactly
-    /// that order so results stay bit-identical.
-    fn backward_batch(&mut self, items: &[(&Observation, &ActionRecord)], coeffs: &[(f64, f64)]) {
-        for ((obs, record), (coeff_logprob, coeff_entropy)) in items.iter().zip(coeffs).rev() {
-            self.backward(obs, record, *coeff_logprob, *coeff_entropy);
-        }
+    ) {
+        self.backward_batch(&[(obs, record)], &[(coeff_logprob, coeff_entropy)]);
     }
 
     /// Policy-inference hook for search: proposes up to `k` *distinct*
@@ -241,18 +248,6 @@ impl PolicyModel for PolicyNetwork {
         rng: &mut ChaCha8Rng,
     ) -> ActionRecord {
         PolicyNetwork::select_action(self, obs, greedy, rng)
-    }
-    fn evaluate(&mut self, obs: &Observation, record: &ActionRecord) -> (f64, f64) {
-        PolicyNetwork::evaluate(self, obs, record)
-    }
-    fn backward(
-        &mut self,
-        obs: &Observation,
-        record: &ActionRecord,
-        coeff_logprob: f64,
-        coeff_entropy: f64,
-    ) {
-        PolicyNetwork::backward(self, obs, record, coeff_logprob, coeff_entropy);
     }
     fn zero_grad(&mut self) {
         PolicyNetwork::zero_grad(self);
@@ -1766,11 +1761,19 @@ mod tests {
             );
             self.inner.select_action(obs, greedy, rng)
         }
-        fn evaluate(&mut self, obs: &Observation, record: &ActionRecord) -> (f64, f64) {
-            self.inner.evaluate(obs, record)
+        fn evaluate_batch(
+            &mut self,
+            batch: &ObservationBatch,
+            items: &[(&Observation, &ActionRecord)],
+        ) -> Vec<(f64, f64)> {
+            self.inner.evaluate_batch(batch, items)
         }
-        fn backward(&mut self, obs: &Observation, record: &ActionRecord, lp: f64, ent: f64) {
-            self.inner.backward(obs, record, lp, ent);
+        fn backward_batch(
+            &mut self,
+            items: &[(&Observation, &ActionRecord)],
+            coeffs: &[(f64, f64)],
+        ) {
+            self.inner.backward_batch(items, coeffs);
         }
         fn zero_grad(&mut self) {
             self.inner.zero_grad();

@@ -69,14 +69,6 @@ impl ValueNetwork {
         self.infer_out.0[0]
     }
 
-    /// Estimates the state value, caching activations for
-    /// [`ValueNetwork::backward`].
-    pub fn forward(&mut self, obs: &Observation) -> f64 {
-        let embedding = self.lstm.forward(&dense_sequence(obs));
-        let z = self.backbone.forward(&embedding);
-        self.head.forward(&z)[0]
-    }
-
     /// Batched [`ValueNetwork::predict_fast`]: estimates every packed
     /// observation's value through one batched forward pass per layer,
     /// using internal scratch. Entry `i` is bit-identical to
@@ -93,10 +85,10 @@ impl ValueNetwork {
         values
     }
 
-    /// Batched [`ValueNetwork::forward`]: estimates every packed
-    /// observation's value through one batched forward pass per layer,
-    /// caching activations for [`ValueNetwork::backward_batch`]. Entry `i`
-    /// is bit-identical to `forward` on observation `i`.
+    /// Estimates every packed observation's value through one batched
+    /// forward pass per layer, caching activations for
+    /// [`ValueNetwork::backward_batch`]. Entry `i` is bit-identical to
+    /// [`ValueNetwork::predict`] on observation `i`.
     pub fn forward_batch(&mut self, batch: &ObservationBatch) -> Vec<f64> {
         lstm_step_tensors_into(batch, &mut self.step_scratch.0);
         let embedding = self.lstm.forward_batch(&self.step_scratch.0);
@@ -104,22 +96,10 @@ impl ValueNetwork {
         self.head.forward_batch(&z).into_flat()
     }
 
-    /// Backward pass for the most recent un-consumed [`ValueNetwork::forward`]
-    /// call, given `d loss / d value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called without a matching `forward`.
-    pub fn backward(&mut self, grad_value: f64) {
-        let grad_z = self.head.backward(&[grad_value]);
-        let grad_embedding = self.backbone.backward(&grad_z);
-        self.lstm.backward_params(&grad_embedding);
-    }
-
-    /// Batched backward pass for the most recent un-consumed
+    /// Backward pass for the most recent un-consumed
     /// [`ValueNetwork::forward_batch`] call, given `d loss / d value` per
     /// observation. Parameter gradients accumulate in reverse item order —
-    /// bit-identical to per-sample `backward` calls in reverse.
+    /// bit-identical to one-row calls in reverse.
     ///
     /// # Panics
     ///
@@ -173,14 +153,18 @@ mod tests {
         env.reset(b.finish()).unwrap()
     }
 
+    fn one_row(obs: &Observation) -> ObservationBatch {
+        ObservationBatch::from_observations(std::iter::once(obs))
+    }
+
     #[test]
     fn predict_and_forward_agree() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut v = ValueNetwork::new(&EnvConfig::small(), PolicyHyperparams::default(), &mut rng);
         let obs = observation();
         let a = v.predict(&obs);
-        let b = v.forward(&obs);
-        assert!((a - b).abs() < 1e-12);
+        let b = v.forward_batch(&one_row(&obs));
+        assert_eq!(b, [a]);
         v.zero_grad();
         assert!(v.num_parameters() > 1000);
     }
@@ -194,9 +178,9 @@ mod tests {
         let mut adam = Adam::new(1e-2);
         for _ in 0..100 {
             v.zero_grad();
-            let pred = v.forward(&obs);
+            let pred = v.forward_batch(&one_row(&obs))[0];
             // Loss = 0.5 (pred - target)^2, dL/dpred = pred - target.
-            v.backward(pred - target);
+            v.backward_batch(&[pred - target]);
             adam.step(&mut v.parameters_mut());
         }
         let final_pred = v.predict(&obs);

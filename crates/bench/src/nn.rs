@@ -23,7 +23,7 @@ report! {
         /// Batch size (rows per batched call; the looped figures process
         /// the same rows one at a time).
         batch: usize = "batch",
-        /// MLP training forward, one `forward` call per row.
+        /// MLP training forward, one one-row `forward_batch` call per row.
         forward_looped: f64 = "forward loop",
         /// MLP training forward, one `forward_batch` call.
         forward_batched: f64 = "forward batch",
@@ -35,7 +35,8 @@ report! {
         infer_batched: f64 = "infer batch",
         /// `infer_batched / infer_looped`.
         infer_speedup: f64 = "x",
-        /// MLP backward, one `backward` call per row in reverse order.
+        /// MLP backward, one one-row `backward_batch` call per row in
+        /// reverse order.
         backward_looped: f64 = "backward loop",
         /// MLP backward, one `backward_batch` call.
         backward_batched: f64 = "backward batch",
@@ -195,7 +196,7 @@ pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
 
         let forward_looped = measure_mlp(&Mlp::zero_grad, &|mlp| {
             for row in &data {
-                black_box(mlp.forward(row));
+                black_box(mlp.forward_batch(&Tensor2::from_row(row)));
             }
         });
         let forward_batched = measure_mlp(&Mlp::zero_grad, &|mlp| {
@@ -214,12 +215,12 @@ pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
             &|mlp| {
                 mlp.zero_grad();
                 for row in &data {
-                    mlp.forward(row);
+                    mlp.forward_batch(&Tensor2::from_row(row));
                 }
             },
             &|mlp| {
                 for grow in grad.iter().rev() {
-                    black_box(mlp.backward(grow));
+                    black_box(mlp.backward_batch(&Tensor2::from_row(grow)));
                 }
             },
         );

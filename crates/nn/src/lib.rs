@@ -9,32 +9,34 @@
 //! Layers operate on batches: a minibatch is a row-major [`Tensor2`] (one
 //! sample per row) pushed through `forward_batch` / `infer_batch` /
 //! `backward_batch`, which run one blocked matmul per layer instead of one
-//! matvec per sample. The per-vector entry points (`forward`, `infer`,
-//! `backward`) remain as thin wrappers over batch-of-1, and the batched
-//! kernels fix their accumulation order so that every row of a batched
-//! result is **bit-for-bit identical** to the per-vector path — batching is
-//! purely a throughput knob, never a numerics change (property-tested).
-//! `backward_batch` accumulates parameter gradients in reverse row order,
-//! exactly like replaying per-sample `backward` calls against stacked
-//! caches.
+//! matvec per sample. Training has only this path — a single sample is a
+//! batch of one — while inference keeps per-vector entry points (`infer`,
+//! `infer_into`) for batch-1 callers. The kernels fix their accumulation
+//! order so that every row of a batched result is **bit-for-bit
+//! identical** to the same row run alone and to the plain-loop
+//! `forward_inference` references — batching is purely a throughput knob,
+//! never a numerics change (property-tested). `backward_batch` accumulates
+//! parameter gradients in reverse row order, exactly like replaying one-row
+//! `backward_batch` calls against stacked caches.
 //!
 //! ## Example
 //!
 //! ```
-//! use mlir_rl_nn::{Adam, Linear, MaskedCategorical};
+//! use mlir_rl_nn::{Adam, Linear, MaskedCategorical, Tensor2};
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //!
 //! let mut rng = ChaCha8Rng::seed_from_u64(0);
 //! let mut head = Linear::new(16, 6, &mut rng);
-//! let logits = head.forward(&vec![0.1; 16]);
-//! let dist = MaskedCategorical::new(&logits, &[true, true, true, true, false, true]);
+//! // One sample is a batch of one row.
+//! let logits = head.forward_batch(&Tensor2::from_row(&[0.1; 16]));
+//! let dist = MaskedCategorical::new(logits.row(0), &[true, true, true, true, false, true]);
 //! let action = dist.argmax();
 //! assert!(action != 4, "masked actions are never selected");
 //!
 //! // One policy-gradient step on that action.
 //! let grad_logits: Vec<f64> = dist.log_prob_grad(action).iter().map(|g| -g).collect();
-//! head.backward(&grad_logits);
+//! head.backward_batch(&Tensor2::from_row(&grad_logits));
 //! let mut adam = Adam::new(1e-3);
 //! adam.step(&mut head.parameters_mut());
 //! ```

@@ -1,12 +1,12 @@
 //! Fully connected (dense) layers and the ReLU MLP used as the policy
 //! backbone.
 //!
-//! Both layer types process row-major batches ([`Tensor2`], one sample per
-//! row) through `forward_batch` / `infer_batch` / `backward_batch`; the
-//! per-vector entry points are thin wrappers over batch-of-1 and stay
-//! bit-identical to what they computed when they were hand-rolled matvec
-//! loops (the kernels fix the accumulation order — see
-//! [`crate::tensor`]).
+//! Both layer types train on row-major batches ([`Tensor2`], one sample per
+//! row) through `forward_batch` / `backward_batch` — a single sample is a
+//! batch of one. Inference also has per-vector entry points
+//! ([`Linear::infer_into`], [`Mlp::infer`]); every path is bit-identical to
+//! the plain-loop `forward_inference` references (the kernels fix the
+//! accumulation order — see [`crate::tensor`]).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -20,7 +20,7 @@ use crate::tensor::{matmul_nt, Tensor2};
 ///
 /// The layer caches the input batch of every forward call since the last
 /// [`Linear::zero_grad`] so that backward passes can be replayed in reverse
-/// order (the caches are stacks; a per-vector forward pushes a batch of 1).
+/// order (the caches are stacks).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Linear {
     weight: Param,
@@ -49,26 +49,6 @@ impl Linear {
         self.weight.rows
     }
 
-    /// The shared affine map `W x + b` for one sample, written into `out`
-    /// (resized to the output size): the per-vector training forward and
-    /// the scratch inference entry funnel through here.
-    fn affine_row_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(x.len(), self.weight.cols, "matvec dimension mismatch");
-        // No zero-fill: the kernel overwrites every element.
-        out.resize(self.weight.rows, 0.0);
-        matmul_nt(
-            x,
-            self.weight.value(),
-            1,
-            self.weight.rows,
-            self.weight.cols,
-            out,
-        );
-        for (yi, b) in out.iter_mut().zip(self.bias.value()) {
-            *yi += b;
-        }
-    }
-
     /// The shared affine map for a batch: `out = x W^T + b` row-wise, with
     /// `out` resized to `batch x output`.
     fn affine_batch_into(&self, x: &Tensor2, out: &mut Tensor2) {
@@ -82,7 +62,7 @@ impl Linear {
 
     /// Batched forward pass (one sample per row), caching the input batch
     /// for a later [`Linear::backward_batch`]. Row `i` of the result is
-    /// bit-identical to [`Linear::forward`]`(x.row(i))`.
+    /// bit-identical to [`Linear::infer_into`] on `x.row(i)`.
     ///
     /// # Panics
     ///
@@ -104,23 +84,10 @@ impl Linear {
         self.affine_batch_into(x, out);
     }
 
-    /// Forward pass, caching the input for a later backward pass (a thin
-    /// wrapper over batch-of-1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` does not match the input size.
-    pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
-        let mut y = Vec::new();
-        self.affine_row_into(x, &mut y);
-        self.cached_inputs.push(Tensor2::from_row(x));
-        y
-    }
-
     /// Forward pass without caching, written over the plain
     /// [`Param::matvec`] loop: the reference the kernel-backed paths
-    /// ([`Linear::forward`], [`Linear::infer_into`], the batched forms) are
-    /// tested bit for bit against; it is not a hot path.
+    /// ([`Linear::infer_into`], the batched forms) are tested bit for bit
+    /// against; it is not a hot path.
     ///
     /// # Panics
     ///
@@ -140,7 +107,20 @@ impl Linear {
     ///
     /// Panics if `x.len()` does not match the input size.
     pub fn infer_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        self.affine_row_into(x, out);
+        assert_eq!(x.len(), self.weight.cols, "matvec dimension mismatch");
+        // No zero-fill: the kernel overwrites every element.
+        out.resize(self.weight.rows, 0.0);
+        matmul_nt(
+            x,
+            self.weight.value(),
+            1,
+            self.weight.rows,
+            self.weight.cols,
+            out,
+        );
+        for (yi, b) in out.iter_mut().zip(self.bias.value()) {
+            *yi += b;
+        }
     }
 
     /// Batched backward pass for the most recent un-consumed forward call.
@@ -171,19 +151,6 @@ impl Linear {
             }
         }
         self.weight.matmul_batch_transposed(grad_output)
-    }
-
-    /// Backward pass for the most recent un-consumed forward call (a thin
-    /// wrapper over batch-of-1). Accumulates parameter gradients and
-    /// returns the gradient with respect to the input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there is no cached forward call to consume or the gradient
-    /// length does not match the output size.
-    pub fn backward(&mut self, grad_output: &[f64]) -> Vec<f64> {
-        self.backward_batch(&Tensor2::from_row(grad_output))
-            .into_flat()
     }
 
     /// Clears gradients and cached activations.
@@ -267,7 +234,7 @@ impl Mlp {
 
     /// Batched forward pass with caching for
     /// [`Mlp::backward_batch`]: one matmul per layer for the whole batch.
-    /// Row `i` is bit-identical to [`Mlp::forward`]`(x.row(i))`.
+    /// Row `i` is bit-identical to [`Mlp::infer`]`(x.row(i))`.
     pub fn forward_batch(&mut self, x: &Tensor2) -> Tensor2 {
         let n = self.layers.len();
         let mut activations: Vec<Tensor2> = Vec::with_capacity(n);
@@ -282,12 +249,6 @@ impl Mlp {
         let out = activations.last().expect("at least one layer").clone();
         self.cached_activations.push(activations);
         out
-    }
-
-    /// Forward pass with caching for backward (a thin wrapper over
-    /// batch-of-1).
-    pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
-        self.forward_batch(&Tensor2::from_row(x)).into_flat()
     }
 
     /// Forward pass without caching over [`Linear::forward_inference`]:
@@ -378,17 +339,6 @@ impl Mlp {
         grad
     }
 
-    /// Backward pass for the most recent un-consumed forward call (a thin
-    /// wrapper over batch-of-1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if there is no cached forward call.
-    pub fn backward(&mut self, grad_output: &[f64]) -> Vec<f64> {
-        self.backward_batch(&Tensor2::from_row(grad_output))
-            .into_flat()
-    }
-
     /// Clears gradients and cached activations of all layers.
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {
@@ -421,15 +371,20 @@ mod tests {
         ChaCha8Rng::seed_from_u64(7)
     }
 
+    /// One sample as a batch of one.
+    fn one(x: &[f64]) -> Tensor2 {
+        Tensor2::from_row(x)
+    }
+
     #[test]
     fn linear_shapes() {
         let mut l = Linear::new(4, 3, &mut rng());
         assert_eq!(l.input_size(), 4);
         assert_eq!(l.output_size(), 3);
         assert_eq!(l.num_parameters(), 15);
-        let y = l.forward(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(y.len(), 3);
-        assert_eq!(y, l.forward_inference(&[1.0, 2.0, 3.0, 4.0]));
+        let y = l.forward_batch(&one(&[1.0, 2.0, 3.0, 4.0]));
+        assert_eq!((y.rows(), y.cols()), (1, 3));
+        assert_eq!(y.data(), l.forward_inference(&[1.0, 2.0, 3.0, 4.0]));
     }
 
     #[test]
@@ -439,10 +394,10 @@ mod tests {
         let eps = 1e-6;
 
         // Loss = sum of outputs.
-        let y = l.forward(&x);
-        let _gx = l.backward(&[1.0, 1.0]);
+        let y = l.forward_batch(&one(&x));
+        let _gx = l.backward_batch(&one(&[1.0, 1.0]));
         let loss = |layer: &Linear, x: &[f64]| layer.forward_inference(x).iter().sum::<f64>();
-        let base = y.iter().sum::<f64>();
+        let base = y.data().iter().sum::<f64>();
 
         // Check a few weight entries.
         for (r, c) in [(0, 0), (1, 2), (0, 1)] {
@@ -466,8 +421,8 @@ mod tests {
         let mut l = Linear::new(3, 2, &mut rng());
         let x = vec![0.5, -1.0, 2.0];
         let eps = 1e-6;
-        let base: f64 = l.forward(&x).iter().sum();
-        let gx = l.backward(&[1.0, 1.0]);
+        let base: f64 = l.forward_batch(&one(&x)).data().iter().sum();
+        let gx = l.backward_batch(&one(&[1.0, 1.0])).into_flat();
         for i in 0..x.len() {
             let mut xp = x.clone();
             xp[i] += eps;
@@ -482,9 +437,9 @@ mod tests {
         assert_eq!(mlp.input_size(), 4);
         assert_eq!(mlp.output_size(), 3);
         let x = vec![0.1, -0.2, 0.3, 0.7];
-        let y = mlp.forward(&x);
-        assert_eq!(y.len(), 3);
-        let gx = mlp.backward(&[1.0, 0.0, -1.0]);
+        let y = mlp.forward_batch(&one(&x));
+        assert_eq!(y.cols(), 3);
+        let gx = mlp.backward_batch(&one(&[1.0, 0.0, -1.0])).into_flat();
         assert_eq!(gx.len(), 4);
 
         // Finite-difference check of the input gradient.
@@ -506,7 +461,7 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut l = Linear::new(2, 2, &mut rng());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            l.backward(&[1.0, 1.0]);
+            l.backward_batch(&one(&[1.0, 1.0]));
         }));
         assert!(result.is_err());
     }
@@ -515,10 +470,10 @@ mod tests {
     fn minibatch_backward_in_reverse_order() {
         // Two forward calls, two backward calls: gradients accumulate.
         let mut l = Linear::new(2, 1, &mut rng());
-        l.forward(&[1.0, 0.0]);
-        l.forward(&[0.0, 1.0]);
-        l.backward(&[1.0]);
-        l.backward(&[1.0]);
+        l.forward_batch(&one(&[1.0, 0.0]));
+        l.forward_batch(&one(&[0.0, 1.0]));
+        l.backward_batch(&one(&[1.0]));
+        l.backward_batch(&one(&[1.0]));
         let params = l.parameters_mut();
         // dW = [1,0] + [0,1] = [1,1]; db = 2.
         assert_eq!(params[0].grad(), [1.0, 1.0]);
@@ -572,13 +527,12 @@ mod tests {
         let mut serial = batched.clone();
         let out = batched.forward_batch(&batch);
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(out.row(i), serial.forward(row).as_slice(), "row {i}");
+            assert_eq!(out.row(i), serial.infer(row), "row {i}");
         }
         // The batched inference path agrees too.
         let inferred = batched.infer_batch(&batch).clone();
         assert_eq!(inferred, out);
         batched.zero_grad();
-        serial.zero_grad();
     }
 
     #[test]
@@ -607,11 +561,11 @@ mod tests {
         let gx_batched = batched.backward_batch(&g);
 
         for row in &rows {
-            serial.forward(row);
+            serial.forward_batch(&one(row));
         }
         let mut gx_serial: Vec<Vec<f64>> = Vec::new();
         for grad in grads.iter().rev() {
-            gx_serial.push(serial.backward(grad));
+            gx_serial.push(serial.backward_batch(&one(grad)).into_flat());
         }
         gx_serial.reverse();
         for (i, gs) in gx_serial.iter().enumerate() {
@@ -628,8 +582,8 @@ mod tests {
     #[test]
     fn zero_grad_clears_state() {
         let mut mlp = Mlp::new(&[2, 4, 2], true, &mut rng());
-        mlp.forward(&[1.0, 1.0]);
-        mlp.backward(&[1.0, 1.0]);
+        mlp.forward_batch(&one(&[1.0, 1.0]));
+        mlp.backward_batch(&one(&[1.0, 1.0]));
         mlp.zero_grad();
         assert!(mlp
             .parameters_mut()

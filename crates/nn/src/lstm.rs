@@ -8,11 +8,13 @@
 //!
 //! All state is batched: a time step is a row-major [`Tensor2`] with one
 //! sequence per row, so a batch of observations runs one blocked matmul per
-//! gate per step instead of one matvec per observation. The per-vector
-//! entry points are thin wrappers over batch-of-1 and remain bit-identical
-//! to the historical single-sample loops; `backward_batch` accumulates
-//! parameter gradients sample-major in reverse row order, exactly like a
-//! per-sample replay of [`Lstm::backward`] against stacked caches.
+//! gate per step instead of one matvec per observation, and training a
+//! single sequence is a batch of one. The per-vector inference entry points
+//! ([`Lstm::infer`], [`Lstm::infer_nonzeros`]) are bit-identical to the
+//! single-sample [`Lstm::forward_inference`] reference;
+//! [`Lstm::backward_params_batch`] accumulates parameter gradients
+//! sample-major in reverse row order, exactly like one-row calls replayed
+//! in reverse against stacked caches.
 //!
 //! The inputs are sparse — an observation vector is under 2 % dense and the
 //! first step's hidden state is all zeros — so each forward step lists the
@@ -208,8 +210,8 @@ impl Lstm {
     /// Runs the LSTM over a batched sequence (each element one time step,
     /// `batch x input` row-major), starting from zero state, and returns
     /// the final hidden states (`batch x hidden`). Caches everything needed
-    /// for [`Lstm::backward_batch`]. Row `b` is bit-identical to
-    /// [`Lstm::forward`] on row `b` of every step.
+    /// for [`Lstm::backward_params_batch`]. Row `b` is bit-identical to
+    /// [`Lstm::forward_inference`] on row `b` of every step.
     ///
     /// # Panics
     ///
@@ -230,23 +232,11 @@ impl Lstm {
         h
     }
 
-    /// Runs the LSTM over a sequence of input vectors, starting from zero
-    /// state, and returns the final hidden state (a thin wrapper over
-    /// batch-of-1). Caches everything needed for [`Lstm::backward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequence is empty or any input has the wrong size.
-    pub fn forward(&mut self, sequence: &[Vec<f64>]) -> Vec<f64> {
-        let steps: Vec<Tensor2> = sequence.iter().map(|x| Tensor2::from_row(x)).collect();
-        self.forward_batch(&steps).into_flat()
-    }
-
     /// Inference-only forward (no caching), written as the plain
     /// single-sample cell over [`Param::matvec`] — dense sequential loops,
     /// no tiling, no column lists. This is the reference every kernel-backed
-    /// path ([`Lstm::forward`], [`Lstm::infer`], the batched forms) is
-    /// tested bit for bit against; it is not a hot path.
+    /// path ([`Lstm::infer`], the batched forms) is tested bit for bit
+    /// against; it is not a hot path.
     ///
     /// # Panics
     ///
@@ -533,9 +523,9 @@ impl Lstm {
     /// Batched backpropagation through time for the most recent un-consumed
     /// forward call, given the gradients with respect to the final hidden
     /// states (`batch x hidden`). Accumulates parameter gradients
-    /// **sample-major in reverse row order** (bit-identical to replaying
-    /// [`Lstm::backward_params`] per sample against stacked caches). This
-    /// is the entry the networks call.
+    /// **sample-major in reverse row order** (bit-identical to one-row
+    /// calls replayed in reverse against stacked caches). This is the entry
+    /// the networks call.
     ///
     /// # Panics
     ///
@@ -543,16 +533,6 @@ impl Lstm {
     /// does not match.
     pub fn backward_params_batch(&mut self, grad_h_final: &Tensor2) {
         self.bptt(grad_h_final, false);
-    }
-
-    /// [`Lstm::backward_params_batch`] for one sequence (a thin wrapper
-    /// over batch-of-1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cached forward call is available.
-    pub fn backward_params(&mut self, grad_h_final: &[f64]) {
-        self.backward_params_batch(&Tensor2::from_row(grad_h_final));
     }
 
     /// [`Lstm::backward_params_batch`] that also returns the per-step
@@ -565,20 +545,6 @@ impl Lstm {
     /// does not match.
     pub fn backward_batch(&mut self, grad_h_final: &Tensor2) -> Vec<Tensor2> {
         self.bptt(grad_h_final, true)
-    }
-
-    /// [`Lstm::backward_batch`] for one sequence (a thin wrapper over
-    /// batch-of-1): accumulates parameter gradients and returns the
-    /// gradients with respect to the input sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cached forward call is available.
-    pub fn backward(&mut self, grad_h_final: &[f64]) -> Vec<Vec<f64>> {
-        self.backward_batch(&Tensor2::from_row(grad_h_final))
-            .into_iter()
-            .map(Tensor2::into_flat)
-            .collect()
     }
 
     /// Clears gradients and cached activations.
@@ -616,6 +582,19 @@ mod tests {
         ChaCha8Rng::seed_from_u64(11)
     }
 
+    /// One sequence as time steps of a batch of one.
+    fn one(sequence: &[Vec<f64>]) -> Vec<Tensor2> {
+        sequence.iter().map(|x| Tensor2::from_row(x)).collect()
+    }
+
+    /// One-row backward through time: the per-step input gradients.
+    fn backward_one(lstm: &mut Lstm, grad_h_final: &[f64]) -> Vec<Vec<f64>> {
+        lstm.backward_batch(&Tensor2::from_row(grad_h_final))
+            .into_iter()
+            .map(Tensor2::into_flat)
+            .collect()
+    }
+
     #[test]
     fn forward_shapes_and_determinism() {
         let mut lstm = Lstm::new(4, 6, &mut rng());
@@ -623,7 +602,7 @@ mod tests {
         assert_eq!(lstm.hidden_size(), 6);
         assert_eq!(lstm.num_parameters(), 4 * (6 * 4 + 36 + 6));
         let seq = vec![vec![0.1, 0.2, -0.3, 0.4], vec![1.0, -1.0, 0.5, 0.0]];
-        let h1 = lstm.forward(&seq);
+        let h1 = lstm.forward_batch(&one(&seq)).into_flat();
         let h2 = lstm.forward_inference(&seq);
         assert_eq!(h1.len(), 6);
         assert_eq!(h1, h2);
@@ -690,11 +669,11 @@ mod tests {
         let gx_batched = batched.backward_batch(&g);
 
         for seq in &sequences {
-            serial.forward(seq);
+            serial.forward_batch(&one(seq));
         }
         let mut gx_serial: Vec<Vec<Vec<f64>>> = Vec::new();
         for grad in grads.iter().rev() {
-            gx_serial.push(serial.backward(grad));
+            gx_serial.push(backward_one(&mut serial, grad));
         }
         gx_serial.reverse();
         for (b, gs) in gx_serial.iter().enumerate() {
@@ -712,8 +691,8 @@ mod tests {
     #[test]
     fn hidden_state_bounded_by_tanh() {
         let mut lstm = Lstm::new(3, 5, &mut rng());
-        let h = lstm.forward(&[vec![10.0, -10.0, 10.0]]);
-        assert!(h.iter().all(|v| v.abs() <= 1.0));
+        let h = lstm.forward_batch(&one(&[vec![10.0, -10.0, 10.0]]));
+        assert!(h.data().iter().all(|v| v.abs() <= 1.0));
     }
 
     #[test]
@@ -721,8 +700,8 @@ mod tests {
         let mut lstm = Lstm::new(3, 4, &mut rng());
         let seq = vec![vec![0.2, -0.4, 0.6], vec![-0.1, 0.3, 0.5]];
         // Loss = sum of final hidden state.
-        let base: f64 = lstm.forward(&seq).iter().sum();
-        let grad_x = lstm.backward(&[1.0; 4]);
+        let base: f64 = lstm.forward_batch(&one(&seq)).data().iter().sum();
+        let grad_x = backward_one(&mut lstm, &[1.0; 4]);
         let eps = 1e-6;
         for t in 0..seq.len() {
             for i in 0..3 {
@@ -742,8 +721,8 @@ mod tests {
     fn weight_gradient_matches_finite_difference() {
         let mut lstm = Lstm::new(2, 3, &mut rng());
         let seq = vec![vec![0.5, -0.2], vec![0.1, 0.9]];
-        let base: f64 = lstm.forward(&seq).iter().sum();
-        lstm.backward(&[1.0; 3]);
+        let base: f64 = lstm.forward_batch(&one(&seq)).data().iter().sum();
+        lstm.backward_params_batch(&Tensor2::from_row(&[1.0; 3]));
         let eps = 1e-6;
         // Check an entry of the input-gate W, the forget-gate U and the
         // output-gate bias.
@@ -764,14 +743,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "must not be empty")]
     fn empty_sequence_panics() {
-        Lstm::new(2, 2, &mut rng()).forward(&[]);
+        Lstm::new(2, 2, &mut rng()).forward_batch(&[]);
     }
 
     #[test]
     fn zero_grad_clears_everything() {
         let mut lstm = Lstm::new(2, 2, &mut rng());
-        lstm.forward(&[vec![1.0, 1.0]]);
-        lstm.backward(&[1.0, 1.0]);
+        lstm.forward_batch(&one(&[vec![1.0, 1.0]]));
+        lstm.backward_params_batch(&Tensor2::from_row(&[1.0, 1.0]));
         lstm.zero_grad();
         assert!(lstm
             .parameters_mut()

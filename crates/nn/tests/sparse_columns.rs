@@ -301,14 +301,14 @@ proptest! {
             }
         }
 
-        // Per-sample replay: forwards stacked in order, backwards popped
-        // in reverse.
+        // Per-sample replay: one-row forwards stacked in order, one-row
+        // backwards popped in reverse.
         lstm.zero_grad();
         for r in 0..m {
-            lstm.forward(&[steps[0].row(r).to_vec(), steps[1].row(r).to_vec()]);
+            lstm.forward_batch(&[Tensor2::from_row(steps[0].row(r)), Tensor2::from_row(steps[1].row(r))]);
         }
         for r in (0..m).rev() {
-            lstm.backward_params(grad_h.row(r));
+            lstm.backward_params_batch(&Tensor2::from_row(grad_h.row(r)));
         }
         prop_assert_eq!(lstm_grads(&mut lstm), reference.grads());
     }

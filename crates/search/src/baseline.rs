@@ -8,7 +8,7 @@ use mlir_rl_baselines::{evaluate, mlir_baseline_time, Baseline};
 use mlir_rl_env::OptimizationEnv;
 use mlir_rl_ir::Module;
 
-use crate::searcher::{SearchOutcome, Searcher};
+use crate::searcher::{SearchOutcome, Searcher, StopToken};
 
 /// Wraps a [`Baseline`] scheduler (vendor library, Mullapudi, Halide RL) as
 /// a [`Searcher`]. The baseline produces one schedule per module with its
@@ -37,12 +37,14 @@ where
         self.baseline.name()
     }
 
-    fn search(
+    fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,
         _policy: &mut P,
         module: &Module,
         _seed: u64,
+        _rank: usize,
+        _stop: &StopToken,
     ) -> SearchOutcome {
         let machine = env.cost_model().machine().clone();
         let result = self.baseline.optimize(module);

@@ -69,34 +69,10 @@ impl<P: PolicyModel> Searcher<P> for BeamSearch {
         format!("beam-{}", self.width)
     }
 
-    fn search(
-        &self,
-        env: &mut OptimizationEnv,
-        policy: &mut P,
-        module: &Module,
-        seed: u64,
-    ) -> SearchOutcome {
-        self.run(env, policy, module, seed, 0, &StopToken::new())
-    }
-
-    fn search_with_stop(
-        &self,
-        env: &mut OptimizationEnv,
-        policy: &mut P,
-        module: &Module,
-        seed: u64,
-        rank: usize,
-        stop: &StopToken,
-    ) -> SearchOutcome {
-        self.run(env, policy, module, seed, rank, stop)
-    }
-}
-
-impl BeamSearch {
     /// The search body. `stop` is checked between depths: a claim by a
     /// lower rank ends the search with the best schedule found so far
     /// (never worse than the greedy seed); a fresh token never fires.
-    fn run<P: PolicyModel>(
+    fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,
         policy: &mut P,

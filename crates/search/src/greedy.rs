@@ -10,7 +10,7 @@ use mlir_rl_obs::EventKind;
 
 use crate::searcher::{
     finish_outcome, max_episode_steps, reseed_for_search, BestFound, LookupMeter, SearchOutcome,
-    Searcher,
+    Searcher, StopToken,
 };
 
 /// Greedy decoding: one episode taking the policy's most probable action at
@@ -75,12 +75,14 @@ impl<P: PolicyModel> Searcher<P> for GreedyPolicy {
         "greedy-policy".to_string()
     }
 
-    fn search(
+    fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,
         policy: &mut P,
         module: &Module,
         seed: u64,
+        _rank: usize,
+        _stop: &StopToken,
     ) -> SearchOutcome {
         let meter = LookupMeter::start(env);
         reseed_for_search(env, seed);

@@ -1,7 +1,7 @@
 //! Monte-Carlo tree search with policy priors (PUCT) and cost-model
 //! playouts.
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use mlir_rl_agent::PolicyModel;
@@ -36,31 +36,19 @@ pub struct Mcts {
     pub branch: usize,
     /// PUCT exploration constant `c`.
     pub exploration: f64,
-    /// Exploration tuning knobs (AlphaZero-style root noise and value
-    /// normalization). The defaults disable both, preserving the
-    /// historical seeded-deterministic behavior bit for bit.
+    /// Progressive-widening tuning. The default disables it, preserving
+    /// the plain PUCT search bit for bit.
     pub tuning: MctsConfig,
 }
 
-/// Tuning knobs for [`Mcts`] beyond the core PUCT parameters.
+/// Progressive widening for [`Mcts`], the one tuning knob beyond the core
+/// PUCT parameters.
 ///
-/// Both knobs default to **off**, and when off the searcher consumes the
-/// RNG and evaluates the tree exactly as it did before they existed — the
-/// default-configured outcome is bitwise unchanged (tested).
+/// It defaults to **off**, and when off the searcher evaluates the tree
+/// exactly as it did before the knob existed — the default-configured
+/// outcome is bitwise unchanged (tested).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MctsConfig {
-    /// Weight of the Dirichlet noise mixed into the **root** priors:
-    /// `prior' = (1 - eps) * prior + eps * noise`. `0.0` disables the
-    /// noise entirely (no RNG is consumed).
-    pub dirichlet_epsilon: f64,
-    /// Concentration of the root Dirichlet noise (AlphaZero uses values
-    /// around `0.3` for chess-sized branching factors).
-    pub dirichlet_alpha: f64,
-    /// Min-max normalization of the exploitation term: `Q` values are
-    /// rescaled to `[0, 1]` over the range seen so far before being
-    /// compared against the exploration bonus, so the PUCT constant keeps
-    /// working when log-speedup magnitudes vary wildly across modules.
-    pub value_normalization: bool,
     /// Progressive-widening coefficient `c`: a node with `v` visits may
     /// select among its first `⌈c·v^alpha⌉` prior-ranked edges (clamped to
     /// `[1, branch]`), so the effective branching factor *grows with visit
@@ -77,9 +65,6 @@ pub struct MctsConfig {
 impl Default for MctsConfig {
     fn default() -> Self {
         Self {
-            dirichlet_epsilon: 0.0,
-            dirichlet_alpha: 0.3,
-            value_normalization: false,
             widening_c: 0.0,
             widening_alpha: 0.5,
         }
@@ -104,7 +89,7 @@ impl MctsConfig {
 
 impl Mcts {
     /// Creates an MCTS searcher with the given iteration budget, branching
-    /// factor 4, exploration constant 1.4 and all tuning knobs off.
+    /// factor 4, exploration constant 1.4 and progressive widening off.
     pub fn new(iterations: usize) -> Self {
         Self {
             iterations: iterations.max(1),
@@ -120,20 +105,6 @@ impl Mcts {
         self
     }
 
-    /// Enables Dirichlet root noise with the given mixing weight and
-    /// concentration (deterministic in the search seed).
-    pub fn with_root_noise(mut self, epsilon: f64, alpha: f64) -> Self {
-        self.tuning.dirichlet_epsilon = epsilon.clamp(0.0, 1.0);
-        self.tuning.dirichlet_alpha = alpha.max(1e-6);
-        self
-    }
-
-    /// Enables min-max normalization of the exploitation term.
-    pub fn with_value_normalization(mut self) -> Self {
-        self.tuning.value_normalization = true;
-        self
-    }
-
     /// Enables progressive widening: a node with `v` visits selects among
     /// its first `⌈c·v^alpha⌉` prior-ranked edges (clamped to the branch
     /// width). Pass `c = 0.0` to disable again.
@@ -142,42 +113,6 @@ impl Mcts {
         self.tuning.widening_alpha = alpha.max(0.0);
         self
     }
-}
-
-/// Samples `Gamma(alpha, 1)` via Marsaglia–Tsang (with the standard
-/// `alpha < 1` boost), driven by uniform draws from the search RNG so the
-/// noise is deterministic in the seed.
-fn sample_gamma(alpha: f64, rng: &mut ChaCha8Rng) -> f64 {
-    if alpha < 1.0 {
-        let boost = rng.gen_range(f64::EPSILON..1.0f64).powf(1.0 / alpha);
-        return sample_gamma(alpha + 1.0, rng) * boost;
-    }
-    let d = alpha - 1.0 / 3.0;
-    let c = 1.0 / (3.0 * d.sqrt());
-    loop {
-        // Standard normal via Box–Muller.
-        let u1 = rng.gen_range(f64::EPSILON..1.0f64);
-        let u2 = rng.gen_range(0.0..1.0f64);
-        let x = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        let v = (1.0 + c * x).powi(3);
-        if v <= 0.0 {
-            continue;
-        }
-        let u = rng.gen_range(f64::EPSILON..1.0f64);
-        if u < 1.0 - 0.0331 * x.powi(4) || u.ln() < 0.5 * x * x + d * (1.0 - v + v.ln()) {
-            return d * v;
-        }
-    }
-}
-
-/// A Dirichlet(`alpha`, ..., `alpha`) draw of dimension `n`.
-fn sample_dirichlet(alpha: f64, n: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
-    let gammas: Vec<f64> = (0..n).map(|_| sample_gamma(alpha, rng)).collect();
-    let total: f64 = gammas.iter().sum();
-    if total <= 0.0 {
-        return vec![1.0 / n.max(1) as f64; n];
-    }
-    gammas.into_iter().map(|g| g / total).collect()
 }
 
 impl Default for Mcts {
@@ -217,35 +152,11 @@ impl<P: PolicyModel> Searcher<P> for Mcts {
         format!("mcts-{}", self.iterations)
     }
 
-    fn search(
-        &self,
-        env: &mut OptimizationEnv,
-        policy: &mut P,
-        module: &Module,
-        seed: u64,
-    ) -> SearchOutcome {
-        self.run(env, policy, module, seed, 0, &StopToken::new())
-    }
-
-    fn search_with_stop(
-        &self,
-        env: &mut OptimizationEnv,
-        policy: &mut P,
-        module: &Module,
-        seed: u64,
-        rank: usize,
-        stop: &StopToken,
-    ) -> SearchOutcome {
-        self.run(env, policy, module, seed, rank, stop)
-    }
-}
-
-impl Mcts {
     /// The search body. `stop` is checked between iterations: a claim by a
     /// lower rank ends the search with its best-so-far (the racing-loser
     /// wind-down); a fresh token never fires, which is the plain
     /// [`Searcher::search`] path.
-    fn run<P: PolicyModel>(
+    fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,
         policy: &mut P,
@@ -259,9 +170,6 @@ impl Mcts {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut nodes_expanded = 0usize;
         let max_steps = max_episode_steps(env, module);
-
-        let mut value_min = f64::INFINITY;
-        let mut value_max = f64::NEG_INFINITY;
 
         let root_obs = env.reset(module.clone());
         // The noise-free estimate of the empty schedule is both the
@@ -324,22 +232,6 @@ impl Mcts {
                             child: None,
                         })
                         .collect();
-                    // Dirichlet root noise (AlphaZero-style): mix a
-                    // deterministic-in-seed Dirichlet draw into the root
-                    // priors so repeated searches explore beyond the
-                    // policy's favorite actions. Off (the default) consumes
-                    // no RNG and leaves the priors untouched.
-                    let eps = self.tuning.dirichlet_epsilon;
-                    if node == 0 && eps > 0.0 && arena[node].edges.len() > 1 {
-                        let noise = sample_dirichlet(
-                            self.tuning.dirichlet_alpha,
-                            arena[node].edges.len(),
-                            &mut rng,
-                        );
-                        for (edge, d) in arena[node].edges.iter_mut().zip(noise) {
-                            edge.prior = (1.0 - eps) * edge.prior + eps * d;
-                        }
-                    }
                     arena[node].expanded = true;
                 }
                 // PUCT over the edges; ties break toward the lower index.
@@ -365,18 +257,6 @@ impl Mcts {
                     let (q, child_visits) = match edge.child {
                         Some(c) => (arena[c].mean_value(), arena[c].visits),
                         None => (0.0, 0.0),
-                    };
-                    // Min-max value normalization: rescale visited Q values
-                    // to [0, 1] over the value range seen so far, so the
-                    // exploration constant is comparable across modules
-                    // whose log-speedups differ by orders of magnitude.
-                    let q = if self.tuning.value_normalization
-                        && child_visits > 0.0
-                        && value_max > value_min
-                    {
-                        (q - value_min) / (value_max - value_min)
-                    } else {
-                        q
                     };
                     let u =
                         self.exploration * edge.prior * parent_visits.sqrt() / (1.0 + child_visits);
@@ -444,8 +324,6 @@ impl Mcts {
             };
 
             // --- Backpropagation ----------------------------------------
-            value_min = value_min.min(value);
-            value_max = value_max.max(value);
             for &n in &path {
                 arena[n].visits += 1.0;
                 arena[n].value_sum += value;

@@ -463,21 +463,6 @@ impl<P: PolicyModel> Searcher<P> for Portfolio<P> {
         }
     }
 
-    fn search(
-        &self,
-        env: &mut OptimizationEnv,
-        policy: &mut P,
-        module: &Module,
-        seed: u64,
-    ) -> SearchOutcome {
-        if self.members.is_empty() {
-            return self.empty_outcome(env, module);
-        }
-        // A standalone search runs under a token that never fires, so the
-        // stop-threaded paths behave exactly like unstoppable ones.
-        self.search_with_stop(env, policy, module, seed, 0, &StopToken::new())
-    }
-
     fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,

@@ -106,35 +106,11 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
         format!("random-{}", self.episodes)
     }
 
-    fn search(
-        &self,
-        env: &mut OptimizationEnv,
-        policy: &mut P,
-        module: &Module,
-        seed: u64,
-    ) -> SearchOutcome {
-        self.run(env, policy, module, seed, 0, &StopToken::new())
-    }
-
-    fn search_with_stop(
-        &self,
-        env: &mut OptimizationEnv,
-        policy: &mut P,
-        module: &Module,
-        seed: u64,
-        rank: usize,
-        stop: &StopToken,
-    ) -> SearchOutcome {
-        self.run(env, policy, module, seed, rank, stop)
-    }
-}
-
-impl RandomSearch {
     /// The search body. `stop` is checked between episodes: a claim by a
     /// lower rank ends the search with the best schedule found so far; a
     /// fresh token never fires. The first episode always runs (it scores
     /// the baseline the outcome is reported against).
-    fn run<P: PolicyModel>(
+    fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,
         policy: &mut P,

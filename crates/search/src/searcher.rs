@@ -225,22 +225,13 @@ pub trait Searcher<P: PolicyModel>: Send + Sync {
     fn name(&self) -> String;
 
     /// Searches the schedule space of `module` and returns the best
-    /// schedule found.
-    fn search(
-        &self,
-        env: &mut OptimizationEnv,
-        policy: &mut P,
-        module: &Module,
-        seed: u64,
-    ) -> SearchOutcome;
-
-    /// Like [`Searcher::search`], but cooperatively interruptible: the
-    /// search runs as member `rank` of a racing portfolio and should check
+    /// schedule found, cooperatively interruptible: the search runs as
+    /// member `rank` of a racing portfolio and should check
     /// `stop.stops(rank)` at its iteration boundaries, finishing early with
     /// its best-so-far when a lower-ranked member has claimed the race
-    /// target. The default ignores the token and runs the full search —
-    /// correct for atomic searchers (greedy decoding, the baseline
-    /// adapters) whose one episode cannot meaningfully be cut short.
+    /// target. Atomic searchers (greedy decoding, the baseline adapters),
+    /// whose one episode cannot meaningfully be cut short, ignore the
+    /// token.
     fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,
@@ -249,9 +240,18 @@ pub trait Searcher<P: PolicyModel>: Send + Sync {
         seed: u64,
         rank: usize,
         stop: &StopToken,
+    ) -> SearchOutcome;
+
+    /// Searches the schedule space of `module` on its own: rank 0 under a
+    /// fresh token, which never fires.
+    fn search(
+        &self,
+        env: &mut OptimizationEnv,
+        policy: &mut P,
+        module: &Module,
+        seed: u64,
     ) -> SearchOutcome {
-        let _ = (rank, stop);
-        self.search(env, policy, module, seed)
+        self.search_with_stop(env, policy, module, seed, 0, &StopToken::new())
     }
 }
 
@@ -261,16 +261,6 @@ pub trait Searcher<P: PolicyModel>: Send + Sync {
 impl<P: PolicyModel, S: Searcher<P> + ?Sized> Searcher<P> for &S {
     fn name(&self) -> String {
         (**self).name()
-    }
-
-    fn search(
-        &self,
-        env: &mut OptimizationEnv,
-        policy: &mut P,
-        module: &Module,
-        seed: u64,
-    ) -> SearchOutcome {
-        (**self).search(env, policy, module, seed)
     }
 
     fn search_with_stop(

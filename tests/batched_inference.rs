@@ -1,9 +1,10 @@
-//! Property tests for the batched tensor inference engine: every batched
-//! path (`forward_batch` / `infer_batch` / `backward_batch` on all three
-//! layer types, the batched policy/value heads, the batched PPO update and
-//! the batched candidate ranking) must be **bit-for-bit identical** to the
-//! per-vector loops it replaced — batching is a throughput knob, never a
-//! numerics change.
+//! Property tests for the batched tensor engine: every batched path
+//! (`forward_batch` / `infer_batch` / `backward_batch` on all three layer
+//! types, the batched policy/value heads, the batched PPO update and the
+//! batched candidate ranking) must be **bit-for-bit identical** to the same
+//! work done as k calls of one row each, replayed backwards against the
+//! stacked caches, and to the plain-loop `forward_inference` oracles —
+//! batching is a throughput knob, never a numerics change.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -27,9 +28,10 @@ fn random_rows(rows: usize, cols: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<f64>> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Linear`: batched forward/inference rows and batched backward
-    /// (input gradients and accumulated parameter gradients) are bitwise
-    /// equal to a serial per-sample loop in stack-replay order.
+    /// `Linear`: batched forward/inference rows are bitwise equal to the
+    /// row kernel (`infer_into`), and batched backward (input gradients and
+    /// accumulated parameter gradients) to one-row calls in stack-replay
+    /// order.
     #[test]
     fn linear_batch_paths_match_serial(
         input in 1usize..24, output in 1usize..24, batch in 1usize..10, seed in 0u64..512,
@@ -46,15 +48,19 @@ proptest! {
         let mut infer_out = Tensor2::zeros(0, 0);
         batched.infer_batch_into(&x, &mut infer_out);
         prop_assert_eq!(&fwd, &infer_out);
+        let mut row_out = Vec::new();
         for (i, row) in rows.iter().enumerate() {
-            prop_assert_eq!(fwd.row(i), serial.forward(row).as_slice());
+            serial.infer_into(row, &mut row_out);
+            prop_assert_eq!(fwd.row(i), row_out.as_slice());
+            serial.forward_batch(&Tensor2::from_row(row));
         }
 
         let gx = batched.backward_batch(&g);
-        let mut gx_serial: Vec<Vec<f64>> = grads.iter().rev().map(|gr| serial.backward(gr)).collect();
+        let mut gx_serial: Vec<Tensor2> =
+            grads.iter().rev().map(|gr| serial.backward_batch(&Tensor2::from_row(gr))).collect();
         gx_serial.reverse();
         for (i, gs) in gx_serial.iter().enumerate() {
-            prop_assert_eq!(gx.row(i), gs.as_slice());
+            prop_assert_eq!(gx.row(i), gs.data());
         }
         let pb = batched.parameters_mut();
         let ps = serial.parameters_mut();
@@ -82,15 +88,16 @@ proptest! {
         let inferred = batched.infer_batch(&x).clone();
         prop_assert_eq!(&fwd, &inferred);
         for (i, row) in rows.iter().enumerate() {
-            prop_assert_eq!(fwd.row(i), serial.forward(row).as_slice());
+            prop_assert_eq!(fwd.row(i), serial.forward_batch(&Tensor2::from_row(row)).data());
             prop_assert_eq!(fwd.row(i), serial.forward_inference(row).as_slice());
         }
 
         let gx = batched.backward_batch(&g);
-        let mut gx_serial: Vec<Vec<f64>> = grads.iter().rev().map(|gr| serial.backward(gr)).collect();
+        let mut gx_serial: Vec<Tensor2> =
+            grads.iter().rev().map(|gr| serial.backward_batch(&Tensor2::from_row(gr))).collect();
         gx_serial.reverse();
         for (i, gs) in gx_serial.iter().enumerate() {
-            prop_assert_eq!(gx.row(i), gs.as_slice());
+            prop_assert_eq!(gx.row(i), gs.data());
         }
         let pb = batched.parameters_mut();
         let ps = serial.parameters_mut();
@@ -130,14 +137,15 @@ proptest! {
         let g = Tensor2::from_rows(hidden, grads.iter().map(Vec::as_slice));
         let gx = batched.backward_batch(&g);
         for seq in &sequences {
-            serial.forward(seq);
+            let one_row: Vec<Tensor2> = seq.iter().map(|x| Tensor2::from_row(x)).collect();
+            serial.forward_batch(&one_row);
         }
-        let mut gx_serial: Vec<Vec<Vec<f64>>> =
-            grads.iter().rev().map(|gr| serial.backward(gr)).collect();
+        let mut gx_serial: Vec<Vec<Tensor2>> =
+            grads.iter().rev().map(|gr| serial.backward_batch(&Tensor2::from_row(gr))).collect();
         gx_serial.reverse();
         for (b, gs) in gx_serial.iter().enumerate() {
             for (t, gt) in gs.iter().enumerate() {
-                prop_assert_eq!(gx[t].row(b), gt.as_slice());
+                prop_assert_eq!(gx[t].row(b), gt.data());
             }
         }
         let pb = batched.parameters_mut();
@@ -180,9 +188,9 @@ fn hyper() -> PolicyHyperparams {
     }
 }
 
-/// A policy wrapper that exposes only the per-sample `PolicyModel` methods,
-/// so every batched trait method falls back to the default per-sample
-/// loops — i.e. the exact pre-refactor stacked-replay code path.
+/// A policy whose batched trait methods run a minibatch as k calls of one
+/// (`evaluate` forwards, then `backward` in reverse against the stacked
+/// caches): the reference the batched update is held against.
 #[derive(Clone)]
 struct SerialPolicy(PolicyNetwork);
 
@@ -195,30 +203,33 @@ impl PolicyModel for SerialPolicy {
     ) -> ActionRecord {
         self.0.select_action(obs, greedy, rng)
     }
-    fn evaluate(&mut self, obs: &Observation, record: &ActionRecord) -> (f64, f64) {
-        self.0.evaluate(obs, record)
-    }
-    fn backward(
-        &mut self,
-        obs: &Observation,
-        record: &ActionRecord,
-        coeff_logprob: f64,
-        coeff_entropy: f64,
-    ) {
-        self.0.backward(obs, record, coeff_logprob, coeff_entropy);
-    }
     fn zero_grad(&mut self) {
         self.0.zero_grad();
     }
     fn parameters_mut(&mut self) -> Vec<&mut mlir_rl_nn::Param> {
         self.0.parameters_mut()
     }
+    fn evaluate_batch(
+        &mut self,
+        _batch: &ObservationBatch,
+        items: &[(&Observation, &ActionRecord)],
+    ) -> Vec<(f64, f64)> {
+        items
+            .iter()
+            .map(|(obs, record)| self.0.evaluate(obs, record))
+            .collect()
+    }
+    fn backward_batch(&mut self, items: &[(&Observation, &ActionRecord)], coeffs: &[(f64, f64)]) {
+        for ((obs, record), (coeff_logprob, coeff_entropy)) in items.iter().zip(coeffs).rev() {
+            self.0.backward(obs, record, *coeff_logprob, *coeff_entropy);
+        }
+    }
 }
 
 /// The batched PPO update (one blocked matmul per layer per minibatch) is
-/// bit-identical to the pre-refactor per-sample replay path: two trainers
-/// that differ only in whether the policy overrides the batched trait
-/// methods end up with bitwise-equal parameters and iteration statistics.
+/// bit-identical to the same update run as k calls of one: two trainers
+/// that differ only in how the policy splits a minibatch end up with
+/// bitwise-equal parameters and iteration statistics.
 #[test]
 fn ppo_batched_update_is_bit_identical_to_per_sample_replay() {
     let config = EnvConfig::small();
@@ -262,9 +273,9 @@ fn ppo_batched_update_is_bit_identical_to_per_sample_replay() {
     }
 }
 
-/// The value network's batched paths are bitwise equal to the per-sample
-/// ones, and batched backward accumulates the same gradients as the
-/// reverse-order replay.
+/// The value network's batched paths are bitwise equal to one-row calls
+/// and to the `predict` oracle, and batched backward accumulates the same
+/// gradients as the reverse-order one-row replay.
 #[test]
 fn value_network_batch_paths_match_serial() {
     let config = EnvConfig::small();
@@ -279,7 +290,12 @@ fn value_network_batch_paths_match_serial() {
     let predicted = batched.predict_batch(&batch);
     assert_eq!(values, predicted);
     for (obs, v) in observations.iter().zip(&values) {
-        assert_eq!(*v, serial.forward(obs), "per-observation value");
+        let one_row = ObservationBatch::from_observations(std::iter::once(obs));
+        assert_eq!(
+            [*v],
+            *serial.forward_batch(&one_row),
+            "per-observation value"
+        );
         assert_eq!(*v, serial.predict(obs));
         assert_eq!(*v, serial.predict_fast(obs));
     }
@@ -291,7 +307,7 @@ fn value_network_batch_paths_match_serial() {
         .collect();
     batched.backward_batch(&grads);
     for g in grads.iter().rev() {
-        serial.backward(*g);
+        serial.backward_batch(&[*g]);
     }
     let pb = batched.parameters_mut();
     let ps = serial.parameters_mut();
@@ -335,7 +351,7 @@ fn rank_actions_batch_matches_looped_rank_actions() {
 }
 
 /// The multi-discrete policy's batched evaluate/backward agree bitwise with
-/// the per-sample path on the same sampled actions.
+/// the batch-of-one `evaluate` / `backward` on the same sampled actions.
 #[test]
 fn policy_evaluate_batch_matches_serial_evaluate() {
     let config = EnvConfig::small();
