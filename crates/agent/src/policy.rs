@@ -17,12 +17,14 @@
 //!   process of Appendix B expressed as a Plackett–Luce distribution over
 //!   permutations. This covers all `N!` permutations with only `N` outputs.
 
+use std::borrow::Cow;
+
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use mlir_rl_env::{
-    Action, EnvConfig, InterchangeMode, InterchangeSpec, Observation, ObservationBatch,
+    Action, ActionMask, EnvConfig, InterchangeMode, InterchangeSpec, Observation, ObservationBatch,
 };
 use mlir_rl_nn::{Linear, Lstm, MaskedCategorical, Mlp, Param, Scratch, Tensor2};
 use mlir_rl_transforms::TransformationKind;
@@ -90,9 +92,10 @@ pub struct PolicyNetwork {
     parallelization_head: Linear,
     fusion_head: Linear,
     interchange_head: Linear,
-    /// Reusable head-logit buffers for [`PolicyNetwork::select_action`].
+    /// Reusable batch-1 decoding buffers for [`PolicyNetwork::select_action`]
+    /// and [`PolicyNetwork::rank_actions`].
     #[serde(skip)]
-    head_scratch: Scratch<HeadOutputs>,
+    head_scratch: Scratch<DecodeHeads>,
     /// Batched head outputs of pending [`PolicyNetwork::evaluate_batch`]
     /// calls, consumed by [`PolicyNetwork::backward_batch`].
     #[serde(skip)]
@@ -118,6 +121,62 @@ struct HeadOutputs {
     parallelization: Vec<f64>,
     fusion: Vec<f64>,
     interchange: Vec<f64>,
+}
+
+/// The heads [`PolicyNetwork::decide`] may read after the transformation
+/// head, in the order of [`DecodeHeads::ready`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Head {
+    Tiling,
+    Parallelization,
+    Fusion,
+    Interchange,
+}
+
+impl Head {
+    /// The tile-size head of a tiled transformation kind.
+    fn tiles_of(kind: TransformationKind) -> Self {
+        match kind {
+            TransformationKind::TiledParallelization => Self::Parallelization,
+            TransformationKind::TiledFusion => Self::Fusion,
+            _ => Self::Tiling,
+        }
+    }
+}
+
+/// The head logits one decision reads. A decision reads the
+/// transformation head and then at most one other: the chosen tiled kind's
+/// tile head or the interchange head. Batch-1 decoding therefore computes
+/// the backbone output and the transformation head up front and each other
+/// head on its first read ([`PolicyNetwork::head_logits`]); a row of a
+/// batched frontier arrives with every head computed.
+#[derive(Debug, Clone, Default)]
+struct DecodeHeads {
+    /// The backbone output the heads are computed from (batch-1 only).
+    z: Vec<f64>,
+    logits: HeadOutputs,
+    /// Whether each [`Head`]'s logits are this observation's.
+    ready: [bool; 4],
+}
+
+impl DecodeHeads {
+    /// Every head already computed, as a batched row is.
+    fn complete(logits: HeadOutputs) -> Self {
+        Self {
+            z: Vec::new(),
+            logits,
+            ready: [true; 4],
+        }
+    }
+}
+
+/// Level `level`'s tile-size mask, borrowed from the observation's mask; a
+/// level the mask does not list allows all `m` candidates.
+fn level_tile_mask(mask: &ActionMask, level: usize, m: usize) -> Cow<'_, [bool]> {
+    match mask.tile_sizes.get(level) {
+        Some(allowed) => Cow::Borrowed(allowed),
+        None => Cow::Owned(vec![true; m]),
+    }
 }
 
 /// Per-head logits of one **batched** forward pass: one row per
@@ -274,18 +333,38 @@ impl PolicyNetwork {
         self.parameters_mut().iter().map(|p| p.len()).sum()
     }
 
-    /// Allocation-free inference forward pass into reusable buffers
-    /// (bit-identical to the layers' `forward_inference` oracles).
-    fn infer_heads(&mut self, obs: &Observation, out: &mut HeadOutputs) {
+    /// Allocation-free batch-1 inference into reusable buffers: the
+    /// backbone output and the transformation head, with every other head
+    /// left to [`PolicyNetwork::head_logits`] (bit-identical to the layers'
+    /// `forward_inference` oracles).
+    fn infer_heads(&mut self, obs: &Observation, out: &mut DecodeHeads) {
         let embedding = embed_observation(&mut self.lstm, obs);
         let z = self.backbone.infer(embedding);
+        out.z.clear();
+        out.z.extend_from_slice(z);
         self.transformation_head
-            .infer_into(z, &mut out.transformation);
-        self.tiling_head.infer_into(z, &mut out.tiling);
-        self.parallelization_head
-            .infer_into(z, &mut out.parallelization);
-        self.fusion_head.infer_into(z, &mut out.fusion);
-        self.interchange_head.infer_into(z, &mut out.interchange);
+            .infer_into(z, &mut out.logits.transformation);
+        out.ready = [false; 4];
+    }
+
+    /// `head`'s logits, computed from the kept backbone output on the
+    /// first read.
+    fn head_logits<'h>(&self, heads: &'h mut DecodeHeads, head: Head) -> &'h [f64] {
+        let (layer, logits) = match head {
+            Head::Tiling => (&self.tiling_head, &mut heads.logits.tiling),
+            Head::Parallelization => (
+                &self.parallelization_head,
+                &mut heads.logits.parallelization,
+            ),
+            Head::Fusion => (&self.fusion_head, &mut heads.logits.fusion),
+            Head::Interchange => (&self.interchange_head, &mut heads.logits.interchange),
+        };
+        let ready = &mut heads.ready[head as usize];
+        if !*ready {
+            layer.infer_into(&heads.z, logits);
+            *ready = true;
+        }
+        logits
     }
 
     /// Batched training-mode forward pass over a packed observation batch:
@@ -344,17 +423,17 @@ impl PolicyNetwork {
     ) -> ActionRecord {
         // Temporarily take the scratch so `decide` can borrow `self`
         // immutably while reading the logits.
-        let mut outputs = std::mem::take(&mut self.head_scratch).0;
-        self.infer_heads(obs, &mut outputs);
-        let record = self.decide(obs, &outputs, greedy, rng);
-        self.head_scratch = Scratch(outputs);
+        let mut heads = std::mem::take(&mut self.head_scratch).0;
+        self.infer_heads(obs, &mut heads);
+        let record = self.decide(obs, &mut heads, greedy, rng);
+        self.head_scratch = Scratch(heads);
         record
     }
 
     fn decide<R: Rng>(
         &self,
         obs: &Observation,
-        outputs: &HeadOutputs,
+        heads: &mut DecodeHeads,
         greedy: bool,
         rng: &mut R,
     ) -> ActionRecord {
@@ -364,7 +443,7 @@ impl PolicyNetwork {
 
         // 1. Transformation selection.
         let kind_dist =
-            MaskedCategorical::new(&outputs.transformation, mask.transformation.as_ref());
+            MaskedCategorical::new(&heads.logits.transformation, mask.transformation.as_ref());
         let kind_index = if greedy {
             kind_dist.argmax()
         } else {
@@ -380,18 +459,13 @@ impl PolicyNetwork {
 
         // 2. Parameters of the selected transformation.
         if kind.is_tiled() {
-            let logits = Self::tile_head_logits(outputs, kind);
+            let logits = self.head_logits(heads, Head::tiles_of(kind));
             for level in 0..n {
                 // Operations deeper than `max_loops` share the last head row
                 // (the representation is truncated to `max_loops` anyway).
                 let head_level = level.min(self.env_config.max_loops - 1);
                 let level_logits = &logits[head_level * m..(head_level + 1) * m];
-                let level_mask = mask
-                    .tile_sizes
-                    .get(level)
-                    .cloned()
-                    .unwrap_or_else(|| vec![true; m]);
-                let dist = MaskedCategorical::new(level_logits, &level_mask);
+                let dist = MaskedCategorical::new(level_logits, &level_tile_mask(mask, level, m));
                 let idx = if greedy {
                     dist.argmax()
                 } else {
@@ -402,11 +476,11 @@ impl PolicyNetwork {
                 tile_indices.push(idx);
             }
         } else if kind == TransformationKind::Interchange {
+            let interchange = self.head_logits(heads, Head::Interchange);
             match self.env_config.interchange_mode {
                 InterchangeMode::EnumeratedCandidates => {
                     let num_candidates = mask.interchange_candidates.len();
-                    let logits =
-                        &outputs.interchange[..num_candidates.min(outputs.interchange.len())];
+                    let logits = &interchange[..num_candidates.min(interchange.len())];
                     let dist = MaskedCategorical::new(
                         logits,
                         &mask.interchange_candidates[..logits.len()],
@@ -421,8 +495,8 @@ impl PolicyNetwork {
                     interchange_candidate = Some(idx);
                 }
                 InterchangeMode::LevelPointers => {
-                    let head_len = n.min(outputs.interchange.len());
-                    let logits = &outputs.interchange[..head_len];
+                    let head_len = n.min(interchange.len());
+                    let logits = &interchange[..head_len];
                     let (mut perm, lp, ent) = sample_permutation(logits, greedy, rng);
                     // Loops beyond the head width keep their positions.
                     perm.extend(head_len..n);
@@ -584,12 +658,12 @@ impl PolicyNetwork {
         k: usize,
         rng: &mut ChaCha8Rng,
     ) -> Vec<ActionRecord> {
-        let mut outputs = std::mem::take(&mut self.head_scratch).0;
-        self.infer_heads(obs, &mut outputs);
+        let mut heads = std::mem::take(&mut self.head_scratch).0;
+        self.infer_heads(obs, &mut heads);
         let records = rank_candidates(k, rng, |greedy, rng| {
-            self.decide(obs, &outputs, greedy, rng)
+            self.decide(obs, &mut heads, greedy, rng)
         });
-        self.head_scratch = Scratch(outputs);
+        self.head_scratch = Scratch(heads);
         records
     }
 
@@ -611,9 +685,9 @@ impl PolicyNetwork {
         self.infer_heads_batch(&batch, &mut heads);
         let mut out = Vec::with_capacity(observations.len());
         for (i, obs) in observations.iter().enumerate() {
-            let row = heads.row_outputs(i);
+            let mut row = DecodeHeads::complete(heads.row_outputs(i));
             out.push(rank_candidates(k, rng, |greedy, rng| {
-                self.decide(obs, &row, greedy, rng)
+                self.decide(obs, &mut row, greedy, rng)
             }));
         }
         self.batch_scratch = Scratch(heads);
@@ -666,12 +740,7 @@ impl PolicyNetwork {
             for (level, idx) in record.tile_indices.iter().enumerate().take(n) {
                 let head_level = level.min(self.env_config.max_loops - 1);
                 let level_logits = &logits[head_level * m..(head_level + 1) * m];
-                let level_mask = mask
-                    .tile_sizes
-                    .get(level)
-                    .cloned()
-                    .unwrap_or_else(|| vec![true; m]);
-                let dist = MaskedCategorical::new(level_logits, &level_mask);
+                let dist = MaskedCategorical::new(level_logits, &level_tile_mask(mask, level, m));
                 log_prob += dist.log_prob(*idx);
                 entropy += dist.entropy();
                 let lp = dist.log_prob_grad(*idx);
@@ -854,6 +923,29 @@ mod tests {
     }
 
     #[test]
+    fn batch_one_decoding_computes_only_the_heads_it_reads() {
+        let obs = observation();
+        let mut p = policy();
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let mut kinds_seen = std::collections::BTreeSet::new();
+        for _ in 0..200 {
+            let record = p.select_action(&obs, false, &mut rng);
+            let kind = TransformationKind::from_index(record.kind_index);
+            let read = if kind.is_tiled() {
+                Some(Head::tiles_of(kind))
+            } else if kind == TransformationKind::Interchange {
+                Some(Head::Interchange)
+            } else {
+                None
+            };
+            let ready = ALL_HEADS.map(|head| Some(head) == read);
+            assert_eq!(p.head_scratch.0.ready, ready, "{kind}");
+            kinds_seen.insert(record.kind_index);
+        }
+        assert!(kinds_seen.len() >= 4, "kinds sampled: {kinds_seen:?}");
+    }
+
+    #[test]
     fn evaluate_matches_selection_log_prob() {
         let obs = observation();
         let mut p = policy();
@@ -919,6 +1011,24 @@ mod tests {
         }
     }
 
+    const ALL_HEADS: [Head; 4] = [
+        Head::Tiling,
+        Head::Parallelization,
+        Head::Fusion,
+        Head::Interchange,
+    ];
+
+    /// `decide` on logits with every head already computed (the oracle's).
+    fn decide_on(
+        p: &PolicyNetwork,
+        obs: &Observation,
+        heads: &HeadOutputs,
+        greedy: bool,
+        rng: &mut ChaCha8Rng,
+    ) -> ActionRecord {
+        p.decide(obs, &mut DecodeHeads::complete(heads.clone()), greedy, rng)
+    }
+
     fn head_bits(heads: &HeadOutputs) -> Vec<u64> {
         [
             &heads.transformation,
@@ -958,12 +1068,19 @@ mod tests {
 
         // select_action: the logits, then the greedy and the sampled draw.
         for (obs, heads) in observations.iter().zip(&oracle) {
-            let mut got = HeadOutputs::default();
+            let mut got = DecodeHeads::default();
             p.infer_heads(obs, &mut got);
-            assert_eq!(head_bits(&got), head_bits(heads));
+            assert_eq!(
+                got.ready, [false; 4],
+                "only the transformation head up front"
+            );
+            for head in ALL_HEADS {
+                p.head_logits(&mut got, head);
+            }
+            assert_eq!(head_bits(&got.logits), head_bits(heads));
             for greedy in [true, false] {
                 let record = p.select_action(obs, greedy, &mut ChaCha8Rng::seed_from_u64(7));
-                let expected = p.decide(obs, heads, greedy, &mut ChaCha8Rng::seed_from_u64(7));
+                let expected = decide_on(&p, obs, heads, greedy, &mut ChaCha8Rng::seed_from_u64(7));
                 assert_eq!(record, expected);
             }
         }
@@ -997,7 +1114,7 @@ mod tests {
                 .iter()
                 .zip(frontier_heads)
                 .map(|(obs, heads)| {
-                    rank_candidates(k, rng, |greedy, rng| p.decide(obs, heads, greedy, rng))
+                    rank_candidates(k, rng, |greedy, rng| decide_on(&p, obs, heads, greedy, rng))
                 })
                 .collect()
         };
@@ -1009,7 +1126,7 @@ mod tests {
         let mut sample_rng = ChaCha8Rng::seed_from_u64(13);
         let expected_sampled: Vec<ActionRecord> = [(lone, &oracle[1]), (fused, &oracle[0])]
             .into_iter()
-            .map(|(obs, heads)| p.decide(obs, heads, false, &mut sample_rng))
+            .map(|(obs, heads)| decide_on(&p, obs, heads, false, &mut sample_rng))
             .collect();
         let mut groups = vec![
             InferenceGroup {

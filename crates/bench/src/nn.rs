@@ -5,10 +5,12 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use mlir_rl_agent::{PolicyHyperparams, PolicyNetwork};
 use mlir_rl_costmodel::{CostModel, MachineModel};
 use mlir_rl_env::{EnvConfig, Features, OptimizationEnv};
 use mlir_rl_nn::{Lstm, Mlp, Tensor2};
 use mlir_rl_workloads::dl_ops;
+use mlir_rl_workloads::sequences::sequence_dataset;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -76,6 +78,28 @@ report! {
 }
 
 report! {
+    /// The embedding calls of greedy decoding, in the order a served
+    /// greedy request makes them: greedy episodes at `EnvConfig::paper()`
+    /// with a fixed-seed 128-unit policy over `dl_ops::evaluation_benchmark()`
+    /// and random operator sequences, one batch-1 call per step. A call
+    /// whose producer list repeats the previous call's is one the LSTM's
+    /// prefix memo answers without running the producer step.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct GreedyStreamRow {
+        /// Batch-1 policy calls in the stream.
+        calls: usize = "calls",
+        /// Share of calls whose producer list equals the previous call's.
+        producer_repeat_fraction: f64 = "producer repeats",
+        /// Share of calls whose producer list is empty (a producer-less
+        /// operation).
+        empty_producer_fraction: f64 = "empty producer",
+        /// Rows/sec of `Lstm::infer_nonzeros` fed the stream in order (the
+        /// observation-shaped LSTM above, memo and all).
+        list_rows: f64 = "as lists (rows/sec)",
+    }
+}
+
+report! {
     /// The `exp nn_throughput` report: rows/sec for batched vs per-vector
     /// forward, inference and backward at PPO/beam-realistic shapes.
     #[derive(Debug, Clone, PartialEq)]
@@ -96,6 +120,8 @@ report! {
         observation_nnz: f64 = "non-zeros per observation vector",
         /// The observation-shaped LSTM, one row per measured batch size.
         observation_lstm: Vec<ObservationLstmRow> = "observation-shaped lstm, sequence 2 (rows/sec)",
+        /// The observation-shaped LSTM on the calls of greedy decoding.
+        greedy_stream: GreedyStreamRow = "greedy-decoding stream, batch 1",
     }
 }
 
@@ -129,6 +155,9 @@ impl Report for NnThroughputReport {
             self.observation_lstm.iter().all(
                 |r| r.list_rows.is_some() == (r.batch == 1) && r.list_rows.iter().all(measured)
             ),
+            self.greedy_stream.calls > 0 && measured(&self.greedy_stream.list_rows),
+            (0.0..=1.0).contains(&self.greedy_stream.producer_repeat_fraction),
+            (0.0..=1.0).contains(&self.greedy_stream.empty_producer_fraction),
         )
     }
 }
@@ -170,7 +199,8 @@ fn no_setup<S>(_: &mut S) {}
 /// features, under 2 % of them non-zero — so the report also runs the LSTM
 /// at that shape on the reset observations of
 /// `dl_ops::evaluation_benchmark()`, next to dense random vectors of the
-/// same shape.
+/// same shape, and on the calls greedy decoding makes (`greedy_stream`),
+/// where the producer list repeats from call to call.
 pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
     let hidden = if scale.hidden_size <= 16 { 96 } else { 512 };
     let budget_s = if scale.hidden_size <= 16 { 0.02 } else { 0.25 };
@@ -320,6 +350,26 @@ pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
         });
     }
 
+    // --- The same LSTM on the calls of greedy decoding -------------------
+    let sequences = if scale.hidden_size <= 16 { 2 } else { 8 };
+    let stream = greedy_stream(&mut env, sequences);
+    let share = |count: usize| count as f64 / stream.len() as f64;
+    let repeats = stream.windows(2).filter(|w| w[0][0] == w[1][0]).count();
+    let empty = stream
+        .iter()
+        .filter(|[p, _]| p.nonzeros().0.is_empty())
+        .count();
+    let greedy_stream = GreedyStreamRow {
+        calls: stream.len(),
+        producer_repeat_fraction: share(repeats),
+        empty_producer_fraction: share(empty),
+        list_rows: rows_per_sec(budget_s, stream.len(), wide.clone(), no_setup, |lstm| {
+            for [producer, consumer] in &stream {
+                black_box(lstm.infer_nonzeros(&[producer.nonzeros(), consumer.nonzeros()]));
+            }
+        }),
+    };
+
     NnThroughputReport {
         input: hidden,
         hidden,
@@ -328,5 +378,34 @@ pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
         feature_len,
         observation_nnz: nnz as f64 / (2 * observations.len()) as f64,
         observation_lstm,
+        greedy_stream,
     }
+}
+
+/// The `(producer, consumer)` lists of every batch-1 policy call greedy
+/// decoding makes, in order: a fixed-seed 128-unit, three-layer policy on
+/// `env`'s configuration decodes every `dl_ops::evaluation_benchmark()`
+/// operator, then `sequences` random operator sequences.
+fn greedy_stream(env: &mut OptimizationEnv, sequences: usize) -> Vec<[Features; 2]> {
+    let hyper = PolicyHyperparams {
+        hidden_size: 128,
+        backbone_layers: 3,
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(2027);
+    let mut policy = PolicyNetwork::new(env.config().clone(), hyper, &mut rng);
+    let modules = dl_ops::evaluation_benchmark()
+        .into_iter()
+        .map(|(_, module)| module)
+        .chain(sequence_dataset(sequences, 2028));
+    let mut stream = Vec::new();
+    for module in modules {
+        let mut obs = env.reset(module);
+        while let Some(current) = obs {
+            let record = policy.select_action(&current, true, &mut rng);
+            obs = env.step(&record.action).observation;
+            stream.push([current.producer, current.consumer]);
+        }
+    }
+    assert!(!stream.is_empty(), "greedy decoding made no policy call");
+    stream
 }

@@ -311,6 +311,8 @@ impl OptimizationEnv {
     }
 
     /// Takes a snapshot of the live episode for later [`Self::restore`].
+    /// The snapshot copies the schedule state and shares the episode's IR
+    /// module (nothing writes it after [`Self::reset`]).
     pub fn snapshot(&self) -> EpisodeSnapshot {
         self.episode.clone()
     }
@@ -761,6 +763,28 @@ mod tests {
         });
         assert!(a2.applied);
         assert_eq!(e.peek_time_s(), t_a);
+    }
+
+    #[test]
+    fn snapshots_share_the_module_instead_of_copying_it() {
+        let mut e = env();
+        e.reset(matmul_relu_module()).unwrap();
+        let before: *const Module = e.scheduled().unwrap().module();
+        let snap = e.snapshot();
+        let out = e.step(&Action::Tiling {
+            tile_indices: vec![1, 1],
+        });
+        assert!(out.applied);
+        assert!(std::ptr::eq(before, e.scheduled().unwrap().module()));
+        e.restore(&snap);
+        assert!(std::ptr::eq(before, e.scheduled().unwrap().module()));
+        // Clones, sharing or not, read the same IR too.
+        assert!(std::ptr::eq(
+            before,
+            e.clone().scheduled().unwrap().module()
+        ));
+        let sharing = e.clone_sharing_cache();
+        assert!(std::ptr::eq(before, sharing.scheduled().unwrap().module()));
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //! backward pass lists each sample's own once for the four gates' `W`/`U`
 //! gradient accumulation, and both contract over the lists alone,
 //! bit-identically (proof in [`crate::tensor`]). An input that arrives as
-//! its non-zero list ([`Lstm::infer_nonzeros`]) skips the listing.
+//! its non-zero list ([`Lstm::infer_nonzeros`]) skips the listing, and a
+//! first step that repeats the previous call's skips the step: a one-entry
+//! memo keeps the state it left until the weights are next handed out for
+//! writing ([`Lstm::parameters_mut`]).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -57,6 +60,40 @@ struct LstmScratch {
     h_cols: ActiveCols,
 }
 
+/// The one-entry prefix memo of [`Lstm::infer_nonzeros`]: the first step
+/// of the last multi-step sequence (its column list and value bits) and
+/// the cell state after it.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct PrefixMemo {
+    /// Whether the fields below describe a computed step.
+    filled: bool,
+    cols: Vec<u32>,
+    values: Vec<f64>,
+    h: Vec<f64>,
+    c: Vec<f64>,
+}
+
+impl PrefixMemo {
+    /// Whether the memo holds the step `(cols, values)`, bit for bit.
+    fn holds(&self, cols: &[u32], values: &[f64]) -> bool {
+        let bits = |v: &f64| v.to_bits();
+        self.filled && self.cols == cols && self.values.iter().map(bits).eq(values.iter().map(bits))
+    }
+
+    /// Records the step `(cols, values)` and the state it left.
+    fn fill(&mut self, cols: &[u32], values: &[f64], h: &Tensor2, c: &Tensor2) {
+        self.cols.clear();
+        self.cols.extend_from_slice(cols);
+        self.values.clear();
+        self.values.extend_from_slice(values);
+        self.h.clear();
+        self.h.extend_from_slice(h.data());
+        self.c.clear();
+        self.c.extend_from_slice(c.data());
+        self.filled = true;
+    }
+}
+
 /// A single-layer LSTM.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Lstm {
@@ -79,6 +116,12 @@ pub struct Lstm {
     /// in and clears exactly those entries on the way out.
     #[serde(skip)]
     zeroed_inputs: Scratch<Vec<Tensor2>>,
+    /// Step 0 of the last multi-step [`Lstm::infer_nonzeros`] call and the
+    /// state it left. Valid for the current weights only: every write to
+    /// `w` / `u` / `b` passes through [`Lstm::parameters_mut`], which
+    /// clears it.
+    #[serde(skip)]
+    prefix_memo: Scratch<PrefixMemo>,
 }
 
 impl Lstm {
@@ -99,6 +142,7 @@ impl Lstm {
             infer_scratch: Scratch::default(),
             infer_inputs: Scratch::default(),
             zeroed_inputs: Scratch::default(),
+            prefix_memo: Scratch::default(),
         }
     }
 
@@ -269,17 +313,28 @@ impl Lstm {
     }
 
     /// Core of the scratch-based inference paths: runs the cell over the
-    /// given steps with all working memory in `s`; leaves the final hidden
-    /// states in `s.h`. A step comes with the ascending list of its
-    /// non-zero columns when the caller has it, and is scanned for it
-    /// otherwise.
+    /// given steps from zero state with all working memory in `s`; leaves
+    /// the final hidden states in `s.h`. A step comes with the ascending
+    /// list of its non-zero columns when the caller has it, and is scanned
+    /// for it otherwise.
     fn run_infer<'a, I>(&self, steps: I, rows: usize, s: &mut LstmScratch)
     where
         I: Iterator<Item = (&'a Tensor2, Option<&'a [u32]>)>,
     {
+        s.h.resize(rows, self.hidden_size);
+        s.c.resize(rows, self.hidden_size);
+        self.run_steps(steps, rows, s);
+    }
+
+    /// [`Lstm::run_infer`] from the state already in `s.h` / `s.c`
+    /// (`rows x hidden`): each step reads only that state and its input, so
+    /// resuming after step `t` from the state step `t` left is the same
+    /// computation as running on.
+    fn run_steps<'a, I>(&self, steps: I, rows: usize, s: &mut LstmScratch)
+    where
+        I: Iterator<Item = (&'a Tensor2, Option<&'a [u32]>)>,
+    {
         let hs = self.hidden_size;
-        s.h.resize(rows, hs);
-        s.c.resize(rows, hs);
         for (x, listed) in steps {
             self.check_step(x, rows);
             match listed {
@@ -354,6 +409,15 @@ impl Lstm {
     /// result is bit-identical to [`Lstm::forward_inference`] on the dense
     /// vectors.
     ///
+    /// A one-entry prefix memo skips step 0 when it repeats: a sequence of
+    /// two or more steps whose first step has the column list and value
+    /// bits of the previous such call's first step starts at step 1 from
+    /// the state step 0 left then (the embedding LSTM sees the producer
+    /// first, and it repeats across the steps on one consumer). The memo is
+    /// working memory under the [`Scratch`] rule — a clone starts without
+    /// it, equality ignores it — and [`Lstm::parameters_mut`], the only
+    /// way to write the weights, clears it.
+    ///
     /// # Panics
     ///
     /// Panics if the sequence is empty, a step's columns and values differ
@@ -376,8 +440,24 @@ impl Lstm {
             }
         }
         let mut s = std::mem::take(&mut self.infer_scratch).0;
-        let steps = inputs.iter().zip(sequence);
-        self.run_infer(steps.map(|(x, (cols, _))| (x, Some(*cols))), 1, &mut s);
+        let mut memo = std::mem::take(&mut self.prefix_memo).0;
+        let mut steps = inputs
+            .iter()
+            .zip(sequence)
+            .map(|(x, (cols, _))| (x, Some(*cols)));
+        let (first_cols, first_values) = sequence[0];
+        if sequence.len() == 1 {
+            self.run_infer(steps, 1, &mut s);
+        } else if memo.holds(first_cols, first_values) {
+            s.h.assign_flat(1, self.hidden_size, &memo.h);
+            s.c.assign_flat(1, self.hidden_size, &memo.c);
+            self.run_steps(steps.skip(1), 1, &mut s);
+        } else {
+            self.run_infer(steps.by_ref().take(1), 1, &mut s);
+            memo.fill(first_cols, first_values, &s.h, &s.c);
+            self.run_steps(steps, 1, &mut s);
+        }
+        self.prefix_memo = Scratch(memo);
         self.infer_scratch = Scratch(s);
         for (staged, (cols, _)) in inputs.iter_mut().zip(sequence) {
             let row = staged.data_mut();
@@ -555,8 +635,11 @@ impl Lstm {
         self.cached_sequences.clear();
     }
 
-    /// All parameters, for the optimizer.
+    /// All parameters, for the optimizer. Every write to the weights
+    /// passes through here, so this is where [`Lstm::infer_nonzeros`]'s
+    /// prefix memo is dropped.
     pub fn parameters_mut(&mut self) -> Vec<&mut Param> {
+        self.prefix_memo.0.filled = false;
         let mut out = Vec::with_capacity(12);
         out.extend(self.w.iter_mut());
         out.extend(self.u.iter_mut());
@@ -623,6 +706,32 @@ mod tests {
         assert_eq!(expected, lstm.infer(&borrowed).to_vec());
         // Clones start with fresh scratch but identical weights.
         assert_eq!(expected, lstm.clone().infer(&borrowed).to_vec());
+    }
+
+    #[test]
+    fn the_prefix_memo_keeps_the_last_first_step_until_the_weights_are_handed_out() {
+        let mut lstm = Lstm::new(8, 3, &mut rng());
+        let producer: (&[u32], &[f64]) = (&[1, 5], &[0.5, -1.0]);
+        let consumer: (&[u32], &[f64]) = (&[0, 2, 7], &[1.0, 2.0, -3.0]);
+        let memo = |lstm: &Lstm| lstm.prefix_memo.0.holds(producer.0, producer.1);
+        lstm.infer_nonzeros(&[producer, consumer]);
+        assert!(memo(&lstm));
+        let state = (lstm.prefix_memo.0.h.clone(), lstm.prefix_memo.0.c.clone());
+        // A hit keeps the entry; a one-step call neither reads nor writes it.
+        lstm.infer_nonzeros(&[producer, producer]);
+        lstm.infer_nonzeros(&[consumer]);
+        assert!(memo(&lstm));
+        assert_eq!(
+            state,
+            (lstm.prefix_memo.0.h.clone(), lstm.prefix_memo.0.c.clone())
+        );
+        // A clone starts without it; handing out the weights drops it.
+        assert!(!memo(&lstm.clone()));
+        lstm.parameters_mut();
+        assert!(!memo(&lstm));
+        // A different first step replaces it.
+        lstm.infer_nonzeros(&[consumer, producer]);
+        assert!(lstm.prefix_memo.0.holds(consumer.0, consumer.1) && !memo(&lstm));
     }
 
     #[test]

@@ -386,6 +386,109 @@ fn list_entry_equals_the_dense_oracle_bit_for_bit() {
     assert_eq!(used, bits(narrow.clone().infer_nonzeros(&lists)));
 }
 
+/// One input vector as the list `infer_nonzeros` takes and the dense vector
+/// the oracle takes.
+struct Step {
+    cols: Vec<u32>,
+    values: Vec<f64>,
+    dense: Vec<f64>,
+}
+
+impl Step {
+    fn random(width: usize, nnz: usize, rng: &mut ChaCha8Rng) -> Self {
+        let (cols, values, dense) = random_list(width, nnz, rng);
+        Self {
+            cols,
+            values,
+            dense,
+        }
+    }
+}
+
+/// `infer_nonzeros` on `sequence`, checked bit for bit against the dense
+/// oracle and against a fresh clone (which carries no memo).
+fn infer_checked(lstm: &mut Lstm, sequence: &[&Step]) -> Vec<u64> {
+    let oracle =
+        lstm.forward_inference(&sequence.iter().map(|s| s.dense.clone()).collect::<Vec<_>>());
+    let lists: Vec<(&[u32], &[f64])> = sequence
+        .iter()
+        .map(|s| (s.cols.as_slice(), s.values.as_slice()))
+        .collect();
+    let fresh = bits(lstm.clone().infer_nonzeros(&lists));
+    let got = bits(lstm.infer_nonzeros(&lists));
+    assert_eq!(got, bits(&oracle), "against the dense oracle");
+    assert_eq!(got, fresh, "against a fresh clone");
+    got
+}
+
+#[test]
+fn the_first_step_memo_is_invisible_in_the_bits() {
+    const WIDTH: usize = 3252;
+    let mut rng = ChaCha8Rng::seed_from_u64(40);
+    let mut lstm = Lstm::new(WIDTH, 6, &mut rng);
+    let [producer, other, consumer, next] =
+        [21, 9, 18, 30].map(|nnz| Step::random(WIDTH, nnz, &mut rng));
+    let empty = Step::random(WIDTH, 0, &mut rng);
+
+    // (a) The same producer twice, under different consumers and at a
+    // third step: the second call starts from the memo.
+    let first = infer_checked(&mut lstm, &[&producer, &consumer]);
+    assert_ne!(infer_checked(&mut lstm, &[&producer, &next]), first);
+    assert_eq!(infer_checked(&mut lstm, &[&producer, &consumer]), first);
+    infer_checked(&mut lstm, &[&producer, &consumer, &next]);
+
+    // (b) Alternating two producers and the empty list (a producer-less
+    // operation, where step 0 is a function of the weights alone), then
+    // the producer's columns with other values: the key is the values'
+    // bits, not the column list alone.
+    for step in [
+        &other, &empty, &producer, &empty, &empty, &other, &other, &producer,
+    ] {
+        infer_checked(&mut lstm, &[step, &consumer]);
+    }
+    let twin = Step {
+        cols: producer.cols.clone(),
+        values: producer.values.iter().map(|v| v * 0.5).collect(),
+        dense: producer.dense.iter().map(|v| v * 0.5).collect(),
+    };
+    assert_ne!(
+        infer_checked(&mut lstm, &[&twin, &consumer]),
+        infer_checked(&mut lstm, &[&producer, &consumer])
+    );
+
+    // (c) A write through `parameters_mut` to one step-0 `W` entry — the
+    // input gate's weight on a listed producer column — between two calls
+    // that share the producer: the second answers like the perturbed
+    // network's oracle, which a stale memo would not.
+    let before = infer_checked(&mut lstm, &[&producer, &consumer]);
+    let column = producer.cols[3] as usize;
+    lstm.parameters_mut()[0].value_mut()[2 * WIDTH + column] += 0.5;
+    let after = infer_checked(&mut lstm, &[&producer, &consumer]);
+    assert_ne!(after, before, "the write reaches step 0");
+
+    // (d) A weight-image load (what `WeightSnapshot::restore_weights`
+    // does: `set_value` on every tensor `parameters_mut` hands out) after a
+    // call that filled the memo with the same producer.
+    let mut donor = Lstm::new(WIDTH, 6, &mut rng);
+    infer_checked(&mut lstm, &[&producer, &consumer]);
+    let image: Vec<Vec<f64>> = donor
+        .parameters_mut()
+        .iter()
+        .map(|p| p.value().to_vec())
+        .collect();
+    for (param, values) in lstm.parameters_mut().into_iter().zip(image) {
+        param.set_value(values);
+    }
+    let loaded = infer_checked(&mut lstm, &[&producer, &consumer]);
+    assert_eq!(loaded, infer_checked(&mut donor, &[&producer, &consumer]));
+
+    // (e) A length-1 sequence neither reads nor disturbs the memo.
+    let two_steps = infer_checked(&mut lstm, &[&producer, &consumer]);
+    infer_checked(&mut lstm, &[&producer]);
+    infer_checked(&mut lstm, &[&consumer]);
+    assert_eq!(infer_checked(&mut lstm, &[&producer, &consumer]), two_steps);
+}
+
 #[test]
 #[should_panic(expected = "strictly ascending")]
 fn list_entry_rejects_unordered_columns() {

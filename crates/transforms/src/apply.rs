@@ -6,6 +6,8 @@
 //! finally lowers every live operation to a [`LoopNest`] for cost
 //! evaluation.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use mlir_rl_ir::{IteratorType, LinalgOp, Module, OpId};
@@ -88,9 +90,14 @@ impl OpScheduleState {
 }
 
 /// A module plus the schedule state of each of its operations.
+///
+/// Transformations write only the schedule states; the module is never
+/// written after construction, so it is shared: a clone (an environment
+/// snapshot, a search branch) copies the states and bumps a reference
+/// count instead of deep-copying the IR.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduledModule {
-    module: Module,
+    module: Arc<Module>,
     states: Vec<OpScheduleState>,
     max_schedule_len: usize,
 }
@@ -110,7 +117,7 @@ impl ScheduledModule {
             .map(|o| OpScheduleState::new(o.num_loops()))
             .collect();
         Self {
-            module,
+            module: Arc::new(module),
             states,
             max_schedule_len,
         }

@@ -19,6 +19,9 @@
 //!    bitwise-identical mid-episode state afterwards.
 //! 5. **Observations stay lists**: no searcher asks an observation for its
 //!    dense view on the way to or from the policy.
+//! 6. **The embedding memo is invisible**: a policy whose LSTM prefix memo
+//!    is dropped before every inference call searches bit-identically to
+//!    one that keeps it.
 
 use proptest::prelude::*;
 
@@ -31,6 +34,7 @@ use mlir_rl_search::{
     random_action, BeamSearch, GreedyPolicy, Mcts, Portfolio, RandomSearch, SearchDriver,
     SearchOutcome, Searcher,
 };
+use mlir_rl_workloads::sequences::{random_sequence, SEQUENCE_LENGTH};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -604,4 +608,86 @@ fn battery_no_searcher_materialises_a_dense_observation() {
     // Not vacuous: all but `RandomSearch` and the racing portfolio put
     // observations through this instance.
     assert!(policy_backed >= 7, "only {policy_backed} searchers checked");
+}
+
+/// A policy network that drops its embedding LSTM's prefix memo before
+/// every inference call: `parameters_mut()`, the door every weight write
+/// passes through, clears it, so every batch-1 call runs the producer step.
+#[derive(Clone)]
+struct MemoCleared(PolicyNetwork);
+
+impl PolicyModel for MemoCleared {
+    fn select_action(
+        &mut self,
+        obs: &Observation,
+        greedy: bool,
+        rng: &mut ChaCha8Rng,
+    ) -> ActionRecord {
+        self.0.parameters_mut();
+        self.0.select_action(obs, greedy, rng)
+    }
+    fn evaluate_batch(
+        &mut self,
+        batch: &ObservationBatch,
+        items: &[(&Observation, &ActionRecord)],
+    ) -> Vec<(f64, f64)> {
+        self.0.evaluate_batch(batch, items)
+    }
+    fn backward_batch(&mut self, items: &[(&Observation, &ActionRecord)], coeffs: &[(f64, f64)]) {
+        self.0.backward_batch(items, coeffs);
+    }
+    fn zero_grad(&mut self) {
+        self.0.zero_grad();
+    }
+    fn parameters_mut(&mut self) -> Vec<&mut mlir_rl_nn::Param> {
+        self.0.parameters_mut()
+    }
+    fn rank_actions(
+        &mut self,
+        obs: &Observation,
+        k: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<ActionRecord> {
+        self.0.parameters_mut();
+        self.0.rank_actions(obs, k, rng)
+    }
+    fn rank_actions_batch(
+        &mut self,
+        observations: &[&Observation],
+        k: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<Vec<ActionRecord>> {
+        self.0.parameters_mut();
+        self.0.rank_actions_batch(observations, k, rng)
+    }
+}
+
+#[test]
+fn battery_the_embedding_memo_is_invisible_to_every_searcher() {
+    // A two-op chain and a five-op sequence: producers repeat on every
+    // step of one consumer and change between consumers.
+    let sequence = random_sequence(SEQUENCE_LENGTH, &mut ChaCha8Rng::seed_from_u64(8));
+    for module in [chain(96, 48, 64), sequence] {
+        for (kept, cleared) in roster::<PolicyNetwork>()
+            .into_iter()
+            .zip(roster::<MemoCleared>())
+        {
+            let name = kept.searcher.name();
+            let mut p = policy(3);
+            let mut q = MemoCleared(policy(3));
+            let a = kept.searcher.search(&mut env(), &mut p, &module, 17);
+            let b = cleared.searcher.search(&mut env(), &mut q, &module, 17);
+            assert_eq!(
+                deterministic_fields(&a),
+                deterministic_fields(&b),
+                "{name} must not see the memo on {}",
+                module.name()
+            );
+            assert_eq!(a.best_schedule, b.best_schedule, "{name}");
+            if !kept.racing {
+                assert_eq!(a.evaluations, b.evaluations, "{name}");
+                assert_eq!(a.cache_hits, b.cache_hits, "{name}");
+            }
+        }
+    }
 }
