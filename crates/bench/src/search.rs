@@ -178,16 +178,13 @@ report! {
         /// Budget summary of the round-robin portfolio batch.
         round_robin: SearcherBudgetSummary = "eval budget, round-robin portfolio",
         /// Budget summary of the racing portfolio batch. Its figures cover
-        /// the winner prefix of each module's roster; the prefix's *total
-        /// lookups* are deterministic, but the evaluations/cache-hits split
-        /// within it can shift with thread interleaving (loser threads may
-        /// pre-score a schedule a prefix member was about to evaluate). The
-        /// shared-cache counters additionally include the losers' own spend.
+        /// each module's roster up to the winner: a prefix of what the
+        /// round-robin batch runs, under the same seeds.
         racing: SearcherBudgetSummary = "eval budget, racing portfolio",
         /// Per-member attribution of the round-robin batch (wins, spend).
         members: Vec<MemberAggregate> = "member attribution, round-robin",
         /// Per-member attribution of the racing batch (wins, targets,
-        /// stops).
+        /// skips).
         racing_members: Vec<MemberAggregate> = "member attribution, racing",
         /// Total estimator runs of all independent member runs together
         /// (the spend the portfolio's shared warmth is measured against).
@@ -232,8 +229,11 @@ impl Report for PortfolioReport {
             self.best_of_members_matches == self.modules,
             self.round_robin.evaluations < self.singles_evaluations,
             self.round_robin.shared_cache_hit_rate > self.singles_hit_rate,
-            // Racing: bit-identical outcomes across 1/2/4 workers.
+            // Racing: bit-identical outcomes across 1/2/4 workers, and a
+            // prefix of the round-robin roster never spends more.
             self.racing_worker_invariant,
+            self.racing.total_lookups <= self.round_robin.total_lookups,
+            self.racing.nodes_expanded <= self.round_robin.nodes_expanded,
             self.racing_reached_target > 0 && self.racing_mean_winner_lookups > 0.0,
             // Attribution covers the whole roster, and every module has a
             // winner in both modes.

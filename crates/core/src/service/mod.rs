@@ -110,9 +110,9 @@
 //! `Arc` exchanges; checkouts pinned before a swap keep the old snapshot
 //! alive for as long as their requests need it.
 //!
-//! The *liveness* knobs are deliberately outside the guarantee, like the
-//! racing portfolio's preempted-loser rows: **which** requests a deadline
-//! expires or a full queue rejects depends on load and worker count.
+//! The *liveness* knobs are deliberately outside the guarantee: **which**
+//! requests a deadline expires or a full queue rejects depends on load and
+//! worker count.
 //! Budget admission is the exception this layer works to keep sequenced:
 //! reservations are charged under the submission lock in submission order
 //! from a pure per-spec cost estimate, so for a fixed submission sequence

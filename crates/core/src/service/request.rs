@@ -13,12 +13,6 @@ use mlir_rl_search::{SearchOutcome, SearchSpec, StopToken};
 #[cfg(doc)]
 use super::*;
 
-/// The rank a request's search runs at against its [`StopToken`]:
-/// [`PendingResponse::cancel`] claims rank 0, which outranks the running
-/// search, so stop-aware searchers wind down at their next boundary.
-pub(super) const RUN_RANK: usize = 1;
-const CANCEL_RANK: usize = 0;
-
 /// Every backpressure rejection reason starts with this prefix, and
 /// [`OptimizationResponse::fingerprint`] excludes such reasons from the
 /// hash: whether a queue overflows is a property of instantaneous load,
@@ -290,7 +284,7 @@ impl PendingResponse {
     /// [`ResponseStatus::Stopped`] with the best-so-far; if it already
     /// finished, this is a no-op.
     pub fn cancel(&self) {
-        self.stop.claim(CANCEL_RANK);
+        self.stop.cancel();
     }
 }
 

@@ -14,7 +14,7 @@ use mlir_rl_search::StopToken;
 
 use super::ending::{finish, Ending, Run};
 use super::queue::{Popped, Routed};
-use super::request::{OptimizationRequest, ResponseSlot, RUN_RANK};
+use super::request::{OptimizationRequest, ResponseSlot};
 use super::ServiceShared;
 
 /// A submitted request plus everything that travels with it through the
@@ -128,7 +128,7 @@ fn execute(
 /// Dequeue admission: why a request that reached a worker must not run, if
 /// anything. `base` is the service environment's configuration.
 fn dequeue_refusal(job: &Job, base: &EnvConfig) -> Option<Ending> {
-    if job.stop.claimant().is_some_and(|rank| rank < RUN_RANK) {
+    if job.stop.is_cancelled() {
         return Some(Ending::Cancelled);
     }
     if job.stop.expired() {
@@ -211,7 +211,6 @@ fn run(
             policy,
             &job.request.module,
             job.request.seed,
-            RUN_RANK,
             &job.stop,
         )
     }));
@@ -230,7 +229,7 @@ fn run(
     let service_s = start.elapsed().as_secs_f64();
     shared.counters.service_hist.record(service_s);
     let run = Run { outcome, service_s };
-    if job.stop.claimant().is_some_and(|rank| rank < RUN_RANK) {
+    if job.stop.is_cancelled() {
         Ending::Stopped(run)
     } else if job.stop.expired() {
         Ending::DeadlineStopped(run)

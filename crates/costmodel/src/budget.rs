@@ -3,15 +3,14 @@
 //! Search procedures spend cost-model evaluations the way training spends
 //! gradient steps: they are the unit of work every searcher is compared in.
 //! The [`EvalBudget`] is one shared atomic ledger that several spenders
-//! (portfolio members, batch workers, whole searches) charge against, so a
-//! roster of searchers racing on one [`crate::SharedEvalCache`] can be held
-//! to a *common* budget instead of each bringing its own.
+//! (batch workers, whole searches, service requests) charge against, so
+//! every spender on one [`crate::SharedEvalCache`] can be held to a
+//! *common* budget instead of each bringing its own.
 //!
 //! The ledger is deliberately minimal: a monotone spend counter and an
 //! optional cap. It never blocks or fails a lookup — enforcement is the
-//! spender's job (the portfolio searcher checks [`EvalBudget::is_exhausted`]
-//! at deterministic points, between member runs, so outcomes stay
-//! reproducible even though the ledger itself is racy at the lookup level).
+//! spender's job (the service admits requests with [`EvalBudget::try_admit`]
+//! in submission order and refunds what a finished request did not spend).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

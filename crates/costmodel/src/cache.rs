@@ -7,9 +7,10 @@
 //! `(module, schedule)` pairs recur constantly: every episode starts from
 //! the untransformed baseline, popular schedules are re-sampled across
 //! trajectories, and PPO revisits the same modules round-robin. The
-//! [`EvalCache`] memoizes [`ModuleEstimate`]s under a canonical hash of the
-//! module and its per-operation schedules so repeated schedules never re-run
-//! the roofline estimator.
+//! [`EvalCache`] memoizes each estimate's total time
+//! ([`crate::ModuleEstimate::total_s`], the one figure its readers use)
+//! under a canonical hash of the module and its per-operation schedules so
+//! repeated schedules never re-run the roofline estimator.
 //!
 //! There is one table implementation, [`SharedEvalCache`]: a sharded hash
 //! table behind `Arc<Mutex<_>>` shards whose clones *are* the same table.
@@ -18,7 +19,7 @@
 //! per-handle view of one such table — the handle's own hit/miss counters
 //! and trace probe over a table it either owns ([`EvalCache::new`]) or
 //! joined ([`EvalCache::with_shared_backend`]). The rollout engine, the
-//! schedule-search driver, racing portfolios and the service hand every
+//! schedule-search driver and the service hand every
 //! worker a handle joined to one table, so all workers and all branches of
 //! a search hit one cache and the parallel hit-rate matches serial
 //! collection. Cloning an [`EvalCache`] is the opposite operation: it
@@ -33,7 +34,7 @@
 //! protected entry back to probation when over). A full shard evicts one
 //! entry per insert — never a wholesale wipe outside [`SharedEvalCache::clear`] —
 //! choosing the victim by least estimator-seconds-saved
-//! (`estimate.total_s × hit count`), probation before protected, oldest
+//! (`total_s × hit count`), probation before protected, oldest
 //! insertion breaking ties. Victim selection is a deterministic total order,
 //! so the surviving set never depends on hash-map iteration order. Each
 //! shard keeps its entries indexed in that order (a `BTreeMap` from
@@ -68,12 +69,15 @@
 //! layout, [`mlir_rl_ir::frame`]: magic, format version, FNV-1a checksum
 //! trailer; written to a temporary sibling and renamed into place so a
 //! failed write never damages the previous snapshot);
-//! [`SharedEvalCache::restore_from`] merges a snapshot back in.
+//! [`SharedEvalCache::restore_from`] merges a snapshot back in. Each entry
+//! record keeps the version-1 layout's per-op count, written as 0: images
+//! from tables that stored per-op breakdowns still restore (their per-op
+//! records are validated and dropped).
 //! A corrupt or truncated snapshot is rejected *before* any entry is
 //! applied — the error is returned, the table is untouched, and the caller
 //! cold-starts; restore never panics. [`SharedEvalCache::absorb`] merges
 //! another live table with a deterministic conflict rule: the incumbent
-//! entry's estimate wins, hit counts are summed (so merged warmth keeps its
+//! entry's time wins, hit counts are summed (so merged warmth keeps its
 //! eviction value). Because keys determine estimates, lookup results are
 //! bit-identical regardless of eviction policy, snapshot/restore cycles, or
 //! absorb order.
@@ -94,12 +98,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mlir_rl_ir::frame::{self, FrameError};
-use mlir_rl_ir::{Module, OpId};
+use mlir_rl_ir::Module;
 use mlir_rl_obs::{EventKind, ProbeRef};
 use mlir_rl_transforms::ScheduledModule;
 
 use crate::budget::EvalBudget;
-use crate::estimator::{CostModel, ModuleEstimate, TimeEstimate};
+use crate::estimator::CostModel;
 
 /// Default maximum number of memoized estimates per cache.
 pub const DEFAULT_EVAL_CACHE_CAPACITY: usize = 1 << 16;
@@ -240,12 +244,12 @@ enum Segment {
     Protected,
 }
 
-/// One memoized estimate plus the bookkeeping the eviction policy reads.
+/// One memoized total time plus the bookkeeping the eviction policy reads.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    estimate: ModuleEstimate,
+    total_s: f64,
     /// Lookups served by this entry (summed across merges); together with
-    /// the estimate cost this measures estimator-seconds-saved.
+    /// `total_s` this measures estimator-seconds-saved.
     hits: u64,
     segment: Segment,
     /// Per-shard insertion sequence number: the deterministic tie-break for
@@ -257,7 +261,7 @@ impl CacheEntry {
     /// Estimator-seconds this entry has saved so far: the victim-selection
     /// value. A never-hit entry has saved nothing and goes first.
     fn saved_s(&self) -> f64 {
-        self.estimate.total_s * self.hits as f64
+        self.total_s * self.hits as f64
     }
 }
 
@@ -361,7 +365,7 @@ impl CacheShard {
     fn insert_entry(
         &mut self,
         key: ScheduleKey,
-        estimate: ModuleEstimate,
+        total_s: f64,
         hits: u64,
         cap: usize,
     ) -> InsertOutcome {
@@ -385,7 +389,7 @@ impl CacheShard {
         let seq = self.next_seq;
         self.next_seq += 1;
         let entry = CacheEntry {
-            estimate,
+            total_s,
             hits,
             segment: Segment::Probation,
             seq,
@@ -485,17 +489,16 @@ impl SharedEvalCache {
     }
 
     /// Looks up `key`, running `model` *outside* the shard lock on a miss,
-    /// and returns the `project`ed view of the estimate plus what the
-    /// lookup did. Two threads racing on the same new key both run the
-    /// estimator (same deterministic result) and both count and charge as
-    /// misses — see the module-level accounting contract; one insert wins.
-    fn lookup_with<T>(
+    /// and returns the total time plus what the lookup did. Two threads
+    /// racing on the same new key both run the estimator (same
+    /// deterministic result) and both count and charge as misses — see the
+    /// module-level accounting contract; one insert wins.
+    fn lookup_with(
         &self,
         key: ScheduleKey,
         model: &CostModel,
         scheduled: &ScheduledModule,
-        project: impl Fn(&ModuleEstimate) -> T,
-    ) -> (T, LookupEffects) {
+    ) -> (f64, LookupEffects) {
         let index = self.shard_index(&key);
         let mut effects = LookupEffects {
             shard: index as u64,
@@ -510,17 +513,15 @@ impl SharedEvalCache {
                 if effects.promoted {
                     self.promotions.fetch_add(1, Ordering::Relaxed);
                 }
-                let value = project(&shard.map[&key].estimate);
-                return (value, effects);
+                return (shard.map[&key].total_s, effects);
             }
         }
-        let estimate = model.estimate_scheduled(scheduled);
-        let value = project(&estimate);
+        let total_s = model.estimate_scheduled(scheduled).total_s;
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.budget.charge(1);
-        let outcome = self.apply_insert(key, estimate, 0);
+        let outcome = self.apply_insert(key, total_s, 0);
         effects.evicted_hits = outcome.evicted_hits;
-        (value, effects)
+        (total_s, effects)
     }
 
     /// Looks up the total time for `key`, running `model` only on a miss.
@@ -531,30 +532,18 @@ impl SharedEvalCache {
         model: &CostModel,
         scheduled: &ScheduledModule,
     ) -> (f64, bool) {
-        let (total_s, effects) = self.lookup_with(key, model, scheduled, |e| e.total_s);
+        let (total_s, effects) = self.lookup_with(key, model, scheduled);
         (total_s, effects.was_hit)
-    }
-
-    /// Like [`SharedEvalCache::total_s_keyed`] but returning the whole
-    /// estimate (cloned out of the table).
-    pub fn estimate_keyed(
-        &self,
-        key: ScheduleKey,
-        model: &CostModel,
-        scheduled: &ScheduledModule,
-    ) -> (ModuleEstimate, bool) {
-        let (estimate, effects) = self.lookup_with(key, model, scheduled, ModuleEstimate::clone);
-        (estimate, effects.was_hit)
     }
 
     /// Locks the key's shard and inserts, updating the global counters.
     /// `hits` seeds the entry's hit count (nonzero when merging warmth).
-    fn apply_insert(&self, key: ScheduleKey, estimate: ModuleEstimate, hits: u64) -> InsertOutcome {
+    fn apply_insert(&self, key: ScheduleKey, total_s: f64, hits: u64) -> InsertOutcome {
         let index = self.shard_index(&key);
         let cap = self.shard_cap(index);
         let outcome = {
             let mut shard = self.shards[index].lock().expect("cache shard poisoned");
-            shard.insert_entry(key, estimate, hits, cap)
+            shard.insert_entry(key, total_s, hits, cap)
         };
         if outcome.inserted {
             self.insertions.fetch_add(1, Ordering::Relaxed);
@@ -565,11 +554,11 @@ impl SharedEvalCache {
         outcome
     }
 
-    /// Merges one foreign entry: an incumbent keeps its estimate and gains
+    /// Merges one foreign entry: an incumbent keeps its time and gains
     /// the foreign hit count (warmth reconciled); a new key is inserted
     /// with the foreign hit count, evicting if needed. Returns whether a
     /// new entry was created.
-    fn merge_entry(&self, key: ScheduleKey, estimate: ModuleEstimate, hits: u64) -> bool {
+    fn merge_entry(&self, key: ScheduleKey, total_s: f64, hits: u64) -> bool {
         let index = self.shard_index(&key);
         {
             let mut shard = self.shards[index].lock().expect("cache shard poisoned");
@@ -578,11 +567,11 @@ impl SharedEvalCache {
                 return false;
             }
         }
-        self.apply_insert(key, estimate, hits).inserted
+        self.apply_insert(key, total_s, hits).inserted
     }
 
     /// Merges every entry of `other` into this table (replica warmth
-    /// exchange). Conflict rule: the incumbent estimate wins and hit counts
+    /// exchange). Conflict rule: the incumbent time wins and hit counts
     /// are summed; new keys are inserted (evicting per policy when full) in
     /// key order, so the merged table is deterministic regardless of
     /// hash-map iteration order. A handle to the same table is a no-op.
@@ -593,17 +582,17 @@ impl SharedEvalCache {
         }
         let mut created = 0;
         for shard in other.shards.iter() {
-            let mut entries: Vec<(ScheduleKey, ModuleEstimate, u64)> = {
+            let mut entries: Vec<(ScheduleKey, f64, u64)> = {
                 let shard = shard.lock().expect("cache shard poisoned");
                 shard
                     .map
                     .iter()
-                    .map(|(k, e)| (*k, e.estimate.clone(), e.hits))
+                    .map(|(k, e)| (*k, e.total_s, e.hits))
                     .collect()
             };
             entries.sort_by_key(|(k, _, _)| (k.module, k.schedule));
-            for (key, estimate, hits) in entries {
-                created += u64::from(self.merge_entry(key, estimate, hits));
+            for (key, total_s, hits) in entries {
+                created += u64::from(self.merge_entry(key, total_s, hits));
             }
         }
         created
@@ -641,7 +630,7 @@ impl SharedEvalCache {
         hit_rate(self.hits(), self.misses())
     }
 
-    /// Number of memoized estimates across all shards.
+    /// Number of memoized times across all shards.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -673,7 +662,7 @@ impl SharedEvalCache {
             .collect()
     }
 
-    /// Drops all memoized estimates (counters are kept; this is the one
+    /// Drops all memoized times (counters are kept; this is the one
     /// remaining wholesale wipe, and it is explicit).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
@@ -693,33 +682,28 @@ impl SharedEvalCache {
     /// module docs). Entries are emitted in shard order, sorted by key
     /// within each shard, so equal tables produce equal bytes.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut entries: Vec<(ScheduleKey, ModuleEstimate, u64, Segment)> = Vec::new();
+        let mut entries: Vec<(ScheduleKey, f64, u64, Segment)> = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock().expect("cache shard poisoned");
             let mut batch: Vec<_> = shard
                 .map
                 .iter()
-                .map(|(k, e)| (*k, e.estimate.clone(), e.hits, e.segment))
+                .map(|(k, e)| (*k, e.total_s, e.hits, e.segment))
                 .collect();
             batch.sort_by_key(|(k, _, _, _)| (k.module, k.schedule));
             entries.extend(batch);
         }
         let mut out = frame::begin(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-        out.reserve(entries.len() * 96);
+        out.reserve(entries.len() * 41);
         out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for (key, estimate, hits, segment) in &entries {
+        for (key, total_s, hits, segment) in &entries {
             out.extend_from_slice(&key.module.to_le_bytes());
             out.extend_from_slice(&key.schedule.to_le_bytes());
             out.extend_from_slice(&hits.to_le_bytes());
             out.push(matches!(segment, Segment::Protected) as u8);
-            out.extend_from_slice(&estimate.total_s.to_bits().to_le_bytes());
-            out.extend_from_slice(&(estimate.per_op.len() as u64).to_le_bytes());
-            for (op, t) in &estimate.per_op {
-                out.extend_from_slice(&(op.0 as u64).to_le_bytes());
-                for part in [t.compute_s, t.memory_s, t.overhead_s, t.total_s] {
-                    out.extend_from_slice(&part.to_bits().to_le_bytes());
-                }
-            }
+            out.extend_from_slice(&total_s.to_bits().to_le_bytes());
+            // The per-op count of the version-1 layout: no records follow.
+            out.extend_from_slice(&0u64.to_le_bytes());
         }
         frame::seal(out)
     }
@@ -747,8 +731,8 @@ impl SharedEvalCache {
     pub fn restore_from_bytes(&self, bytes: &[u8]) -> Result<u64, SnapshotError> {
         let entries = parse_snapshot(bytes)?;
         let mut created = 0;
-        for (key, estimate, hits) in entries {
-            created += u64::from(self.merge_entry(key, estimate, hits));
+        for (key, total_s, hits) in entries {
+            created += u64::from(self.merge_entry(key, total_s, hits));
         }
         Ok(created)
     }
@@ -765,8 +749,7 @@ impl SharedEvalCache {
 
 /// Fully validates a snapshot image and decodes its entries. Pure: touches
 /// no cache state, so callers can reject corrupt images before mutating.
-#[allow(clippy::type_complexity)]
-fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, ModuleEstimate, u64)>, SnapshotError> {
+fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, f64, u64)>, SnapshotError> {
     let mut reader = frame::open(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
     let count = reader.u64()?;
     let mut entries = Vec::new();
@@ -786,24 +769,15 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, ModuleEstimate, u64)
         if per_op_len > (reader.remaining() as u64) / 40 {
             return Err(SnapshotError::Corrupt("per-op count exceeds image"));
         }
-        let mut per_op = Vec::with_capacity(per_op_len as usize);
-        for _ in 0..per_op_len {
-            let op = OpId(reader.u64()? as usize);
-            let t = TimeEstimate {
-                compute_s: reader.f64()?,
-                memory_s: reader.f64()?,
-                overhead_s: reader.f64()?,
-                total_s: reader.f64()?,
-            };
-            per_op.push((op, t));
-        }
-        entries.push((key, ModuleEstimate { per_op, total_s }, hits));
+        // Per-op breakdowns (written by older tables) are not kept.
+        reader.take(per_op_len as usize * 40)?;
+        entries.push((key, total_s, hits));
     }
     reader.finish()?;
     Ok(entries)
 }
 
-/// One handle's view of a memoization table for [`ModuleEstimate`]s: the
+/// One handle's view of a memoization table of estimated times: the
 /// hit/miss counters of the lookups made *through this handle* and the
 /// handle's trace probe, over exactly one [`SharedEvalCache`] — a private
 /// one ([`EvalCache::new`]) or one that other handles look up in too
@@ -864,8 +838,8 @@ impl EvalCache {
     }
 
     /// A handle whose lookups go through an existing table — how worker
-    /// environments, per-request environment overrides and racing search
-    /// members share one cache. The handle's counters start at zero and
+    /// environments and per-request environment overrides share one
+    /// cache. The handle's counters start at zero and
     /// its probe is off.
     pub fn with_shared_backend(backend: SharedEvalCache) -> Self {
         Self {
@@ -881,37 +855,16 @@ impl EvalCache {
         &self.table
     }
 
-    /// Looks up the estimate for `scheduled`, running `model` only on a
-    /// cache miss.
-    pub fn estimate(&mut self, model: &CostModel, scheduled: &ScheduledModule) -> ModuleEstimate {
-        self.estimate_keyed(schedule_key(scheduled), model, scheduled)
-            .0
-    }
-
-    /// Like [`EvalCache::estimate`], but with a precomputed key (the
-    /// environment caches the module fingerprint once per episode), and
-    /// also reporting whether the lookup was a hit (`true`) or ran the
-    /// estimator (`false`).
-    pub fn estimate_keyed(
-        &mut self,
-        key: ScheduleKey,
-        model: &CostModel,
-        scheduled: &ScheduledModule,
-    ) -> (ModuleEstimate, bool) {
-        let (estimate, effects) = self.table.lookup_with(key, model, scheduled, Clone::clone);
-        self.record(effects);
-        (estimate, effects.was_hit)
-    }
-
-    /// Cheapest lookup: only the total time, no estimate clone. Returns
-    /// `(total_s, was_hit)`.
+    /// Looks up the total time of `scheduled` under its precomputed key
+    /// (the environment caches the module fingerprint once per episode),
+    /// running `model` only on a miss. Returns `(total_s, was_hit)`.
     pub fn total_s_keyed(
         &mut self,
         key: ScheduleKey,
         model: &CostModel,
         scheduled: &ScheduledModule,
     ) -> (f64, bool) {
-        let (total_s, effects) = self.table.lookup_with(key, model, scheduled, |e| e.total_s);
+        let (total_s, effects) = self.table.lookup_with(key, model, scheduled);
         self.record(effects);
         (total_s, effects.was_hit)
     }
@@ -963,7 +916,7 @@ impl EvalCache {
         hit_rate(self.hits, self.misses)
     }
 
-    /// Number of estimates memoized in the table.
+    /// Number of times memoized in the table.
     pub fn len(&self) -> usize {
         self.table.len()
     }
@@ -989,21 +942,9 @@ mod tests {
         b.finish()
     }
 
-    /// An estimate with a chosen cost, for driving the merge rules through
-    /// the private API without a real module.
-    fn synthetic_estimate(total_s: f64) -> ModuleEstimate {
-        ModuleEstimate {
-            per_op: vec![(
-                OpId(0),
-                TimeEstimate {
-                    compute_s: total_s,
-                    memory_s: 0.0,
-                    overhead_s: 0.0,
-                    total_s,
-                },
-            )],
-            total_s,
-        }
+    /// One lookup through a handle, keyed the way the environment keys it.
+    fn lookup(cache: &mut EvalCache, cm: &CostModel, sm: &ScheduledModule) -> (f64, bool) {
+        cache.total_s_keyed(schedule_key(sm), cm, sm)
     }
 
     #[test]
@@ -1018,13 +959,13 @@ mod tests {
             },
         )
         .unwrap();
-        let direct = cm.estimate_scheduled(&sm);
-        let cached = cache.estimate(&cm, &sm);
-        assert_eq!(direct, cached);
+        let direct = cm.estimate_scheduled(&sm).total_s;
+        let (cached, was_hit) = lookup(&mut cache, &cm, &sm);
+        assert_eq!((direct.to_bits(), was_hit), (cached.to_bits(), false));
         assert_eq!(cache.misses(), 1);
-        // Second lookup is a hit and returns the identical estimate.
-        let again = cache.estimate(&cm, &sm);
-        assert_eq!(direct, again);
+        // Second lookup is a hit and returns the identical time.
+        let (again, was_hit) = lookup(&mut cache, &cm, &sm);
+        assert_eq!((direct.to_bits(), was_hit), (again.to_bits(), true));
         assert_eq!(cache.hits(), 1);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
@@ -1077,7 +1018,7 @@ mod tests {
         let mut cache = EvalCache::new(2);
         for size in [32u64, 48, 64] {
             let sm = ScheduledModule::new(matmul(size, size, size));
-            cache.estimate(&cm, &sm);
+            lookup(&mut cache, &cm, &sm);
         }
         assert_eq!(cache.shared_backend().capacity(), 2);
         assert!(cache.len() <= 2, "capacity must bound the table");
@@ -1095,21 +1036,21 @@ mod tests {
         let mut master = EvalCache::new(64);
         for size in [32u64, 48, 64] {
             let sm = ScheduledModule::new(matmul(size, size, size));
-            master.estimate(&cm, &sm);
+            lookup(&mut master, &cm, &sm);
         }
         let mut copy = master.clone();
         assert!(!copy.shared_backend().same_table(master.shared_backend()));
         assert_eq!(copy.shared_backend().capacity(), 64);
         // The copy starts with the master's entries...
         let sm = ScheduledModule::new(matmul(32, 32, 32));
-        copy.estimate(&cm, &sm);
+        lookup(&mut copy, &cm, &sm);
         assert_eq!(copy.hits(), master.hits() + 1);
         // ...and what it learns afterwards stays with it.
         let fresh = ScheduledModule::new(matmul(96, 96, 96));
-        copy.estimate(&cm, &fresh);
+        lookup(&mut copy, &cm, &fresh);
         assert_eq!(copy.len(), 4);
         assert_eq!(master.len(), 3);
-        let (_, was_hit) = master.estimate_keyed(schedule_key(&fresh), &cm, &fresh);
+        let (_, was_hit) = lookup(&mut master, &cm, &fresh);
         assert!(!was_hit, "a copy's insert must not reach the original");
     }
 
@@ -1120,8 +1061,8 @@ mod tests {
         let handle = a.shared_backend().clone();
         let mut b = EvalCache::with_shared_backend(handle.clone());
         let sm = ScheduledModule::new(matmul(64, 64, 64));
-        a.estimate(&cm, &sm); // global miss
-        b.estimate(&cm, &sm); // global hit
+        lookup(&mut a, &cm, &sm); // global miss
+        lookup(&mut b, &cm, &sm); // global hit
         assert_eq!(handle.misses(), 1);
         assert_eq!(handle.hits(), 1);
         assert!((handle.hit_rate() - 0.5).abs() < 1e-12);
@@ -1136,7 +1077,7 @@ mod tests {
         let a = EvalCache::default();
         let mut b = EvalCache::with_shared_backend(a.shared_backend().clone());
         let sm = ScheduledModule::new(matmul(64, 64, 64));
-        b.estimate(&cm, &sm);
+        lookup(&mut b, &cm, &sm);
         assert_eq!(a.shared_backend().absorb(b.shared_backend()), 0);
         assert_eq!(a.len(), 1);
     }
@@ -1429,7 +1370,7 @@ mod tests {
                         let victim = scan_min(&reference, false, None).expect("full");
                         reference.remove(victim);
                     }
-                    shard.insert_entry(key, synthetic_estimate(total_s), hits, cap);
+                    shard.insert_entry(key, total_s, hits, cap);
                     reference.push(Ref {
                         key,
                         saved_unit: total_s,
@@ -1477,12 +1418,12 @@ mod tests {
         assert_eq!(created, schedules.len() as u64);
         assert_eq!(restored.len(), source.len());
 
-        // Every restored lookup is a hit with the bit-identical estimate.
+        // Every restored lookup is a hit with the bit-identical time.
         for sm in &schedules {
-            let want = cm.estimate_scheduled(sm);
-            let (got, was_hit) = restored.estimate_keyed(schedule_key(sm), &cm, sm);
+            let want = cm.estimate_scheduled(sm).total_s;
+            let (got, was_hit) = restored.total_s_keyed(schedule_key(sm), &cm, sm);
             assert!(was_hit, "restored entries must serve hits");
-            assert_eq!(got, want);
+            assert_eq!(got.to_bits(), want.to_bits());
         }
         // Snapshotting equal tables yields equal bytes (determinism).
         assert_eq!(bytes[..], source.to_snapshot_bytes()[..]);
@@ -1502,11 +1443,14 @@ mod tests {
     #[test]
     fn a_version_1_cache_image_round_trips_byte_for_byte() {
         // Two entries, in the image's shard order: one hit once after a
-        // merge that carried 4 hits (protected, two ops), one never hit
-        // (probation, a `-0.0` and a `f64::MIN_POSITIVE` among its times).
+        // merge that carried 4 hits (protected), one never hit (probation).
         // Every snapshot file on disk is laid out like this; a codec change
         // that moves a byte orphans them all.
-        const IMAGE: [u8; 226] = [
+        //
+        // Written by a table that stored per-op breakdowns (two ops, then
+        // one op with a `-0.0` and a `f64::MIN_POSITIVE` among its times):
+        // the same layout with nonzero per-op counts.
+        const OLD_IMAGE: [u8; 226] = [
             77, 76, 82, 67, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
             0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 64, 2, 0, 0, 0, 0, 0, 0, 0,
             0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0,
@@ -1517,71 +1461,65 @@ mod tests {
             63, 0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 248, 63, 178,
             118, 53, 180, 231, 220, 6, 47,
         ];
-        let time = |compute_s, memory_s, overhead_s, total_s| TimeEstimate {
-            compute_s,
-            memory_s,
-            overhead_s,
-            total_s,
-        };
+        // Written by this table: the per-op count of each entry is 0.
+        const IMAGE: [u8; 106] = [
+            77, 76, 82, 67, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 64, 0, 0, 0, 0, 0, 0, 0, 0,
+            8, 7, 6, 5, 4, 3, 2, 1, 24, 23, 22, 21, 20, 19, 18, 17, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 248, 63, 0, 0, 0, 0, 0, 0, 0, 0, 61, 111, 210, 178, 79, 33, 149, 194,
+        ];
         let probation = (
             ScheduleKey {
                 module: 0x0102_0304_0506_0708,
                 schedule: 0x1112_1314_1516_1718,
             },
-            ModuleEstimate {
-                per_op: vec![(OpId(7), time(1.5, -0.0, f64::MIN_POSITIVE, 1.5))],
-                total_s: 1.5,
-            },
+            1.5f64,
         );
         let protected = (
             ScheduleKey {
                 module: 2,
                 schedule: 0,
             },
-            ModuleEstimate {
-                per_op: vec![
-                    (OpId(0), time(0.25, 2.0, 0.0, 2.0)),
-                    (OpId(1), time(0.25, 0.125, 0.0, 0.25)),
-                ],
-                total_s: 2.25,
-            },
+            2.25f64,
         );
         let cm = CostModel::new(MachineModel::default());
         let sm = ScheduledModule::new(matmul(16, 16, 16));
         let table = SharedEvalCache::new(64);
-        assert!(table.merge_entry(probation.0, probation.1.clone(), 0));
-        assert!(table.merge_entry(protected.0, protected.1.clone(), 4));
+        assert!(table.merge_entry(probation.0, probation.1, 0));
+        assert!(table.merge_entry(protected.0, protected.1, 4));
         assert_eq!(table.total_s_keyed(protected.0, &cm, &sm), (2.25, true));
         let stats = table.shard_stats();
         assert_eq!(stats.iter().map(|s| s.protected).sum::<usize>(), 1);
         assert_eq!(table.to_snapshot_bytes(), IMAGE);
 
-        // The literal restores: both estimates come back bit for bit, as
-        // hits, and the saved hit counts with them (a restored entry
-        // re-enters probation, so only its segment byte may differ).
-        let restored = SharedEvalCache::new(64);
-        assert_eq!(restored.restore_from_bytes(&IMAGE).expect("version 1"), 2);
-        for (key, want) in [&probation, &protected] {
-            let (got, was_hit) = restored.estimate_keyed(*key, &cm, &sm);
-            assert!(was_hit);
-            assert_eq!(got.total_s.to_bits(), want.total_s.to_bits());
-            for ((op, got), (want_op, want)) in got.per_op.iter().zip(&want.per_op) {
-                assert_eq!(op, want_op);
-                for (g, w) in [
-                    (got.compute_s, want.compute_s),
-                    (got.memory_s, want.memory_s),
-                    (got.overhead_s, want.overhead_s),
-                    (got.total_s, want.total_s),
-                ] {
-                    assert_eq!(g.to_bits(), w.to_bits());
-                }
+        // Both literals restore: the times come back bit for bit with the
+        // saved hit counts (a restored entry re-enters probation, so the
+        // two restored tables are equal), and then serve hits.
+        let from_old = SharedEvalCache::new(64);
+        assert_eq!(
+            from_old.restore_from_bytes(&OLD_IMAGE).expect("version 1"),
+            2
+        );
+        let from_new = SharedEvalCache::new(64);
+        assert_eq!(from_new.restore_from_bytes(&IMAGE).expect("version 1"), 2);
+        assert_eq!(from_old.to_snapshot_bytes(), from_new.to_snapshot_bytes());
+        for ((key, want), hits) in [(probation, 0), (protected, 5)] {
+            {
+                let shard = from_old.shards[from_old.shard_index(&key)].lock().unwrap();
+                let entry = &shard.map[&key];
+                assert_eq!(
+                    (entry.total_s.to_bits(), entry.hits),
+                    (want.to_bits(), hits)
+                );
             }
+            let (got, was_hit) = from_old.total_s_keyed(key, &cm, &sm);
+            assert_eq!((got.to_bits(), was_hit), (want.to_bits(), true));
         }
         // Both were just hit once more: saved hits + 1, both protected.
-        let again = restored.to_snapshot_bytes();
+        let again = from_old.to_snapshot_bytes();
         assert_eq!(again.len(), IMAGE.len());
         assert_eq!((again[32], again[40]), (6, 1), "hits, segment of entry 0");
-        assert_eq!((again[153], again[161]), (1, 1), "hits, segment of entry 1");
+        assert_eq!((again[73], again[81]), (1, 1), "hits, segment of entry 1");
     }
 
     #[test]
@@ -1699,13 +1637,13 @@ mod tests {
         };
         let a = SharedEvalCache::new(64);
         let b = SharedEvalCache::new(64);
-        a.apply_insert(key, synthetic_estimate(1.0), 3);
-        b.apply_insert(key, synthetic_estimate(2.0), 5);
+        a.apply_insert(key, 1.0, 3);
+        b.apply_insert(key, 2.0, 5);
         let other = ScheduleKey {
             module: 8,
             schedule: 1,
         };
-        b.apply_insert(other, synthetic_estimate(4.0), 2);
+        b.apply_insert(other, 4.0, 2);
 
         let created = a.absorb(&b);
         assert_eq!(created, 1, "only the non-conflicting key is new");
@@ -1713,12 +1651,12 @@ mod tests {
         {
             let shard = a.shards[a.shard_index(&key)].lock().unwrap();
             let entry = &shard.map[&key];
-            assert_eq!(entry.estimate.total_s, 1.0, "incumbent estimate wins");
+            assert_eq!(entry.total_s, 1.0, "incumbent time wins");
             assert_eq!(entry.hits, 8, "hit counts are summed");
         }
         {
             let shard = a.shards[a.shard_index(&other)].lock().unwrap();
-            assert_eq!(shard.map[&other].estimate.total_s, 4.0);
+            assert_eq!(shard.map[&other].total_s, 4.0);
             assert_eq!(shard.map[&other].hits, 2, "foreign warmth carries over");
         }
         // Same-table absorb is a no-op.
@@ -1790,10 +1728,10 @@ mod tests {
             .collect();
         // Pin one entry warm (miss, then a promoting hit), then churn the
         // 2-entry table with fresh keys so admissions must evict.
-        cache.estimate(&cm, &schedules[0]);
-        cache.estimate(&cm, &schedules[0]);
+        lookup(&mut cache, &cm, &schedules[0]);
+        lookup(&mut cache, &cm, &schedules[0]);
         for sm in &schedules[1..] {
-            cache.estimate(&cm, sm);
+            lookup(&mut cache, &cm, sm);
         }
         let count = |kind: EventKind| {
             recorder

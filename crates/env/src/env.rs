@@ -242,8 +242,7 @@ impl OptimizationEnv {
     /// to emit their own phase events against the same trace id. Emission
     /// is purely observational and never perturbs outcomes; pass
     /// [`ProbeRef::none`] to detach. The probe rides along on environment
-    /// clones (racing portfolio members keep tracing) but is *not* part of
-    /// episode snapshots.
+    /// clones but is *not* part of episode snapshots.
     pub fn set_probe(&mut self, probe: ProbeRef) {
         self.cache.set_probe(probe);
     }
@@ -261,7 +260,7 @@ impl OptimizationEnv {
     /// A duplicate of this environment (configuration, cost model, live
     /// episode, probe) whose lookups go through the *same* evaluation
     /// table: an estimate computed by either serves hits to the other. The
-    /// rollout engine, the search driver, racing portfolios and the service
+    /// rollout engine, the search driver and the service
     /// give every worker one of these, so all workers and all branches of a
     /// search share one cache. Per-handle hit/miss counters start at zero.
     pub fn clone_sharing_cache(&self) -> Self {

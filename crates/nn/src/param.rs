@@ -6,8 +6,8 @@
 //!
 //! * **Values are shared, copy-on-write.** They live behind an `Arc`; a
 //!   clone is a reference count, whatever the size of the tensor, so
-//!   handing a network to a rollout worker, a service worker, a racing
-//!   searcher or the policy registry copies no weights. The write paths —
+//!   handing a network to a rollout worker, a service worker, a search
+//!   driver worker or the policy registry copies no weights. The write paths —
 //!   [`Param::value_mut`] / [`Param::value_and_grad_mut`] (init,
 //!   `Adam::step`) — un-share first (`Arc::make_mut`: a private copy if
 //!   anyone else holds the buffer, nothing otherwise), and

@@ -558,7 +558,7 @@ impl TraceSnapshot {
     ///   `dispatched`/`shed`/`cancelled_in_queue`, so overlapping waits
     ///   never break lane nesting.
     /// * Portfolio members become async spans keyed by trace id and rank
-    ///   (racing members overlap in time on one worker lane).
+    ///   (members run one after another on their request's worker lane).
     /// * Everything else is an instant (`"i"`) event on its writer lane.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[");

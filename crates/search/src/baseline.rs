@@ -43,7 +43,6 @@ where
         _policy: &mut P,
         module: &Module,
         _seed: u64,
-        _rank: usize,
         _stop: &StopToken,
     ) -> SearchOutcome {
         let machine = env.cost_model().machine().clone();

@@ -69,16 +69,15 @@ impl<P: PolicyModel> Searcher<P> for BeamSearch {
         format!("beam-{}", self.width)
     }
 
-    /// The search body. `stop` is checked between depths: a claim by a
-    /// lower rank ends the search with the best schedule found so far
-    /// (never worse than the greedy seed); a fresh token never fires.
+    /// The search body. `stop` is checked between depths: once it fires
+    /// the search ends with the best schedule found so far (never worse
+    /// than the greedy seed); a fresh token never fires.
     fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,
         policy: &mut P,
         module: &Module,
         seed: u64,
-        rank: usize,
         stop: &StopToken,
     ) -> SearchOutcome {
         let meter = LookupMeter::start(env);
@@ -110,7 +109,7 @@ impl<P: PolicyModel> Searcher<P> for BeamSearch {
         let max_depth = max_episode_steps(env, module);
         let probe = env.probe().clone();
         for depth in 0..max_depth {
-            if beams.is_empty() || stop.stops(rank) {
+            if beams.is_empty() || stop.stops() {
                 break;
             }
             probe.emit(

@@ -7,15 +7,13 @@ use mlir_rl_env::OptimizationEnv;
 use mlir_rl_ir::Module;
 
 use crate::portfolio::Portfolio;
-use crate::searcher::{MemberStatus, SearchOutcome, Searcher, StopToken};
+use crate::searcher::{MemberStatus, SearchOutcome, Searcher};
 
 /// One unit of work for [`SearchDriver::run_jobs`]: a module, the searcher
-/// to run on it, the search seed, and an optional racing/cancellation stop
-/// token with the rank the search runs at. This is the driver's most
-/// general interface — the serving layer maps each queued request to one
-/// job, so a batch run really is just N requests on one shared cache; the
-/// homogeneous [`SearchDriver::run`] entry point builds its jobs from a
-/// single searcher and per-index seeds.
+/// to run on it, and the search seed. This is the driver's most general
+/// interface — every job may pair a different searcher, module and seed on
+/// one shared cache; the homogeneous [`SearchDriver::run`] entry point
+/// builds its jobs from a single searcher and per-index seeds.
 pub struct SearchJob<'a, P: PolicyModel> {
     /// Module to optimize.
     pub module: &'a Module,
@@ -24,30 +22,20 @@ pub struct SearchJob<'a, P: PolicyModel> {
     /// Search seed (the determinism contract is per-job: same module,
     /// searcher, policy and seed ⇒ same outcome, any worker count).
     pub seed: u64,
-    /// Cooperative early-stop token and the rank this job checks it at
-    /// (`None` runs to completion unconditionally).
-    pub stop: Option<(&'a StopToken, usize)>,
 }
 
 impl<'a, P: PolicyModel> SearchJob<'a, P> {
-    /// A plain run-to-completion job.
+    /// A run-to-completion job.
     pub fn new(module: &'a Module, searcher: &'a (dyn Searcher<P> + 'a), seed: u64) -> Self {
         Self {
             module,
             searcher,
             seed,
-            stop: None,
         }
     }
 
     fn run(&self, env: &mut OptimizationEnv, policy: &mut P) -> SearchOutcome {
-        match self.stop {
-            Some((stop, rank)) => {
-                self.searcher
-                    .search_with_stop(env, policy, self.module, self.seed, rank, stop)
-            }
-            None => self.searcher.search(env, policy, self.module, self.seed),
-        }
+        self.searcher.search(env, policy, self.module, self.seed)
     }
 }
 
@@ -189,8 +177,8 @@ impl SearchDriver {
     /// boundaries. Outcomes carry per-member attribution; aggregate it
     /// across the batch with [`BatchSearchReport::member_attribution`].
     /// Like [`SearchDriver::run`], results are bit-for-bit identical for
-    /// any worker count (racing portfolios stay deterministic by
-    /// construction — see [`Portfolio`]).
+    /// any worker count (both portfolio modes run their members serially
+    /// in rank order — see [`Portfolio`]).
     pub fn run_portfolio<P>(
         &self,
         env_template: &OptimizationEnv,
@@ -308,9 +296,10 @@ pub struct MemberAggregate {
     pub wins: usize,
     /// Modules on which this member reached the racing target.
     pub reached_target: usize,
-    /// Modules on which a lower-ranked racing winner preempted this member.
+    /// Modules on which the caller's stop cut this member short.
     pub stopped: usize,
-    /// Modules on which the budget ledger skipped this member entirely.
+    /// Modules on which this member never ran (budget spent, stop fired or
+    /// an earlier racing member won).
     pub skipped: usize,
     /// Estimator runs attributed to this member across the batch.
     pub evaluations: usize,

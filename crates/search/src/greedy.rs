@@ -81,7 +81,6 @@ impl<P: PolicyModel> Searcher<P> for GreedyPolicy {
         policy: &mut P,
         module: &Module,
         seed: u64,
-        _rank: usize,
         _stop: &StopToken,
     ) -> SearchOutcome {
         let meter = LookupMeter::start(env);

@@ -25,10 +25,10 @@
 //!   behind [`MctsConfig`] (off by default, bitwise-preserving).
 //! * [`RandomSearch`] — a budgeted uniform-random baseline over the masked
 //!   action space.
-//! * [`Portfolio`] — a roster of member searchers on one shared evaluation
-//!   cache, round-robin or racing (first past a target speedup wins), with
-//!   per-member attribution and a common eval-budget ledger. Racing stays
-//!   deterministic by rank-ordered preemption.
+//! * [`Portfolio`] — a roster of member searchers run in rank order on one
+//!   shared evaluation cache, round-robin (best member wins) or racing
+//!   (first past a target speedup wins, later members are skipped), with
+//!   per-member attribution and a common lookup budget.
 //! * [`BaselineSearcher`] — adapts the comparison systems of
 //!   `mlir-rl-baselines` (vendor library, Mullapudi, Halide RL) to the same
 //!   [`Searcher`] interface so batch comparisons are uniform.
@@ -506,7 +506,11 @@ mod tests {
         assert_eq!(raced.best_actions, greedy.best_actions);
         assert_eq!(raced.best_s, greedy.best_s);
         assert_eq!(raced.nodes_expanded, greedy.nodes_expanded);
+        assert_eq!(raced.total_lookups(), greedy.total_lookups());
         assert!(raced.members[0].winner && raced.members[0].reached_target);
+        assert!(raced.members[1..]
+            .iter()
+            .all(|m| m.status == MemberStatus::Skipped && m.nodes_expanded == 0));
 
         // An unreachable target: nobody claims, every member completes,
         // and the outcome is the deterministic best-of-roster.
@@ -596,20 +600,92 @@ mod tests {
     }
 
     #[test]
-    fn stop_token_rank_ordering() {
+    fn a_cancel_reaches_every_clone_and_a_past_deadline_stops_the_search() {
         let token = StopToken::new();
-        assert_eq!(token.claimant(), None);
-        assert!(!token.stops(0));
-        token.claim(2);
-        assert_eq!(token.claimant(), Some(2));
-        assert!(token.stops(3), "higher ranks honor the claim");
-        assert!(!token.stops(2), "the claimant itself keeps running");
-        assert!(!token.stops(1), "lower ranks are never preempted");
-        token.claim(5);
-        assert_eq!(token.claimant(), Some(2), "the lowest claim sticks");
-        token.claim(0);
-        assert_eq!(token.claimant(), Some(0));
-        assert!(token.stops(1));
+        let clone = token.clone();
+        assert!(!token.stops() && !clone.stops());
+        clone.cancel();
+        assert!(token.is_cancelled() && token.stops(), "the flag is shared");
+        assert!(token.clone().stops());
+
+        let past = std::time::Instant::now();
+        let late = StopToken::new().with_deadline(past);
+        assert_eq!(late.deadline(), Some(past));
+        assert!(late.expired() && late.stops() && !late.is_cancelled());
+        // A search under it winds down at its first check.
+        let module = chain(64, 64, 64);
+        let mut p = policy(4);
+        let full = Mcts::new(16)
+            .with_branch(3)
+            .search(&mut env(), &mut p, &module, 1);
+        let cut =
+            Mcts::new(16)
+                .with_branch(3)
+                .search_with_stop(&mut env(), &mut p, &module, 1, &late);
+        assert!(cut.nodes_expanded < full.nodes_expanded);
+        assert!(cut.speedup >= 1.0);
+    }
+
+    /// A portfolio member that cancels the caller's token once its own
+    /// search is done, the way a client's cancel lands mid-member.
+    struct CancelsMidRun;
+
+    impl<P: mlir_rl_agent::PolicyModel> Searcher<P> for CancelsMidRun {
+        fn name(&self) -> String {
+            "cancels-mid-run".to_string()
+        }
+
+        fn search_with_stop(
+            &self,
+            env: &mut OptimizationEnv,
+            policy: &mut P,
+            module: &Module,
+            seed: u64,
+            stop: &StopToken,
+        ) -> SearchOutcome {
+            let outcome = BeamSearch::new(2).search_with_stop(env, policy, module, seed, stop);
+            stop.cancel();
+            outcome
+        }
+    }
+
+    #[test]
+    fn a_member_cut_short_by_the_callers_stop_reports_stopped() {
+        let module = chain(96, 48, 64);
+        for portfolio in [Portfolio::round_robin(), Portfolio::racing(f64::INFINITY)] {
+            let portfolio = portfolio
+                .with_member(GreedyPolicy)
+                .with_member(CancelsMidRun)
+                .with_member(RandomSearch::new(3));
+            let stop = StopToken::new();
+            let outcome = portfolio.search_with_stop(&mut env(), &mut policy(5), &module, 7, &stop);
+            let statuses: Vec<_> = outcome.members.iter().map(|m| m.status).collect();
+            assert_eq!(
+                statuses,
+                [
+                    MemberStatus::Completed,
+                    MemberStatus::Stopped,
+                    MemberStatus::Skipped
+                ],
+                "{}",
+                portfolio.name()
+            );
+            // The stopped member's best-so-far still counts.
+            assert_eq!(
+                outcome.nodes_expanded,
+                outcome.members[0].nodes_expanded + outcome.members[1].nodes_expanded
+            );
+            assert_eq!(outcome.members[2].nodes_expanded, 0);
+        }
+
+        // A stop that fired before the search skips the whole roster.
+        let stop = StopToken::new();
+        stop.cancel();
+        let outcome = Portfolio::round_robin()
+            .with_member(GreedyPolicy)
+            .search_with_stop(&mut env(), &mut policy(5), &module, 7, &stop);
+        assert_eq!(outcome.speedup, 1.0);
+        assert_eq!(outcome.members[0].status, MemberStatus::Skipped);
     }
 
     #[test]

@@ -152,17 +152,15 @@ impl<P: PolicyModel> Searcher<P> for Mcts {
         format!("mcts-{}", self.iterations)
     }
 
-    /// The search body. `stop` is checked between iterations: a claim by a
-    /// lower rank ends the search with its best-so-far (the racing-loser
-    /// wind-down); a fresh token never fires, which is the plain
-    /// [`Searcher::search`] path.
+    /// The search body. `stop` is checked between iterations: once it
+    /// fires the search ends with its best-so-far; a fresh token never
+    /// fires, which is the plain [`Searcher::search`] path.
     fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,
         policy: &mut P,
         module: &Module,
         seed: u64,
-        rank: usize,
         stop: &StopToken,
     ) -> SearchOutcome {
         let meter = LookupMeter::start(env);
@@ -191,7 +189,7 @@ impl<P: PolicyModel> Searcher<P> for Mcts {
 
         let probe = env.probe().clone();
         for iteration in 0..self.iterations {
-            if arena[0].done || stop.stops(rank) {
+            if arena[0].done || stop.stops() {
                 break;
             }
             probe.emit(

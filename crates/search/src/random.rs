@@ -106,17 +106,16 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
         format!("random-{}", self.episodes)
     }
 
-    /// The search body. `stop` is checked between episodes: a claim by a
-    /// lower rank ends the search with the best schedule found so far; a
-    /// fresh token never fires. The first episode always runs (it scores
-    /// the baseline the outcome is reported against).
+    /// The search body. `stop` is checked between episodes: once it fires
+    /// the search ends with the best schedule found so far; a fresh token
+    /// never fires. The first episode always runs (it scores the baseline
+    /// the outcome is reported against).
     fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,
         policy: &mut P,
         module: &Module,
         seed: u64,
-        rank: usize,
         stop: &StopToken,
     ) -> SearchOutcome {
         let _ = policy; // policy-free baseline
@@ -132,7 +131,7 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
         let mut best_s = f64::INFINITY;
         let mut best_actions: Vec<Action> = Vec::new();
         for episode in 0..self.episodes {
-            if episode > 0 && stop.stops(rank) {
+            if episode > 0 && stop.stops() {
                 break;
             }
             probe.emit(EventKind::RandomEpisode, None, [episode as u64, 0, 0]);

@@ -1,6 +1,6 @@
 //! The common search interface and its outcome type.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,10 +41,8 @@ pub struct SearchOutcome {
     /// Evaluation requests served by the schedule-keyed cache.
     pub cache_hits: usize,
     /// Per-member attribution when this outcome came from a
-    /// [`crate::Portfolio`] search (empty for plain searchers). Racing
-    /// losers that were preempted report their effort up to the stop, so
-    /// member rows are display/accounting data, not part of the outcome's
-    /// determinism contract.
+    /// [`crate::Portfolio`] search (empty for plain searchers), one row per
+    /// roster rank.
     pub members: Vec<MemberOutcome>,
 }
 
@@ -67,11 +65,11 @@ impl SearchOutcome {
 pub enum MemberStatus {
     /// The member ran its full search.
     Completed,
-    /// A lower-ranked racing member claimed the target first; this member
-    /// wound down early and its numbers cover only the work up to the stop.
+    /// The caller's stop (a cancellation or deadline) fired during this
+    /// member's run; its numbers cover only the work up to the stop.
     Stopped,
-    /// The portfolio's eval-budget ledger was exhausted before this member's
-    /// turn (round-robin mode); it never ran.
+    /// The member never ran: the portfolio's lookup budget was spent, the
+    /// caller's stop had fired, or an earlier member won the race.
     Skipped,
 }
 
@@ -80,7 +78,7 @@ pub enum MemberStatus {
 pub struct MemberOutcome {
     /// Display name of the member searcher.
     pub member: String,
-    /// Roster index (the racing priority: lower ranks preempt higher ones).
+    /// Roster index (members run in rank order).
     pub rank: usize,
     /// Best speedup this member found (1.0 for a skipped member).
     pub speedup: f64,
@@ -108,48 +106,28 @@ impl MemberOutcome {
     }
 }
 
-/// Cooperative early-stop channel of a racing portfolio — and, since the
-/// serving layer reuses it, of any deadline- or cancellation-aware search.
+/// Cooperative early-stop channel of a search: a cancel flag shared by
+/// every clone of the token, plus an optional wall-clock deadline.
 ///
-/// The token holds the roster rank of the best (lowest-ranked) member that
-/// has claimed the race target so far. A member checks
-/// [`StopToken::stops`] at its iteration boundaries and winds down **only
-/// when the claimant outranks it** — so every member ranked at or below the
-/// eventual winner always runs to completion, which is what keeps racing
-/// outcomes deterministic: the winner and everything it reports never
-/// depend on thread timing, only losers *above* the winner get cut short.
-///
-/// Two optional extensions serve the request/response layer:
-///
-/// * a **deadline** ([`StopToken::with_deadline`]): once the wall-clock
-///   deadline passes, [`StopToken::stops`] fires for *every* rank — the
-///   in-run half of end-to-end deadline enforcement. Deadline stops are
-///   timing-based, so (like racing-loser rows) anything cut short by one
-///   is outside the determinism contract;
-/// * a **parent link** ([`StopToken::child`]): a child token opens a fresh
-///   claimant space (for e.g. a portfolio's internal race) that *also*
-///   honors stops addressed to the parent rank it was created under — how
-///   an external cancel or deadline reaches into a nested search's members.
-#[derive(Debug, Clone)]
+/// A stop-aware search checks [`StopToken::stops`] at its iteration
+/// boundaries and finishes early with its best-so-far once the token is
+/// cancelled or its deadline has passed. Both are timing-based, so anything
+/// cut short by a stop is outside the determinism contract; a fresh token
+/// never fires.
+#[derive(Debug, Clone, Default)]
 pub struct StopToken {
-    claimant: Arc<AtomicUsize>,
+    cancelled: Arc<AtomicBool>,
     deadline: Option<Instant>,
-    parent: Option<(Arc<StopToken>, usize)>,
 }
 
 impl StopToken {
-    /// A token with no claimant, no deadline and no parent: it never stops
-    /// anyone until [`StopToken::claim`] is called.
+    /// A token that is not cancelled and has no deadline.
     pub fn new() -> Self {
-        Self {
-            claimant: Arc::new(AtomicUsize::new(usize::MAX)),
-            deadline: None,
-            parent: None,
-        }
+        Self::default()
     }
 
     /// Attaches a wall-clock deadline: from `deadline` on,
-    /// [`StopToken::stops`] fires for every rank.
+    /// [`StopToken::stops`] fires.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
@@ -166,49 +144,20 @@ impl StopToken {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// A token with a fresh claimant space that additionally stops every
-    /// rank whenever `self` stops `rank` — claims on the child never
-    /// propagate to `self`. Nested searches (a portfolio race inside a
-    /// served request) hand their members a child of the request token so
-    /// an external cancel or deadline cuts through both layers.
-    pub fn child(&self, rank: usize) -> Self {
-        Self {
-            claimant: Arc::new(AtomicUsize::new(usize::MAX)),
-            deadline: None,
-            parent: Some((Arc::new(self.clone()), rank)),
-        }
+    /// Cancels the token and every clone of it.
+    pub fn cancel(&self) {
+        self.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Records that the member at `rank` reached the target. The lowest
-    /// claiming rank wins ties between concurrent claims.
-    pub fn claim(&self, rank: usize) {
-        self.claimant.fetch_min(rank, Ordering::SeqCst);
+    /// True once [`StopToken::cancel`] was called on this token or a clone.
+    pub fn is_cancelled(&self) -> bool {
+        self.cancelled.load(Ordering::Relaxed)
     }
 
-    /// The best (lowest) rank that has claimed *this* token so far
-    /// (deadline expiry and parent stops are not claims).
-    pub fn claimant(&self) -> Option<usize> {
-        let rank = self.claimant.load(Ordering::SeqCst);
-        (rank != usize::MAX).then_some(rank)
-    }
-
-    /// True when the member at `rank` should wind down with its
-    /// best-so-far: a member ranked below it has claimed, the deadline has
-    /// passed, or the parent token stops the rank this child was created
-    /// under.
-    pub fn stops(&self, rank: usize) -> bool {
-        self.claimant.load(Ordering::SeqCst) < rank
-            || self.expired()
-            || self
-                .parent
-                .as_ref()
-                .is_some_and(|(parent, parent_rank)| parent.stops(*parent_rank))
-    }
-}
-
-impl Default for StopToken {
-    fn default() -> Self {
-        Self::new()
+    /// True when a search should wind down with its best-so-far: the token
+    /// was cancelled or its deadline has passed.
+    pub fn stops(&self) -> bool {
+        self.is_cancelled() || self.expired()
     }
 }
 
@@ -225,25 +174,23 @@ pub trait Searcher<P: PolicyModel>: Send + Sync {
     fn name(&self) -> String;
 
     /// Searches the schedule space of `module` and returns the best
-    /// schedule found, cooperatively interruptible: the search runs as
-    /// member `rank` of a racing portfolio and should check
-    /// `stop.stops(rank)` at its iteration boundaries, finishing early with
-    /// its best-so-far when a lower-ranked member has claimed the race
-    /// target. Atomic searchers (greedy decoding, the baseline adapters),
-    /// whose one episode cannot meaningfully be cut short, ignore the
-    /// token.
+    /// schedule found, cooperatively interruptible: the search should check
+    /// `stop.stops()` at its iteration boundaries and finish early with its
+    /// best-so-far once it fires (a served request's cancellation or
+    /// deadline). Atomic searchers (greedy decoding, the baseline
+    /// adapters), whose one episode cannot meaningfully be cut short,
+    /// ignore the token.
     fn search_with_stop(
         &self,
         env: &mut OptimizationEnv,
         policy: &mut P,
         module: &Module,
         seed: u64,
-        rank: usize,
         stop: &StopToken,
     ) -> SearchOutcome;
 
-    /// Searches the schedule space of `module` on its own: rank 0 under a
-    /// fresh token, which never fires.
+    /// Searches the schedule space of `module` to completion, under a
+    /// fresh token that never fires.
     fn search(
         &self,
         env: &mut OptimizationEnv,
@@ -251,7 +198,7 @@ pub trait Searcher<P: PolicyModel>: Send + Sync {
         module: &Module,
         seed: u64,
     ) -> SearchOutcome {
-        self.search_with_stop(env, policy, module, seed, 0, &StopToken::new())
+        self.search_with_stop(env, policy, module, seed, &StopToken::new())
     }
 }
 
@@ -269,10 +216,9 @@ impl<P: PolicyModel, S: Searcher<P> + ?Sized> Searcher<P> for &S {
         policy: &mut P,
         module: &Module,
         seed: u64,
-        rank: usize,
         stop: &StopToken,
     ) -> SearchOutcome {
-        (**self).search_with_stop(env, policy, module, seed, rank, stop)
+        (**self).search_with_stop(env, policy, module, seed, stop)
     }
 }
 

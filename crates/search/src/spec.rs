@@ -58,8 +58,7 @@ pub enum SearchSpec {
     /// A roster of member specs run as one [`Portfolio`] on a shared
     /// evaluation cache.
     Portfolio {
-        /// Member specs, in roster-rank order (rank doubles as the racing
-        /// priority).
+        /// Member specs, in roster-rank order (the order they run in).
         members: Vec<SearchSpec>,
         /// Round-robin or racing execution.
         mode: PortfolioMode,

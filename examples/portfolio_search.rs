@@ -4,7 +4,7 @@
 //! per workload — the whole roster (greedy decode, beam,
 //! progressively-widened MCTS, random) runs per request on the service's
 //! one persistent evaluation cache, round-robin first and then racing with
-//! a target speedup where the first member past the target ends the race.
+//! a target speedup where the first member past the target ends the roster.
 //!
 //! Run with `cargo run --release --example portfolio_search`.
 
@@ -105,6 +105,6 @@ fn main() {
     );
     println!("every member of every request scores schedules through the service's");
     println!("one persistent cache, so requests warm each other up — and racing ends");
-    println!("each request's roster as soon as the lowest-ranked member past the");
-    println!("target finishes (deterministically — see the service docs).");
+    println!("each request's roster at the first member, in rank order, that reaches");
+    println!("the target (deterministically — see the service docs).");
 }

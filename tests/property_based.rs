@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use mlir_rl_costmodel::{CostModel, EvalCache, MachineModel};
+use mlir_rl_costmodel::{schedule_key, CostModel, EvalCache, MachineModel};
 use mlir_rl_env::{
     extract_features_dense, Action, ActionHistory, EnvConfig, Features, OptimizationEnv,
 };
@@ -70,9 +70,9 @@ proptest! {
     }
 
     /// The schedule-keyed evaluation cache is transparent: for any random
-    /// schedule, the cached estimate is identical to a direct run of the
-    /// estimator — on the miss that populates the entry *and* on the hit
-    /// that serves it back.
+    /// schedule, the cached total time is bit-identical to a direct run of
+    /// the estimator — on the miss that populates the entry *and* on the
+    /// hit that serves it back.
     #[test]
     fn cached_estimates_match_uncached(
         m in 2u64..256, n in 2u64..256, k in 2u64..256,
@@ -96,11 +96,11 @@ proptest! {
             // when the mask would forbid it.
             let _ = sm.apply(OpId(0), Transformation::Vectorization);
         }
-        let direct = cm.estimate_scheduled(&sm);
-        let miss = cache.estimate(&cm, &sm).clone();
-        let hit = cache.estimate(&cm, &sm).clone();
-        prop_assert_eq!(&direct, &miss);
-        prop_assert_eq!(&direct, &hit);
+        let direct = cm.estimate_scheduled(&sm).total_s;
+        let (miss, _) = cache.total_s_keyed(schedule_key(&sm), &cm, &sm);
+        let (hit, _) = cache.total_s_keyed(schedule_key(&sm), &cm, &sm);
+        prop_assert_eq!(direct.to_bits(), miss.to_bits());
+        prop_assert_eq!(direct.to_bits(), hit.to_bits());
         prop_assert_eq!(cache.hits(), 1);
         prop_assert_eq!(cache.misses(), 1);
     }
@@ -116,7 +116,7 @@ proptest! {
         seed in 1u64..1_000_000,
         steps in 8usize..48,
     ) {
-        use mlir_rl_costmodel::{schedule_key, SharedEvalCache};
+        use mlir_rl_costmodel::SharedEvalCache;
 
         let cm = CostModel::new(MachineModel::xeon_e5_2680_v4());
         // A pool of distinct schedules and their uncached oracle estimates.
@@ -129,7 +129,7 @@ proptest! {
                         tile_sizes: vec![tile, tile, 0],
                     }).unwrap();
                 }
-                let oracle = cm.estimate_scheduled(&sm);
+                let oracle = cm.estimate_scheduled(&sm).total_s.to_bits();
                 pool.push((schedule_key(&sm), sm, oracle));
             }
         }
@@ -151,12 +151,12 @@ proptest! {
             let (key, sm, oracle) = &pool[(draw >> 8) as usize % pool.len()];
             match draw % 5 {
                 0 | 1 => {
-                    let (estimate, _) = a.estimate_keyed(*key, &cm, sm);
-                    prop_assert_eq!(&estimate, oracle);
+                    let (total_s, _) = a.total_s_keyed(*key, &cm, sm);
+                    prop_assert_eq!(total_s.to_bits(), *oracle);
                 }
                 2 => {
-                    let (estimate, _) = b.estimate_keyed(*key, &cm, sm);
-                    prop_assert_eq!(&estimate, oracle);
+                    let (total_s, _) = b.total_s_keyed(*key, &cm, sm);
+                    prop_assert_eq!(total_s.to_bits(), *oracle);
                 }
                 3 => {
                     // Restart `a`: snapshot, then restore into a fresh table.
@@ -179,10 +179,10 @@ proptest! {
         // Whatever the interleaving did to the tables, every key still
         // resolves to the oracle estimate, bit for bit.
         for (key, sm, oracle) in &pool {
-            let (from_a, _) = a.estimate_keyed(*key, &cm, sm);
-            let (from_b, _) = b.estimate_keyed(*key, &cm, sm);
-            prop_assert_eq!(&from_a, oracle);
-            prop_assert_eq!(&from_b, oracle);
+            let (from_a, _) = a.total_s_keyed(*key, &cm, sm);
+            let (from_b, _) = b.total_s_keyed(*key, &cm, sm);
+            prop_assert_eq!(from_a.to_bits(), *oracle);
+            prop_assert_eq!(from_b.to_bits(), *oracle);
         }
     }
 

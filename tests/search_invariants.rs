@@ -5,12 +5,10 @@
 //! they inherit it):
 //!
 //! 1. **Same-seed reproducibility**: two searches from identical fresh
-//!    state are bit-for-bit identical (racing portfolios: identical in
-//!    everything but the per-member hit/miss split, whose sum is still
-//!    deterministic).
+//!    state are bit-for-bit identical, portfolio member rows included.
 //! 2. **Lookup accounting**: `evaluations + cache_hits == total_lookups`,
-//!    and for serial searchers the outcome's delta agrees with the
-//!    environment cache's own counters.
+//!    and the outcome's delta agrees with the environment cache's own
+//!    counters.
 //! 3. **Greedy floor**: searchers seeded with the greedy trajectory
 //!    (beam, portfolios containing greedy) never report a worse speedup
 //!    than greedy decoding under the same seed.
@@ -31,8 +29,8 @@ use mlir_rl_env::{EnvConfig, Observation, ObservationBatch, OptimizationEnv};
 use mlir_rl_ir::{Module, ModuleBuilder};
 use mlir_rl_obs::TraceRecorder;
 use mlir_rl_search::{
-    random_action, BeamSearch, GreedyPolicy, Mcts, Portfolio, RandomSearch, SearchDriver,
-    SearchOutcome, Searcher,
+    random_action, BeamSearch, GreedyPolicy, Mcts, MemberStatus, Portfolio, RandomSearch,
+    SearchDriver, SearchOutcome, Searcher,
 };
 use mlir_rl_workloads::sequences::{random_sequence, SEQUENCE_LENGTH};
 use rand::SeedableRng;
@@ -68,17 +66,12 @@ struct Entry<P: PolicyModel = PolicyNetwork> {
     searcher: Box<dyn Searcher<P>>,
     /// Seeded with the greedy trajectory: must be `>=` greedy decoding.
     greedy_seeded: bool,
-    /// Runs members on racing threads: the per-member hit/miss split (but
-    /// not its sum) may vary, and the caller's env handle does not observe
-    /// the member threads' lookups.
-    racing: bool,
 }
 
 fn entry<P: PolicyModel>(searcher: impl Searcher<P> + 'static, greedy_seeded: bool) -> Entry<P> {
     Entry {
         searcher: Box::new(searcher),
         greedy_seeded,
-        racing: false,
     }
 }
 
@@ -112,25 +105,33 @@ fn roster<P: PolicyModel + 'static>() -> Vec<Entry<P>> {
                 .with_budget(40),
             true,
         ),
-        Entry {
-            searcher: Box::new(
-                Portfolio::racing(2.0)
-                    .with_member(GreedyPolicy)
-                    .with_member(BeamSearch::new(2))
-                    .with_member(RandomSearch::new(2)),
-            ),
-            greedy_seeded: true,
-            racing: true,
-        },
+        entry(
+            Portfolio::racing(2.0)
+                .with_member(GreedyPolicy)
+                .with_member(BeamSearch::new(2))
+                .with_member(RandomSearch::new(2)),
+            true,
+        ),
     ]
 }
 
+/// One portfolio member row's seed-determined fields: rank, status,
+/// winner, reached target, speedup bits and nodes expanded.
+type MemberFields = (usize, MemberStatus, bool, bool, u64, usize);
+
 /// The seed-determined payload of an outcome: everything except the cache
-/// hit/miss split (warmth/interleaving-dependent) and the member rows
-/// (racing losers' rows cover timing-dependent partial work).
+/// hit/miss split (warmth-dependent).
 fn deterministic_fields(
     o: &SearchOutcome,
-) -> (String, u64, u64, Vec<mlir_rl_env::Action>, usize, usize) {
+) -> (
+    String,
+    u64,
+    u64,
+    Vec<mlir_rl_env::Action>,
+    usize,
+    usize,
+    Vec<MemberFields>,
+) {
     (
         o.module.clone(),
         o.best_s.to_bits(),
@@ -138,6 +139,19 @@ fn deterministic_fields(
         o.best_actions.clone(),
         o.nodes_expanded,
         o.total_lookups(),
+        o.members
+            .iter()
+            .map(|m| {
+                (
+                    m.rank,
+                    m.status,
+                    m.winner,
+                    m.reached_target,
+                    m.speedup.to_bits(),
+                    m.nodes_expanded,
+                )
+            })
+            .collect(),
     )
 }
 
@@ -156,12 +170,9 @@ fn battery_same_seed_searches_are_reproducible() {
             e.searcher.name()
         );
         assert_eq!(a.best_schedule, b.best_schedule, "{}", e.searcher.name());
-        if !e.racing {
-            // Serial searchers on identical fresh state reproduce even the
-            // hit/miss split.
-            assert_eq!(a.evaluations, b.evaluations, "{}", e.searcher.name());
-            assert_eq!(a.cache_hits, b.cache_hits, "{}", e.searcher.name());
-        }
+        // Identical fresh state reproduces even the hit/miss split.
+        assert_eq!(a.evaluations, b.evaluations, "{}", e.searcher.name());
+        assert_eq!(a.cache_hits, b.cache_hits, "{}", e.searcher.name());
     }
 }
 
@@ -192,15 +203,13 @@ fn battery_probe_enabled_runs_are_bitwise_identical_to_disabled() {
             "{}",
             e.searcher.name()
         );
-        if !e.racing {
-            assert_eq!(
-                plain.evaluations,
-                probed.evaluations,
-                "{}",
-                e.searcher.name()
-            );
-            assert_eq!(plain.cache_hits, probed.cache_hits, "{}", e.searcher.name());
-        }
+        assert_eq!(
+            plain.evaluations,
+            probed.evaluations,
+            "{}",
+            e.searcher.name()
+        );
+        assert_eq!(plain.cache_hits, probed.cache_hits, "{}", e.searcher.name());
         let snapshot = recorder.snapshot();
         assert!(
             !snapshot.events.is_empty(),
@@ -231,17 +240,14 @@ fn battery_lookup_accounting_is_consistent() {
         assert!(outcome.speedup.is_finite() && outcome.speedup > 0.0);
         assert!(outcome.baseline_s > 0.0 && outcome.best_s > 0.0);
         assert!(!outcome.best_schedule.is_empty(), "{}", e.searcher.name());
-        if !e.racing {
-            // The outcome's delta accounting agrees with the cache's own
-            // counters (racing members search on cloned handles, which the
-            // caller's per-handle counters do not observe).
-            assert_eq!(
-                outcome.total_lookups(),
-                (environment.cache().hits() + environment.cache().misses()) as usize,
-                "{} outcome accounting must agree with the env cache",
-                e.searcher.name()
-            );
-        }
+        // The outcome's delta accounting agrees with the cache's own
+        // counters.
+        assert_eq!(
+            outcome.total_lookups(),
+            (environment.cache().hits() + environment.cache().misses()) as usize,
+            "{} outcome accounting must agree with the env cache",
+            e.searcher.name()
+        );
     }
 }
 
@@ -602,12 +608,11 @@ fn battery_no_searcher_materialises_a_dense_observation() {
         };
         let outcome = e.searcher.search(&mut env(), &mut p, &module, 17);
         assert!(outcome.nodes_expanded > 0, "{}", e.searcher.name());
-        // Racing members search on clones, which keep their own count.
         policy_backed += usize::from(p.observations_seen > 0);
     }
-    // Not vacuous: all but `RandomSearch` and the racing portfolio put
-    // observations through this instance.
-    assert!(policy_backed >= 7, "only {policy_backed} searchers checked");
+    // Not vacuous: all but `RandomSearch` put observations through this
+    // instance.
+    assert!(policy_backed >= 8, "only {policy_backed} searchers checked");
 }
 
 /// A policy network that drops its embedding LSTM's prefix memo before
@@ -684,10 +689,8 @@ fn battery_the_embedding_memo_is_invisible_to_every_searcher() {
                 module.name()
             );
             assert_eq!(a.best_schedule, b.best_schedule, "{name}");
-            if !kept.racing {
-                assert_eq!(a.evaluations, b.evaluations, "{name}");
-                assert_eq!(a.cache_hits, b.cache_hits, "{name}");
-            }
+            assert_eq!(a.evaluations, b.evaluations, "{name}");
+            assert_eq!(a.cache_hits, b.cache_hits, "{name}");
         }
     }
 }
