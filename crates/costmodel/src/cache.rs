@@ -19,10 +19,9 @@
 //! per-handle view of one such table — the handle's own hit/miss counters
 //! and trace probe over a table it either owns ([`EvalCache::new`]) or
 //! joined ([`EvalCache::with_shared_backend`]). The rollout engine, the
-//! schedule-search driver and the service hand every
-//! worker a handle joined to one table, so all workers and all branches of
-//! a search hit one cache and the parallel hit-rate matches serial
-//! collection. Cloning an [`EvalCache`] is the opposite operation: it
+//! schedule-search driver and the service hand every worker a handle
+//! joined to one table, so all workers and all branches of a search hit one
+//! cache and the parallel hit-rate matches serial collection. Cloning an [`EvalCache`] is the opposite operation: it
 //! copies the entries into a private table, so the clone and the original
 //! diverge from there on.
 //!
@@ -839,8 +838,7 @@ impl EvalCache {
 
     /// A handle whose lookups go through an existing table — how worker
     /// environments and per-request environment overrides share one
-    /// cache. The handle's counters start at zero and
-    /// its probe is off.
+    /// cache. The handle's counters start at zero and its probe is off.
     pub fn with_shared_backend(backend: SharedEvalCache) -> Self {
         Self {
             table: backend,
