@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use mlir_rl_ir::{LinalgOp, Module, OpId};
 use mlir_rl_transforms::{LoopNest, ScheduledModule};
 
-use crate::footprint::{operand_accesses, traffic_beyond_cache, OperandAccess};
+use crate::footprint::{operand_accesses, OperandAccess, SubnestTable};
 use crate::machine::{CodegenQuality, MachineModel};
 
 /// The estimated execution time of one operation, broken into components.
@@ -129,11 +129,12 @@ impl CostModel {
         // --- Memory ---------------------------------------------------------
         // Traffic beyond each cache level, served at that level's
         // "next level" bandwidth. Shared L3 capacity is split among active
-        // cores.
-        let l1_traffic = self.total_traffic(accesses, nest, m.l1.capacity_bytes);
-        let l2_traffic = self.total_traffic(accesses, nest, m.l2.capacity_bytes);
+        // cores. One sub-nest table prices all three levels.
+        let table = SubnestTable::new(accesses, nest);
+        let l1_traffic = table.total_traffic_beyond_cache(m.l1.capacity_bytes);
+        let l2_traffic = table.total_traffic_beyond_cache(m.l2.capacity_bytes);
         let l3_capacity = m.l3.capacity_bytes / u64::from(cores_used).max(1);
-        let mut dram_traffic = self.total_traffic(accesses, nest, l3_capacity) as f64;
+        let mut dram_traffic = table.total_traffic_beyond_cache(l3_capacity) as f64;
 
         // Fusion: the intermediate tensor no longer round-trips through main
         // memory, but the fused producer's own inputs must still be read.
@@ -178,10 +179,6 @@ impl CostModel {
         }
     }
 
-    fn total_traffic(&self, accesses: &[OperandAccess], nest: &LoopNest, capacity: u64) -> u64 {
-        traffic_beyond_cache(accesses, nest, capacity).iter().sum()
-    }
-
     /// Effective speedup factor of the vector unit for this nest: 1.0 when
     /// not vectorized, up to the number of lanes when every operand is
     /// accessed with unit stride (or broadcast) along the innermost loop.
@@ -212,14 +209,14 @@ impl CostModel {
     pub fn estimate_scheduled(&self, scheduled: &ScheduledModule) -> ModuleEstimate {
         let mut per_op = Vec::new();
         let mut total = 0.0;
-        for nest in scheduled.lower_all() {
-            let op = scheduled
+        for op in scheduled.live_ops() {
+            let linalg_op = scheduled
                 .module()
-                .op(nest.op)
+                .op(op)
                 .expect("live op belongs to module");
-            let est = self.estimate_op(op, &nest);
+            let est = self.estimate_op(linalg_op, &scheduled.lower(op));
             total += est.total_s;
-            per_op.push((nest.op, est));
+            per_op.push((op, est));
         }
         ModuleEstimate {
             per_op,

@@ -9,6 +9,15 @@
 //! the operand touches. This is the standard footprint/reuse analysis used
 //! by analytical tiling models and is exactly the mechanism the paper's
 //! transformations (tiling, interchange, fusion) are meant to exploit.
+//!
+//! None of the sub-nest footprints depend on the capacity, so the estimator
+//! builds one [`SubnestTable`] per (op, nest) — each iterator's extent, each
+//! tensor dimension's touched extent and each operand's footprint at every
+//! loop position, plus which loops index which operand — and prices all
+//! three cache levels from it.
+//! [`traffic_beyond_cache`] recomputes everything per capacity; it is the
+//! reference the table is tested against bit for bit
+//! (`tests/property_based.rs`) and no estimate calls it.
 
 use mlir_rl_ir::{AccessMatrix, IrError, LinalgOp};
 use mlir_rl_transforms::LoopNest;
@@ -197,6 +206,177 @@ pub fn traffic_beyond_cache(
             traffic.clamp(compulsory, compulsory.max(worst_case))
         })
         .collect()
+}
+
+/// The capacity-independent part of [`traffic_beyond_cache`] for one
+/// (op, nest) pair, built once and priced at any number of capacities.
+///
+/// Rows are built innermost position first. Moving out one loop changes the
+/// sub-nest extent of one iterator only, so a row copies the one below it,
+/// multiplies that iterator's extent by the loop's trip count (a suffix
+/// product) and recomputes only the tensor dimensions whose access row uses
+/// that iterator. Every number is the one the reference computes, from the
+/// same inputs with the same `u64` operations in the same order, except the
+/// suffix products, which multiply innermost-first instead of rescanning
+/// `nest.loops[pos..]`: loop extents are at least 1, so the reordered
+/// product wraps (release) or overflows (debug) exactly when the
+/// reference's does. (A lowered nest cannot overflow it at all: an
+/// iterator's tile and point trip counts multiply to less than twice its
+/// bound.)
+#[derive(Debug)]
+pub struct SubnestTable<'a> {
+    accesses: &'a [OperandAccess],
+    nest: &'a LoopNest,
+    /// Words per row: `iterators + dims + accesses.len() + 1`.
+    stride: usize,
+    /// `depth + 1` rows, one per sub-nest position, each holding the
+    /// unclamped suffix product of every iterator's loop extents, the
+    /// touched extent of every tensor dimension (operand by operand), one
+    /// footprint per operand, and their sum.
+    words: Vec<u64>,
+    /// `uses[k * depth + pos]`: operand `k` is indexed by the iterator of
+    /// loop `pos`.
+    uses: Vec<bool>,
+}
+
+impl<'a> SubnestTable<'a> {
+    /// Builds the table of every sub-nest position of `nest`.
+    pub fn new(accesses: &'a [OperandAccess], nest: &'a LoopNest) -> Self {
+        let depth = nest.depth();
+        let iterators = nest.full_extents.len();
+        let dims: usize = accesses.iter().map(|a| a.matrix.coefficients.len()).sum();
+        let stride = iterators + dims + accesses.len() + 1;
+        let mut words = vec![0; (depth + 1) * stride];
+        let mut uses = vec![false; accesses.len() * depth];
+
+        // Position `depth` is a single iteration point: every iterator and
+        // every tensor dimension has extent 1.
+        let point = &mut words[depth * stride..];
+        point[..iterators + dims].fill(1);
+        fill_footprints(accesses, &mut point[iterators..stride]);
+
+        for pos in (0..depth).rev() {
+            let (rows, below) = words.split_at_mut((pos + 1) * stride);
+            let row = &mut rows[pos * stride..];
+            row[..iterators + dims].copy_from_slice(&below[..iterators + dims]);
+            let l = &nest.loops[pos];
+            if l.iterator < iterators {
+                row[l.iterator] *= l.extent;
+            }
+            let (extents, dim_extents) = row.split_at_mut(iterators);
+            let mut at = 0;
+            for (k, access) in accesses.iter().enumerate() {
+                for (d, coeffs) in access.matrix.coefficients.iter().enumerate() {
+                    if coeffs.get(l.iterator).is_some_and(|c| *c != 0) {
+                        dim_extents[at] = dim_extent(access, d, extents, &nest.full_extents);
+                        uses[k * depth + pos] = true;
+                    }
+                    at += 1;
+                }
+            }
+            fill_footprints(accesses, &mut row[iterators..stride]);
+        }
+
+        Self {
+            accesses,
+            nest,
+            stride,
+            words,
+            uses,
+        }
+    }
+
+    fn footprint(&self, pos: usize) -> u64 {
+        self.words[(pos + 1) * self.stride - 1]
+    }
+
+    /// Per-operand traffic beyond a cache of `capacity_bytes`: equal, bit
+    /// for bit, to [`traffic_beyond_cache`] on the same accesses and nest.
+    pub fn traffic_beyond_cache(&self, capacity_bytes: u64) -> impl Iterator<Item = u64> + '_ {
+        let depth = self.nest.depth();
+        let iterators = self.nest.full_extents.len();
+        let fit_pos = (0..=depth)
+            .find(|pos| self.footprint(*pos) <= capacity_bytes)
+            .unwrap_or(depth);
+        let fit_row = &self.words[fit_pos * self.stride..(fit_pos + 1) * self.stride];
+        let footprints = &fit_row[self.stride - 1 - self.accesses.len()..];
+        let compulsory = &self.words[self.stride - 1 - self.accesses.len()..self.stride - 1];
+        let worst_case = self
+            .nest
+            .total_iterations()
+            .saturating_mul(CACHE_LINE_BYTES);
+        let mut dims_at = iterators;
+        self.accesses.iter().enumerate().map(move |(k, access)| {
+            let rank = access.matrix.coefficients.len();
+            let dim_extents = &fit_row[dims_at..dims_at + rank];
+            dims_at += rank;
+            let block = footprints[k].saturating_mul(line_waste(access, dim_extents));
+            let uses = &self.uses[k * depth..(k + 1) * depth];
+            let reload_factor: u64 = self.nest.loops[..fit_pos]
+                .iter()
+                .enumerate()
+                .filter(|(pos, _)| uses[*pos] || self.footprint(pos + 1) > capacity_bytes)
+                .map(|(_, l)| l.extent)
+                .product();
+            let traffic = block.saturating_mul(reload_factor.max(1));
+            traffic.clamp(compulsory[k], compulsory[k].max(worst_case))
+        })
+    }
+
+    /// Total traffic beyond a cache of `capacity_bytes`, summed over
+    /// operands.
+    pub fn total_traffic_beyond_cache(&self, capacity_bytes: u64) -> u64 {
+        self.traffic_beyond_cache(capacity_bytes).sum()
+    }
+}
+
+/// [`dim_extent_in_subnest`] from one row's unclamped suffix products
+/// (iterators past the row have extent 1 and add nothing).
+fn dim_extent(access: &OperandAccess, d: usize, suffix: &[u64], full_extents: &[u64]) -> u64 {
+    let mut extent: u64 = 1;
+    for ((coeff, product), full) in access.matrix.coefficients[d]
+        .iter()
+        .zip(suffix)
+        .zip(full_extents)
+    {
+        if *coeff == 0 {
+            continue;
+        }
+        let it_extent = (*product).clamp(1, (*full).max(1));
+        extent += coeff.unsigned_abs() * (it_extent - 1);
+    }
+    let dim_size = access.shape.get(d).copied().unwrap_or(1).max(1);
+    extent.min(dim_size)
+}
+
+/// Writes each operand's footprint and their sum into the tail of a row:
+/// `row` holds the touched dimension extents, then one word per operand,
+/// then the sum.
+fn fill_footprints(accesses: &[OperandAccess], row: &mut [u64]) {
+    let (dim_extents, rest) = row.split_at_mut(row.len() - accesses.len() - 1);
+    let (footprints, sum) = rest.split_at_mut(accesses.len());
+    let mut at = 0;
+    for (fp, access) in footprints.iter_mut().zip(accesses) {
+        let rank = access.matrix.coefficients.len();
+        let mut elements: u64 = 1;
+        for extent in &dim_extents[at..at + rank] {
+            elements = elements.saturating_mul(*extent);
+        }
+        at += rank;
+        *fp = elements.saturating_mul(access.element_bytes);
+    }
+    sum[0] = footprints.iter().sum();
+}
+
+/// [`line_waste_factor`] from the block's touched dimension extents.
+fn line_waste(access: &OperandAccess, dim_extents: &[u64]) -> u64 {
+    if access.shape.is_empty() || access.element_bytes == 0 {
+        return 1;
+    }
+    let last = access.shape.len() - 1;
+    let run_bytes = dim_extents.get(last).copied().unwrap_or(1) * access.element_bytes;
+    let max_waste = (CACHE_LINE_BYTES / access.element_bytes).max(1);
+    (CACHE_LINE_BYTES / run_bytes.max(1)).clamp(1, max_waste)
 }
 
 /// Total traffic beyond a cache of the given capacity, summed over operands.

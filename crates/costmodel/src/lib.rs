@@ -46,6 +46,8 @@ pub use cache::{
     ScheduleKey, SharedEvalCache, SnapshotError, DEFAULT_EVAL_CACHE_CAPACITY, SHARED_CACHE_SHARDS,
 };
 pub use estimator::{speedup, CostModel, ModuleEstimate, TimeEstimate};
-pub use footprint::{operand_accesses, subnest_footprint, traffic_beyond_cache, OperandAccess};
+pub use footprint::{
+    operand_accesses, subnest_footprint, traffic_beyond_cache, OperandAccess, SubnestTable,
+};
 pub use machine::{CacheLevel, CodegenQuality, MachineModel};
 pub use noise::{median, MeasurementNoise};

@@ -9,9 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use mlir_rl_ir::{IteratorType, OpId};
-use mlir_rl_transforms::{
-    ScheduledModule, Transformation, TransformationKind, MAX_VECTORIZABLE_INNER_EXTENT,
-};
+use mlir_rl_transforms::{ScheduledModule, Transformation, TransformationKind};
 
 use crate::action::num_enumerated_candidates;
 use crate::config::EnvConfig;
@@ -85,8 +83,7 @@ pub fn compute_mask(scheduled: &ScheduledModule, op: OpId, config: &EnvConfig) -
         transformation[TransformationKind::TiledFusion.index()] = fusion_ok;
         // Vectorization: static preconditions plus the 512-iteration limit
         // on the innermost loop of the current schedule.
-        let vectorization_ok = scheduled.check(op, &Transformation::Vectorization).is_ok();
-        transformation[TransformationKind::Vectorization.index()] = vectorization_ok;
+        transformation[TransformationKind::Vectorization.index()] = scheduled.vectorizable(op);
     }
 
     let tile_sizes = bounds
@@ -103,7 +100,6 @@ pub fn compute_mask(scheduled: &ScheduledModule, op: OpId, config: &EnvConfig) -
     let interchange_candidates = vec![open && n >= 2; num_enumerated_candidates(n).max(1)];
     let level_pointer = vec![open; n.max(1)];
 
-    let _ = MAX_VECTORIZABLE_INNER_EXTENT; // documented constant, checked via `scheduled.check`
     ActionMask {
         transformation,
         tile_sizes,

@@ -175,7 +175,15 @@ impl Module {
     /// The producer the environment fuses next: the one textually closest
     /// before the consumer (Sec. III — "we select the last producer").
     pub fn last_producer(&self, op: OpId) -> Option<OpId> {
-        self.producers(op).into_iter().max()
+        self.op(op)
+            .ok()?
+            .inputs
+            .iter()
+            .filter_map(|input| match self.value(*input).ok()?.def {
+                ValueDef::OpResult(producer) => Some(producer),
+                ValueDef::Argument => None,
+            })
+            .max()
     }
 
     /// Consumers of the given operation: operations that read its result.
@@ -309,6 +317,26 @@ mod tests {
         assert_eq!(m.terminal_ops(), vec![add]);
         assert_eq!(m.last_producer(add), Some(relu));
         assert_eq!(m.last_producer(mm), None);
+    }
+
+    #[test]
+    fn last_producer_is_the_latest_of_the_producers() {
+        // A diamond: the add reads the relu and the matmul (in that order),
+        // and the matmul twice through a second add.
+        let mut b = ModuleBuilder::new("diamond");
+        let a = b.argument("A", vec![32, 32]);
+        let w = b.argument("B", vec![32, 32]);
+        let mm = b.matmul(a, w);
+        let r = b.relu(mm);
+        let s = b.add(r, mm);
+        let t = b.add(mm, mm);
+        b.add(t, s);
+        let m = b.finish();
+        for op in m.op_order() {
+            assert_eq!(m.last_producer(op), m.producers(op).into_iter().max());
+        }
+        assert_eq!(m.last_producer(OpId(2)), Some(OpId(1)));
+        assert_eq!(m.last_producer(OpId(99)), None);
     }
 
     #[test]

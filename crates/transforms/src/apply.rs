@@ -243,24 +243,38 @@ impl ScheduledModule {
                 }
                 Ok(())
             }
-            Transformation::Vectorization => {
-                if !linalg_op.vectorization_precondition() {
-                    return Err(TransformError::VectorizationPrecondition {
+            Transformation::Vectorization => match vectorization_blocker(linalg_op, state) {
+                None => Ok(()),
+                Some(VectorizationBlocker::NotProjectedPermutations) => {
+                    Err(TransformError::VectorizationPrecondition {
                         reason: "indexing maps are not projected permutations".into(),
-                    });
+                    })
                 }
-                let inner_extent = state.point_extent_at(linalg_op, n - 1);
-                if inner_extent > MAX_VECTORIZABLE_INNER_EXTENT {
-                    return Err(TransformError::VectorizationPrecondition {
+                Some(VectorizationBlocker::InnerExtent(inner_extent)) => {
+                    Err(TransformError::VectorizationPrecondition {
                         reason: format!(
                             "innermost loop has {inner_extent} iterations, more than the {MAX_VECTORIZABLE_INNER_EXTENT} the MLIR vectorizer can unroll"
                         ),
-                    });
+                    })
                 }
-                Ok(())
-            }
+            },
             Transformation::NoTransformation => Ok(()),
         }
+    }
+
+    /// Whether `op` meets vectorization's own preconditions: projected
+    /// permutation maps and at most [`MAX_VECTORIZABLE_INNER_EXTENT`]
+    /// innermost iterations. This is [`Self::check`] on
+    /// [`Transformation::Vectorization`] without the schedule-state rules
+    /// (fused away, already vectorized, schedule full) and without building
+    /// a refusal message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op id does not belong to this module.
+    pub fn vectorizable(&self, op: OpId) -> bool {
+        let linalg_op = self.module.op(op).expect("op belongs to module");
+        vectorization_blocker(linalg_op, &self.states[op.0]).is_none()
     }
 
     fn check_tile_sizes(
@@ -438,6 +452,25 @@ impl ScheduledModule {
             .map(|op| self.lower(op))
             .collect()
     }
+}
+
+/// The vectorization precondition an op fails, if any.
+enum VectorizationBlocker {
+    /// Some indexing map is not a projected permutation (or there are no
+    /// loops).
+    NotProjectedPermutations,
+    /// The innermost point loop has this many iterations, more than
+    /// [`MAX_VECTORIZABLE_INNER_EXTENT`].
+    InnerExtent(u64),
+}
+
+fn vectorization_blocker(op: &LinalgOp, state: &OpScheduleState) -> Option<VectorizationBlocker> {
+    if !op.vectorization_precondition() {
+        return Some(VectorizationBlocker::NotProjectedPermutations);
+    }
+    let inner_extent = state.point_extent_at(op, op.num_loops() - 1);
+    (inner_extent > MAX_VECTORIZABLE_INNER_EXTENT)
+        .then_some(VectorizationBlocker::InnerExtent(inner_extent))
 }
 
 fn is_permutation(perm: &[usize], n: usize) -> bool {
@@ -631,8 +664,9 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            TransformError::VectorizationPrecondition { .. }
+            TransformError::VectorizationPrecondition { ref reason } if reason.contains("1024 iterations")
         ));
+        assert!(!s.vectorizable(OpId(0)));
         // After tiling the reduction loop down to 8, vectorization is legal.
         s.apply(
             OpId(0),
@@ -641,6 +675,7 @@ mod tests {
             },
         )
         .unwrap();
+        assert!(s.vectorizable(OpId(0)));
         s.apply(OpId(0), Transformation::Vectorization).unwrap();
         assert!(s.lower(OpId(0)).vectorized);
         // Vectorization is terminal.

@@ -60,4 +60,27 @@ mod tests {
             m.validate().unwrap();
         }
     }
+
+    #[test]
+    fn last_producer_is_the_latest_producer_on_generated_modules() {
+        let mut modules = full_training_dataset(0.02, 7);
+        modules.extend(
+            NeuralNetwork::ALL
+                .iter()
+                .map(|n| n.module())
+                .chain(LqcdApplication::ALL.iter().map(|a| a.module())),
+        );
+        let mut with_producer = 0;
+        for m in &modules {
+            for op in m.op_order() {
+                let want = m.producers(op).into_iter().max();
+                assert_eq!(m.last_producer(op), want, "{} {op}", m.name());
+                with_producer += usize::from(want.is_some());
+            }
+        }
+        assert!(
+            with_producer > 100,
+            "only {with_producer} ops have a producer"
+        );
+    }
 }

@@ -5,7 +5,10 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use mlir_rl_costmodel::{schedule_key, CostModel, EvalCache, MachineModel};
+use mlir_rl_costmodel::{
+    operand_accesses, schedule_key, traffic_beyond_cache, CostModel, EvalCache, MachineModel,
+    SubnestTable,
+};
 use mlir_rl_env::{
     extract_features_dense, Action, ActionHistory, EnvConfig, Features, OptimizationEnv,
 };
@@ -13,7 +16,39 @@ use mlir_rl_ir::{parser::parse_module, printer::print_module, ModuleBuilder, OpI
 use mlir_rl_search::random_action;
 use mlir_rl_transforms::{ScheduledModule, Transformation};
 use mlir_rl_workloads::dl_ops::{random_operator, DlOperator};
+use mlir_rl_workloads::lqcd::lqcd_kernel;
 use mlir_rl_workloads::sequences::random_sequence;
+
+/// Checks every live op of `scheduled`: the sub-nest table's per-operand
+/// traffic equals the reference `traffic_beyond_cache`, bit for bit, at the
+/// machine's L1, L2 and per-core L3 capacities and at degenerate ones.
+fn assert_table_matches_reference(scheduled: &ScheduledModule, machine: &MachineModel) {
+    for op in scheduled.live_ops() {
+        let accesses = operand_accesses(scheduled.module().op(op).unwrap()).unwrap();
+        let nest = scheduled.lower(op);
+        let table = SubnestTable::new(&accesses, &nest);
+        let cores_used = nest.parallel_degree().min(u64::from(machine.cores)).max(1);
+        let capacities = [
+            machine.l1.capacity_bytes,
+            machine.l2.capacity_bytes,
+            machine.l3.capacity_bytes / cores_used,
+            0,
+            1,
+            64,
+            u64::MAX / 4,
+        ];
+        for capacity in capacities {
+            let table_traffic: Vec<u64> = table.traffic_beyond_cache(capacity).collect();
+            assert_eq!(
+                table_traffic,
+                traffic_beyond_cache(&accesses, &nest, capacity),
+                "{} {op} at {capacity} bytes, loops {:?}",
+                scheduled.module().name(),
+                nest.extents()
+            );
+        }
+    }
+}
 
 fn matmul(m: u64, n: u64, k: u64) -> mlir_rl_ir::Module {
     let mut b = ModuleBuilder::new("pm");
@@ -270,6 +305,40 @@ proptest! {
         let optimized = cm.estimate_scheduled(&sm).total_s;
         let speedup = mlir_rl_costmodel::speedup(baseline, optimized);
         prop_assert!(speedup.is_finite() && speedup > 0.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sub-nest table prices cache traffic exactly as the reference
+    /// does: along random masked action walks over single operators of
+    /// every kind, random operator sequences and a 12-loop LQCD contraction,
+    /// every live op's per-operand traffic is bit-identical at every
+    /// capacity checked.
+    #[test]
+    fn subnest_table_traffic_equals_the_reference(seed in 0u64..1 << 32, source in 0u32..3) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let module = match source {
+            0 => random_operator(DlOperator::ALL[seed as usize % DlOperator::ALL.len()], &mut rng),
+            1 => {
+                let length = rng.gen_range(1..6);
+                random_sequence(length, &mut rng)
+            }
+            _ => lqcd_kernel(rng.gen_range(2..24), 12, 4, 5),
+        };
+        let machine = MachineModel::default();
+        let config = EnvConfig::paper();
+        let mut env = OptimizationEnv::new(config.clone(), CostModel::new(machine.clone()));
+        let mut observation = env.reset(module);
+        while let Some(obs) = observation {
+            assert_table_matches_reference(env.scheduled().expect("episode is live"), &machine);
+            let action = random_action(&obs, &config, &mut rng);
+            observation = env.step(&action).observation;
+        }
+        if let Some(scheduled) = env.scheduled() {
+            assert_table_matches_reference(scheduled, &machine);
+        }
     }
 }
 
