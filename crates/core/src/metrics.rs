@@ -219,13 +219,13 @@ service_metrics! {
         /// Entries ever inserted into the persistent shared cache.
         cache_insertions: u64, counter("cache_insertions_total",
             "Entries inserted into the persistent shared cache");
-        /// Entries evicted one at a time by the cache's segmented cost-aware
-        /// policy. Stays 0 until the table actually fills.
+        /// Entries evicted one at a time by the cache's clock hand (second
+        /// chance). Stays 0 until the table actually fills.
         cache_evictions: u64, counter("cache_evictions_total",
-            "Entries evicted by the segmented cost-aware policy");
-        /// Probation→protected promotions performed by cache hits.
+            "Entries evicted by the second-chance clock hand");
+        /// Cache hits that set an entry's clear reference bit.
         cache_promotions: u64, counter("cache_promotions_total",
-            "Cache-hit promotions from probation to protected");
+            "Cache hits that set a clear reference bit");
         /// Entries currently memoized in the persistent shared cache.
         cache_len: u64, gauge("cache_len", "Entries currently memoized in the shared cache");
         /// Capacity bound of the persistent shared cache (global and exact).

@@ -63,8 +63,7 @@ pub struct ServiceConfig {
     /// When set, the service always starts its *own* table of this
     /// capacity (even when the template environment already shares one).
     /// The bound is global and exact; a full cache evicts entry-wise by
-    /// the segmented cost-aware policy (see `SharedEvalCache`). Must be at
-    /// least 1 when set.
+    /// second chance (see `SharedEvalCache`). Must be at least 1 when set.
     pub cache_capacity: Option<usize>,
     /// Path of the cache's persistence snapshot, or `None` (the default)
     /// for a memory-only cache. When set, construction restores warmth

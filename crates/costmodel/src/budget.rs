@@ -4,8 +4,9 @@
 //! gradient steps: they are the unit of work every searcher is compared in.
 //! The [`EvalBudget`] is one shared atomic ledger that several spenders
 //! (batch workers, whole searches, service requests) charge against, so
-//! every spender on one [`crate::SharedEvalCache`] can be held to a
-//! *common* budget instead of each bringing its own.
+//! they can be held to a *common* budget instead of each bringing its own.
+//! The evaluation cache keeps no ledger: a spender charges what it decides
+//! to count (the service, each run's lookups).
 //!
 //! The ledger is deliberately minimal: a monotone spend counter and an
 //! optional cap. It never blocks or fails a lookup — enforcement is the
@@ -99,16 +100,6 @@ impl EvalBudget {
     pub fn remaining(&self) -> Option<u64> {
         self.cap().map(|cap| cap.saturating_sub(self.spent()))
     }
-
-    /// True once the spend has reached (or passed) the cap.
-    pub fn is_exhausted(&self) -> bool {
-        self.spent() >= self.cap
-    }
-
-    /// True if `other` is a clone of the same ledger.
-    pub fn same_ledger(&self, other: &EvalBudget) -> bool {
-        Arc::ptr_eq(&self.spent, &other.spent)
-    }
 }
 
 impl Default for EvalBudget {
@@ -129,12 +120,15 @@ mod tests {
         assert_eq!(clone.charge(3), 7);
         assert_eq!(ledger.spent(), 7);
         assert_eq!(ledger.remaining(), Some(3));
-        assert!(!ledger.is_exhausted());
+        assert!(ledger.try_admit(0).is_ok());
         clone.charge(5);
-        assert!(ledger.is_exhausted());
+        assert!(ledger.try_admit(0).is_err());
         assert_eq!(ledger.remaining(), Some(0));
-        assert!(ledger.same_ledger(&clone));
-        assert!(!ledger.same_ledger(&EvalBudget::limited(10)));
+        assert_eq!(
+            EvalBudget::limited(10).spent(),
+            0,
+            "a new ledger is separate"
+        );
     }
 
     #[test]
@@ -174,7 +168,7 @@ mod tests {
         assert_eq!(ledger.refund(100), 0);
         assert_eq!(ledger.spent(), 0);
         assert_eq!(ledger.refund(1), 0);
-        assert!(!ledger.is_exhausted());
+        assert_eq!(ledger.remaining(), Some(10));
         assert!(ledger.try_admit(2).is_ok());
     }
 
@@ -182,7 +176,7 @@ mod tests {
     fn unlimited_ledger_never_exhausts() {
         let ledger = EvalBudget::unlimited();
         ledger.charge(u64::MAX / 2);
-        assert!(!ledger.is_exhausted());
+        assert!(ledger.try_admit(0).is_ok());
         assert_eq!(ledger.cap(), None);
         assert_eq!(ledger.remaining(), None);
     }

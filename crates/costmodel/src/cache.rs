@@ -27,39 +27,34 @@
 //!
 //! ## Eviction policy
 //!
-//! Each shard is a segmented (2Q-style) table. A new key enters the
-//! *probation* segment; the first hit promotes it to the *protected*
-//! segment (bounded to half the shard, demoting the least valuable
-//! protected entry back to probation when over). A full shard evicts one
-//! entry per insert — never a wholesale wipe outside [`SharedEvalCache::clear`] —
-//! choosing the victim by least estimator-seconds-saved
-//! (`total_s × hit count`), probation before protected, oldest
-//! insertion breaking ties. Victim selection is a deterministic total order,
-//! so the surviving set never depends on hash-map iteration order. Each
-//! shard keeps its entries indexed in that order (a `BTreeMap` from
-//! victim rank to key, re-ranked whenever a hit count or segment
-//! changes), so an eviction or a demotion takes the first entry of a range
-//! in `O(log n)`: a full table costs the same per insert at the default
-//! 65 536 entries as at 256, and a service that fills it mid-run keeps its
-//! request rate.
+//! Each shard is a CLOCK (second-chance) table: its keys sit in a ring of
+//! slots in insertion order, each entry carries a reference bit, and a hand
+//! points at the next slot to consider. A hit sets the entry's bit (setting
+//! a clear bit counts as a *promotion*). A new key enters with its bit
+//! clear; a full shard first moves the hand forward, clearing every set bit
+//! it passes, and overwrites the first slot whose bit was already clear —
+//! at most one full turn, amortised `O(1)`, and never a wholesale wipe
+//! outside [`SharedEvalCache::clear`]. The victim depends only on the order
+//! of operations on that shard, never on hash-map iteration order.
 //!
 //! ## Accounting contract
 //!
 //! Every lookup is classified exactly once, as a hit or a miss. Every
-//! estimator run is a miss and charges one unit to the attached
-//! [`EvalBudget`], *even when* the subsequent insert loses a same-key race
-//! or is immediately evicted: two threads racing on a new key both pay,
-//! because both actually ran the estimator. Consequently
-//! `evaluations + cache_hits == total_lookups` and
-//! `budget.spent() == misses()` hold exactly, with or without eviction
-//! churn — eviction affects *which* lookups miss, never how they are
-//! counted.
+//! estimator run is a miss, *even when* the subsequent insert loses a
+//! same-key race or is immediately evicted: two threads racing on a new key
+//! both count a miss, because both actually ran the estimator, but only one
+//! insert is counted. Consequently `hits + misses == lookups` (per handle
+//! and globally, so `evaluations + cache_hits == total_lookups` on every
+//! outcome) and `insertions == distinct keys admitted` hold exactly, with
+//! or without eviction churn — eviction affects *which* lookups miss, never
+//! how they are counted. The table keeps no spend ledger: the service's
+//! [`crate::EvalBudget`] is reconciled to each run's lookups, not to misses.
 //!
 //! Per-[`EvalCache`] hit/miss counters always stay with the handle that
 //! observed the lookups (episode accounting), while a [`SharedEvalCache`]
 //! additionally keeps global atomic counters across every handle (batch
-//! accounting for the search driver) plus insert/evict/promotion counters
-//! per shard and globally.
+//! accounting for the search driver): hits, misses, insertions, evictions
+//! and promotions.
 //!
 //! ## Persistence and warmth exchange
 //!
@@ -71,15 +66,17 @@
 //! [`SharedEvalCache::restore_from`] merges a snapshot back in. Each entry
 //! record keeps the version-1 layout's per-op count, written as 0: images
 //! from tables that stored per-op breakdowns still restore (their per-op
-//! records are validated and dropped).
-//! A corrupt or truncated snapshot is rejected *before* any entry is
-//! applied — the error is returned, the table is untouched, and the caller
-//! cold-starts; restore never panics. [`SharedEvalCache::absorb`] merges
-//! another live table with a deterministic conflict rule: the incumbent
-//! entry's time wins, hit counts are summed (so merged warmth keeps its
-//! eviction value). Because keys determine estimates, lookup results are
-//! bit-identical regardless of eviction policy, snapshot/restore cycles, or
-//! absorb order.
+//! records are validated and dropped). The layout's hit count and segment
+//! byte are written as 0 and ignored on read (the segment tag is still
+//! validated), so images written under the earlier segmented policy
+//! restore too. A corrupt or truncated snapshot is rejected *before* any
+//! entry is applied — the error is returned, the table is untouched, and
+//! the caller cold-starts; restore never panics. [`SharedEvalCache::absorb`]
+//! merges another live table with a deterministic conflict rule: the
+//! incumbent entry's time wins. Restored and absorbed entries start with
+//! their reference bit clear. Because keys determine estimates, lookup
+//! results are bit-identical regardless of eviction policy,
+//! snapshot/restore cycles, or absorb order.
 //!
 //! Keys are 128 bits (module fingerprint + schedule fingerprint), computed
 //! with [`std::collections::hash_map::DefaultHasher`], which is
@@ -89,7 +86,7 @@
 //! construction.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
@@ -101,7 +98,6 @@ use mlir_rl_ir::Module;
 use mlir_rl_obs::{EventKind, ProbeRef};
 use mlir_rl_transforms::ScheduledModule;
 
-use crate::budget::EvalBudget;
 use crate::estimator::CostModel;
 
 /// Default maximum number of memoized estimates per cache.
@@ -217,67 +213,13 @@ impl From<FrameError> for SnapshotError {
     }
 }
 
-/// Point-in-time occupancy and lifetime counters of one cache shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheShardStats {
-    /// Entries currently memoized in this shard.
-    pub len: usize,
-    /// Maximum entries this shard may hold.
-    pub capacity: usize,
-    /// Entries currently in the protected segment.
-    pub protected: usize,
-    /// Entries ever inserted into this shard.
-    pub insertions: u64,
-    /// Entries ever evicted from this shard.
-    pub evictions: u64,
-    /// Probation→protected promotions ever performed in this shard.
-    pub promotions: u64,
-}
-
-/// Which 2Q segment a shard entry currently lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Segment {
-    /// Newly inserted, not yet re-referenced: first in line for eviction.
-    Probation,
-    /// Hit at least once since insertion; evicted only after probation.
-    Protected,
-}
-
-/// One memoized total time plus the bookkeeping the eviction policy reads.
-#[derive(Debug, Clone)]
-struct CacheEntry {
+/// One memoized total time plus its second chance.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
     total_s: f64,
-    /// Lookups served by this entry (summed across merges); together with
-    /// `total_s` this measures estimator-seconds-saved.
-    hits: u64,
-    segment: Segment,
-    /// Per-shard insertion sequence number: the deterministic tie-break for
-    /// victim selection, so eviction never depends on hash-map order.
-    seq: u64,
-}
-
-impl CacheEntry {
-    /// Estimator-seconds this entry has saved so far: the victim-selection
-    /// value. A never-hit entry has saved nothing and goes first.
-    fn saved_s(&self) -> f64 {
-        self.total_s * self.hits as f64
-    }
-}
-
-/// An entry's place in the deterministic victim order: probation before
-/// protected, then least seconds-saved, then oldest insertion. Total (`seq`
-/// is unique per shard), so the minimum is independent of iteration order.
-/// The seconds are carried as the integer whose order is
-/// [`f64::total_cmp`]'s.
-type VictimRank = (bool, i64, u64);
-
-fn victim_rank(entry: &CacheEntry) -> VictimRank {
-    let bits = entry.saved_s().to_bits() as i64;
-    (
-        entry.segment == Segment::Protected,
-        bits ^ (((bits >> 63) as u64) >> 1) as i64,
-        entry.seq,
-    )
+    /// Set by a hit, cleared by the clock hand passing over the entry: a
+    /// full shard evicts the first entry the hand finds with it clear.
+    referenced: bool,
 }
 
 /// What one shard insert did, for counter and probe accounting.
@@ -285,8 +227,8 @@ fn victim_rank(entry: &CacheEntry) -> VictimRank {
 struct InsertOutcome {
     /// A new entry was created (false: the key was present; incumbent kept).
     inserted: bool,
-    /// Hit count of the entry evicted to make room, if any.
-    evicted_hits: Option<u64>,
+    /// An entry was evicted to make room.
+    evicted: bool,
 }
 
 /// Everything one lookup did, for probe emission by the observing handle.
@@ -295,108 +237,67 @@ struct LookupEffects {
     was_hit: bool,
     /// Index of the shard the key maps to.
     shard: u64,
-    /// This hit promoted the entry from probation to protected.
+    /// This hit set the entry's clear reference bit.
     promoted: bool,
-    /// The insert after this miss evicted a victim with this hit count.
-    evicted_hits: Option<u64>,
+    /// The insert after this miss evicted an entry.
+    evicted: bool,
 }
 
-/// One independently locked segment-structured shard.
+/// One independently locked CLOCK shard.
 #[derive(Debug, Default)]
 struct CacheShard {
-    map: HashMap<ScheduleKey, CacheEntry>,
-    /// Every entry of `map` by [`victim_rank`]: the first is the next
-    /// victim, the first protected one the next demotion.
-    order: BTreeMap<VictimRank, ScheduleKey>,
-    /// Next insertion sequence number.
-    next_seq: u64,
-    /// Entries currently in the protected segment.
-    protected: usize,
-    insertions: u64,
-    evictions: u64,
-    promotions: u64,
+    map: HashMap<ScheduleKey, Entry>,
+    /// Every key of `map`, in insertion order: the ring the hand sweeps.
+    slots: Vec<ScheduleKey>,
+    /// The slot the next eviction looks at first.
+    hand: usize,
 }
 
 impl CacheShard {
-    /// Applies `change` to the entry of `key` (which must be present) and
-    /// moves it to its new place in the victim order.
-    fn rerank(&mut self, key: &ScheduleKey, change: impl FnOnce(&mut CacheEntry)) {
-        let entry = self.map.get_mut(key).expect("re-ranked entry must exist");
-        self.order.remove(&victim_rank(entry));
-        change(entry);
-        self.order.insert(victim_rank(entry), *key);
+    /// Serves a hit on `key`: its time, and whether the hit set a clear
+    /// reference bit. `None` if the key is absent.
+    fn hit(&mut self, key: &ScheduleKey) -> Option<(f64, bool)> {
+        let entry = self.map.get_mut(key)?;
+        let promoted = !entry.referenced;
+        entry.referenced = true;
+        Some((entry.total_s, promoted))
     }
 
-    /// Records a hit on `key` (which must be present): bumps the entry's
-    /// hit count and promotes probation entries, demoting the least
-    /// valuable protected entry when the protected segment would exceed
-    /// `protected_cap`. Returns whether a promotion happened.
-    fn on_hit(&mut self, key: &ScheduleKey, protected_cap: usize) -> bool {
-        let mut promoted = false;
-        self.rerank(key, |entry| {
-            entry.hits += 1;
-            promoted = entry.segment == Segment::Probation;
-            entry.segment = Segment::Protected;
-        });
-        if !promoted {
-            return false;
-        }
-        self.protected += 1;
-        self.promotions += 1;
-        if self.protected > protected_cap {
-            // Demote the least valuable *other* protected entry; the entry
-            // that just earned promotion keeps it.
-            let demote = self
-                .order
-                .range((true, i64::MIN, 0)..)
-                .map(|(_, k)| *k)
-                .find(|k| k != key);
-            if let Some(victim) = demote {
-                self.rerank(&victim, |entry| entry.segment = Segment::Probation);
-                self.protected -= 1;
-            }
-        }
-        true
-    }
-
-    /// Inserts `key` if absent, evicting one victim first when the shard is
-    /// at `cap`. An existing key keeps its incumbent entry untouched.
-    fn insert_entry(
-        &mut self,
-        key: ScheduleKey,
-        total_s: f64,
-        hits: u64,
-        cap: usize,
-    ) -> InsertOutcome {
+    /// Inserts `key` with its reference bit clear if absent. A shard at
+    /// `cap` first moves the hand forward, clearing set bits, and
+    /// overwrites the first slot whose bit was clear. An existing key keeps
+    /// its incumbent entry untouched.
+    fn insert(&mut self, key: ScheduleKey, total_s: f64, cap: usize) -> InsertOutcome {
         if self.map.contains_key(&key) {
             return InsertOutcome::default();
         }
-        let mut outcome = InsertOutcome {
-            inserted: true,
-            evicted_hits: None,
-        };
-        if self.map.len() >= cap {
-            if let Some((_, victim)) = self.order.pop_first() {
-                let evicted = self.map.remove(&victim).expect("ranked key is in the map");
-                if evicted.segment == Segment::Protected {
-                    self.protected -= 1;
-                }
-                self.evictions += 1;
-                outcome.evicted_hits = Some(evicted.hits);
+        self.map.insert(
+            key,
+            Entry {
+                total_s,
+                referenced: false,
+            },
+        );
+        if self.slots.len() < cap {
+            self.slots.push(key);
+            return InsertOutcome {
+                inserted: true,
+                evicted: false,
+            };
+        }
+        let len = self.slots.len();
+        loop {
+            let slot = &mut self.slots[self.hand];
+            self.hand = (self.hand + 1) % len;
+            let resident = self.map.get_mut(slot).expect("every slot is in the map");
+            if !std::mem::take(&mut resident.referenced) {
+                self.map.remove(&std::mem::replace(slot, key));
+                return InsertOutcome {
+                    inserted: true,
+                    evicted: true,
+                };
             }
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = CacheEntry {
-            total_s,
-            hits,
-            segment: Segment::Probation,
-            seq,
-        };
-        self.order.insert(victim_rank(&entry), key);
-        self.map.insert(key, entry);
-        self.insertions += 1;
-        outcome
     }
 }
 
@@ -412,9 +313,6 @@ pub struct SharedEvalCache {
     insertions: Arc<AtomicU64>,
     evictions: Arc<AtomicU64>,
     promotions: Arc<AtomicU64>,
-    /// Every estimator run (miss) charges one unit to this ledger, so a
-    /// roster of searchers sharing the table also shares one spend account.
-    budget: EvalBudget,
     capacity: usize,
 }
 
@@ -435,7 +333,6 @@ impl SharedEvalCache {
             insertions: Arc::new(AtomicU64::new(0)),
             evictions: Arc::new(AtomicU64::new(0)),
             promotions: Arc::new(AtomicU64::new(0)),
-            budget: EvalBudget::unlimited(),
             capacity,
         }
     }
@@ -447,19 +344,6 @@ impl SharedEvalCache {
             return Err("shared cache capacity must be at least 1".to_string());
         }
         Ok(Self::new(capacity))
-    }
-
-    /// Replaces the table's spend ledger (call before cloning handles: a
-    /// clone shares whatever ledger its parent carried). Each estimator run
-    /// charges one unit.
-    pub fn with_budget(mut self, budget: EvalBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The spend ledger every miss of this table charges.
-    pub fn budget(&self) -> &EvalBudget {
-        &self.budget
     }
 
     /// Maximum number of memoized estimates, globally across shards.
@@ -481,16 +365,10 @@ impl SharedEvalCache {
         self.capacity / n + usize::from(index < self.capacity % n)
     }
 
-    /// Protected-segment bound of a shard: half its capacity, rounded up so
-    /// a one-entry shard can still hold a protected entry.
-    fn protected_cap(&self, index: usize) -> usize {
-        self.shard_cap(index).div_ceil(2)
-    }
-
     /// Looks up `key`, running `model` *outside* the shard lock on a miss,
     /// and returns the total time plus what the lookup did. Two threads
     /// racing on the same new key both run the estimator (same
-    /// deterministic result) and both count and charge as misses — see the
+    /// deterministic result) and both count as misses — see the
     /// module-level accounting contract; one insert wins.
     fn lookup_with(
         &self,
@@ -503,23 +381,22 @@ impl SharedEvalCache {
             shard: index as u64,
             ..LookupEffects::default()
         };
-        {
-            let mut shard = self.shards[index].lock().expect("cache shard poisoned");
-            if shard.map.contains_key(&key) {
-                effects.was_hit = true;
-                effects.promoted = shard.on_hit(&key, self.protected_cap(index));
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if effects.promoted {
-                    self.promotions.fetch_add(1, Ordering::Relaxed);
-                }
-                return (shard.map[&key].total_s, effects);
+        let hit = self.shards[index]
+            .lock()
+            .expect("cache shard poisoned")
+            .hit(&key);
+        if let Some((total_s, promoted)) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            if promoted {
+                self.promotions.fetch_add(1, Ordering::Relaxed);
             }
+            effects.was_hit = true;
+            effects.promoted = promoted;
+            return (total_s, effects);
         }
         let total_s = model.estimate_scheduled(scheduled).total_s;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.budget.charge(1);
-        let outcome = self.apply_insert(key, total_s, 0);
-        effects.evicted_hits = outcome.evicted_hits;
+        effects.evicted = self.insert(key, total_s).evicted;
         (total_s, effects)
     }
 
@@ -535,66 +412,44 @@ impl SharedEvalCache {
         (total_s, effects.was_hit)
     }
 
-    /// Locks the key's shard and inserts, updating the global counters.
-    /// `hits` seeds the entry's hit count (nonzero when merging warmth).
-    fn apply_insert(&self, key: ScheduleKey, total_s: f64, hits: u64) -> InsertOutcome {
+    /// Locks the key's shard and inserts (an incumbent keeps its entry),
+    /// updating the global counters.
+    fn insert(&self, key: ScheduleKey, total_s: f64) -> InsertOutcome {
         let index = self.shard_index(&key);
         let cap = self.shard_cap(index);
-        let outcome = {
-            let mut shard = self.shards[index].lock().expect("cache shard poisoned");
-            shard.insert_entry(key, total_s, hits, cap)
-        };
+        let outcome = self.shards[index]
+            .lock()
+            .expect("cache shard poisoned")
+            .insert(key, total_s, cap);
         if outcome.inserted {
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
-        if outcome.evicted_hits.is_some() {
+        if outcome.evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         outcome
     }
 
-    /// Merges one foreign entry: an incumbent keeps its time and gains
-    /// the foreign hit count (warmth reconciled); a new key is inserted
-    /// with the foreign hit count, evicting if needed. Returns whether a
-    /// new entry was created.
-    fn merge_entry(&self, key: ScheduleKey, total_s: f64, hits: u64) -> bool {
-        let index = self.shard_index(&key);
-        {
-            let mut shard = self.shards[index].lock().expect("cache shard poisoned");
-            if shard.map.contains_key(&key) {
-                shard.rerank(&key, |entry| entry.hits += hits);
-                return false;
-            }
-        }
-        self.apply_insert(key, total_s, hits).inserted
-    }
-
     /// Merges every entry of `other` into this table (replica warmth
-    /// exchange). Conflict rule: the incumbent time wins and hit counts
-    /// are summed; new keys are inserted (evicting per policy when full) in
-    /// key order, so the merged table is deterministic regardless of
-    /// hash-map iteration order. A handle to the same table is a no-op.
+    /// exchange). Conflict rule: the incumbent entry wins; new keys are
+    /// inserted with their reference bit clear (evicting per policy when
+    /// full) in key order, so the merged table is deterministic regardless
+    /// of hash-map iteration order. A handle to the same table is a no-op.
     /// Returns the number of newly created entries.
     pub fn absorb(&self, other: &SharedEvalCache) -> u64 {
         if self.same_table(other) {
             return 0;
         }
-        let mut created = 0;
-        for shard in other.shards.iter() {
-            let mut entries: Vec<(ScheduleKey, f64, u64)> = {
-                let shard = shard.lock().expect("cache shard poisoned");
-                shard
-                    .map
-                    .iter()
-                    .map(|(k, e)| (*k, e.total_s, e.hits))
-                    .collect()
-            };
-            entries.sort_by_key(|(k, _, _)| (k.module, k.schedule));
-            for (key, total_s, hits) in entries {
-                created += u64::from(self.merge_entry(key, total_s, hits));
-            }
-        }
-        created
+        self.merge(other.shards.iter().flat_map(sorted_entries))
+    }
+
+    /// Inserts `entries` in order under the [`SharedEvalCache::absorb`]
+    /// conflict rule and returns the number of newly created entries.
+    fn merge(&self, entries: impl IntoIterator<Item = (ScheduleKey, f64)>) -> u64 {
+        entries
+            .into_iter()
+            .map(|(key, total_s)| u64::from(self.insert(key, total_s).inserted))
+            .sum()
     }
 
     /// Global lookups served from the table, across every handle.
@@ -612,14 +467,14 @@ impl SharedEvalCache {
         self.insertions.load(Ordering::Relaxed)
     }
 
-    /// Entries ever evicted (one at a time, by the segmented policy),
-    /// across every shard and handle. [`SharedEvalCache::clear`] does not
+    /// Entries ever evicted (one at a time, by the clock hand), across
+    /// every shard and handle. [`SharedEvalCache::clear`] does not
     /// count as eviction.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Probation→protected promotions, across every shard and handle.
+    /// Hits that set a clear reference bit, across every shard and handle.
     pub fn promotions(&self) -> u64 {
         self.promotions.load(Ordering::Relaxed)
     }
@@ -642,33 +497,14 @@ impl SharedEvalCache {
         self.len() == 0
     }
 
-    /// Per-shard occupancy and counters, in shard-index order.
-    pub fn shard_stats(&self) -> Vec<CacheShardStats> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| {
-                let shard = shard.lock().expect("cache shard poisoned");
-                CacheShardStats {
-                    len: shard.map.len(),
-                    capacity: self.shard_cap(index),
-                    protected: shard.protected,
-                    insertions: shard.insertions,
-                    evictions: shard.evictions,
-                    promotions: shard.promotions,
-                }
-            })
-            .collect()
-    }
-
     /// Drops all memoized times (counters are kept; this is the one
     /// remaining wholesale wipe, and it is explicit).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             let mut shard = shard.lock().expect("cache shard poisoned");
             shard.map.clear();
-            shard.order.clear();
-            shard.protected = 0;
+            shard.slots.clear();
+            shard.hand = 0;
         }
     }
 
@@ -681,25 +517,17 @@ impl SharedEvalCache {
     /// module docs). Entries are emitted in shard order, sorted by key
     /// within each shard, so equal tables produce equal bytes.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut entries: Vec<(ScheduleKey, f64, u64, Segment)> = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock().expect("cache shard poisoned");
-            let mut batch: Vec<_> = shard
-                .map
-                .iter()
-                .map(|(k, e)| (*k, e.total_s, e.hits, e.segment))
-                .collect();
-            batch.sort_by_key(|(k, _, _, _)| (k.module, k.schedule));
-            entries.extend(batch);
-        }
+        let entries: Vec<(ScheduleKey, f64)> =
+            self.shards.iter().flat_map(sorted_entries).collect();
         let mut out = frame::begin(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         out.reserve(entries.len() * 41);
         out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for (key, total_s, hits, segment) in &entries {
+        for (key, total_s) in &entries {
             out.extend_from_slice(&key.module.to_le_bytes());
             out.extend_from_slice(&key.schedule.to_le_bytes());
-            out.extend_from_slice(&hits.to_le_bytes());
-            out.push(matches!(segment, Segment::Protected) as u8);
+            // The version-1 layout's hit count and segment byte, unused.
+            out.extend_from_slice(&0u64.to_le_bytes());
+            out.push(0);
             out.extend_from_slice(&total_s.to_bits().to_le_bytes());
             // The per-op count of the version-1 layout: no records follow.
             out.extend_from_slice(&0u64.to_le_bytes());
@@ -724,16 +552,11 @@ impl SharedEvalCache {
     /// into this table. The whole image is validated (magic, version,
     /// structure, checksum) *before* any entry is applied: a corrupt
     /// snapshot returns an error and leaves the table untouched. Restored
-    /// entries enter probation with their saved hit counts (one hit
-    /// re-promotes); conflicts follow the [`SharedEvalCache::absorb`] rule.
-    /// Returns the number of newly created entries.
+    /// entries start with their reference bit clear; conflicts follow the
+    /// [`SharedEvalCache::absorb`] rule. Returns the number of newly created
+    /// entries.
     pub fn restore_from_bytes(&self, bytes: &[u8]) -> Result<u64, SnapshotError> {
-        let entries = parse_snapshot(bytes)?;
-        let mut created = 0;
-        for (key, total_s, hits) in entries {
-            created += u64::from(self.merge_entry(key, total_s, hits));
-        }
-        Ok(created)
+        Ok(self.merge(parse_snapshot(bytes)?))
     }
 
     /// Reads and merges a snapshot file; see
@@ -746,9 +569,18 @@ impl SharedEvalCache {
     }
 }
 
+/// One shard's entries as `(key, total_s)`, sorted by key: the
+/// deterministic order snapshots and merges walk a table in.
+fn sorted_entries(shard: &Mutex<CacheShard>) -> Vec<(ScheduleKey, f64)> {
+    let shard = shard.lock().expect("cache shard poisoned");
+    let mut entries: Vec<_> = shard.map.iter().map(|(k, e)| (*k, e.total_s)).collect();
+    entries.sort_by_key(|(k, _)| (k.module, k.schedule));
+    entries
+}
+
 /// Fully validates a snapshot image and decodes its entries. Pure: touches
 /// no cache state, so callers can reject corrupt images before mutating.
-fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, f64, u64)>, SnapshotError> {
+fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, f64)>, SnapshotError> {
     let mut reader = frame::open(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
     let count = reader.u64()?;
     let mut entries = Vec::new();
@@ -757,7 +589,9 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, f64, u64)>, Snapshot
             module: reader.u64()?,
             schedule: reader.u64()?,
         };
-        let hits = reader.u64()?;
+        // The hit count and segment tag of the version-1 layout: validated,
+        // then ignored.
+        reader.u64()?;
         if reader.u8()? > 1 {
             return Err(SnapshotError::Corrupt("unknown segment tag"));
         }
@@ -770,7 +604,7 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, f64, u64)>, Snapshot
         }
         // Per-op breakdowns (written by older tables) are not kept.
         reader.take(per_op_len as usize * 40)?;
-        entries.push((key, total_s, hits));
+        entries.push((key, total_s));
     }
     reader.finish()?;
     Ok(entries)
@@ -787,8 +621,8 @@ pub struct EvalCache {
     hits: u64,
     misses: u64,
     /// Trace probe carried by this handle: every lookup classification
-    /// (hit/miss), budget charge, eviction and promotion is mirrored as a
-    /// trace event. Disabled (no-op) by default.
+    /// (hit/miss), eviction and promotion is mirrored as a trace event.
+    /// Disabled (no-op) by default.
     probe: ProbeRef,
 }
 
@@ -800,11 +634,10 @@ impl Default for EvalCache {
 
 impl Clone for EvalCache {
     /// A private copy, sharing nothing with the original afterwards: a
-    /// fresh table of the same capacity (and its own unlimited spend
-    /// ledger) holding the same entries, which re-enter probation with
-    /// their hit counts as after a snapshot restore. To get another handle
-    /// on the *same* table, pass a clone of [`EvalCache::shared_backend`]
-    /// to [`EvalCache::with_shared_backend`].
+    /// fresh table of the same capacity holding the same entries, with
+    /// their reference bits clear as after a snapshot restore. To get
+    /// another handle on the *same* table, pass a clone of
+    /// [`EvalCache::shared_backend`] to [`EvalCache::with_shared_backend`].
     fn clone(&self) -> Self {
         let table = SharedEvalCache::new(self.table.capacity());
         table.absorb(&self.table);
@@ -868,9 +701,9 @@ impl EvalCache {
     }
 
     /// Counts one lookup on this handle and mirrors it into the trace: the
-    /// hit/miss classification, the budget charge of a miss, and any
-    /// promotion or eviction the lookup performed. Emission is purely
-    /// observational, so traced and untraced runs stay bit-identical.
+    /// hit/miss classification and any promotion or eviction the lookup
+    /// performed. Emission is purely observational, so traced and untraced
+    /// runs stay bit-identical.
     fn record(&mut self, effects: LookupEffects) {
         if effects.was_hit {
             self.hits += 1;
@@ -888,12 +721,9 @@ impl EvalCache {
             }
         } else {
             self.probe.emit(EventKind::CacheMiss, None, [0, 0, 0]);
-            let spent = self.table.budget().spent();
-            self.probe
-                .emit(EventKind::BudgetCharge, None, [1, spent, 0]);
-            if let Some(victim_hits) = effects.evicted_hits {
+            if effects.evicted {
                 self.probe
-                    .emit(EventKind::CacheEvict, None, [effects.shard, victim_hits, 0]);
+                    .emit(EventKind::CacheEvict, None, [effects.shard, 0, 0]);
             }
         }
     }
@@ -1112,32 +942,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_misses_charge_the_attached_budget() {
-        let cm = CostModel::new(MachineModel::default());
-        let ledger = EvalBudget::limited(2);
-        let handle = SharedEvalCache::new(1 << 12).with_budget(ledger.clone());
-        let sm = ScheduledModule::new(matmul(64, 64, 64));
-        handle.total_s_keyed(schedule_key(&sm), &cm, &sm); // miss: 1 unit
-        handle.total_s_keyed(schedule_key(&sm), &cm, &sm); // hit: free
-        assert_eq!(ledger.spent(), 1);
-        assert!(!ledger.is_exhausted());
-        let sm2 = ScheduledModule::new(matmul(32, 32, 32));
-        // Clones share the ledger along with the table.
-        let clone = handle.clone();
-        clone.total_s_keyed(schedule_key(&sm2), &cm, &sm2); // miss: 1 unit
-        assert!(ledger.is_exhausted());
-        assert!(handle.budget().same_ledger(&ledger));
-        assert_eq!(ledger.spent(), handle.misses());
-    }
-
-    #[test]
     fn racing_same_key_misses_keep_accounting_exact() {
-        // Satellite contract: every estimator run is a miss and charges the
-        // ledger, even when its insert loses the race — so hits + misses
-        // equals total lookups and budget spend equals misses, exactly.
+        // Every estimator run is a miss, even when its insert loses the
+        // race — so hits + misses equals total lookups, exactly.
         let cm = CostModel::new(MachineModel::default());
-        let ledger = EvalBudget::unlimited();
-        let handle = SharedEvalCache::new(1 << 8).with_budget(ledger.clone());
+        let handle = SharedEvalCache::new(1 << 8);
         let threads = 8;
         let rounds = 4u64;
         let barrier = std::sync::Barrier::new(threads);
@@ -1159,7 +968,6 @@ mod tests {
         });
         let total = threads as u64 * rounds;
         assert_eq!(handle.hits() + handle.misses(), total);
-        assert_eq!(ledger.spent(), handle.misses());
         assert!(handle.misses() >= rounds, "each round misses at least once");
         // Lost insert races must not inflate the insertion counter past
         // one per distinct key.
@@ -1202,199 +1010,108 @@ mod tests {
     fn shard_overflow_evicts_entry_wise_not_wholesale() {
         let cm = CostModel::new(MachineModel::default());
         let handle = SharedEvalCache::new(SHARED_CACHE_SHARDS);
+        let mut touched = std::collections::BTreeSet::new();
         for i in 1..40u64 {
             let sm = ScheduledModule::new(matmul(8 * i, 8 * i, 8 * i));
-            handle.total_s_keyed(schedule_key(&sm), &cm, &sm);
-            // Entry-wise eviction keeps every shard that ever held an entry
-            // non-empty: an insert into a full shard replaces, never wipes.
+            let key = schedule_key(&sm);
+            touched.insert(handle.shard_index(&key));
+            handle.total_s_keyed(key, &cm, &sm);
             assert!(handle.len() <= SHARED_CACHE_SHARDS);
         }
-        assert!(!handle.is_empty());
-        let stats = handle.shard_stats();
-        assert_eq!(stats.len(), SHARED_CACHE_SHARDS);
-        for stat in &stats {
-            assert!(stat.len <= stat.capacity);
-            // A shard that ever received an insert still holds an entry:
-            // the old wholesale reset would leave len == 0 after overflow.
-            if stat.insertions > 0 {
-                assert_eq!(stat.len, stat.capacity, "no shard is left wiped");
+        assert!(handle.evictions() > 0, "39 keys overflow 16 slots");
+        for (index, shard) in handle.shards.iter().enumerate() {
+            let shard = shard.lock().unwrap();
+            assert_eq!(shard.map.len(), shard.slots.len());
+            assert!(shard.map.len() <= handle.shard_cap(index));
+            // A shard that ever received an insert is still full: an insert
+            // into a full shard replaces one entry, it never wipes the shard.
+            if touched.contains(&index) {
+                assert_eq!(
+                    shard.map.len(),
+                    handle.shard_cap(index),
+                    "no shard is wiped"
+                );
             }
         }
-        let (ins, ev, pr) = stats.iter().fold((0, 0, 0), |(i, e, p), s| {
-            (i + s.insertions, e + s.evictions, p + s.promotions)
-        });
-        assert_eq!(ins, handle.insertions());
-        assert_eq!(ev, handle.evictions());
-        assert_eq!(pr, handle.promotions());
+        assert_eq!(
+            handle.insertions() - handle.evictions(),
+            handle.len() as u64
+        );
     }
 
-    #[test]
-    fn eviction_is_cost_aware_and_protects_hit_entries() {
-        let cm = CostModel::new(MachineModel::default());
-        // Keys constructed to collide on shard 0, which has room for 4.
-        let cache = SharedEvalCache::new(SHARED_CACHE_SHARDS * 4);
-        let shards = cache.shards.len();
-        let keys: Vec<ScheduleKey> = (0..8)
+    /// Keys that all map to shard 0 of `cache`.
+    fn shard_zero_keys(cache: &SharedEvalCache, n: u64) -> Vec<ScheduleKey> {
+        let shards = cache.shards.len() as u64;
+        (0..n)
             .map(|i| ScheduleKey {
-                module: (i as u64) * shards as u64,
+                module: i * shards,
                 schedule: 0,
             })
             .inspect(|k| assert_eq!(cache.shard_index(k), 0))
-            .collect();
-        let cap = cache.shard_cap(0);
-        assert_eq!(cap, 4);
+            .collect()
+    }
+
+    #[test]
+    fn eviction_gives_hit_entries_a_second_chance() {
+        let cm = CostModel::new(MachineModel::default());
+        // Keys constructed to collide on shard 0, which has room for 4.
+        let cache = SharedEvalCache::new(SHARED_CACHE_SHARDS * 4);
+        let keys = shard_zero_keys(&cache, 8);
+        assert_eq!(cache.shard_cap(0), 4);
         let sm = ScheduledModule::new(matmul(64, 64, 64));
 
-        // Fill shard 0: k0..k3, all probation with zero hits.
+        // Fill shard 0: k0..k3, all with their reference bit clear.
         for key in keys.iter().take(4) {
             cache.total_s_keyed(*key, &cm, &sm);
         }
-        // Hit k0 and k1: promoted to protected, nonzero seconds-saved.
+        // Hit k0 and k1: their bits are set.
         cache.total_s_keyed(keys[0], &cm, &sm);
         cache.total_s_keyed(keys[1], &cm, &sm);
         assert_eq!(cache.promotions(), 2);
 
-        // Insert k4 into the full shard: the victim must be the *oldest
-        // cold probation* entry, k2 — not a protected one, and not the
-        // whole shard.
+        // Insert k4 into the full shard: the hand clears k0 and k1 and
+        // evicts the *oldest never-hit* entry, k2 — not a hit one, and not
+        // the whole shard.
         cache.total_s_keyed(keys[4], &cm, &sm);
         assert_eq!(cache.evictions(), 1);
         let (_, k0_hit) = cache.total_s_keyed(keys[0], &cm, &sm);
         let (_, k3_hit) = cache.total_s_keyed(keys[3], &cm, &sm);
-        assert!(k0_hit, "protected entry survives");
-        assert!(k3_hit, "younger probation entry survives");
+        assert!(k0_hit, "a hit entry survives");
+        assert!(k3_hit, "a younger never-hit entry survives");
         let (_, k2_hit) = cache.total_s_keyed(keys[2], &cm, &sm);
-        assert!(!k2_hit, "the cold oldest probation entry was the victim");
+        assert!(!k2_hit, "the oldest never-hit entry was the victim");
     }
 
     #[test]
-    fn protected_segment_is_bounded() {
-        let cache = SharedEvalCache::new(SHARED_CACHE_SHARDS * 4);
+    fn a_fully_referenced_shard_sweeps_once_then_evicts_in_slot_order() {
         let cm = CostModel::new(MachineModel::default());
-        let shards = cache.shards.len();
+        let cache = SharedEvalCache::new(SHARED_CACHE_SHARDS * 4);
+        let keys = shard_zero_keys(&cache, 6);
         let sm = ScheduledModule::new(matmul(32, 32, 32));
-        let keys: Vec<ScheduleKey> = (0..4)
-            .map(|i| ScheduleKey {
-                module: (i as u64) * shards as u64,
-                schedule: 0,
-            })
-            .collect();
-        for key in &keys {
-            cache.total_s_keyed(*key, &cm, &sm);
-        }
-        // Promote everything; the protected segment must stay within half
-        // the shard (demotions keep the balance), not swallow the shard.
-        for key in &keys {
+        for key in &keys[..4] {
             cache.total_s_keyed(*key, &cm, &sm);
             cache.total_s_keyed(*key, &cm, &sm);
         }
-        let stats = cache.shard_stats();
-        assert!(stats[0].protected <= cache.protected_cap(0));
-        assert!(stats[0].protected >= 1);
-        assert!(
-            stats[0].promotions > stats[0].protected as u64,
-            "over-cap promotions demoted"
-        );
-    }
-
-    /// The ordered index must pick the victims and demotions a scan of the
-    /// whole shard would: a reference shard, written as that scan, is driven
-    /// through the same inserts, hits and merges.
-    #[test]
-    fn indexed_victims_equal_the_full_scan() {
-        #[derive(Clone)]
-        struct Ref {
-            key: ScheduleKey,
-            saved_unit: f64,
-            hits: u64,
-            protected: bool,
-            seq: u64,
-        }
-        let scan_min = |entries: &[Ref], only_protected: bool, skip: Option<ScheduleKey>| {
-            entries
+        let state = |cache: &SharedEvalCache| {
+            let shard = cache.shards[0].lock().unwrap();
+            let bits: Vec<bool> = shard
+                .slots
                 .iter()
-                .enumerate()
-                .filter(|(_, e)| (!only_protected || e.protected) && Some(e.key) != skip)
-                .min_by(|(_, a), (_, b)| {
-                    a.protected
-                        .cmp(&b.protected)
-                        .then(
-                            (a.saved_unit * a.hits as f64)
-                                .total_cmp(&(b.saved_unit * b.hits as f64)),
-                        )
-                        .then(a.seq.cmp(&b.seq))
-                })
-                .map(|(i, _)| i)
+                .map(|k| shard.map[k].referenced)
+                .collect();
+            (shard.slots.clone(), bits, shard.hand)
         };
-        let (cap, protected_cap) = (24, 12);
-        let mut shard = CacheShard::default();
-        let mut reference: Vec<Ref> = Vec::new();
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut next = |bound: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % bound
-        };
-        for step in 0..6000 {
-            let key = ScheduleKey {
-                module: next(40),
-                schedule: 0,
-            };
-            let present = reference.iter().position(|e| e.key == key);
-            match (present, next(3)) {
-                (Some(at), 0 | 1) => {
-                    shard.on_hit(&key, protected_cap);
-                    reference[at].hits += 1;
-                    if !reference[at].protected {
-                        reference[at].protected = true;
-                        if reference.iter().filter(|e| e.protected).count() > protected_cap {
-                            let demote = scan_min(&reference, true, Some(key)).expect("others");
-                            reference[demote].protected = false;
-                        }
-                    }
-                }
-                (Some(at), _) => {
-                    let hits = next(4);
-                    shard.rerank(&key, |entry| entry.hits += hits);
-                    reference[at].hits += hits;
-                }
-                (None, _) => {
-                    // A few distinct costs (ties fall to `seq`), some
-                    // entries arriving warm as a merge delivers them.
-                    let total_s = [0.0, 0.5, 0.5, 2.0, 1e-9][next(5) as usize];
-                    let hits = if next(4) == 0 { next(6) } else { 0 };
-                    if reference.len() >= cap {
-                        let victim = scan_min(&reference, false, None).expect("full");
-                        reference.remove(victim);
-                    }
-                    shard.insert_entry(key, total_s, hits, cap);
-                    reference.push(Ref {
-                        key,
-                        saved_unit: total_s,
-                        hits,
-                        protected: false,
-                        seq: step,
-                    });
-                }
-            }
-            assert_eq!(shard.map.len(), reference.len(), "step {step}");
-            assert_eq!(shard.order.len(), reference.len(), "step {step}");
-            for e in &reference {
-                let entry = shard.map.get(&e.key).expect("same surviving set");
-                assert_eq!(
-                    (entry.hits, entry.segment == Segment::Protected),
-                    (e.hits, e.protected),
-                    "step {step}"
-                );
-                assert_eq!(shard.order.get(&victim_rank(entry)), Some(&e.key));
-            }
-            assert_eq!(
-                shard.protected,
-                reference.iter().filter(|e| e.protected).count()
-            );
-        }
-        assert!(shard.evictions > 100 && shard.promotions > 100);
+        assert_eq!(state(&cache), (keys[..4].to_vec(), vec![true; 4], 0));
+
+        // One full turn clears every bit, and the slot under the hand goes.
+        cache.total_s_keyed(keys[4], &cm, &sm);
+        let slots = vec![keys[4], keys[1], keys[2], keys[3]];
+        assert_eq!(state(&cache), (slots, vec![false; 4], 1));
+        // The next insert evicts the following slot without sweeping.
+        cache.total_s_keyed(keys[5], &cm, &sm);
+        let slots = vec![keys[4], keys[5], keys[2], keys[3]];
+        assert_eq!(state(&cache), (slots, vec![false; 4], 2));
+        assert_eq!((cache.evictions(), cache.promotions()), (2, 4));
     }
 
     #[test]
@@ -1440,14 +1157,15 @@ mod tests {
 
     #[test]
     fn a_version_1_cache_image_round_trips_byte_for_byte() {
-        // Two entries, in the image's shard order: one hit once after a
-        // merge that carried 4 hits (protected), one never hit (probation).
-        // Every snapshot file on disk is laid out like this; a codec change
-        // that moves a byte orphans them all.
+        // Two entries, in the image's shard order. Every snapshot file on
+        // disk is laid out like this; a codec change that moves a byte
+        // orphans them all.
         //
-        // Written by a table that stored per-op breakdowns (two ops, then
-        // one op with a `-0.0` and a `f64::MIN_POSITIVE` among its times):
-        // the same layout with nonzero per-op counts.
+        // Written by a table that stored per-op breakdowns and ran the
+        // segmented policy (two ops, hit count 5 and segment 1; then one op
+        // with a `-0.0` and a `f64::MIN_POSITIVE` among its times, never
+        // hit): the same layout with nonzero per-op counts, hit counts and
+        // segment tags.
         const OLD_IMAGE: [u8; 226] = [
             77, 76, 82, 67, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
             0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 64, 2, 0, 0, 0, 0, 0, 0, 0,
@@ -1459,21 +1177,22 @@ mod tests {
             63, 0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 248, 63, 178,
             118, 53, 180, 231, 220, 6, 47,
         ];
-        // Written by this table: the per-op count of each entry is 0.
+        // Written by this table: hit counts, segment tags and per-op counts
+        // are all 0.
         const IMAGE: [u8; 106] = [
             77, 76, 82, 67, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 64, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 64, 0, 0, 0, 0, 0, 0, 0, 0,
             8, 7, 6, 5, 4, 3, 2, 1, 24, 23, 22, 21, 20, 19, 18, 17, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 248, 63, 0, 0, 0, 0, 0, 0, 0, 0, 61, 111, 210, 178, 79, 33, 149, 194,
+            0, 0, 0, 0, 0, 248, 63, 0, 0, 0, 0, 0, 0, 0, 0, 81, 160, 14, 200, 250, 18, 227, 54,
         ];
-        let probation = (
+        let young = (
             ScheduleKey {
                 module: 0x0102_0304_0506_0708,
                 schedule: 0x1112_1314_1516_1718,
             },
             1.5f64,
         );
-        let protected = (
+        let hit = (
             ScheduleKey {
                 module: 2,
                 schedule: 0,
@@ -1482,17 +1201,19 @@ mod tests {
         );
         let cm = CostModel::new(MachineModel::default());
         let sm = ScheduledModule::new(matmul(16, 16, 16));
+        let referenced = |table: &SharedEvalCache, key: &ScheduleKey| {
+            table.shards[table.shard_index(key)].lock().unwrap().map[key].referenced
+        };
         let table = SharedEvalCache::new(64);
-        assert!(table.merge_entry(probation.0, probation.1, 0));
-        assert!(table.merge_entry(protected.0, protected.1, 4));
-        assert_eq!(table.total_s_keyed(protected.0, &cm, &sm), (2.25, true));
-        let stats = table.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.protected).sum::<usize>(), 1);
+        assert!(table.insert(young.0, young.1).inserted);
+        assert!(table.insert(hit.0, hit.1).inserted);
+        assert_eq!(table.total_s_keyed(hit.0, &cm, &sm), (2.25, true));
+        assert!(referenced(&table, &hit.0));
         assert_eq!(table.to_snapshot_bytes(), IMAGE);
 
-        // Both literals restore: the times come back bit for bit with the
-        // saved hit counts (a restored entry re-enters probation, so the
-        // two restored tables are equal), and then serve hits.
+        // Both literals restore to the same table: the times come back bit
+        // for bit, every reference bit clear, and then serve hits — which
+        // set the bits but leave the image as it was.
         let from_old = SharedEvalCache::new(64);
         assert_eq!(
             from_old.restore_from_bytes(&OLD_IMAGE).expect("version 1"),
@@ -1500,24 +1221,15 @@ mod tests {
         );
         let from_new = SharedEvalCache::new(64);
         assert_eq!(from_new.restore_from_bytes(&IMAGE).expect("version 1"), 2);
-        assert_eq!(from_old.to_snapshot_bytes(), from_new.to_snapshot_bytes());
-        for ((key, want), hits) in [(probation, 0), (protected, 5)] {
-            {
-                let shard = from_old.shards[from_old.shard_index(&key)].lock().unwrap();
-                let entry = &shard.map[&key];
-                assert_eq!(
-                    (entry.total_s.to_bits(), entry.hits),
-                    (want.to_bits(), hits)
-                );
-            }
+        assert_eq!(from_old.to_snapshot_bytes(), IMAGE);
+        assert_eq!(from_new.to_snapshot_bytes(), IMAGE);
+        for (key, want) in [young, hit] {
+            assert!(!referenced(&from_old, &key));
             let (got, was_hit) = from_old.total_s_keyed(key, &cm, &sm);
             assert_eq!((got.to_bits(), was_hit), (want.to_bits(), true));
+            assert!(referenced(&from_old, &key));
         }
-        // Both were just hit once more: saved hits + 1, both protected.
-        let again = from_old.to_snapshot_bytes();
-        assert_eq!(again.len(), IMAGE.len());
-        assert_eq!((again[32], again[40]), (6, 1), "hits, segment of entry 0");
-        assert_eq!((again[73], again[81]), (1, 1), "hits, segment of entry 1");
+        assert_eq!(from_old.to_snapshot_bytes(), IMAGE);
     }
 
     #[test]
@@ -1629,34 +1341,33 @@ mod tests {
 
     #[test]
     fn absorb_keeps_incumbent_and_reconciles_hits() {
+        let cm = CostModel::new(MachineModel::default());
+        let sm = ScheduledModule::new(matmul(16, 16, 16));
         let key = ScheduleKey {
             module: 7,
             schedule: 9,
         };
-        let a = SharedEvalCache::new(64);
-        let b = SharedEvalCache::new(64);
-        a.apply_insert(key, 1.0, 3);
-        b.apply_insert(key, 2.0, 5);
         let other = ScheduleKey {
             module: 8,
             schedule: 1,
         };
-        b.apply_insert(other, 4.0, 2);
+        let a = SharedEvalCache::new(64);
+        let b = SharedEvalCache::new(64);
+        a.insert(key, 1.0);
+        b.insert(key, 2.0);
+        b.insert(other, 4.0);
+        // Both of b's entries are hit; of a's, none.
+        b.total_s_keyed(key, &cm, &sm);
+        b.total_s_keyed(other, &cm, &sm);
 
         let created = a.absorb(&b);
         assert_eq!(created, 1, "only the non-conflicting key is new");
         assert_eq!(a.len(), 2);
-        {
-            let shard = a.shards[a.shard_index(&key)].lock().unwrap();
-            let entry = &shard.map[&key];
-            assert_eq!(entry.total_s, 1.0, "incumbent time wins");
-            assert_eq!(entry.hits, 8, "hit counts are summed");
-        }
-        {
-            let shard = a.shards[a.shard_index(&other)].lock().unwrap();
-            assert_eq!(shard.map[&other].total_s, 4.0);
-            assert_eq!(shard.map[&other].hits, 2, "foreign warmth carries over");
-        }
+        let entry = |key: &ScheduleKey| a.shards[a.shard_index(key)].lock().unwrap().map[key];
+        assert_eq!(entry(&key).total_s, 1.0, "incumbent time wins");
+        assert!(!entry(&key).referenced, "the incumbent keeps its own bit");
+        assert_eq!(entry(&other).total_s, 4.0);
+        assert!(!entry(&other).referenced, "an absorbed entry starts clear");
         // Same-table absorb is a no-op.
         assert_eq!(a.absorb(&a.clone()), 0);
         assert_eq!(a.len(), 2);
@@ -1743,8 +1454,8 @@ mod tests {
         assert_eq!(count(EventKind::CacheMiss), 5);
         assert_eq!(
             count(EventKind::BudgetCharge),
-            5,
-            "every miss charges the shared ledger"
+            0,
+            "the table keeps no ledger; a CacheMiss marks each estimator run"
         );
         assert_eq!(count(EventKind::CachePromote), 1, "the repeat hit promotes");
         assert!(

@@ -93,10 +93,10 @@ pub enum EventKind {
     /// Evaluation budget was returned (args: `[delta, spent_after, 0]`).
     BudgetRefund = 19,
     /// A full cache shard evicted one entry to admit a new key
-    /// (args: `[shard, victim_hits, 0]`).
+    /// (args: `[shard, 0, 0]`).
     CacheEvict = 21,
-    /// A cache hit promoted its entry from the probation segment to the
-    /// protected segment (args: `[shard, 0, 0]`).
+    /// A cache hit set its entry's clear reference bit, giving it a second
+    /// chance against eviction (args: `[shard, 0, 0]`).
     CachePromote = 22,
     /// The online trainer published a new policy version
     /// (args: `[version, probe_modules, train_step]`).
