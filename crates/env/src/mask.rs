@@ -39,6 +39,16 @@ impl ActionMask {
         self.transformation[kind.index()]
     }
 
+    /// Level `level`'s tile-size row: entry `i` says whether tile
+    /// candidate `i` is legal at that loop level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is not a loop level of the masked operation.
+    pub fn tile_row(&self, level: usize) -> &[bool] {
+        &self.tile_sizes[level]
+    }
+
     /// Number of allowed transformation kinds.
     pub fn num_allowed(&self) -> usize {
         self.transformation.iter().filter(|b| **b).count()
