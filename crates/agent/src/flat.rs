@@ -12,9 +12,11 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use mlir_rl_env::{
-    flat_action_space, Action, EnvConfig, FlatAction, Observation, ObservationBatch,
+    flat_action_space, num_enumerated_candidates, EnvConfig, FlatAction, Observation,
+    ObservationBatch,
 };
 use mlir_rl_nn::{Linear, Lstm, MaskedCategorical, Mlp, Param, Scratch, Tensor2};
+use mlir_rl_transforms::TransformationKind;
 
 use crate::policy::{
     embed_observation, lstm_step_tensors_into, rank_candidates, ActionRecord, PolicyHyperparams,
@@ -82,30 +84,26 @@ impl FlatPolicyNetwork {
     }
 
     fn flat_mask(&self, obs: &Observation) -> Vec<bool> {
+        use TransformationKind as K;
+        let mask = &obs.mask;
+        let tiles_fit = |index: usize| (0..obs.num_loops).all(|level| mask.tile_row(level)[index]);
         self.actions
             .iter()
             .map(|fa| {
-                let expanded = fa.to_action(obs.num_loops);
-                let kind_ok = obs.mask.allows(expanded.kind());
-                let tiles_ok = match &expanded {
-                    Action::Tiling { tile_indices }
-                    | Action::TiledParallelization { tile_indices }
-                    | Action::TiledFusion { tile_indices } => {
-                        tile_indices.iter().enumerate().all(|(level, idx)| {
-                            obs.mask
-                                .tile_sizes
-                                .get(level)
-                                .and_then(|m| m.get(*idx))
-                                .copied()
-                                .unwrap_or(false)
-                        })
+                let (kind, fits) = match *fa {
+                    FlatAction::UniformTiling { index } => (K::Tiling, tiles_fit(index)),
+                    FlatAction::UniformTiledParallelization { index } => {
+                        (K::TiledParallelization, tiles_fit(index))
                     }
-                    Action::Interchange(mlir_rl_env::InterchangeSpec::Candidate(c)) => {
-                        *c < mlir_rl_env::num_enumerated_candidates(obs.num_loops)
-                    }
-                    _ => true,
+                    FlatAction::UniformTiledFusion { index } => (K::TiledFusion, tiles_fit(index)),
+                    FlatAction::Interchange { candidate } => (
+                        K::Interchange,
+                        candidate < num_enumerated_candidates(obs.num_loops),
+                    ),
+                    FlatAction::Vectorization => (K::Vectorization, true),
+                    FlatAction::NoTransformation => (K::NoTransformation, true),
                 };
-                kind_ok && tiles_ok
+                mask.allows(kind) && fits
             })
             .collect()
     }

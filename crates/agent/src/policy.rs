@@ -17,14 +17,13 @@
 //!   process of Appendix B expressed as a Plackett–Luce distribution over
 //!   permutations. This covers all `N!` permutations with only `N` outputs.
 
-use std::borrow::Cow;
-
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use mlir_rl_env::{
-    Action, ActionMask, EnvConfig, InterchangeMode, InterchangeSpec, Observation, ObservationBatch,
+    num_enumerated_candidates, Action, EnvConfig, InterchangeMode, InterchangeSpec, Observation,
+    ObservationBatch,
 };
 use mlir_rl_nn::{Linear, Lstm, MaskedCategorical, Mlp, Param, Scratch, Tensor2};
 use mlir_rl_transforms::TransformationKind;
@@ -167,15 +166,6 @@ impl DecodeHeads {
             logits,
             ready: [true; 4],
         }
-    }
-}
-
-/// Level `level`'s tile-size mask, borrowed from the observation's mask; a
-/// level the mask does not list allows all `m` candidates.
-fn level_tile_mask(mask: &ActionMask, level: usize, m: usize) -> Cow<'_, [bool]> {
-    match mask.tile_sizes.get(level) {
-        Some(allowed) => Cow::Borrowed(allowed),
-        None => Cow::Owned(vec![true; m]),
     }
 }
 
@@ -465,7 +455,7 @@ impl PolicyNetwork {
                 // (the representation is truncated to `max_loops` anyway).
                 let head_level = level.min(self.env_config.max_loops - 1);
                 let level_logits = &logits[head_level * m..(head_level + 1) * m];
-                let dist = MaskedCategorical::new(level_logits, &level_tile_mask(mask, level, m));
+                let dist = MaskedCategorical::new(level_logits, mask.tile_row(level));
                 let idx = if greedy {
                     dist.argmax()
                 } else {
@@ -479,12 +469,10 @@ impl PolicyNetwork {
             let interchange = self.head_logits(heads, Head::Interchange);
             match self.env_config.interchange_mode {
                 InterchangeMode::EnumeratedCandidates => {
-                    let num_candidates = mask.interchange_candidates.len();
+                    // Every candidate is legal once interchange is.
+                    let num_candidates = num_enumerated_candidates(n).max(1);
                     let logits = &interchange[..num_candidates.min(interchange.len())];
-                    let dist = MaskedCategorical::new(
-                        logits,
-                        &mask.interchange_candidates[..logits.len()],
-                    );
+                    let dist = MaskedCategorical::from_logits(logits);
                     let idx = if greedy {
                         dist.argmax()
                     } else {
@@ -740,7 +728,7 @@ impl PolicyNetwork {
             for (level, idx) in record.tile_indices.iter().enumerate().take(n) {
                 let head_level = level.min(self.env_config.max_loops - 1);
                 let level_logits = &logits[head_level * m..(head_level + 1) * m];
-                let dist = MaskedCategorical::new(level_logits, &level_tile_mask(mask, level, m));
+                let dist = MaskedCategorical::new(level_logits, mask.tile_row(level));
                 log_prob += dist.log_prob(*idx);
                 entropy += dist.entropy();
                 let lp = dist.log_prob_grad(*idx);
@@ -753,12 +741,9 @@ impl PolicyNetwork {
             match self.env_config.interchange_mode {
                 InterchangeMode::EnumeratedCandidates => {
                     if let Some(c) = record.interchange_candidate {
-                        let num_candidates = mask.interchange_candidates.len();
+                        let num_candidates = num_enumerated_candidates(n).max(1);
                         let len = num_candidates.min(outputs.interchange.len());
-                        let dist = MaskedCategorical::new(
-                            &outputs.interchange[..len],
-                            &mask.interchange_candidates[..len],
-                        );
+                        let dist = MaskedCategorical::from_logits(&outputs.interchange[..len]);
                         log_prob += dist.log_prob(c);
                         entropy += dist.entropy();
                         let lp = dist.log_prob_grad(c);

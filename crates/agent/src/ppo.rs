@@ -1323,8 +1323,7 @@ mod tests {
             mask: mlir_rl_env::ActionMask {
                 transformation: [true; 6],
                 tile_sizes: vec![],
-                interchange_candidates: vec![true],
-                level_pointer: vec![true],
+                num_tile_candidates: 0,
             },
             num_loops: 1,
             op: mlir_rl_ir::OpId(0),

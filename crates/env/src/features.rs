@@ -667,8 +667,7 @@ mod tests {
             mask: crate::mask::ActionMask {
                 transformation: [true; 6],
                 tile_sizes: vec![],
-                interchange_candidates: vec![true],
-                level_pointer: vec![true],
+                num_tile_candidates: 0,
             },
             num_loops: 1,
             op: OpId(0),
@@ -705,8 +704,7 @@ mod tests {
         let mask = crate::mask::ActionMask {
             transformation: [true; 6],
             tile_sizes: vec![],
-            interchange_candidates: vec![true],
-            level_pointer: vec![true],
+            num_tile_candidates: 0,
         };
         let a = Observation {
             producer: Features::from_dense(&[1.0]),

@@ -5,13 +5,18 @@
 //! producer, parallelizing requires a parallel iterator, and terminated
 //! operations accept nothing but "no transformation". The mask removes such
 //! actions from the policy's distributions.
+//!
+//! A mask is the six transformation bits plus one row-major bitmap of tile
+//! legality, one row of `num_tile_candidates` entries per loop level, which
+//! readers borrow a row at a time through [`ActionMask::tile_row`]. The
+//! interchange heads need no mask of their own: every enumerated candidate
+//! and every level-pointer permutation is legal whenever interchange is.
 
 use serde::{Deserialize, Serialize};
 
 use mlir_rl_ir::{IteratorType, OpId};
-use mlir_rl_transforms::{ScheduledModule, Transformation, TransformationKind};
+use mlir_rl_transforms::{ScheduledModule, TransformationKind};
 
-use crate::action::num_enumerated_candidates;
 use crate::config::EnvConfig;
 
 /// Masks for every head of the multi-discrete policy.
@@ -20,17 +25,12 @@ pub struct ActionMask {
     /// Which of the six transformation kinds may be selected
     /// (indexed by [`TransformationKind::index`]).
     pub transformation: [bool; 6],
-    /// For each visible loop level, which tile-size candidates are legal
-    /// (a tile size must not exceed the loop bound).
-    pub tile_sizes: Vec<Vec<bool>>,
-    /// Which enumerated interchange candidates are legal (always all of
-    /// them for a live operation; provided for the enumerated-candidates
-    /// ablation head).
-    pub interchange_candidates: Vec<bool>,
-    /// Which loops may still be chosen by the next level-pointer sub-step
-    /// (all of them at the start of an interchange; the agent masks out
-    /// already-placed loops during the sub-steps).
-    pub level_pointer: Vec<bool>,
+    /// Tile-size legality, row-major: entry `level * num_tile_candidates +
+    /// i` says whether candidate `i` fits loop `level` (a tile size must
+    /// not exceed the loop bound).
+    pub tile_sizes: Vec<bool>,
+    /// Width of one row of [`Self::tile_sizes`].
+    pub num_tile_candidates: usize,
 }
 
 impl ActionMask {
@@ -46,16 +46,13 @@ impl ActionMask {
     ///
     /// Panics if `level` is not a loop level of the masked operation.
     pub fn tile_row(&self, level: usize) -> &[bool] {
-        &self.tile_sizes[level]
-    }
-
-    /// Number of allowed transformation kinds.
-    pub fn num_allowed(&self) -> usize {
-        self.transformation.iter().filter(|b| **b).count()
+        let m = self.num_tile_candidates;
+        &self.tile_sizes[level * m..(level + 1) * m]
     }
 }
 
 /// Computes the action mask for the operation currently being optimized.
+/// The tile bitmap is its only allocation.
 ///
 /// # Panics
 ///
@@ -63,58 +60,37 @@ impl ActionMask {
 pub fn compute_mask(scheduled: &ScheduledModule, op: OpId, config: &EnvConfig) -> ActionMask {
     let linalg_op = scheduled.module().op(op).expect("op belongs to module");
     let state = scheduled.state(op);
-    let n = linalg_op.num_loops();
-    let bounds = state.visible_bounds(linalg_op);
-    let iter_types = state.visible_iterator_types(linalg_op);
-
-    let terminated = state.is_terminated();
-    let full = state.schedule.len() >= scheduled.max_schedule_len();
-    let open = !terminated && !full;
+    let open = !state.is_terminated() && state.schedule.len() < scheduled.max_schedule_len();
 
     let mut transformation = [false; 6];
     transformation[TransformationKind::NoTransformation.index()] = true;
     if open {
         transformation[TransformationKind::Tiling.index()] = true;
-        transformation[TransformationKind::Interchange.index()] = n >= 2;
+        transformation[TransformationKind::Interchange.index()] = linalg_op.num_loops() >= 2;
+        // Some loop is parallel, wherever interchange has moved it.
         transformation[TransformationKind::TiledParallelization.index()] =
-            iter_types.contains(&IteratorType::Parallel);
+            linalg_op.iterator_types.contains(&IteratorType::Parallel);
         // Fusion: the last producer must exist, be live, and be untouched.
-        let fusion_ok = scheduled.module().last_producer(op).is_some_and(|p| {
-            scheduled
-                .check(
-                    op,
-                    &Transformation::TiledFusion {
-                        tile_sizes: vec![0; n],
-                        producer: p,
-                    },
-                )
-                .is_ok()
-        });
-        transformation[TransformationKind::TiledFusion.index()] = fusion_ok;
+        transformation[TransformationKind::TiledFusion.index()] = scheduled
+            .module()
+            .last_producer(op)
+            .is_some_and(|producer| scheduled.fusable(op, producer));
         // Vectorization: static preconditions plus the 512-iteration limit
         // on the innermost loop of the current schedule.
         transformation[TransformationKind::Vectorization.index()] = scheduled.vectorizable(op);
     }
 
-    let tile_sizes = bounds
-        .iter()
-        .map(|bound| {
-            config
-                .tile_candidates
-                .iter()
-                .map(|t| *t == 0 || *t <= *bound)
-                .collect()
-        })
-        .collect();
-
-    let interchange_candidates = vec![open && n >= 2; num_enumerated_candidates(n).max(1)];
-    let level_pointer = vec![open; n.max(1)];
+    let candidates = &config.tile_candidates;
+    let mut tile_sizes = Vec::with_capacity(state.order.len() * candidates.len());
+    for loop_index in &state.order {
+        let bound = linalg_op.loop_bounds[*loop_index];
+        tile_sizes.extend(candidates.iter().map(|t| *t == 0 || *t <= bound));
+    }
 
     ActionMask {
         transformation,
         tile_sizes,
-        interchange_candidates,
-        level_pointer,
+        num_tile_candidates: candidates.len(),
     }
 }
 
@@ -122,6 +98,7 @@ pub fn compute_mask(scheduled: &ScheduledModule, op: OpId, config: &EnvConfig) -
 mod tests {
     use super::*;
     use mlir_rl_ir::ModuleBuilder;
+    use mlir_rl_transforms::Transformation;
 
     fn chain() -> ScheduledModule {
         let mut b = ModuleBuilder::new("chain");
@@ -146,8 +123,8 @@ mod tests {
         // The innermost loop is 128 > ... within the 512 limit, and maps are
         // permutations, so vectorization is allowed.
         assert!(mask.allows(TransformationKind::Vectorization));
-        assert_eq!(mask.tile_sizes.len(), 3);
-        assert_eq!(mask.tile_sizes[0].len(), config.num_tile_candidates());
+        assert_eq!(mask.tile_sizes.len(), 3 * config.num_tile_candidates());
+        assert_eq!(mask.tile_row(2).len(), config.num_tile_candidates());
     }
 
     #[test]
@@ -164,8 +141,8 @@ mod tests {
         let config = EnvConfig::small(); // candidates [0, 4, 16, 32, 64]
         let mask = compute_mask(&s, OpId(1), &config);
         // ReLU over 64x32: level 1 has bound 32, so tile 64 is illegal.
-        assert_eq!(mask.tile_sizes[1], vec![true, true, true, true, false]);
-        assert_eq!(mask.tile_sizes[0], vec![true, true, true, true, true]);
+        assert_eq!(mask.tile_row(1), [true, true, true, true, false]);
+        assert_eq!(mask.tile_row(0), [true, true, true, true, true]);
     }
 
     #[test]
@@ -187,8 +164,10 @@ mod tests {
         let mut s = chain();
         s.apply(OpId(0), Transformation::NoTransformation).unwrap();
         let mask = compute_mask(&s, OpId(0), &EnvConfig::small());
-        assert_eq!(mask.num_allowed(), 1);
-        assert!(mask.allows(TransformationKind::NoTransformation));
+        assert_eq!(
+            mask.transformation,
+            [false, false, false, false, false, true]
+        );
     }
 
     #[test]
@@ -202,7 +181,10 @@ mod tests {
         )
         .unwrap();
         let mask = compute_mask(&s, OpId(0), &EnvConfig::small());
-        assert_eq!(mask.num_allowed(), 1);
+        assert_eq!(
+            mask.transformation,
+            [false, false, false, false, false, true]
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@ use rand_chacha::ChaCha8Rng;
 
 use mlir_rl_agent::PolicyModel;
 use mlir_rl_env::{
-    Action, EnvConfig, InterchangeMode, InterchangeSpec, Observation, OptimizationEnv,
+    num_enumerated_candidates, Action, EnvConfig, InterchangeMode, InterchangeSpec, Observation,
+    OptimizationEnv,
 };
 use mlir_rl_ir::Module;
 use mlir_rl_obs::EventKind;
@@ -43,28 +44,27 @@ impl Default for RandomSearch {
     }
 }
 
+/// Draws one of the `true` entries of `allowed` uniformly: one `gen_range`
+/// over their count, and no draw at all when there are none.
+fn draw_allowed(allowed: &[bool], rng: &mut ChaCha8Rng) -> Option<usize> {
+    let count = allowed.iter().filter(|a| **a).count();
+    if count == 0 {
+        return None;
+    }
+    let k = rng.gen_range(0..count);
+    (0..allowed.len()).filter(|i| allowed[*i]).nth(k)
+}
+
 /// Samples a uniform-random action among those the mask allows.
 pub fn random_action(obs: &Observation, config: &EnvConfig, rng: &mut ChaCha8Rng) -> Action {
-    let allowed: Vec<usize> = (0..6).filter(|i| obs.mask.transformation[*i]).collect();
-    let kind = if allowed.is_empty() {
-        TransformationKind::NoTransformation
-    } else {
-        TransformationKind::from_index(allowed[rng.gen_range(0..allowed.len())])
-    };
-    let m = config.num_tile_candidates();
+    let mask = &obs.mask;
+    let kind = draw_allowed(&mask.transformation, rng).map_or(
+        TransformationKind::NoTransformation,
+        TransformationKind::from_index,
+    );
     let random_tiles = |rng: &mut ChaCha8Rng| -> Vec<usize> {
         (0..obs.num_loops)
-            .map(|level| {
-                let level_allowed: Vec<usize> = match obs.mask.tile_sizes.get(level) {
-                    Some(mask) => (0..mask.len()).filter(|i| mask[*i]).collect(),
-                    None => (0..m).collect(),
-                };
-                if level_allowed.is_empty() {
-                    0
-                } else {
-                    level_allowed[rng.gen_range(0..level_allowed.len())]
-                }
-            })
+            .map(|level| draw_allowed(mask.tile_row(level), rng).unwrap_or(0))
             .collect()
     };
     match kind {
@@ -78,17 +78,10 @@ pub fn random_action(obs: &Observation, config: &EnvConfig, rng: &mut ChaCha8Rng
             tile_indices: random_tiles(rng),
         },
         TransformationKind::Interchange => match config.interchange_mode {
+            // Every candidate is legal once interchange is.
             InterchangeMode::EnumeratedCandidates => {
-                let candidates: Vec<usize> = (0..obs.mask.interchange_candidates.len())
-                    .filter(|i| obs.mask.interchange_candidates[*i])
-                    .collect();
-                if candidates.is_empty() {
-                    Action::NoTransformation
-                } else {
-                    Action::Interchange(InterchangeSpec::Candidate(
-                        candidates[rng.gen_range(0..candidates.len())],
-                    ))
-                }
+                let candidates = num_enumerated_candidates(obs.num_loops).max(1);
+                Action::Interchange(InterchangeSpec::Candidate(rng.gen_range(0..candidates)))
             }
             InterchangeMode::LevelPointers => {
                 let mut permutation: Vec<usize> = (0..obs.num_loops).collect();

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use mlir_rl_ir::{IteratorType, LinalgOp, Module, OpId};
+use mlir_rl_ir::{IteratorType, LinalgOp, Module, OpId, ValueDef};
 
 use crate::error::TransformError;
 use crate::nest::{FusedProducer, LoopDim, LoopKind, LoopNest};
@@ -211,28 +211,7 @@ impl ScheduledModule {
                 producer,
             } => {
                 self.check_tile_sizes(linalg_op, state, tile_sizes)?;
-                let producers = self.module.producers(op);
-                if producers.is_empty() {
-                    return Err(TransformError::NoProducerToFuse { op });
-                }
-                if !producers.contains(producer) {
-                    return Err(TransformError::NotAProducer {
-                        op,
-                        producer: *producer,
-                    });
-                }
-                let pstate = &self.states[producer.0];
-                if pstate.fused_into.is_some() {
-                    return Err(TransformError::OperationFusedAway { op: *producer });
-                }
-                // Linalg fusion has limited ability to fuse a modified
-                // producer (Sec. III): only untouched producers are fused.
-                if !pstate.schedule.is_empty() {
-                    return Err(TransformError::ProducerAlreadyScheduled {
-                        producer: *producer,
-                    });
-                }
-                Ok(())
+                self.check_fusion(op, *producer)
             }
             Transformation::Interchange { permutation } => {
                 if !is_permutation(permutation, n) {
@@ -275,6 +254,44 @@ impl ScheduledModule {
     pub fn vectorizable(&self, op: OpId) -> bool {
         let linalg_op = self.module.op(op).expect("op belongs to module");
         vectorization_blocker(linalg_op, &self.states[op.0]).is_none()
+    }
+
+    /// Whether `producer` can be fused into `op` now: it produces one of
+    /// `op`'s operands, still executes on its own, and is untouched. This
+    /// is [`Self::check`] on [`Transformation::TiledFusion`] without the
+    /// tile sizes and the consumer's own schedule-state rules, and it
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either op id does not belong to this module.
+    pub fn fusable(&self, op: OpId, producer: OpId) -> bool {
+        self.check_fusion(op, producer).is_ok()
+    }
+
+    fn check_fusion(&self, op: OpId, producer: OpId) -> Result<(), TransformError> {
+        let linalg_op = self.module.op(op).expect("op belongs to module");
+        let produces_an_operand = linalg_op.inputs.iter().any(|input| {
+            self.module
+                .value(*input)
+                .is_ok_and(|v| v.def == ValueDef::OpResult(producer))
+        });
+        if !produces_an_operand {
+            return Err(match self.module.last_producer(op) {
+                None => TransformError::NoProducerToFuse { op },
+                Some(_) => TransformError::NotAProducer { op, producer },
+            });
+        }
+        let pstate = &self.states[producer.0];
+        if pstate.fused_into.is_some() {
+            return Err(TransformError::OperationFusedAway { op: producer });
+        }
+        // Linalg fusion has limited ability to fuse a modified
+        // producer (Sec. III): only untouched producers are fused.
+        if !pstate.schedule.is_empty() {
+            return Err(TransformError::ProducerAlreadyScheduled { producer });
+        }
+        Ok(())
     }
 
     fn check_tile_sizes(

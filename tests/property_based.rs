@@ -10,11 +10,12 @@ use mlir_rl_costmodel::{
     SubnestTable,
 };
 use mlir_rl_env::{
-    extract_features_dense, Action, ActionHistory, EnvConfig, Features, OptimizationEnv,
+    extract_features_dense, num_enumerated_candidates, Action, ActionHistory, EnvConfig, Features,
+    Observation, OptimizationEnv,
 };
-use mlir_rl_ir::{parser::parse_module, printer::print_module, ModuleBuilder, OpId};
+use mlir_rl_ir::{parser::parse_module, printer::print_module, IteratorType, ModuleBuilder, OpId};
 use mlir_rl_search::random_action;
-use mlir_rl_transforms::{ScheduledModule, Transformation};
+use mlir_rl_transforms::{ScheduledModule, TransformError, Transformation, TransformationKind};
 use mlir_rl_workloads::dl_ops::{random_operator, DlOperator};
 use mlir_rl_workloads::lqcd::lqcd_kernel;
 use mlir_rl_workloads::sequences::random_sequence;
@@ -342,11 +343,93 @@ proptest! {
     }
 }
 
+/// The action mask as it was computed before it became one flat bitmap:
+/// transformation bits from the visible (interchanged) iterator types and
+/// from `check` on a zero-tile fusion, one tile row per visible loop bound,
+/// and one interchange entry per enumerated candidate.
+fn reference_mask(
+    scheduled: &ScheduledModule,
+    op: OpId,
+    config: &EnvConfig,
+) -> ([bool; 6], Vec<Vec<bool>>, Vec<bool>) {
+    let linalg_op = scheduled.module().op(op).unwrap();
+    let state = scheduled.state(op);
+    let n = linalg_op.num_loops();
+    let bounds = state.visible_bounds(linalg_op);
+    let iter_types = state.visible_iterator_types(linalg_op);
+    let open = !state.is_terminated() && state.schedule.len() < scheduled.max_schedule_len();
+    let mut transformation = [false; 6];
+    transformation[TransformationKind::NoTransformation.index()] = true;
+    if open {
+        transformation[TransformationKind::Tiling.index()] = true;
+        transformation[TransformationKind::Interchange.index()] = n >= 2;
+        transformation[TransformationKind::TiledParallelization.index()] =
+            iter_types.contains(&IteratorType::Parallel);
+        transformation[TransformationKind::TiledFusion.index()] =
+            scheduled.module().last_producer(op).is_some_and(|p| {
+                let fusion = Transformation::TiledFusion {
+                    tile_sizes: vec![0; n],
+                    producer: p,
+                };
+                scheduled.check(op, &fusion).is_ok()
+            });
+        transformation[TransformationKind::Vectorization.index()] =
+            scheduled.check(op, &Transformation::Vectorization).is_ok();
+    }
+    let tiles = bounds
+        .iter()
+        .map(|bound| {
+            let fits = |t: &u64| *t == 0 || t <= bound;
+            config.tile_candidates.iter().map(fits).collect()
+        })
+        .collect();
+    let interchange = vec![open && n >= 2; num_enumerated_candidates(n).max(1)];
+    (transformation, tiles, interchange)
+}
+
+/// `obs.mask` equals [`reference_mask`], and every tile candidate a row
+/// forbids is one `check` refuses with `TileSizeTooLarge` at that level.
+fn assert_mask_matches_reference(
+    scheduled: &ScheduledModule,
+    obs: &Observation,
+    config: &EnvConfig,
+) {
+    let (transformation, tiles, interchange) = reference_mask(scheduled, obs.op, config);
+    let mask = &obs.mask;
+    assert_eq!(mask.transformation, transformation, "{:?}", obs.op);
+    let m = config.num_tile_candidates();
+    assert_eq!(mask.tile_sizes.len(), obs.num_loops * m);
+    assert_eq!(tiles.len(), obs.num_loops);
+    for (level, row) in tiles.iter().enumerate() {
+        assert_eq!(mask.tile_row(level), row.as_slice(), "level {level}");
+    }
+    let allows_interchange = mask.allows(TransformationKind::Interchange);
+    assert!(interchange.iter().all(|b| *b == allows_interchange));
+    if !mask.allows(TransformationKind::Tiling) {
+        return; // a closed op refuses every tiling before its sizes are read
+    }
+    for level in 0..obs.num_loops {
+        for (i, tile) in config.tile_candidates.iter().enumerate() {
+            if mask.tile_row(level)[i] {
+                continue;
+            }
+            let mut tile_sizes = vec![0; obs.num_loops];
+            tile_sizes[level] = *tile;
+            let refusal = scheduled.check(obs.op, &Transformation::Tiling { tile_sizes });
+            assert!(
+                matches!(refusal, Err(TransformError::TileSizeTooLarge { level: l, .. }) if l == level),
+                "tile {tile} at level {level}: {refusal:?}"
+            );
+        }
+    }
+}
+
 /// The law the paper's action space rests on (Sec. IV-B): the mask is a
 /// promise — an action it allows is never refused. Seeded random masked
 /// walks to episode end over the training dataset at the small
 /// configuration and over the evaluation benchmark at the paper's maxima:
-/// every step reports `applied`.
+/// every step reports `applied`, and every observation's mask matches
+/// [`reference_mask`] and forbids only tiles `check` refuses.
 #[test]
 fn mask_allowed_actions_are_always_applied() {
     let training = mlir_rl_workloads::full_training_dataset(0.1, 23);
@@ -367,6 +450,7 @@ fn mask_allowed_actions_are_always_applied() {
                 let name = module.name().to_string();
                 let mut observation = env.reset(module.clone());
                 while let Some(obs) = observation {
+                    assert_mask_matches_reference(env.scheduled().unwrap(), &obs, &config);
                     let action = random_action(&obs, &config, &mut rng);
                     let outcome = env.step(&action);
                     assert!(
