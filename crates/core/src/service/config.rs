@@ -53,7 +53,7 @@ pub struct ServiceConfig {
     /// Per-writer event capacity of the structured trace recorder, or
     /// `None` (the default) for tracing off. When set, the service records
     /// request lifecycle spans and searcher phase events into bounded
-    /// lock-free rings (one per worker plus one for the submit side) and
+    /// rings (one per worker plus one for the submit side) and
     /// exposes them via [`OptimizationService::trace_snapshot`]. Tracing is
     /// purely observational: responses stay bit-identical
     /// ([`OptimizationResponse::fingerprint`] never covers trace data).

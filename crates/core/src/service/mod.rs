@@ -316,9 +316,9 @@ impl OptimizationService {
             cache_restored,
             counters: Counters::default(),
             recorder: config.trace_capacity.map(|capacity| {
-                // One ring per worker plus the submit side, plus one for
-                // the online trainer when training is on — every ring stays
-                // single-writer.
+                // One ring per worker plus the submit side (shared by every
+                // submitting thread), plus one for the online trainer when
+                // training is on.
                 let writers =
                     config.workers.max(1) + 1 + usize::from(config.online_training.is_some());
                 TraceRecorder::new(capacity, writers)

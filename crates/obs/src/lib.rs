@@ -3,12 +3,13 @@
 //! Structured tracing and unified telemetry for the optimization service
 //! and the schedule searchers.
 //!
-//! The centerpiece is [`TraceRecorder`]: a bounded, lock-free collection of
-//! per-writer ring buffers of fixed-size structured events (six `u64` words
-//! each — a monotonic microsecond timestamp, a per-request trace id, an
-//! event kind plus interned label, and three payload words). Writers never
-//! block and never allocate on the hot path; when a ring wraps, the oldest
-//! events are overwritten and counted as dropped. [`TraceRecorder::snapshot`]
+//! The centerpiece is [`TraceRecorder`]: a bounded collection of ring
+//! buffers of fixed-size structured events (six `u64` words each — a
+//! monotonic microsecond timestamp, a per-request trace id, an event kind
+//! plus interned label, and three payload words), one mutex per ring.
+//! Writers never allocate on the hot path and hold a ring's lock only to
+//! copy one record in; when a ring wraps, the oldest events are overwritten
+//! and counted as dropped. [`TraceRecorder::snapshot`]
 //! merges every ring into one time-ordered [`TraceSnapshot`] which exports
 //! to Chrome trace-event JSON (loadable in `chrome://tracing` / Perfetto),
 //! a JSONL event log, or plain rows.
@@ -27,8 +28,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Number of `u64` words per recorded event.
@@ -269,58 +269,35 @@ impl fmt::Debug for ProbeRef {
 // The recorder
 // ---------------------------------------------------------------------------
 
-/// One slot of a ring: a sequence word (odd while a write is in flight,
-/// `2 * (record_index + 1)` once the record is complete) plus the event
-/// words. All-atomic, so concurrent write/snapshot is safe Rust; a torn
-/// read is detected by the sequence check and skipped.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; EVENT_WORDS],
-}
+/// One writer's bounded ring. `head` counts records ever written; record
+/// `r` sits in slot `r % capacity` until record `r + capacity` overwrites
+/// it. One mutex guards both, so a snapshot only ever decodes whole records
+/// however many threads share the ring.
+struct Ring(Mutex<RingState>);
 
-impl Slot {
-    fn new() -> Self {
-        Self {
-            seq: AtomicU64::new(0),
-            words: Default::default(),
-        }
-    }
-}
-
-/// One writer's bounded ring. `head` counts records ever written; slot
-/// `head % capacity` is overwritten on wrap.
-struct Ring {
-    head: AtomicU64,
-    slots: Box<[Slot]>,
+struct RingState {
+    head: u64,
+    slots: Box<[[u64; EVENT_WORDS]]>,
 }
 
 impl Ring {
     fn new(capacity: usize) -> Self {
-        Self {
-            head: AtomicU64::new(0),
-            slots: (0..capacity.max(1)).map(|_| Slot::new()).collect(),
-        }
+        Self(Mutex::new(RingState {
+            head: 0,
+            slots: vec![[0; EVENT_WORDS]; capacity.max(1)].into_boxed_slice(),
+        }))
     }
 
-    /// Lock-free, wait-free-in-practice append. Multiple threads may share
-    /// one ring (`head.fetch_add` assigns distinct records); a reader that
-    /// races a writer skips the torn slot.
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.0.lock().expect("trace ring poisoned")
+    }
+
+    /// Appends one record, overwriting the oldest once the ring is full.
     fn record(&self, words: [u64; EVENT_WORDS]) {
-        let index = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(index % self.slots.len() as u64) as usize];
-        slot.seq.store(2 * index + 1, Ordering::Release);
-        for (cell, word) in slot.words.iter().zip(words) {
-            cell.store(word, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * (index + 1), Ordering::Release);
-    }
-
-    fn written(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    fn dropped(&self) -> u64 {
-        self.written().saturating_sub(self.slots.len() as u64)
+        let mut ring = self.lock();
+        let slot = (ring.head % ring.slots.len() as u64) as usize;
+        ring.slots[slot] = words;
+        ring.head += 1;
     }
 }
 
@@ -347,9 +324,10 @@ struct RecorderInner {
     labels: Mutex<Interner>,
 }
 
-/// A bounded, lock-free trace recorder: `writers` independent ring buffers
-/// of `capacity` structured events each, merged on [`TraceRecorder::snapshot`].
-/// The handle is cheap to clone (all clones share the rings).
+/// A bounded trace recorder: `writers` independent ring buffers of
+/// `capacity` structured events each, merged on [`TraceRecorder::snapshot`].
+/// The handle is cheap to clone (all clones share the rings). Any number of
+/// threads may write to one ring; each ring's mutex keeps its records whole.
 ///
 /// Timestamps are microseconds since the recorder was created, read from a
 /// monotonic clock. Labels (searcher names, rejection reasons) are interned
@@ -383,7 +361,7 @@ impl TraceRecorder {
 
     /// Events each ring retains before overwriting its oldest.
     pub fn capacity(&self) -> usize {
-        self.inner.rings[0].slots.len()
+        self.inner.rings[0].lock().slots.len()
     }
 
     /// A [`Probe`]-implementing handle that records into ring
@@ -408,31 +386,26 @@ impl TraceRecorder {
     /// Total events ever recorded, across all rings (including overwritten
     /// ones).
     pub fn recorded(&self) -> u64 {
-        self.inner.rings.iter().map(Ring::written).sum()
+        self.inner.rings.iter().map(|ring| ring.lock().head).sum()
     }
 
     /// Decodes every ring into one time-ordered [`TraceSnapshot`]. Safe to
-    /// call while writers are active: slots with an in-flight write are
-    /// skipped.
+    /// call while writers are active: each ring is copied out under its
+    /// lock, so every decoded event is one whole record.
     pub fn snapshot(&self) -> TraceSnapshot {
         let labels = {
             let guard = self.inner.labels.lock().expect("label table poisoned");
             guard.names.clone()
         };
         let mut events = Vec::new();
+        let mut dropped = 0;
         for (ring_index, ring) in self.inner.rings.iter().enumerate() {
-            for slot in ring.slots.iter() {
-                let seq_before = slot.seq.load(Ordering::Acquire);
-                if seq_before == 0 || seq_before % 2 == 1 {
-                    continue; // empty or torn
-                }
-                let mut words = [0u64; EVENT_WORDS];
-                for (word, cell) in words.iter_mut().zip(slot.words.iter()) {
-                    *word = cell.load(Ordering::Relaxed);
-                }
-                if slot.seq.load(Ordering::Acquire) != seq_before {
-                    continue; // overwritten mid-read
-                }
+            let ring = ring.lock();
+            let capacity = ring.slots.len() as u64;
+            let oldest = ring.head.saturating_sub(capacity);
+            dropped += oldest;
+            for record in oldest..ring.head {
+                let words = ring.slots[(record % capacity) as usize];
                 let kind = match EventKind::from_u8((words[2] & 0xff) as u8) {
                     Some(kind) => kind,
                     None => continue,
@@ -449,14 +422,14 @@ impl TraceRecorder {
                     },
                     args: [words[3], words[4], words[5]],
                     writer: ring_index,
-                    seq: seq_before / 2 - 1,
+                    seq: record,
                 });
             }
         }
         events.sort_by_key(|e| (e.t_us, e.writer, e.seq));
         TraceSnapshot {
             events,
-            dropped: self.inner.rings.iter().map(Ring::dropped).sum(),
+            dropped,
             writers: self.inner.rings.len(),
             capacity: self.capacity(),
         }
@@ -932,6 +905,7 @@ pub fn recorder_overhead_ns(samples: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
     #[test]
@@ -1000,6 +974,41 @@ mod tests {
         for t in 1..=4u64 {
             assert_eq!(snap.for_trace(t).len(), 256);
         }
+    }
+
+    /// Four writers lap a two-slot ring while snapshots decode it: every
+    /// decoded event's payload must be the one written with its trace id.
+    #[test]
+    fn snapshots_never_decode_torn_events() {
+        const EVENTS_PER_WRITER: u64 = 50_000;
+        let payload = |id: u64| [id, !id, id.rotate_left(17)];
+        let recorder = TraceRecorder::new(2, 1);
+        let writing = AtomicUsize::new(4);
+        let mut decoded = 0usize;
+        thread::scope(|scope| {
+            for w in 0..4u64 {
+                let (writer, writing) = (recorder.writer(0), &writing);
+                scope.spawn(move || {
+                    for i in 0..EVENTS_PER_WRITER {
+                        let id = w << 32 | i;
+                        writer.emit(EventKind::MctsIteration, id, None, payload(id));
+                    }
+                    writing.fetch_sub(1, Ordering::Release);
+                });
+            }
+            loop {
+                let done = writing.load(Ordering::Acquire) == 0;
+                for event in recorder.snapshot().events {
+                    assert_eq!(event.args, payload(event.trace_id), "torn event");
+                    decoded += 1;
+                }
+                if done {
+                    break;
+                }
+            }
+        });
+        assert!(decoded >= 2, "only {decoded} events decoded");
+        assert_eq!(recorder.recorded(), 4 * EVENTS_PER_WRITER);
     }
 
     #[test]
