@@ -980,7 +980,7 @@ mod tests {
     /// decoded event's payload must be the one written with its trace id.
     #[test]
     fn snapshots_never_decode_torn_events() {
-        const EVENTS_PER_WRITER: u64 = 50_000;
+        const EVENTS_PER_WRITER: u64 = 250_000;
         let payload = |id: u64| [id, !id, id.rotate_left(17)];
         let recorder = TraceRecorder::new(2, 1);
         let writing = AtomicUsize::new(4);
