@@ -9,6 +9,8 @@
 //! optimized module over the untransformed baseline, estimated by the
 //! analytical cost model (the substitute for the paper's real executions).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use mlir_rl_costmodel::{
@@ -182,17 +184,34 @@ impl OptimizationEnv {
 
     /// Starts a new episode on the given module and returns the first
     /// observation (`None` if the module has no operations).
-    pub fn reset(&mut self, module: Module) -> Option<Observation> {
+    ///
+    /// A plain `Module` is moved into a new allocation. A search that runs
+    /// many episodes on one module wraps it in an `Arc` once and passes
+    /// clones of that `Arc`: when it points at the live episode's own
+    /// module, the module fingerprint and the visit order are kept instead
+    /// of recomputed. That is sound because nothing writes a module once a
+    /// [`ScheduledModule`] wraps it, and the live episode's reference keeps
+    /// the address from being reused. Schedule states, histories, counters,
+    /// the baseline lookup and the noise draw are always fresh.
+    pub fn reset(&mut self, module: impl Into<Arc<Module>>) -> Option<Observation> {
+        let module = module.into();
+        let same_module = self
+            .episode
+            .scheduled
+            .as_ref()
+            .is_some_and(|s| s.shares_module(&module));
         let scheduled =
             ScheduledModule::with_max_schedule_len(module, self.config.max_schedule_len);
-        self.episode.op_order = scheduled.module().reverse_order();
+        if !same_module {
+            self.episode.op_order = scheduled.module().reverse_order();
+            self.episode.module_fp = module_fingerprint(scheduled.module());
+        }
         self.episode.histories = vec![ActionHistory::new(); scheduled.module().ops().len()];
         self.episode.current_index = 0;
         self.episode.steps_on_current_op = 0;
         self.episode.total_steps = 0;
         self.episode.evaluations = 0;
         self.episode.cache_hits = 0;
-        self.episode.module_fp = module_fingerprint(scheduled.module());
         let baseline = self.cached_total_s(&scheduled);
         self.episode.baseline_s = self.measure(baseline);
         self.episode.current_s = self.episode.baseline_s;
@@ -784,6 +803,88 @@ mod tests {
         ));
         let sharing = e.clone_sharing_cache();
         assert!(std::ptr::eq(before, sharing.scheduled().unwrap().module()));
+    }
+
+    /// Two steps past the first decision point, then the episode's stats.
+    fn walk_and_stats(e: &mut OptimizationEnv) -> EpisodeStats {
+        e.step(&Action::Tiling {
+            tile_indices: vec![1, 1],
+        });
+        e.step(&Action::NoTransformation);
+        e.stats()
+    }
+
+    #[test]
+    fn resets_on_the_live_module_share_it_and_match_a_deep_copy() {
+        let mut config = EnvConfig::small();
+        config.noise_seed = Some(7);
+        config.reward_mode = RewardMode::Immediate;
+        let mut e = OptimizationEnv::new(config, CostModel::new(MachineModel::default()));
+        let m = Arc::new(matmul_relu_module());
+        e.reset(Arc::clone(&m)).unwrap();
+        walk_and_stats(&mut e);
+        // The twin copies the episode, the noise stream and the table, then
+        // resets on a deep copy: fingerprint and visit order are recomputed.
+        let mut twin = e.clone();
+        let obs = e.reset(Arc::clone(&m));
+        assert!(std::ptr::eq(e.scheduled().unwrap().module(), &*m));
+        assert_eq!(obs, twin.reset((*m).clone()));
+        assert!(!std::ptr::eq(twin.scheduled().unwrap().module(), &*m));
+        assert_eq!(
+            e.baseline_time_s().to_bits(),
+            twin.baseline_time_s().to_bits()
+        );
+        assert_eq!(walk_and_stats(&mut e), walk_and_stats(&mut twin));
+        let table = |env: &OptimizationEnv| env.cache().shared_backend().to_snapshot_bytes();
+        assert_eq!(table(&e), table(&twin), "the same keys were looked up");
+        assert_eq!(
+            (e.cache().hits(), e.cache().misses()),
+            (twin.cache().hits(), twin.cache().misses())
+        );
+        e.reset(Arc::clone(&m));
+        assert!(std::ptr::eq(e.scheduled().unwrap().module(), &*m));
+    }
+
+    #[test]
+    fn a_reset_after_another_module_recomputes_its_identity() {
+        let m = Arc::new(matmul_relu_module());
+        let mut b = ModuleBuilder::new("lone");
+        let x = b.argument("x", vec![32, 32]);
+        b.relu(x);
+        let other = b.finish();
+
+        let mut e = env();
+        e.reset(Arc::clone(&m)).unwrap();
+        // Another module's episode in between.
+        e.reset(other.clone()).unwrap();
+        let after_other = e.reset(Arc::clone(&m));
+        // A snapshot of another module's episode restored in between.
+        e.reset(other.clone()).unwrap();
+        let snap = e.snapshot();
+        e.reset(Arc::clone(&m)).unwrap();
+        e.restore(&snap);
+        let after_restore = e.reset(Arc::clone(&m));
+        assert!(std::ptr::eq(e.scheduled().unwrap().module(), &*m));
+
+        // The same resets, each on a new environment joined to one table.
+        let table = SharedEvalCache::new(1 << 10);
+        let fresh: Vec<_> = [&*m, &other, &*m, &other, &*m, &*m]
+            .into_iter()
+            .map(|module| {
+                let mut f = env();
+                f.replace_cache(EvalCache::with_shared_backend(table.clone()));
+                f.reset(module.clone())
+            })
+            .collect();
+        assert_eq!(after_other, fresh[2]);
+        assert_eq!(after_restore, fresh[5]);
+        let own = e.cache().shared_backend();
+        assert_eq!(
+            own.to_snapshot_bytes(),
+            table.to_snapshot_bytes(),
+            "every baseline was looked up under its own module's key"
+        );
+        assert_eq!((own.hits(), own.misses()), (table.hits(), table.misses()));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Beam search with policy-ranked expansion and cost-model scoring.
 
+use std::sync::Arc;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -80,6 +82,7 @@ impl<P: PolicyModel> Searcher<P> for BeamSearch {
         seed: u64,
         stop: &StopToken,
     ) -> SearchOutcome {
+        let module = Arc::new(module.clone());
         let meter = LookupMeter::start(env);
         reseed_for_search(env, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -88,14 +91,14 @@ impl<P: PolicyModel> Searcher<P> for BeamSearch {
         // Seed: the pure greedy trajectory. This pins the floor of the
         // search at greedy decoding even if the greedy path is later pruned
         // out of the beam.
-        let rollout = greedy_rollout(env, policy, module, &mut rng);
+        let rollout = greedy_rollout(env, policy, &module, &mut rng);
         let baseline_s = rollout.baseline_s;
         let mut best_s = rollout.final_s;
         let mut best_actions = rollout.actions;
         nodes += rollout.steps;
 
         // Root of the beam: a fresh episode (cache-hot after the seed).
-        let obs = env.reset(module.clone());
+        let obs = env.reset(Arc::clone(&module));
         let mut beams = if obs.is_some() {
             vec![BeamState {
                 snapshot: env.snapshot(),
@@ -106,7 +109,7 @@ impl<P: PolicyModel> Searcher<P> for BeamSearch {
             Vec::new()
         };
 
-        let max_depth = max_episode_steps(env, module);
+        let max_depth = max_episode_steps(env, &module);
         let probe = env.probe().clone();
         for depth in 0..max_depth {
             if beams.is_empty() || stop.stops() {
@@ -171,7 +174,7 @@ impl<P: PolicyModel> Searcher<P> for BeamSearch {
         finish_outcome(
             Searcher::<P>::name(self),
             env,
-            module,
+            &module,
             &meter,
             baseline_s,
             BestFound {

@@ -1,5 +1,7 @@
 //! Greedy policy decoding — the paper's deployment behavior.
 
+use std::sync::Arc;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -37,12 +39,12 @@ pub(crate) struct GreedyRollout {
 pub(crate) fn greedy_rollout<P: PolicyModel>(
     env: &mut OptimizationEnv,
     policy: &mut P,
-    module: &Module,
+    module: &Arc<Module>,
     rng: &mut ChaCha8Rng,
 ) -> GreedyRollout {
     let max_steps = max_episode_steps(env, module);
     let probe = env.probe().clone();
-    let mut obs = env.reset(module.clone());
+    let mut obs = env.reset(Arc::clone(module));
     let baseline_s = env.peek_time_s();
     let mut actions = Vec::new();
     while let Some(current) = obs {
@@ -83,14 +85,15 @@ impl<P: PolicyModel> Searcher<P> for GreedyPolicy {
         seed: u64,
         _stop: &StopToken,
     ) -> SearchOutcome {
+        let module = Arc::new(module.clone());
         let meter = LookupMeter::start(env);
         reseed_for_search(env, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let rollout = greedy_rollout(env, policy, module, &mut rng);
+        let rollout = greedy_rollout(env, policy, &module, &mut rng);
         finish_outcome(
             Searcher::<P>::name(self),
             env,
-            module,
+            &module,
             &meter,
             rollout.baseline_s,
             BestFound {

@@ -1,6 +1,8 @@
 //! Monte-Carlo tree search with policy priors (PUCT) and cost-model
 //! playouts.
 
+use std::sync::Arc;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -163,13 +165,14 @@ impl<P: PolicyModel> Searcher<P> for Mcts {
         seed: u64,
         stop: &StopToken,
     ) -> SearchOutcome {
+        let module = Arc::new(module.clone());
         let meter = LookupMeter::start(env);
         reseed_for_search(env, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut nodes_expanded = 0usize;
-        let max_steps = max_episode_steps(env, module);
+        let max_steps = max_episode_steps(env, &module);
 
-        let root_obs = env.reset(module.clone());
+        let root_obs = env.reset(Arc::clone(&module));
         // The noise-free estimate of the empty schedule is both the
         // baseline every value is a log-speedup against and the floor of
         // the best-so-far.
@@ -331,7 +334,7 @@ impl<P: PolicyModel> Searcher<P> for Mcts {
         finish_outcome(
             Searcher::<P>::name(self),
             env,
-            module,
+            &module,
             &meter,
             baseline_s,
             BestFound {

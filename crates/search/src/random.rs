@@ -1,5 +1,7 @@
 //! Budgeted uniform-random search — the policy-free baseline.
 
+use std::sync::Arc;
+
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -112,11 +114,12 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
         stop: &StopToken,
     ) -> SearchOutcome {
         let _ = policy; // policy-free baseline
+        let module = Arc::new(module.clone());
         let meter = LookupMeter::start(env);
         reseed_for_search(env, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut nodes = 0usize;
-        let max_steps = max_episode_steps(env, module);
+        let max_steps = max_episode_steps(env, &module);
         let config = env.config().clone();
 
         let probe = env.probe().clone();
@@ -128,7 +131,7 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
                 break;
             }
             probe.emit(EventKind::RandomEpisode, None, [episode as u64, 0, 0]);
-            let mut obs = env.reset(module.clone());
+            let mut obs = env.reset(Arc::clone(&module));
             if episode == 0 {
                 // The noise-free estimate of the do-nothing schedule is the
                 // baseline and the floor of the best-so-far.
@@ -156,7 +159,7 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
         finish_outcome(
             Searcher::<P>::name(self),
             env,
-            module,
+            &module,
             &meter,
             baseline_s,
             BestFound {

@@ -268,10 +268,10 @@ impl LookupMeter {
 /// per-operation schedules (the materialized best schedule).
 pub(crate) fn materialize_schedule(
     env: &mut OptimizationEnv,
-    module: &Module,
+    module: &Arc<Module>,
     actions: &[Action],
 ) -> Vec<Schedule> {
-    env.reset(module.clone());
+    env.reset(Arc::clone(module));
     for action in actions {
         env.step(action);
     }
@@ -292,7 +292,7 @@ pub(crate) struct BestFound {
 pub(crate) fn finish_outcome(
     name: String,
     env: &mut OptimizationEnv,
-    module: &Module,
+    module: &Arc<Module>,
     meter: &LookupMeter,
     baseline_s: f64,
     best: BestFound,

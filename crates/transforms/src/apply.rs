@@ -105,19 +105,21 @@ pub struct ScheduledModule {
 impl ScheduledModule {
     /// Wraps a module with empty schedules, using the default maximum
     /// schedule length of 5.
-    pub fn new(module: Module) -> Self {
+    pub fn new(module: impl Into<Arc<Module>>) -> Self {
         Self::with_max_schedule_len(module, DEFAULT_MAX_SCHEDULE_LEN)
     }
 
-    /// Wraps a module with a custom maximum schedule length τ.
-    pub fn with_max_schedule_len(module: Module, max_schedule_len: usize) -> Self {
+    /// Wraps a module with a custom maximum schedule length τ. An
+    /// `Arc<Module>` is shared as it is, a plain `Module` moved into one.
+    pub fn with_max_schedule_len(module: impl Into<Arc<Module>>, max_schedule_len: usize) -> Self {
+        let module = module.into();
         let states = module
             .ops()
             .iter()
             .map(|o| OpScheduleState::new(o.num_loops()))
             .collect();
         Self {
-            module: Arc::new(module),
+            module,
             states,
             max_schedule_len,
         }
@@ -126,6 +128,12 @@ impl ScheduledModule {
     /// The underlying module.
     pub fn module(&self) -> &Module {
         &self.module
+    }
+
+    /// Whether this schedule reads the very allocation `module` points at
+    /// (pointer identity, not structural equality).
+    pub fn shares_module(&self, module: &Arc<Module>) -> bool {
+        Arc::ptr_eq(&self.module, module)
     }
 
     /// The maximum schedule length τ.
@@ -524,6 +532,18 @@ mod tests {
         let mm = b.matmul(a, w);
         b.relu(mm);
         b.finish()
+    }
+
+    #[test]
+    fn shares_module_is_pointer_identity() {
+        let module = Arc::new(chain_module());
+        let s = ScheduledModule::new(Arc::clone(&module));
+        assert!(s.shares_module(&module));
+        assert!(s.clone().shares_module(&module));
+        let copy = Arc::new((*module).clone());
+        assert_eq!(*copy, *module);
+        assert!(!s.shares_module(&copy), "an equal copy is another module");
+        assert!(!ScheduledModule::new(chain_module()).shares_module(&module));
     }
 
     #[test]

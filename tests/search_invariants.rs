@@ -20,6 +20,9 @@
 //! 6. **The embedding memo is invisible**: a policy whose LSTM prefix memo
 //!    is dropped before every inference call searches bit-identically to
 //!    one that keeps it.
+//! 7. **The live episode does not leak in**: a search on an environment
+//!    holding an equal module in another allocation, another module, or
+//!    another module's restored snapshot matches a fresh environment's.
 
 use proptest::prelude::*;
 
@@ -318,6 +321,67 @@ fn battery_searches_leave_snapshots_restorable() {
             "{} must not corrupt restored cost estimates",
             e.searcher.name()
         );
+    }
+}
+
+/// An environment whose live episode is the one `start` names: an equal
+/// copy of `module` in its own allocation, `other`, or a restored snapshot
+/// of `other` (taken before an episode on `module`).
+fn env_holding(start: usize, module: &Module, other: &Module) -> OptimizationEnv {
+    let mut environment = env();
+    let walk = |environment: &mut OptimizationEnv, m: &Module| {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut obs = environment.reset(m.clone());
+        for _ in 0..2 {
+            if let Some(current) = obs {
+                let action = random_action(&current, &environment.config().clone(), &mut rng);
+                obs = environment.step(&action).observation;
+            }
+        }
+    };
+    match start {
+        0 => walk(&mut environment, module),
+        1 => walk(&mut environment, other),
+        _ => {
+            walk(&mut environment, other);
+            let snapshot = environment.snapshot();
+            walk(&mut environment, module);
+            environment.restore(&snapshot);
+        }
+    }
+    environment
+}
+
+#[test]
+fn battery_the_live_episode_does_not_leak_into_a_search() {
+    // A search copies its module once and its resets keep the fingerprint
+    // and visit order while the live episode holds that copy. Whatever the
+    // environment held before — an equal module elsewhere in memory,
+    // another module, another module's restored snapshot — the outcome is
+    // a fresh environment's.
+    let module = chain(96, 48, 64);
+    // One op where `module` has two, so a stale visit order shows.
+    let mut b = ModuleBuilder::new("lone_matmul");
+    let a = b.argument("A", vec![64, 128]);
+    let w = b.argument("B", vec![128, 32]);
+    b.matmul(a, w);
+    let other = b.finish();
+    for e in roster() {
+        let fresh = e.searcher.search(&mut env(), &mut policy(3), &module, 17);
+        for start in 0..3 {
+            let mut environment = env_holding(start, &module, &other);
+            let outcome = e
+                .searcher
+                .search(&mut environment, &mut policy(3), &module, 17);
+            let name = e.searcher.name();
+            assert_eq!(
+                deterministic_fields(&outcome),
+                deterministic_fields(&fresh),
+                "{name}, start {start}"
+            );
+            assert_eq!(outcome.baseline_s.to_bits(), fresh.baseline_s.to_bits());
+            assert_eq!(outcome.best_schedule, fresh.best_schedule, "{name}");
+        }
     }
 }
 
