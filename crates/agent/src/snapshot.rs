@@ -94,14 +94,15 @@ impl From<FrameError> for WeightsError {
     }
 }
 
-/// Encodes `params` (in `parameters_mut()` order) into the snapshot format.
+/// Encodes `params` (in `parameters_mut()` order) into the snapshot format,
+/// each tensor's values in logical (row, col) order.
 fn encode(params: &[&mut Param]) -> Vec<u8> {
     let mut out = frame::begin(WEIGHTS_MAGIC, WEIGHTS_VERSION);
     out.extend_from_slice(&(params.len() as u32).to_le_bytes());
     for param in params {
         out.extend_from_slice(&(param.rows as u32).to_le_bytes());
         out.extend_from_slice(&(param.cols as u32).to_le_bytes());
-        for &v in param.value() {
+        for v in param.logical_values() {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
@@ -154,7 +155,7 @@ fn fingerprint(params: &[&mut Param]) -> u64 {
     for param in params {
         fnv.write(&(param.rows as u64).to_le_bytes());
         fnv.write(&(param.cols as u64).to_le_bytes());
-        for &v in param.value() {
+        for v in param.logical_values() {
             fnv.write(&v.to_bits().to_le_bytes());
         }
     }

@@ -100,10 +100,23 @@ impl Param {
         self.value = Arc::new(value);
     }
 
+    /// The values in logical order: `(row, col)` at position
+    /// `row * cols + col`. For readers whose result depends on the order
+    /// (weight images, fingerprints).
+    pub fn logical_values(&self) -> impl Iterator<Item = f64> + '_ {
+        self.value.iter().copied()
+    }
+
     /// The row-major accumulated gradient, or the empty slice if this
     /// instance never materialised one (equivalent to all `+0.0`).
     pub fn grad(&self) -> &[f64] {
         &self.grad.0
+    }
+
+    /// The gradient in the logical order of [`Param::logical_values`];
+    /// empty, like [`Param::grad`], if never materialised.
+    pub fn logical_grad(&self) -> impl Iterator<Item = f64> + '_ {
+        self.grad.0.iter().copied()
     }
 
     /// The gradient for writing, materialised `+0.0`-filled on first use.

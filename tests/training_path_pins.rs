@@ -6,12 +6,20 @@
 //! is pinned by its bits, and every parameter gradient by one FNV-1a digest
 //! over its bits, as literals: however the per-sample entry points are
 //! routed, they must reach these exact numbers.
+//!
+//! Those networks are `EnvConfig::small()` wide. One more pin runs a whole
+//! `PpoTrainer::train_iteration` at `EnvConfig::paper()` width (3252-wide
+//! LSTM inputs) with minibatches small enough that gradient clipping
+//! fires, and pins the iteration's statistics and both networks' weight
+//! fingerprints: the clip scale depends on the bits of the global gradient
+//! norm, so this is where the order that norm is folded in shows.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use mlir_rl_agent::{
-    ActionRecord, FlatPolicyNetwork, PolicyHyperparams, PolicyModel, PolicyNetwork, ValueNetwork,
+    ActionRecord, FlatPolicyNetwork, PolicyHyperparams, PolicyModel, PolicyNetwork, PpoConfig,
+    PpoTrainer, ValueNetwork, WeightSnapshot,
 };
 use mlir_rl_costmodel::{CostModel, MachineModel};
 use mlir_rl_env::{EnvConfig, InterchangeMode, Observation, ObservationBatch, OptimizationEnv};
@@ -71,11 +79,12 @@ fn records<P: PolicyModel>(policy: &mut P, observations: &[Observation]) -> Vec<
         .collect()
 }
 
-/// FNV-1a over the bits of every gradient entry, parameter by parameter.
+/// FNV-1a over the bits of every gradient entry, parameter by parameter,
+/// each in logical (row, col) order.
 fn gradient_digest(params: Vec<&mut Param>) -> u64 {
     let mut fnv = Fnv1a::new();
     for param in params {
-        for g in param.grad() {
+        for g in param.logical_grad() {
             fnv.write(&g.to_bits().to_le_bytes());
         }
     }
@@ -180,4 +189,45 @@ fn value_network_one_row_forward_and_backward_are_pinned() {
         [0xbfaa7539148f3a91, 0xbfab26a6f0b5328b, 0xbfaa1e8ea626723e]
     );
     assert_eq!(gradient_digest(value.parameters_mut()), 0x0c3811dc4b70769e);
+}
+
+#[test]
+fn paper_width_train_iteration_is_pinned() {
+    let config = EnvConfig::paper();
+    let ppo = PpoConfig {
+        trajectories_per_iteration: 3,
+        minibatch_size: 2,
+        update_epochs: 2,
+        ..PpoConfig::paper()
+    };
+    let hyper = PolicyHyperparams {
+        hidden_size: 32,
+        backbone_layers: 1,
+    };
+    let mut trainer = PpoTrainer::new(&config, hyper, ppo, 8);
+    let mut env = OptimizationEnv::new(config, CostModel::new(MachineModel::default()));
+    let stats = trainer.train_iteration(&mut env, &dataset());
+    let floats = [
+        stats.mean_speedup,
+        stats.geomean_speedup,
+        stats.mean_reward,
+        stats.policy_loss,
+        stats.value_loss,
+        stats.entropy,
+    ]
+    .map(f64::to_bits);
+    assert_eq!(
+        floats,
+        [
+            0x401cfb39bf76fe0d,
+            0x400fe1080be90ec5,
+            0x3ff61ebf81fafab5,
+            0xbf8c075a170ce709,
+            0x3ff1440ae2119ca7,
+            0x40114581bb318e6c,
+        ]
+    );
+    assert_eq!((stats.evaluations, stats.cache_hits), (6, 3));
+    assert_eq!(trainer.policy.weights_fingerprint(), 0xd4d2f42fa56f4560);
+    assert_eq!(trainer.value.weights_fingerprint(), 0x0bf5dc3c91adb3ba);
 }
