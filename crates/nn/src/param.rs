@@ -26,6 +26,34 @@
 //! length); `p.value_mut()[i] -= ..` inside the Adam loop measured
 //! `train-ppo` at 36.5 jobs/s against 52 with the slices taken before the
 //! loop.
+//!
+//! # Storage-order rule
+//!
+//! A `Param` is logically a `rows x cols` matrix (outputs x inputs for a
+//! weight) whatever order its buffers are stored in, and the constructor
+//! fixes that order once. Every parameter is row-major except an LSTM's
+//! input matrices `W` ([`Param::xavier_input_major`]): those are
+//! **input-major**, `(row, col)` at `col * rows + row`, so that the
+//! product over an observation's ~24 listed columns reads one contiguous
+//! run of `rows` weights per column instead of one weight per cache line
+//! (the kernels are in [`crate::tensor`]).
+//!
+//! * **Logical order** — the layout does not show: `rows` / `cols`,
+//!   [`Param::at`], [`Param::add_grad`], [`Param::set_value`],
+//!   [`Param::logical_values`], [`Param::logical_grad`], the reference
+//!   loops ([`Param::matvec`], [`Param::matvec_transposed`],
+//!   [`Param::add_outer_to_grad`]), the batched products, and
+//!   [`Param::grad_norm_squared`], which folds row by row so the clip
+//!   scale's bits do not depend on the layout. Each output of a product
+//!   and each gradient element gets the same sequence of operations in
+//!   either layout, so the layout changes no bit anywhere.
+//! * **Storage order** — the buffers as stored: [`Param::value`],
+//!   [`Param::value_mut`], [`Param::grad`], [`Param::grad_mut`],
+//!   [`Param::value_and_grad_mut`], [`Param::scale_grad`] and
+//!   [`Param::zero_grad`]. They are for elementwise work (Adam, the clip
+//!   scale, a fill); [`Param::storage_index`] places `(row, col)` in them.
+//!   A reader whose result depends on the order (a weight image, a
+//!   fingerprint, a digest) reads the logical iterators instead.
 
 use std::sync::Arc;
 
@@ -33,24 +61,43 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::scratch::Scratch;
-use crate::tensor::{add_matmul_tn_rev, matmul_nn, matmul_nt, matmul_nt_cols, ActiveCols, Tensor2};
+use crate::tensor::{
+    add_matmul_tn_rev, matmul_nn, matmul_nn_cols, matmul_nt, matmul_nt_cols, with_scanned_cols,
+    ActiveCols, Tensor2,
+};
+
+/// Logical rows [`Param::xavier_input_major`] draws before writing them.
+const XAVIER_BLOCK: usize = 8;
+
+/// The order a [`Param`]'s buffers are stored in (see the
+/// [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+enum Layout {
+    /// `(row, col)` at `row * cols + col`.
+    RowMajor,
+    /// `(row, col)` at `col * rows + row`.
+    InputMajor,
+}
 
 /// A trainable parameter: a dense matrix (or vector when `cols == 1`) with
 /// an accumulated gradient.
 ///
-/// Values are stored row-major and shared copy-on-write between clones;
-/// the gradient belongs to one instance (see the [module docs](self)).
-/// Layers accumulate into the gradient during the backward pass; the
-/// optimizer consumes and clears it.
+/// Values are shared copy-on-write between clones; the gradient belongs to
+/// one instance. Both are stored row-major or input-major, as the
+/// constructor chose (see the [module docs](self)). Layers accumulate into
+/// the gradient during the backward pass; the optimizer consumes and
+/// clears it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Param {
     /// Number of rows (output features for a weight matrix).
     pub rows: usize,
     /// Number of columns (input features for a weight matrix).
     pub cols: usize,
-    /// Row-major values, shared with every clone until one of them writes.
+    layout: Layout,
+    /// Values in storage order, shared with every clone until one of them
+    /// writes.
     value: Arc<Vec<f64>>,
-    /// Row-major accumulated gradient; empty until first needed.
+    /// Accumulated gradient in storage order; empty until first needed.
     grad: Scratch<Vec<f64>>,
 }
 
@@ -60,7 +107,8 @@ impl Param {
         Self::from_values(rows, cols, vec![0.0; rows * cols])
     }
 
-    /// Creates a parameter with Xavier/Glorot-uniform initialization.
+    /// Creates a row-major parameter with Xavier/Glorot-uniform
+    /// initialization, drawing the values in logical order.
     pub fn xavier<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Self {
         let limit = (6.0 / (rows + cols) as f64).sqrt();
         let value = (0..rows * cols)
@@ -69,46 +117,123 @@ impl Param {
         Self::from_values(rows, cols, value)
     }
 
+    /// [`Param::xavier`] stored input-major: the same draws in the same
+    /// order, each put in its place. For a weight whose input is a short
+    /// list of non-zero columns of a wide vector (an LSTM's `W`).
+    ///
+    /// The draws are staged `XAVIER_BLOCK` logical rows at a time, so
+    /// each input's run takes them as one contiguous write: at 128 x 3252
+    /// one scattered write per draw took 1.8x [`Param::xavier`]'s time,
+    /// the staged writes about 1.05x. The stage holds 8 rows (208 KB at
+    /// 3252 inputs), not a row-major copy of the matrix.
+    pub fn xavier_input_major<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Self {
+        let limit = (6.0 / (rows + cols) as f64).sqrt();
+        let mut value = vec![0.0; rows * cols];
+        let mut stage = Vec::with_capacity(XAVIER_BLOCK.min(rows) * cols);
+        for first in (0..rows).step_by(XAVIER_BLOCK) {
+            let height = XAVIER_BLOCK.min(rows - first);
+            stage.clear();
+            stage.extend((0..height * cols).map(|_| rng.gen_range(-limit..limit)));
+            for (c, run) in value.chunks_exact_mut(rows).enumerate() {
+                for (r, slot) in run[first..first + height].iter_mut().enumerate() {
+                    *slot = stage[r * cols + c];
+                }
+            }
+        }
+        Self {
+            layout: Layout::InputMajor,
+            ..Self::from_values(rows, cols, value)
+        }
+    }
+
     fn from_values(rows: usize, cols: usize, value: Vec<f64>) -> Self {
         Self {
             rows,
             cols,
+            layout: Layout::RowMajor,
             value: Arc::new(value),
             grad: Scratch::default(),
         }
     }
 
-    /// The row-major values.
+    /// Whether the buffers are stored input-major (see the
+    /// [module docs](self)).
+    pub fn is_input_major(&self) -> bool {
+        self.layout == Layout::InputMajor
+    }
+
+    /// Position of `(row, col)` in the storage-order slices
+    /// ([`Param::value`], [`Param::grad`] and their `_mut` twins).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of range.
+    pub fn storage_index(&self, row: usize, col: usize) -> usize {
+        assert!(row < self.rows && col < self.cols, "index out of range");
+        match self.layout {
+            Layout::RowMajor => row * self.cols + col,
+            Layout::InputMajor => col * self.rows + row,
+        }
+    }
+
+    /// The values in storage order; for elementwise readers only.
     pub fn value(&self) -> &[f64] {
         &self.value
     }
 
-    /// The row-major values for writing. Un-shares them first: if a clone
-    /// still holds the buffer this instance gets a private copy.
+    /// The values in storage order, for writing. Un-shares them first: if
+    /// a clone still holds the buffer this instance gets a private copy.
     pub fn value_mut(&mut self) -> &mut [f64] {
         Arc::make_mut(&mut self.value).as_mut_slice()
     }
 
-    /// Replaces the values with a fresh buffer (nothing is copied; clones
-    /// keep the old one).
+    /// Replaces the values with a fresh buffer built from `value`, given in
+    /// logical order (nothing is shared with it; clones keep the old one).
     ///
     /// # Panics
     ///
     /// Panics if `value.len()` does not match the parameter's.
     pub fn set_value(&mut self, value: Vec<f64>) {
         assert_eq!(value.len(), self.len(), "value length mismatch");
-        self.value = Arc::new(value);
+        self.value = Arc::new(match self.layout {
+            Layout::RowMajor => value,
+            Layout::InputMajor => {
+                let mut stored = vec![0.0; value.len()];
+                for (r, row) in value.chunks_exact(self.cols.max(1)).enumerate() {
+                    for (c, v) in row.iter().enumerate() {
+                        stored[c * self.rows + r] = *v;
+                    }
+                }
+                stored
+            }
+        });
+    }
+
+    /// `buf` (this parameter's value or gradient buffer, or the empty
+    /// slice) in logical order.
+    fn logical<'a>(&self, buf: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        let (rows, cols) = if buf.is_empty() {
+            (0, 0)
+        } else {
+            (self.rows, self.cols)
+        };
+        let (row_step, col_step) = match self.layout {
+            Layout::RowMajor => (cols, 1),
+            Layout::InputMajor => (1, rows),
+        };
+        (0..rows).flat_map(move |r| (0..cols).map(move |c| buf[r * row_step + c * col_step]))
     }
 
     /// The values in logical order: `(row, col)` at position
     /// `row * cols + col`. For readers whose result depends on the order
     /// (weight images, fingerprints).
     pub fn logical_values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.value.iter().copied()
+        self.logical(&self.value)
     }
 
-    /// The row-major accumulated gradient, or the empty slice if this
-    /// instance never materialised one (equivalent to all `+0.0`).
+    /// The accumulated gradient in storage order, or the empty slice if
+    /// this instance never materialised one (equivalent to all `+0.0`); for
+    /// elementwise readers only.
     pub fn grad(&self) -> &[f64] {
         &self.grad.0
     }
@@ -116,10 +241,11 @@ impl Param {
     /// The gradient in the logical order of [`Param::logical_values`];
     /// empty, like [`Param::grad`], if never materialised.
     pub fn logical_grad(&self) -> impl Iterator<Item = f64> + '_ {
-        self.grad.0.iter().copied()
+        self.logical(&self.grad.0)
     }
 
-    /// The gradient for writing, materialised `+0.0`-filled on first use.
+    /// The gradient in storage order, for writing, materialised
+    /// `+0.0`-filled on first use.
     pub fn grad_mut(&mut self) -> &mut [f64] {
         if self.grad.0.len() != self.value.len() {
             self.grad.0 = vec![0.0; self.value.len()];
@@ -165,8 +291,7 @@ impl Param {
     ///
     /// Panics if the indices are out of range.
     pub fn at(&self, row: usize, col: usize) -> f64 {
-        assert!(row < self.rows && col < self.cols, "index out of range");
-        self.value[row * self.cols + col]
+        self.value[self.storage_index(row, col)]
     }
 
     /// Adds `g` to the gradient at `(row, col)`.
@@ -175,13 +300,12 @@ impl Param {
     ///
     /// Panics if the indices are out of range.
     pub fn add_grad(&mut self, row: usize, col: usize, g: f64) {
-        assert!(row < self.rows && col < self.cols, "index out of range");
-        let idx = row * self.cols + col;
+        let idx = self.storage_index(row, col);
         self.grad_mut()[idx] += g;
     }
 
-    /// Resets the accumulated gradient to `+0.0`, materialising it if this
-    /// instance has none yet.
+    /// Resets the accumulated gradient to `+0.0` (storage order is
+    /// immaterial), materialising it if this instance has none yet.
     pub fn zero_grad(&mut self) {
         self.grad_mut().fill(0.0);
     }
@@ -209,10 +333,9 @@ impl Param {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(out.len(), self.rows, "matvec output size mismatch");
         for (r, slot) in out.iter_mut().enumerate() {
-            let row = &self.value[r * self.cols..(r + 1) * self.cols];
             let mut acc = 0.0;
-            for (w, xi) in row.iter().zip(x) {
-                acc += w * xi;
+            for (c, xi) in x.iter().enumerate() {
+                acc += self.at(r, c) * xi;
             }
             *slot = acc;
         }
@@ -226,9 +349,9 @@ impl Param {
     pub fn matvec_transposed(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.rows, "matvec_transposed dimension mismatch");
         let mut out = vec![0.0; self.cols];
-        for (yr, row) in y.iter().zip(self.value.chunks_exact(self.cols)) {
-            for (slot, w) in out.iter_mut().zip(row) {
-                *slot += w * yr;
+        for (r, yr) in y.iter().enumerate() {
+            for (c, slot) in out.iter_mut().enumerate() {
+                *slot += self.at(r, c) * yr;
             }
         }
         out
@@ -242,18 +365,32 @@ impl Param {
     pub fn add_outer_to_grad(&mut self, y: &[f64], x: &[f64]) {
         assert_eq!(y.len(), self.rows, "outer product row mismatch");
         assert_eq!(x.len(), self.cols, "outer product col mismatch");
-        let cols = self.cols;
+        let (rows, cols, layout) = (self.rows, self.cols, self.layout);
         let grad = self.grad_mut();
-        for (r, yr) in y.iter().enumerate() {
-            let row = &mut grad[r * cols..(r + 1) * cols];
-            for (c, xc) in x.iter().enumerate() {
-                row[c] += yr * xc;
+        // One `+=` per element: the order elements are visited in is free.
+        match layout {
+            Layout::RowMajor => {
+                for (r, yr) in y.iter().enumerate() {
+                    let row = &mut grad[r * cols..(r + 1) * cols];
+                    for (g, xc) in row.iter_mut().zip(x) {
+                        *g += yr * xc;
+                    }
+                }
+            }
+            Layout::InputMajor => {
+                for (c, xc) in x.iter().enumerate() {
+                    let run = &mut grad[c * rows..(c + 1) * rows];
+                    for (g, yr) in run.iter_mut().zip(y) {
+                        *g += yr * xc;
+                    }
+                }
             }
         }
     }
 
     /// [`Param::add_outer_to_grad`] over the listed columns of `x` only
-    /// (`cols` scanned from `x`, or from a batch holding it as a row).
+    /// (`cols` scanned from `x`, or from a batch holding it as a row);
+    /// input-major, one contiguous run of `rows` per listed column.
     /// Bit-identical:
     /// every skipped product is `±0.0`, and a gradient that started at
     /// `+0.0` holds no `-0.0` for it to change (see [`crate::tensor`]).
@@ -263,12 +400,24 @@ impl Param {
         };
         assert_eq!(y.len(), self.rows, "outer product row mismatch");
         assert_eq!(x.len(), self.cols, "outer product col mismatch");
-        let width = self.cols;
+        let (rows, width, layout) = (self.rows, self.cols, self.layout);
         let grad = self.grad_mut();
-        for (r, yr) in y.iter().enumerate() {
-            let row = &mut grad[r * width..(r + 1) * width];
-            for &c in idx {
-                row[c as usize] += yr * x[c as usize];
+        match layout {
+            Layout::RowMajor => {
+                for (r, yr) in y.iter().enumerate() {
+                    let row = &mut grad[r * width..(r + 1) * width];
+                    for &c in idx {
+                        row[c as usize] += yr * x[c as usize];
+                    }
+                }
+            }
+            Layout::InputMajor => {
+                for &c in idx {
+                    let (c, xc) = (c as usize, x[c as usize]);
+                    for (g, yr) in grad[c * rows..(c + 1) * rows].iter_mut().zip(y) {
+                        *g += yr * xc;
+                    }
+                }
             }
         }
     }
@@ -283,15 +432,9 @@ impl Param {
     /// Panics if `x.cols() != self.cols`.
     pub fn matmul_batch_into(&self, x: &Tensor2, out: &mut Tensor2) {
         assert_eq!(x.cols(), self.cols, "matmul_batch dimension mismatch");
-        out.reshape_for_overwrite(x.rows(), self.rows);
-        matmul_nt(
-            x.data(),
-            &self.value,
-            x.rows(),
-            self.rows,
-            self.cols,
-            out.data_mut(),
-        );
+        with_scanned_cols(x.data(), x.rows(), x.cols(), |cols| {
+            self.matmul_batch_cols_into(x, cols, out);
+        });
     }
 
     /// [`Param::matmul_batch_into`] with `x`'s column list supplied by the
@@ -300,7 +443,11 @@ impl Param {
     pub(crate) fn matmul_batch_cols_into(&self, x: &Tensor2, cols: &ActiveCols, out: &mut Tensor2) {
         assert_eq!(x.cols(), self.cols, "matmul_batch dimension mismatch");
         out.reshape_for_overwrite(x.rows(), self.rows);
-        matmul_nt_cols(
+        let kernel = match self.layout {
+            Layout::RowMajor => matmul_nt_cols,
+            Layout::InputMajor => matmul_nn_cols,
+        };
+        kernel(
             x.data(),
             &self.value,
             x.rows(),
@@ -333,7 +480,11 @@ impl Param {
             "matmul_batch_transposed dimension mismatch"
         );
         out.reshape_for_overwrite(y.rows(), self.cols);
-        matmul_nn(
+        let kernel = match self.layout {
+            Layout::RowMajor => matmul_nn,
+            Layout::InputMajor => matmul_nt,
+        };
+        kernel(
             y.data(),
             &self.value,
             y.rows(),
@@ -364,26 +515,28 @@ impl Param {
         assert_eq!(y.rows(), x.rows(), "outer product batch mismatch");
         assert_eq!(y.cols(), self.rows, "outer product row mismatch");
         assert_eq!(x.cols(), self.cols, "outer product col mismatch");
-        add_matmul_tn_rev(
-            y.data(),
-            x.data(),
-            y.rows(),
-            self.rows,
-            self.cols,
-            self.grad_mut(),
-        );
+        // Input-major, the gradient is the transposed product: the same
+        // products (operands swapped, which IEEE multiplication ignores)
+        // added in the same descending batch order.
+        let (a, b, m, n) = match self.layout {
+            Layout::RowMajor => (y, x, self.rows, self.cols),
+            Layout::InputMajor => (x, y, self.cols, self.rows),
+        };
+        add_matmul_tn_rev(a.data(), b.data(), y.rows(), m, n, self.grad_mut());
     }
 
-    /// Squared L2 norm of the gradient (used for gradient clipping); `+0.0`
-    /// for a never-materialised gradient. Seeded from `+0.0`: squares are
-    /// never `-0.0`, so this is bit-identical to `Iterator::sum` whenever
-    /// there is anything to add.
+    /// Squared L2 norm of the gradient (used for gradient clipping), folded
+    /// in logical order whatever the layout; `+0.0` for a
+    /// never-materialised gradient. Seeded from `+0.0`: squares are never
+    /// `-0.0`, so this is bit-identical to `Iterator::sum` whenever there
+    /// is anything to add.
     pub fn grad_norm_squared(&self) -> f64 {
-        self.grad.0.iter().fold(0.0, |acc, g| acc + g * g)
+        self.logical_grad().fold(0.0, |acc, g| acc + g * g)
     }
 
-    /// Scales the gradient in place (a never-materialised gradient is all
-    /// zeros and stays unmaterialised).
+    /// Scales the gradient in place, in storage order (a
+    /// never-materialised gradient is all zeros and stays
+    /// unmaterialised).
     pub fn scale_grad(&mut self, factor: f64) {
         self.grad.0.iter_mut().for_each(|g| *g *= factor);
     }

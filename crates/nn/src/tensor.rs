@@ -17,6 +17,12 @@
 //! sixteen independent chains side by side; a lone row (batch-1 inference,
 //! or the rows left over below a 4-row band) runs 1x8 tiles, eight chains.
 //!
+//! A weight stored input-major (an LSTM's `W`, see [`crate::param`]) is
+//! the right operand of `matmul_nn_cols` instead: its tiles cover
+//! *contiguous* outputs (4x8 over a band, 1x16 for a lone row), so each
+//! listed input column is one contiguous run of weights. The chains and
+//! the order they add in are the same, so are the bits.
+//!
 //! # Contracting over the non-zero columns only
 //!
 //! The paper's observation vector is under 2 % dense (zero-padded access
@@ -63,6 +69,12 @@ const MR: usize = 4;
 const NR: usize = 4;
 /// Tile width for a lone row of the left operand: eight accumulator chains.
 const ROW_NR: usize = 8;
+/// Tile width over a 4-row band when the right operand is stored
+/// input-major ([`matmul_nn_cols`]): 4 x 8 chains, each tile row one
+/// contiguous 8-value run of every listed weight column.
+const RUN_NR: usize = 8;
+/// [`RUN_NR`] for a lone row: 1 x 16 chains.
+const RUN_ROW_NR: usize = 16;
 
 /// A dense row-major matrix of `f64` values.
 ///
@@ -361,35 +373,102 @@ thread_local! {
     static SCAN_SCRATCH: RefCell<ActiveCols> = RefCell::new(ActiveCols::default());
 }
 
-/// One `R x C` register tile of `a * b^T` at row `i`, column `j`: `R * C`
-/// independent accumulator chains, each a sequential sum seeded from
-/// `+0.0` over the contraction indices `ps` yields, in that order.
-#[inline(always)]
-fn dot_tile<const R: usize, const C: usize>(
-    a: &[f64],
-    b: &[f64],
-    k: usize,
-    i: usize,
-    j: usize,
-    ps: impl Iterator<Item = usize>,
-) -> [[f64; C]; R] {
-    let arows: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-    let brows: [&[f64]; C] = std::array::from_fn(|c| &b[(j + c) * k..(j + c + 1) * k]);
-    let mut acc = [[0.0f64; C]; R];
-    for p in ps {
-        for (accr, arow) in acc.iter_mut().zip(&arows) {
-            let av = arow[p];
-            for (slot, brow) in accr.iter_mut().zip(&brows) {
-                *slot += av * brow[p];
-            }
-        }
-    }
-    acc
+/// One way of reading the right operand `b` of a tiled product: each
+/// implementation computes one `R x C` register tile of the output at row
+/// `i`, column `j` — `R * C` independent accumulator chains, each a
+/// sequential sum over the contraction indices `ps` yields, in that order —
+/// and writes it to `out` (`m x n` row-major).
+trait Tile {
+    #[allow(clippy::too_many_arguments)]
+    fn tile<const R: usize, const C: usize>(
+        a: &[f64],
+        b: &[f64],
+        n: usize,
+        k: usize,
+        i: usize,
+        j: usize,
+        ps: impl Iterator<Item = usize>,
+        out: &mut [f64],
+    );
 }
 
-/// Rows `i..i + R` of `out = a * b^T`: `R x C` tiles across the output
+/// `b` is `n x k` row-major, one row of inputs per output ([`matmul_nt`]):
+/// the tile's chains are seeded from `+0.0` and overwrite `out`.
+struct DotTile;
+
+impl Tile for DotTile {
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(
+        a: &[f64],
+        b: &[f64],
+        n: usize,
+        k: usize,
+        i: usize,
+        j: usize,
+        ps: impl Iterator<Item = usize>,
+        out: &mut [f64],
+    ) {
+        let arows: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+        let brows: [&[f64]; C] = std::array::from_fn(|c| &b[(j + c) * k..(j + c + 1) * k]);
+        let mut acc = [[0.0f64; C]; R];
+        for p in ps {
+            for (accr, arow) in acc.iter_mut().zip(&arows) {
+                let av = arow[p];
+                for (slot, brow) in accr.iter_mut().zip(&brows) {
+                    *slot += av * brow[p];
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            out[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(accr);
+        }
+    }
+}
+
+/// `b` is `k x n` row-major — a weight stored input-major, one run of `n`
+/// outputs per input ([`matmul_nn_cols`]): for each index `p` the tile
+/// reads `C` contiguous values of `b`'s row `p`. Its chains start from the
+/// values in `out` and go back there; a stored `f64` reloads unchanged, so
+/// chains carried across calls through `out` from `+0.0` form the same
+/// sequential sums as [`DotTile`] over the row-major copy of `b`, bit for
+/// bit.
+struct RunTile;
+
+impl Tile for RunTile {
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(
+        a: &[f64],
+        b: &[f64],
+        n: usize,
+        k: usize,
+        i: usize,
+        j: usize,
+        ps: impl Iterator<Item = usize>,
+        out: &mut [f64],
+    ) {
+        let arows: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+        let mut acc = [[0.0f64; C]; R];
+        for (r, accr) in acc.iter_mut().enumerate() {
+            accr.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + C]);
+        }
+        for p in ps {
+            let run = &b[p * n + j..p * n + j + C];
+            for (accr, arow) in acc.iter_mut().zip(&arows) {
+                let av = arow[p];
+                for (slot, bv) in accr.iter_mut().zip(run) {
+                    *slot += av * bv;
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            out[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(accr);
+        }
+    }
+}
+
+/// Rows `i..i + R` of the product: `R x C` tiles across the output
 /// columns, `R x 1` tiles over the columns left below a full tile.
-fn matmul_nt_band<const R: usize, const C: usize, I>(
+fn band<T: Tile, const R: usize, const C: usize, I>(
     a: &[f64],
     b: &[f64],
     n: usize,
@@ -402,35 +481,34 @@ fn matmul_nt_band<const R: usize, const C: usize, I>(
 {
     let mut j = 0;
     while j + C <= n {
-        let acc = dot_tile::<R, C>(a, b, k, i, j, ps.clone());
-        for (r, accr) in acc.iter().enumerate() {
-            out[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(accr);
-        }
+        T::tile::<R, C>(a, b, n, k, i, j, ps.clone(), out);
         j += C;
     }
     while j < n {
-        let acc = dot_tile::<R, 1>(a, b, k, i, j, ps.clone());
-        for (r, accr) in acc.iter().enumerate() {
-            out[(i + r) * n + j] = accr[0];
-        }
+        T::tile::<R, 1>(a, b, n, k, i, j, ps.clone(), out);
         j += 1;
     }
 }
 
-/// [`matmul_nt`] over the contraction indices `ps` yields: full `MR`-row
-/// bands in `MR x NR` tiles, the rows left over (all of them at batch 1)
-/// one at a time in `1 x ROW_NR` tiles.
-fn matmul_nt_over<I>(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, ps: I, out: &mut [f64])
-where
+/// The `m x n` product over the contraction indices `ps` yields: full
+/// `MR`-row bands in `MR x BAND_C` tiles, the rows left over (all of them
+/// at batch 1) one at a time in `1 x ROW_C` tiles.
+fn tiled<T: Tile, const BAND_C: usize, const ROW_C: usize, I>(
+    a: &[f64],
+    b: &[f64],
+    (m, n, k): (usize, usize, usize),
+    ps: I,
+    out: &mut [f64],
+) where
     I: Iterator<Item = usize> + Clone,
 {
     let mut i = 0;
     while i + MR <= m {
-        matmul_nt_band::<MR, NR, I>(a, b, n, k, i, &ps, out);
+        band::<T, MR, BAND_C, I>(a, b, n, k, i, &ps, out);
         i += MR;
     }
     while i < m {
-        matmul_nt_band::<1, ROW_NR, I>(a, b, n, k, i, &ps, out);
+        band::<T, 1, ROW_C, I>(a, b, n, k, i, &ps, out);
         i += 1;
     }
 }
@@ -443,10 +521,26 @@ where
 /// those are contracted over — same bits for finite `b`, see the
 /// [module docs](self).
 pub fn matmul_nt(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, out: &mut [f64]) {
+    with_scanned_cols(a, m, k, |cols| matmul_nt_cols(a, b, m, n, k, cols, out));
+}
+
+/// A column list as the contraction indices the tiles walk.
+fn list(idx: &[u32]) -> impl Iterator<Item = usize> + Clone + '_ {
+    idx.iter().map(|&p| p as usize)
+}
+
+/// Runs `f` on the column list of the row-major `m x k` operand `a`,
+/// scanned into per-thread scratch (no allocation once warm).
+pub(crate) fn with_scanned_cols<T>(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    f: impl FnOnce(&ActiveCols) -> T,
+) -> T {
     SCAN_SCRATCH.with_borrow_mut(|cols| {
         cols.scan(a, m, k);
-        matmul_nt_cols(a, b, m, n, k, cols, out);
-    });
+        f(cols)
+    })
 }
 
 /// [`matmul_nt`] with the column list of `a` supplied by the caller (it
@@ -464,8 +558,50 @@ pub(crate) fn matmul_nt_cols(
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
     match cols.sparse() {
-        Some(idx) => matmul_nt_over(a, b, m, n, k, idx.iter().map(|&p| p as usize), out),
-        None => matmul_nt_over(a, b, m, n, k, 0..k, out),
+        Some(idx) => tiled::<DotTile, NR, ROW_NR, _>(a, b, (m, n, k), list(idx), out),
+        None => tiled::<DotTile, NR, ROW_NR, _>(a, b, (m, n, k), 0..k, out),
+    }
+}
+
+/// Inputs per pass of [`matmul_nn_cols`]'s dense loop. A tile walks down
+/// `b` one row of `n` values at a time, so at the paper's width (`n` = 512
+/// in `exp nn_throughput`) each step of a pass over all 3252 inputs lands
+/// on a new page: measured 4x slower than the row-major loop on dense
+/// inputs. Passes over 32 rows, which every tile of the band takes in
+/// turn while they stay cached, measured at parity or better (16: the
+/// same, 64: 0.8x, 256: 0.3x).
+const RUN_BLOCK: usize = 32;
+
+/// `out = a * b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`,
+/// all row-major, contracted over `a`'s column list (scanned from this
+/// `a`). This is the forward product of a weight stored input-major: `b`
+/// holds one contiguous run of `n` outputs per input, so each listed input
+/// streams its run instead of gathering one value from each of `n` rows.
+/// When the list is not sparse every input is contracted, [`RUN_BLOCK`]
+/// at a time. Each output element is one sequential sum over ascending
+/// `p` seeded from `+0.0`, register-tiled like [`matmul_nt`]: bit-identical
+/// to [`matmul_nt_cols`] on the row-major copy of `b`.
+pub(crate) fn matmul_nn_cols(
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    n: usize,
+    k: usize,
+    cols: &ActiveCols,
+    out: &mut [f64],
+) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(out.len(), m * n);
+    out.fill(0.0);
+    match cols.sparse() {
+        Some(idx) => tiled::<RunTile, RUN_NR, RUN_ROW_NR, _>(a, b, (m, n, k), list(idx), out),
+        None => {
+            for start in (0..k).step_by(RUN_BLOCK) {
+                let block = start..(start + RUN_BLOCK).min(k);
+                tiled::<RunTile, RUN_NR, RUN_ROW_NR, _>(a, b, (m, n, k), block, out);
+            }
+        }
     }
 }
 

@@ -2,9 +2,13 @@
 //! only (see `mlir_rl_nn::tensor`). These properties hold them, bit for
 //! bit, to plain sequential references that multiply every zero: a
 //! hand-written dot product for the forward kernel, and a single-sample
-//! LSTM written over the dense `Param` loops (`matvec`,
+//! LSTM written over the dense loops of row-major `Param`s (`matvec`,
 //! `matvec_transposed`, `add_outer_to_grad`) for the layer's forward, its
-//! weight-gradient accumulation and its batched backward.
+//! weight-gradient accumulation and its batched backward. The LSTM's own
+//! `W` is stored input-major, so that comparison also holds the
+//! input-major kernels to the row-major loops; a separate property holds
+//! an input-major `Param` to its row-major twin entry point by entry
+//! point.
 
 use mlir_rl_nn::tensor::matmul_nt;
 use mlir_rl_nn::{sigmoid_in_place, tanh_in_place, Lstm, Param, Tensor2};
@@ -18,7 +22,7 @@ const BATCHES: [usize; 5] = [1, 3, 4, 5, 16];
 
 /// How many of `k` columns hold a non-zero in at least one row: none, 1 %,
 /// 10 %, the last count that takes the sparse path (`nnz * 2 <= k`), the
-/// first that takes the dense one, 90 %.
+/// first that takes the dense one, 90 %, all of them.
 fn active_columns(k: usize, density: usize) -> usize {
     let active = match density {
         0 => 0,
@@ -26,7 +30,8 @@ fn active_columns(k: usize, density: usize) -> usize {
         2 => k.div_ceil(10),
         3 => k / 2,
         4 => k / 2 + 1,
-        _ => (k * 9).div_ceil(10),
+        5 => (k * 9).div_ceil(10),
+        _ => k,
     };
     active.min(k)
 }
@@ -83,13 +88,25 @@ struct ReferenceStep {
     tanh_c: Vec<f64>,
 }
 
+/// A row-major `Param` holding `p`'s logical values.
+fn row_major_twin(p: &Param) -> Param {
+    let mut twin = Param::zeros(p.rows, p.cols);
+    twin.set_value(p.logical_values().collect());
+    twin
+}
+
+fn logical_bits(values: impl Iterator<Item = f64>) -> Vec<u64> {
+    values.map(f64::to_bits).collect()
+}
+
 impl ReferenceLstm {
+    /// Row-major copies of `lstm`'s parameters.
     fn of(lstm: &Lstm) -> Self {
         let mut params: Vec<Param> = lstm
             .clone()
             .parameters_mut()
             .into_iter()
-            .map(|p| p.clone())
+            .map(|p| row_major_twin(p))
             .collect();
         let b = params.split_off(8);
         let u = params.split_off(4);
@@ -189,7 +206,7 @@ impl ReferenceLstm {
             .iter()
             .chain(&self.u)
             .chain(&self.b)
-            .map(|p| bits(p.grad()))
+            .map(|p| logical_bits(p.logical_grad()))
             .collect()
     }
 }
@@ -197,7 +214,7 @@ impl ReferenceLstm {
 fn lstm_grads(lstm: &mut Lstm) -> Vec<Vec<u64>> {
     lstm.parameters_mut()
         .iter()
-        .map(|p| bits(p.grad()))
+        .map(|p| logical_bits(p.logical_grad()))
         .collect()
 }
 
@@ -262,6 +279,8 @@ proptest! {
         ];
         let grad_h = Tensor2::from_flat(m, hidden, random_values(m * hidden, &mut rng));
         let mut lstm = Lstm::new(input, hidden, &mut rng);
+        let layouts: Vec<bool> = lstm.parameters_mut().iter().map(|p| p.is_input_major()).collect();
+        prop_assert_eq!(layouts, [[true; 4], [false; 4], [false; 4]].concat(), "only W is input-major");
         let mut reference = ReferenceLstm::of(&lstm);
 
         // Forward, sample by sample, and the reference's backward in the
@@ -311,6 +330,77 @@ proptest! {
             lstm.backward_params_batch(&Tensor2::from_row(grad_h.row(r)));
         }
         prop_assert_eq!(lstm_grads(&mut lstm), reference.grads());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// An input-major `Param` and a row-major one holding the same logical
+    /// values agree bit for bit on every entry point: the Xavier draws,
+    /// the forward products, the input gradients, gradient accumulation
+    /// (the LSTM property above covers accumulation over listed columns),
+    /// the gradient norm and the reference loops.
+    #[test]
+    fn an_input_major_param_computes_what_its_row_major_twin_does(
+        batch in 0usize..5,
+        n in 1usize..21,
+        k in 1usize..90,
+        x_density in 0usize..7,
+        y_density in 0usize..7,
+        seed in 0u64..1 << 32,
+    ) {
+        let m = BATCHES[batch];
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let draws = rng.gen::<u64>();
+        let mut input_major = Param::xavier_input_major(n, k, &mut ChaCha8Rng::seed_from_u64(draws));
+        let mut row_major = Param::xavier(n, k, &mut ChaCha8Rng::seed_from_u64(draws));
+        prop_assert!(input_major.is_input_major() && !row_major.is_input_major());
+        prop_assert_eq!(
+            logical_bits(input_major.logical_values()),
+            bits(row_major.value()),
+            "the same draws in the same order"
+        );
+        prop_assert_eq!(input_major.at(n - 1, 0).to_bits(), row_major.at(n - 1, 0).to_bits());
+        // A loaded image lands in logical order too.
+        let image = random_values(n * k, &mut rng);
+        input_major.set_value(image.clone());
+        row_major.set_value(image.clone());
+        prop_assert_eq!(logical_bits(input_major.logical_values()), bits(&image));
+
+        // Forward: batched and per row, `-0.0` among the zeros.
+        let x = sparse_batch(m, k, active_columns(k, x_density), &mut rng);
+        let forward = input_major.matmul_batch(&x);
+        prop_assert_eq!(bits(forward.data()), bits(row_major.matmul_batch(&x).data()), "forward m={} n={} k={}", m, n, k);
+        for r in 0..m {
+            prop_assert_eq!(bits(&input_major.matvec(x.row(r))), bits(forward.row(r)));
+        }
+
+        // Input gradients.
+        let y = sparse_batch(m, n, active_columns(n, y_density), &mut rng);
+        let grad_x = input_major.matmul_batch_transposed(&y);
+        prop_assert_eq!(bits(grad_x.data()), bits(row_major.matmul_batch_transposed(&y).data()));
+        for r in 0..m {
+            prop_assert_eq!(bits(&input_major.matvec_transposed(y.row(r))), bits(grad_x.row(r)));
+            prop_assert_eq!(bits(&row_major.matvec_transposed(y.row(r))), bits(grad_x.row(r)));
+        }
+
+        // Gradient accumulation over all columns, batched then per row, and
+        // the norm folded from it.
+        for p in [&mut input_major, &mut row_major] {
+            p.zero_grad();
+            p.add_outer_batch_to_grad(&y, &x);
+            p.add_outer_to_grad(y.row(0), x.row(0));
+            p.add_grad(n - 1, k / 2, -0.75);
+        }
+        prop_assert_eq!(logical_bits(input_major.logical_grad()), bits(row_major.grad()));
+        prop_assert_eq!(
+            input_major.grad_norm_squared().to_bits(),
+            row_major.grad_norm_squared().to_bits()
+        );
+        input_major.scale_grad(0.3);
+        row_major.scale_grad(0.3);
+        prop_assert_eq!(logical_bits(input_major.logical_grad()), bits(row_major.grad()));
     }
 }
 
@@ -462,19 +552,22 @@ fn the_first_step_memo_is_invisible_in_the_bits() {
     // network's oracle, which a stale memo would not.
     let before = infer_checked(&mut lstm, &[&producer, &consumer]);
     let column = producer.cols[3] as usize;
-    lstm.parameters_mut()[0].value_mut()[2 * WIDTH + column] += 0.5;
+    let w_input = &mut lstm.parameters_mut()[0];
+    let at = w_input.storage_index(2, column);
+    w_input.value_mut()[at] += 0.5;
     let after = infer_checked(&mut lstm, &[&producer, &consumer]);
     assert_ne!(after, before, "the write reaches step 0");
 
     // (d) A weight-image load (what `WeightSnapshot::restore_weights`
-    // does: `set_value` on every tensor `parameters_mut` hands out) after a
-    // call that filled the memo with the same producer.
+    // does: `set_value` on every tensor `parameters_mut` hands out, with
+    // the values in logical order) after a call that filled the memo with
+    // the same producer.
     let mut donor = Lstm::new(WIDTH, 6, &mut rng);
     infer_checked(&mut lstm, &[&producer, &consumer]);
     let image: Vec<Vec<f64>> = donor
         .parameters_mut()
         .iter()
-        .map(|p| p.value().to_vec())
+        .map(|p| p.logical_values().collect())
         .collect();
     for (param, values) in lstm.parameters_mut().into_iter().zip(image) {
         param.set_value(values);
