@@ -108,6 +108,9 @@ impl Linear {
     /// Panics if `x.len()` does not match the input size.
     pub fn infer_into(&self, x: &[f64], out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.weight.cols, "matvec dimension mismatch");
+        // The kernel reads the storage as row-major, which a `Linear`
+        // weight always is (`Param::xavier`).
+        debug_assert!(!self.weight.is_input_major());
         // No zero-fill: the kernel overwrites every element.
         out.resize(self.weight.rows, 0.0);
         matmul_nt(

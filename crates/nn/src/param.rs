@@ -187,8 +187,9 @@ impl Param {
         Arc::make_mut(&mut self.value).as_mut_slice()
     }
 
-    /// Replaces the values with a fresh buffer built from `value`, given in
-    /// logical order (nothing is shared with it; clones keep the old one).
+    /// Replaces the values with `value`, given in logical order: the buffer
+    /// itself when row-major, an input-major copy of it otherwise. Clones
+    /// keep the old buffer.
     ///
     /// # Panics
     ///

@@ -566,10 +566,12 @@ pub(crate) fn matmul_nt_cols(
 /// Inputs per pass of [`matmul_nn_cols`]'s dense loop. A tile walks down
 /// `b` one row of `n` values at a time, so at the paper's width (`n` = 512
 /// in `exp nn_throughput`) each step of a pass over all 3252 inputs lands
-/// on a new page: measured 4x slower than the row-major loop on dense
-/// inputs. Passes over 32 rows, which every tile of the band takes in
-/// turn while they stay cached, measured at parity or better (16: the
-/// same, 64: 0.8x, 256: 0.3x).
+/// on a new page: that read about a quarter of the row-major loop's rate
+/// on dense inputs. Passes over 32 rows, which every tile of the band
+/// takes in turn while they stay cached, read 0.86x (batch 1) and 0.95x
+/// (batch 16) of it, medians of eight alternating runs; 16 read the same,
+/// 64 and 256 worse. Real observations never take this loop at that width
+/// (they list under 2 % of the columns).
 const RUN_BLOCK: usize = 32;
 
 /// `out = a * b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`,
