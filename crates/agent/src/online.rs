@@ -3,21 +3,33 @@
 //!
 //! Three pieces close the serving → training loop:
 //!
-//! * [`ExperienceStream`] — a bounded lock-free multi-producer queue the
-//!   service's workers feed on every `Completed` response. Producers never
-//!   block: a full ring drops the experience and bumps a counter, so the
-//!   serving hot path pays one branch (and nothing at all when online
-//!   training is disabled).
-//! * [`OnlineTrainer`] — a background thread that drains experiences into
-//!   replay batches and runs PPO iterations against a *private* policy
-//!   clone, in a private environment with its own evaluation cache, so
-//!   training never perturbs serving metrics.
+//! * [`ExperienceStream`] — a bounded multi-producer queue the service's
+//!   workers feed on every `Completed` response. Producers never wait on
+//!   the trainer: a full queue drops the experience and bumps a counter,
+//!   so the serving hot path pays one short lock per sampled response (and
+//!   nothing at all when online training is disabled).
+//! * [`OnlineTrainer`] — a background thread that takes buffered
+//!   experiences as replay batches and runs PPO iterations against a
+//!   *private* policy clone, in a private environment with its own
+//!   evaluation cache, so training never perturbs serving metrics.
 //! * [`PolicyRegistry`] — double-buffered `Arc` snapshots with a
 //!   monotonically increasing version. Workers check out the current
 //!   snapshot per run; the trainer builds the next snapshot off to the
-//!   side and atomically swaps the publication slot. A request admitted
-//!   under version `v` finishes under version `v` no matter how many swaps
-//!   happen while it is queued or running.
+//!   side and swaps the publication slot. A request admitted under version
+//!   `v` finishes under version `v` no matter how many swaps happen while
+//!   it is queued or running.
+//!
+//! # Synchronisation
+//!
+//! One `Mutex` and one `Condvar`, both owned by the stream, carry the whole
+//! loop. The mutex guards the queue, the trainer's paused / shutdown / busy
+//! flags and its counters; every change a waiter cares about notifies the
+//! condvar. The trainer waits for `min_batch` buffered experiences (or for
+//! resume or shutdown), [`OnlineTrainer::pause`] waits until no step is in
+//! flight. The lock is held only to move experiences, flip flags and bump
+//! counters — never across a train step, a gate probe, a publish or a probe
+//! event — so a panicking trainer cannot poison it and a serving worker
+//! never waits on a train step.
 //!
 //! # Promotion gate
 //!
@@ -30,15 +42,14 @@
 //! single PPO step rarely changes the argmax decode, and version bumps
 //! must still flow so per-version determinism stays observable.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use mlir_rl_env::{Action, OptimizationEnv};
+use mlir_rl_env::OptimizationEnv;
 use mlir_rl_ir::Module;
 use mlir_rl_obs::{EventKind, ProbeRef};
 
@@ -50,7 +61,7 @@ use crate::value::ValueNetwork;
 // Experience
 // ---------------------------------------------------------------------------
 
-/// One served optimization outcome, as fed back into training.
+/// One served module, as fed back into training.
 #[derive(Debug, Clone)]
 pub struct Experience {
     /// The module the request optimized (the training dataset is the
@@ -60,162 +71,129 @@ pub struct Experience {
     /// (`mlir_rl_costmodel::module_fingerprint`), used to deduplicate the
     /// replay batch and bound the probe set.
     pub module_fingerprint: u64,
-    /// Name of the searcher that produced the outcome.
-    pub searcher: String,
-    /// The request seed.
-    pub seed: u64,
-    /// The best action trace found while serving the request.
-    pub actions: Vec<Action>,
-    /// The speedup of that trace over the baseline.
-    pub speedup: f64,
-    /// The policy version the request ran under.
-    pub policy_version: u64,
 }
 
 // ---------------------------------------------------------------------------
 // ExperienceStream
 // ---------------------------------------------------------------------------
 
-/// One ring slot. The sequence number implements the classic bounded-MPMC
-/// handshake (Vyukov): a slot is writable when `seq == pos` and readable
-/// when `seq == pos + 1`. The handshake guarantees exactly one thread
-/// touches `value` at a time, so the per-slot mutex below is never
-/// contended — it exists to keep the crate `unsafe`-free, not to
-/// serialize anything.
-#[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    value: Mutex<Option<Experience>>,
+/// Everything the stream's one mutex guards.
+#[derive(Debug, Default)]
+struct StreamState {
+    queue: VecDeque<Experience>,
+    accepted: u64,
+    dropped: u64,
+    /// Set by [`OnlineTrainer::pause`]: the trainer starts no step.
+    paused: bool,
+    /// Set by [`OnlineTrainer::shutdown`] and when the trainer thread
+    /// exits (also by unwinding): no step starts again.
+    shutdown: bool,
+    /// A step is in flight: set when the trainer takes its batch, cleared
+    /// after the publish or the gate's refusal.
+    busy: bool,
+    stats: OnlineTrainerStats,
 }
 
-/// A bounded lock-free multi-producer/multi-consumer experience queue.
+/// A bounded multi-producer experience queue, and the control block of
+/// the one [`OnlineTrainer`] that consumes it.
 ///
-/// `push` never blocks and never spins on a full ring: it drops the
-/// experience and bumps [`ExperienceStream::dropped`]. Capacity is rounded
-/// up to a power of two.
+/// `push` never waits for room: on a full queue it drops the experience
+/// and bumps [`ExperienceStream::dropped`].
 #[derive(Debug)]
 pub struct ExperienceStream {
-    slots: Box<[Slot]>,
-    mask: u64,
-    enqueue: AtomicU64,
-    dequeue: AtomicU64,
-    accepted: AtomicU64,
-    dropped: AtomicU64,
+    capacity: usize,
+    state: Mutex<StreamState>,
+    changed: Condvar,
 }
 
 impl ExperienceStream {
-    /// Creates a stream holding at least `capacity` experiences
-    /// (rounded up to a power of two, minimum 2).
+    /// Creates a stream holding at most `capacity` experiences.
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Vec<Slot> = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicU64::new(i as u64),
-                value: Mutex::new(None),
-            })
-            .collect();
         Self {
-            slots: slots.into_boxed_slice(),
-            mask: (cap - 1) as u64,
-            enqueue: AtomicU64::new(0),
-            dequeue: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            capacity,
+            state: Mutex::new(StreamState {
+                queue: VecDeque::with_capacity(capacity),
+                ..StreamState::default()
+            }),
+            changed: Condvar::new(),
         }
     }
 
-    /// Capacity of the ring (a power of two).
+    /// The most experiences the stream buffers.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Enqueues an experience. Returns `false` (and counts a drop) when
-    /// the ring is full.
+    /// the queue is full.
     pub fn push(&self, experience: Experience) -> bool {
-        let mut pos = self.enqueue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq.wrapping_sub(pos) as i64;
-            if dif == 0 {
-                match self.enqueue.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        *slot.value.lock().expect("slot lock poisoned") = Some(experience);
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        self.accepted.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                    Err(found) => pos = found,
-                }
-            } else if dif < 0 {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                pos = self.enqueue.load(Ordering::Relaxed);
-            }
+        let mut state = self.lock();
+        if state.queue.len() >= self.capacity {
+            state.dropped += 1;
+            return false;
         }
+        state.queue.push_back(experience);
+        state.accepted += 1;
+        drop(state);
+        self.changed.notify_all();
+        true
     }
 
-    /// Dequeues the oldest experience, or `None` when the ring is empty.
+    /// Dequeues the oldest experience, or `None` when the queue is empty.
     pub fn pop(&self) -> Option<Experience> {
-        let mut pos = self.dequeue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq.wrapping_sub(pos.wrapping_add(1)) as i64;
-            if dif == 0 {
-                match self.dequeue.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let experience = slot
-                            .value
-                            .lock()
-                            .expect("slot lock poisoned")
-                            .take()
-                            .expect("readable slot holds a value");
-                        slot.seq
-                            .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                        return Some(experience);
-                    }
-                    Err(found) => pos = found,
-                }
-            } else if dif < 0 {
-                return None;
-            } else {
-                pos = self.dequeue.load(Ordering::Relaxed);
-            }
-        }
+        self.lock().queue.pop_front()
     }
 
-    /// Experiences currently buffered (approximate under concurrency).
+    /// Experiences currently buffered.
     pub fn len(&self) -> usize {
-        let tail = self.enqueue.load(Ordering::Relaxed);
-        let head = self.dequeue.load(Ordering::Relaxed);
-        tail.saturating_sub(head) as usize
+        self.lock().queue.len()
     }
 
-    /// Whether the ring is (approximately) empty.
+    /// Whether no experience is buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Experiences accepted since creation.
     pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
+        self.lock().accepted
     }
 
-    /// Experiences dropped because the ring was full.
+    /// Experiences dropped because the queue was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.lock().dropped
+    }
+
+    /// Every update under the lock leaves the state valid at each step, so
+    /// a guard poisoned by a panicking holder is still sound to use.
+    fn lock(&self) -> MutexGuard<'_, StreamState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Applies `change` under the lock, then wakes every waiter.
+    fn update<R>(&self, change: impl FnOnce(&mut StreamState) -> R) -> R {
+        let result = change(&mut self.lock());
+        self.changed.notify_all();
+        result
+    }
+
+    /// Blocks until `min_batch` experiences are buffered and the trainer
+    /// is not paused, then marks a step in flight and takes every buffered
+    /// experience. `None` once shut down.
+    fn begin_step(&self, min_batch: usize) -> Option<Vec<Experience>> {
+        let mut state = self
+            .changed
+            .wait_while(self.lock(), |s| {
+                !s.shutdown && (s.paused || s.queue.len() < min_batch)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.shutdown {
+            return None;
+        }
+        let batch: Vec<Experience> = state.queue.drain(..).collect();
+        state.busy = true;
+        state.stats.experiences_consumed += batch.len() as u64;
+        Some(batch)
     }
 }
 
@@ -233,7 +211,8 @@ pub struct PolicySnapshot {
 }
 
 /// Versioned policy publication: double-buffered `Arc` snapshots behind a
-/// swap slot, plus a monotonically increasing version counter.
+/// swap slot. Versions start at 0 and only [`PolicyRegistry::publish`]
+/// advances them, so the current version is also the number of swaps.
 ///
 /// [`PolicyRegistry::checkout`] clones the current `Arc` (a pointer bump
 /// under a momentary lock — the snapshot itself is never copied);
@@ -243,8 +222,6 @@ pub struct PolicySnapshot {
 #[derive(Debug)]
 pub struct PolicyRegistry {
     current: Mutex<Arc<PolicySnapshot>>,
-    version: AtomicU64,
-    swaps: AtomicU64,
 }
 
 impl PolicyRegistry {
@@ -252,8 +229,6 @@ impl PolicyRegistry {
     pub fn new(policy: PolicyNetwork) -> Self {
         Self {
             current: Mutex::new(Arc::new(PolicySnapshot { version: 0, policy })),
-            version: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
         }
     }
 
@@ -264,12 +239,7 @@ impl PolicyRegistry {
 
     /// The currently published version.
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Relaxed)
-    }
-
-    /// Number of swaps published since creation.
-    pub fn swaps(&self) -> u64 {
-        self.swaps.load(Ordering::Relaxed)
+        self.checkout().version
     }
 
     /// Publishes `policy` as the next version and returns that version.
@@ -277,8 +247,6 @@ impl PolicyRegistry {
         let mut slot = self.current.lock().expect("registry lock poisoned");
         let version = slot.version + 1;
         *slot = Arc::new(PolicySnapshot { version, policy });
-        self.version.store(version, Ordering::Relaxed);
-        self.swaps.fetch_add(1, Ordering::Relaxed);
         version
     }
 }
@@ -294,7 +262,7 @@ pub struct OnlineTrainingConfig {
     /// (1 = every response). The gate is one atomic increment plus a
     /// modulo on the serving path.
     pub sample_every: u64,
-    /// Capacity of the experience ring (rounded up to a power of two).
+    /// The most experiences the stream buffers; more are dropped.
     pub capacity: usize,
     /// Minimum buffered experiences before the trainer runs a PPO step.
     pub min_batch: usize,
@@ -308,9 +276,6 @@ pub struct OnlineTrainingConfig {
     pub promotion_gate: bool,
     /// Most distinct modules kept in the promotion-gate probe set.
     pub max_probe_modules: usize,
-    /// Stop training (and publishing) after this many train steps
-    /// (`None` = train for the lifetime of the service).
-    pub max_steps: Option<u64>,
 }
 
 impl Default for OnlineTrainingConfig {
@@ -323,7 +288,6 @@ impl Default for OnlineTrainingConfig {
             ppo: PpoConfig::small(),
             promotion_gate: true,
             max_probe_modules: 32,
-            max_steps: None,
         }
     }
 }
@@ -340,11 +304,10 @@ impl OnlineTrainingConfig {
         if self.min_batch == 0 {
             return Err("online min_batch must be at least 1 (PPO needs a dataset)".into());
         }
-        if self.min_batch > self.capacity.max(2).next_power_of_two() {
+        if self.min_batch > self.capacity {
             return Err(format!(
                 "online min_batch ({}) exceeds the stream capacity ({}) — the trainer would never wake",
-                self.min_batch,
-                self.capacity.max(2).next_power_of_two()
+                self.min_batch, self.capacity
             ));
         }
         if self.max_probe_modules == 0 {
@@ -373,18 +336,13 @@ pub struct OnlineTrainerStats {
 
 /// The background online-training thread.
 ///
-/// Drains [`ExperienceStream`] into replay batches, runs PPO iterations on
-/// a private policy clone, and publishes gate-passing candidates through
-/// the [`PolicyRegistry`].
+/// Takes [`ExperienceStream`] batches, runs PPO iterations on a private
+/// policy clone, and publishes gate-passing candidates through the
+/// [`PolicyRegistry`].
 #[derive(Debug)]
 pub struct OnlineTrainer {
     handle: Option<JoinHandle<()>>,
-    shutdown: Arc<AtomicBool>,
-    paused: Arc<AtomicBool>,
-    pause_acked: Arc<AtomicBool>,
-    train_steps: Arc<AtomicU64>,
-    gate_rejects: Arc<AtomicU64>,
-    consumed: Arc<AtomicU64>,
+    stream: Arc<ExperienceStream>,
 }
 
 impl OnlineTrainer {
@@ -401,24 +359,12 @@ impl OnlineTrainer {
         env: OptimizationEnv,
         probe: ProbeRef,
     ) -> Self {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let paused = Arc::new(AtomicBool::new(false));
-        let pause_acked = Arc::new(AtomicBool::new(false));
-        let train_steps = Arc::new(AtomicU64::new(0));
-        let gate_rejects = Arc::new(AtomicU64::new(0));
-        let consumed = Arc::new(AtomicU64::new(0));
         let worker = TrainerWorker {
             config,
             registry,
-            stream,
+            stream: Arc::clone(&stream),
             env,
             probe,
-            shutdown: shutdown.clone(),
-            paused: paused.clone(),
-            pause_acked: pause_acked.clone(),
-            train_steps: train_steps.clone(),
-            gate_rejects: gate_rejects.clone(),
-            consumed: consumed.clone(),
         };
         let handle = std::thread::Builder::new()
             .name("mlir-rl-online-trainer".into())
@@ -426,45 +372,39 @@ impl OnlineTrainer {
             .expect("spawn online trainer");
         Self {
             handle: Some(handle),
-            shutdown,
-            paused,
-            pause_acked,
-            train_steps,
-            gate_rejects,
-            consumed,
+            stream,
         }
     }
 
     /// Pauses training: buffered and future experiences are left in the
     /// stream and no further versions are published until
     /// [`OnlineTrainer::resume`]. Blocks until any in-flight train step
-    /// has finished, so after `pause` returns the published version is
-    /// stable.
+    /// has finished (or the trainer thread has died), so after `pause`
+    /// returns the published version is stable.
     pub fn pause(&self) {
-        self.paused.store(true, Ordering::SeqCst);
-        // One train step is bounded; wait for the loop to acknowledge.
-        while !self.shutdown.load(Ordering::SeqCst) && !self.pause_acked.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let mut state = self.stream.lock();
+        state.paused = true;
+        let _idle = self
+            .stream
+            .changed
+            .wait_while(state, |s| s.busy)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     /// Resumes training after [`OnlineTrainer::pause`].
     pub fn resume(&self) {
-        self.paused.store(false, Ordering::SeqCst);
+        self.stream.update(|s| s.paused = false);
     }
 
     /// Counters exported by the trainer.
     pub fn stats(&self) -> OnlineTrainerStats {
-        OnlineTrainerStats {
-            train_steps: self.train_steps.load(Ordering::Relaxed),
-            gate_rejects: self.gate_rejects.load(Ordering::Relaxed),
-            experiences_consumed: self.consumed.load(Ordering::Relaxed),
-        }
+        self.stream.lock().stats
     }
 
-    /// Signals shutdown and joins the trainer thread.
+    /// Signals shutdown and joins the trainer thread. An in-flight step
+    /// finishes first.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stream.update(|s| s.shutdown = true);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -483,12 +423,17 @@ struct TrainerWorker {
     stream: Arc<ExperienceStream>,
     env: OptimizationEnv,
     probe: ProbeRef,
-    shutdown: Arc<AtomicBool>,
-    paused: Arc<AtomicBool>,
-    pause_acked: Arc<AtomicBool>,
-    train_steps: Arc<AtomicU64>,
-    gate_rejects: Arc<AtomicU64>,
-    consumed: Arc<AtomicU64>,
+}
+
+/// Runs on every exit of the trainer thread, a panic's unwind included, so
+/// a `pause` waiting on the step in flight returns.
+impl Drop for TrainerWorker {
+    fn drop(&mut self) {
+        self.stream.update(|s| {
+            s.busy = false;
+            s.shutdown = true;
+        });
+    }
 }
 
 impl TrainerWorker {
@@ -500,55 +445,25 @@ impl TrainerWorker {
         // Probe set: distinct served modules, insertion-ordered.
         let mut probe_fps: Vec<u64> = Vec::new();
         let mut probe_modules: Vec<Module> = Vec::new();
-        let mut buffer: Vec<Experience> = Vec::new();
 
-        while !self.shutdown.load(Ordering::SeqCst) {
-            if self.paused.load(Ordering::SeqCst) {
-                self.pause_acked.store(true, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            self.pause_acked.store(false, Ordering::SeqCst);
-            if let Some(max) = self.config.max_steps {
-                if self.train_steps.load(Ordering::Relaxed) >= max {
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
-            }
-            while let Some(experience) = self.stream.pop() {
-                buffer.push(experience);
-                if buffer.len() >= self.config.capacity {
-                    break;
-                }
-            }
-            if buffer.len() < self.config.min_batch {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            let batch: Vec<Experience> = std::mem::take(&mut buffer);
-            self.consumed
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            for experience in &batch {
-                if !probe_fps.contains(&experience.module_fingerprint) {
+        while let Some(batch) = self.stream.begin_step(self.config.min_batch) {
+            // Dataset: the batch's distinct modules.
+            let mut dataset_fps: Vec<u64> = Vec::new();
+            let mut dataset: Vec<Module> = Vec::new();
+            for experience in batch {
+                let fingerprint = experience.module_fingerprint;
+                if !probe_fps.contains(&fingerprint) {
                     if probe_modules.len() >= self.config.max_probe_modules {
                         probe_fps.remove(0);
                         probe_modules.remove(0);
                     }
-                    probe_fps.push(experience.module_fingerprint);
+                    probe_fps.push(fingerprint);
                     probe_modules.push(experience.module.clone());
                 }
-            }
-            // Dataset: the batch's distinct modules.
-            let mut dataset_fps: Vec<u64> = Vec::new();
-            let mut dataset: Vec<Module> = Vec::new();
-            for experience in &batch {
-                if !dataset_fps.contains(&experience.module_fingerprint) {
-                    dataset_fps.push(experience.module_fingerprint);
-                    dataset.push(experience.module.clone());
+                if !dataset_fps.contains(&fingerprint) {
+                    dataset_fps.push(fingerprint);
+                    dataset.push(experience.module);
                 }
-            }
-            if dataset.is_empty() {
-                continue;
             }
 
             let trainer = trainer.get_or_insert_with(|| {
@@ -566,7 +481,10 @@ impl TrainerWorker {
                 )
             });
             let stats = trainer.train_iteration(&mut self.env, &dataset);
-            let step = self.train_steps.fetch_add(1, Ordering::Relaxed) + 1;
+            let step = self.stream.update(|s| {
+                s.stats.train_steps += 1;
+                s.stats.train_steps
+            });
             self.probe.emit(
                 EventKind::TrainStep,
                 None,
@@ -595,9 +513,11 @@ impl TrainerWorker {
                     None,
                     [version, probe_modules.len() as u64, step],
                 );
-            } else {
-                self.gate_rejects.fetch_add(1, Ordering::Relaxed);
             }
+            self.stream.update(|s| {
+                s.busy = false;
+                s.stats.gate_rejects += u64::from(!publish);
+            });
         }
     }
 }
@@ -659,11 +579,6 @@ mod tests {
         Experience {
             module: test_module(),
             module_fingerprint: tag,
-            searcher: "greedy-policy".into(),
-            seed: tag,
-            actions: Vec::new(),
-            speedup: 1.0,
-            policy_version: 0,
         }
     }
 
@@ -715,6 +630,11 @@ mod tests {
         // Draining frees capacity again.
         assert_eq!(stream.pop().expect("buffered").module_fingerprint, 0);
         assert!(stream.push(experience(3)));
+        // Capacity is exact: three fit, the fourth drops.
+        let stream = ExperienceStream::new(3);
+        assert_eq!(stream.capacity(), 3);
+        assert!((0..3).all(|i| stream.push(experience(i))));
+        assert!(!stream.push(experience(3)));
     }
 
     #[test]
@@ -748,7 +668,6 @@ mod tests {
         let v1 = registry.publish(test_policy(2));
         assert_eq!(v1, 1);
         assert_eq!(registry.version(), 1);
-        assert_eq!(registry.swaps(), 1);
         // The pre-swap checkout still sees version 0.
         assert_eq!(pinned.version, 0);
         assert_eq!(registry.checkout().version, 1);
@@ -808,6 +727,11 @@ mod tests {
                 ..ok.clone()
             },
             OnlineTrainingConfig {
+                min_batch: 6,
+                capacity: 5,
+                ..ok.clone()
+            },
+            OnlineTrainingConfig {
                 max_probe_modules: 0,
                 ..ok.clone()
             },
@@ -830,5 +754,115 @@ mod tests {
         let mut env2 = OptimizationEnv::new(config, CostModel::new(MachineModel::default()));
         let b = greedy_geomean(&mut env2, &mut policy, &modules, &mut rng_b);
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    /// A trainer with `min_batch: 1` and a tiny PPO update over a fresh
+    /// registry and stream.
+    fn spawn_trainer(
+        probe: ProbeRef,
+    ) -> (OnlineTrainer, Arc<PolicyRegistry>, Arc<ExperienceStream>) {
+        use mlir_rl_costmodel::{CostModel, MachineModel};
+        use mlir_rl_env::EnvConfig;
+        let registry = Arc::new(PolicyRegistry::new(test_policy(5)));
+        let stream = Arc::new(ExperienceStream::new(16));
+        let config = OnlineTrainingConfig {
+            min_batch: 1,
+            ppo: PpoConfig {
+                trajectories_per_iteration: 2,
+                minibatch_size: 4,
+                update_epochs: 1,
+                ..PpoConfig::small()
+            },
+            ..OnlineTrainingConfig::default()
+        };
+        let env = OptimizationEnv::new(EnvConfig::small(), CostModel::new(MachineModel::default()));
+        let trainer = OnlineTrainer::spawn(
+            config,
+            Arc::clone(&registry),
+            Arc::clone(&stream),
+            env,
+            probe,
+        );
+        (trainer, registry, stream)
+    }
+
+    /// Kills the trainer thread mid-step: after it counted the step, before
+    /// it published or refused the candidate.
+    struct PanicOnTrainStep;
+
+    impl mlir_rl_obs::Probe for PanicOnTrainStep {
+        fn emit(&self, kind: EventKind, _: u64, _: Option<&str>, _: [u64; 3]) {
+            if kind == EventKind::TrainStep {
+                panic!("test probe: the trainer thread dies mid-step");
+            }
+        }
+    }
+
+    #[test]
+    fn pause_returns_after_the_trainer_thread_dies() {
+        use std::time::{Duration, Instant};
+        let (trainer, _, stream) = spawn_trainer(ProbeRef::new(Arc::new(PanicOnTrainStep)));
+        assert!(stream.push(experience(1)));
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while trainer.stats().train_steps < 1 {
+            assert!(Instant::now() < deadline, "the trainer ran no step");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let trainer = Arc::new(trainer);
+        let (done, paused) = std::sync::mpsc::channel();
+        let helper = {
+            let trainer = Arc::clone(&trainer);
+            std::thread::spawn(move || {
+                trainer.pause();
+                let _ = done.send(());
+            })
+        };
+        assert!(
+            paused.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "pause() did not return after the trainer thread died"
+        );
+        helper.join().expect("pause helper");
+        let mut trainer = Arc::try_unwrap(trainer).expect("the helper dropped its handle");
+        assert_eq!(trainer.stats().train_steps, 1);
+        trainer.shutdown();
+    }
+
+    #[test]
+    fn a_returned_pause_holds_the_version_and_the_step_count() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::Duration;
+        let (mut trainer, registry, stream) = spawn_trainer(ProbeRef::none());
+        // Keeps the stream at or above `min_batch` for the whole test.
+        let stop = Arc::new(AtomicBool::new(false));
+        let producer = {
+            let (stop, stream) = (Arc::clone(&stop), Arc::clone(&stream));
+            std::thread::spawn(move || {
+                let mut tag = 0;
+                while !stop.load(Ordering::SeqCst) {
+                    if !stream.push(experience(tag % 3)) {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    tag += 1;
+                }
+            })
+        };
+        for cycle in 0..100u64 {
+            trainer.resume();
+            // Land the pause at different phases of the loop: before it
+            // wakes, while it takes a batch, mid-step.
+            std::thread::sleep(Duration::from_millis(cycle % 4));
+            trainer.pause();
+            let held = (registry.version(), trainer.stats().train_steps);
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(
+                (registry.version(), trainer.stats().train_steps),
+                held,
+                "cycle {cycle}: the trainer moved after pause() returned"
+            );
+        }
+        stop.store(true, Ordering::SeqCst);
+        producer.join().expect("producer");
+        assert!(trainer.stats().train_steps >= 1, "no cycle ran a step");
+        trainer.shutdown();
     }
 }

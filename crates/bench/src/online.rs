@@ -128,7 +128,6 @@ pub fn online_learning(
         },
         promotion_gate: true,
         max_probe_modules: 16,
-        max_steps: None,
     };
     let mut config = ServiceConfig::quick()
         .with_workers(workers)
@@ -168,7 +167,7 @@ pub fn online_learning(
     service.resume_online_training();
     let max_rounds = 400usize;
     let mut training_rounds = 0usize;
-    while service.policy_swaps() == 0 && training_rounds < max_rounds {
+    while service.policy_version() == 0 && training_rounds < max_rounds {
         let _ = serve(10_000 + (training_rounds * modules.len()) as u64);
         training_rounds += 1;
         std::thread::sleep(Duration::from_millis(2));

@@ -154,8 +154,9 @@ service_metrics! {
     /// high-water mark, the admission/backpressure/shedding counters, and
     /// fixed-bucket latency distributions for queue wait and service time.
     /// All counters are lifetime totals; reading them is lock-free except for
-    /// the queue depth (one brief state lock) and the cache occupancy (one
-    /// brief lock per cache shard).
+    /// the queue depth (one brief state lock), the policy version (the
+    /// registry's slot lock), the online counters (the experience stream's
+    /// lock) and the cache occupancy (one brief lock per cache shard).
     scalars {
         /// Requests submitted so far.
         submitted: u64, counter("requests_submitted_total", "Requests submitted to the service");

@@ -76,8 +76,8 @@ pub struct ServiceConfig {
     /// Online learning from served traffic, or `None` (the default) for a
     /// frozen policy. When set, every `sample_every`-th
     /// [`ResponseStatus::Completed`] response is fed into a bounded
-    /// lock-free experience stream, a background trainer drains the
-    /// stream into PPO updates against a private policy clone, and
+    /// experience stream, a background trainer drains the stream into PPO
+    /// updates against a private policy clone, and
     /// gate-passing candidates are hot-swapped in as new *versions*
     /// through the service's policy registry. Requests pin the published
     /// version at submit and finish on it regardless of later swaps;

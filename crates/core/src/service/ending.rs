@@ -159,17 +159,12 @@ pub(super) fn finish(
     // Feed served traffic back to the online trainer. Sampling-gated so a
     // disabled subsystem costs the hot path exactly one branch; a full
     // stream drops (and counts) rather than blocks.
-    if let (ResponseStatus::Completed, Some(run), Some(online)) = (status, &run, &shared.online) {
+    if let (ResponseStatus::Completed, Some(online)) = (status, &shared.online) {
         let n = online.sample_counter.fetch_add(1, Ordering::Relaxed);
         if n % online.sample_every == 0 {
             online.stream.push(Experience {
                 module: job.request.module.clone(),
                 module_fingerprint: module_fingerprint(&job.request.module),
-                searcher: job.request.spec.name(),
-                seed: job.request.seed,
-                actions: run.outcome.best_actions.clone(),
-                speedup: run.outcome.speedup,
-                policy_version: job.policy.version,
             });
             probe.emit(
                 EventKind::ExperienceEnqueued,

@@ -99,16 +99,15 @@
 //! [`ServiceConfig::with_online_training`] closes the loop between serving
 //! and training: every `Completed` response (sampling-gated — the serving
 //! path pays one branch when the subsystem is off) feeds an
-//! [`Experience`] (module, fingerprint, spec, seed, best action trace,
-//! speedup, policy version) into a bounded lock-free [`ExperienceStream`];
-//! a background [`OnlineTrainer`] thread drains the stream into replay
-//! batches, runs PPO updates against a private policy clone on a private
-//! environment (its rollouts never touch the serving cache or budget), and
-//! publishes a new [`PolicySnapshot`] into the service's
-//! [`PolicyRegistry`] only when the candidate's greedy geomean speedup on
-//! recently-served modules is at least the incumbent's. Swaps are atomic
-//! `Arc` exchanges; checkouts pinned before a swap keep the old snapshot
-//! alive for as long as their requests need it.
+//! [`Experience`] (the module and its fingerprint) into a bounded
+//! [`ExperienceStream`]; a background [`OnlineTrainer`] thread takes the
+//! buffered experiences as replay batches, runs PPO updates against a
+//! private policy clone on a private environment (its rollouts never touch
+//! the serving cache or budget), and publishes a new [`PolicySnapshot`]
+//! into the service's [`PolicyRegistry`] only when the candidate's greedy
+//! geomean speedup on recently-served modules is at least the incumbent's.
+//! Swaps are atomic `Arc` exchanges; checkouts pinned before a swap keep
+//! the old snapshot alive for as long as their requests need it.
 //!
 //! The *liveness* knobs are deliberately outside the guarantee: **which**
 //! requests a deadline expires or a full queue rejects depends on load and
@@ -488,12 +487,6 @@ impl OptimizationService {
         self.shared.registry.version()
     }
 
-    /// Policy snapshots published so far (trainer promotions plus manual
-    /// [`OptimizationService::swap_policy`] calls).
-    pub fn policy_swaps(&self) -> u64 {
-        self.shared.registry.swaps()
-    }
-
     /// Publishes `policy` as the next version and returns that version —
     /// the manual counterpart of the online trainer's promotion. In-flight
     /// and already-queued requests keep the version they were admitted
@@ -551,6 +544,9 @@ impl OptimizationService {
         };
         let online_stats = self.online_stats().unwrap_or_default();
         let s = &self.shared;
+        // Versions start at 0 and only a publish advances them, so the
+        // version is also the swap count.
+        let policy_version = s.registry.version();
         let c = &s.counters;
         ServiceMetrics {
             submitted: c.submitted.load(Ordering::Relaxed),
@@ -585,8 +581,8 @@ impl OptimizationService {
             cache_restored: s.cache_restored,
             budget_spent: s.budget.spent(),
             budget_cap: s.budget.cap(),
-            policy_version: s.registry.version(),
-            policy_swaps: s.registry.swaps(),
+            policy_version,
+            policy_swaps: policy_version,
             online_experiences_accepted: s
                 .online
                 .as_ref()

@@ -602,7 +602,7 @@ fn responses_are_identical_per_policy_version_while_swaps_land_mid_stream() {
             // The swap lands while every one of those requests is queued.
             assert_eq!(service.swap_policy(policy(23)), 1);
             assert_eq!(service.policy_version(), 1);
-            assert_eq!(service.policy_swaps(), 1);
+            assert_eq!(service.metrics().policy_swaps, 1);
             // Second half: the same logical requests, now admitted at v1.
             let after: Vec<_> = order
                 .iter()
@@ -780,7 +780,6 @@ fn online_config() -> mlir_rl::agent::OnlineTrainingConfig {
         // the agent crate's greedy_geomean tests and the `exp online` CI run.
         promotion_gate: false,
         max_probe_modules: 8,
-        max_steps: None,
     }
 }
 
@@ -805,7 +804,7 @@ fn online_training_feeds_experiences_and_hot_swaps_the_policy() {
     // (bounded: the loop is cheap and the trainer needs one experience).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     let mut seed = 0u64;
-    while service.policy_swaps() == 0 {
+    while service.policy_version() == 0 {
         assert!(
             std::time::Instant::now() < deadline,
             "trainer published no version within the bound; stats: {:?}",
