@@ -9,6 +9,9 @@
 //! value. One FNV-1a digest over every record and value bit is pinned as a
 //! literal: however batch-1 inference is routed or memoised, it must reach
 //! these exact numbers.
+//!
+//! A second pin ranks recorded beam frontiers at a hidden width of 40, so
+//! the kernels' full tiles and their remainder columns both run.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -17,8 +20,10 @@ use mlir_rl_agent::{
     ActionRecord, FlatPolicyNetwork, PolicyHyperparams, PolicyModel, PolicyNetwork, ValueNetwork,
 };
 use mlir_rl_costmodel::{CostModel, MachineModel};
-use mlir_rl_env::{EnvConfig, InterchangeMode, OptimizationEnv};
+use mlir_rl_env::{EnvConfig, InterchangeMode, Observation, ObservationBatch, OptimizationEnv};
 use mlir_rl_ir::{Fnv1a, Module};
+use mlir_rl_nn::Param;
+use mlir_rl_search::{BeamSearch, Searcher};
 use mlir_rl_workloads::dl_ops;
 use mlir_rl_workloads::sequences::{random_sequence, SEQUENCE_LENGTH};
 
@@ -64,7 +69,7 @@ fn write_record(fnv: &mut Fnv1a, record: &ActionRecord) {
 fn decode<P: PolicyModel>(
     fnv: &mut Fnv1a,
     policy: &mut P,
-    obs: &mlir_rl_env::Observation,
+    obs: &Observation,
     rng: &mut ChaCha8Rng,
 ) -> ActionRecord {
     write_record(fnv, &policy.select_action(obs, true, rng));
@@ -108,4 +113,88 @@ fn batch_one_inference_is_pinned() {
     }
     assert_eq!(decisions, 22);
     assert_eq!(fnv.finish(), 0x61a2_2d2d_3f47_7d7e);
+}
+
+/// A policy that keeps every frontier beam search hands it.
+#[derive(Clone)]
+struct FrontierRecorder {
+    network: PolicyNetwork,
+    frontiers: Vec<Vec<Observation>>,
+}
+
+impl PolicyModel for FrontierRecorder {
+    fn select_action(
+        &mut self,
+        obs: &Observation,
+        greedy: bool,
+        rng: &mut ChaCha8Rng,
+    ) -> ActionRecord {
+        self.network.select_action(obs, greedy, rng)
+    }
+    fn zero_grad(&mut self) {
+        self.network.zero_grad();
+    }
+    fn parameters_mut(&mut self) -> Vec<&mut Param> {
+        self.network.parameters_mut()
+    }
+    fn evaluate_batch(
+        &mut self,
+        batch: &ObservationBatch,
+        items: &[(&Observation, &ActionRecord)],
+    ) -> Vec<(f64, f64)> {
+        self.network.evaluate_batch(batch, items)
+    }
+    fn backward_batch(&mut self, items: &[(&Observation, &ActionRecord)], coeffs: &[(f64, f64)]) {
+        self.network.backward_batch(items, coeffs);
+    }
+    fn rank_actions_batch(
+        &mut self,
+        observations: &[&Observation],
+        k: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<Vec<ActionRecord>> {
+        self.frontiers
+            .push(observations.iter().map(|obs| (*obs).clone()).collect());
+        self.network.rank_actions_batch(observations, k, rng)
+    }
+}
+
+#[test]
+fn beam_frontier_ranking_is_pinned() {
+    // Width 40: a lone row runs two 1 x 16 tiles and eight 1 x 1
+    // remainder columns, a 4-row band five 4 x 8 tiles.
+    let hyper = PolicyHyperparams {
+        hidden_size: 40,
+        backbone_layers: 3,
+    };
+    let config = EnvConfig::paper();
+    let network = PolicyNetwork::new(config.clone(), hyper, &mut ChaCha8Rng::seed_from_u64(6));
+    let mut recorder = FrontierRecorder {
+        network: network.clone(),
+        frontiers: Vec::new(),
+    };
+    let mut env = OptimizationEnv::new(config, CostModel::new(MachineModel::default()));
+    let benchmark = dl_ops::evaluation_benchmark().into_iter().map(|(_, m)| m);
+    for (seed, module) in modules().into_iter().chain(benchmark).enumerate() {
+        BeamSearch::new(4).search(&mut env, &mut recorder, &module, seed as u64);
+    }
+    let frontiers = recorder.frontiers;
+
+    let mut policy = network;
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut fnv = Fnv1a::new();
+    let mut rows = 0;
+    for frontier in &frontiers {
+        let refs: Vec<&Observation> = frontier.iter().collect();
+        for ranked in policy.rank_actions_batch(&refs, 4, &mut rng) {
+            fnv.write(&(ranked.len() as u64).to_le_bytes());
+            for record in &ranked {
+                write_record(&mut fnv, record);
+            }
+            rows += 1;
+        }
+    }
+    let banded = frontiers.iter().filter(|f| f.len() == 4).count();
+    assert_eq!((frontiers.len(), banded, rows), (104, 69, 340));
+    assert_eq!(fnv.finish(), 0x94a3_830b_c10a_6344);
 }
