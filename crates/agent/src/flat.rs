@@ -41,10 +41,7 @@ pub struct FlatPolicyNetwork {
     /// network.
     #[serde(skip)]
     pending_batches: Scratch<Vec<Tensor2>>,
-    /// Reusable batched logits buffer for `rank_actions_batch`.
-    #[serde(skip)]
-    batch_scratch: Scratch<Tensor2>,
-    /// Reusable LSTM step tensors for the batched paths.
+    /// Reusable LSTM step tensors for the training batches.
     #[serde(skip)]
     step_scratch: Scratch<[Tensor2; 2]>,
 }
@@ -68,7 +65,6 @@ impl FlatPolicyNetwork {
             head,
             logits_scratch: Scratch::default(),
             pending_batches: Scratch::default(),
-            batch_scratch: Scratch::default(),
             step_scratch: Scratch::default(),
         }
     }
@@ -138,15 +134,6 @@ impl FlatPolicyNetwork {
         let embedding = self.lstm.forward_batch(&self.step_scratch.0);
         let z = self.backbone.forward_batch(&embedding);
         self.head.forward_batch(&z)
-    }
-
-    /// Batched inference logits into a reusable buffer.
-    fn infer_logits_batch(&mut self, batch: &ObservationBatch, out: &mut Tensor2) {
-        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
-        let steps = &self.step_scratch.0;
-        let embedding = self.lstm.infer_batch(&[&steps[0], &steps[1]]);
-        let z = self.backbone.infer_batch(embedding);
-        self.head.infer_batch_into(z, out);
     }
 
     /// Draws one record from fixed logits/mask (the logits never change
@@ -290,29 +277,6 @@ impl PolicyModel for FlatPolicyNetwork {
         });
         self.logits_scratch = Scratch(logits);
         records
-    }
-
-    fn rank_actions_batch(
-        &mut self,
-        observations: &[&Observation],
-        k: usize,
-        rng: &mut ChaCha8Rng,
-    ) -> Vec<Vec<ActionRecord>> {
-        if observations.is_empty() {
-            return Vec::new();
-        }
-        let batch = ObservationBatch::from_observations(observations.iter().copied());
-        let mut logits = std::mem::take(&mut self.batch_scratch).0;
-        self.infer_logits_batch(&batch, &mut logits);
-        let mut out = Vec::with_capacity(observations.len());
-        for (i, obs) in observations.iter().enumerate() {
-            let mask = self.flat_mask(obs);
-            out.push(rank_candidates(k, rng, |greedy, rng| {
-                self.record_from_logits(obs, logits.row(i), &mask, greedy, rng)
-            }));
-        }
-        self.batch_scratch = Scratch(logits);
-        out
     }
 }
 

@@ -99,14 +99,9 @@ pub struct PolicyNetwork {
     /// calls, consumed by [`PolicyNetwork::backward_batch`].
     #[serde(skip)]
     pending_batches: Scratch<Vec<HeadBatch>>,
-    /// Reusable batched head-logit buffers for
-    /// [`PolicyNetwork::rank_actions_batch`].
-    #[serde(skip)]
-    batch_scratch: Scratch<HeadBatch>,
-    /// Reusable LSTM step tensors for the batched paths: the packed
+    /// Reusable LSTM step tensors for the training batches: the packed
     /// producer/consumer rows are copied into these instead of freshly
-    /// allocated tensors, so repeated batched calls (beam frontiers, PPO
-    /// minibatches) reuse one arena.
+    /// allocated tensors, so PPO minibatches reuse one arena.
     #[serde(skip)]
     step_scratch: Scratch<[Tensor2; 2]>,
 }
@@ -145,28 +140,16 @@ impl Head {
 
 /// The head logits one decision reads. A decision reads the
 /// transformation head and then at most one other: the chosen tiled kind's
-/// tile head or the interchange head. Batch-1 decoding therefore computes
-/// the backbone output and the transformation head up front and each other
-/// head on its first read ([`PolicyNetwork::head_logits`]); a row of a
-/// batched frontier arrives with every head computed.
+/// tile head or the interchange head. Decoding therefore computes the
+/// backbone output and the transformation head up front and each other
+/// head on its first read ([`PolicyNetwork::head_logits`]).
 #[derive(Debug, Clone, Default)]
 struct DecodeHeads {
-    /// The backbone output the heads are computed from (batch-1 only).
+    /// The backbone output the heads are computed from.
     z: Vec<f64>,
     logits: HeadOutputs,
     /// Whether each [`Head`]'s logits are this observation's.
     ready: [bool; 4],
-}
-
-impl DecodeHeads {
-    /// Every head already computed, as a batched row is.
-    fn complete(logits: HeadOutputs) -> Self {
-        Self {
-            z: Vec::new(),
-            logits,
-            ready: [true; 4],
-        }
-    }
 }
 
 /// Per-head logits of one **batched** forward pass: one row per
@@ -210,8 +193,8 @@ impl HeadBatch {
 /// Packs an observation batch into the two LSTM time-step tensors
 /// (producers first, consumers second — the same order the per-vector paths
 /// feed the embedding LSTM), copying the packed rows into existing step
-/// tensors: every network keeps one such pair as scratch, so neither
-/// inference ticks nor PPO minibatches allocate two tensors per batch.
+/// tensors: every network keeps one such pair as scratch, so PPO
+/// minibatches do not allocate two tensors per batch.
 pub(crate) fn lstm_step_tensors_into(batch: &ObservationBatch, steps: &mut [Tensor2; 2]) {
     let rows = batch.len();
     let cols = batch.feature_len();
@@ -220,7 +203,7 @@ pub(crate) fn lstm_step_tensors_into(batch: &ObservationBatch, steps: &mut [Tens
 }
 
 /// The embedding LSTM over one observation (producer first, consumer
-/// second) for the batch-1 inference paths, reading each vector as the list
+/// second) for inference, reading each vector as the list
 /// of non-zeros it is stored as: `O(non-zeros)` input memory and no dense
 /// view, bit-identical to the dense forms.
 pub(crate) fn embed_observation<'a>(lstm: &'a mut Lstm, obs: &Observation) -> &'a [f64] {
@@ -303,7 +286,6 @@ impl PolicyNetwork {
             hyper,
             head_scratch: Scratch::default(),
             pending_batches: Scratch::default(),
-            batch_scratch: Scratch::default(),
             step_scratch: Scratch::default(),
         }
     }
@@ -373,24 +355,6 @@ impl PolicyNetwork {
             fusion: self.fusion_head.forward_batch(&z),
             interchange: self.interchange_head.forward_batch(&z),
         }
-    }
-
-    /// Batched inference forward pass into reusable head buffers
-    /// (bit-identical per row to [`PolicyNetwork::infer_heads`]). The LSTM
-    /// step tensors come from a scratch arena reused across calls.
-    fn infer_heads_batch(&mut self, batch: &ObservationBatch, out: &mut HeadBatch) {
-        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
-        let steps = &self.step_scratch.0;
-        let embedding = self.lstm.infer_batch(&[&steps[0], &steps[1]]);
-        let z = self.backbone.infer_batch(embedding);
-        self.transformation_head
-            .infer_batch_into(z, &mut out.transformation);
-        self.tiling_head.infer_batch_into(z, &mut out.tiling);
-        self.parallelization_head
-            .infer_batch_into(z, &mut out.parallelization);
-        self.fusion_head.infer_batch_into(z, &mut out.fusion);
-        self.interchange_head
-            .infer_batch_into(z, &mut out.interchange);
     }
 
     fn tile_head_logits(outputs: &HeadOutputs, kind: TransformationKind) -> &[f64] {
@@ -655,31 +619,22 @@ impl PolicyNetwork {
         records
     }
 
-    /// Ranks candidates for a whole frontier of observations through one
-    /// batched head inference. Observation order is preserved, and the RNG
-    /// is consumed per observation in order, so the result is bit-identical
-    /// to calling [`PolicyNetwork::rank_actions`] once per observation.
+    /// Ranks candidates for a whole frontier of observations: one
+    /// [`PolicyNetwork::rank_actions`] per observation, in order, threading
+    /// `rng` through them. Each row keeps what batch-1 inference saves —
+    /// the producer step the embedding LSTM memoises across one consumer's
+    /// states, and the heads no draw reads — which packing the frontier
+    /// into one batched forward pass would lose.
     pub fn rank_actions_batch(
         &mut self,
         observations: &[&Observation],
         k: usize,
         rng: &mut ChaCha8Rng,
     ) -> Vec<Vec<ActionRecord>> {
-        if observations.is_empty() {
-            return Vec::new();
-        }
-        let batch = ObservationBatch::from_observations(observations.iter().copied());
-        let mut heads = std::mem::take(&mut self.batch_scratch).0;
-        self.infer_heads_batch(&batch, &mut heads);
-        let mut out = Vec::with_capacity(observations.len());
-        for (i, obs) in observations.iter().enumerate() {
-            let mut row = DecodeHeads::complete(heads.row_outputs(i));
-            out.push(rank_candidates(k, rng, |greedy, rng| {
-                self.decide(obs, &mut row, greedy, rng)
-            }));
-        }
-        self.batch_scratch = Scratch(heads);
-        out
+        observations
+            .iter()
+            .map(|obs| self.rank_actions(obs, k, rng))
+            .collect()
     }
 
     /// Computes the log-prob, entropy and per-head logit gradients
@@ -1011,7 +966,12 @@ mod tests {
         greedy: bool,
         rng: &mut ChaCha8Rng,
     ) -> ActionRecord {
-        p.decide(obs, &mut DecodeHeads::complete(heads.clone()), greedy, rng)
+        let mut complete = DecodeHeads {
+            z: Vec::new(),
+            logits: heads.clone(),
+            ready: [true; 4],
+        };
+        p.decide(obs, &mut complete, greedy, rng)
     }
 
     fn head_bits(heads: &HeadOutputs) -> Vec<u64> {

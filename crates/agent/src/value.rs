@@ -21,10 +21,7 @@ pub struct ValueNetwork {
     /// Reusable one-element output buffer for [`ValueNetwork::predict_fast`].
     #[serde(skip)]
     infer_out: Scratch<Vec<f64>>,
-    /// Reusable batched output buffer for [`ValueNetwork::predict_batch`].
-    #[serde(skip)]
-    batch_out: Scratch<Tensor2>,
-    /// Reusable LSTM step tensors for the batched paths.
+    /// Reusable LSTM step tensors for the training batches.
     #[serde(skip)]
     step_scratch: Scratch<[Tensor2; 2]>,
 }
@@ -44,15 +41,14 @@ impl ValueNetwork {
             backbone,
             head,
             infer_out: Scratch::default(),
-            batch_out: Scratch::default(),
             step_scratch: Scratch::default(),
         }
     }
 
     /// Estimates the state value through the layers' plain-loop
     /// `forward_inference` reference paths: the oracle
-    /// [`ValueNetwork::predict_fast`] and [`ValueNetwork::predict_batch`]
-    /// are tested bit for bit against, not a hot path.
+    /// [`ValueNetwork::predict_fast`] is tested bit for bit against, not a
+    /// hot path.
     pub fn predict(&self, obs: &Observation) -> f64 {
         let embedding = self.lstm.forward_inference(&dense_sequence(obs));
         let z = self.backbone.forward_inference(&embedding);
@@ -67,22 +63,6 @@ impl ValueNetwork {
         let z = self.backbone.infer(embedding);
         self.head.infer_into(z, &mut self.infer_out.0);
         self.infer_out.0[0]
-    }
-
-    /// Batched [`ValueNetwork::predict_fast`]: estimates every packed
-    /// observation's value through one batched forward pass per layer,
-    /// using internal scratch. Entry `i` is bit-identical to
-    /// [`ValueNetwork::predict`] on observation `i`.
-    pub fn predict_batch(&mut self, batch: &ObservationBatch) -> Vec<f64> {
-        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
-        let steps = &self.step_scratch.0;
-        let embedding = self.lstm.infer_batch(&[&steps[0], &steps[1]]);
-        let z = self.backbone.infer_batch(embedding);
-        let mut out = std::mem::take(&mut self.batch_out).0;
-        self.head.infer_batch_into(z, &mut out);
-        let values = out.data().to_vec();
-        self.batch_out = Scratch(out);
-        values
     }
 
     /// Estimates every packed observation's value through one batched

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::activation::relu_in_place;
 use crate::param::Param;
 use crate::scratch::Scratch;
-use crate::tensor::{matmul_nt, Tensor2};
+use crate::tensor::{matmul_nn_cols, with_scanned_cols, Tensor2};
 
 /// A fully connected layer `y = W x + b`.
 ///
@@ -107,20 +107,12 @@ impl Linear {
     ///
     /// Panics if `x.len()` does not match the input size.
     pub fn infer_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(x.len(), self.weight.cols, "matvec dimension mismatch");
-        // The kernel reads the storage as row-major, which a `Linear`
-        // weight always is (`Param::xavier`).
-        debug_assert!(!self.weight.is_input_major());
-        // No zero-fill: the kernel overwrites every element.
-        out.resize(self.weight.rows, 0.0);
-        matmul_nt(
-            x,
-            self.weight.value(),
-            1,
-            self.weight.rows,
-            self.weight.cols,
-            out,
-        );
+        let (rows, cols) = (self.weight.rows, self.weight.cols);
+        assert_eq!(x.len(), cols, "matvec dimension mismatch");
+        out.resize(rows, 0.0);
+        with_scanned_cols(x, 1, cols, |listed| {
+            matmul_nn_cols(x, self.weight.value(), 1, rows, cols, listed, out);
+        });
         for (yi, b) in out.iter_mut().zip(self.bias.value()) {
             *yi += b;
         }
@@ -405,13 +397,10 @@ mod tests {
         // Check a few weight entries.
         for (r, c) in [(0, 0), (1, 2), (0, 1)] {
             let mut perturbed = l.clone();
-            {
-                let mut params = perturbed.parameters_mut();
-                let idx = r * 3 + c;
-                params[0].value_mut()[idx] += eps;
-            }
+            let idx = l.parameters_mut()[0].storage_index(r, c);
+            perturbed.parameters_mut()[0].value_mut()[idx] += eps;
             let fd = (loss(&perturbed, &x) - base) / eps;
-            let analytic = l.parameters_mut()[0].grad()[r * 3 + c];
+            let analytic = l.parameters_mut()[0].grad()[idx];
             assert!(
                 (fd - analytic).abs() < 1e-4,
                 "weight ({r},{c}): fd {fd} vs {analytic}"

@@ -21,14 +21,14 @@
 //! non-zero columns of `x` and of `h` once for its four gate products, the
 //! backward pass lists each sample's own once for the four gates' `W`/`U`
 //! gradient accumulation, and both contract over the lists alone,
-//! bit-identically (proof in [`crate::tensor`]). Each gate's `W` is stored
-//! input-major (see [`crate::param`]), so a listed input column is one
-//! contiguous run of `hidden` weights, read whole by the forward product
-//! and written whole by the gradient accumulation. An input that arrives as
-//! its non-zero list ([`Lstm::infer_nonzeros`]) skips the listing, and a
-//! first step that repeats the previous call's skips the step: a one-entry
-//! memo keeps the state it left until the weights are next handed out for
-//! writing ([`Lstm::parameters_mut`]).
+//! bit-identically (proof in [`crate::tensor`]). Every weight is stored
+//! input-major (see [`crate::param`]), so a listed input column of `W` or
+//! `U` is one contiguous run of `hidden` weights, read whole by the forward
+//! product and written whole by the gradient accumulation. An input that
+//! arrives as its non-zero list ([`Lstm::infer_nonzeros`]) skips the
+//! listing, and a first step that repeats the previous call's skips the
+//! step: a one-entry memo keeps the state it left until the weights are
+//! next handed out for writing ([`Lstm::parameters_mut`]).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -129,11 +129,9 @@ pub struct Lstm {
 
 impl Lstm {
     /// Creates an LSTM with Xavier-initialized weights and a forget-gate
-    /// bias of 1 (the usual initialization that helps gradient flow). The
-    /// input matrices `W` are stored input-major, the rest row-major; the
-    /// draws are the same either way.
+    /// bias of 1 (the usual initialization that helps gradient flow).
     pub fn new<R: Rng>(input_size: usize, hidden_size: usize, rng: &mut R) -> Self {
-        let w = std::array::from_fn(|_| Param::xavier_input_major(hidden_size, input_size, rng));
+        let w = std::array::from_fn(|_| Param::xavier(hidden_size, input_size, rng));
         let u = std::array::from_fn(|_| Param::xavier(hidden_size, hidden_size, rng));
         let mut b: [Param; 4] = std::array::from_fn(|_| Param::zeros(hidden_size, 1));
         b[1].value_mut().fill(1.0);

@@ -30,23 +30,22 @@
 //! # Storage-order rule
 //!
 //! A `Param` is logically a `rows x cols` matrix (outputs x inputs for a
-//! weight) whatever order its buffers are stored in, and the constructor
-//! fixes that order once. Every parameter is row-major except an LSTM's
-//! input matrices `W` ([`Param::xavier_input_major`]): those are
-//! **input-major**, `(row, col)` at `col * rows + row`, so that the
-//! product over an observation's ~24 listed columns reads one contiguous
-//! run of `rows` weights per column instead of one weight per cache line
-//! (the kernels are in [`crate::tensor`]).
+//! weight), and every one is stored **input-major**: `(row, col)` at
+//! `col * rows + row`, one contiguous run of `rows` weights per input. The
+//! forward product then streams one run per input column — per listed
+//! column when the input is a sparse observation or a ReLU output — instead
+//! of gathering one weight from each of `rows` rows (the kernels are in
+//! [`crate::tensor`]). A vector (`rows x 1` or `1 x cols`) reads the same
+//! in either order.
 //!
 //! * **Logical order** — the layout does not show: `rows` / `cols`,
 //!   [`Param::at`], [`Param::add_grad`], [`Param::set_value`],
 //!   [`Param::logical_values`], [`Param::logical_grad`], the reference
 //!   loops ([`Param::matvec`], [`Param::matvec_transposed`],
 //!   [`Param::add_outer_to_grad`]), the batched products, and
-//!   [`Param::grad_norm_squared`], which folds row by row so the clip
-//!   scale's bits do not depend on the layout. Each output of a product
-//!   and each gradient element gets the same sequence of operations in
-//!   either layout, so the layout changes no bit anywhere.
+//!   [`Param::grad_norm_squared`], which folds row by row. Each output of
+//!   a product and each gradient element is the same sequence of
+//!   operations as the row-major reference loops perform.
 //! * **Storage order** — the buffers as stored: [`Param::value`],
 //!   [`Param::value_mut`], [`Param::grad`], [`Param::grad_mut`],
 //!   [`Param::value_and_grad_mut`], [`Param::scale_grad`] and
@@ -62,38 +61,25 @@ use serde::{Deserialize, Serialize};
 
 use crate::scratch::Scratch;
 use crate::tensor::{
-    add_matmul_tn_rev, matmul_nn, matmul_nn_cols, matmul_nt, matmul_nt_cols, with_scanned_cols,
-    ActiveCols, Tensor2,
+    add_matmul_tn_rev, matmul_nn_cols, matmul_nt, with_scanned_cols, ActiveCols, Tensor2,
 };
 
-/// Logical rows [`Param::xavier_input_major`] draws before writing them.
+/// Logical rows [`Param::xavier`] draws before writing them.
 const XAVIER_BLOCK: usize = 8;
-
-/// The order a [`Param`]'s buffers are stored in (see the
-/// [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum Layout {
-    /// `(row, col)` at `row * cols + col`.
-    RowMajor,
-    /// `(row, col)` at `col * rows + row`.
-    InputMajor,
-}
 
 /// A trainable parameter: a dense matrix (or vector when `cols == 1`) with
 /// an accumulated gradient.
 ///
 /// Values are shared copy-on-write between clones; the gradient belongs to
-/// one instance. Both are stored row-major or input-major, as the
-/// constructor chose (see the [module docs](self)). Layers accumulate into
-/// the gradient during the backward pass; the optimizer consumes and
-/// clears it.
+/// one instance. Both are stored input-major (see the
+/// [module docs](self)). Layers accumulate into the gradient during the
+/// backward pass; the optimizer consumes and clears it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Param {
     /// Number of rows (output features for a weight matrix).
     pub rows: usize,
     /// Number of columns (input features for a weight matrix).
     pub cols: usize,
-    layout: Layout,
     /// Values in storage order, shared with every clone until one of them
     /// writes.
     value: Arc<Vec<f64>>,
@@ -107,26 +93,15 @@ impl Param {
         Self::from_values(rows, cols, vec![0.0; rows * cols])
     }
 
-    /// Creates a row-major parameter with Xavier/Glorot-uniform
-    /// initialization, drawing the values in logical order.
-    pub fn xavier<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Self {
-        let limit = (6.0 / (rows + cols) as f64).sqrt();
-        let value = (0..rows * cols)
-            .map(|_| rng.gen_range(-limit..limit))
-            .collect();
-        Self::from_values(rows, cols, value)
-    }
-
-    /// [`Param::xavier`] stored input-major: the same draws in the same
-    /// order, each put in its place. For a weight whose input is a short
-    /// list of non-zero columns of a wide vector (an LSTM's `W`).
+    /// Creates a parameter with Xavier/Glorot-uniform initialization,
+    /// drawing the values in logical order and putting each in its place.
     ///
     /// The draws are staged `XAVIER_BLOCK` logical rows at a time, so
     /// each input's run takes them as one contiguous write: at 128 x 3252
-    /// one scattered write per draw took 1.8x [`Param::xavier`]'s time,
-    /// the staged writes about 1.05x. The stage holds 8 rows (208 KB at
-    /// 3252 inputs), not a row-major copy of the matrix.
-    pub fn xavier_input_major<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Self {
+    /// one scattered write per draw took 1.8x the time of writing the draws
+    /// in order, the staged writes about 1.05x. The stage holds 8 rows
+    /// (208 KB at 3252 inputs), not a row-major copy of the matrix.
+    pub fn xavier<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Self {
         let limit = (6.0 / (rows + cols) as f64).sqrt();
         let mut value = vec![0.0; rows * cols];
         let mut stage = Vec::with_capacity(XAVIER_BLOCK.min(rows) * cols);
@@ -140,26 +115,17 @@ impl Param {
                 }
             }
         }
-        Self {
-            layout: Layout::InputMajor,
-            ..Self::from_values(rows, cols, value)
-        }
+        Self::from_values(rows, cols, value)
     }
 
+    /// A parameter over `value`, given in storage order.
     fn from_values(rows: usize, cols: usize, value: Vec<f64>) -> Self {
         Self {
             rows,
             cols,
-            layout: Layout::RowMajor,
             value: Arc::new(value),
             grad: Scratch::default(),
         }
-    }
-
-    /// Whether the buffers are stored input-major (see the
-    /// [module docs](self)).
-    pub fn is_input_major(&self) -> bool {
-        self.layout == Layout::InputMajor
     }
 
     /// Position of `(row, col)` in the storage-order slices
@@ -170,10 +136,7 @@ impl Param {
     /// Panics if the indices are out of range.
     pub fn storage_index(&self, row: usize, col: usize) -> usize {
         assert!(row < self.rows && col < self.cols, "index out of range");
-        match self.layout {
-            Layout::RowMajor => row * self.cols + col,
-            Layout::InputMajor => col * self.rows + row,
-        }
+        col * self.rows + row
     }
 
     /// The values in storage order; for elementwise readers only.
@@ -187,27 +150,21 @@ impl Param {
         Arc::make_mut(&mut self.value).as_mut_slice()
     }
 
-    /// Replaces the values with `value`, given in logical order: the buffer
-    /// itself when row-major, an input-major copy of it otherwise. Clones
-    /// keep the old buffer.
+    /// Replaces the values with `value`, given in logical order, by an
+    /// input-major copy of it. Clones keep the old buffer.
     ///
     /// # Panics
     ///
     /// Panics if `value.len()` does not match the parameter's.
     pub fn set_value(&mut self, value: Vec<f64>) {
         assert_eq!(value.len(), self.len(), "value length mismatch");
-        self.value = Arc::new(match self.layout {
-            Layout::RowMajor => value,
-            Layout::InputMajor => {
-                let mut stored = vec![0.0; value.len()];
-                for (r, row) in value.chunks_exact(self.cols.max(1)).enumerate() {
-                    for (c, v) in row.iter().enumerate() {
-                        stored[c * self.rows + r] = *v;
-                    }
-                }
-                stored
+        let mut stored = vec![0.0; value.len()];
+        for (r, row) in value.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                stored[c * self.rows + r] = *v;
             }
-        });
+        }
+        self.value = Arc::new(stored);
     }
 
     /// `buf` (this parameter's value or gradient buffer, or the empty
@@ -218,11 +175,7 @@ impl Param {
         } else {
             (self.rows, self.cols)
         };
-        let (row_step, col_step) = match self.layout {
-            Layout::RowMajor => (cols, 1),
-            Layout::InputMajor => (1, rows),
-        };
-        (0..rows).flat_map(move |r| (0..cols).map(move |c| buf[r * row_step + c * col_step]))
+        (0..rows).flat_map(move |r| (0..cols).map(move |c| buf[c * rows + r]))
     }
 
     /// The values in logical order: `(row, col)` at position
@@ -364,61 +317,31 @@ impl Param {
     ///
     /// Panics if `y.len() != rows` or `x.len() != cols`.
     pub fn add_outer_to_grad(&mut self, y: &[f64], x: &[f64]) {
-        assert_eq!(y.len(), self.rows, "outer product row mismatch");
-        assert_eq!(x.len(), self.cols, "outer product col mismatch");
-        let (rows, cols, layout) = (self.rows, self.cols, self.layout);
-        let grad = self.grad_mut();
-        // One `+=` per element: the order elements are visited in is free.
-        match layout {
-            Layout::RowMajor => {
-                for (r, yr) in y.iter().enumerate() {
-                    let row = &mut grad[r * cols..(r + 1) * cols];
-                    for (g, xc) in row.iter_mut().zip(x) {
-                        *g += yr * xc;
-                    }
-                }
-            }
-            Layout::InputMajor => {
-                for (c, xc) in x.iter().enumerate() {
-                    let run = &mut grad[c * rows..(c + 1) * rows];
-                    for (g, yr) in run.iter_mut().zip(y) {
-                        *g += yr * xc;
-                    }
-                }
-            }
-        }
+        self.add_outer_over(y, x, 0..x.len());
     }
 
     /// [`Param::add_outer_to_grad`] over the listed columns of `x` only
-    /// (`cols` scanned from `x`, or from a batch holding it as a row);
-    /// input-major, one contiguous run of `rows` per listed column.
-    /// Bit-identical:
-    /// every skipped product is `±0.0`, and a gradient that started at
-    /// `+0.0` holds no `-0.0` for it to change (see [`crate::tensor`]).
+    /// (`cols` scanned from `x`, or from a batch holding it as a row), one
+    /// contiguous run of `rows` per listed column. Bit-identical: every
+    /// skipped product is `±0.0`, and a gradient that started at `+0.0`
+    /// holds no `-0.0` for it to change (see [`crate::tensor`]).
     pub(crate) fn add_outer_to_grad_cols(&mut self, y: &[f64], x: &[f64], cols: &ActiveCols) {
-        let Some(idx) = cols.sparse() else {
-            return self.add_outer_to_grad(y, x);
-        };
+        match cols.sparse() {
+            Some(idx) => self.add_outer_over(y, x, idx.iter().map(|&c| c as usize)),
+            None => self.add_outer_to_grad(y, x),
+        }
+    }
+
+    /// Adds `y * x[c]` to the run of input `c`, for each `c` of `listed`.
+    fn add_outer_over(&mut self, y: &[f64], x: &[f64], listed: impl Iterator<Item = usize>) {
         assert_eq!(y.len(), self.rows, "outer product row mismatch");
         assert_eq!(x.len(), self.cols, "outer product col mismatch");
-        let (rows, width, layout) = (self.rows, self.cols, self.layout);
+        let rows = self.rows;
         let grad = self.grad_mut();
-        match layout {
-            Layout::RowMajor => {
-                for (r, yr) in y.iter().enumerate() {
-                    let row = &mut grad[r * width..(r + 1) * width];
-                    for &c in idx {
-                        row[c as usize] += yr * x[c as usize];
-                    }
-                }
-            }
-            Layout::InputMajor => {
-                for &c in idx {
-                    let (c, xc) = (c as usize, x[c as usize]);
-                    for (g, yr) in grad[c * rows..(c + 1) * rows].iter_mut().zip(y) {
-                        *g += yr * xc;
-                    }
-                }
+        for c in listed {
+            let xc = x[c];
+            for (g, yr) in grad[c * rows..(c + 1) * rows].iter_mut().zip(y) {
+                *g += yr * xc;
             }
         }
     }
@@ -444,11 +367,7 @@ impl Param {
     pub(crate) fn matmul_batch_cols_into(&self, x: &Tensor2, cols: &ActiveCols, out: &mut Tensor2) {
         assert_eq!(x.cols(), self.cols, "matmul_batch dimension mismatch");
         out.reshape_for_overwrite(x.rows(), self.rows);
-        let kernel = match self.layout {
-            Layout::RowMajor => matmul_nt_cols,
-            Layout::InputMajor => matmul_nn_cols,
-        };
-        kernel(
+        matmul_nn_cols(
             x.data(),
             &self.value,
             x.rows(),
@@ -468,7 +387,8 @@ impl Param {
 
     /// Batched transposed product `y * value` (`y` is one upstream gradient
     /// per row): row `i` is bit-identical to
-    /// [`Param::matvec_transposed`]`(y.row(i))`. Writes into `out`,
+    /// [`Param::matvec_transposed`]`(y.row(i))`. The storage is `value^T`
+    /// row-major, so this is [`matmul_nt`] against it. Writes into `out`,
     /// resizing it to `y.rows() x self.cols`.
     ///
     /// # Panics
@@ -481,11 +401,7 @@ impl Param {
             "matmul_batch_transposed dimension mismatch"
         );
         out.reshape_for_overwrite(y.rows(), self.cols);
-        let kernel = match self.layout {
-            Layout::RowMajor => matmul_nn,
-            Layout::InputMajor => matmul_nt,
-        };
-        kernel(
+        matmul_nt(
             y.data(),
             &self.value,
             y.rows(),
@@ -506,7 +422,10 @@ impl Param {
     /// gradient for `b` from the **last** batch row down to the first —
     /// bit-identical to calling [`Param::add_outer_to_grad`] once per row
     /// in reverse order, which is the order a per-sample backward replay
-    /// visits a minibatch (layer caches are stacks).
+    /// visits a minibatch (layer caches are stacks). Stored input-major,
+    /// the gradient is the transposed product `x^T y`: the same products
+    /// (operands swapped, which IEEE multiplication ignores) added in the
+    /// same descending batch order.
     ///
     /// # Panics
     ///
@@ -516,18 +435,12 @@ impl Param {
         assert_eq!(y.rows(), x.rows(), "outer product batch mismatch");
         assert_eq!(y.cols(), self.rows, "outer product row mismatch");
         assert_eq!(x.cols(), self.cols, "outer product col mismatch");
-        // Input-major, the gradient is the transposed product: the same
-        // products (operands swapped, which IEEE multiplication ignores)
-        // added in the same descending batch order.
-        let (a, b, m, n) = match self.layout {
-            Layout::RowMajor => (y, x, self.rows, self.cols),
-            Layout::InputMajor => (x, y, self.cols, self.rows),
-        };
-        add_matmul_tn_rev(a.data(), b.data(), y.rows(), m, n, self.grad_mut());
+        let (rows, cols) = (self.rows, self.cols);
+        add_matmul_tn_rev(x.data(), y.data(), x.rows(), cols, rows, self.grad_mut());
     }
 
     /// Squared L2 norm of the gradient (used for gradient clipping), folded
-    /// in logical order whatever the layout; `+0.0` for a
+    /// in logical order, row by row; `+0.0` for a
     /// never-materialised gradient. Seeded from `+0.0`: squares are never
     /// `-0.0`, so this is bit-identical to `Iterator::sum` whenever there
     /// is anything to add.
@@ -599,10 +512,11 @@ mod tests {
     #[test]
     fn outer_product_grad_accumulation() {
         let mut p = Param::zeros(2, 2);
+        let logical = |p: &Param| p.logical_grad().collect::<Vec<_>>();
         p.add_outer_to_grad(&[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(p.grad(), [3.0, 4.0, 6.0, 8.0]);
+        assert_eq!(logical(&p), [3.0, 4.0, 6.0, 8.0]);
         p.add_outer_to_grad(&[1.0, 0.0], &[1.0, 1.0]);
-        assert_eq!(p.grad(), [4.0, 5.0, 6.0, 8.0]);
+        assert_eq!(logical(&p), [4.0, 5.0, 6.0, 8.0]);
         p.zero_grad();
         assert_eq!(p.grad(), [0.0; 4]);
     }

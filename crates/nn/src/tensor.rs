@@ -10,28 +10,32 @@
 //! the same ascending order — so a batched product is **bit-for-bit
 //! identical, row by row, to the per-vector loops** for every batch size
 //! (property-tested). That is what lets the whole stack (layers, heads,
-//! PPO, beam search) batch without perturbing a single determinism test.
+//! PPO) batch without perturbing a single determinism test.
 //!
 //! Why tiling wins even without SIMD reassociation: a lone dot product is
-//! latency-bound on its single accumulator chain. A 4x4 register tile runs
-//! sixteen independent chains side by side; a lone row (batch-1 inference,
-//! or the rows left over below a 4-row band) runs 1x8 tiles, eight chains.
+//! latency-bound on its single accumulator chain; a register tile runs
+//! many independent chains side by side.
 //!
-//! A weight stored input-major (an LSTM's `W`, see [`crate::param`]) is
-//! the right operand of `matmul_nn_cols` instead: its tiles cover
-//! *contiguous* outputs (4x8 over a band, 1x16 for a lone row), so each
-//! listed input column is one contiguous run of weights. The chains and
-//! the order they add in are the same, so are the bits.
+//! Every weight is stored input-major (see [`crate::param`]), so a forward
+//! product's right operand holds one contiguous run of outputs per input
+//! and `matmul_nn_cols` tiles *contiguous* outputs: 4x8 over a 4-row band,
+//! 1x16 for a lone row (batch-1 inference, or the rows left over below a
+//! band), `R`x1 over the output columns left below a full tile. Each listed
+//! input streams one run of weights per tile instead of gathering one
+//! weight from each of the tile's rows. The input-gradient product reads
+//! the same storage as a row-major `b` of [`matmul_nt`] (4x4 and 1x8
+//! dot-product tiles), and weight gradients accumulate through
+//! [`add_matmul_tn_rev`].
 //!
 //! # Contracting over the non-zero columns only
 //!
 //! The paper's observation vector is under 2 % dense (zero-padded access
 //! matrices, a one-hot action history), the first LSTM step's hidden state
-//! is all zeros, and a ReLU output is about half zeros. [`matmul_nt`]
-//! therefore lists — once per call, ascending, into reused scratch — the
+//! is all zeros, and a ReLU output is about half zeros. The products
+//! therefore list — once per call, ascending, into reused scratch — the
 //! columns of the left operand that are non-zero in at least one row, and
-//! when at most half the columns are listed it contracts over the list
-//! only. Otherwise it runs the dense loop. The choice is made from the
+//! when at most half the columns are listed they contract over the list
+//! only. Otherwise they run the dense loop. The choice is made from the
 //! input itself; there is no switch. A caller that already holds the list
 //! (an observation is stored as its non-zeros) hands it over instead of
 //! having it found again ([`crate::Lstm::infer_nonzeros`]): same list,
@@ -263,35 +267,6 @@ impl Tensor2 {
             &mut out.data,
         );
     }
-
-    /// `self * rhs`: `(M x K) * (K x N) -> M x N`.
-    ///
-    /// Row `i` of the result is exactly `rhs.matvec_transposed(self.row(i))`
-    /// bit for bit (the batched **input-gradient** product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul_nn(&self, rhs: &Tensor2) -> Tensor2 {
-        let mut out = Tensor2::zeros(self.rows, rhs.cols);
-        self.matmul_nn_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Tensor2::matmul_nn`] into a caller-provided tensor (resized to
-    /// `M x N`).
-    pub fn matmul_nn_into(&self, rhs: &Tensor2, out: &mut Tensor2) {
-        assert_eq!(self.cols, rhs.rows, "matmul_nn contraction mismatch");
-        out.reshape_for_overwrite(self.rows, rhs.cols);
-        matmul_nn(
-            &self.data,
-            &rhs.data,
-            self.rows,
-            rhs.cols,
-            self.cols,
-            &mut out.data,
-        );
-    }
 }
 
 /// The columns of a left operand worth contracting over: the ascending
@@ -368,8 +343,9 @@ impl ActiveCols {
 }
 
 thread_local! {
-    /// Column-list scratch for [`matmul_nt`] calls that bring no list of
-    /// their own (every `Linear` layer), so they stay allocation-free.
+    /// Column-list scratch for products that bring no list of their own
+    /// (every `Linear` layer, the transposed products), so they stay
+    /// allocation-free.
     static SCAN_SCRATCH: RefCell<ActiveCols> = RefCell::new(ActiveCols::default());
 }
 
@@ -515,8 +491,9 @@ fn tiled<T: Tile, const BAND_C: usize, const ROW_C: usize, I>(
 
 /// `out = a * b^T` where `a` is `m x k`, `b` is `n x k`, `out` is `m x n`,
 /// all row-major. Each output element is one sequential sum over ascending
-/// `p` seeded from `+0.0` (bit-identical to [`crate::Param::matvec`] per
-/// row); the `m`/`n` dimensions are register-tiled for instruction-level
+/// `p` seeded from `+0.0` (bit-identical per row to
+/// [`crate::Param::matvec_transposed`] when `b` is a `Param`'s input-major
+/// storage); the `m`/`n` dimensions are register-tiled for instruction-level
 /// parallelism. When at most half of `a`'s columns hold a non-zero, only
 /// those are contracted over — same bits for finite `b`, see the
 /// [module docs](self).
@@ -604,33 +581,6 @@ pub(crate) fn matmul_nn_cols(
                 tiled::<RunTile, RUN_NR, RUN_ROW_NR, _>(a, b, (m, n, k), block, out);
             }
         }
-    }
-}
-
-/// `out = a * b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`,
-/// all row-major. Accumulation runs over `p = 0..k` in ascending order with
-/// one running accumulator per output element — bit-identical to
-/// [`crate::Param::matvec_transposed`] per row. The kernel streams whole
-/// rows of `b` (contiguous) while keeping an `MR`-row band of `out` hot.
-pub fn matmul_nn(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, out: &mut [f64]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    out.iter_mut().for_each(|o| *o = 0.0);
-    let mut i = 0;
-    while i < m {
-        let mh = MR.min(m - i);
-        for p in 0..k {
-            let brow = &b[p * n..(p + 1) * n];
-            for r in 0..mh {
-                let av = a[(i + r) * k + p];
-                let orow = &mut out[(i + r) * n..(i + r + 1) * n];
-                for (slot, bv) in orow.iter_mut().zip(brow) {
-                    *slot += av * bv;
-                }
-            }
-        }
-        i += mh;
     }
 }
 
@@ -739,7 +689,7 @@ mod tests {
         for (m, n, k) in [(1, 7, 5), (4, 4, 9), (5, 6, 3), (16, 9, 17), (3, 12, 1)] {
             let a = random_tensor(m, k, &mut rng);
             let w = random_param(n, k, &mut rng);
-            let wt = Tensor2::from_flat(n, k, w.value().to_vec());
+            let wt = Tensor2::from_flat(n, k, w.logical_values().collect());
             let out = a.matmul_nt(&wt);
             for i in 0..m {
                 assert_eq!(out.row(i), w.matvec(a.row(i)).as_slice(), "row {i}");
@@ -748,13 +698,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nn_matches_per_row_matvec_transposed_bitwise() {
+    fn transposed_product_matches_per_row_matvec_transposed_bitwise() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         for (m, n, k) in [(1, 5, 4), (4, 4, 4), (6, 10, 7), (13, 3, 8)] {
             let a = random_tensor(m, k, &mut rng);
             let w = random_param(k, n, &mut rng);
-            let wt = Tensor2::from_flat(k, n, w.value().to_vec());
-            let out = a.matmul_nn(&wt);
+            let out = w.matmul_batch_transposed(&a);
             for i in 0..m {
                 assert_eq!(
                     out.row(i),
@@ -772,14 +721,15 @@ mod tests {
             let dy = random_tensor(bsz, m, &mut rng);
             let x = random_tensor(bsz, n, &mut rng);
             // Reference: per-sample add_outer_to_grad in reverse batch order,
-            // starting from a non-zero accumulator.
+            // starting from a non-zero accumulator. The `m x n` gradient is
+            // stored input-major, i.e. as the `n x m` product `x^T dy`.
             let mut reference = random_param(m, n, &mut rng);
             let mut batched: Vec<f64> = (0..m * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
             reference.grad_mut().copy_from_slice(&batched);
             for p in (0..bsz).rev() {
                 reference.add_outer_to_grad(dy.row(p), x.row(p));
             }
-            add_matmul_tn_rev(dy.data(), x.data(), bsz, m, n, &mut batched);
+            add_matmul_tn_rev(x.data(), dy.data(), bsz, n, m, &mut batched);
             assert_eq!(batched, reference.grad(), "bsz={bsz} m={m} n={n}");
         }
     }

@@ -2,13 +2,12 @@
 //! only (see `mlir_rl_nn::tensor`). These properties hold them, bit for
 //! bit, to plain sequential references that multiply every zero: a
 //! hand-written dot product for the forward kernel, and a single-sample
-//! LSTM written over the dense loops of row-major `Param`s (`matvec`,
+//! LSTM written over the plain loops of `Param` (`matvec`,
 //! `matvec_transposed`, `add_outer_to_grad`) for the layer's forward, its
-//! weight-gradient accumulation and its batched backward. The LSTM's own
-//! `W` is stored input-major, so that comparison also holds the
-//! input-major kernels to the row-major loops; a separate property holds
-//! an input-major `Param` to its row-major twin entry point by entry
-//! point.
+//! weight-gradient accumulation and its batched backward. Every `Param` is
+//! stored input-major, so a separate property holds each kernel-backed
+//! entry point of one to those plain loops, and its Xavier draws to the
+//! plain sequence of draws in logical order.
 
 use mlir_rl_nn::tensor::matmul_nt;
 use mlir_rl_nn::{sigmoid_in_place, tanh_in_place, Lstm, Param, Tensor2};
@@ -88,25 +87,18 @@ struct ReferenceStep {
     tanh_c: Vec<f64>,
 }
 
-/// A row-major `Param` holding `p`'s logical values.
-fn row_major_twin(p: &Param) -> Param {
-    let mut twin = Param::zeros(p.rows, p.cols);
-    twin.set_value(p.logical_values().collect());
-    twin
-}
-
 fn logical_bits(values: impl Iterator<Item = f64>) -> Vec<u64> {
     values.map(f64::to_bits).collect()
 }
 
 impl ReferenceLstm {
-    /// Row-major copies of `lstm`'s parameters.
+    /// Copies of `lstm`'s parameters.
     fn of(lstm: &Lstm) -> Self {
         let mut params: Vec<Param> = lstm
             .clone()
             .parameters_mut()
             .into_iter()
-            .map(|p| row_major_twin(p))
+            .map(|p| p.clone())
             .collect();
         let b = params.split_off(8);
         let u = params.split_off(4);
@@ -234,22 +226,23 @@ proptest! {
         let m = BATCHES[batch];
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let x = sparse_batch(m, k, active_columns(k, density), &mut rng);
+        let row_major = random_values(n * k, &mut rng);
         let mut w = Param::zeros(n, k);
-        w.set_value(random_values(n * k, &mut rng));
+        w.set_value(row_major.clone());
 
         let mut expected = vec![0.0; m * n];
         for r in 0..m {
             for j in 0..n {
                 let mut acc = 0.0;
                 for p in 0..k {
-                    acc += x.row(r)[p] * w.value()[j * k + p];
+                    acc += x.row(r)[p] * row_major[j * k + p];
                 }
                 expected[r * n + j] = acc;
             }
         }
 
         let mut raw = vec![f64::NAN; m * n];
-        matmul_nt(x.data(), w.value(), m, n, k, &mut raw);
+        matmul_nt(x.data(), &row_major, m, n, k, &mut raw);
         prop_assert_eq!(bits(&raw), bits(&expected), "matmul_nt m={} n={} k={}", m, n, k);
         let batched = w.matmul_batch(&x);
         prop_assert_eq!(bits(batched.data()), bits(&expected));
@@ -279,8 +272,11 @@ proptest! {
         ];
         let grad_h = Tensor2::from_flat(m, hidden, random_values(m * hidden, &mut rng));
         let mut lstm = Lstm::new(input, hidden, &mut rng);
-        let layouts: Vec<bool> = lstm.parameters_mut().iter().map(|p| p.is_input_major()).collect();
-        prop_assert_eq!(layouts, [[true; 4], [false; 4], [false; 4]].concat(), "only W is input-major");
+        for p in lstm.parameters_mut() {
+            let corners = [(p.rows - 1, 0), (0, p.cols - 1)];
+            let at = corners.map(|(r, c)| p.storage_index(r, c));
+            prop_assert_eq!(at, corners.map(|(r, c)| c * p.rows + r), "every weight matrix is input-major");
+        }
         let mut reference = ReferenceLstm::of(&lstm);
 
         // Forward, sample by sample, and the reference's backward in the
@@ -336,13 +332,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// An input-major `Param` and a row-major one holding the same logical
-    /// values agree bit for bit on every entry point: the Xavier draws,
-    /// the forward products, the input gradients, gradient accumulation
-    /// (the LSTM property above covers accumulation over listed columns),
-    /// the gradient norm and the reference loops.
+    /// A `Param` (stored input-major) agrees bit for bit with the plain
+    /// reference loops on every entry point: the Xavier draws against the
+    /// plain sequence of draws in logical order, the forward products and
+    /// input gradients against `matvec` / `matvec_transposed`, gradient
+    /// accumulation against one `+=` per element in the reverse batch order
+    /// of `add_outer_to_grad` (the LSTM property above covers accumulation
+    /// over listed columns), and the norm and scale against the same folds
+    /// over a logical-order copy.
     #[test]
-    fn an_input_major_param_computes_what_its_row_major_twin_does(
+    fn a_param_computes_what_the_reference_loops_do(
         batch in 0usize..5,
         n in 1usize..21,
         k in 1usize..90,
@@ -353,54 +352,52 @@ proptest! {
         let m = BATCHES[batch];
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let draws = rng.gen::<u64>();
-        let mut input_major = Param::xavier_input_major(n, k, &mut ChaCha8Rng::seed_from_u64(draws));
-        let mut row_major = Param::xavier(n, k, &mut ChaCha8Rng::seed_from_u64(draws));
-        prop_assert!(input_major.is_input_major() && !row_major.is_input_major());
-        prop_assert_eq!(
-            logical_bits(input_major.logical_values()),
-            bits(row_major.value()),
-            "the same draws in the same order"
-        );
-        prop_assert_eq!(input_major.at(n - 1, 0).to_bits(), row_major.at(n - 1, 0).to_bits());
+        let mut p = Param::xavier(n, k, &mut ChaCha8Rng::seed_from_u64(draws));
+        let limit = (6.0 / (n + k) as f64).sqrt();
+        let mut plain = ChaCha8Rng::seed_from_u64(draws);
+        let drawn: Vec<f64> = (0..n * k).map(|_| plain.gen_range(-limit..limit)).collect();
+        prop_assert_eq!(logical_bits(p.logical_values()), bits(&drawn), "the draws in logical order");
+        prop_assert_eq!(p.at(n - 1, 0).to_bits(), drawn[(n - 1) * k].to_bits());
         // A loaded image lands in logical order too.
         let image = random_values(n * k, &mut rng);
-        input_major.set_value(image.clone());
-        row_major.set_value(image.clone());
-        prop_assert_eq!(logical_bits(input_major.logical_values()), bits(&image));
+        p.set_value(image.clone());
+        prop_assert_eq!(logical_bits(p.logical_values()), bits(&image));
 
         // Forward: batched and per row, `-0.0` among the zeros.
         let x = sparse_batch(m, k, active_columns(k, x_density), &mut rng);
-        let forward = input_major.matmul_batch(&x);
-        prop_assert_eq!(bits(forward.data()), bits(row_major.matmul_batch(&x).data()), "forward m={} n={} k={}", m, n, k);
+        let forward = p.matmul_batch(&x);
         for r in 0..m {
-            prop_assert_eq!(bits(&input_major.matvec(x.row(r))), bits(forward.row(r)));
+            prop_assert_eq!(bits(&p.matvec(x.row(r))), bits(forward.row(r)), "forward m={} n={} k={}", m, n, k);
         }
 
         // Input gradients.
         let y = sparse_batch(m, n, active_columns(n, y_density), &mut rng);
-        let grad_x = input_major.matmul_batch_transposed(&y);
-        prop_assert_eq!(bits(grad_x.data()), bits(row_major.matmul_batch_transposed(&y).data()));
+        let grad_x = p.matmul_batch_transposed(&y);
         for r in 0..m {
-            prop_assert_eq!(bits(&input_major.matvec_transposed(y.row(r))), bits(grad_x.row(r)));
-            prop_assert_eq!(bits(&row_major.matvec_transposed(y.row(r))), bits(grad_x.row(r)));
+            prop_assert_eq!(bits(&p.matvec_transposed(y.row(r))), bits(grad_x.row(r)));
         }
 
         // Gradient accumulation over all columns, batched then per row, and
-        // the norm folded from it.
-        for p in [&mut input_major, &mut row_major] {
-            p.zero_grad();
-            p.add_outer_batch_to_grad(&y, &x);
-            p.add_outer_to_grad(y.row(0), x.row(0));
-            p.add_grad(n - 1, k / 2, -0.75);
+        // the norm folded from it, against a logical-order buffer.
+        p.zero_grad();
+        p.add_outer_batch_to_grad(&y, &x);
+        p.add_outer_to_grad(y.row(0), x.row(0));
+        p.add_grad(n - 1, k / 2, -0.75);
+        let mut reference = vec![0.0; n * k];
+        for b in (0..m).rev().chain([0]) {
+            for (r, yr) in y.row(b).iter().enumerate() {
+                for (c, xc) in x.row(b).iter().enumerate() {
+                    reference[r * k + c] += yr * xc;
+                }
+            }
         }
-        prop_assert_eq!(logical_bits(input_major.logical_grad()), bits(row_major.grad()));
-        prop_assert_eq!(
-            input_major.grad_norm_squared().to_bits(),
-            row_major.grad_norm_squared().to_bits()
-        );
-        input_major.scale_grad(0.3);
-        row_major.scale_grad(0.3);
-        prop_assert_eq!(logical_bits(input_major.logical_grad()), bits(row_major.grad()));
+        reference[(n - 1) * k + k / 2] += -0.75;
+        prop_assert_eq!(logical_bits(p.logical_grad()), bits(&reference));
+        let norm = reference.iter().fold(0.0, |acc, g| acc + g * g);
+        prop_assert_eq!(p.grad_norm_squared().to_bits(), norm.to_bits());
+        p.scale_grad(0.3);
+        let scaled: Vec<f64> = reference.iter().map(|g| g * 0.3).collect();
+        prop_assert_eq!(logical_bits(p.logical_grad()), bits(&scaled));
     }
 }
 

@@ -18,23 +18,23 @@ use crate::searcher::{
 
 /// Beam search over the schedule space.
 ///
-/// At every step the **whole frontier** is ranked in one batched policy
-/// inference ([`PolicyModel::rank_actions_batch`]: per state, the greedy
-/// action first, then sampled candidates by descending log-probability —
-/// one blocked matmul per network layer for all live beam states instead
-/// of one forward pass per state and draw); children are scored with the
-/// cost model through the shared evaluation cache, and the best `width`
-/// children (lowest estimated time) survive. The search is seeded with the
+/// At every step the **whole frontier** is ranked through one
+/// [`PolicyModel::rank_actions_batch`] call: per state, the greedy action
+/// first, then sampled candidates by descending log-probability, from one
+/// batch-1 forward pass per state (not per draw), which keeps the
+/// embedding LSTM's producer memo and computes only the heads a draw
+/// reads — faster per state than one batched pass over the frontier, which
+/// keeps neither. Children are scored with the cost model through the
+/// shared evaluation cache, and the best `width` children (lowest
+/// estimated time) survive. The search is seeded with the
 /// plain greedy trajectory, so the outcome is **never worse than
 /// [`crate::GreedyPolicy`]**, and with `width == 1` the expansion is
 /// exactly the greedy action at every step — step-for-step identical to
-/// greedy decoding (property-tested; the batched ranking is bit-identical
-/// to ranking each state separately).
+/// greedy decoding (property-tested).
 ///
 /// The per-call RNG contract: each `rank_actions_batch` call consumes
 /// exactly the draws its oversampled ranking needs, in frontier order, and
-/// nothing in between — which is what keeps the batched frontier ranking
-/// bit-identical to ranking each state on its own.
+/// nothing in between — the draws of ranking each state on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BeamSearch {
     /// Beam width: surviving states per step *and* candidate actions ranked
@@ -120,10 +120,10 @@ impl<P: PolicyModel> Searcher<P> for BeamSearch {
                 None,
                 [depth as u64, beams.len() as u64, 0],
             );
-            // Rank the whole frontier in one batched policy inference. The
-            // policy RNG is consumed per state in beam order and the
-            // environment steps run afterwards in the same order as the
-            // historical per-state loop, so outcomes are bit-identical.
+            // Rank the whole frontier in one call. The policy RNG is
+            // consumed per state in beam order and the environment steps
+            // run afterwards in the same order as the historical
+            // per-state loop, so outcomes are bit-identical.
             let frontier: Vec<Observation> = beams
                 .iter()
                 .map(|beam| {

@@ -1,10 +1,12 @@
 //! Property tests for the batched tensor engine: every batched path
 //! (`forward_batch` / `infer_batch` / `backward_batch` on all three layer
-//! types, the batched policy/value heads, the batched PPO update and the
-//! batched candidate ranking) must be **bit-for-bit identical** to the same
+//! types, the batched policy/value heads and the batched PPO update) must
+//! be **bit-for-bit identical** to the same
 //! work done as k calls of one row each, replayed backwards against the
 //! stacked caches, and to the plain-loop `forward_inference` oracles —
-//! batching is a throughput knob, never a numerics change.
+//! batching is a throughput knob, never a numerics change. Frontier
+//! ranking is one batch-1 `rank_actions` per observation; its test holds it
+//! to the explicit loop.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -273,8 +275,8 @@ fn ppo_batched_update_is_bit_identical_to_per_sample_replay() {
     }
 }
 
-/// The value network's batched paths are bitwise equal to one-row calls
-/// and to the `predict` oracle, and batched backward accumulates the same
+/// The value network's batched forward is bitwise equal to one-row calls,
+/// to the `predict` oracle and to `predict_fast`, and batched backward accumulates the same
 /// gradients as the reverse-order one-row replay.
 #[test]
 fn value_network_batch_paths_match_serial() {
@@ -287,8 +289,6 @@ fn value_network_batch_paths_match_serial() {
     let batch = ObservationBatch::from_observations(obs_refs.iter().copied());
 
     let values = batched.forward_batch(&batch);
-    let predicted = batched.predict_batch(&batch);
-    assert_eq!(values, predicted);
     for (obs, v) in observations.iter().zip(&values) {
         let one_row = ObservationBatch::from_observations(std::iter::once(obs));
         assert_eq!(
@@ -316,8 +316,8 @@ fn value_network_batch_paths_match_serial() {
     }
 }
 
-/// Batched frontier ranking consumes the RNG per observation in order and
-/// is bitwise equal to looped `rank_actions`, for both policy types.
+/// Frontier ranking consumes the RNG per observation in order and is
+/// bitwise equal to looped `rank_actions`, for both policy types.
 #[test]
 fn rank_actions_batch_matches_looped_rank_actions() {
     let config = EnvConfig::small();

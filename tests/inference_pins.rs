@@ -162,7 +162,9 @@ impl PolicyModel for FrontierRecorder {
 #[test]
 fn beam_frontier_ranking_is_pinned() {
     // Width 40: a lone row runs two 1 x 16 tiles and eight 1 x 1
-    // remainder columns, a 4-row band five 4 x 8 tiles.
+    // remainder columns. The literal was computed when a frontier of four
+    // ran one batched pass (five 4 x 8 tiles per band), so it also holds
+    // the row-by-row ranking to that.
     let hyper = PolicyHyperparams {
         hidden_size: 40,
         backbone_layers: 3,
