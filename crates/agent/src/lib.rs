@@ -51,7 +51,7 @@ pub use policy::{
     permutation_log_prob, sample_permutation, ActionRecord, PolicyHyperparams, PolicyNetwork,
 };
 pub use ppo::{
-    collect_episode, collect_rollouts, compute_gae, default_rollout_workers, episode_seed,
+    collect_episode, collect_rollouts, compute_gae, default_rollout_workers, episode_seed, fan_out,
     GroupResult, InferenceGroup, InferenceMode, IterationStats, PolicyModel, PpoConfig, PpoTrainer,
     RolloutBatch, Trajectory, Transition,
 };

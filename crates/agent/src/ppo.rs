@@ -39,18 +39,19 @@
 //! Episode collection is handled by [`collect_rollouts`]: every episode of
 //! a batch gets its own RNG (and, when measurement noise is enabled, its
 //! own noise stream) derived deterministically from a base seed and the
-//! episode index. Because no state flows between episodes, the batch can be
-//! fanned out across `std::thread` workers — the caller is worker 0 on its
-//! own environment and networks, every further worker takes an environment
-//! duplicate, an inference-only snapshot of the policy and a value network
-//! clone, and each claims the next uncollected episode index from one
-//! shared counter until none is left — and the merged result is
-//! **bit-for-bit identical to serial collection** for a fixed seed, no
+//! episode index. Because no state flows between episodes, the batch fans
+//! out through [`fan_out`], the workspace's one claim loop — the caller is
+//! worker 0 on its own environment and networks, every further worker
+//! takes an environment duplicate, an inference-only snapshot of the policy
+//! and a value network clone, and each claims the next uncollected episode
+//! index from one shared counter until none is left — and the merged result
+//! is **bit-for-bit identical to serial collection** for a fixed seed, no
 //! matter the worker count or which thread collected which episode. The
-//! worker environments are handles onto the master environment's own
-//! sharded cost-model cache ([`OptimizationEnv::clone_sharing_cache`]), so
-//! the parallel hit-rate matches serial collection and warmth persists
-//! across iterations with no fold-back step.
+//! worker environments share the master environment's own sharded
+//! cost-model table ([`OptimizationEnv::clone_sharing_cache`]), so the
+//! parallel hit-rate matches serial collection and warmth persists across
+//! iterations with no fold-back step. The search crate's batch driver fans
+//! out through the same [`fan_out`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -325,12 +326,6 @@ impl PpoConfig {
         }
     }
 
-    /// Returns the configuration with the given rollout worker count.
-    pub fn with_rollout_workers(mut self, workers: usize) -> Self {
-        self.rollout_workers = workers.max(1);
-        self
-    }
-
     /// A scaled-down configuration for tests and the benchmark harness.
     pub fn small() -> Self {
         Self {
@@ -473,6 +468,70 @@ impl RolloutBatch {
     }
 }
 
+/// The one fan-out of the workspace: runs `job(state, index)` once for
+/// every index in `0..n` and returns the results in index order.
+///
+/// `states[0]` stays with the caller, which is worker 0 and claims indices
+/// on its own thread; every further state moves to a scoped thread named
+/// `<thread_name>-<w>`. Every thread claims the next unclaimed index from
+/// one shared counter until none is left, so no index runs twice and no
+/// thread idles while one remains; with a single state nothing is spawned
+/// and the caller's claim loop *is* the serial loop. Which thread runs
+/// which index depends on timing, so `job`'s result must depend on the
+/// index alone (not on what its state ran before) for the output to be the
+/// same at any thread count. [`collect_rollouts`] and the search crate's
+/// batch driver both fan out through here.
+///
+/// # Panics
+///
+/// Panics if `states` is empty, and if `job` panics on any thread: the
+/// other threads drain the counter, then the caller's own panic resumes,
+/// or else the first panicking spawned thread's, at its join.
+pub fn fan_out<S: Send, T: Send>(
+    n: usize,
+    thread_name: &str,
+    states: Vec<S>,
+    job: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    // `Relaxed`: the counter only hands out indices and publishes no data —
+    // results reach the caller through `join`.
+    let next = AtomicUsize::new(0);
+    let claim_all = |state: &mut S| {
+        let mut claimed = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                return claimed;
+            }
+            claimed.push((index, job(state, index)));
+        }
+    };
+    let mut states = states.into_iter();
+    let mut caller = states.next().expect("fan_out needs the caller's state");
+    let mut results = std::thread::scope(|scope| {
+        let handles: Vec<_> = states
+            .enumerate()
+            .map(|(w, mut state)| {
+                let claim_all = &claim_all;
+                std::thread::Builder::new()
+                    .name(format!("{thread_name}-{}", w + 1))
+                    .spawn_scoped(scope, move || claim_all(&mut state))
+                    .expect("failed to spawn a fan-out thread")
+            })
+            .collect();
+        let mut results = claim_all(&mut caller);
+        for handle in handles {
+            match handle.join() {
+                Ok(claimed) => results.extend(claimed),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        results
+    });
+    results.sort_unstable_by_key(|(index, _)| *index);
+    results.into_iter().map(|(_, result)| result).collect()
+}
+
 /// Collects one episode with a per-episode RNG (and noise stream) derived
 /// from `(base_seed, episode)`, making the episode independent of whatever
 /// was collected before it.
@@ -514,7 +573,7 @@ fn collect_seeded_episode<P: PolicyModel>(
 /// canonical post-batch state.
 ///
 /// Worker environments are [`OptimizationEnv::clone_sharing_cache`]
-/// duplicates of `env` — handles onto `env`'s own evaluation table — so
+/// duplicates of `env` — environments on `env`'s own evaluation table — so
 /// every estimate is computed at most once per batch (modulo benign races)
 /// and the warm table persists across batches with no fold-back step; the
 /// caller looks up in that same table through `env` itself. Because cached
@@ -523,9 +582,7 @@ fn collect_seeded_episode<P: PolicyModel>(
 ///
 /// # Panics
 ///
-/// Panics if collecting an episode panics on any thread: the caller's own
-/// panic resumes once the spawned workers have drained the counter, a
-/// spawned worker's surfaces as `"rollout worker panicked"`.
+/// Panics if collecting an episode panics on any thread (see [`fan_out`]).
 pub fn collect_rollouts<P: PolicyModel>(
     env: &mut OptimizationEnv,
     modules: &[&Module],
@@ -536,19 +593,21 @@ pub fn collect_rollouts<P: PolicyModel>(
     workers: usize,
 ) -> RolloutBatch {
     let n = modules.len();
-    let workers = workers.max(1).min(n.max(1));
-    // One claim loop for every thread, the caller included. `Relaxed`: the
-    // counter only hands out indices and publishes no data — trajectories
-    // reach the caller through `join`.
-    let next_episode = AtomicUsize::new(0);
-    let collect_claimed = |env: &mut OptimizationEnv, policy: &mut P, value: &mut ValueNetwork| {
-        let mut collected = Vec::new();
-        loop {
-            let episode = next_episode.fetch_add(1, Ordering::Relaxed);
-            if episode >= n {
-                return collected;
-            }
-            let trajectory = collect_seeded_episode(
+    // The worker environments look up in the master's table, so an
+    // estimate computed by any thread serves hits to every other within the
+    // same batch — the parallel hit-rate matches serial collection instead
+    // of every worker re-discovering the same schedules on a cold copy.
+    let mut forks: Vec<_> = (1..workers.max(1).min(n.max(1)))
+        .map(|_| (env.clone_sharing_cache(), policy.clone(), value.clone()))
+        .collect();
+    let mut states = vec![(&mut *env, policy, value)];
+    states.extend(forks.iter_mut().map(|(e, p, v)| (e, p, v)));
+    let trajectories = fan_out(
+        n,
+        "rollout-worker",
+        states,
+        |(env, policy, value), episode| {
+            collect_seeded_episode::<P>(
                 env,
                 modules[episode],
                 policy,
@@ -556,40 +615,9 @@ pub fn collect_rollouts<P: PolicyModel>(
                 greedy,
                 base_seed,
                 episode,
-            );
-            collected.push((episode, trajectory));
-        }
-    };
-
-    let mut collected = std::thread::scope(|scope| {
-        // The worker environments are handles onto the master's table, so
-        // an estimate computed by any thread serves hits to every other
-        // within the same batch — the parallel hit-rate matches serial
-        // collection instead of every worker re-discovering the same
-        // schedules on a cold copy.
-        let handles: Vec<_> = (1..workers)
-            .map(|worker| {
-                let mut worker_env = env.clone_sharing_cache();
-                let mut worker_policy = policy.clone();
-                let mut worker_value = value.clone();
-                let collect_claimed = &collect_claimed;
-                std::thread::Builder::new()
-                    .name(format!("rollout-worker-{worker}"))
-                    .spawn_scoped(scope, move || {
-                        collect_claimed(&mut worker_env, &mut worker_policy, &mut worker_value)
-                    })
-                    .expect("failed to spawn a rollout worker")
-            })
-            .collect();
-        let mut collected = collect_claimed(env, policy, value);
-        for handle in handles {
-            collected.extend(handle.join().expect("rollout worker panicked"));
-        }
-        collected
-    });
-    // Every index was claimed exactly once; merge by episode.
-    collected.sort_unstable_by_key(|(episode, _)| *episode);
-    let trajectories: Vec<Trajectory> = collected.into_iter().map(|(_, t)| t).collect();
+            )
+        },
+    );
 
     // Leave the master environment's noise stream in a canonical post-batch
     // state: it was last reseeded for whichever episode the caller claimed
@@ -1682,139 +1710,5 @@ mod tests {
         let epochs = trainer.config.update_epochs as u64;
         assert_eq!(trainer.policy_optimizer.steps(), epochs);
         assert_eq!(trainer.value_optimizer.steps(), epochs);
-    }
-
-    /// The caller's measurement-noise stream after a batch, observed as
-    /// the noisy baseline of one more reset.
-    fn next_noisy_baseline(env: &mut OptimizationEnv) -> u64 {
-        env.reset(small_dataset()[0].clone());
-        env.stats().baseline_s.to_bits()
-    }
-
-    #[test]
-    fn fan_out_battery_every_worker_count_collects_the_serial_batch() {
-        let dataset = small_dataset();
-        for noise_seed in [None, Some(11)] {
-            let mut config = EnvConfig::small();
-            config.noise_seed = noise_seed;
-            let collect = |episodes: usize, workers: usize| {
-                let mut env =
-                    OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
-                let hyper = PolicyHyperparams {
-                    hidden_size: 16,
-                    backbone_layers: 1,
-                };
-                let mut trainer = PpoTrainer::new(&config, hyper, tiny_ppo(), 5);
-                let modules: Vec<&Module> = dataset.iter().cycle().take(episodes).collect();
-                let batch = collect_rollouts(
-                    &mut env,
-                    &modules,
-                    &mut trainer.policy,
-                    &mut trainer.value,
-                    false,
-                    77,
-                    workers,
-                );
-                (batch, next_noisy_baseline(&mut env))
-            };
-            for episodes in [0, 1, 2, 7] {
-                let (serial, serial_noise) = collect(episodes, 1);
-                assert_eq!(serial.trajectories.len(), episodes);
-                for workers in [2, 3, 8] {
-                    let (parallel, parallel_noise) = collect(episodes, workers);
-                    assert_trajectories_identical(&serial.trajectories, &parallel.trajectories);
-                    assert_eq!(serial.total_lookups(), parallel.total_lookups());
-                    assert_eq!(
-                        serial_noise, parallel_noise,
-                        "{episodes} episodes, {workers} workers, noise {noise_seed:?}: \
-                         the caller's noise stream must not depend on the worker count"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A policy that panics at the first step of one chosen episode,
-    /// recognised by the first draw of that episode's RNG.
-    #[derive(Clone)]
-    struct PanicsOnEpisode {
-        inner: PolicyNetwork,
-        first_draw: u64,
-    }
-
-    impl PolicyModel for PanicsOnEpisode {
-        fn select_action(
-            &mut self,
-            obs: &Observation,
-            greedy: bool,
-            rng: &mut ChaCha8Rng,
-        ) -> ActionRecord {
-            assert!(
-                rng.clone().gen::<u64>() != self.first_draw,
-                "poisoned episode"
-            );
-            self.inner.select_action(obs, greedy, rng)
-        }
-        fn evaluate_batch(
-            &mut self,
-            batch: &ObservationBatch,
-            items: &[(&Observation, &ActionRecord)],
-        ) -> Vec<(f64, f64)> {
-            self.inner.evaluate_batch(batch, items)
-        }
-        fn backward_batch(
-            &mut self,
-            items: &[(&Observation, &ActionRecord)],
-            coeffs: &[(f64, f64)],
-        ) {
-            self.inner.backward_batch(items, coeffs);
-        }
-        fn zero_grad(&mut self) {
-            self.inner.zero_grad();
-        }
-        fn parameters_mut(&mut self) -> Vec<&mut Param> {
-            self.inner.parameters_mut()
-        }
-    }
-
-    #[test]
-    fn a_panicking_episode_panics_the_fan_out_instead_of_hanging_it() {
-        let dataset = small_dataset();
-        let modules: Vec<&Module> = dataset.iter().cycle().take(7).collect();
-        let base_seed = 9;
-        for workers in [1, 2, 3] {
-            for poisoned in [0, 3, 6] {
-                let (mut env, mut trainer) = engine_fixture(1);
-                let mut policy = PanicsOnEpisode {
-                    inner: trainer.policy.clone(),
-                    first_draw: ChaCha8Rng::seed_from_u64(episode_seed(base_seed, poisoned))
-                        .gen::<u64>(),
-                };
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    collect_rollouts(
-                        &mut env,
-                        &modules,
-                        &mut policy,
-                        &mut trainer.value,
-                        false,
-                        base_seed,
-                        workers,
-                    )
-                }));
-                let payload = outcome.expect_err("the poisoned episode must panic the batch");
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|m| m.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_default();
-                // The caller's own panic resumes as it was raised; a spawned
-                // worker's is reported by the join.
-                assert!(
-                    message.contains("poisoned episode")
-                        || message.starts_with("rollout worker panicked"),
-                    "{workers} workers, episode {poisoned}: unexpected panic {message:?}"
-                );
-            }
-        }
     }
 }

@@ -118,13 +118,6 @@ impl Baseline for MullapudiAutoscheduler {
     }
 }
 
-/// Convenience: the schedule state of the first live op (test helper).
-#[doc(hidden)]
-pub fn first_live_state(result: &BaselineResult) -> &mlir_rl_transforms::OpScheduleState {
-    let op = result.scheduled.live_ops()[0];
-    result.scheduled.state(op)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -316,7 +316,7 @@ pub fn portfolio_speedups(scale: &ExperimentScale, workers: usize) -> PortfolioR
 
     // --- the same roster as a round-robin portfolio ------------------
     let rr = roster(Portfolio::round_robin());
-    let rr_report = driver.run_portfolio(&fresh_env(), rl.policy(), &rr, &workloads);
+    let rr_report = driver.run(&fresh_env(), rl.policy(), &rr, &workloads);
     let best_of_members_matches = rr_report
         .outcomes
         .iter()
@@ -327,7 +327,7 @@ pub fn portfolio_speedups(scale: &ExperimentScale, workers: usize) -> PortfolioR
     // --- racing, targeting the median best-of-members ----------------
     let racing_target = median(&best_of_singles).unwrap_or(1.0);
     let race = roster(Portfolio::racing(racing_target));
-    let race_report = driver.run_portfolio(&fresh_env(), rl.policy(), &race, &workloads);
+    let race_report = driver.run(&fresh_env(), rl.policy(), &race, &workloads);
     let racing_reached_target = race_report
         .outcomes
         .iter()
@@ -360,7 +360,7 @@ pub fn portfolio_speedups(scale: &ExperimentScale, workers: usize) -> PortfolioR
     };
     let reference = fields(&race_report);
     let racing_worker_invariant = [1usize, 2, 4].iter().all(|w| {
-        let report = SearchDriver::new(*w).with_seed(base_seed).run_portfolio(
+        let report = SearchDriver::new(*w).with_seed(base_seed).run(
             &fresh_env(),
             rl.policy(),
             &race,

@@ -130,7 +130,7 @@ use std::time::Instant;
 use mlir_rl_agent::{
     ExperienceStream, OnlineTrainer, OnlineTrainerStats, PolicyNetwork, PolicyRegistry,
 };
-use mlir_rl_costmodel::{CostModel, EvalBudget, EvalCache, SharedEvalCache};
+use mlir_rl_costmodel::{CostModel, EvalBudget, SharedEvalCache};
 use mlir_rl_env::OptimizationEnv;
 use mlir_rl_obs::{EventKind, MetricsRegistry, ProbeRef, TraceRecorder, TraceSnapshot};
 use mlir_rl_search::StopToken;
@@ -292,9 +292,9 @@ impl OptimizationService {
         if let Some(capacity) = config.cache_capacity {
             // A configured capacity always means a fresh table of exactly
             // that bound, not the template's.
-            template.replace_cache(EvalCache::new(capacity));
+            template.replace_cache(SharedEvalCache::new(capacity));
         }
-        let cache = template.cache().shared_backend().clone();
+        let cache = template.cache().clone();
         // Warm restart: merge the previous process's snapshot in before any
         // request runs. A missing or corrupt file is a clean cold start —
         // determinism is unaffected either way, only the hit-rate changes.

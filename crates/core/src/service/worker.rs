@@ -7,7 +7,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlir_rl_agent::{PolicyNetwork, PolicySnapshot};
-use mlir_rl_costmodel::EvalCache;
 use mlir_rl_env::{EnvConfig, OptimizationEnv};
 use mlir_rl_obs::{EventKind, ProbeRef};
 use mlir_rl_search::StopToken;
@@ -144,16 +143,18 @@ fn dequeue_refusal(job: &Job, base: &EnvConfig) -> Option<Ending> {
         return Some(Ending::Malformed("invalid_env", problem));
     }
     // The service policy's layer and head sizes are fixed by the service
-    // environment; an override that changes the observation or action shape
-    // cannot run against it.
+    // environment; an override that changes the observation length or a
+    // head (loop count, tile candidates, interchange formulation) cannot run
+    // against it. The Fig. 6 flat action space is a policy type, not an
+    // environment field, so no override can select it.
     (config.feature_len() != base.feature_len()
         || config.max_loops != base.max_loops
         || config.num_tile_candidates() != base.num_tile_candidates()
-        || config.interchange_mode != base.interchange_mode
-        || config.action_space_mode != base.action_space_mode)
+        || config.interchange_mode != base.interchange_mode)
         .then(|| {
             let problem = "environment override changes the observation/action shape the \
-                           service policy was built for (only shape-preserving fields such \
+                           service policy was built for (feature length, max_loops, tile \
+                           candidates or interchange_mode; only shape-preserving fields such \
                            as reward_mode and noise_seed may differ)";
             Ending::Malformed("shape_mismatch", problem.to_string())
         })
@@ -179,7 +180,7 @@ fn run(
     let run_env: &mut OptimizationEnv = match &job.request.env {
         Some(config) => {
             override_env = OptimizationEnv::new(config.clone(), env.cost_model().clone());
-            override_env.replace_cache(EvalCache::with_shared_backend(shared.cache.clone()));
+            override_env.replace_cache(shared.cache.clone());
             &mut override_env
         }
         None => env,

@@ -6,24 +6,25 @@
 //! training (and throughout the immediate-reward mode of Fig. 7) the same
 //! `(module, schedule)` pairs recur constantly: every episode starts from
 //! the untransformed baseline, popular schedules are re-sampled across
-//! trajectories, and PPO revisits the same modules round-robin. The
-//! [`EvalCache`] memoizes each estimate's total time
+//! trajectories, and PPO revisits the same modules round-robin. A
+//! [`SharedEvalCache`] memoizes each estimate's total time
 //! ([`crate::ModuleEstimate::total_s`], the one figure its readers use)
 //! under a canonical hash of the module and its per-operation schedules so
 //! repeated schedules never re-run the roofline estimator.
 //!
-//! There is one table implementation, [`SharedEvalCache`]: a sharded hash
-//! table behind `Arc<Mutex<_>>` shards whose clones *are* the same table.
-//! Estimator runs happen *outside* the shard locks (a lost race costs one
-//! duplicate evaluation, never a wrong value). An [`EvalCache`] is a
-//! per-handle view of one such table — the handle's own hit/miss counters
-//! and trace probe over a table it either owns ([`EvalCache::new`]) or
-//! joined ([`EvalCache::with_shared_backend`]). The rollout engine, the
-//! schedule-search driver and the service hand every worker a handle
-//! joined to one table, so all workers and all branches of a search hit one
-//! cache and the parallel hit-rate matches serial collection. Cloning an [`EvalCache`] is the opposite operation: it
-//! copies the entries into a private table, so the clone and the original
-//! diverge from there on.
+//! It is the one table implementation: a sharded hash table behind
+//! `Arc<Mutex<_>>` shards whose clones *are* the same table. Estimator runs
+//! happen *outside* the shard locks (a lost race costs one duplicate
+//! evaluation, never a wrong value). Every lookup goes through one body,
+//! [`SharedEvalCache::lookup`], which classifies it, counts it and mirrors
+//! it into the caller's trace probe. An environment holds one table
+//! directly and counts its own lookups next to its episode counters; the
+//! rollout engine, the schedule-search driver and the service hand every
+//! worker an environment on one table, so all workers and all branches of
+//! a search hit one cache and the parallel hit-rate matches serial
+//! collection. [`SharedEvalCache::private_copy`] is the opposite
+//! operation: it copies the entries into a new table, so the copy and the
+//! original diverge from there on.
 //!
 //! ## Eviction policy
 //!
@@ -43,18 +44,17 @@
 //! estimator run is a miss, *even when* the subsequent insert loses a
 //! same-key race or is immediately evicted: two threads racing on a new key
 //! both count a miss, because both actually ran the estimator, but only one
-//! insert is counted. Consequently `hits + misses == lookups` (per handle
-//! and globally, so `evaluations + cache_hits == total_lookups` on every
-//! outcome) and `insertions == distinct keys admitted` hold exactly, with
-//! or without eviction churn — eviction affects *which* lookups miss, never
-//! how they are counted. The table keeps no spend ledger: the service's
+//! insert is counted. Consequently `hits + misses == lookups` holds for
+//! the table's global counters and for every environment's own pair (so
+//! `evaluations + cache_hits == total_lookups` on every outcome), and
+//! `insertions == distinct keys admitted` holds exactly, with or without
+//! eviction churn — eviction affects *which* lookups miss, never how they
+//! are counted. The table keeps no spend ledger: the service's
 //! [`crate::EvalBudget`] is reconciled to each run's lookups, not to misses.
 //!
-//! Per-[`EvalCache`] hit/miss counters always stay with the handle that
-//! observed the lookups (episode accounting), while a [`SharedEvalCache`]
-//! additionally keeps global atomic counters across every handle (batch
+//! The table's atomic counters are global across every clone (batch
 //! accounting for the search driver): hits, misses, insertions, evictions
-//! and promotions.
+//! and promotions. Who made a lookup is the caller's to count.
 //!
 //! ## Persistence and warmth exchange
 //!
@@ -100,7 +100,7 @@ use mlir_rl_transforms::ScheduledModule;
 
 use crate::estimator::CostModel;
 
-/// Default maximum number of memoized estimates per cache.
+/// Default maximum number of memoized estimates per table.
 pub const DEFAULT_EVAL_CACHE_CAPACITY: usize = 1 << 16;
 
 /// Maximum number of independently locked shards of a [`SharedEvalCache`].
@@ -164,7 +164,7 @@ pub fn schedule_key(scheduled: &ScheduledModule) -> ScheduleKey {
 
 /// Fraction of `hits + misses` lookups that were hits (0 when there were no
 /// lookups) — the one definition behind every hit-rate this workspace
-/// reports, from a single cache handle up to the service metrics.
+/// reports, from a single episode up to the service metrics.
 pub fn hit_rate(hits: u64, misses: u64) -> f64 {
     match hits + misses {
         0 => 0.0,
@@ -228,18 +228,6 @@ struct InsertOutcome {
     /// A new entry was created (false: the key was present; incumbent kept).
     inserted: bool,
     /// An entry was evicted to make room.
-    evicted: bool,
-}
-
-/// Everything one lookup did, for probe emission by the observing handle.
-#[derive(Debug, Clone, Copy, Default)]
-struct LookupEffects {
-    was_hit: bool,
-    /// Index of the shard the key maps to.
-    shard: u64,
-    /// This hit set the entry's clear reference bit.
-    promoted: bool,
-    /// The insert after this miss evicted an entry.
     evicted: bool,
 }
 
@@ -321,8 +309,7 @@ impl SharedEvalCache {
     /// its shards — the bound is global and exact: per-shard capacities sum
     /// to `capacity`, and a capacity below [`SHARED_CACHE_SHARDS`] simply
     /// uses fewer shards instead of silently inflating the bound. A
-    /// capacity of zero is clamped to one; use [`SharedEvalCache::try_new`]
-    /// to reject it instead.
+    /// capacity of zero is clamped to one.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         let shard_count = SHARED_CACHE_SHARDS.min(capacity);
@@ -335,15 +322,6 @@ impl SharedEvalCache {
             promotions: Arc::new(AtomicU64::new(0)),
             capacity,
         }
-    }
-
-    /// Like [`SharedEvalCache::new`] but rejecting a zero capacity, for
-    /// callers validating user-supplied configuration.
-    pub fn try_new(capacity: usize) -> Result<Self, String> {
-        if capacity == 0 {
-            return Err("shared cache capacity must be at least 1".to_string());
-        }
-        Ok(Self::new(capacity))
     }
 
     /// Maximum number of memoized estimates, globally across shards.
@@ -366,50 +344,52 @@ impl SharedEvalCache {
     }
 
     /// Looks up `key`, running `model` *outside* the shard lock on a miss,
-    /// and returns the total time plus what the lookup did. Two threads
-    /// racing on the same new key both run the estimator (same
-    /// deterministic result) and both count as misses — see the
-    /// module-level accounting contract; one insert wins.
-    fn lookup_with(
+    /// and returns `(total_s, was_hit)`. Two threads racing on the same new
+    /// key both run the estimator (same deterministic result) and both
+    /// count as misses — see the module-level accounting contract; one
+    /// insert wins. The hit/miss classification and any promotion or
+    /// eviction the lookup performed are mirrored into `probe` as trace
+    /// events; emission is purely observational, so traced and untraced
+    /// runs stay bit-identical.
+    pub fn lookup(
         &self,
         key: ScheduleKey,
         model: &CostModel,
         scheduled: &ScheduledModule,
-    ) -> (f64, LookupEffects) {
+        probe: &ProbeRef,
+    ) -> (f64, bool) {
         let index = self.shard_index(&key);
-        let mut effects = LookupEffects {
-            shard: index as u64,
-            ..LookupEffects::default()
-        };
+        let shard = index as u64;
         let hit = self.shards[index]
             .lock()
             .expect("cache shard poisoned")
             .hit(&key);
         if let Some((total_s, promoted)) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
+            probe.emit(EventKind::CacheHit, None, [0, 0, 0]);
             if promoted {
                 self.promotions.fetch_add(1, Ordering::Relaxed);
+                probe.emit(EventKind::CachePromote, None, [shard, 0, 0]);
             }
-            effects.was_hit = true;
-            effects.promoted = promoted;
-            return (total_s, effects);
+            return (total_s, true);
         }
         let total_s = model.estimate_scheduled(scheduled).total_s;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        effects.evicted = self.insert(key, total_s).evicted;
-        (total_s, effects)
+        probe.emit(EventKind::CacheMiss, None, [0, 0, 0]);
+        if self.insert(key, total_s).evicted {
+            probe.emit(EventKind::CacheEvict, None, [shard, 0, 0]);
+        }
+        (total_s, false)
     }
 
-    /// Looks up the total time for `key`, running `model` only on a miss.
-    /// Returns `(total_s, was_hit)`.
+    /// [`SharedEvalCache::lookup`] with no trace probe.
     pub fn total_s_keyed(
         &self,
         key: ScheduleKey,
         model: &CostModel,
         scheduled: &ScheduledModule,
     ) -> (f64, bool) {
-        let (total_s, effects) = self.lookup_with(key, model, scheduled);
-        (total_s, effects.was_hit)
+        self.lookup(key, model, scheduled, &ProbeRef::none())
     }
 
     /// Locks the key's shard and inserts (an incumbent keeps its entry),
@@ -506,6 +486,15 @@ impl SharedEvalCache {
             shard.slots.clear();
             shard.hand = 0;
         }
+    }
+
+    /// A private copy of the table: a fresh table of the same capacity
+    /// holding the same entries, their reference bits clear as after a
+    /// snapshot restore, sharing nothing with `self` afterwards.
+    pub fn private_copy(&self) -> Self {
+        let copy = Self::new(self.capacity);
+        copy.absorb(self);
+        copy
     }
 
     /// True if `other` is a handle to the same table.
@@ -610,151 +599,6 @@ fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(ScheduleKey, f64)>, SnapshotError
     Ok(entries)
 }
 
-/// One handle's view of a memoization table of estimated times: the
-/// hit/miss counters of the lookups made *through this handle* and the
-/// handle's trace probe, over exactly one [`SharedEvalCache`] — a private
-/// one ([`EvalCache::new`]) or one that other handles look up in too
-/// ([`EvalCache::with_shared_backend`]).
-#[derive(Debug)]
-pub struct EvalCache {
-    table: SharedEvalCache,
-    hits: u64,
-    misses: u64,
-    /// Trace probe carried by this handle: every lookup classification
-    /// (hit/miss), eviction and promotion is mirrored as a trace event.
-    /// Disabled (no-op) by default.
-    probe: ProbeRef,
-}
-
-impl Default for EvalCache {
-    fn default() -> Self {
-        Self::new(DEFAULT_EVAL_CACHE_CAPACITY)
-    }
-}
-
-impl Clone for EvalCache {
-    /// A private copy, sharing nothing with the original afterwards: a
-    /// fresh table of the same capacity holding the same entries, with
-    /// their reference bits clear as after a snapshot restore. To get
-    /// another handle on the *same* table, pass a clone of
-    /// [`EvalCache::shared_backend`] to [`EvalCache::with_shared_backend`].
-    fn clone(&self) -> Self {
-        let table = SharedEvalCache::new(self.table.capacity());
-        table.absorb(&self.table);
-        Self {
-            table,
-            hits: self.hits,
-            misses: self.misses,
-            probe: self.probe.clone(),
-        }
-    }
-}
-
-impl EvalCache {
-    /// Creates a handle that owns a fresh table holding at most `capacity`
-    /// estimates (see [`SharedEvalCache::new`]: exact bound, entry-wise
-    /// eviction).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_shared_backend(SharedEvalCache::new(capacity))
-    }
-
-    /// Attaches (or detaches, with [`ProbeRef::none`]) the trace probe this
-    /// handle mirrors its lookups into. The probe rides along on clones.
-    pub fn set_probe(&mut self, probe: ProbeRef) {
-        self.probe = probe;
-    }
-
-    /// The trace probe carried by this handle.
-    pub fn probe(&self) -> &ProbeRef {
-        &self.probe
-    }
-
-    /// A handle whose lookups go through an existing table — how worker
-    /// environments and per-request environment overrides share one
-    /// cache. The handle's counters start at zero and its probe is off.
-    pub fn with_shared_backend(backend: SharedEvalCache) -> Self {
-        Self {
-            table: backend,
-            hits: 0,
-            misses: 0,
-            probe: ProbeRef::none(),
-        }
-    }
-
-    /// The table this handle looks up in.
-    pub fn shared_backend(&self) -> &SharedEvalCache {
-        &self.table
-    }
-
-    /// Looks up the total time of `scheduled` under its precomputed key
-    /// (the environment caches the module fingerprint once per episode),
-    /// running `model` only on a miss. Returns `(total_s, was_hit)`.
-    pub fn total_s_keyed(
-        &mut self,
-        key: ScheduleKey,
-        model: &CostModel,
-        scheduled: &ScheduledModule,
-    ) -> (f64, bool) {
-        let (total_s, effects) = self.table.lookup_with(key, model, scheduled);
-        self.record(effects);
-        (total_s, effects.was_hit)
-    }
-
-    /// Counts one lookup on this handle and mirrors it into the trace: the
-    /// hit/miss classification and any promotion or eviction the lookup
-    /// performed. Emission is purely observational, so traced and untraced
-    /// runs stay bit-identical.
-    fn record(&mut self, effects: LookupEffects) {
-        if effects.was_hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        if !self.probe.is_enabled() {
-            return;
-        }
-        if effects.was_hit {
-            self.probe.emit(EventKind::CacheHit, None, [0, 0, 0]);
-            if effects.promoted {
-                self.probe
-                    .emit(EventKind::CachePromote, None, [effects.shard, 0, 0]);
-            }
-        } else {
-            self.probe.emit(EventKind::CacheMiss, None, [0, 0, 0]);
-            if effects.evicted {
-                self.probe
-                    .emit(EventKind::CacheEvict, None, [effects.shard, 0, 0]);
-            }
-        }
-    }
-
-    /// Number of lookups served from the cache *through this handle*.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of lookups that ran the estimator *through this handle*.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Fraction of this handle's lookups served from the cache (0 when
-    /// never queried).
-    pub fn hit_rate(&self) -> f64 {
-        hit_rate(self.hits, self.misses)
-    }
-
-    /// Number of times memoized in the table.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True if nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -770,15 +614,15 @@ mod tests {
         b.finish()
     }
 
-    /// One lookup through a handle, keyed the way the environment keys it.
-    fn lookup(cache: &mut EvalCache, cm: &CostModel, sm: &ScheduledModule) -> (f64, bool) {
+    /// One untraced lookup, keyed the way the environment keys it.
+    fn lookup(cache: &SharedEvalCache, cm: &CostModel, sm: &ScheduledModule) -> (f64, bool) {
         cache.total_s_keyed(schedule_key(sm), cm, sm)
     }
 
     #[test]
     fn cached_result_matches_direct_evaluation() {
         let cm = CostModel::new(MachineModel::default());
-        let mut cache = EvalCache::default();
+        let cache = SharedEvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY);
         let mut sm = ScheduledModule::new(matmul(64, 64, 64));
         sm.apply(
             OpId(0),
@@ -788,11 +632,11 @@ mod tests {
         )
         .unwrap();
         let direct = cm.estimate_scheduled(&sm).total_s;
-        let (cached, was_hit) = lookup(&mut cache, &cm, &sm);
+        let (cached, was_hit) = lookup(&cache, &cm, &sm);
         assert_eq!((direct.to_bits(), was_hit), (cached.to_bits(), false));
         assert_eq!(cache.misses(), 1);
         // Second lookup is a hit and returns the identical time.
-        let (again, was_hit) = lookup(&mut cache, &cm, &sm);
+        let (again, was_hit) = lookup(&cache, &cm, &sm);
         assert_eq!((direct.to_bits(), was_hit), (again.to_bits(), true));
         assert_eq!(cache.hits(), 1);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
@@ -843,16 +687,16 @@ mod tests {
     #[test]
     fn capacity_bounds_the_owned_table() {
         let cm = CostModel::new(MachineModel::default());
-        let mut cache = EvalCache::new(2);
+        let cache = SharedEvalCache::new(2);
         for size in [32u64, 48, 64] {
             let sm = ScheduledModule::new(matmul(size, size, size));
-            lookup(&mut cache, &cm, &sm);
+            lookup(&cache, &cm, &sm);
         }
-        assert_eq!(cache.shared_backend().capacity(), 2);
+        assert_eq!(cache.capacity(), 2);
         assert!(cache.len() <= 2, "capacity must bound the table");
         assert_eq!(cache.misses(), 3);
         assert_eq!(
-            cache.shared_backend().evictions(),
+            cache.evictions(),
             1,
             "overflow evicts one entry, it does not reset the table"
         );
@@ -861,52 +705,68 @@ mod tests {
     #[test]
     fn clone_is_a_private_copy_of_the_table() {
         let cm = CostModel::new(MachineModel::default());
-        let mut master = EvalCache::new(64);
+        let master = SharedEvalCache::new(64);
         for size in [32u64, 48, 64] {
             let sm = ScheduledModule::new(matmul(size, size, size));
-            lookup(&mut master, &cm, &sm);
+            lookup(&master, &cm, &sm);
         }
-        let mut copy = master.clone();
-        assert!(!copy.shared_backend().same_table(master.shared_backend()));
-        assert_eq!(copy.shared_backend().capacity(), 64);
+        let copy = master.private_copy();
+        assert!(!copy.same_table(&master));
+        assert_eq!(copy.capacity(), 64);
         // The copy starts with the master's entries...
         let sm = ScheduledModule::new(matmul(32, 32, 32));
-        lookup(&mut copy, &cm, &sm);
-        assert_eq!(copy.hits(), master.hits() + 1);
+        let (_, was_hit) = lookup(&copy, &cm, &sm);
+        assert!(was_hit);
+        assert_eq!(
+            (copy.hits(), copy.misses()),
+            (1, 0),
+            "its counters start at zero"
+        );
         // ...and what it learns afterwards stays with it.
         let fresh = ScheduledModule::new(matmul(96, 96, 96));
-        lookup(&mut copy, &cm, &fresh);
+        lookup(&copy, &cm, &fresh);
         assert_eq!(copy.len(), 4);
         assert_eq!(master.len(), 3);
-        let (_, was_hit) = lookup(&mut master, &cm, &fresh);
+        let (_, was_hit) = lookup(&master, &cm, &fresh);
         assert!(!was_hit, "a copy's insert must not reach the original");
     }
 
     #[test]
     fn shared_global_counters_aggregate_across_handles() {
+        use mlir_rl_obs::TraceRecorder;
         let cm = CostModel::new(MachineModel::default());
-        let mut a = EvalCache::default();
-        let handle = a.shared_backend().clone();
-        let mut b = EvalCache::with_shared_backend(handle.clone());
+        let a = SharedEvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY);
+        let b = a.clone();
+        let recorder = TraceRecorder::new(1 << 6, 2);
+        let (probe_a, probe_b) = (recorder.probe(0), recorder.probe(0).with_trace(7));
         let sm = ScheduledModule::new(matmul(64, 64, 64));
-        lookup(&mut a, &cm, &sm); // global miss
-        lookup(&mut b, &cm, &sm); // global hit
-        assert_eq!(handle.misses(), 1);
-        assert_eq!(handle.hits(), 1);
-        assert!((handle.hit_rate() - 0.5).abs() < 1e-12);
-        // Per-handle counters stay local.
-        assert_eq!((a.hits(), a.misses()), (0, 1));
-        assert_eq!((b.hits(), b.misses()), (1, 0));
+        let key = schedule_key(&sm);
+        let miss = a.lookup(key, &cm, &sm, &probe_a);
+        let hit = b.lookup(key, &cm, &sm, &probe_b);
+        assert_eq!((miss.1, hit.1), (false, true));
+        // Either clone reads the global counters of both lookups.
+        for handle in [&a, &b] {
+            assert_eq!((handle.hits(), handle.misses()), (1, 1));
+            assert!((handle.hit_rate() - 0.5).abs() < 1e-12);
+        }
+        // Each lookup is attributed only through the probe it was made with.
+        let kinds = |trace_id: u64| -> Vec<EventKind> {
+            let snapshot = recorder.snapshot();
+            let events = snapshot.events.iter().filter(|e| e.trace_id == trace_id);
+            events.map(|e| e.kind).collect()
+        };
+        assert_eq!(kinds(0), [EventKind::CacheMiss]);
+        assert_eq!(kinds(7), [EventKind::CacheHit, EventKind::CachePromote]);
     }
 
     #[test]
     fn absorb_between_same_table_handles_is_a_noop() {
         let cm = CostModel::new(MachineModel::default());
-        let a = EvalCache::default();
-        let mut b = EvalCache::with_shared_backend(a.shared_backend().clone());
+        let a = SharedEvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY);
+        let b = a.clone();
         let sm = ScheduledModule::new(matmul(64, 64, 64));
-        lookup(&mut b, &cm, &sm);
-        assert_eq!(a.shared_backend().absorb(b.shared_backend()), 0);
+        lookup(&b, &cm, &sm);
+        assert_eq!(a.absorb(&b), 0);
         assert_eq!(a.len(), 1);
     }
 
@@ -999,11 +859,6 @@ mod tests {
                 "inserts minus evictions must equal occupancy"
             );
         }
-        assert_eq!(
-            SharedEvalCache::try_new(0).map(|_| ()),
-            Err(String::from("shared cache capacity must be at least 1"))
-        );
-        assert!(SharedEvalCache::try_new(1).is_ok());
     }
 
     #[test]
@@ -1430,17 +1285,18 @@ mod tests {
         use mlir_rl_obs::TraceRecorder;
         let cm = CostModel::new(MachineModel::default());
         let recorder = TraceRecorder::new(1 << 10, 1);
-        let mut cache = EvalCache::with_shared_backend(SharedEvalCache::new(2));
-        cache.set_probe(recorder.probe(0));
+        let cache = SharedEvalCache::new(2);
+        let probe = recorder.probe(0);
         let schedules: Vec<ScheduledModule> = (1..6u64)
             .map(|i| ScheduledModule::new(matmul(16 * i, 16 * i, 16 * i)))
             .collect();
+        let traced = |sm: &ScheduledModule| cache.lookup(schedule_key(sm), &cm, sm, &probe);
         // Pin one entry warm (miss, then a promoting hit), then churn the
         // 2-entry table with fresh keys so admissions must evict.
-        lookup(&mut cache, &cm, &schedules[0]);
-        lookup(&mut cache, &cm, &schedules[0]);
+        traced(&schedules[0]);
+        traced(&schedules[0]);
         for sm in &schedules[1..] {
-            lookup(&mut cache, &cm, sm);
+            traced(sm);
         }
         let count = |kind: EventKind| {
             recorder

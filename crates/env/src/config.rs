@@ -28,18 +28,6 @@ pub enum RewardMode {
     Immediate,
 }
 
-/// Whether the environment exposes the flat or the multi-discrete action
-/// space (the ablation of Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ActionSpaceMode {
-    /// One categorical distribution over every (transformation, parameters)
-    /// combination.
-    Flat,
-    /// Transformation selection first, then its parameters (the paper's
-    /// proposal).
-    MultiDiscrete,
-}
-
 /// Static configuration of the RL environment.
 ///
 /// The defaults mirror Sec. VII-A-5 of the paper: at most 12 loop levels,
@@ -61,8 +49,6 @@ pub struct EnvConfig {
     pub interchange_mode: InterchangeMode,
     /// Reward delivery mode.
     pub reward_mode: RewardMode,
-    /// Action-space formulation.
-    pub action_space_mode: ActionSpaceMode,
     /// Seed for the measurement-noise model (None disables noise).
     pub noise_seed: Option<u64>,
 }
@@ -79,7 +65,6 @@ impl EnvConfig {
             max_schedule_len: 5,
             interchange_mode: InterchangeMode::LevelPointers,
             reward_mode: RewardMode::Final,
-            action_space_mode: ActionSpaceMode::MultiDiscrete,
             noise_seed: None,
         }
     }
@@ -95,7 +80,6 @@ impl EnvConfig {
             max_schedule_len: 4,
             interchange_mode: InterchangeMode::LevelPointers,
             reward_mode: RewardMode::Final,
-            action_space_mode: ActionSpaceMode::MultiDiscrete,
             noise_seed: None,
         }
     }

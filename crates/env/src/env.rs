@@ -8,13 +8,23 @@
 //! every operation has been visited. The reward is the log-speedup of the
 //! optimized module over the untransformed baseline, estimated by the
 //! analytical cost model (the substitute for the paper's real executions).
+//!
+//! Every estimate goes through the environment's schedule-keyed
+//! [`SharedEvalCache`], which the environment holds directly together with
+//! its trace probe. One private method, `cached_total_s`, makes every
+//! lookup and classifies it into the episode's counters
+//! ([`EpisodeStats::evaluations`] / [`EpisodeStats::cache_hits`]) and the
+//! environment's lifetime pair ([`OptimizationEnv::lifetime_hits`] /
+//! [`OptimizationEnv::lifetime_misses`]); the table's own counters are
+//! global across every environment that shares it.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use mlir_rl_costmodel::{
-    module_fingerprint, schedule_fingerprint, CostModel, EvalCache, MeasurementNoise, ScheduleKey,
+    module_fingerprint, schedule_fingerprint, CostModel, MeasurementNoise, ScheduleKey,
+    SharedEvalCache, DEFAULT_EVAL_CACHE_CAPACITY,
 };
 use mlir_rl_ir::{Module, OpId};
 use mlir_rl_obs::ProbeRef;
@@ -141,22 +151,49 @@ impl EpisodeSnapshot {
 /// The optimization environment.
 ///
 /// Every environment looks its cost-model evaluations up in one
-/// [`mlir_rl_costmodel::SharedEvalCache`] table, and the two ways to
-/// duplicate an environment differ only in which table the duplicate uses:
-/// [`Clone::clone`] gives an independent environment — a private table that
-/// starts with the original's entries — while
-/// [`OptimizationEnv::clone_sharing_cache`] gives another handle on the
-/// *same* table, which is what worker threads of one rollout batch, search
-/// or service take. [`OptimizationEnv::new`] starts an empty private table;
+/// [`SharedEvalCache`] table, and the two ways to duplicate an environment
+/// differ only in which table the duplicate uses: [`Clone::clone`] gives an
+/// independent environment — a private table that starts with the
+/// original's entries — while [`OptimizationEnv::clone_sharing_cache`]
+/// gives another environment on the *same* table, which is what worker
+/// threads of one rollout batch, search or service take.
+/// [`OptimizationEnv::new`] starts an empty private table;
 /// [`OptimizationEnv::replace_cache`] swaps the table for any other.
-#[derive(Debug, Clone)]
+///
+/// The table's own counters are global across every environment on it;
+/// this environment's lookups are counted here, by
+/// [`OptimizationEnv::lifetime_hits`] / [`OptimizationEnv::lifetime_misses`]
+/// and the episode counters.
+#[derive(Debug)]
 pub struct OptimizationEnv {
     config: EnvConfig,
     cost_model: CostModel,
     /// Everything episode-specific, so [`OptimizationEnv::snapshot`] is a
     /// clone of this member and [`OptimizationEnv::restore`] an assignment.
     episode: EpisodeSnapshot,
-    cache: EvalCache,
+    cache: SharedEvalCache,
+    /// Mirrors every lookup of this environment into a trace; off by
+    /// default.
+    probe: ProbeRef,
+    /// Lookups of this environment served by the table, since it was made.
+    hits: u64,
+    /// Lookups of this environment that ran the estimator, since it was
+    /// made.
+    misses: u64,
+}
+
+impl Clone for OptimizationEnv {
+    /// An independent environment: the same configuration, cost model, live
+    /// episode, probe and lifetime counters over a
+    /// [`SharedEvalCache::private_copy`] of the table.
+    fn clone(&self) -> Self {
+        Self {
+            cache: self.cache.private_copy(),
+            hits: self.hits,
+            misses: self.misses,
+            ..self.clone_sharing_cache()
+        }
+    }
 }
 
 impl OptimizationEnv {
@@ -168,7 +205,10 @@ impl OptimizationEnv {
             config,
             cost_model,
             episode,
-            cache: EvalCache::default(),
+            cache: SharedEvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY),
+            probe: ProbeRef::none(),
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -244,15 +284,25 @@ impl OptimizationEnv {
         self.episode.evaluations
     }
 
-    /// Number of evaluation requests served by the schedule-keyed cache so
-    /// far this episode.
-    pub fn episode_cache_hits(&self) -> usize {
-        self.episode.cache_hits
+    /// The schedule-keyed evaluation table this environment looks up in.
+    /// Its counters are global across every environment on the table; this
+    /// environment's own are [`OptimizationEnv::lifetime_hits`] and
+    /// [`OptimizationEnv::lifetime_misses`].
+    pub fn cache(&self) -> &SharedEvalCache {
+        &self.cache
     }
 
-    /// The schedule-keyed evaluation cache (lifetime hit/miss counters).
-    pub fn cache(&self) -> &EvalCache {
-        &self.cache
+    /// Lookups of this environment served by the table since it was made
+    /// (or duplicated with [`OptimizationEnv::clone_sharing_cache`]); they
+    /// survive [`OptimizationEnv::reset`], unlike the episode counters.
+    pub fn lifetime_hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Lookups of this environment that ran the estimator since it was made
+    /// (or duplicated with [`OptimizationEnv::clone_sharing_cache`]).
+    pub fn lifetime_misses(&self) -> u64 {
+        self.misses
     }
 
     /// Attaches a trace probe to this environment's evaluation path:
@@ -263,16 +313,17 @@ impl OptimizationEnv {
     /// [`ProbeRef::none`] to detach. The probe rides along on environment
     /// clones but is *not* part of episode snapshots.
     pub fn set_probe(&mut self, probe: ProbeRef) {
-        self.cache.set_probe(probe);
+        self.probe = probe;
     }
 
     /// The trace probe events from this environment are attributed to.
     pub fn probe(&self) -> &ProbeRef {
-        self.cache.probe()
+        &self.probe
     }
 
-    /// Replaces the evaluation cache, returning the previous one.
-    pub fn replace_cache(&mut self, cache: EvalCache) -> EvalCache {
+    /// Replaces the evaluation table, returning the previous one. The
+    /// lifetime counters and the probe stay with the environment.
+    pub fn replace_cache(&mut self, cache: SharedEvalCache) -> SharedEvalCache {
         std::mem::replace(&mut self.cache, cache)
     }
 
@@ -281,15 +332,17 @@ impl OptimizationEnv {
     /// table: an estimate computed by either serves hits to the other. The
     /// rollout engine, the search driver and the service
     /// give every worker one of these, so all workers and all branches of a
-    /// search share one cache. Per-handle hit/miss counters start at zero.
+    /// search share one cache. The duplicate's lifetime counters start at
+    /// zero.
     pub fn clone_sharing_cache(&self) -> Self {
-        let mut cache = EvalCache::with_shared_backend(self.cache.shared_backend().clone());
-        cache.set_probe(self.cache.probe().clone());
         Self {
             config: self.config.clone(),
             cost_model: self.cost_model.clone(),
             episode: self.episode.clone(),
-            cache,
+            cache: self.cache.clone(),
+            probe: self.probe.clone(),
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -367,18 +420,22 @@ impl OptimizationEnv {
     }
 
     /// Evaluates `scheduled` through the schedule-keyed cache, classifying
-    /// the request into this episode's hit/miss counters (the only place
-    /// that accounting happens).
+    /// the request into this episode's and this environment's hit/miss
+    /// counters (the only place that accounting happens).
     fn cached_total_s(&mut self, scheduled: &ScheduledModule) -> f64 {
         let key = ScheduleKey {
             module: self.episode.module_fp,
             schedule: schedule_fingerprint(scheduled),
         };
-        let (total_s, was_hit) = self.cache.total_s_keyed(key, &self.cost_model, scheduled);
+        let (total_s, was_hit) = self
+            .cache
+            .lookup(key, &self.cost_model, scheduled, &self.probe);
         if was_hit {
             self.episode.cache_hits += 1;
+            self.hits += 1;
         } else {
             self.episode.evaluations += 1;
+            self.misses += 1;
         }
         total_s
     }
@@ -835,11 +892,11 @@ mod tests {
             twin.baseline_time_s().to_bits()
         );
         assert_eq!(walk_and_stats(&mut e), walk_and_stats(&mut twin));
-        let table = |env: &OptimizationEnv| env.cache().shared_backend().to_snapshot_bytes();
+        let table = |env: &OptimizationEnv| env.cache().to_snapshot_bytes();
         assert_eq!(table(&e), table(&twin), "the same keys were looked up");
         assert_eq!(
-            (e.cache().hits(), e.cache().misses()),
-            (twin.cache().hits(), twin.cache().misses())
+            (e.lifetime_hits(), e.lifetime_misses()),
+            (twin.lifetime_hits(), twin.lifetime_misses())
         );
         e.reset(Arc::clone(&m));
         assert!(std::ptr::eq(e.scheduled().unwrap().module(), &*m));
@@ -872,13 +929,13 @@ mod tests {
             .into_iter()
             .map(|module| {
                 let mut f = env();
-                f.replace_cache(EvalCache::with_shared_backend(table.clone()));
+                f.replace_cache(table.clone());
                 f.reset(module.clone())
             })
             .collect();
         assert_eq!(after_other, fresh[2]);
         assert_eq!(after_restore, fresh[5]);
-        let own = e.cache().shared_backend();
+        let own = e.cache();
         assert_eq!(
             own.to_snapshot_bytes(),
             table.to_snapshot_bytes(),
@@ -890,8 +947,8 @@ mod tests {
     #[test]
     fn lookup_accounting_is_consistent() {
         // hits + evaluations == total lookups, and the episode counters
-        // agree with the cache's own counters (a fresh env has a fresh
-        // cache, so the lifetime counters are the episode's).
+        // agree with the environment's lifetime counters (a fresh env has
+        // run one episode, so the lifetime counters are the episode's).
         let mut config = EnvConfig::small();
         config.reward_mode = RewardMode::Immediate;
         let mut e = OptimizationEnv::new(config, CostModel::new(MachineModel::default()));
@@ -910,16 +967,16 @@ mod tests {
             stats.evaluations + stats.cache_hits,
             "every lookup is exactly one of evaluation or hit"
         );
-        assert_eq!(stats.evaluations, e.cache().misses() as usize);
-        assert_eq!(stats.cache_hits, e.cache().hits() as usize);
+        assert_eq!(stats.evaluations, e.lifetime_misses() as usize);
+        assert_eq!(stats.cache_hits, e.lifetime_hits() as usize);
         assert_eq!(e.total_lookups(), stats.total_lookups());
         assert!(stats.cache_hits > 0, "repeated schedules must hit");
     }
 
     #[test]
     fn shared_cache_mode_preserves_episode_results() {
-        // A handle joined to somebody else's table behaves exactly like a
-        // private one.
+        // An environment joined to somebody else's table behaves exactly
+        // like one on a private table.
         let module = matmul_relu_module();
         let run = |e: &mut OptimizationEnv| {
             e.reset(module.clone()).unwrap();
@@ -932,7 +989,7 @@ mod tests {
         let mut private = env();
         let mut joined = env();
         let table = SharedEvalCache::new(1 << 10);
-        joined.replace_cache(EvalCache::with_shared_backend(table.clone()));
+        joined.replace_cache(table.clone());
         let (r_private, s_private) = run(&mut private);
         let (r_joined, s_joined) = run(&mut joined);
         assert_eq!(r_private, r_joined);
@@ -946,7 +1003,7 @@ mod tests {
     #[test]
     fn clones_copy_the_table_and_sharing_clones_join_it() {
         let module = matmul_relu_module();
-        let table = |e: &OptimizationEnv| e.cache().shared_backend().clone();
+        let table = |e: &OptimizationEnv| e.cache().clone();
         let tiled_episode = |e: &mut OptimizationEnv| {
             e.reset(module.clone()).unwrap();
             e.step(&Action::TiledFusion {
@@ -957,8 +1014,8 @@ mod tests {
         };
         let mut original = env();
 
-        // A sharing clone is another handle on the same table: what it
-        // computes is a hit through the original.
+        // A sharing clone looks up in the same table: what it computes is a
+        // hit through the original.
         let mut sharing = original.clone_sharing_cache();
         assert!(table(&sharing).same_table(&table(&original)));
         let learned = tiled_episode(&mut sharing);
@@ -982,6 +1039,43 @@ mod tests {
 
         // Two environments made with `new` never meet.
         assert!(!table(&env()).same_table(&table(&env())));
+    }
+
+    #[test]
+    fn environments_on_one_table_count_only_their_own_lookups() {
+        let mut config = EnvConfig::small();
+        config.reward_mode = RewardMode::Immediate;
+        let first = OptimizationEnv::new(config, CostModel::new(MachineModel::default()));
+        let second = first.clone_sharing_cache();
+        // Episodes on one thread: the environment back, with the summed
+        // (cache_hits, evaluations) of its episodes.
+        let run = |mut e: OptimizationEnv, episodes: usize| {
+            let mut own = (0, 0);
+            for _ in 0..episodes {
+                e.reset(matmul_relu_module()).unwrap();
+                let stats = walk_and_stats(&mut e);
+                own.0 += stats.cache_hits as u64;
+                own.1 += stats.evaluations as u64;
+            }
+            (e, own)
+        };
+        let ((a, a_own), (b, b_own)) = std::thread::scope(|scope| {
+            let a = scope.spawn(move || run(first, 1));
+            let b = scope.spawn(move || run(second, 3));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        // Each environment counts exactly its own lookups — both made
+        // some, so the table's global counters would fail this.
+        for (e, own) in [(&a, a_own), (&b, b_own)] {
+            assert!(own.0 > 0 || own.1 > 0);
+            assert_eq!((e.lifetime_hits(), e.lifetime_misses()), own);
+        }
+        let table = a.cache();
+        assert!(table.same_table(b.cache()));
+        assert_eq!(
+            (table.hits(), table.misses()),
+            (a_own.0 + b_own.0, a_own.1 + b_own.1)
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use action::{
     enumerated_candidates, flat_action_space, num_enumerated_candidates, swap_permutation, Action,
     FlatAction, InterchangeSpec,
 };
-pub use config::{ActionSpaceMode, EnvConfig, InterchangeMode, RewardMode};
+pub use config::{EnvConfig, InterchangeMode, RewardMode};
 pub use env::{EpisodeSnapshot, EpisodeStats, Observation, OptimizationEnv, StepOutcome};
 pub use features::{
     extract_features, extract_features_dense, zero_features, ActionHistory, Features,

@@ -357,14 +357,6 @@ impl LinalgOp {
         &self.indexing_maps[self.indexing_maps.len() - 1]
     }
 
-    /// Tensor types of all operands, inputs first then the output.
-    pub fn operand_types(&self) -> Vec<&TensorType> {
-        self.input_types
-            .iter()
-            .chain(std::iter::once(&self.result_type))
-            .collect()
-    }
-
     /// Polyhedral access matrices of all operands (inputs then output).
     ///
     /// # Errors

@@ -56,15 +56,6 @@ pub fn tanh_in_place(x: &mut [f64]) {
     }
 }
 
-/// Tanh backward given the forward *output*.
-pub fn tanh_backward(output: &[f64], grad_output: &[f64]) -> Vec<f64> {
-    output
-        .iter()
-        .zip(grad_output)
-        .map(|(o, g)| g * (1.0 - o * o))
-        .collect()
-}
-
 /// Numerically stable softmax.
 ///
 /// Returns a uniform distribution for an empty input.

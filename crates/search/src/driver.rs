@@ -1,49 +1,29 @@
 //! The batch optimization driver: many modules, many threads, one cache.
+//!
+//! [`SearchDriver::run`] is the batch entry point of the search subsystem:
+//! it fans a batch out through the rollout engine's claim loop
+//! ([`mlir_rl_agent::fan_out`]) — the caller searches as worker 0, named
+//! `search-worker-<w>` threads claim the next module index from one shared
+//! counter, outcomes merge back in module order — so training and serving
+//! share one fan-out.
 
 use std::time::Instant;
 
-use mlir_rl_agent::{episode_seed, PolicyModel};
+use mlir_rl_agent::{episode_seed, fan_out, PolicyModel};
+use mlir_rl_costmodel::hit_rate;
 use mlir_rl_env::OptimizationEnv;
 use mlir_rl_ir::Module;
 
-use crate::portfolio::Portfolio;
 use crate::searcher::{MemberStatus, SearchOutcome, Searcher};
 
-/// One unit of work for [`SearchDriver::run_jobs`]: a module, the searcher
-/// to run on it, and the search seed. This is the driver's most general
-/// interface — every job may pair a different searcher, module and seed on
-/// one shared cache; the homogeneous [`SearchDriver::run`] entry point
-/// builds its jobs from a single searcher and per-index seeds.
-pub struct SearchJob<'a, P: PolicyModel> {
-    /// Module to optimize.
-    pub module: &'a Module,
-    /// Searcher to run.
-    pub searcher: &'a (dyn Searcher<P> + 'a),
-    /// Search seed (the determinism contract is per-job: same module,
-    /// searcher, policy and seed ⇒ same outcome, any worker count).
-    pub seed: u64,
-}
-
-impl<'a, P: PolicyModel> SearchJob<'a, P> {
-    /// A run-to-completion job.
-    pub fn new(module: &'a Module, searcher: &'a (dyn Searcher<P> + 'a), seed: u64) -> Self {
-        Self {
-            module,
-            searcher,
-            seed,
-        }
-    }
-
-    fn run(&self, env: &mut OptimizationEnv, policy: &mut P) -> SearchOutcome {
-        self.searcher.search(env, policy, self.module, self.seed)
-    }
-}
-
 /// Fans a batch of modules out over worker threads, each running the same
-/// [`Searcher`] with its own environment handle and policy snapshot —
-/// the batch-serving entry point of the search subsystem.
+/// [`Searcher`] with its own environment and policy snapshot — the
+/// batch-serving entry point of the search subsystem. A [`crate::Portfolio`]
+/// is a searcher like any other: pass one to run its roster on every module
+/// and aggregate the attribution with
+/// [`BatchSearchReport::member_attribution`].
 ///
-/// Every worker environment is an
+/// Every worker environment, the caller's included, is an
 /// [`OptimizationEnv::clone_sharing_cache`] duplicate of the template, so
 /// every worker (and every branch of every search) hits the template's own
 /// evaluation table, which stays warm for the caller's next batch (pass a
@@ -56,7 +36,8 @@ impl<'a, P: PolicyModel> SearchJob<'a, P> {
 /// rollout engine's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchDriver {
-    /// Worker threads (1 = search in the calling thread).
+    /// Worker threads, the caller included (1 = search in the calling
+    /// thread only).
     pub workers: usize,
     /// Base seed mixed with each module index.
     pub base_seed: u64,
@@ -80,6 +61,10 @@ impl SearchDriver {
     /// Optimizes every module of the batch with `searcher`, returning
     /// outcomes in module order plus the batch-wide shared-cache
     /// accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a search panics on any thread (see [`fan_out`]).
     pub fn run<P, S>(
         &self,
         env_template: &OptimizationEnv,
@@ -91,105 +76,28 @@ impl SearchDriver {
         P: PolicyModel,
         S: Searcher<P> + ?Sized,
     {
-        let jobs: Vec<SearchJob<P>> = modules
-            .iter()
-            .enumerate()
-            .map(|(index, module)| {
-                SearchJob::new(
-                    module,
-                    &searcher,
-                    episode_seed(self.base_seed, index as u64),
-                )
-            })
-            .collect();
-        self.run_jobs(env_template, policy, &jobs)
-    }
-
-    /// Runs an arbitrary list of [`SearchJob`]s — possibly every one with a
-    /// different searcher, module and seed — over the worker threads,
-    /// returning outcomes in job order plus the batch-wide shared-cache
-    /// accounting. The determinism contract of [`SearchDriver::run`] holds
-    /// per job: outcomes are bit-for-bit identical for any worker count
-    /// (only cache hit/miss *counts* shift with table warmth).
-    pub fn run_jobs<P: PolicyModel>(
-        &self,
-        env_template: &OptimizationEnv,
-        policy: &P,
-        jobs: &[SearchJob<P>],
-    ) -> BatchSearchReport {
         let start = Instant::now();
-        let mut master = env_template.clone_sharing_cache();
-        let shared = master.cache().shared_backend().clone();
-        let hits_before = shared.hits();
-        let misses_before = shared.misses();
-
-        let n = jobs.len();
-        let workers = self.workers.min(n.max(1));
-        let mut slots: Vec<Option<SearchOutcome>> = (0..n).map(|_| None).collect();
-
-        if workers <= 1 {
-            let mut policy = policy.clone();
-            for (job, slot) in jobs.iter().zip(slots.iter_mut()) {
-                *slot = Some(job.run(&mut master, &mut policy));
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for worker in 0..workers {
-                    let mut worker_env = master.clone_sharing_cache();
-                    let mut worker_policy = policy.clone();
-                    handles.push(scope.spawn(move || {
-                        let mut collected = Vec::new();
-                        let mut index = worker;
-                        while index < n {
-                            collected.push((
-                                index,
-                                jobs[index].run(&mut worker_env, &mut worker_policy),
-                            ));
-                            index += workers;
-                        }
-                        collected
-                    }));
-                }
-                for handle in handles {
-                    for (index, outcome) in handle.join().expect("search worker panicked") {
-                        slots[index] = Some(outcome);
-                    }
-                }
-            });
-        }
-
+        let shared = env_template.cache();
+        let (hits_before, misses_before) = (shared.hits(), shared.misses());
+        let workers = self.workers.max(1).min(modules.len().max(1));
+        let states = (0..workers)
+            .map(|_| (env_template.clone_sharing_cache(), policy.clone()))
+            .collect();
+        let outcomes = fan_out(
+            modules.len(),
+            "search-worker",
+            states,
+            |(env, policy), index| {
+                let seed = episode_seed(self.base_seed, index as u64);
+                searcher.search(env, policy, &modules[index], seed)
+            },
+        );
         BatchSearchReport {
-            outcomes: slots
-                .into_iter()
-                .map(|o| o.expect("every job was assigned to a worker"))
-                .collect(),
+            outcomes,
             shared_cache_hits: shared.hits() - hits_before,
             shared_cache_misses: shared.misses() - misses_before,
             wall_s: start.elapsed().as_secs_f64(),
         }
-    }
-
-    /// Optimizes every module of the batch with a [`Portfolio`]: each
-    /// module's search runs the whole roster (round-robin or racing) and
-    /// all modules — and all members of every module's roster — share one
-    /// evaluation cache, so warmth crosses both member and module
-    /// boundaries. Outcomes carry per-member attribution; aggregate it
-    /// across the batch with [`BatchSearchReport::member_attribution`].
-    /// Like [`SearchDriver::run`], results are bit-for-bit identical for
-    /// any worker count (both portfolio modes run their members serially
-    /// in rank order — see [`Portfolio`]).
-    pub fn run_portfolio<P>(
-        &self,
-        env_template: &OptimizationEnv,
-        policy: &P,
-        portfolio: &Portfolio<P>,
-        modules: &[Module],
-    ) -> BatchSearchReport
-    where
-        P: PolicyModel,
-    {
-        self.run(env_template, policy, portfolio, modules)
     }
 }
 
@@ -215,12 +123,7 @@ pub struct BatchSearchReport {
 impl BatchSearchReport {
     /// Batch-wide fraction of lookups served by the shared cache.
     pub fn shared_cache_hit_rate(&self) -> f64 {
-        let total = self.shared_cache_hits + self.shared_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.shared_cache_hits as f64 / total as f64
-        }
+        hit_rate(self.shared_cache_hits, self.shared_cache_misses)
     }
 
     /// Geometric mean of the per-module speedups (1.0 for an empty batch).

@@ -32,13 +32,13 @@
 //! * [`BaselineSearcher`] — adapts the comparison systems of
 //!   `mlir-rl-baselines` (vendor library, Mullapudi, Halide RL) to the same
 //!   [`Searcher`] interface so batch comparisons are uniform.
-//! * [`SearchDriver`] — the batch entry point: fans a set of modules out
-//!   over worker threads, all sharing one evaluation cache. Outcomes are
-//!   bit-for-bit identical for any worker count (per-module seeds; cached
-//!   values are deterministic), so the worker count is purely a throughput
-//!   knob. Its general form, [`SearchDriver::run_jobs`], runs a
-//!   heterogeneous [`SearchJob`] list — the engine the serving layer's
-//!   request batches sit on.
+//! * [`SearchDriver`] — the batch entry point: [`SearchDriver::run`] fans
+//!   a set of modules out through the rollout engine's claim loop
+//!   ([`mlir_rl_agent::fan_out`]; the caller searches as worker 0), all
+//!   workers sharing one evaluation cache. Outcomes are bit-for-bit
+//!   identical for any worker count (per-module seeds; cached values are
+//!   deterministic), so the worker count is purely a throughput knob. A
+//!   [`Portfolio`] batch is a `run` with the portfolio as the searcher.
 //! * [`SearchSpec`] — the declarative, owned description of a searcher
 //!   (greedy / beam / MCTS / random / a portfolio roster) that serving
 //!   requests carry and workers [`SearchSpec::build`] on their own threads.
@@ -90,7 +90,7 @@ pub mod spec;
 
 pub use baseline::BaselineSearcher;
 pub use beam::BeamSearch;
-pub use driver::{BatchSearchReport, MemberAggregate, SearchDriver, SearchJob};
+pub use driver::{BatchSearchReport, MemberAggregate, SearchDriver};
 pub use greedy::GreedyPolicy;
 pub use mcts::{Mcts, MctsConfig};
 pub use portfolio::{Portfolio, PortfolioMode};
@@ -170,7 +170,7 @@ mod tests {
         // accounting: a fresh env observed exactly this search.
         assert_eq!(
             outcome.total_lookups(),
-            (e.cache().hits() + e.cache().misses()) as usize
+            (e.lifetime_hits() + e.lifetime_misses()) as usize
         );
     }
 
@@ -540,7 +540,7 @@ mod tests {
             .with_member(BeamSearch::new(2));
         let report = SearchDriver::new(2)
             .with_seed(5)
-            .run_portfolio(&template, &p, &portfolio, &batch);
+            .run(&template, &p, &portfolio, &batch);
         assert_eq!(report.outcomes.len(), batch.len());
         let attribution = report.member_attribution();
         assert_eq!(attribution.len(), 2);

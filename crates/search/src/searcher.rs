@@ -202,26 +202,6 @@ pub trait Searcher<P: PolicyModel>: Send + Sync {
     }
 }
 
-/// A reference to a searcher searches like the searcher itself — lets
-/// unsized searchers (`&dyn Searcher<P>`) be handed to APIs that need a
-/// sized implementor, e.g. [`crate::SearchJob`] construction.
-impl<P: PolicyModel, S: Searcher<P> + ?Sized> Searcher<P> for &S {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn search_with_stop(
-        &self,
-        env: &mut OptimizationEnv,
-        policy: &mut P,
-        module: &Module,
-        seed: u64,
-        stop: &StopToken,
-    ) -> SearchOutcome {
-        (**self).search_with_stop(env, policy, module, seed, stop)
-    }
-}
-
 /// Upper bound on episode length (guards against malformed modules), the
 /// same bound the rollout engine uses.
 pub(crate) fn max_episode_steps(env: &OptimizationEnv, module: &Module) -> usize {
@@ -239,9 +219,10 @@ pub(crate) fn reseed_for_search(env: &mut OptimizationEnv, seed: u64) {
     }
 }
 
-/// Snapshot of an environment's cache counters, to attribute a delta of
-/// lookups to one search (the counters survive `env.reset`, which zeroes
-/// only the per-episode accounting).
+/// Snapshot of an environment's lifetime lookup counters, to attribute a
+/// delta of lookups to one search (the counters survive `env.reset`, which
+/// zeroes only the per-episode accounting, and count only this
+/// environment's lookups, not those of other environments on its table).
 pub(crate) struct LookupMeter {
     hits: u64,
     misses: u64,
@@ -250,16 +231,16 @@ pub(crate) struct LookupMeter {
 impl LookupMeter {
     pub(crate) fn start(env: &OptimizationEnv) -> Self {
         Self {
-            hits: env.cache().hits(),
-            misses: env.cache().misses(),
+            hits: env.lifetime_hits(),
+            misses: env.lifetime_misses(),
         }
     }
 
     /// `(evaluations, cache_hits)` observed since `start`.
     pub(crate) fn finish(&self, env: &OptimizationEnv) -> (usize, usize) {
         (
-            (env.cache().misses() - self.misses) as usize,
-            (env.cache().hits() - self.hits) as usize,
+            (env.lifetime_misses() - self.misses) as usize,
+            (env.lifetime_hits() - self.hits) as usize,
         )
     }
 }

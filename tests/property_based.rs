@@ -6,8 +6,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use mlir_rl_costmodel::{
-    operand_accesses, schedule_key, traffic_beyond_cache, CostModel, EvalCache, MachineModel,
-    SubnestTable,
+    operand_accesses, schedule_key, traffic_beyond_cache, CostModel, MachineModel, SharedEvalCache,
+    SubnestTable, DEFAULT_EVAL_CACHE_CAPACITY,
 };
 use mlir_rl_env::{
     extract_features_dense, num_enumerated_candidates, Action, ActionHistory, EnvConfig, Features,
@@ -117,7 +117,7 @@ proptest! {
     ) {
         let module = matmul(m, n, k);
         let cm = CostModel::new(MachineModel::xeon_e5_2680_v4());
-        let mut cache = EvalCache::default();
+        let cache = SharedEvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY);
         let mut sm = ScheduledModule::new(module);
         let tiles = vec![t0.min(m), t1.min(n), t2.min(k)];
         if parallelize == 1 {
@@ -152,8 +152,6 @@ proptest! {
         seed in 1u64..1_000_000,
         steps in 8usize..48,
     ) {
-        use mlir_rl_costmodel::SharedEvalCache;
-
         let cm = CostModel::new(MachineModel::xeon_e5_2680_v4());
         // A pool of distinct schedules and their uncached oracle estimates.
         let mut pool = Vec::new();

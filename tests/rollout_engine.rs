@@ -3,13 +3,15 @@
 //! the public crate APIs end to end.
 
 use mlir_rl_agent::{
-    collect_rollouts, PolicyHyperparams, PolicyNetwork, PpoConfig, PpoTrainer, RolloutBatch,
+    collect_rollouts, episode_seed, ActionRecord, PolicyHyperparams, PolicyModel, PolicyNetwork,
+    PpoConfig, PpoTrainer, RolloutBatch, Trajectory,
 };
-use mlir_rl_costmodel::{CostModel, EvalCache, MachineModel};
-use mlir_rl_env::{EnvConfig, ObservationBatch, OptimizationEnv, RewardMode};
+use mlir_rl_costmodel::{CostModel, MachineModel, SharedEvalCache};
+use mlir_rl_env::{Action, EnvConfig, Observation, ObservationBatch, OptimizationEnv, RewardMode};
 use mlir_rl_ir::{Module, ModuleBuilder};
-use mlir_rl_search::{GreedyPolicy, SearchDriver};
-use rand::SeedableRng;
+use mlir_rl_nn::Param;
+use mlir_rl_search::{GreedyPolicy, Mcts, SearchDriver, SearchOutcome};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn dataset() -> Vec<Module> {
@@ -68,7 +70,7 @@ fn collect(
         assert!(new.iter().all(|p| !p.grad().is_empty()));
     }
     if let Some(capacity) = capacity {
-        env.replace_cache(EvalCache::new(capacity));
+        env.replace_cache(SharedEvalCache::new(capacity));
     }
     let batch = collect_rollouts(
         &mut env,
@@ -104,20 +106,10 @@ fn assert_rollouts_match_serial(
     for (capacity, workers) in [(None, 2), (None, 3), (None, 4), (None, 6), (Some(4), 1)] {
         let (batch, env) = collect(config, modules, capacity, workers, trained);
         let case = format!("capacity {capacity:?}, {workers} workers, trained {trained}");
-        assert_eq!(serial.trajectories.len(), batch.trajectories.len());
-        for (a, b) in serial.trajectories.iter().zip(&batch.trajectories) {
-            assert_eq!(a.transitions.len(), b.transitions.len());
-            for (x, y) in a.transitions.iter().zip(&b.transitions) {
-                assert_eq!(x.record, y.record, "{case}: actions diverged");
-                assert_eq!(x.reward, y.reward, "{case}: rewards diverged");
-                assert_eq!(x.value, y.value, "{case}: values diverged");
-            }
-            assert_eq!(a.stats.speedup, b.stats.speedup);
-            assert_eq!(a.stats.steps, b.stats.steps);
-        }
+        assert_trajectories_identical(&serial.trajectories, &batch.trajectories, &case);
         // Every lookup of the batch went through the environment's one
         // table and was classified exactly once.
-        let table = env.cache().shared_backend();
+        let table = env.cache();
         assert_eq!(batch.total_lookups(), serial.total_lookups(), "{case}");
         assert_eq!(
             (batch.evaluations as u64, batch.cache_hits as u64),
@@ -133,6 +125,199 @@ fn assert_rollouts_match_serial(
             assert_eq!(table.evictions(), 0, "{case}");
         }
     }
+}
+
+/// Everything of two trajectory lists that must match bit for bit; the
+/// hit/miss split may differ with table warmth.
+fn assert_trajectories_identical(a: &[Trajectory], b: &[Trajectory], case: &str) {
+    assert_eq!(a.len(), b.len(), "{case}: trajectory counts differ");
+    for (ta, tb) in a.iter().zip(b) {
+        assert_eq!(ta.transitions.len(), tb.transitions.len(), "{case}");
+        for (x, y) in ta.transitions.iter().zip(&tb.transitions) {
+            assert_eq!(
+                x.observation, y.observation,
+                "{case}: observations diverged"
+            );
+            assert_eq!(x.record, y.record, "{case}: actions diverged");
+            assert_eq!(x.reward, y.reward, "{case}: rewards diverged");
+            assert_eq!(x.value, y.value, "{case}: values diverged");
+            assert_eq!(x.done, y.done, "{case}");
+        }
+        assert_eq!(ta.stats.baseline_s, tb.stats.baseline_s, "{case}");
+        assert_eq!(ta.stats.final_s, tb.stats.final_s, "{case}");
+        assert_eq!(ta.stats.speedup, tb.stats.speedup, "{case}");
+        assert_eq!(ta.stats.steps, tb.stats.steps, "{case}");
+        assert_eq!(ta.stats.total_lookups(), tb.stats.total_lookups(), "{case}");
+    }
+}
+
+/// Everything of a search outcome that must match bit for bit at any
+/// worker count; the hit/miss split may differ with table warmth.
+fn outcome_fields(o: &SearchOutcome) -> (String, u64, u64, Vec<Action>, usize, usize) {
+    (
+        o.module.clone(),
+        o.best_s.to_bits(),
+        o.speedup.to_bits(),
+        o.best_actions.clone(),
+        o.nodes_expanded,
+        o.total_lookups(),
+    )
+}
+
+/// The caller's measurement-noise stream after a batch, observed as the
+/// noisy baseline of one more reset.
+fn next_noisy_baseline(env: &mut OptimizationEnv) -> u64 {
+    env.reset(dataset()[0].clone());
+    env.stats().baseline_s.to_bits()
+}
+
+#[test]
+fn fan_out_battery_every_worker_count_collects_the_serial_batch() {
+    // Both fan-outs, the rollout engine and the search driver, at every
+    // worker count — fewer, as many and more threads than episodes.
+    let dataset = dataset();
+    let searcher = Mcts::new(4).with_branch(2);
+    for noise_seed in [None, Some(11)] {
+        let mut config = EnvConfig::small();
+        config.noise_seed = noise_seed;
+        let collect = |episodes: usize, workers: usize| {
+            let (mut env, mut trainer) = fixture(&config);
+            let modules: Vec<Module> = dataset.iter().cycle().take(episodes).cloned().collect();
+            let batch = collect_rollouts(
+                &mut env,
+                &modules.iter().collect::<Vec<_>>(),
+                &mut trainer.policy,
+                &mut trainer.value,
+                false,
+                77,
+                workers,
+            );
+            let noise = next_noisy_baseline(&mut env);
+            let report = SearchDriver::new(workers).with_seed(77).run(
+                &env,
+                &trainer.policy,
+                &searcher,
+                &modules,
+            );
+            let searched: Vec<_> = report.outcomes.iter().map(outcome_fields).collect();
+            (batch, noise, searched)
+        };
+        for episodes in [0, 1, 2, 7] {
+            let (serial, serial_noise, serial_searched) = collect(episodes, 1);
+            assert_eq!(serial.trajectories.len(), episodes);
+            assert_eq!(serial_searched.len(), episodes);
+            for workers in [2, 3, 8] {
+                let case = format!("{episodes} episodes, {workers} workers, noise {noise_seed:?}");
+                let (parallel, parallel_noise, parallel_searched) = collect(episodes, workers);
+                assert_trajectories_identical(&serial.trajectories, &parallel.trajectories, &case);
+                assert_eq!(serial.total_lookups(), parallel.total_lookups(), "{case}");
+                assert_eq!(
+                    serial_noise, parallel_noise,
+                    "{case}: the caller's noise stream must not depend on the worker count"
+                );
+                assert_eq!(
+                    serial_searched, parallel_searched,
+                    "{case}: the driver diverged"
+                );
+            }
+        }
+    }
+}
+
+/// A policy that panics at the first step of one chosen episode or search,
+/// recognised by the first draw of its RNG: the rollout engine and the
+/// driver both seed index `i` from `episode_seed(base_seed, i)`.
+#[derive(Clone)]
+struct PanicsOnEpisode {
+    inner: PolicyNetwork,
+    first_draw: u64,
+}
+
+impl PolicyModel for PanicsOnEpisode {
+    fn select_action(
+        &mut self,
+        obs: &Observation,
+        greedy: bool,
+        rng: &mut ChaCha8Rng,
+    ) -> ActionRecord {
+        assert!(
+            rng.clone().gen::<u64>() != self.first_draw,
+            "poisoned episode"
+        );
+        self.inner.select_action(obs, greedy, rng)
+    }
+    fn evaluate_batch(
+        &mut self,
+        batch: &ObservationBatch,
+        items: &[(&Observation, &ActionRecord)],
+    ) -> Vec<(f64, f64)> {
+        self.inner.evaluate_batch(batch, items)
+    }
+    fn backward_batch(&mut self, items: &[(&Observation, &ActionRecord)], coeffs: &[(f64, f64)]) {
+        self.inner.backward_batch(items, coeffs);
+    }
+    fn zero_grad(&mut self) {
+        self.inner.zero_grad();
+    }
+    fn parameters_mut(&mut self) -> Vec<&mut Param> {
+        self.inner.parameters_mut()
+    }
+}
+
+#[test]
+fn a_panicking_episode_panics_the_fan_out_instead_of_hanging_it() {
+    let dataset = dataset();
+    let modules: Vec<Module> = dataset.iter().cycle().take(7).cloned().collect();
+    let module_refs: Vec<&Module> = modules.iter().collect();
+    let base_seed = 9;
+    for workers in [1, 2, 3] {
+        for poisoned in [0, 3, 6] {
+            let (mut env, mut trainer) = fixture(&EnvConfig::small());
+            let mut policy = PanicsOnEpisode {
+                inner: trainer.policy.clone(),
+                first_draw: ChaCha8Rng::seed_from_u64(episode_seed(base_seed, poisoned))
+                    .gen::<u64>(),
+            };
+            let rollouts = panic_message(|| {
+                collect_rollouts(
+                    &mut env,
+                    &module_refs,
+                    &mut policy,
+                    &mut trainer.value,
+                    false,
+                    base_seed,
+                    workers,
+                );
+            });
+            let driver = panic_message(|| {
+                SearchDriver::new(workers).with_seed(base_seed).run(
+                    &env,
+                    &policy,
+                    &GreedyPolicy,
+                    &modules,
+                );
+            });
+            // The caller's own panic resumes as it was raised, and so does a
+            // spawned thread's, at its join.
+            for (name, message) in [("collect_rollouts", rollouts), ("SearchDriver", driver)] {
+                assert!(
+                    message.contains("poisoned episode"),
+                    "{name}, {workers} workers, episode {poisoned}: unexpected panic {message:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The message of the panic `f` raises; fails the test if `f` returns.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .expect_err("the poisoned episode must panic the batch");
+    payload
+        .downcast_ref::<&str>()
+        .map(|m| m.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
 }
 
 #[test]

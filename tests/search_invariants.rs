@@ -243,11 +243,11 @@ fn battery_lookup_accounting_is_consistent() {
         assert!(outcome.speedup.is_finite() && outcome.speedup > 0.0);
         assert!(outcome.baseline_s > 0.0 && outcome.best_s > 0.0);
         assert!(!outcome.best_schedule.is_empty(), "{}", e.searcher.name());
-        // The outcome's delta accounting agrees with the cache's own
+        // The outcome's delta accounting agrees with the environment's own
         // counters.
         assert_eq!(
             outcome.total_lookups(),
-            (environment.cache().hits() + environment.cache().misses()) as usize,
+            (environment.lifetime_hits() + environment.lifetime_misses()) as usize,
             "{} outcome accounting must agree with the env cache",
             e.searcher.name()
         );
@@ -393,14 +393,14 @@ fn battery_tiny_cache_eviction_is_invisible_to_every_searcher() {
     // default environment — eviction only re-runs the deterministic
     // estimator. (The hit/miss *split* legitimately shifts: an evicted
     // entry's comeback is a miss.)
-    use mlir_rl_costmodel::{EvalCache, SharedEvalCache};
+    use mlir_rl_costmodel::SharedEvalCache;
     let module = chain(96, 48, 64);
     let tiny_backend = SharedEvalCache::new(32);
     let mut evictions_seen = 0;
     for e in roster() {
         let mut p = policy(3);
         let (mut roomy_env, mut tiny_env) = (env(), env());
-        tiny_env.replace_cache(EvalCache::with_shared_backend(tiny_backend.clone()));
+        tiny_env.replace_cache(tiny_backend.clone());
         let roomy = e.searcher.search(&mut roomy_env, &mut p, &module, 17);
         let tiny = e.searcher.search(&mut tiny_env, &mut p, &module, 17);
         assert_eq!(
@@ -576,7 +576,7 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let report = SearchDriver::new(workers)
                 .with_seed(base_seed)
-                .run_portfolio(&template, &p, &race, &batch);
+                .run(&template, &p, &race, &batch);
             let fields: Vec<_> = report.outcomes.iter().map(deterministic_fields).collect();
             match &reference {
                 None => reference = Some(fields),

@@ -128,8 +128,8 @@ fn search_and_rollout_lookup_accounting_use_the_same_invariant() {
     );
     assert_eq!(
         outcome.total_lookups(),
-        (e.cache().hits() + e.cache().misses()) as usize,
-        "outcome accounting must agree with the cache's own counters"
+        (e.lifetime_hits() + e.lifetime_misses()) as usize,
+        "outcome accounting must agree with the environment's own counters"
     );
     let stats = e.stats();
     assert_eq!(stats.total_lookups(), stats.evaluations + stats.cache_hits);
