@@ -579,6 +579,75 @@ fn the_first_step_memo_is_invisible_in_the_bits() {
     assert_eq!(infer_checked(&mut lstm, &[&producer, &consumer]), two_steps);
 }
 
+/// Adds `delta` to entry `(row, col)` of parameter `index` in
+/// `parameters_mut` order (`W` 0–3, `U` 4–7, `b` 8–11; gates `i f g o`).
+fn nudge(lstm: &mut Lstm, index: usize, (row, col): (usize, usize), delta: f64) {
+    let param = &mut lstm.parameters_mut()[index];
+    let at = param.storage_index(row, col);
+    param.value_mut()[at] += delta;
+}
+
+#[test]
+fn the_second_step_hidden_term_is_invisible_in_the_bits() {
+    const WIDTH: usize = 3252;
+    let mut rng = ChaCha8Rng::seed_from_u64(41);
+    let mut lstm = Lstm::new(WIDTH, 6, &mut rng);
+    let [producer, consumer, next] = [21, 18, 30].map(|nnz| Step::random(WIDTH, nnz, &mut rng));
+    let empty = Step::random(WIDTH, 0, &mut rng);
+
+    // (a) A write to one `U` entry between two calls that share the
+    // producer. Step 0 starts from `h = 0` and lists no column of `U`, so
+    // the first step that reads the write is step 1: its hidden term
+    // `U·h₁ + b` is all that a stale memo could get wrong.
+    let before = infer_checked(&mut lstm, &[&producer, &consumer]);
+    nudge(&mut lstm, 5, (1, 4), 0.5);
+    let after = infer_checked(&mut lstm, &[&producer, &consumer]);
+    assert_ne!(after, before, "the `U` write reaches step 1");
+    assert_eq!(infer_checked(&mut lstm, &[&producer, &consumer]), after);
+
+    // (b) The same with a write to one `b` entry (the cell gate's).
+    nudge(&mut lstm, 10, (3, 0), 0.25);
+    let biased = infer_checked(&mut lstm, &[&producer, &consumer]);
+    assert_ne!(biased, after, "the `b` write reaches the output");
+    assert_eq!(infer_checked(&mut lstm, &[&producer, &consumer]), biased);
+
+    // (c) Three steps on a hit: step 1 starts from the memo, step 2 runs
+    // on from the state step 1 left; then the consumers swap places.
+    infer_checked(&mut lstm, &[&producer, &next]);
+    infer_checked(&mut lstm, &[&producer, &consumer, &next]);
+    infer_checked(&mut lstm, &[&producer, &next, &consumer]);
+    infer_checked(&mut lstm, &[&producer, &consumer, &next]);
+
+    // (d) Non-zero gate biases. At initialization the cell gate's bias is
+    // zero, so the empty producer leaves `h₁ = +0.0` and step 1's hidden
+    // product lists no column; with every bias non-zero `h₁` is dense and
+    // so is the hidden term a hit reuses.
+    let mut fresh = Lstm::new(WIDTH, 6, &mut rng);
+    let zero = infer_checked(&mut fresh, &[&empty]);
+    assert!(zero.iter().all(|b| *b == 0), "h₁ = +0.0 at initialization");
+    let image: Vec<Vec<f64>> = fresh
+        .parameters_mut()
+        .iter()
+        .map(|p| p.logical_values().collect())
+        .collect();
+    for (index, (param, mut values)) in fresh.parameters_mut().into_iter().zip(image).enumerate() {
+        if index >= 8 {
+            values = random_values(values.len(), &mut rng);
+        }
+        param.set_value(values);
+    }
+    let h1 = infer_checked(&mut fresh, &[&empty]);
+    assert!(h1.iter().all(|b| *b != 0 && *b != 1 << 63), "h₁ is dense");
+    for consumer in [&consumer, &next, &consumer, &empty, &consumer] {
+        infer_checked(&mut fresh, &[&empty, consumer]);
+    }
+    infer_checked(&mut fresh, &[&empty, &next, &consumer]);
+    let before = infer_checked(&mut fresh, &[&empty, &consumer]);
+    nudge(&mut fresh, 7, (0, 5), -0.5);
+    assert_ne!(infer_checked(&mut fresh, &[&empty, &consumer]), before);
+    infer_checked(&mut fresh, &[&empty, &consumer]);
+}
+
 #[test]
 #[should_panic(expected = "strictly ascending")]
 fn list_entry_rejects_unordered_columns() {
