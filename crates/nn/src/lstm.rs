@@ -27,8 +27,9 @@
 //! product and written whole by the gradient accumulation. An input that
 //! arrives as its non-zero list ([`Lstm::infer_nonzeros`]) skips the
 //! listing, and a first step that repeats the previous call's skips the
-//! step: a one-entry memo keeps the state it left until the weights are
-//! next handed out for writing ([`Lstm::parameters_mut`]).
+//! step and the hidden product of the next: a one-entry memo keeps the
+//! cell state `c₁` it left and each gate's hidden term `U_g·h₁ + b_g` until
+//! the weights are next handed out for writing ([`Lstm::parameters_mut`]).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -64,16 +65,18 @@ struct LstmScratch {
 }
 
 /// The one-entry prefix memo of [`Lstm::infer_nonzeros`]: the first step
-/// of the last multi-step sequence (its column list and value bits) and
-/// the cell state after it.
+/// of the last multi-step sequence (its column list and value bits), the
+/// cell state `c₁` after it and the hidden terms `U_g·h₁ + b_g` of the step
+/// after it. That is all step 1 reads of step 0: its hidden state `h₁`
+/// enters only through the hidden terms.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct PrefixMemo {
     /// Whether the fields below describe a computed step.
     filled: bool,
     cols: Vec<u32>,
     values: Vec<f64>,
-    h: Vec<f64>,
     c: Vec<f64>,
+    hidden: [Tensor2; 4],
 }
 
 impl PrefixMemo {
@@ -83,14 +86,13 @@ impl PrefixMemo {
         self.filled && self.cols == cols && self.values.iter().map(bits).eq(values.iter().map(bits))
     }
 
-    /// Records the step `(cols, values)` and the state it left.
-    fn fill(&mut self, cols: &[u32], values: &[f64], h: &Tensor2, c: &Tensor2) {
+    /// Records the step `(cols, values)` and the cell state it left; the
+    /// caller has written the hidden terms.
+    fn fill(&mut self, cols: &[u32], values: &[f64], c: &Tensor2) {
         self.cols.clear();
         self.cols.extend_from_slice(cols);
         self.values.clear();
         self.values.extend_from_slice(values);
-        self.h.clear();
-        self.h.extend_from_slice(h.data());
         self.c.clear();
         self.c.extend_from_slice(c.data());
         self.filled = true;
@@ -119,10 +121,10 @@ pub struct Lstm {
     /// in and clears exactly those entries on the way out.
     #[serde(skip)]
     zeroed_inputs: Scratch<Vec<Tensor2>>,
-    /// Step 0 of the last multi-step [`Lstm::infer_nonzeros`] call and the
-    /// state it left. Valid for the current weights only: every write to
-    /// `w` / `u` / `b` passes through [`Lstm::parameters_mut`], which
-    /// clears it.
+    /// Step 0 of the last multi-step [`Lstm::infer_nonzeros`] call, the
+    /// cell state it left and step 1's hidden terms. Valid for the current
+    /// weights only: every write to `w` / `u` / `b` passes through
+    /// [`Lstm::parameters_mut`], which clears it.
     #[serde(skip)]
     prefix_memo: Scratch<PrefixMemo>,
 }
@@ -159,32 +161,34 @@ impl Lstm {
         self.hidden_size
     }
 
-    /// Pre-activation of one gate, `z = W_g x + (U_g h + b_g)`, with the
-    /// same per-element addition order as the historical single-sample
-    /// cell. `x_cols` / `h_cols` are the column lists of `x` / `h`; `uh` is
-    /// working memory.
-    #[allow(clippy::too_many_arguments)]
+    /// The hidden term of one gate, `U_g h + b_g`, into `out`
+    /// (`rows x hidden`); `h_cols` is the column list of `h`. Each entry is
+    /// the rounded sum `uh + b` that the single-sample cell adds to `W_g x`
+    /// as one term, so a kept copy stands in for it bit for bit.
+    fn hidden_term_into(&self, gate: usize, h: &Tensor2, h_cols: &ActiveCols, out: &mut Tensor2) {
+        self.u[gate].matmul_batch_cols_into(h, h_cols, out);
+        for r in 0..out.rows() {
+            for (v, bi) in out.row_mut(r).iter_mut().zip(self.b[gate].value()) {
+                *v += bi;
+            }
+        }
+    }
+
+    /// Pre-activation of one gate, `z = W_g x + hidden`, where `hidden` is
+    /// the gate's term from [`Lstm::hidden_term_into`]: the same
+    /// per-element addition order as the historical single-sample cell.
+    /// `x_cols` is the column list of `x`.
     fn gate_pre_into(
         &self,
         gate: usize,
         x: &Tensor2,
         x_cols: &ActiveCols,
-        h: &Tensor2,
-        h_cols: &ActiveCols,
+        hidden: &Tensor2,
         z: &mut Tensor2,
-        uh: &mut Tensor2,
     ) {
         self.w[gate].matmul_batch_cols_into(x, x_cols, z);
-        self.u[gate].matmul_batch_cols_into(h, h_cols, uh);
-        for r in 0..z.rows() {
-            for ((zi, uhi), bi) in z
-                .row_mut(r)
-                .iter_mut()
-                .zip(uh.row(r))
-                .zip(self.b[gate].value())
-            {
-                *zi += uhi + bi;
-            }
+        for (zi, hi) in z.data_mut().iter_mut().zip(hidden.data()) {
+            *zi += hi;
         }
     }
 
@@ -206,7 +210,8 @@ impl Lstm {
         let mut uh = Tensor2::default();
         let mut pre = |gate: usize| -> Tensor2 {
             let mut z = Tensor2::default();
-            self.gate_pre_into(gate, x, &x_cols, &h_prev, &h_cols, &mut z, &mut uh);
+            self.hidden_term_into(gate, &h_prev, &h_cols, &mut uh);
+            self.gate_pre_into(gate, x, &x_cols, &uh, &mut z);
             z
         };
         let mut i = pre(0);
@@ -326,15 +331,22 @@ impl Lstm {
     {
         s.h.resize(rows, self.hidden_size);
         s.c.resize(rows, self.hidden_size);
-        self.run_steps(steps, rows, s);
+        self.run_steps(steps, rows, s, None);
     }
 
     /// [`Lstm::run_infer`] from the state already in `s.h` / `s.c`
     /// (`rows x hidden`): each step reads only that state and its input, so
     /// resuming after step `t` from the state step `t` left is the same
-    /// computation as running on.
-    fn run_steps<'a, I>(&self, steps: I, rows: usize, s: &mut LstmScratch)
-    where
+    /// computation as running on. With `first_hidden`, the first step takes
+    /// its hidden terms from there instead of computing them from `s.h`,
+    /// which it then does not read.
+    fn run_steps<'a, I>(
+        &self,
+        steps: I,
+        rows: usize,
+        s: &mut LstmScratch,
+        mut first_hidden: Option<&[Tensor2; 4]>,
+    ) where
         I: Iterator<Item = (&'a Tensor2, Option<&'a [u32]>)>,
     {
         let hs = self.hidden_size;
@@ -344,9 +356,19 @@ impl Lstm {
                 Some(cols) => s.x_cols.adopt(cols, x.cols()),
                 None => s.x_cols.scan(x.data(), rows, x.cols()),
             }
-            s.h_cols.scan(s.h.data(), rows, hs);
+            let kept = first_hidden.take();
+            if kept.is_none() {
+                s.h_cols.scan(s.h.data(), rows, hs);
+            }
             for (gate, z) in s.gates.iter_mut().enumerate() {
-                self.gate_pre_into(gate, x, &s.x_cols, &s.h, &s.h_cols, z, &mut s.uh);
+                let hidden = match kept {
+                    Some(terms) => &terms[gate],
+                    None => {
+                        self.hidden_term_into(gate, &s.h, &s.h_cols, &mut s.uh);
+                        &s.uh
+                    }
+                };
+                self.gate_pre_into(gate, x, &s.x_cols, hidden, z);
             }
             sigmoid_in_place(s.gates[0].data_mut());
             sigmoid_in_place(s.gates[1].data_mut());
@@ -415,11 +437,13 @@ impl Lstm {
     /// A one-entry prefix memo skips step 0 when it repeats: a sequence of
     /// two or more steps whose first step has the column list and value
     /// bits of the previous such call's first step starts at step 1 from
-    /// the state step 0 left then (the embedding LSTM sees the producer
-    /// first, and it repeats across the steps on one consumer). The memo is
-    /// working memory under the [`Scratch`] rule — a clone starts without
-    /// it, equality ignores it — and [`Lstm::parameters_mut`], the only
-    /// way to write the weights, clears it.
+    /// the cell state `c₁` step 0 left then, and step 1 adds the hidden
+    /// terms `U_g·h₁ + b_g` kept then to its `W_g·x` over the listed columns
+    /// (the embedding LSTM sees the producer first, and it repeats across
+    /// the steps on one consumer). The memo is working memory under the
+    /// [`Scratch`] rule — a clone starts without it, equality ignores it —
+    /// and [`Lstm::parameters_mut`], the only way to write the weights,
+    /// clears it.
     ///
     /// # Panics
     ///
@@ -428,9 +452,15 @@ impl Lstm {
     /// `input_size`.
     pub fn infer_nonzeros(&mut self, sequence: &[(&[u32], &[f64])]) -> &[f64] {
         assert!(!sequence.is_empty(), "LSTM sequence must not be empty");
+        let mut memo = std::mem::take(&mut self.prefix_memo).0;
+        let (first_cols, first_values) = sequence[0];
+        let hit = sequence.len() > 1 && memo.holds(first_cols, first_values);
+        // A hit neither runs step 0 nor reads its staging row, and its list
+        // passed the checks below when the memo was filled.
+        let skip = usize::from(hit);
         let mut inputs = std::mem::take(&mut self.zeroed_inputs).0;
         inputs.resize_with(sequence.len(), || Tensor2::zeros(1, self.input_size));
-        for (staged, (cols, values)) in inputs.iter_mut().zip(sequence) {
+        for (staged, (cols, values)) in inputs.iter_mut().zip(sequence).skip(skip) {
             assert_eq!(cols.len(), values.len(), "LSTM column list mismatch");
             assert!(
                 cols.windows(2).all(|w| w[0] < w[1])
@@ -443,26 +473,30 @@ impl Lstm {
             }
         }
         let mut s = std::mem::take(&mut self.infer_scratch).0;
-        let mut memo = std::mem::take(&mut self.prefix_memo).0;
         let mut steps = inputs
             .iter()
             .zip(sequence)
             .map(|(x, (cols, _))| (x, Some(*cols)));
-        let (first_cols, first_values) = sequence[0];
         if sequence.len() == 1 {
             self.run_infer(steps, 1, &mut s);
-        } else if memo.holds(first_cols, first_values) {
-            s.h.assign_flat(1, self.hidden_size, &memo.h);
-            s.c.assign_flat(1, self.hidden_size, &memo.c);
-            self.run_steps(steps.skip(1), 1, &mut s);
         } else {
-            self.run_infer(steps.by_ref().take(1), 1, &mut s);
-            memo.fill(first_cols, first_values, &s.h, &s.c);
-            self.run_steps(steps, 1, &mut s);
+            if hit {
+                steps.next();
+                s.c.assign_flat(1, self.hidden_size, &memo.c);
+                s.h.reshape_for_overwrite(1, self.hidden_size);
+            } else {
+                self.run_infer(steps.by_ref().take(1), 1, &mut s);
+                s.h_cols.scan(s.h.data(), 1, self.hidden_size);
+                for (gate, term) in memo.hidden.iter_mut().enumerate() {
+                    self.hidden_term_into(gate, &s.h, &s.h_cols, term);
+                }
+                memo.fill(first_cols, first_values, &s.c);
+            }
+            self.run_steps(steps, 1, &mut s, Some(&memo.hidden));
         }
         self.prefix_memo = Scratch(memo);
         self.infer_scratch = Scratch(s);
-        for (staged, (cols, _)) in inputs.iter_mut().zip(sequence) {
+        for (staged, (cols, _)) in inputs.iter_mut().zip(sequence).skip(skip) {
             let row = staged.data_mut();
             for col in *cols {
                 row[*col as usize] = 0.0;
@@ -719,15 +753,18 @@ mod tests {
         let memo = |lstm: &Lstm| lstm.prefix_memo.0.holds(producer.0, producer.1);
         lstm.infer_nonzeros(&[producer, consumer]);
         assert!(memo(&lstm));
-        let state = (lstm.prefix_memo.0.h.clone(), lstm.prefix_memo.0.c.clone());
+        let kept = |lstm: &Lstm| {
+            (
+                lstm.prefix_memo.0.c.clone(),
+                lstm.prefix_memo.0.hidden.clone(),
+            )
+        };
+        let state = kept(&lstm);
         // A hit keeps the entry; a one-step call neither reads nor writes it.
         lstm.infer_nonzeros(&[producer, producer]);
         lstm.infer_nonzeros(&[consumer]);
         assert!(memo(&lstm));
-        assert_eq!(
-            state,
-            (lstm.prefix_memo.0.h.clone(), lstm.prefix_memo.0.c.clone())
-        );
+        assert_eq!(state, kept(&lstm));
         // A clone starts without it; handing out the weights drops it.
         assert!(!memo(&lstm.clone()));
         lstm.parameters_mut();
