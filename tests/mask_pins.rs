@@ -6,13 +6,16 @@
 //! One FNV-1a digest per walk set covers every observation's mask (the six
 //! transformation bits and every loop level's tile row) and every drawn
 //! action, so however the mask is stored or read, it must allow exactly
-//! these actions and the random searcher must draw exactly these ones.
+//! these actions and the random searcher must draw exactly these ones. A
+//! second digest covers every observation's consumer and producer feature
+//! lists (columns and value bits), so however or whenever the observation is
+//! built, it must describe exactly these states.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use mlir_rl_costmodel::{CostModel, MachineModel};
-use mlir_rl_env::{EnvConfig, InterchangeMode, Observation, OptimizationEnv};
+use mlir_rl_env::{EnvConfig, Features, InterchangeMode, Observation, OptimizationEnv};
 use mlir_rl_ir::{Fnv1a, Module};
 use mlir_rl_search::random_action;
 use mlir_rl_transforms::TransformationKind;
@@ -31,11 +34,21 @@ fn write_mask(fnv: &mut Fnv1a, obs: &Observation) {
     }
 }
 
-/// Walks every module under eight seeds and returns the digest and the number
-/// of steps walked.
-fn walk(config: &EnvConfig, modules: &[Module]) -> (u64, usize) {
+fn write_features(fnv: &mut Fnv1a, features: &Features) {
+    let (columns, values) = features.nonzeros();
+    fnv.write(&(columns.len() as u64).to_le_bytes());
+    for (column, value) in columns.iter().zip(values) {
+        fnv.write(&column.to_le_bytes());
+        fnv.write(&value.to_bits().to_le_bytes());
+    }
+}
+
+/// Walks every module under eight seeds and returns the mask-and-action
+/// digest, the feature digest and the number of steps walked.
+fn walk(config: &EnvConfig, modules: &[Module]) -> (u64, u64, usize) {
     let mut env = OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
     let mut fnv = Fnv1a::new();
+    let mut features = Fnv1a::new();
     let mut steps = 0usize;
     for (index, module) in modules.iter().enumerate() {
         for seed in 0..8u64 {
@@ -43,6 +56,8 @@ fn walk(config: &EnvConfig, modules: &[Module]) -> (u64, usize) {
             let mut observation = env.reset(module.clone());
             while let Some(obs) = observation {
                 write_mask(&mut fnv, &obs);
+                write_features(&mut features, &obs.consumer);
+                write_features(&mut features, &obs.producer);
                 let action = random_action(&obs, config, &mut rng);
                 fnv.write(format!("{action:?}").as_bytes());
                 fnv.write(&[0xff]);
@@ -53,7 +68,7 @@ fn walk(config: &EnvConfig, modules: &[Module]) -> (u64, usize) {
             }
         }
     }
-    (fnv.finish(), steps)
+    (fnv.finish(), features.finish(), steps)
 }
 
 fn with_mode(mut config: EnvConfig, mode: InterchangeMode) -> EnvConfig {
@@ -80,15 +95,15 @@ fn random_walk_masks_and_actions_are_pinned() {
             digests.push(walk(&with_mode(config, mode), modules));
         }
     }
-    // (digest, steps) per walk set: small then paper, level pointers
-    // then enumerated candidates.
+    // (mask digest, feature digest, steps) per walk set: small then paper,
+    // level pointers then enumerated candidates.
     assert_eq!(
         digests,
         [
-            (0xdbc0_55b8_fb08_33bb, 9847),
-            (0xf8f9_8759_0f65_3835, 326),
-            (0x67a4_fcf5_884b_95c9, 9848),
-            (0xfbb3_68bf_3c21_8b97, 328),
+            (0xdbc0_55b8_fb08_33bb, 0x2d27_7754_54a2_c71b, 9847),
+            (0xf8f9_8759_0f65_3835, 0x6025_80ca_e09d_e551, 326),
+            (0x67a4_fcf5_884b_95c9, 0x4973_da07_206f_de75, 9848),
+            (0xfbb3_68bf_3c21_8b97, 0x7cb1_0062_a3a4_c132, 328),
         ]
     );
 }
