@@ -553,12 +553,12 @@ pub fn greedy_geomean(
         let mut steps = 0usize;
         while let Some(current) = obs {
             let record = policy.select_action(&current, true, rng);
-            let outcome = env.step(&record.action);
-            obs = outcome.observation;
+            env.step(&record.action);
             steps += 1;
             if steps > max_steps {
                 break;
             }
+            obs = env.current_observation();
         }
         let final_s = env.peek_time_s();
         let speedup = if final_s > 0.0 {

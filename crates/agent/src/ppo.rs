@@ -392,11 +392,11 @@ pub fn collect_episode<P: PolicyModel>(
             value: v,
             done: outcome.done,
         });
-        obs = outcome.observation;
         steps += 1;
         if steps > max_steps {
             break;
         }
+        obs = env.current_observation();
     }
     let stats = env.stats();
     Trajectory { transitions, stats }

@@ -402,7 +402,8 @@ fn greedy_stream(env: &mut OptimizationEnv, sequences: usize) -> Vec<[Features; 
         let mut obs = env.reset(module);
         while let Some(current) = obs {
             let record = policy.select_action(&current, true, &mut rng);
-            obs = env.step(&record.action).observation;
+            env.step(&record.action);
+            obs = env.current_observation();
             stream.push([current.producer, current.consumer]);
         }
     }

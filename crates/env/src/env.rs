@@ -9,6 +9,16 @@
 //! optimized module over the untransformed baseline, estimated by the
 //! analytical cost model (the substitute for the paper's real executions).
 //!
+//! An observation is a read of the current decision point, not a by-product
+//! of acting: [`OptimizationEnv::step`] applies the action, advances the
+//! visit cursor and scores the reward, but extracts no features. The first
+//! observation comes back from [`OptimizationEnv::reset`]; after a step, a
+//! caller that decides from features asks for
+//! [`OptimizationEnv::current_observation`], and one that needs only the
+//! legal actions (random search) asks for the cheaper
+//! [`OptimizationEnv::current_mask`]. Replays and search branches that are
+//! re-observed after a restore pay for no observation at all.
+//!
 //! Every estimate goes through the environment's schedule-keyed
 //! [`SharedEvalCache`], which the environment holds directly together with
 //! its trace probe. One private method, `cached_total_s`, makes every
@@ -53,11 +63,11 @@ pub struct Observation {
     pub op: OpId,
 }
 
-/// Result of one environment step.
+/// Result of one environment step. It carries no observation: the next one
+/// is [`OptimizationEnv::current_observation`] (or its mask alone,
+/// [`OptimizationEnv::current_mask`]), `None` exactly when `done`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepOutcome {
-    /// The next observation, or `None` when the episode has ended.
-    pub observation: Option<Observation>,
     /// The reward of this step.
     pub reward: f64,
     /// Whether the episode has ended.
@@ -400,10 +410,23 @@ impl OptimizationEnv {
     }
 
     /// The observation of the current decision point (`None` when the
-    /// episode is over). Search procedures call this after
-    /// [`Self::restore`] to re-derive the branching point's observation.
+    /// episode is over): the consumer and producer feature lists plus the
+    /// action mask. Besides [`Self::reset`], this is the only way to get
+    /// an observation — after a [`Self::step`] or a [`Self::restore`] the
+    /// caller asks for it, and pays for the two feature extractions only
+    /// when it does.
     pub fn current_observation(&self) -> Option<Observation> {
         self.observation()
+    }
+
+    /// The action mask of the current decision point alone (`None` when the
+    /// episode is over); equal to `current_observation()`'s mask, without
+    /// extracting any features. Its [`ActionMask::num_loops`] is the
+    /// observation's `num_loops`.
+    pub fn current_mask(&self) -> Option<ActionMask> {
+        let scheduled = self.episode.scheduled.as_ref()?;
+        let op = self.current_op()?;
+        Some(compute_mask(scheduled, op, &self.config))
     }
 
     /// Estimated execution time of the current schedule, through the cache,
@@ -463,6 +486,7 @@ impl OptimizationEnv {
     }
 
     fn observation(&self) -> Option<Observation> {
+        let mask = self.current_mask()?;
         let scheduled = self.episode.scheduled.as_ref()?;
         let op = self.current_op()?;
         let num_loops = scheduled.module().op(op).ok()?.num_loops();
@@ -474,7 +498,7 @@ impl OptimizationEnv {
         Some(Observation {
             consumer,
             producer,
-            mask: compute_mask(scheduled, op, &self.config),
+            mask,
             num_loops,
             op,
         })
@@ -498,7 +522,10 @@ impl OptimizationEnv {
         self.episode.current_index >= self.episode.op_order.len()
     }
 
-    /// Applies one agent action.
+    /// Applies one agent action: applies the transformation, records the
+    /// action history, advances the visit cursor and scores the reward. It
+    /// builds no observation; read the next one with
+    /// [`Self::current_observation`] or [`Self::current_mask`].
     ///
     /// Illegal actions (which the masks normally prevent) are not applied
     /// but still consume a step; a tiled parallelization whose outermost
@@ -507,7 +534,6 @@ impl OptimizationEnv {
     pub fn step(&mut self, action: &Action) -> StepOutcome {
         if self.episode_done() || self.episode.scheduled.is_none() {
             return StepOutcome {
-                observation: None,
                 reward: 0.0,
                 done: true,
                 applied: false,
@@ -619,7 +645,6 @@ impl OptimizationEnv {
         );
 
         StepOutcome {
-            observation: if done { None } else { self.observation() },
             reward,
             done,
             applied,
@@ -680,10 +705,10 @@ mod tests {
         e.reset(matmul_relu_module()).unwrap();
         let out1 = e.step(&Action::NoTransformation);
         assert!(!out1.done);
-        assert_eq!(out1.observation.as_ref().unwrap().op, OpId(0));
+        assert_eq!(e.current_observation().unwrap().op, OpId(0));
         let out2 = e.step(&Action::NoTransformation);
         assert!(out2.done);
-        assert!(out2.observation.is_none());
+        assert!(e.current_observation().is_none());
         // Doing nothing gives (approximately) zero reward.
         assert!(out2.reward.abs() < 1e-9);
         let stats = e.stats();
@@ -765,7 +790,7 @@ mod tests {
             let out = e.step(&Action::Tiling {
                 tile_indices: vec![1, 1],
             });
-            if out.done || out.observation.as_ref().map(|o| o.op) == Some(OpId(0)) {
+            if out.done || e.current_op() == Some(OpId(0)) {
                 moved = true;
                 break;
             }
@@ -1076,6 +1101,87 @@ mod tests {
             (table.hits(), table.misses()),
             (a_own.0 + b_own.0, a_own.1 + b_own.1)
         );
+    }
+
+    /// A conv → relu → pool chain plus the matmul chain and a softmax:
+    /// producers, fusion, reductions and seven-loop operations.
+    fn walk_modules() -> Vec<Module> {
+        let mut b = ModuleBuilder::new("conv");
+        let x = b.argument("x", vec![1, 8, 18, 18]);
+        let f = b.argument("f", vec![16, 8, 3, 3]);
+        let c = b.conv2d(x, f, 1);
+        let r = b.relu(c);
+        b.max_pool(r, 2, 2);
+        let conv = b.finish();
+        let mut b = ModuleBuilder::new("softmax");
+        let x = b.argument("x", vec![64, 128]);
+        b.softmax_2d(x);
+        vec![conv, matmul_relu_module(), b.finish()]
+    }
+
+    /// A seeded walk's next action: a kind the mask allows and, per loop, a
+    /// tile candidate its row allows (splitmix64 draws; what is under test
+    /// is the environment's contract, not the distribution).
+    fn masked_action(mask: &ActionMask, state: &mut u64) -> Action {
+        let mut draw = |n: usize| {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut pick = |allowed: &[bool]| {
+            let legal: Vec<usize> = (0..allowed.len()).filter(|i| allowed[*i]).collect();
+            legal[draw(legal.len())]
+        };
+        let kind = TransformationKind::from_index(pick(&mask.transformation));
+        let tile_indices: Vec<usize> = (0..mask.num_loops())
+            .map(|level| pick(mask.tile_row(level)))
+            .collect();
+        match kind {
+            TransformationKind::Tiling => Action::Tiling { tile_indices },
+            TransformationKind::TiledParallelization => {
+                Action::TiledParallelization { tile_indices }
+            }
+            TransformationKind::TiledFusion => Action::TiledFusion { tile_indices },
+            TransformationKind::Interchange => {
+                let mut order: Vec<usize> = (0..mask.num_loops()).collect();
+                order.rotate_left(1);
+                Action::Interchange(InterchangeSpec::Permutation(order))
+            }
+            TransformationKind::Vectorization => Action::Vectorization,
+            TransformationKind::NoTransformation => Action::NoTransformation,
+        }
+    }
+
+    #[test]
+    fn the_mask_alone_matches_the_observation_and_ends_with_the_episode() {
+        for config in [EnvConfig::paper(), EnvConfig::small()] {
+            let mut e = OptimizationEnv::new(config, CostModel::new(MachineModel::default()));
+            let (mut steps, mut applied) = (0usize, 0usize);
+            for (index, module) in walk_modules().into_iter().enumerate() {
+                for seed in 0..8u64 {
+                    let mut state = seed << 32 | index as u64;
+                    let mut obs = e.reset(module.clone());
+                    assert_eq!(obs, e.current_observation());
+                    while let Some(current) = obs {
+                        let mask = e.current_mask().expect("live episode has a mask");
+                        assert_eq!(mask, current.mask);
+                        assert_eq!(mask.num_loops(), current.num_loops);
+                        let out = e.step(&masked_action(&mask, &mut state));
+                        steps += 1;
+                        applied += usize::from(out.applied);
+                        obs = e.current_observation();
+                        assert_eq!(e.current_mask().is_none(), out.done);
+                        assert_eq!(obs.is_none(), out.done);
+                    }
+                    // Stepping a finished episode stays done and unobserved.
+                    assert!(e.step(&Action::NoTransformation).done);
+                    assert_eq!((e.current_mask(), e.current_observation()), (None, None));
+                }
+            }
+            assert_eq!(applied, steps, "the mask allowed every drawn action");
+        }
     }
 
     #[test]

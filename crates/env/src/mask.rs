@@ -49,6 +49,17 @@ impl ActionMask {
         let m = self.num_tile_candidates;
         &self.tile_sizes[level * m..(level + 1) * m]
     }
+
+    /// Number of loops of the masked operation: the tile bitmap holds one
+    /// row per loop level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_tile_candidates` is zero (a validated configuration
+    /// always has the 0 candidate).
+    pub fn num_loops(&self) -> usize {
+        self.tile_sizes.len() / self.num_tile_candidates
+    }
 }
 
 /// Computes the action mask for the operation currently being optimized.
@@ -125,6 +136,7 @@ mod tests {
         assert!(mask.allows(TransformationKind::Vectorization));
         assert_eq!(mask.tile_sizes.len(), 3 * config.num_tile_candidates());
         assert_eq!(mask.tile_row(2).len(), config.num_tile_candidates());
+        assert_eq!(mask.num_loops(), 3);
     }
 
     #[test]

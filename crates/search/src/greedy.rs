@@ -57,10 +57,10 @@ pub(crate) fn greedy_rollout<P: PolicyModel>(
             [actions.len() as u64, op, outcome.applied as u64],
         );
         actions.push(record.action);
-        obs = outcome.observation;
         if actions.len() > max_steps {
             break;
         }
+        obs = env.current_observation();
     }
     let steps = actions.len();
     let final_s = env.peek_time_s();

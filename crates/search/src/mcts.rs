@@ -305,13 +305,13 @@ impl<P: PolicyModel> Searcher<P> for Mcts {
             let mut obs = env.current_observation();
             while let Some(current) = obs {
                 let record = policy.select_action(&current, false, &mut rng);
-                let outcome = env.step(&record.action);
+                env.step(&record.action);
                 playout_actions.push(record.action);
                 nodes_expanded += 1;
-                obs = outcome.observation;
                 if playout_actions.len() > max_steps {
                     break;
                 }
+                obs = env.current_observation();
             }
             let final_s = env.peek_time_s();
             if final_s < best_s {

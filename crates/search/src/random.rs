@@ -8,7 +8,7 @@ use rand_chacha::ChaCha8Rng;
 
 use mlir_rl_agent::PolicyModel;
 use mlir_rl_env::{
-    num_enumerated_candidates, Action, EnvConfig, InterchangeMode, InterchangeSpec, Observation,
+    num_enumerated_candidates, Action, ActionMask, EnvConfig, InterchangeMode, InterchangeSpec,
     OptimizationEnv,
 };
 use mlir_rl_ir::Module;
@@ -57,15 +57,21 @@ fn draw_allowed(allowed: &[bool], rng: &mut ChaCha8Rng) -> Option<usize> {
     (0..allowed.len()).filter(|i| allowed[*i]).nth(k)
 }
 
-/// Samples a uniform-random action among those the mask allows.
-pub fn random_action(obs: &Observation, config: &EnvConfig, rng: &mut ChaCha8Rng) -> Action {
-    let mask = &obs.mask;
+/// Samples a uniform-random action among those the mask allows: a kind,
+/// then per loop level a tile candidate from that level's row (the mask's
+/// [`ActionMask::num_loops`] rows), or an interchange drawn over every
+/// candidate or permutation. The mask is all it reads, so a caller takes it
+/// from [`OptimizationEnv::current_mask`] without extracting features (or
+/// from an observation it already holds); the draws are the same either
+/// way.
+pub fn random_action(mask: &ActionMask, config: &EnvConfig, rng: &mut ChaCha8Rng) -> Action {
+    let num_loops = mask.num_loops();
     let kind = draw_allowed(&mask.transformation, rng).map_or(
         TransformationKind::NoTransformation,
         TransformationKind::from_index,
     );
     let random_tiles = |rng: &mut ChaCha8Rng| -> Vec<usize> {
-        (0..obs.num_loops)
+        (0..num_loops)
             .map(|level| draw_allowed(mask.tile_row(level), rng).unwrap_or(0))
             .collect()
     };
@@ -82,11 +88,11 @@ pub fn random_action(obs: &Observation, config: &EnvConfig, rng: &mut ChaCha8Rng
         TransformationKind::Interchange => match config.interchange_mode {
             // Every candidate is legal once interchange is.
             InterchangeMode::EnumeratedCandidates => {
-                let candidates = num_enumerated_candidates(obs.num_loops).max(1);
+                let candidates = num_enumerated_candidates(num_loops).max(1);
                 Action::Interchange(InterchangeSpec::Candidate(rng.gen_range(0..candidates)))
             }
             InterchangeMode::LevelPointers => {
-                let mut permutation: Vec<usize> = (0..obs.num_loops).collect();
+                let mut permutation: Vec<usize> = (0..num_loops).collect();
                 permutation.shuffle(rng);
                 Action::Interchange(InterchangeSpec::Permutation(permutation))
             }
@@ -131,7 +137,7 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
                 break;
             }
             probe.emit(EventKind::RandomEpisode, None, [episode as u64, 0, 0]);
-            let mut obs = env.reset(Arc::clone(&module));
+            let mut mask = env.reset(Arc::clone(&module)).map(|obs| obs.mask);
             if episode == 0 {
                 // The noise-free estimate of the do-nothing schedule is the
                 // baseline and the floor of the best-so-far.
@@ -139,15 +145,15 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
                 best_s = baseline_s;
             }
             let mut actions = Vec::new();
-            while let Some(current) = obs {
+            while let Some(current) = mask {
                 let action = random_action(&current, &config, &mut rng);
-                let outcome = env.step(&action);
+                env.step(&action);
                 actions.push(action);
                 nodes += 1;
-                obs = outcome.observation;
                 if actions.len() > max_steps {
                     break;
                 }
+                mask = env.current_mask();
             }
             let final_s = env.peek_time_s();
             if final_s < best_s {

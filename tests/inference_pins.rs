@@ -108,7 +108,8 @@ fn batch_one_inference_is_pinned() {
             decode(&mut fnv, &mut flat, &current, &mut rng);
             fnv.write(&value.predict_fast(&current).to_bits().to_le_bytes());
             decisions += 1;
-            obs = env.step(&sampled.action).observation;
+            env.step(&sampled.action);
+            obs = env.current_observation();
         }
     }
     assert_eq!(decisions, 22);

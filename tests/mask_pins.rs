@@ -58,13 +58,13 @@ fn walk(config: &EnvConfig, modules: &[Module]) -> (u64, u64, usize) {
                 write_mask(&mut fnv, &obs);
                 write_features(&mut features, &obs.consumer);
                 write_features(&mut features, &obs.producer);
-                let action = random_action(&obs, config, &mut rng);
+                let action = random_action(&obs.mask, config, &mut rng);
                 fnv.write(format!("{action:?}").as_bytes());
                 fnv.write(&[0xff]);
                 let outcome = env.step(&action);
                 fnv.write(&[u8::from(outcome.applied)]);
                 steps += 1;
-                observation = outcome.observation;
+                observation = env.current_observation();
             }
         }
     }

@@ -270,7 +270,7 @@ proptest! {
                 }
             }
 
-            let action = random_action(&obs, &config, &mut rng);
+            let action = random_action(&obs.mask, &config, &mut rng);
             let outcome = env.step(&action);
             if outcome.applied {
                 let state = env.scheduled().expect("episode is live").state(obs.op);
@@ -286,7 +286,7 @@ proptest! {
                     Action::Vectorization | Action::NoTransformation => {}
                 }
             }
-            observation = outcome.observation;
+            observation = env.current_observation();
         }
     }
 
@@ -332,8 +332,9 @@ proptest! {
         let mut observation = env.reset(module);
         while let Some(obs) = observation {
             assert_table_matches_reference(env.scheduled().expect("episode is live"), &machine);
-            let action = random_action(&obs, &config, &mut rng);
-            observation = env.step(&action).observation;
+            let action = random_action(&obs.mask, &config, &mut rng);
+            env.step(&action);
+            observation = env.current_observation();
         }
         if let Some(scheduled) = env.scheduled() {
             assert_table_matches_reference(scheduled, &machine);
@@ -449,7 +450,7 @@ fn mask_allowed_actions_are_always_applied() {
                 let mut observation = env.reset(module.clone());
                 while let Some(obs) = observation {
                     assert_mask_matches_reference(env.scheduled().unwrap(), &obs, &config);
-                    let action = random_action(&obs, &config, &mut rng);
+                    let action = random_action(&obs.mask, &config, &mut rng);
                     let outcome = env.step(&action);
                     assert!(
                         outcome.applied,
@@ -457,7 +458,7 @@ fn mask_allowed_actions_are_always_applied() {
                         obs.op
                     );
                     steps += 1;
-                    observation = outcome.observation;
+                    observation = env.current_observation();
                 }
             }
         }

@@ -291,8 +291,9 @@ fn battery_searches_leave_snapshots_restorable() {
         let mut obs = environment.reset(probe.clone());
         for _ in 0..2 {
             if let Some(current) = obs.clone() {
-                let action = random_action(&current, &environment.config().clone(), &mut rng);
-                obs = environment.step(&action).observation;
+                let action = random_action(&current.mask, &environment.config().clone(), &mut rng);
+                environment.step(&action);
+                obs = environment.current_observation();
             }
         }
         let snapshot = environment.snapshot();
@@ -334,8 +335,9 @@ fn env_holding(start: usize, module: &Module, other: &Module) -> OptimizationEnv
         let mut obs = environment.reset(m.clone());
         for _ in 0..2 {
             if let Some(current) = obs {
-                let action = random_action(&current, &environment.config().clone(), &mut rng);
-                obs = environment.step(&action).observation;
+                let action = random_action(&current.mask, &environment.config().clone(), &mut rng);
+                environment.step(&action);
+                obs = environment.current_observation();
             }
         }
     };
@@ -514,8 +516,9 @@ proptest! {
         let mut obs = environment.reset(module);
         for _ in 0..steps {
             if let Some(current) = obs.clone() {
-                let action = random_action(&current, &config, &mut rng);
-                obs = environment.step(&action).observation;
+                let action = random_action(&current.mask, &config, &mut rng);
+                environment.step(&action);
+                obs = environment.current_observation();
             }
         }
         let snapshot = environment.snapshot();
@@ -523,8 +526,8 @@ proptest! {
         let expect_scheduled = environment.scheduled().cloned();
         let expect_peek = environment.peek_time_s();
         // Wander off the branch point, then come back.
-        if let Some(current) = environment.current_observation() {
-            let action = random_action(&current, &config, &mut rng);
+        if let Some(mask) = environment.current_mask() {
+            let action = random_action(&mask, &config, &mut rng);
             environment.step(&action);
         }
         environment.restore(&snapshot);
