@@ -9,7 +9,6 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use mlir_rl_env::{
     flat_action_space, num_enumerated_candidates, EnvConfig, FlatAction, Observation,
@@ -26,7 +25,7 @@ use crate::ppo::PolicyModel;
 /// The flat policy network: same embedding and backbone as the
 /// multi-discrete policy, but a single categorical head over the whole flat
 /// action list.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlatPolicyNetwork {
     env_config: EnvConfig,
     actions: Vec<FlatAction>,
@@ -34,15 +33,12 @@ pub struct FlatPolicyNetwork {
     backbone: Mlp,
     head: Linear,
     /// Reusable logits buffer for rollout-time action selection.
-    #[serde(skip)]
     logits_scratch: Scratch<Vec<f64>>,
     /// Batched logits of pending `evaluate_batch` calls, consumed by
     /// `backward_batch` so the backward pass never re-runs the forward
     /// network.
-    #[serde(skip)]
     pending_batches: Scratch<Vec<Tensor2>>,
     /// Reusable LSTM step tensors for the training batches.
-    #[serde(skip)]
     step_scratch: Scratch<[Tensor2; 2]>,
 }
 
@@ -67,11 +63,6 @@ impl FlatPolicyNetwork {
             pending_batches: Scratch::default(),
             step_scratch: Scratch::default(),
         }
-    }
-
-    /// Number of flat actions.
-    pub fn num_actions(&self) -> usize {
-        self.actions.len()
     }
 
     /// The environment configuration the policy was built for.
@@ -371,7 +362,7 @@ mod tests {
     fn flat_action_count_matches_enumeration() {
         let p = flat_policy();
         let config = EnvConfig::small();
-        assert_eq!(p.num_actions(), flat_action_space(&config).len());
+        assert_eq!(p.actions.len(), flat_action_space(&config).len());
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use mlir_rl_env::{
     num_enumerated_candidates, Action, EnvConfig, InterchangeMode, InterchangeSpec, Observation,
@@ -31,7 +30,7 @@ use mlir_rl_transforms::TransformationKind;
 /// Hyper-parameters of the network (the paper uses 512 units everywhere;
 /// the default here is smaller so that the benchmark harness trains in
 /// minutes on one machine — pass 512 to reproduce the paper's sizes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyHyperparams {
     /// LSTM hidden size and backbone width.
     pub hidden_size: usize,
@@ -60,7 +59,7 @@ impl PolicyHyperparams {
 
 /// The sub-decisions taken for one action, with everything needed to
 /// recompute its probability during PPO updates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionRecord {
     /// The environment-facing action.
     pub action: Action,
@@ -80,7 +79,7 @@ pub struct ActionRecord {
 }
 
 /// The policy network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyNetwork {
     env_config: EnvConfig,
     hyper: PolicyHyperparams,
@@ -93,16 +92,13 @@ pub struct PolicyNetwork {
     interchange_head: Linear,
     /// Reusable batch-1 decoding buffers for [`PolicyNetwork::select_action`]
     /// and [`PolicyNetwork::rank_actions`].
-    #[serde(skip)]
     head_scratch: Scratch<DecodeHeads>,
     /// Batched head outputs of pending [`PolicyNetwork::evaluate_batch`]
     /// calls, consumed by [`PolicyNetwork::backward_batch`].
-    #[serde(skip)]
     pending_batches: Scratch<Vec<HeadBatch>>,
     /// Reusable LSTM step tensors for the training batches: the packed
     /// producer/consumer rows are copied into these instead of freshly
     /// allocated tensors, so PPO minibatches reuse one arena.
-    #[serde(skip)]
     step_scratch: Scratch<[Tensor2; 2]>,
 }
 

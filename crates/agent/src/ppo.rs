@@ -58,7 +58,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use mlir_rl_env::{
     hit_rate, EnvConfig, EpisodeStats, Observation, ObservationBatch, OptimizationEnv,
@@ -280,7 +279,7 @@ impl PolicyModel for PolicyNetwork {
 }
 
 /// PPO hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpoConfig {
     /// Adam learning rate.
     pub learning_rate: f64,
@@ -659,7 +658,7 @@ pub fn compute_gae(trajectory: &Trajectory, gamma: f64, lambda: f64) -> (Vec<f64
 }
 
 /// Statistics of one PPO training iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationStats {
     /// Iteration index (0-based).
     pub iteration: usize,

@@ -1,7 +1,7 @@
 //! Versioned binary weight snapshots for the policy and value networks.
 //!
-//! The vendored `serde` is a no-op stub (nothing in the tree performs real
-//! serialization through it), so network snapshots are images of the
+//! Nothing in the workspace serializes through `serde` (the vendored crate is
+//! a no-op stub that no source uses), so network snapshots are images of the
 //! workspace's one framed layout ([`mlir_rl_ir::frame`], shared with the
 //! cost-model cache's `MLRC` snapshot): the `MLRW` magic tag, a format
 //! version, little-endian shapes and `f64` bit patterns, and an FNV-1a

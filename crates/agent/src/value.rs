@@ -5,7 +5,6 @@
 //! layer with a single output estimates the state value `v_pi(s)`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mlir_rl_env::{EnvConfig, Observation, ObservationBatch};
 use mlir_rl_nn::{Linear, Lstm, Mlp, Param, Scratch, Tensor2};
@@ -13,16 +12,14 @@ use mlir_rl_nn::{Linear, Lstm, Mlp, Param, Scratch, Tensor2};
 use crate::policy::{dense_sequence, embed_observation, lstm_step_tensors_into, PolicyHyperparams};
 
 /// The value network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ValueNetwork {
     lstm: Lstm,
     backbone: Mlp,
     head: Linear,
     /// Reusable one-element output buffer for [`ValueNetwork::predict_fast`].
-    #[serde(skip)]
     infer_out: Scratch<Vec<f64>>,
     /// Reusable LSTM step tensors for the training batches.
-    #[serde(skip)]
     step_scratch: Scratch<[Tensor2; 2]>,
 }
 

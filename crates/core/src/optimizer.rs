@@ -11,7 +11,6 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use mlir_rl_agent::PolicyNetwork;
 use mlir_rl_agent::{IterationStats, PolicyHyperparams, PpoConfig, PpoTrainer};
@@ -23,7 +22,7 @@ use mlir_rl_search::{SearchOutcome, SearchSpec};
 use crate::service::{OptimizationRequest, OptimizationService, PendingResponse, ServiceConfig};
 
 /// The outcome of optimizing one module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizationOutcome {
     /// Baseline (untransformed) execution-time estimate, seconds.
     pub baseline_s: f64,
@@ -47,7 +46,7 @@ impl From<&SearchOutcome> for OptimizationOutcome {
 }
 
 /// Configuration of the [`MlirRlOptimizer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerConfig {
     /// Environment configuration (action space, feature sizes, reward mode).
     pub env: EnvConfig,

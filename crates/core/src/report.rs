@@ -4,10 +4,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A table of speedups: one row per benchmark, one column per system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupTable {
     /// Table title (e.g. "Table III: neural-network models").
     pub title: String,
@@ -84,8 +82,8 @@ impl SpeedupTable {
     }
 }
 
-/// Hand-rolled JSON emission (the offline `serde` stand-in performs no real
-/// serialization, so report types build their JSON directly). Public so the
+/// Hand-rolled JSON emission (the workspace has no serialization library, so
+/// report types build their JSON directly). Public so the
 /// benchmark harness's `--json` output modes emit records the same way.
 pub mod json {
     use std::fmt::Write;
@@ -194,7 +192,7 @@ impl fmt::Display for SpeedupTable {
 }
 
 /// A named series of `(x, y)` points (one line of a figure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Series name (legend entry).
     pub name: String,
@@ -215,24 +213,11 @@ impl Series {
     pub fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
     }
-
-    /// The final y value (e.g. speedup at the end of training).
-    pub fn final_value(&self) -> Option<f64> {
-        self.points.last().map(|(_, y)| *y)
-    }
-
-    /// The largest y value.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|(_, y)| *y)
-            .fold(None, |acc, y| Some(acc.map_or(y, |a: f64| a.max(y))))
-    }
 }
 
 /// A figure: several series plus axis labels, serializable to JSON for
 /// external plotting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Figure title.
     pub title: String,
@@ -358,8 +343,7 @@ mod tests {
         s.push(0.0, 1.0);
         s.push(1.0, 3.0);
         s.push(2.0, 2.5);
-        assert_eq!(s.final_value(), Some(2.5));
-        assert_eq!(s.max_value(), Some(3.0));
+        assert_eq!(s.points, vec![(0.0, 1.0), (1.0, 3.0), (2.0, 2.5)]);
         let mut fig = Figure::new("Fig. 7", "iteration", "speedup");
         fig.series.push(s);
         assert!(fig.to_string().contains("final reward"));

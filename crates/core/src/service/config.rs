@@ -1,7 +1,5 @@
 //! Static configuration of the service, and its validation.
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_agent::OnlineTrainingConfig;
 use mlir_rl_costmodel::MachineModel;
 use mlir_rl_env::EnvConfig;
@@ -10,7 +8,7 @@ use mlir_rl_env::EnvConfig;
 use super::*;
 
 /// Static configuration of an [`OptimizationService`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Environment configuration requests run under by default (individual
     /// requests may override it with [`OptimizationRequest::with_env`]).

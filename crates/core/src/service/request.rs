@@ -4,8 +4,6 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_env::EnvConfig;
 use mlir_rl_ir::{Fnv1a, Module};
 use mlir_rl_search::{SearchOutcome, SearchSpec, StopToken};
@@ -22,7 +20,7 @@ pub const BACKPRESSURE_PREFIX: &str = "backpressure: ";
 
 /// One optimization request: a module plus everything needed to search its
 /// schedule space deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizationRequest {
     /// Module to optimize.
     pub module: Module,
@@ -112,7 +110,7 @@ impl OptimizationRequest {
 
 /// How a request left the service — the request-level analogue of
 /// [`mlir_rl_search::MemberStatus`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResponseStatus {
     /// The search ran to completion.
     Completed,
@@ -133,7 +131,7 @@ pub enum ResponseStatus {
 }
 
 /// The answer to one [`OptimizationRequest`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizationResponse {
     /// Service-assigned request id (submission order).
     pub id: u64,

@@ -18,8 +18,6 @@
 //! vectorization, fusion removes intermediate-tensor traffic, and
 //! vectorization multiplies compute throughput of dense innermost loops.
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_ir::{LinalgOp, Module, OpId};
 use mlir_rl_transforms::{LoopNest, ScheduledModule};
 
@@ -27,7 +25,7 @@ use crate::footprint::{operand_accesses, OperandAccess, SubnestTable};
 use crate::machine::{CodegenQuality, MachineModel};
 
 /// The estimated execution time of one operation, broken into components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeEstimate {
     /// Arithmetic time, seconds.
     pub compute_s: f64,
@@ -52,7 +50,7 @@ impl TimeEstimate {
 }
 
 /// Estimate for a whole module: per-operation estimates plus the total.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleEstimate {
     /// Per live operation estimates, in program order.
     pub per_op: Vec<(OpId, TimeEstimate)>,
@@ -61,7 +59,7 @@ pub struct ModuleEstimate {
 }
 
 /// The analytical cost model: a machine plus a code-generation quality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     machine: MachineModel,
     quality: CodegenQuality,

@@ -50,11 +50,6 @@ impl OperandAccess {
     pub fn unit_stride_in(&self, j: usize) -> bool {
         self.matrix.unit_stride_in(j)
     }
-
-    /// Total bytes of the full tensor.
-    pub fn tensor_bytes(&self) -> u64 {
-        self.shape.iter().product::<u64>() * self.element_bytes
-    }
 }
 
 /// Extracts the operand accesses (inputs then output) of an operation.
@@ -419,7 +414,8 @@ mod tests {
         // C[d0, d1] is unit-stride in d1 (its fastest dim).
         assert!(accesses[2].unit_stride_in(1));
         assert!(!accesses[2].unit_stride_in(0));
-        assert_eq!(accesses[0].tensor_bytes(), 256 * 1024 * 4);
+        assert_eq!(accesses[0].shape, vec![256, 1024]);
+        assert_eq!(accesses[0].element_bytes, 4);
     }
 
     #[test]
@@ -534,6 +530,7 @@ mod tests {
         // tensor size even though the strided access doubles the apparent
         // extent.
         let fp = operand_subnest_footprint(&accesses[0], &nest, 0);
-        assert!(fp <= accesses[0].tensor_bytes());
+        assert_eq!(accesses[0].shape, vec![1, 3, 16, 16]);
+        assert!(fp <= 3 * 16 * 16 * accesses[0].element_bytes);
     }
 }

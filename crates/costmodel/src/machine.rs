@@ -1,9 +1,7 @@
 //! Machine descriptions for the analytical CPU performance model.
 
-use serde::{Deserialize, Serialize};
-
 /// One level of the cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheLevel {
     /// Usable capacity in bytes (per core for private caches, total for
     /// shared ones).
@@ -21,7 +19,7 @@ pub struct CacheLevel {
 /// The default models the machine used in the paper's evaluation: a
 /// dual-socket Intel Xeon E5-2680 v4 node (2 x 14 Broadwell cores @ 2.4 GHz,
 /// AVX2, 64 GB RAM).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineModel {
     /// Human-readable name of the machine.
     pub name: String,
@@ -91,39 +89,6 @@ impl MachineModel {
         }
     }
 
-    /// A small laptop-class machine, useful for tests that need a tighter
-    /// cache hierarchy.
-    pub fn laptop_quad_core() -> Self {
-        Self {
-            name: "4-core laptop (AVX2)".to_string(),
-            cores: 4,
-            frequency_ghz: 3.0,
-            vector_lanes_f32: 8,
-            scalar_flops_per_cycle: 2.0,
-            generic_codegen_efficiency: 0.35,
-            expert_kernel_efficiency: 0.85,
-            l1: CacheLevel {
-                capacity_bytes: 32 * 1024,
-                bandwidth_bytes_per_s: 200.0e9,
-                shared: false,
-            },
-            l2: CacheLevel {
-                capacity_bytes: 512 * 1024,
-                bandwidth_bytes_per_s: 100.0e9,
-                shared: false,
-            },
-            l3: CacheLevel {
-                capacity_bytes: 8 * 1024 * 1024,
-                bandwidth_bytes_per_s: 60.0e9,
-                shared: true,
-            },
-            dram_bandwidth_bytes_per_s: 30.0e9,
-            fork_join_overhead_s: 5.0e-6,
-            per_task_overhead_s: 0.3e-6,
-            loop_iteration_overhead_s: 0.7e-9,
-        }
-    }
-
     /// Peak floating-point throughput of one core in FLOP/s, given whether
     /// the code is vectorized.
     pub fn peak_flops_per_core(&self, vectorized: bool) -> f64 {
@@ -159,7 +124,7 @@ impl Default for MachineModel {
 /// with [`CodegenQuality::ExpertKernel`], modelling the architecture-
 /// specialized oneDNN kernels that the paper identifies as the reason those
 /// frameworks win on Matmul and Conv2D.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodegenQuality {
     /// Compiler-generated generic loop nests.
     Generic,
@@ -215,13 +180,5 @@ mod tests {
     fn efficiency_ordering() {
         let m = MachineModel::default();
         assert!(m.efficiency(CodegenQuality::ExpertKernel) > m.efficiency(CodegenQuality::Generic));
-    }
-
-    #[test]
-    fn laptop_preset_is_smaller() {
-        let laptop = MachineModel::laptop_quad_core();
-        let xeon = MachineModel::xeon_e5_2680_v4();
-        assert!(laptop.cores < xeon.cores);
-        assert!(laptop.l3.capacity_bytes < xeon.l3.capacity_bytes);
     }
 }

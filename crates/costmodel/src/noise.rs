@@ -35,12 +35,6 @@ impl MeasurementNoise {
         }
     }
 
-    /// A noise source that never perturbs measurements (for deterministic
-    /// tests and benchmarks).
-    pub fn disabled() -> Self {
-        Self::with_sigma(0, 0.0)
-    }
-
     /// One noisy "execution" of a code variant with true time `time_s`.
     pub fn measure_once(&mut self, time_s: f64) -> f64 {
         if self.relative_sigma == 0.0 {
@@ -84,7 +78,7 @@ mod tests {
 
     #[test]
     fn disabled_noise_is_exact() {
-        let mut n = MeasurementNoise::disabled();
+        let mut n = MeasurementNoise::with_sigma(0, 0.0);
         assert_eq!(n.measure_once(1.5), 1.5);
         assert_eq!(n.measure_median(1.5, 5), 1.5);
     }

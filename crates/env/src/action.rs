@@ -5,15 +5,13 @@
 //! full permutations); [`Action::to_transformation`] translates them into the
 //! [`Transformation`]s applied to the IR.
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_ir::OpId;
 use mlir_rl_transforms::{Transformation, TransformationKind};
 
 use crate::config::EnvConfig;
 
 /// How an interchange is specified by the agent.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum InterchangeSpec {
     /// A full permutation of the operation's loops, as produced by the
     /// level-pointer head (`permutation[i]` = loop placed at position `i`).
@@ -24,7 +22,7 @@ pub enum InterchangeSpec {
 }
 
 /// One agent action in the multi-discrete action space.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Tile every loop level with the tile-size *candidate index* given per
     /// visible loop level (index 0 means "do not tile this level").
@@ -175,7 +173,7 @@ pub fn swap_permutation(n: usize, a: usize, b: usize) -> Vec<usize> {
 /// restricted to a uniform tile size across all loop levels, which is what
 /// keeps the flat enumeration tractable — and what limits the schedules it
 /// can express compared to the multi-discrete space.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum FlatAction {
     /// Tile all levels with `tile_candidates[index]`.
     UniformTiling {

@@ -1,11 +1,9 @@
 //! Environment configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::action::num_enumerated_candidates;
 
 /// How the interchange action is represented by the policy (Sec. IV-A-1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterchangeMode {
     /// A restricted enumeration of `3N - 6` candidate permutations obtained
     /// by swapping two loops that are adjacent or separated by one or two
@@ -18,7 +16,7 @@ pub enum InterchangeMode {
 }
 
 /// When the reward is delivered (Sec. IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RewardMode {
     /// Zero reward at every step; the log-speedup of the whole episode is
     /// delivered at the final step (the paper's default).
@@ -33,7 +31,7 @@ pub enum RewardMode {
 /// The defaults mirror Sec. VII-A-5 of the paper: at most 12 loop levels,
 /// 8 candidate tile sizes (including 0 = no tiling), at most 14 accessed
 /// arrays of rank at most 12, and a maximum schedule length of 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvConfig {
     /// Maximum number of loop levels `N` representable in observations.
     pub max_loops: usize,

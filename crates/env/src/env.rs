@@ -30,8 +30,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_costmodel::{
     module_fingerprint, schedule_fingerprint, CostModel, MeasurementNoise, ScheduleKey,
     SharedEvalCache, DEFAULT_EVAL_CACHE_CAPACITY,
@@ -47,7 +45,7 @@ use crate::mask::{compute_mask, ActionMask};
 use crate::reward::{log_speedup, step_reward};
 
 /// What the agent observes before choosing an action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// Representation vector of the operation being optimized (the
     /// consumer), as the list of its non-zeros.
@@ -66,7 +64,7 @@ pub struct Observation {
 /// Result of one environment step. It carries no observation: the next one
 /// is [`OptimizationEnv::current_observation`] (or its mask alone,
 /// [`OptimizationEnv::current_mask`]), `None` exactly when `done`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepOutcome {
     /// The reward of this step.
     pub reward: f64,
@@ -82,7 +80,7 @@ pub struct StepOutcome {
 
 /// The per-episode statistics the training loop and the benchmark harness
 /// consume.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpisodeStats {
     /// Baseline (untransformed) execution time, seconds.
     pub baseline_s: f64,
@@ -281,11 +279,6 @@ impl OptimizationEnv {
     /// The scheduled module of the current episode.
     pub fn scheduled(&self) -> Option<&ScheduledModule> {
         self.episode.scheduled.as_ref()
-    }
-
-    /// Baseline execution time of the episode's module.
-    pub fn baseline_time_s(&self) -> f64 {
-        self.episode.baseline_s
     }
 
     /// Number of cost-model evaluations actually performed (cache misses)
@@ -694,7 +687,7 @@ mod tests {
         // The relu (op 1) is the last consumer and is optimized first.
         assert_eq!(obs.op, OpId(1));
         assert_eq!(obs.num_loops, 2);
-        assert!(e.baseline_time_s() > 0.0);
+        assert!(e.episode.baseline_s > 0.0);
         // Its producer slot holds the matmul features (non-zero).
         assert!(obs.producer.as_slice().iter().any(|v| *v != 0.0));
     }
@@ -830,7 +823,7 @@ mod tests {
         let mut b = OptimizationEnv::new(config, cm);
         a.reset(matmul_relu_module());
         b.reset(matmul_relu_module());
-        assert_eq!(a.baseline_time_s(), b.baseline_time_s());
+        assert_eq!(a.episode.baseline_s, b.episode.baseline_s);
     }
 
     #[test]
@@ -913,8 +906,8 @@ mod tests {
         assert_eq!(obs, twin.reset((*m).clone()));
         assert!(!std::ptr::eq(twin.scheduled().unwrap().module(), &*m));
         assert_eq!(
-            e.baseline_time_s().to_bits(),
-            twin.baseline_time_s().to_bits()
+            e.episode.baseline_s.to_bits(),
+            twin.episode.baseline_s.to_bits()
         );
         assert_eq!(walk_and_stats(&mut e), walk_and_stats(&mut twin));
         let table = |env: &OptimizationEnv| env.cache().to_snapshot_bytes();

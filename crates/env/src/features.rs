@@ -21,8 +21,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_ir::{IteratorType, OpId};
 use mlir_rl_transforms::ScheduledModule;
 
@@ -40,12 +38,11 @@ use crate::env::Observation;
 /// materialises it on first use and keeps it as working state — it is not
 /// carried by [`Clone`] and is ignored by [`PartialEq`], like every
 /// `mlir_rl_nn::Scratch` buffer. Nothing on a hot path asks for it.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Features {
     len: usize,
     cols: Vec<u32>,
     values: Vec<f64>,
-    #[serde(skip)]
     dense: OnceLock<Vec<f64>>,
 }
 
@@ -64,16 +61,6 @@ impl Features {
             values: Vec::with_capacity(nonzeros),
             dense: OnceLock::new(),
         }
-    }
-
-    /// Lists the non-zeros of a dense vector. `-0.0` counts as zero, so it
-    /// reads back as `+0.0`.
-    pub fn from_dense(dense: &[f64]) -> Self {
-        let mut out = Self::zeros(dense.len());
-        for (col, value) in dense.iter().enumerate() {
-            out.push(col, *value);
-        }
-        out
     }
 
     /// Appends one entry; zeros are dropped. Columns must arrive strictly
@@ -161,7 +148,7 @@ impl PartialEq for Features {
 /// blocked matmul per layer over the whole batch instead of one matvec per
 /// observation. PPO minibatches, beam-search frontiers and MCTS expansions
 /// all pack through this type.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObservationBatch {
     feature_len: usize,
     len: usize,
@@ -255,7 +242,7 @@ impl ObservationBatch {
 }
 
 /// The per-operation action history, encoded per Appendix A.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActionHistory {
     /// For each time step, the chosen tile-candidate index per loop level
     /// (`None` when no tiled transformation was applied at that step).
@@ -537,6 +524,16 @@ mod tests {
     use mlir_rl_ir::ModuleBuilder;
     use mlir_rl_transforms::Transformation;
 
+    /// Lists the non-zeros of a dense vector. `-0.0` counts as zero, so it
+    /// reads back as `+0.0`.
+    fn from_dense(dense: &[f64]) -> Features {
+        let mut out = Features::zeros(dense.len());
+        for (col, value) in dense.iter().enumerate() {
+            out.push(col, *value);
+        }
+        out
+    }
+
     fn scheduled_chain() -> ScheduledModule {
         let mut b = ModuleBuilder::new("chain");
         let a = b.argument("A", vec![64, 128]);
@@ -662,8 +659,8 @@ mod tests {
     #[test]
     fn observation_batch_packs_row_major() {
         let obs = |p: f64, c: f64| Observation {
-            producer: Features::from_dense(&[p, p + 1.0]),
-            consumer: Features::from_dense(&[c, c + 1.0]),
+            producer: from_dense(&[p, p + 1.0]),
+            consumer: from_dense(&[c, c + 1.0]),
             mask: crate::mask::ActionMask {
                 transformation: [true; 6],
                 tile_sizes: vec![],
@@ -686,7 +683,7 @@ mod tests {
     #[test]
     fn features_list_exactly_the_nonzeros() {
         let dense = [0.0, 1.5, -0.0, -2.0, 0.0];
-        let f = Features::from_dense(&dense);
+        let f = from_dense(&dense);
         assert_eq!(f.len(), 5);
         assert!(!f.is_empty());
         assert_eq!(f.nonzeros(), (&[1u32, 3][..], &[1.5, -2.0][..]));
@@ -694,8 +691,8 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&f.to_vec()), bits(&[0.0, 1.5, 0.0, -2.0, 0.0]));
         assert_eq!(bits(f.as_slice()), bits(&f.to_vec()));
-        assert_ne!(f, Features::from_dense(&[0.0, 1.5, 0.0, -2.0]));
-        assert_ne!(f, Features::from_dense(&[0.0, 1.5, 0.0, -2.5, 0.0]));
+        assert_ne!(f, from_dense(&[0.0, 1.5, 0.0, -2.0]));
+        assert_ne!(f, from_dense(&[0.0, 1.5, 0.0, -2.5, 0.0]));
     }
 
     #[test]
@@ -707,15 +704,15 @@ mod tests {
             num_tile_candidates: 0,
         };
         let a = Observation {
-            producer: Features::from_dense(&[1.0]),
-            consumer: Features::from_dense(&[1.0]),
+            producer: from_dense(&[1.0]),
+            consumer: from_dense(&[1.0]),
             mask: mask.clone(),
             num_loops: 1,
             op: OpId(0),
         };
         let b = Observation {
-            producer: Features::from_dense(&[1.0, 2.0]),
-            consumer: Features::from_dense(&[1.0, 2.0]),
+            producer: from_dense(&[1.0, 2.0]),
+            consumer: from_dense(&[1.0, 2.0]),
             mask,
             num_loops: 1,
             op: OpId(0),

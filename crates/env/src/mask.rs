@@ -12,15 +12,13 @@
 //! interchange heads need no mask of their own: every enumerated candidate
 //! and every level-pointer permutation is legal whenever interchange is.
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_ir::{IteratorType, OpId};
 use mlir_rl_transforms::{ScheduledModule, TransformationKind};
 
 use crate::config::EnvConfig;
 
 /// Masks for every head of the multi-discrete policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionMask {
     /// Which of the six transformation kinds may be selected
     /// (indexed by [`TransformationKind::index`]).

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IrError;
 
 /// An affine expression over loop iterators `d0..dN-1`.
@@ -32,7 +30,7 @@ use crate::error::IrError;
 /// assert_eq!(coeffs, vec![1, 2]);
 /// assert_eq!(cst, -3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AffineExpr {
     /// A loop iterator `d<i>`.
     Dim(usize),
@@ -58,11 +56,6 @@ impl AffineExpr {
     /// Returns `true` if the expression is a bare iterator.
     pub fn is_dim(&self) -> bool {
         matches!(self, AffineExpr::Dim(_))
-    }
-
-    /// Returns `true` if the expression is a constant.
-    pub fn is_constant(&self) -> bool {
-        matches!(self, AffineExpr::Constant(_))
     }
 
     /// Returns the iterator index if the expression is a bare iterator.
@@ -248,7 +241,7 @@ impl fmt::Display for AffineExpr {
 /// Linalg indexing maps associate every operand of an operation with one
 /// affine map describing which tensor element each iteration reads or
 /// writes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AffineMap {
     num_dims: usize,
     results: Vec<AffineExpr>,
@@ -378,22 +371,6 @@ impl AffineMap {
             .all(|r| r.as_dim().is_some_and(&mut accept))
     }
 
-    /// Returns the iterator index used by the last (fastest-varying) result
-    /// dimension, if it is a bare iterator.
-    pub fn innermost_access_dim(&self) -> Option<usize> {
-        self.results.last().and_then(AffineExpr::as_dim)
-    }
-
-    /// Returns true if iterator `dim` appears (with non-zero coefficient) in
-    /// any result of the map.
-    pub fn uses_dim(&self, dim: usize) -> bool {
-        self.results.iter().any(|r| {
-            r.coefficients(self.num_dims)
-                .map(|(c, _)| c.get(dim).copied().unwrap_or(0) != 0)
-                .unwrap_or(false)
-        })
-    }
-
     /// Rewrites the map's iterators through a permutation produced by loop
     /// interchange. `mapping[old] = new`.
     ///
@@ -441,7 +418,7 @@ impl fmt::Display for AffineMap {
 ///
 /// `coefficients[i][j]` is the coefficient of iterator `d_j` in the `i`-th
 /// tensor dimension; `constants[i]` is the constant offset of that dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessMatrix {
     /// Per-tensor-dimension iterator coefficients.
     pub coefficients: Vec<Vec<i64>>,
@@ -493,7 +470,6 @@ mod tests {
     #[test]
     fn dim_and_constant_constructors() {
         assert!(AffineExpr::dim(3).is_dim());
-        assert!(AffineExpr::constant(5).is_constant());
         assert_eq!(AffineExpr::dim(3).as_dim(), Some(3));
         assert_eq!(AffineExpr::constant(5).as_dim(), None);
     }
@@ -627,15 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn map_uses_dim() {
-        let map = AffineMap::projection(4, &[0, 2]);
-        assert!(map.uses_dim(0));
-        assert!(!map.uses_dim(1));
-        assert!(map.uses_dim(2));
-        assert!(!map.uses_dim(3));
-    }
-
-    #[test]
     fn map_remap_dims_permutation() {
         // (d0, d1, d2) -> (d0, d2) remapped by [2, 0, 1] becomes (d2, d1).
         let map = AffineMap::projection(3, &[0, 2]);
@@ -672,13 +639,5 @@ mod tests {
             assert!(AffineMap::projection(num_dims, &[last, 0, 64]).is_projected_permutation());
             assert!(!AffineMap::projection(num_dims, &[last, 0, last]).is_projected_permutation());
         }
-    }
-
-    #[test]
-    fn innermost_access_dim() {
-        let map = AffineMap::projection(3, &[0, 2]);
-        assert_eq!(map.innermost_access_dim(), Some(2));
-        let map2 = AffineMap::new(2, vec![AffineExpr::constant(0)]).unwrap();
-        assert_eq!(map2.innermost_access_dim(), None);
     }
 }

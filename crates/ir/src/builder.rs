@@ -29,7 +29,6 @@ use crate::types::{ElementType, TensorType};
 #[derive(Debug)]
 pub struct ModuleBuilder {
     module: Module,
-    element: ElementType,
     next_temp: usize,
 }
 
@@ -39,16 +38,6 @@ impl ModuleBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             module: Module::new(name),
-            element: ElementType::F32,
-            next_temp: 0,
-        }
-    }
-
-    /// Creates a builder producing tensors of the given element type.
-    pub fn with_element_type(name: impl Into<String>, element: ElementType) -> Self {
-        Self {
-            module: Module::new(name),
-            element,
             next_temp: 0,
         }
     }
@@ -58,18 +47,13 @@ impl ModuleBuilder {
         self.module
     }
 
-    /// The element type used for new tensors.
-    pub fn element_type(&self) -> ElementType {
-        self.element
-    }
-
     /// Declares a function argument with the given shape.
     ///
     /// # Panics
     ///
     /// Panics if the shape contains a zero-sized dimension.
     pub fn argument(&mut self, name: &str, shape: Vec<u64>) -> ValueId {
-        let ty = TensorType::new(shape, self.element).expect("valid argument shape");
+        let ty = TensorType::new(shape, ElementType::F32).expect("valid argument shape");
         self.module.add_value(ty, ValueDef::Argument, name)
     }
 
@@ -89,7 +73,7 @@ impl ModuleBuilder {
     }
 
     fn tensor(&self, shape: Vec<u64>) -> TensorType {
-        TensorType::new(shape, self.element).expect("valid shape")
+        TensorType::new(shape, ElementType::F32).expect("valid shape")
     }
 
     fn push(&mut self, op: LinalgOp) -> ValueId {
@@ -587,16 +571,5 @@ mod tests {
         let m = b.finish();
         m.validate().unwrap();
         assert_eq!(m.ops()[0].kind, OpKind::Generic);
-    }
-
-    #[test]
-    fn element_type_propagates() {
-        let mut b = ModuleBuilder::with_element_type("d", ElementType::F64);
-        assert_eq!(b.element_type(), ElementType::F64);
-        let x = b.argument("x", vec![8, 8]);
-        let y = b.argument("y", vec![8, 8]);
-        let z = b.add(x, y);
-        let m = b.finish();
-        assert_eq!(m.value(z).unwrap().ty.element(), ElementType::F64);
     }
 }

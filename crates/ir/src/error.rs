@@ -75,6 +75,11 @@ pub enum IrError {
         /// Description of the problem.
         message: String,
     },
+    /// The product of an operation's loop bounds does not fit in a `u64`.
+    IterationCountOverflow {
+        /// The loop bounds.
+        bounds: Vec<u64>,
+    },
 }
 
 impl fmt::Display for IrError {
@@ -120,6 +125,9 @@ impl fmt::Display for IrError {
                 }
             }
             IrError::InvalidTensorType { message } => write!(f, "invalid tensor type: {message}"),
+            IrError::IterationCountOverflow { bounds } => {
+                write!(f, "loop bounds {bounds:?} overflow a u64 iteration count")
+            }
         }
     }
 }

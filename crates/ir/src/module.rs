@@ -8,14 +8,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IrError;
 use crate::op::{LinalgOp, OpId, ValueId};
 use crate::types::TensorType;
 
 /// Where an SSA value comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueDef {
     /// A function argument (an input tensor of the whole module).
     Argument,
@@ -24,7 +22,7 @@ pub enum ValueDef {
 }
 
 /// An SSA value: a tensor flowing between operations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Value {
     /// Identifier of the value.
     pub id: ValueId,
@@ -53,7 +51,7 @@ pub struct Value {
 /// assert_eq!(module.ops().len(), 2);
 /// assert_eq!(module.consumers(module.op_order()[0]).len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     name: String,
     values: Vec<Value>,
@@ -83,12 +81,6 @@ impl Module {
     /// All operations in program order.
     pub fn ops(&self) -> &[LinalgOp] {
         &self.ops
-    }
-
-    /// Mutable access to operations (used by transformation passes that
-    /// rewrite operations in place).
-    pub fn ops_mut(&mut self) -> &mut [LinalgOp] {
-        &mut self.ops
     }
 
     /// The module's function arguments.
@@ -199,15 +191,6 @@ impl Module {
             .collect()
     }
 
-    /// Operations with no consumers inside the module (the module outputs).
-    pub fn terminal_ops(&self) -> Vec<OpId> {
-        self.ops
-            .iter()
-            .filter(|o| self.consumers(o.id).is_empty())
-            .map(|o| o.id)
-            .collect()
-    }
-
     /// The traversal order used by the environment: operations visited from
     /// the last consumer backwards (reverse program order).
     pub fn reverse_order(&self) -> Vec<OpId> {
@@ -314,7 +297,6 @@ mod tests {
         assert_eq!(m.producers(add), vec![relu]);
         assert_eq!(m.consumers(mm), vec![relu]);
         assert_eq!(m.consumers(add), vec![]);
-        assert_eq!(m.terminal_ops(), vec![add]);
         assert_eq!(m.last_producer(add), Some(relu));
         assert_eq!(m.last_producer(mm), None);
     }
@@ -361,7 +343,7 @@ mod tests {
         let last_result = m.ops()[2].result;
         let first_input_ty = m.ops()[2].result_type.clone();
         {
-            let op0 = &mut m.ops_mut()[0];
+            let op0 = &mut m.ops[0];
             op0.inputs[0] = last_result;
             op0.input_types[0] = first_input_ty;
         }

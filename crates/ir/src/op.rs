@@ -7,14 +7,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::affine::{AccessMatrix, AffineMap};
 use crate::error::IrError;
 use crate::types::TensorType;
 
 /// Identifier of an operation inside a [`crate::module::Module`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub usize);
 
 impl fmt::Display for OpId {
@@ -24,7 +22,7 @@ impl fmt::Display for OpId {
 }
 
 /// Identifier of an SSA value (function argument or operation result).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(pub usize);
 
 impl fmt::Display for ValueId {
@@ -34,7 +32,7 @@ impl fmt::Display for ValueId {
 }
 
 /// Kind of a loop iterator in the iteration domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IteratorType {
     /// Iterations are independent; the loop may be parallelized.
     Parallel,
@@ -81,7 +79,7 @@ impl fmt::Display for IteratorType {
 /// `pooling`, `add` and `other`; we keep the richer set of named operations
 /// the workload generators produce and map them onto the paper's categories
 /// via [`OpKind::feature_category`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `linalg.matmul`.
     Matmul,
@@ -108,7 +106,7 @@ pub enum OpKind {
 }
 
 /// Feature-space category (the paper's one-hot operation types).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpCategory {
     /// `linalg.generic` loop nests and elementwise ops coded as generic.
     Generic,
@@ -224,7 +222,7 @@ impl fmt::Display for OpKind {
 
 /// Counts of scalar arithmetic operations in the body of a Linalg op
 /// (the "Operations Count" feature of Sec. IV-B).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ArithCounts {
     /// Number of additions per iteration.
     pub add: u32,
@@ -275,8 +273,9 @@ impl ArithCounts {
 /// * there is exactly one indexing map per operand (inputs then output);
 /// * every indexing map declares `loop_bounds.len()` iterators;
 /// * every map's result rank equals the rank of the corresponding operand;
-/// * `iterator_types.len() == loop_bounds.len()`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// * `iterator_types.len() == loop_bounds.len()`;
+/// * the product of the loop bounds fits in a `u64`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinalgOp {
     /// Operation identifier (assigned by the owning module).
     pub id: OpId,
@@ -369,16 +368,6 @@ impl LinalgOp {
             .collect()
     }
 
-    /// Bytes touched by one full execution of the operation assuming each
-    /// operand is read/written once (a lower bound on memory traffic).
-    pub fn footprint_bytes(&self) -> u64 {
-        self.input_types
-            .iter()
-            .map(TensorType::size_bytes)
-            .sum::<u64>()
-            + self.result_type.size_bytes()
-    }
-
     /// Total scalar arithmetic operations of one full execution.
     pub fn total_flops(&self) -> f64 {
         self.iteration_points() as f64 * f64::from(self.arith.total())
@@ -424,6 +413,15 @@ impl LinalgOp {
                 operand: 0,
                 map_dims: self.iterator_types.len(),
                 op_dims: self.loop_bounds.len(),
+            });
+        }
+        let count = self
+            .loop_bounds
+            .iter()
+            .try_fold(1u64, |n, &b| n.checked_mul(b));
+        if count.is_none() {
+            return Err(IrError::IterationCountOverflow {
+                bounds: self.loop_bounds.clone(),
             });
         }
         let num_dims = self.loop_bounds.len();
@@ -558,10 +556,6 @@ mod tests {
         assert_eq!(op.parallel_loops(), vec![0, 1]);
         assert_eq!(op.total_flops(), (256 * 512 * 1024) as f64 * 2.0);
         assert!(op.vectorization_precondition());
-        assert_eq!(
-            op.footprint_bytes(),
-            (256 * 1024 + 1024 * 512 + 256 * 512) * 4
-        );
     }
 
     #[test]

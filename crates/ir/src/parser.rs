@@ -91,6 +91,7 @@ impl<'a> Parser<'a> {
         let name = &rest[..open];
         let close = rest
             .rfind(')')
+            .filter(|&close| close > open)
             .ok_or_else(|| self.err(line_no, "expected `)` closing the argument list"))?;
         let args_text = &rest[open + 1..close];
         if !rest[close..].contains('{') {
@@ -576,6 +577,46 @@ mod tests {
         assert!(parse_module("not a module").is_err());
         assert!(parse_module("func @f() {").is_err());
         assert!(parse_module("").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_header_closing_before_it_opens() {
+        let err = parse_module("func @a)(\n}\n").unwrap_err();
+        assert_eq!(
+            err,
+            IrError::Parse {
+                line: 1,
+                message: "expected `)` closing the argument list".into()
+            }
+        );
+    }
+
+    #[test]
+    fn parse_rejects_bounds_whose_iteration_count_overflows() {
+        let mut b = ModuleBuilder::new("huge");
+        let a = b.argument("A", vec![4, 8]);
+        let w = b.argument("B", vec![8, 2]);
+        b.matmul(a, w);
+        let text = print_module(&b.finish()).replace(
+            "bounds = [4, 2, 8]",
+            "bounds = [18446744073709551615, 18446744073709551615, 18446744073709551615]",
+        );
+        let err = parse_module(&text).unwrap_err();
+        assert_eq!(
+            err,
+            IrError::IterationCountOverflow {
+                bounds: vec![u64::MAX; 3]
+            }
+        );
+        // One bound of u64::MAX alone still counts.
+        let text = text.replace(
+            "bounds = [18446744073709551615, 18446744073709551615, 18446744073709551615]",
+            "bounds = [18446744073709551615, 1, 1]",
+        );
+        assert_eq!(
+            parse_module(&text).unwrap().total_flops(),
+            u64::MAX as f64 * 2.0
+        );
     }
 
     #[test]

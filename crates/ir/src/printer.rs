@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use crate::module::{Module, ValueDef};
+use crate::module::Module;
 use crate::op::LinalgOp;
 
 /// Prints a whole module.
@@ -38,13 +38,6 @@ pub fn print_module(module: &Module) -> String {
         print_op(module, op, &mut out);
     }
     out.push_str("}\n");
-    out
-}
-
-/// Prints one operation (used by [`print_module`] and by debugging output).
-pub fn print_op_to_string(module: &Module, op: &LinalgOp) -> String {
-    let mut out = String::new();
-    print_op(module, op, &mut out);
     out
 }
 
@@ -121,38 +114,6 @@ fn print_op(module: &Module, op: &LinalgOp, out: &mut String) {
     writeln!(out, "    outs({})", op.result_type).expect("write to string");
 }
 
-/// Prints the argument list of a module in a compact single-line form, used
-/// in logs and example output.
-pub fn summarize_module(module: &Module) -> String {
-    let ops: Vec<String> = module
-        .ops()
-        .iter()
-        .map(|o| {
-            format!(
-                "{}[{}]",
-                o.kind,
-                o.loop_bounds
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join("x")
-            )
-        })
-        .collect();
-    let num_args = module
-        .values()
-        .iter()
-        .filter(|v| v.def == ValueDef::Argument)
-        .count();
-    format!(
-        "module `{}`: {} args, {} ops: {}",
-        module.name(),
-        num_args,
-        module.ops().len(),
-        ops.join(" -> ")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,15 +146,9 @@ mod tests {
     #[test]
     fn print_single_op() {
         let m = sample();
-        let text = print_op_to_string(&m, &m.ops()[0]);
-        assert!(text.contains("%t0 = linalg.matmul"));
-    }
-
-    #[test]
-    fn summary_is_compact() {
-        let s = summarize_module(&sample());
-        assert!(s.contains("2 ops"));
-        assert!(s.contains("linalg.matmul[256x512x1024]"));
-        assert!(s.contains("2 args"));
+        let mut text = String::new();
+        print_op(&m, &m.ops()[0], &mut text);
+        assert!(text.starts_with("  %t0 = linalg.matmul\n"));
+        assert!(print_module(&m).contains(&text));
     }
 }

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IrError;
 
 /// Scalar element type of a tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ElementType {
     /// 32-bit IEEE-754 floating point.
     #[default]
@@ -81,7 +79,7 @@ impl fmt::Display for ElementType {
 /// assert_eq!(t.size_bytes(), 256 * 1024 * 4);
 /// assert_eq!(t.to_string(), "tensor<256x1024xf32>");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TensorType {
     shape: Vec<u64>,
     element: ElementType,

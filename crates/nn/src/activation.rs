@@ -12,16 +12,6 @@ pub fn relu_in_place(x: &mut [f64]) {
     }
 }
 
-/// ReLU backward: gradient passes only where the forward output was
-/// positive.
-pub fn relu_backward(output: &[f64], grad_output: &[f64]) -> Vec<f64> {
-    output
-        .iter()
-        .zip(grad_output)
-        .map(|(o, g)| if *o > 0.0 { *g } else { 0.0 })
-        .collect()
-}
-
 /// Sigmoid forward.
 pub fn sigmoid(x: &[f64]) -> Vec<f64> {
     x.iter().map(|v| 1.0 / (1.0 + (-v).exp())).collect()
@@ -33,15 +23,6 @@ pub fn sigmoid_in_place(x: &mut [f64]) {
     for v in x {
         *v = 1.0 / (1.0 + (-*v).exp());
     }
-}
-
-/// Sigmoid backward given the forward *output*.
-pub fn sigmoid_backward(output: &[f64], grad_output: &[f64]) -> Vec<f64> {
-    output
-        .iter()
-        .zip(grad_output)
-        .map(|(o, g)| g * o * (1.0 - o))
-        .collect()
 }
 
 /// Tanh forward.
@@ -117,12 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn relu_forward_backward() {
+    fn relu_zeroes_the_negatives() {
         let x = [-1.0, 0.0, 2.0];
-        let y = relu(&x);
-        assert_eq!(y, vec![0.0, 0.0, 2.0]);
-        let gx = relu_backward(&y, &[1.0, 1.0, 1.0]);
-        assert_eq!(gx, vec![0.0, 0.0, 1.0]);
+        assert_eq!(relu(&x), vec![0.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -134,20 +112,6 @@ mod tests {
         let t = tanh(&x);
         assert_close(t[0], 0.0);
         assert!(t[1] > 0.7 && t[2] < -0.7);
-    }
-
-    #[test]
-    fn sigmoid_gradient_matches_finite_difference() {
-        let x = [0.3, -0.7, 1.5];
-        let eps = 1e-6;
-        let y = sigmoid(&x);
-        let grad = sigmoid_backward(&y, &[1.0, 1.0, 1.0]);
-        for i in 0..x.len() {
-            let mut xp = x.to_vec();
-            xp[i] += eps;
-            let fd = (sigmoid(&xp)[i] - y[i]) / eps;
-            assert!((fd - grad[i]).abs() < 1e-4);
-        }
     }
 
     #[test]

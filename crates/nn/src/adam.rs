@@ -1,7 +1,5 @@
 //! The Adam optimizer and global-norm gradient clipping.
 
-use serde::{Deserialize, Serialize};
-
 use crate::param::Param;
 
 /// Adam optimizer state.
@@ -9,7 +7,7 @@ use crate::param::Param;
 /// The optimizer is created once for a fixed set of parameters and stepped
 /// with the *same parameters in the same order* every time (the per-tensor
 /// first/second-moment state is keyed by position).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     /// Learning rate.
     pub learning_rate: f64,

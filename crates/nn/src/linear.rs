@@ -9,7 +9,6 @@
 //! accumulation order — see [`crate::tensor`]).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::relu_in_place;
 use crate::param::Param;
@@ -21,11 +20,10 @@ use crate::tensor::{matmul_nn_cols, with_scanned_cols, Tensor2};
 /// The layer caches the input batch of every forward call since the last
 /// [`Linear::zero_grad`] so that backward passes can be replayed in reverse
 /// order (the caches are stacks).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     weight: Param,
     bias: Param,
-    #[serde(skip)]
     cached_inputs: Vec<Tensor2>,
 }
 
@@ -178,14 +176,12 @@ struct MlpBuffers {
 /// A multi-layer perceptron with ReLU activations after every layer except
 /// the last (the paper's backbone uses three 512-unit ReLU layers; heads add
 /// a final linear layer without activation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Linear>,
     relu_output: bool,
-    #[serde(skip)]
     cached_activations: Vec<Vec<Tensor2>>,
     /// Ping-pong buffers reused by [`Mlp::infer`] / [`Mlp::infer_batch`].
-    #[serde(skip)]
     infer_buffers: Scratch<MlpBuffers>,
 }
 
@@ -321,8 +317,7 @@ impl Mlp {
         let mut grad = grad_output.clone();
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             if i + 1 < n || self.relu_output {
-                // Gate in place (bit-identical to `relu_backward` per row,
-                // without allocating): gradient passes only where the
+                // The ReLU gradient, in place: it passes only where the
                 // forward output was positive.
                 let act = &activations[i];
                 for (g, a) in grad.data_mut().iter_mut().zip(act.data()) {

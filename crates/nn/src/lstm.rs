@@ -32,7 +32,6 @@
 //! the weights are next handed out for writing ([`Lstm::parameters_mut`]).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::{sigmoid_in_place, tanh_in_place};
 use crate::param::Param;
@@ -100,7 +99,7 @@ impl PrefixMemo {
 }
 
 /// A single-layer LSTM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lstm {
     input_size: usize,
     hidden_size: usize,
@@ -108,24 +107,19 @@ pub struct Lstm {
     w: [Param; 4],
     u: [Param; 4],
     b: [Param; 4],
-    #[serde(skip)]
     cached_sequences: Vec<Vec<StepCache>>,
-    #[serde(skip)]
     infer_scratch: Scratch<LstmScratch>,
     /// Batch-of-1 staging tensors for the per-vector [`Lstm::infer`]
     /// wrapper (one per time step).
-    #[serde(skip)]
     infer_inputs: Scratch<Vec<Tensor2>>,
     /// `1 x input` staging rows for [`Lstm::infer_nonzeros`] (one per time
     /// step), all `+0.0` between calls: a call scatters its listed values
     /// in and clears exactly those entries on the way out.
-    #[serde(skip)]
     zeroed_inputs: Scratch<Vec<Tensor2>>,
     /// Step 0 of the last multi-step [`Lstm::infer_nonzeros`] call, the
     /// cell state it left and step 1's hidden terms. Valid for the current
     /// weights only: every write to `w` / `u` / `b` passes through
     /// [`Lstm::parameters_mut`], which clears it.
-    #[serde(skip)]
     prefix_memo: Scratch<PrefixMemo>,
 }
 

@@ -57,7 +57,6 @@
 use std::sync::Arc;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::scratch::Scratch;
 use crate::tensor::{
@@ -74,7 +73,7 @@ const XAVIER_BLOCK: usize = 8;
 /// one instance. Both are stored input-major (see the
 /// [module docs](self)). Layers accumulate into the gradient during the
 /// backward pass; the optimizer consumes and clears it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Number of rows (output features for a weight matrix).
     pub rows: usize,

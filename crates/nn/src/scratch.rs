@@ -8,14 +8,12 @@
 //! network gives the clone fresh (empty) scratch rather than copying
 //! transient state.
 
-use serde::{Deserialize, Serialize};
-
 /// Transparent wrapper for preallocated working memory.
 ///
 /// * `Clone` resets to `T::default()` — buffers are lazily regrown, so a
 ///   cloned network is identical in behavior without copying scratch.
 /// * `PartialEq` always returns `true` — scratch never affects comparisons.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Scratch<T>(pub T);
 
 impl<T: Default> Clone for Scratch<T> {

@@ -65,8 +65,6 @@
 
 use std::cell::RefCell;
 
-use serde::{Deserialize, Serialize};
-
 /// Register-tile height (rows of the left operand per tile).
 const MR: usize = 4;
 /// Register-tile width (output columns per tile).
@@ -84,7 +82,7 @@ const RUN_ROW_NR: usize = 16;
 ///
 /// `Tensor2` is the batch currency of the NN crate: a batch of `B` feature
 /// vectors of length `F` is a `B x F` tensor whose row `i` is sample `i`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tensor2 {
     rows: usize,
     cols: usize,

@@ -686,19 +686,6 @@ impl TraceSnapshot {
             .collect()
     }
 
-    /// Distinct non-zero trace ids present in the snapshot, ascending.
-    pub fn trace_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .events
-            .iter()
-            .map(|e| e.trace_id)
-            .filter(|&id| id != 0)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// Count of events of `kind`.
     pub fn count(&self, kind: EventKind) -> usize {
         self.events.iter().filter(|e| e.kind == kind).count()
@@ -802,11 +789,6 @@ impl MetricsRegistry {
     /// Records a labeled counter sample.
     pub fn counter_with(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
         self.push(name, help, MetricKind::Counter, labels, value);
-    }
-
-    /// Records a labeled gauge sample.
-    pub fn gauge_with(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.push(name, help, MetricKind::Gauge, labels, value);
     }
 
     fn push(
@@ -926,7 +908,6 @@ mod tests {
         assert_eq!(begin.kind, EventKind::RunBegin);
         assert_eq!(begin.label.as_deref(), Some("beam"));
         assert_eq!(begin.writer, 1);
-        assert_eq!(snap.trace_ids(), vec![7]);
         assert_eq!(snap.for_trace(7).len(), 4);
     }
 
@@ -1063,25 +1044,33 @@ mod tests {
     #[test]
     fn prometheus_emits_help_and_type_once_per_name() {
         let mut registry = MetricsRegistry::new();
-        registry.counter("mlir_rl_requests_total", "Requests accepted.", 12.0);
-        registry.gauge_with(
-            "mlir_rl_queue_depth",
-            "Live queue depth.",
+        registry.gauge("mlir_rl_queue_depth", "Live queue depth.", 3.0);
+        registry.counter_with(
+            "mlir_rl_lane_requests_total",
+            "Requests accepted per lane.",
             &[("lane", "alice")],
-            3.0,
+            12.0,
         );
-        registry.gauge_with(
-            "mlir_rl_queue_depth",
-            "Live queue depth.",
+        registry.counter_with(
+            "mlir_rl_lane_requests_total",
+            "Requests accepted per lane.",
             &[("lane", "bob")],
             1.5,
         );
         let text = registry.to_prometheus();
-        assert_eq!(text.matches("# HELP mlir_rl_queue_depth").count(), 1);
-        assert_eq!(text.matches("# TYPE mlir_rl_queue_depth gauge").count(), 1);
-        assert!(text.contains("mlir_rl_requests_total 12\n"));
-        assert!(text.contains("mlir_rl_queue_depth{lane=\"alice\"} 3\n"));
-        assert!(text.contains("mlir_rl_queue_depth{lane=\"bob\"} 1.5\n"));
+        assert_eq!(
+            text.matches("# HELP mlir_rl_lane_requests_total").count(),
+            1
+        );
+        assert_eq!(
+            text.matches("# TYPE mlir_rl_lane_requests_total counter")
+                .count(),
+            1
+        );
+        assert!(text.contains("# TYPE mlir_rl_queue_depth gauge\n"));
+        assert!(text.contains("mlir_rl_queue_depth 3\n"));
+        assert!(text.contains("mlir_rl_lane_requests_total{lane=\"alice\"} 12\n"));
+        assert!(text.contains("mlir_rl_lane_requests_total{lane=\"bob\"} 1.5\n"));
     }
 
     #[test]

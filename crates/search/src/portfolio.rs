@@ -34,7 +34,7 @@ use mlir_rl_obs::EventKind;
 use crate::searcher::{MemberOutcome, MemberStatus, SearchOutcome, Searcher, StopToken};
 
 /// How a [`Portfolio`] ends its roster.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PortfolioMode {
     /// Every member runs; the best schedule wins.
     RoundRobin,

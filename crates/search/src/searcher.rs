@@ -4,8 +4,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_agent::PolicyModel;
 use mlir_rl_costmodel::hit_rate;
 use mlir_rl_env::{Action, OptimizationEnv};
@@ -13,7 +11,7 @@ use mlir_rl_ir::Module;
 use mlir_rl_transforms::Schedule;
 
 /// The result of searching the schedule space of one module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// Name of the searcher that produced this outcome.
     pub searcher: String,
@@ -61,7 +59,7 @@ impl SearchOutcome {
 }
 
 /// How one member of a portfolio search finished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberStatus {
     /// The member ran its full search.
     Completed,
@@ -74,7 +72,7 @@ pub enum MemberStatus {
 }
 
 /// One portfolio member's contribution to a [`SearchOutcome`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemberOutcome {
     /// Display name of the member searcher.
     pub member: String,

@@ -10,8 +10,6 @@
 //! stay deterministic: two workers building the same spec get searchers
 //! that behave identically under the same seed.
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_agent::PolicyModel;
 use mlir_rl_env::EnvConfig;
 use mlir_rl_ir::Module;
@@ -30,7 +28,7 @@ use crate::searcher::Searcher;
 /// matches the display name the built searcher reports in its outcomes.
 /// Custom [`Searcher`] objects (e.g. the baseline adapters) have no spec —
 /// they run through [`crate::SearchDriver`] instead of a request queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SearchSpec {
     /// Greedy policy decoding ([`GreedyPolicy`]) — the paper's deployment
     /// behavior.

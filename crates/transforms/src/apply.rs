@@ -8,8 +8,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_ir::{IteratorType, LinalgOp, Module, OpId, ValueDef};
 
 use crate::error::TransformError;
@@ -26,7 +24,7 @@ pub const DEFAULT_MAX_SCHEDULE_LEN: usize = 5;
 pub const MAX_VECTORIZABLE_INNER_EXTENT: u64 = 512;
 
 /// Per-operation schedule state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpScheduleState {
     /// Transformations applied so far, in order.
     pub schedule: Schedule,
@@ -95,7 +93,7 @@ impl OpScheduleState {
 /// written after construction, so it is shared: a clone (an environment
 /// snapshot, a search branch) copies the states and bumps a reference
 /// count instead of deep-copying the IR.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledModule {
     module: Arc<Module>,
     states: Vec<OpScheduleState>,

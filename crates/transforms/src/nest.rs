@@ -6,12 +6,10 @@
 //! cost model consumes and the closest analogue of the `scf.forall` /
 //! `scf.for` structure MLIR produces (Listing 2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_ir::{IteratorType, OpId, OpKind};
 
 /// What a loop in the lowered nest iterates over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoopKind {
     /// An outer loop over tiles, executed in parallel (`scf.forall`).
     ParallelTile,
@@ -22,7 +20,7 @@ pub enum LoopKind {
 }
 
 /// One loop of the lowered nest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LoopDim {
     /// The original Linalg iterator this loop scans (0-based).
     pub iterator: usize,
@@ -35,7 +33,7 @@ pub struct LoopDim {
 }
 
 /// A producer operation fused into the consumer's tile loops.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusedProducer {
     /// The fused producer operation.
     pub op: OpId,
@@ -52,7 +50,7 @@ pub struct FusedProducer {
 }
 
 /// The lowered loop nest of one scheduled operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopNest {
     /// The operation this nest was lowered from.
     pub op: OpId,

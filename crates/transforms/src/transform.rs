@@ -6,12 +6,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mlir_rl_ir::OpId;
 
 /// One loop-nest transformation with its parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Transformation {
     /// `T(t1, ..., tN)`: tile loop level `i` with size `t_i`; `0` means the
     /// level is not tiled.
@@ -49,7 +47,7 @@ pub enum Transformation {
 
 /// The transformation categories, used by the multi-discrete action space
 /// ("transformation selection" head) and the action-history encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransformationKind {
     /// Plain tiling.
     Tiling,

@@ -10,12 +10,11 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use mlir_rl_ir::{Module, ModuleBuilder};
 
 /// The operator families of the single-operator dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DlOperator {
     /// Matrix multiplication.
     Matmul,

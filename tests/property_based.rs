@@ -307,6 +307,87 @@ proptest! {
     }
 }
 
+/// Applies one random edit to printed module text: a byte replaced by, or
+/// inserted as, one of the characters the grammar gives meaning to; a byte
+/// deleted; a span of one line reversed (which turns bracket pairs inside
+/// out); or one decimal number swapped for `0` or `u64::MAX`.
+fn mutate_text(text: &mut Vec<u8>, rng: &mut ChaCha8Rng) {
+    const BYTES: &[u8] = b"()[]{}<>%@,:=+-*dx019 \n";
+    if text.is_empty() {
+        text.push(BYTES[rng.gen_range(0..BYTES.len())]);
+        return;
+    }
+    let at = rng.gen_range(0..text.len());
+    match rng.gen_range(0..5) {
+        0 => text[at] = BYTES[rng.gen_range(0..BYTES.len())],
+        1 => text.insert(at, BYTES[rng.gen_range(0..BYTES.len())]),
+        2 => {
+            text.remove(at);
+        }
+        3 => {
+            let start = text[..at]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+            let end = text[at..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(text.len(), |i| at + i);
+            let (a, b) = (rng.gen_range(start..end + 1), rng.gen_range(start..end + 1));
+            text[a.min(b)..a.max(b)].reverse();
+        }
+        _ => {
+            let starts: Vec<usize> = (0..text.len())
+                .filter(|&i| text[i].is_ascii_digit() && (i == 0 || !text[i - 1].is_ascii_digit()))
+                .collect();
+            if starts.is_empty() {
+                return;
+            }
+            let start = starts[rng.gen_range(0..starts.len())];
+            let end = text[start..]
+                .iter()
+                .position(|b| !b.is_ascii_digit())
+                .map_or(text.len(), |i| start + i);
+            let swap: &[u8] = if rng.gen_bool(0.5) {
+                b"0"
+            } else {
+                b"18446744073709551615"
+            };
+            text.splice(start..end, swap.iter().copied());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Hostile IR text never panics the parser: printed random operators
+    /// and operator sequences, after one to eight random edits, parse to
+    /// `Ok` or `Err`, and every module that parses counts its flops.
+    #[test]
+    fn mutated_module_text_parses_or_errs_without_panicking(
+        seed in 0u64..1 << 32,
+        sequence in 0u32..2,
+        edits in 1usize..9,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let module = if sequence == 1 {
+            let length = rng.gen_range(1..4);
+            random_sequence(length, &mut rng)
+        } else {
+            random_operator(DlOperator::ALL[seed as usize % DlOperator::ALL.len()], &mut rng)
+        };
+        let mut text = print_module(&module).into_bytes();
+        for _ in 0..edits {
+            mutate_text(&mut text, &mut rng);
+        }
+        let text = String::from_utf8_lossy(&text);
+        if let Ok(parsed) = parse_module(&text) {
+            prop_assert!(parsed.total_flops() >= 0.0, "{text}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
