@@ -17,14 +17,16 @@
 //! happen *outside* the shard locks (a lost race costs one duplicate
 //! evaluation, never a wrong value). Every lookup goes through one body,
 //! [`SharedEvalCache::lookup`], which classifies it, counts it and mirrors
-//! it into the caller's trace probe. An environment holds one table
-//! directly and counts its own lookups next to its episode counters; the
-//! rollout engine, the schedule-search driver and the service hand every
-//! worker an environment on one table, so all workers and all branches of
-//! a search hit one cache and the parallel hit-rate matches serial
-//! collection. [`SharedEvalCache::private_copy`] is the opposite
-//! operation: it copies the entries into a new table, so the copy and the
-//! original diverge from there on.
+//! it into the caller's trace probe; the caller passes the miss in as a
+//! closure, so the table never names the estimator. An environment holds
+//! one table directly and counts its own lookups next to its episode
+//! counters (and prices its misses from operand accesses it builds once
+//! per module); the rollout engine, the schedule-search driver and the
+//! service hand every worker an environment on one table, so all workers
+//! and all branches of a search hit one cache and the parallel hit-rate
+//! matches serial collection. [`SharedEvalCache::private_copy`] is the
+//! opposite operation: it copies the entries into a new table, so the copy
+//! and the original diverge from there on.
 //!
 //! ## Eviction policy
 //!
@@ -343,19 +345,19 @@ impl SharedEvalCache {
         self.capacity / n + usize::from(index < self.capacity % n)
     }
 
-    /// Looks up `key`, running `model` *outside* the shard lock on a miss,
-    /// and returns `(total_s, was_hit)`. Two threads racing on the same new
-    /// key both run the estimator (same deterministic result) and both
-    /// count as misses — see the module-level accounting contract; one
-    /// insert wins. The hit/miss classification and any promotion or
-    /// eviction the lookup performed are mirrored into `probe` as trace
-    /// events; emission is purely observational, so traced and untraced
-    /// runs stay bit-identical.
+    /// Looks up `key`, running `miss` *outside* the shard lock when the
+    /// table lacks it, and returns `(total_s, was_hit)`. `miss` must price
+    /// the schedule `key` names; the table stores what it returns. Two
+    /// threads racing on the same new key both run their miss (same
+    /// deterministic result) and both count as misses — see the
+    /// module-level accounting contract; one insert wins. The hit/miss
+    /// classification and any promotion or eviction the lookup performed
+    /// are mirrored into `probe` as trace events; emission is purely
+    /// observational, so traced and untraced runs stay bit-identical.
     pub fn lookup(
         &self,
         key: ScheduleKey,
-        model: &CostModel,
-        scheduled: &ScheduledModule,
+        miss: impl FnOnce() -> f64,
         probe: &ProbeRef,
     ) -> (f64, bool) {
         let index = self.shard_index(&key);
@@ -373,7 +375,7 @@ impl SharedEvalCache {
             }
             return (total_s, true);
         }
-        let total_s = model.estimate_scheduled(scheduled).total_s;
+        let total_s = miss();
         self.misses.fetch_add(1, Ordering::Relaxed);
         probe.emit(EventKind::CacheMiss, None, [0, 0, 0]);
         if self.insert(key, total_s).evicted {
@@ -382,14 +384,19 @@ impl SharedEvalCache {
         (total_s, false)
     }
 
-    /// [`SharedEvalCache::lookup`] with no trace probe.
+    /// [`SharedEvalCache::lookup`] with no trace probe, pricing a miss with
+    /// [`CostModel::estimate_scheduled`].
     pub fn total_s_keyed(
         &self,
         key: ScheduleKey,
         model: &CostModel,
         scheduled: &ScheduledModule,
     ) -> (f64, bool) {
-        self.lookup(key, model, scheduled, &ProbeRef::none())
+        self.lookup(
+            key,
+            || model.estimate_scheduled(scheduled).total_s,
+            &ProbeRef::none(),
+        )
     }
 
     /// Locks the key's shard and inserts (an incumbent keeps its entry),
@@ -741,8 +748,9 @@ mod tests {
         let (probe_a, probe_b) = (recorder.probe(0), recorder.probe(0).with_trace(7));
         let sm = ScheduledModule::new(matmul(64, 64, 64));
         let key = schedule_key(&sm);
-        let miss = a.lookup(key, &cm, &sm, &probe_a);
-        let hit = b.lookup(key, &cm, &sm, &probe_b);
+        let price = || cm.estimate_scheduled(&sm).total_s;
+        let miss = a.lookup(key, price, &probe_a);
+        let hit = b.lookup(key, price, &probe_b);
         assert_eq!((miss.1, hit.1), (false, true));
         // Either clone reads the global counters of both lookups.
         for handle in [&a, &b] {
@@ -1290,7 +1298,13 @@ mod tests {
         let schedules: Vec<ScheduledModule> = (1..6u64)
             .map(|i| ScheduledModule::new(matmul(16 * i, 16 * i, 16 * i)))
             .collect();
-        let traced = |sm: &ScheduledModule| cache.lookup(schedule_key(sm), &cm, sm, &probe);
+        let traced = |sm: &ScheduledModule| {
+            cache.lookup(
+                schedule_key(sm),
+                || cm.estimate_scheduled(sm).total_s,
+                &probe,
+            )
+        };
         // Pin one entry warm (miss, then a promoting hit), then churn the
         // 2-entry table with fresh keys so admissions must evict.
         traced(&schedules[0]);

@@ -202,6 +202,34 @@ impl CostModel {
         1.0 + (lanes - 1.0) * fraction * fill
     }
 
+    /// The module total of [`CostModel::estimate_scheduled`], bit for bit,
+    /// priced from operand accesses built beforehand: `accesses[i]` must be
+    /// [`operand_accesses`] of the module's op `i`. Each live op goes
+    /// through the same per-op body, and the totals are summed in the same
+    /// ascending op order from `+0.0`; no per-op list is built. A caller
+    /// that prices many schedules of one module builds the accesses once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `accesses` has no entry for a live op.
+    pub fn total_s_with_accesses(
+        &self,
+        scheduled: &ScheduledModule,
+        accesses: &[Vec<OperandAccess>],
+    ) -> f64 {
+        let module = scheduled.module();
+        let mut total = 0.0;
+        for (op, state) in module.ops().iter().zip(scheduled.states()) {
+            if state.fused_into.is_none() {
+                let nest = scheduled.lower(op.id);
+                total += self
+                    .estimate_with_accesses(op, &nest, &accesses[op.id.0])
+                    .total_s;
+            }
+        }
+        total
+    }
+
     /// Estimates the execution time of every live operation of a scheduled
     /// module and the module total.
     pub fn estimate_scheduled(&self, scheduled: &ScheduledModule) -> ModuleEstimate {

@@ -26,13 +26,17 @@
 //! ([`EpisodeStats::evaluations`] / [`EpisodeStats::cache_hits`]) and the
 //! environment's lifetime pair ([`OptimizationEnv::lifetime_hits`] /
 //! [`OptimizationEnv::lifetime_misses`]); the table's own counters are
-//! global across every environment that shares it.
+//! global across every environment that shares it. A miss is priced from
+//! the module's per-op operand accesses, which depend on the module alone:
+//! the environment builds them on a module's first miss, keeps them next
+//! to the table (outside episode snapshots) together with that module's
+//! `Arc`, and reuses them for every later miss on the same allocation.
 
 use std::sync::Arc;
 
 use mlir_rl_costmodel::{
-    module_fingerprint, schedule_fingerprint, CostModel, MeasurementNoise, ScheduleKey,
-    SharedEvalCache, DEFAULT_EVAL_CACHE_CAPACITY,
+    module_fingerprint, operand_accesses, schedule_fingerprint, CostModel, MeasurementNoise,
+    OperandAccess, ScheduleKey, SharedEvalCache, DEFAULT_EVAL_CACHE_CAPACITY,
 };
 use mlir_rl_ir::{Module, OpId};
 use mlir_rl_obs::ProbeRef;
@@ -188,6 +192,10 @@ pub struct OptimizationEnv {
     /// Lookups of this environment that ran the estimator, since it was
     /// made.
     misses: u64,
+    /// The per-op operand accesses of the module last priced on a miss,
+    /// with that module's `Arc` held so its address stays its own. Clones
+    /// share it; a miss on any other allocation rebuilds it.
+    accesses: Option<ModuleAccesses>,
 }
 
 impl Clone for OptimizationEnv {
@@ -217,6 +225,7 @@ impl OptimizationEnv {
             probe: ProbeRef::none(),
             hits: 0,
             misses: 0,
+            accesses: None,
         }
     }
 
@@ -346,6 +355,7 @@ impl OptimizationEnv {
             probe: self.probe.clone(),
             hits: 0,
             misses: 0,
+            accesses: self.accesses.clone(),
         }
     }
 
@@ -437,15 +447,22 @@ impl OptimizationEnv {
 
     /// Evaluates `scheduled` through the schedule-keyed cache, classifying
     /// the request into this episode's and this environment's hit/miss
-    /// counters (the only place that accounting happens).
+    /// counters (the only place that accounting happens). A miss prices the
+    /// schedule from the module's operand accesses, bit for bit what
+    /// [`CostModel::estimate_scheduled`] would report.
     fn cached_total_s(&mut self, scheduled: &ScheduledModule) -> f64 {
         let key = ScheduleKey {
             module: self.episode.module_fp,
             schedule: schedule_fingerprint(scheduled),
         };
-        let (total_s, was_hit) = self
-            .cache
-            .lookup(key, &self.cost_model, scheduled, &self.probe);
+        let (total_s, was_hit) = self.cache.lookup(
+            key,
+            || {
+                let accesses = module_accesses(&mut self.accesses, scheduled);
+                self.cost_model.total_s_with_accesses(scheduled, accesses)
+            },
+            &self.probe,
+        );
         if was_hit {
             self.episode.cache_hits += 1;
             self.hits += 1;
@@ -658,6 +675,34 @@ impl OptimizationEnv {
     pub fn log_speedup(&self) -> f64 {
         log_speedup(self.episode.baseline_s, self.episode.current_s)
     }
+}
+
+/// A module's allocation and the operand accesses of each of its ops, in op
+/// order.
+type ModuleAccesses = (Arc<Module>, Arc<[Vec<OperandAccess>]>);
+
+/// The operand accesses of every op of `scheduled`'s module: `memo`'s when
+/// it holds that very allocation, otherwise built now and stored in it.
+fn module_accesses<'m>(
+    memo: &'m mut Option<ModuleAccesses>,
+    scheduled: &ScheduledModule,
+) -> &'m [Vec<OperandAccess>] {
+    if memo
+        .as_ref()
+        .is_some_and(|(module, _)| !scheduled.shares_module(module))
+    {
+        *memo = None;
+    }
+    let (_, accesses) = memo.get_or_insert_with(|| {
+        let accesses = scheduled
+            .module()
+            .ops()
+            .iter()
+            .map(|op| operand_accesses(op).expect("validated op has well-formed maps"))
+            .collect();
+        (Arc::clone(scheduled.module_arc()), accesses)
+    });
+    accesses
 }
 
 #[cfg(test)]

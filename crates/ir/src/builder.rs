@@ -121,47 +121,6 @@ impl ModuleBuilder {
         self.push(op)
     }
 
-    /// Batched matrix multiplication `C[BxMxN] = A[BxMxK] * B[BxKxN]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not 3-D or shapes disagree.
-    pub fn batch_matmul(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        let sa = self.value_shape(a);
-        let sb = self.value_shape(b);
-        assert_eq!(sa.len(), 3, "batch_matmul lhs must be 3-D");
-        assert_eq!(sb.len(), 3, "batch_matmul rhs must be 3-D");
-        assert_eq!(sa[0], sb[0], "batch dimensions must agree");
-        assert_eq!(sa[2], sb[1], "inner dimensions must agree");
-        let (bsz, m, k, n) = (sa[0], sa[1], sa[2], sb[2]);
-        let op = LinalgOp {
-            id: OpId(0),
-            kind: OpKind::BatchMatmul,
-            iterator_types: vec![
-                IteratorType::Parallel,
-                IteratorType::Parallel,
-                IteratorType::Parallel,
-                IteratorType::Reduction,
-            ],
-            loop_bounds: vec![bsz, m, n, k],
-            inputs: vec![a, b],
-            input_types: vec![self.tensor(vec![bsz, m, k]), self.tensor(vec![bsz, k, n])],
-            result: ValueId(0),
-            result_type: self.tensor(vec![bsz, m, n]),
-            indexing_maps: vec![
-                AffineMap::projection(4, &[0, 1, 3]),
-                AffineMap::projection(4, &[0, 3, 2]),
-                AffineMap::projection(4, &[0, 1, 2]),
-            ],
-            arith: ArithCounts {
-                add: 1,
-                mul: 1,
-                ..Default::default()
-            },
-        };
-        self.push(op)
-    }
-
     /// 2-D convolution in NCHW/FCHW layout with the given stride.
     ///
     /// Input `[N, C, H, W]`, filter `[F, C, KH, KW]`, output

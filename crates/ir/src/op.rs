@@ -239,9 +239,13 @@ pub struct ArithCounts {
 }
 
 impl ArithCounts {
-    /// Total scalar operations per iteration point.
-    pub fn total(&self) -> u32 {
-        self.add + self.sub + self.mul + self.div + self.exp + self.max
+    /// Total scalar operations per iteration point. Summed in `u64`, so six
+    /// counts at `u32::MAX` cannot overflow.
+    pub fn total(&self) -> u64 {
+        [self.add, self.sub, self.mul, self.div, self.exp, self.max]
+            .into_iter()
+            .map(u64::from)
+            .sum()
     }
 
     /// Weighted FLOP-equivalent cost per iteration point; divisions and
@@ -370,7 +374,7 @@ impl LinalgOp {
 
     /// Total scalar arithmetic operations of one full execution.
     pub fn total_flops(&self) -> f64 {
-        self.iteration_points() as f64 * f64::from(self.arith.total())
+        self.iteration_points() as f64 * self.arith.total() as f64
     }
 
     /// Static vectorization pre-conditions (the "Vectorization

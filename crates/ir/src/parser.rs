@@ -620,6 +620,21 @@ mod tests {
     }
 
     #[test]
+    fn arith_counts_at_u32_max_count_their_flops() {
+        let mut b = ModuleBuilder::new("wide_arith");
+        let a = b.argument("A", vec![4, 8]);
+        let w = b.argument("B", vec![8, 2]);
+        b.matmul(a, w);
+        let text = print_module(&b.finish()).replace(
+            "arith = {add = 1, mul = 1}",
+            "arith = {add = 4294967295, mul = 1}",
+        );
+        let flops = parse_module(&text).unwrap().total_flops();
+        assert!(flops.is_finite());
+        assert_eq!(flops, 64.0 * 4_294_967_296.0);
+    }
+
+    #[test]
     fn split_top_level_respects_nesting() {
         let parts = split_top_level("a<b,c>, d(e,f), g", ',');
         assert_eq!(parts.len(), 3);

@@ -134,6 +134,13 @@ impl ScheduledModule {
         Arc::ptr_eq(&self.module, module)
     }
 
+    /// The module's shared allocation: a caller that keys derived data on
+    /// [`ScheduledModule::shares_module`] holds a clone of it, so the
+    /// address cannot be reused by another module while the data lives.
+    pub fn module_arc(&self) -> &Arc<Module> {
+        &self.module
+    }
+
     /// The maximum schedule length τ.
     pub fn max_schedule_len(&self) -> usize {
         self.max_schedule_len
@@ -446,7 +453,7 @@ impl ScheduledModule {
                 FusedProducer {
                     op: *p,
                     kind: pop.kind,
-                    flops: pop.iteration_points() as f64 * f64::from(pop.arith.total()),
+                    flops: pop.iteration_points() as f64 * pop.arith.total() as f64,
                     input_bytes: pop
                         .input_types
                         .iter()

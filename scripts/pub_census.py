@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""Census of `pub` items that only their own file's tests read.
+"""Census of `pub` items that nothing, or only their own file's tests, read.
 
-Lists every `pub` fn / struct / enum / const / trait / type / static declared
-in the program (non-test) part of `crates/*/src` whose name appears in code
-only inside its own file's `#[cfg(test)]` module. Comments and the contents
-of string and char literals are not code. Every other occurrence counts as a
-reader: the item's own file's program code, every other file (test modules
-and test files included) under `crates/`, `src/`, `tests/`, `examples/` and
-`benchmark/src`. The match is by name, so an item that shares its name with
-any other read identifier counts as read.
+Checks every `pub` fn / struct / enum / const / trait / type / static declared
+in the program (non-test) part of `crates/*/src` in two modes:
 
-Run from anywhere: `python3 scripts/pub_census.py`. Exits 1 and prints one
-`path:line  kind name` line per item when it finds any, 0 otherwise.
+* `unread`: its name appears in code nowhere but its own definition;
+* `test-only`: its name appears in code only inside its own file's
+  `#[cfg(test)]` module.
+
+Comments and the contents of string and char literals are not code. Every
+other occurrence counts as a reader: the item's own file's program code,
+every other file (test modules and test files included) under `crates/`,
+`src/`, `tests/`, `examples/` and `benchmark/src`. The match is by name, so
+an item that shares its name with any other read identifier counts as read.
+
+Run from anywhere: `python3 scripts/pub_census.py`. Runs both modes, prints
+one `path:line  mode  kind name` line per item found, and exits 1 when
+either mode finds any, 0 otherwise.
 """
 
 import pathlib
@@ -138,20 +143,22 @@ def main():
                 continue
             uses = [u for u in places[name] if u != (path, m.start(2))]
             own_tests = [u for u in uses if u[0] == path and in_test(path, u[1])]
-            if own_tests and len(own_tests) == len(uses):
+            if len(own_tests) == len(uses):
+                mode = "test-only" if uses else "unread"
                 line = code.count("\n", 0, m.start(2)) + 1
-                found.append(f"{rel}:{line}  {kind} {name}")
+                found.append((mode, f"{rel}:{line}  {mode}  {kind} {name}"))
 
-    for item in found:
+    for _, item in found:
         print(item)
-    if found:
-        print(
-            f"{len(found)} pub item(s) read only by their own file's tests:"
-            " give each a reader that asserts on it, or delete it",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    for mode, why in [
+        ("unread", "read by no file: delete it"),
+        ("test-only", "read only by their own file's tests: give each a reader"
+         " that asserts on it, or delete it"),
+    ]:
+        count = sum(1 for m, _ in found if m == mode)
+        if count:
+            print(f"{count} pub item(s) {why}", file=sys.stderr)
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

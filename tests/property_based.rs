@@ -1,6 +1,8 @@
 //! Property-based integration tests over the IR, the transformation engine
 //! and the cost model.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -11,7 +13,7 @@ use mlir_rl_costmodel::{
 };
 use mlir_rl_env::{
     extract_features_dense, num_enumerated_candidates, Action, ActionHistory, EnvConfig, Features,
-    Observation, OptimizationEnv,
+    Observation, OptimizationEnv, RewardMode,
 };
 use mlir_rl_ir::{parser::parse_module, printer::print_module, IteratorType, ModuleBuilder, OpId};
 use mlir_rl_search::random_action;
@@ -310,7 +312,9 @@ proptest! {
 /// Applies one random edit to printed module text: a byte replaced by, or
 /// inserted as, one of the characters the grammar gives meaning to; a byte
 /// deleted; a span of one line reversed (which turns bracket pairs inside
-/// out); or one decimal number swapped for `0` or `u64::MAX`.
+/// out); one decimal number swapped for `0`, `u32::MAX` or `u64::MAX`; or
+/// one count of an `arith = {..}` line swapped for `u32::MAX`, the largest
+/// count it holds.
 fn mutate_text(text: &mut Vec<u8>, rng: &mut ChaCha8Rng) {
     const BYTES: &[u8] = b"()[]{}<>%@,:=+-*dx019 \n";
     if text.is_empty() {
@@ -318,7 +322,7 @@ fn mutate_text(text: &mut Vec<u8>, rng: &mut ChaCha8Rng) {
         return;
     }
     let at = rng.gen_range(0..text.len());
-    match rng.gen_range(0..5) {
+    match rng.gen_range(0..6) {
         0 => text[at] = BYTES[rng.gen_range(0..BYTES.len())],
         1 => text.insert(at, BYTES[rng.gen_range(0..BYTES.len())]),
         2 => {
@@ -336,26 +340,53 @@ fn mutate_text(text: &mut Vec<u8>, rng: &mut ChaCha8Rng) {
             let (a, b) = (rng.gen_range(start..end + 1), rng.gen_range(start..end + 1));
             text[a.min(b)..a.max(b)].reverse();
         }
+        4 => {
+            let swap: &[u8] = match rng.gen_range(0..3) {
+                0 => b"0",
+                1 => b"4294967295",
+                _ => b"18446744073709551615",
+            };
+            swap_number(text, 0..text.len(), swap, rng);
+        }
         _ => {
-            let starts: Vec<usize> = (0..text.len())
-                .filter(|&i| text[i].is_ascii_digit() && (i == 0 || !text[i - 1].is_ascii_digit()))
+            let arith: Vec<usize> = text
+                .windows(b"arith = {".len())
+                .enumerate()
+                .filter(|(_, w)| *w == b"arith = {")
+                .map(|(i, _)| i)
                 .collect();
-            if starts.is_empty() {
+            if arith.is_empty() {
                 return;
             }
-            let start = starts[rng.gen_range(0..starts.len())];
+            let start = arith[rng.gen_range(0..arith.len())];
             let end = text[start..]
                 .iter()
-                .position(|b| !b.is_ascii_digit())
+                .position(|&b| b == b'\n')
                 .map_or(text.len(), |i| start + i);
-            let swap: &[u8] = if rng.gen_bool(0.5) {
-                b"0"
-            } else {
-                b"18446744073709551615"
-            };
-            text.splice(start..end, swap.iter().copied());
+            swap_number(text, start..end, b"4294967295", rng);
         }
     }
+}
+
+/// Replaces one decimal number that starts inside `span` with `swap`.
+fn swap_number(
+    text: &mut Vec<u8>,
+    span: std::ops::Range<usize>,
+    swap: &[u8],
+    rng: &mut ChaCha8Rng,
+) {
+    let starts: Vec<usize> = span
+        .filter(|&i| text[i].is_ascii_digit() && (i == 0 || !text[i - 1].is_ascii_digit()))
+        .collect();
+    if starts.is_empty() {
+        return;
+    }
+    let start = starts[rng.gen_range(0..starts.len())];
+    let end = text[start..]
+        .iter()
+        .position(|b| !b.is_ascii_digit())
+        .map_or(text.len(), |i| start + i);
+    text.splice(start..end, swap.iter().copied());
 }
 
 proptest! {
@@ -363,7 +394,8 @@ proptest! {
 
     /// Hostile IR text never panics the parser: printed random operators
     /// and operator sequences, after one to eight random edits, parse to
-    /// `Ok` or `Err`, and every module that parses counts its flops.
+    /// `Ok` or `Err`, and every module that parses counts its flops to a
+    /// finite total.
     #[test]
     fn mutated_module_text_parses_or_errs_without_panicking(
         seed in 0u64..1 << 32,
@@ -383,7 +415,8 @@ proptest! {
         }
         let text = String::from_utf8_lossy(&text);
         if let Ok(parsed) = parse_module(&text) {
-            prop_assert!(parsed.total_flops() >= 0.0, "{text}");
+            let flops = parsed.total_flops();
+            prop_assert!(flops.is_finite() && flops >= 0.0, "{text}");
         }
     }
 }
@@ -421,6 +454,141 @@ proptest! {
             assert_table_matches_reference(scheduled, &machine);
         }
     }
+}
+
+/// Prices the live schedule through `env` and checks it against a direct
+/// [`CostModel::estimate_scheduled`], bit for bit. With `miss`, the table is
+/// emptied first, so the lookup must run the environment's own miss.
+fn assert_env_prices_like_the_estimator(env: &mut OptimizationEnv, cm: &CostModel, miss: bool) {
+    if miss {
+        env.cache().clear();
+    }
+    let misses = env.lifetime_misses();
+    let total_s = env.peek_time_s();
+    let scheduled = env.scheduled().expect("episode is live");
+    assert_eq!(
+        total_s.to_bits(),
+        cm.estimate_scheduled(scheduled).total_s.to_bits(),
+        "{}",
+        scheduled.module().name()
+    );
+    if miss {
+        assert_eq!(env.lifetime_misses(), misses + 1, "the lookup did not miss");
+    }
+}
+
+/// The configuration of the two-module walks: every step looks its
+/// schedule up, so every step can miss.
+fn immediate_paper_config() -> EnvConfig {
+    EnvConfig {
+        reward_mode: RewardMode::Immediate,
+        ..EnvConfig::paper()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// An environment prices a miss from operand accesses it keeps per
+    /// module allocation, and the price is the estimator's, bit for bit,
+    /// while two modules alternate through `reset`, `snapshot` /
+    /// `restore`, `clone()` and `clone_sharing_cache()` along random masked
+    /// walks. The walk opens on the case stale accesses would get wrong:
+    /// module A's snapshot restored after module B was priced.
+    #[test]
+    fn env_misses_price_like_the_estimator_across_two_modules(
+        seed in 0u64..1 << 32,
+        sequence in 0u32..2,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let draw = |rng: &mut ChaCha8Rng| {
+            if sequence == 1 {
+                let length = rng.gen_range(1..5);
+                random_sequence(length, rng)
+            } else {
+                random_operator(DlOperator::ALL[rng.gen_range(0..DlOperator::ALL.len())], rng)
+            }
+        };
+        let modules = [Arc::new(draw(&mut rng)), Arc::new(draw(&mut rng))];
+        let cm = CostModel::new(MachineModel::default());
+        let config = immediate_paper_config();
+        let mut env = OptimizationEnv::new(config.clone(), cm.clone());
+
+        env.reset(Arc::clone(&modules[0]));
+        assert_env_prices_like_the_estimator(&mut env, &cm, true);
+        let mut snapshots = [env.snapshot(), env.snapshot()];
+        env.reset(Arc::clone(&modules[1]));
+        assert_env_prices_like_the_estimator(&mut env, &cm, true);
+        snapshots[1] = env.snapshot();
+        env.restore(&snapshots[0]);
+        assert_env_prices_like_the_estimator(&mut env, &cm, true);
+
+        let mut current = 0;
+        for _ in 0..48 {
+            match rng.gen_range(0..8) {
+                0..=2 => match env.current_mask() {
+                    Some(mask) => {
+                        let outcome = env.step(&random_action(&mask, &config, &mut rng));
+                        let scheduled = env.scheduled().expect("episode is live");
+                        prop_assert_eq!(
+                            outcome.current_time_s.to_bits(),
+                            cm.estimate_scheduled(scheduled).total_s.to_bits()
+                        );
+                    }
+                    None => env.restore(&snapshots[current]),
+                },
+                3 => snapshots[current] = env.snapshot(),
+                4 => {
+                    current = rng.gen_range(0..2);
+                    env.restore(&snapshots[current]);
+                }
+                5 => {
+                    current = 1 - current;
+                    env.reset(Arc::clone(&modules[current]));
+                }
+                6 => env = env.clone(),
+                _ => env = env.clone_sharing_cache(),
+            }
+            assert_env_prices_like_the_estimator(&mut env, &cm, rng.gen_bool(0.5));
+        }
+    }
+}
+
+/// The lookups of a fixed walk, pinned: two modules alternate through
+/// resets, and every episode is walked twice from its start snapshot. The
+/// per-episode `(evaluations, cache_hits)` split — and so their sum, the
+/// episode's lookups — must not move when the miss path changes.
+#[test]
+fn a_fixed_two_module_walk_keeps_its_lookup_counts() {
+    let mut rng = ChaCha8Rng::seed_from_u64(41);
+    let modules = [
+        Arc::new(random_sequence(3, &mut rng)),
+        Arc::new(random_operator(DlOperator::Conv2D, &mut rng)),
+    ];
+    let config = immediate_paper_config();
+    let mut env = OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
+    let mut counts = Vec::new();
+    for episode in 0..8 {
+        env.reset(Arc::clone(&modules[episode % 2]));
+        let start = env.snapshot();
+        for branch in 0..2 {
+            if branch == 1 {
+                env.restore(&start);
+            }
+            while let Some(mask) = env.current_mask() {
+                env.step(&random_action(&mask, &config, &mut rng));
+            }
+            let stats = env.stats();
+            counts.push((stats.evaluations, stats.cache_hits));
+        }
+    }
+    // Recorded when every miss still re-derived its operand accesses.
+    #[rustfmt::skip]
+    let pinned = [
+        (7, 1), (5, 1), (6, 1), (3, 1), (6, 2), (3, 2), (4, 2), (4, 2),
+        (2, 3), (6, 2), (5, 2), (1, 2), (13, 2), (10, 2), (3, 2), (5, 2),
+    ];
+    assert_eq!(counts, pinned);
 }
 
 /// The action mask as it was computed before it became one flat bitmap:
