@@ -12,6 +12,7 @@ use std::fmt;
 
 use mlir_rl_core::report::json;
 use mlir_rl_core::{Figure, ServiceMetrics, SpeedupTable};
+use mlir_rl_obs::json_string;
 
 /// What one report field holds.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,7 +173,7 @@ impl Value {
         match self {
             Value::Number(value) => json::number(*value),
             Value::Bool(value) => value.to_string(),
-            Value::Text(value) => json::string(value),
+            Value::Text(value) => json_string(value),
             Value::Embedded { json, .. } => json.clone(),
             Value::Object(rows) => object_json(indent + 1, None, rows),
             Value::List(items) => {
@@ -198,7 +199,7 @@ impl Value {
 }
 
 fn object_json(indent: usize, experiment: Option<&str>, rows: &[Row]) -> String {
-    let experiment = experiment.map(|name| ("experiment", json::string(&format!("exp_{name}"))));
+    let experiment = experiment.map(|name| ("experiment", json_string(&format!("exp_{name}"))));
     let fields = rows.iter().map(|row| (row.key, row.value.json(indent)));
     json::object(indent, experiment.into_iter().chain(fields))
 }

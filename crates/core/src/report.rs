@@ -4,6 +4,8 @@
 
 use std::fmt;
 
+use mlir_rl_obs::json_string;
+
 /// A table of speedups: one row per benchmark, one column per system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupTable {
@@ -64,17 +66,17 @@ impl SpeedupTable {
         let rows = self.rows.iter().map(|(name, values)| {
             format!(
                 "[{}, {}]",
-                json::string(name),
+                json_string(name),
                 json::array(values.iter().map(|v| json::number(*v)))
             )
         });
         json::object(
             1,
             [
-                ("title", json::string(&self.title)),
+                ("title", json_string(&self.title)),
                 (
                     "columns",
-                    json::array(self.columns.iter().map(|c| json::string(c))),
+                    json::array(self.columns.iter().map(|c| json_string(c))),
                 ),
                 ("rows", json::array(rows)),
             ],
@@ -88,26 +90,7 @@ impl SpeedupTable {
 pub mod json {
     use std::fmt::Write;
 
-    /// Escapes and quotes a JSON string.
-    pub fn string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
+    use mlir_rl_obs::json_string;
 
     /// JSON numbers cannot express NaN/inf; follow serde_json and emit
     /// `null` for non-finite values.
@@ -127,7 +110,7 @@ pub mod json {
 
     /// Appends an indented `"name": value` field (no trailing comma).
     pub fn field(out: &mut String, indent: usize, name: &str, value: String) {
-        let _ = write!(out, "{}{}: {}", "  ".repeat(indent), string(name), value);
+        let _ = write!(out, "{}{}: {value}", "  ".repeat(indent), json_string(name));
     }
 
     /// Joins pre-rendered `(name, value)` fields into a multi-line object:
@@ -253,16 +236,16 @@ impl Figure {
                 .map(|(x, y)| format!("[{}, {}]", json::number(*x), json::number(*y)));
             format!(
                 "{{\"name\": {}, \"points\": {}}}",
-                json::string(&s.name),
+                json_string(&s.name),
                 json::array(points)
             )
         });
         json::object(
             1,
             [
-                ("title", json::string(&self.title)),
-                ("x_label", json::string(&self.x_label)),
-                ("y_label", json::string(&self.y_label)),
+                ("title", json_string(&self.title)),
+                ("x_label", json_string(&self.x_label)),
+                ("y_label", json_string(&self.y_label)),
                 ("series", json::array(series)),
             ],
         )
@@ -330,7 +313,7 @@ mod tests {
             json::object(1, [("a", json::number(1.0))]),
             "{\n  \"a\": 1\n}"
         );
-        let inner = json::object(2, [("x", json::string("y")), ("z", "null".to_string())]);
+        let inner = json::object(2, [("x", json_string("y")), ("z", "null".to_string())]);
         assert_eq!(
             json::object(1, [("n", json::number(0.5)), ("inner", inner)]),
             "{\n  \"n\": 0.5,\n  \"inner\": {\n    \"x\": \"y\",\n    \"z\": null\n  }\n}"

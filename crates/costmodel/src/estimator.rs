@@ -18,43 +18,16 @@
 //! vectorization, fusion removes intermediate-tensor traffic, and
 //! vectorization multiplies compute throughput of dense innermost loops.
 
-use mlir_rl_ir::{LinalgOp, Module, OpId};
+use mlir_rl_ir::{LinalgOp, Module};
 use mlir_rl_transforms::{LoopNest, ScheduledModule};
 
 use crate::footprint::{operand_accesses, OperandAccess, SubnestTable};
 use crate::machine::{CodegenQuality, MachineModel};
 
-/// The estimated execution time of one operation, broken into components.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeEstimate {
-    /// Arithmetic time, seconds.
-    pub compute_s: f64,
-    /// Memory-traffic time (bottleneck cache level), seconds.
-    pub memory_s: f64,
-    /// Loop and parallel-runtime overheads, seconds.
-    pub overhead_s: f64,
-    /// Total time: `max(compute, memory) + overhead`.
-    pub total_s: f64,
-}
-
-impl TimeEstimate {
-    /// A zero estimate (used for fused-away operations).
-    pub fn zero() -> Self {
-        Self {
-            compute_s: 0.0,
-            memory_s: 0.0,
-            overhead_s: 0.0,
-            total_s: 0.0,
-        }
-    }
-}
-
-/// Estimate for a whole module: per-operation estimates plus the total.
+/// Estimate for a whole module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModuleEstimate {
-    /// Per live operation estimates, in program order.
-    pub per_op: Vec<(OpId, TimeEstimate)>,
-    /// Sum of the per-operation totals, seconds.
+    /// Sum of the live operations' times, seconds.
     pub total_s: f64,
 }
 
@@ -89,23 +62,9 @@ impl CostModel {
         self.quality
     }
 
-    /// Estimates the execution time of one scheduled operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operation's indexing maps are malformed (they are
-    /// validated at construction time).
-    pub fn estimate_op(&self, op: &LinalgOp, nest: &LoopNest) -> TimeEstimate {
-        let accesses = operand_accesses(op).expect("validated op has well-formed maps");
-        self.estimate_with_accesses(op, nest, &accesses)
-    }
-
-    fn estimate_with_accesses(
-        &self,
-        op: &LinalgOp,
-        nest: &LoopNest,
-        accesses: &[OperandAccess],
-    ) -> TimeEstimate {
+    /// Execution time of one scheduled operation, seconds:
+    /// `max(compute, memory) + overhead`.
+    fn op_total_s(&self, op: &LinalgOp, nest: &LoopNest, accesses: &[OperandAccess]) -> f64 {
         let m = &self.machine;
         let total_iterations = nest.total_iterations() as f64;
         let cores_used = (nest.parallel_degree().min(u64::from(m.cores)) as u32).max(1);
@@ -168,13 +127,7 @@ impl CostModel {
         };
         let overhead_s = loop_overhead + tile_overhead + parallel_overhead;
 
-        let total_s = compute_s.max(memory_s) + overhead_s;
-        TimeEstimate {
-            compute_s,
-            memory_s,
-            overhead_s,
-            total_s,
-        }
+        compute_s.max(memory_s) + overhead_s
     }
 
     /// Effective speedup factor of the vector unit for this nest: 1.0 when
@@ -202,12 +155,12 @@ impl CostModel {
         1.0 + (lanes - 1.0) * fraction * fill
     }
 
-    /// The module total of [`CostModel::estimate_scheduled`], bit for bit,
-    /// priced from operand accesses built beforehand: `accesses[i]` must be
-    /// [`operand_accesses`] of the module's op `i`. Each live op goes
-    /// through the same per-op body, and the totals are summed in the same
-    /// ascending op order from `+0.0`; no per-op list is built. A caller
-    /// that prices many schedules of one module builds the accesses once.
+    /// The module total of [`CostModel::estimate_scheduled`], priced from
+    /// operand accesses built beforehand: `accesses[i]` must be
+    /// [`operand_accesses`] of the module's op `i`. A caller that prices
+    /// many schedules of one module builds the accesses once. This is the
+    /// model's one module loop: the live ops' times, summed in ascending op
+    /// order from `+0.0`.
     ///
     /// # Panics
     ///
@@ -221,32 +174,28 @@ impl CostModel {
         let mut total = 0.0;
         for (op, state) in module.ops().iter().zip(scheduled.states()) {
             if state.fused_into.is_none() {
-                let nest = scheduled.lower(op.id);
-                total += self
-                    .estimate_with_accesses(op, &nest, &accesses[op.id.0])
-                    .total_s;
+                total += self.op_total_s(op, &scheduled.lower(op.id), &accesses[op.id.0]);
             }
         }
         total
     }
 
-    /// Estimates the execution time of every live operation of a scheduled
-    /// module and the module total.
+    /// Estimates the execution time of a scheduled module: the live ops'
+    /// times summed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operation's indexing maps are malformed (they are
+    /// validated at construction time).
     pub fn estimate_scheduled(&self, scheduled: &ScheduledModule) -> ModuleEstimate {
-        let mut per_op = Vec::new();
-        let mut total = 0.0;
-        for op in scheduled.live_ops() {
-            let linalg_op = scheduled
-                .module()
-                .op(op)
-                .expect("live op belongs to module");
-            let est = self.estimate_op(linalg_op, &scheduled.lower(op));
-            total += est.total_s;
-            per_op.push((op, est));
-        }
+        let accesses: Vec<_> = scheduled
+            .module()
+            .ops()
+            .iter()
+            .map(|op| operand_accesses(op).expect("validated op has well-formed maps"))
+            .collect();
         ModuleEstimate {
-            per_op,
-            total_s: total,
+            total_s: self.total_s_with_accesses(scheduled, &accesses),
         }
     }
 
@@ -271,7 +220,7 @@ pub fn speedup(baseline_s: f64, optimized_s: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlir_rl_ir::ModuleBuilder;
+    use mlir_rl_ir::{ModuleBuilder, OpId};
     use mlir_rl_transforms::Transformation;
 
     fn matmul_module(m: u64, n: u64, k: u64) -> Module {
@@ -291,7 +240,6 @@ mod tests {
         let est = model().estimate_baseline(&matmul_module(256, 512, 1024));
         assert!(est.total_s > 0.0);
         assert!(est.total_s.is_finite());
-        assert_eq!(est.per_op.len(), 1);
     }
 
     #[test]
@@ -531,8 +479,14 @@ mod tests {
                 },
             )
             .unwrap();
-        let est = cm.estimate_scheduled(&fused);
-        assert_eq!(est.per_op.len(), 1, "only the fused consumer executes");
-        assert_eq!(est.per_op[0].0, OpId(1));
+        assert_eq!(
+            fused.live_ops(),
+            [OpId(1)],
+            "only the fused consumer executes"
+        );
+        let relu = &fused.module().ops()[1];
+        let accesses = operand_accesses(relu).unwrap();
+        let consumer_alone = cm.op_total_s(relu, &fused.lower(OpId(1)), &accesses);
+        assert_eq!(cm.estimate_scheduled(&fused).total_s, consumer_alone);
     }
 }

@@ -26,13 +26,18 @@
 //! ([`EpisodeStats::evaluations`] / [`EpisodeStats::cache_hits`]) and the
 //! environment's lifetime pair ([`OptimizationEnv::lifetime_hits`] /
 //! [`OptimizationEnv::lifetime_misses`]); the table's own counters are
-//! global across every environment that shares it. A miss is priced from
-//! the module's per-op operand accesses, which depend on the module alone:
-//! the environment builds them on a module's first miss, keeps them next
-//! to the table (outside episode snapshots) together with that module's
-//! `Arc`, and reuses them for every later miss on the same allocation.
+//! global across every environment that shares it.
+//!
+//! What the episode's module alone determines — its fingerprint, its op
+//! count and its ops' operand accesses — is one record per module
+//! allocation, built by [`OptimizationEnv::reset`] and shared by `Arc`
+//! with every snapshot, restore and clone of the episodes on that
+//! allocation. The visit order is not stored: op ids are positions, so the
+//! op visited at cursor `i` is `ops - 1 - i`. A miss is priced from the
+//! record's operand accesses, built on the module's first miss, so an
+//! episode whose lookups all hit builds none.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mlir_rl_costmodel::{
     module_fingerprint, operand_accesses, schedule_fingerprint, CostModel, MeasurementNoise,
@@ -114,6 +119,17 @@ impl EpisodeStats {
     }
 }
 
+/// What the environment derives from one module allocation. The episode's
+/// [`ScheduledModule`] holds that allocation, so a record never outlives
+/// its module's address.
+#[derive(Debug)]
+struct ModuleRecord {
+    fingerprint: u64,
+    ops: usize,
+    /// The operand accesses of each op, in op order; built on the first miss.
+    accesses: OnceLock<Vec<Vec<OperandAccess>>>,
+}
+
 /// A resumable snapshot of a live episode.
 ///
 /// Search procedures branch the environment: they take a snapshot at a
@@ -126,7 +142,8 @@ impl EpisodeStats {
 #[derive(Debug, Clone)]
 pub struct EpisodeSnapshot {
     scheduled: Option<ScheduledModule>,
-    op_order: Vec<OpId>,
+    /// The record of `scheduled`'s module (`None` exactly when it is).
+    module: Option<Arc<ModuleRecord>>,
     current_index: usize,
     histories: Vec<ActionHistory>,
     baseline_s: f64,
@@ -135,7 +152,6 @@ pub struct EpisodeSnapshot {
     total_steps: usize,
     evaluations: usize,
     cache_hits: usize,
-    module_fp: u64,
     noise: Option<MeasurementNoise>,
 }
 
@@ -145,7 +161,7 @@ impl EpisodeSnapshot {
     fn idle(noise: Option<MeasurementNoise>) -> Self {
         Self {
             scheduled: None,
-            op_order: Vec::new(),
+            module: None,
             current_index: 0,
             histories: Vec::new(),
             baseline_s: 0.0,
@@ -154,7 +170,6 @@ impl EpisodeSnapshot {
             total_steps: 0,
             evaluations: 0,
             cache_hits: 0,
-            module_fp: 0,
             noise,
         }
     }
@@ -192,10 +207,6 @@ pub struct OptimizationEnv {
     /// Lookups of this environment that ran the estimator, since it was
     /// made.
     misses: u64,
-    /// The per-op operand accesses of the module last priced on a miss,
-    /// with that module's `Arc` held so its address stays its own. Clones
-    /// share it; a miss on any other allocation rebuilds it.
-    accesses: Option<ModuleAccesses>,
 }
 
 impl Clone for OptimizationEnv {
@@ -225,7 +236,6 @@ impl OptimizationEnv {
             probe: ProbeRef::none(),
             hits: 0,
             misses: 0,
-            accesses: None,
         }
     }
 
@@ -245,11 +255,12 @@ impl OptimizationEnv {
     /// A plain `Module` is moved into a new allocation. A search that runs
     /// many episodes on one module wraps it in an `Arc` once and passes
     /// clones of that `Arc`: when it points at the live episode's own
-    /// module, the module fingerprint and the visit order are kept instead
-    /// of recomputed. That is sound because nothing writes a module once a
-    /// [`ScheduledModule`] wraps it, and the live episode's reference keeps
-    /// the address from being reused. Schedule states, histories, counters,
-    /// the baseline lookup and the noise draw are always fresh.
+    /// module, the episode keeps that module's record (fingerprint, op
+    /// count, operand accesses) instead of building a new one. That is
+    /// sound because nothing writes a module once a [`ScheduledModule`]
+    /// wraps it, and the live episode's reference keeps the address from
+    /// being reused. Schedule states, histories, counters, the baseline
+    /// lookup and the noise draw are always fresh.
     pub fn reset(&mut self, module: impl Into<Arc<Module>>) -> Option<Observation> {
         let module = module.into();
         let same_module = self
@@ -257,12 +268,15 @@ impl OptimizationEnv {
             .scheduled
             .as_ref()
             .is_some_and(|s| s.shares_module(&module));
+        if !same_module {
+            self.episode.module = Some(Arc::new(ModuleRecord {
+                fingerprint: module_fingerprint(&module),
+                ops: module.ops().len(),
+                accesses: OnceLock::new(),
+            }));
+        }
         let scheduled =
             ScheduledModule::with_max_schedule_len(module, self.config.max_schedule_len);
-        if !same_module {
-            self.episode.op_order = scheduled.module().reverse_order();
-            self.episode.module_fp = module_fingerprint(scheduled.module());
-        }
         self.episode.histories = vec![ActionHistory::new(); scheduled.module().ops().len()];
         self.episode.current_index = 0;
         self.episode.steps_on_current_op = 0;
@@ -278,11 +292,12 @@ impl OptimizationEnv {
     }
 
     /// The operation currently being optimized, if the episode is live.
+    /// Operations are visited in reverse program order, and an op's id is
+    /// its position.
     pub fn current_op(&self) -> Option<OpId> {
-        self.episode
-            .op_order
-            .get(self.episode.current_index)
-            .copied()
+        let ops = self.episode.module.as_ref()?.ops;
+        let index = self.episode.current_index;
+        (index < ops).then(|| OpId(ops - 1 - index))
     }
 
     /// The scheduled module of the current episode.
@@ -355,7 +370,6 @@ impl OptimizationEnv {
             probe: self.probe.clone(),
             hits: 0,
             misses: 0,
-            accesses: self.accesses.clone(),
         }
     }
 
@@ -448,17 +462,23 @@ impl OptimizationEnv {
     /// Evaluates `scheduled` through the schedule-keyed cache, classifying
     /// the request into this episode's and this environment's hit/miss
     /// counters (the only place that accounting happens). A miss prices the
-    /// schedule from the module's operand accesses, bit for bit what
-    /// [`CostModel::estimate_scheduled`] would report.
+    /// schedule from the module record's operand accesses, bit for bit what
+    /// [`CostModel::estimate_scheduled`] would report. `scheduled` reads
+    /// the episode's module, whose record is [`EpisodeSnapshot`]'s.
     fn cached_total_s(&mut self, scheduled: &ScheduledModule) -> f64 {
+        let record = self.episode.module.as_ref().expect("a reset module");
         let key = ScheduleKey {
-            module: self.episode.module_fp,
+            module: record.fingerprint,
             schedule: schedule_fingerprint(scheduled),
         };
         let (total_s, was_hit) = self.cache.lookup(
             key,
             || {
-                let accesses = module_accesses(&mut self.accesses, scheduled);
+                let accesses = record.accesses.get_or_init(|| {
+                    let accesses =
+                        |op| operand_accesses(op).expect("validated op has well-formed maps");
+                    scheduled.module().ops().iter().map(accesses).collect()
+                });
                 self.cost_model.total_s_with_accesses(scheduled, accesses)
             },
             &self.probe,
@@ -529,7 +549,7 @@ impl OptimizationEnv {
     }
 
     fn episode_done(&self) -> bool {
-        self.episode.current_index >= self.episode.op_order.len()
+        self.current_op().is_none()
     }
 
     /// Applies one agent action: applies the transformation, records the
@@ -675,34 +695,6 @@ impl OptimizationEnv {
     pub fn log_speedup(&self) -> f64 {
         log_speedup(self.episode.baseline_s, self.episode.current_s)
     }
-}
-
-/// A module's allocation and the operand accesses of each of its ops, in op
-/// order.
-type ModuleAccesses = (Arc<Module>, Arc<[Vec<OperandAccess>]>);
-
-/// The operand accesses of every op of `scheduled`'s module: `memo`'s when
-/// it holds that very allocation, otherwise built now and stored in it.
-fn module_accesses<'m>(
-    memo: &'m mut Option<ModuleAccesses>,
-    scheduled: &ScheduledModule,
-) -> &'m [Vec<OperandAccess>] {
-    if memo
-        .as_ref()
-        .is_some_and(|(module, _)| !scheduled.shares_module(module))
-    {
-        *memo = None;
-    }
-    let (_, accesses) = memo.get_or_insert_with(|| {
-        let accesses = scheduled
-            .module()
-            .ops()
-            .iter()
-            .map(|op| operand_accesses(op).expect("validated op has well-formed maps"))
-            .collect();
-        (Arc::clone(scheduled.module_arc()), accesses)
-    });
-    accesses
 }
 
 #[cfg(test)]

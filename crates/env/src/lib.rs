@@ -48,7 +48,7 @@ pub use features::{
     ObservationBatch,
 };
 pub use mask::{compute_mask, ActionMask};
-pub use reward::{log_speedup, speedup_from_log, step_reward};
+pub use reward::{log_speedup, step_reward};
 
 /// The workspace's one hit-rate definition, re-exported for crates that reach
 /// the cost model only through the environment (`mlir-rl-agent`).

@@ -19,11 +19,6 @@ pub fn log_speedup(old_time_s: f64, new_time_s: f64) -> f64 {
     (old_time_s / new_time_s).ln()
 }
 
-/// Converts an accumulated log-speedup back into a plain speedup factor.
-pub fn speedup_from_log(log_speedup: f64) -> f64 {
-    log_speedup.exp()
-}
-
 /// Computes the per-step reward.
 ///
 /// * `mode` — final or immediate reward;
@@ -65,7 +60,7 @@ mod tests {
         assert!(log_speedup(1.0, 2.0) < 0.0);
         assert_eq!(log_speedup(0.0, 1.0), 0.0);
         assert_eq!(log_speedup(1.0, 0.0), 0.0);
-        assert!((speedup_from_log(log_speedup(8.0, 2.0)) - 4.0).abs() < 1e-12);
+        assert!((log_speedup(8.0, 2.0).exp() - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -91,7 +86,7 @@ mod tests {
         }
         let final_only = step_reward(RewardMode::Final, true, times[0], times[2], times[3]);
         assert!((total - final_only).abs() < 1e-12);
-        assert!((speedup_from_log(total) - 5.0).abs() < 1e-9);
+        assert!((total.exp() - 5.0).abs() < 1e-9);
     }
 
     #[test]

@@ -451,7 +451,8 @@ mod tests {
         let op = &m.ops()[0];
         assert_eq!(op.loop_bounds, vec![1, 128, 54, 54, 64, 3, 3]);
         assert_eq!(op.num_loops(), 7);
-        assert_eq!(op.reduction_loops(), vec![4, 5, 6]);
+        assert_eq!(op.iterator_types[..4], [IteratorType::Parallel; 4]);
+        assert_eq!(op.iterator_types[4..], [IteratorType::Reduction; 3]);
         assert_eq!(m.value(y).unwrap().ty.shape(), &[1, 128, 54, 54]);
     }
 
@@ -495,7 +496,10 @@ mod tests {
         assert!(m.ops()[0].kind.is_elementwise());
         assert!(m.ops()[1].kind.is_elementwise());
         // Softmax has a reduction loop.
-        assert_eq!(m.ops()[3].reduction_loops(), vec![1]);
+        assert_eq!(
+            m.ops()[3].iterator_types,
+            [IteratorType::Parallel, IteratorType::Reduction]
+        );
     }
 
     #[test]

@@ -39,20 +39,6 @@ pub enum IrError {
         /// Iterators declared by the operation.
         op_dims: usize,
     },
-    /// The loop bounds inferred from two operands disagree.
-    InconsistentLoopBounds {
-        /// Iterator index with conflicting bounds.
-        dim: usize,
-        /// First bound.
-        first: u64,
-        /// Conflicting bound.
-        second: u64,
-    },
-    /// A loop bound could not be inferred for an iterator.
-    UnboundedIterator {
-        /// The iterator with no bound.
-        dim: usize,
-    },
     /// An operation references a value that is not defined in the module.
     UnknownValue {
         /// The missing value identifier.
@@ -108,13 +94,6 @@ impl fmt::Display for IrError {
                 f,
                 "operand {operand}: indexing map declares {map_dims} iterators but operation declares {op_dims}"
             ),
-            IrError::InconsistentLoopBounds { dim, first, second } => write!(
-                f,
-                "iterator d{dim} has inconsistent bounds {first} and {second}"
-            ),
-            IrError::UnboundedIterator { dim } => {
-                write!(f, "no loop bound could be inferred for iterator d{dim}")
-            }
             IrError::UnknownValue { value } => write!(f, "unknown value %{value}"),
             IrError::UnknownOperation { op } => write!(f, "unknown operation #{op}"),
             IrError::Parse { line, message } => {

@@ -328,24 +328,6 @@ impl LinalgOp {
         self.iterator_types[level]
     }
 
-    /// Indices of the reduction loops.
-    pub fn reduction_loops(&self) -> Vec<usize> {
-        self.iterator_types
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| (*t == IteratorType::Reduction).then_some(i))
-            .collect()
-    }
-
-    /// Indices of the parallel loops.
-    pub fn parallel_loops(&self) -> Vec<usize> {
-        self.iterator_types
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| (*t == IteratorType::Parallel).then_some(i))
-            .collect()
-    }
-
     /// Indexing map of input operand `i`.
     ///
     /// # Panics
@@ -556,8 +538,8 @@ mod tests {
         assert_eq!(op.num_loops(), 3);
         assert_eq!(op.num_operands(), 3);
         assert_eq!(op.iteration_points(), 256 * 512 * 1024);
-        assert_eq!(op.reduction_loops(), vec![2]);
-        assert_eq!(op.parallel_loops(), vec![0, 1]);
+        use IteratorType::{Parallel, Reduction};
+        assert_eq!(op.iterator_types, [Parallel, Parallel, Reduction]);
         assert_eq!(op.total_flops(), (256 * 512 * 1024) as f64 * 2.0);
         assert!(op.vectorization_precondition());
     }

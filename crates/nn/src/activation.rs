@@ -77,21 +77,22 @@ pub fn masked_softmax(logits: &[f64], mask: &[bool]) -> Vec<f64> {
     exps.iter().map(|e| e / sum).collect()
 }
 
-/// Gradient of a scalar loss with respect to the logits, given the softmax
-/// probabilities and the gradient with respect to the probabilities:
-/// `dL/dlogit_i = p_i * (dL/dp_i - sum_j p_j dL/dp_j)`.
-pub fn softmax_backward(probs: &[f64], grad_probs: &[f64]) -> Vec<f64> {
-    let dot: f64 = probs.iter().zip(grad_probs).map(|(p, g)| p * g).sum();
-    probs
-        .iter()
-        .zip(grad_probs)
-        .map(|(p, g)| p * (g - dot))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::MaskedCategorical;
+
+    /// Gradient of a scalar loss with respect to the logits, given the
+    /// softmax probabilities and the gradient with respect to the
+    /// probabilities: `dL/dlogit_i = p_i * (dL/dp_i - sum_j p_j dL/dp_j)`.
+    fn softmax_backward(probs: &[f64], grad_probs: &[f64]) -> Vec<f64> {
+        let dot: f64 = probs.iter().zip(grad_probs).map(|(p, g)| p * g).sum();
+        probs
+            .iter()
+            .zip(grad_probs)
+            .map(|(p, g)| p * (g - dot))
+            .collect()
+    }
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-9, "{a} != {b}");
@@ -148,6 +149,11 @@ mod tests {
         let mut grad_probs = vec![0.0; logits.len()];
         grad_probs[target] = -1.0 / probs[target];
         let grad_logits = softmax_backward(&probs, &grad_probs);
+        // The policy's own gradient is the negated loss gradient.
+        let log_prob_grad = MaskedCategorical::from_logits(&logits).log_prob_grad(target);
+        for (analytic, policy) in grad_logits.iter().zip(&log_prob_grad) {
+            assert_close(*analytic, -policy);
+        }
         for i in 0..logits.len() {
             let mut lp = logits.to_vec();
             lp[i] += eps;

@@ -53,8 +53,7 @@ pub mod scratch;
 pub mod tensor;
 
 pub use activation::{
-    masked_softmax, relu, relu_in_place, sigmoid, sigmoid_in_place, softmax, softmax_backward,
-    tanh, tanh_in_place,
+    masked_softmax, relu, relu_in_place, sigmoid, sigmoid_in_place, softmax, tanh, tanh_in_place,
 };
 pub use adam::{clip_grad_norm, Adam};
 pub use distribution::MaskedCategorical;

@@ -710,8 +710,9 @@ fn instant_json(event: &TraceEvent) -> String {
     )
 }
 
-/// Escapes `s` as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
+/// Escapes `s` as a JSON string literal (with quotes): the workspace's one
+/// escaper, shared by the trace exporters and every JSON report.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

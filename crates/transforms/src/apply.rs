@@ -134,13 +134,6 @@ impl ScheduledModule {
         Arc::ptr_eq(&self.module, module)
     }
 
-    /// The module's shared allocation: a caller that keys derived data on
-    /// [`ScheduledModule::shares_module`] holds a clone of it, so the
-    /// address cannot be reused by another module while the data lives.
-    pub fn module_arc(&self) -> &Arc<Module> {
-        &self.module
-    }
-
     /// The maximum schedule length τ.
     pub fn max_schedule_len(&self) -> usize {
         self.max_schedule_len
@@ -577,7 +570,7 @@ mod tests {
         // 2 tile loops (256/8=32, 512/8=64) + 3 point loops (8, 8, 1024).
         assert_eq!(nest.extents(), vec![32, 64, 8, 8, 1024]);
         assert_eq!(nest.num_tiles(), 32 * 64);
-        assert_eq!(nest.tile_iterations(), 8 * 8 * 1024);
+        assert_eq!(nest.point_extents, [8, 8, 1024]);
         assert!(nest.is_tiled());
         assert_eq!(nest.parallel_degree(), 1);
     }

@@ -82,11 +82,6 @@ impl LoopNest {
         self.full_extents.iter().product()
     }
 
-    /// Iteration points inside one tile.
-    pub fn tile_iterations(&self) -> u64 {
-        self.point_extents.iter().product()
-    }
-
     /// Number of tiles (product of tile-loop extents; 1 when untiled).
     pub fn num_tiles(&self) -> u64 {
         self.loops
@@ -211,7 +206,7 @@ mod tests {
         let n = sample_nest();
         assert_eq!(n.depth(), 5);
         assert_eq!(n.total_iterations(), 256 * 512 * 1024);
-        assert_eq!(n.tile_iterations(), 8 * 8 * 1024);
+        assert_eq!(n.point_extents.iter().product::<u64>(), 8 * 8 * 1024);
         assert_eq!(n.num_tiles(), 32 * 64);
         assert_eq!(n.parallel_degree(), 32);
         assert_eq!(n.innermost_iterator(), Some(2));
@@ -242,6 +237,6 @@ mod tests {
         assert_eq!(n.num_tiles(), 1);
         assert_eq!(n.parallel_degree(), 1);
         assert!(!n.is_tiled());
-        assert_eq!(n.tile_iterations(), 128);
+        assert_eq!(n.point_extents, [128]);
     }
 }

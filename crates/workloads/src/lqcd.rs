@@ -207,10 +207,9 @@ mod tests {
         m.validate().unwrap();
         let op = &m.ops()[0];
         assert_eq!(op.num_loops(), 12);
-        assert_eq!(op.parallel_loops().len(), 4);
-        assert_eq!(op.reduction_loops().len(), 8);
-        // Reductions are in the inner levels.
-        assert!(op.reduction_loops().iter().all(|l| *l >= 4));
+        // Four parallel levels, then eight reductions in the inner levels.
+        assert_eq!(op.iterator_types[..4], [IteratorType::Parallel; 4]);
+        assert_eq!(op.iterator_types[4..], [IteratorType::Reduction; 8]);
     }
 
     #[test]
@@ -238,16 +237,17 @@ mod tests {
         let dd = LqcdApplication::DibaryonDibaryon.module();
         let dh = LqcdApplication::DibaryonHexaquark.module();
         let hh = LqcdApplication::HexaquarkHexaquark.module();
+        let depth = |m: &Module| m.ops().iter().map(|op| op.num_loops()).max();
         for m in [&dd, &dh, &hh] {
             m.validate().unwrap();
-            assert!(m.max_loop_depth() >= 8);
+            assert!(depth(m) >= Some(8));
         }
         // The hexaquark-hexaquark correlators are the heaviest (most
         // kernels, deepest nests).
         assert!(hh.ops().len() > dd.ops().len());
-        assert!(hh.max_loop_depth() >= dd.max_loop_depth());
+        assert!(depth(&hh) >= depth(&dd));
         // The paper reports these applications span 1000-8000 lines of
         // MLIR; our miniature IR is more compact but still substantial.
-        assert!(hh.printed_lines() > 50);
+        assert!(mlir_rl_ir::printer::print_module(&hh).lines().count() > 50);
     }
 }

@@ -8,8 +8,10 @@ in the program (non-test) part of `crates/*/src` in two modes:
 * `test-only`: its name appears in code only inside its own file's
   `#[cfg(test)]` module.
 
-Comments and the contents of string and char literals are not code. Every
-other occurrence counts as a reader: the item's own file's program code,
+Comments, the contents of string and char literals and `use` / `pub use`
+declarations are not code: a path that imports or re-exports a name does not
+read it, so a crate-root re-export hides nothing. Every other occurrence
+counts as a reader: the item's own file's program code,
 every other file (test modules and test files included) under `crates/`,
 `src/`, `tests/`, `examples/` and `benchmark/src`. The match is by name, so
 an item that shares its name with any other read identifier counts as read.
@@ -34,6 +36,7 @@ ITEM = re.compile(
 IDENT = re.compile(r"[A-Za-z_]\w*")
 CHAR = re.compile(r"'(?:\\(?:x[0-9a-fA-F]{2}|u\{[0-9a-fA-F]+\}|.)|[^\\'\n])'")
 RAW_STRING = re.compile(r'b?r(#*)"')
+USE_DECL = re.compile(r"^[ \t]*(?:pub(?:\([^)]*\))?[ \t]+)?use\b[^;]*;", re.M)
 CFG_TEST = re.compile(r"#\[cfg\(test\)\]\s*mod\s+(\w+)\s*(;|\{)")
 
 
@@ -86,6 +89,12 @@ def strip_code(text):
     return "".join(out)
 
 
+def strip_uses(code):
+    """Blank out every `use` / `pub use` declaration of stripped code,
+    keeping offsets and newlines in place."""
+    return USE_DECL.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), code)
+
+
 def matching_brace(code, open_at):
     depth = 0
     for k in range(open_at, len(code)):
@@ -116,7 +125,7 @@ def main():
     for d in READER_DIRS:
         for path in sorted((ROOT / d).rglob("*.rs")):
             if "target" not in path.relative_to(ROOT).parts:
-                sources[path] = strip_code(path.read_text())
+                sources[path] = strip_uses(strip_code(path.read_text()))
 
     spans, test_files = {}, set()
     for path, code in sources.items():
