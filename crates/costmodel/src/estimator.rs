@@ -157,7 +157,8 @@ impl CostModel {
 
     /// The module total of [`CostModel::estimate_scheduled`], priced from
     /// operand accesses built beforehand: `accesses[i]` must be
-    /// [`operand_accesses`] of the module's op `i`. A caller that prices
+    /// [`operand_accesses`] of the module's op `i` if that op is live (a
+    /// fused op's entry is not read). A caller that prices
     /// many schedules of one module builds the accesses once. This is the
     /// model's one module loop: the live ops' times, summed in ascending op
     /// order from `+0.0`.
@@ -181,7 +182,7 @@ impl CostModel {
     }
 
     /// Estimates the execution time of a scheduled module: the live ops'
-    /// times summed.
+    /// times summed. Only live ops' accesses are built.
     ///
     /// # Panics
     ///
@@ -192,7 +193,11 @@ impl CostModel {
             .module()
             .ops()
             .iter()
-            .map(|op| operand_accesses(op).expect("validated op has well-formed maps"))
+            .zip(scheduled.states())
+            .map(|(op, state)| match state.fused_into {
+                None => operand_accesses(op).expect("validated op has well-formed maps"),
+                Some(_) => Vec::new(),
+            })
             .collect();
         ModuleEstimate {
             total_s: self.total_s_with_accesses(scheduled, &accesses),

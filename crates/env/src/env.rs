@@ -28,14 +28,14 @@
 //! [`OptimizationEnv::lifetime_misses`]); the table's own counters are
 //! global across every environment that shares it.
 //!
-//! What the episode's module alone determines — its fingerprint, its op
-//! count and its ops' operand accesses — is one record per module
-//! allocation, built by [`OptimizationEnv::reset`] and shared by `Arc`
-//! with every snapshot, restore and clone of the episodes on that
-//! allocation. The visit order is not stored: op ids are positions, so the
-//! op visited at cursor `i` is `ops - 1 - i`. A miss is priced from the
-//! record's operand accesses, built on the module's first miss, so an
-//! episode whose lookups all hit builds none.
+//! What the episode's module alone determines — its fingerprint and its
+//! ops' operand accesses — is one record per module allocation, built by
+//! [`OptimizationEnv::reset`] and shared by `Arc` with every snapshot,
+//! restore and clone of the episodes on that allocation. The visit order
+//! is not stored: op ids are positions, so with `ops` ops the op visited
+//! at cursor `i` is `ops - 1 - i`. A miss is priced from the record's
+//! operand accesses, built on the module's first miss, so an episode whose
+//! lookups all hit builds none.
 
 use std::sync::{Arc, OnceLock};
 
@@ -125,7 +125,6 @@ impl EpisodeStats {
 #[derive(Debug)]
 struct ModuleRecord {
     fingerprint: u64,
-    ops: usize,
     /// The operand accesses of each op, in op order; built on the first miss.
     accesses: OnceLock<Vec<Vec<OperandAccess>>>,
 }
@@ -255,8 +254,8 @@ impl OptimizationEnv {
     /// A plain `Module` is moved into a new allocation. A search that runs
     /// many episodes on one module wraps it in an `Arc` once and passes
     /// clones of that `Arc`: when it points at the live episode's own
-    /// module, the episode keeps that module's record (fingerprint, op
-    /// count, operand accesses) instead of building a new one. That is
+    /// module, the episode keeps that module's record (fingerprint and
+    /// operand accesses) instead of building a new one. That is
     /// sound because nothing writes a module once a [`ScheduledModule`]
     /// wraps it, and the live episode's reference keeps the address from
     /// being reused. Schedule states, histories, counters, the baseline
@@ -271,7 +270,6 @@ impl OptimizationEnv {
         if !same_module {
             self.episode.module = Some(Arc::new(ModuleRecord {
                 fingerprint: module_fingerprint(&module),
-                ops: module.ops().len(),
                 accesses: OnceLock::new(),
             }));
         }
@@ -295,7 +293,7 @@ impl OptimizationEnv {
     /// Operations are visited in reverse program order, and an op's id is
     /// its position.
     pub fn current_op(&self) -> Option<OpId> {
-        let ops = self.episode.module.as_ref()?.ops;
+        let ops = self.episode.scheduled.as_ref()?.module().ops().len();
         let index = self.episode.current_index;
         (index < ops).then(|| OpId(ops - 1 - index))
     }

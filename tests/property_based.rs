@@ -62,8 +62,8 @@ fn matmul(m: u64, n: u64, k: u64) -> mlir_rl_ir::Module {
 }
 
 /// Parsing a printed module gives back the module the cost model sees:
-/// printing it again gives the same text, and its fingerprint and op count
-/// are unchanged. (The reparsed module is not `==`: the parser numbers the
+/// printing it again gives the same text, and its fingerprint, op count,
+/// op kinds and loop bounds are unchanged. (The reparsed module is not `==`: the parser numbers the
 /// arguments before the op results.)
 fn assert_round_trips(module: &mlir_rl_ir::Module) {
     let printed = print_module(module);
@@ -75,6 +75,10 @@ fn assert_round_trips(module: &mlir_rl_ir::Module) {
         "{printed}"
     );
     assert_eq!(reparsed.ops().len(), module.ops().len(), "{printed}");
+    for (a, b) in module.ops().iter().zip(reparsed.ops()) {
+        assert_eq!(a.kind, b.kind, "{printed}");
+        assert_eq!(a.loop_bounds, b.loop_bounds, "{printed}");
+    }
 }
 
 #[test]
@@ -87,10 +91,15 @@ fn the_training_dataset_round_trips_through_the_printer() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(500))]
 
-    /// Every operator kind and an operator sequence survive print ∘ parse
-    /// (the generators of the mutation proptest below).
+    /// A matmul of any size, every operator kind and an operator sequence
+    /// survive print ∘ parse (the last two are the generators of the
+    /// mutation proptest below).
     #[test]
-    fn printer_parser_roundtrip(seed in 0u64..1 << 32, length in 1usize..4) {
+    fn printer_parser_roundtrip(
+        m in 1u64..256, n in 1u64..256, k in 1u64..256,
+        seed in 0u64..1 << 32, length in 1usize..4,
+    ) {
+        assert_round_trips(&matmul(m, n, k));
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for kind in DlOperator::ALL {
             assert_round_trips(&random_operator(kind, &mut rng));
