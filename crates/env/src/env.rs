@@ -12,12 +12,14 @@
 //! An observation is a read of the current decision point, not a by-product
 //! of acting: [`OptimizationEnv::step`] applies the action, advances the
 //! visit cursor and scores the reward, but extracts no features. The first
-//! observation comes back from [`OptimizationEnv::reset`]; after a step, a
+//! observation comes back from [`OptimizationEnv::reset`], which is
+//! [`OptimizationEnv::restart`] plus that observation; after a step, a
 //! caller that decides from features asks for
 //! [`OptimizationEnv::current_observation`], and one that needs only the
 //! legal actions (random search) asks for the cheaper
-//! [`OptimizationEnv::current_mask`]. Replays and search branches that are
-//! re-observed after a restore pay for no observation at all.
+//! [`OptimizationEnv::current_mask`]. Replays, random episodes and search
+//! branches that are re-observed after a restore pay for no observation at
+//! all.
 //!
 //! Every estimate goes through the environment's schedule-keyed
 //! [`SharedEvalCache`], which the environment holds directly together with
@@ -30,10 +32,12 @@
 //!
 //! What the episode's module alone determines — its fingerprint and its
 //! ops' operand accesses — is one record per module allocation, built by
-//! [`OptimizationEnv::reset`] and shared by `Arc` with every snapshot,
-//! restore and clone of the episodes on that allocation. The visit order
-//! is not stored: op ids are positions, so with `ops` ops the op visited
-//! at cursor `i` is `ops - 1 - i`. A miss is priced from the record's
+//! [`OptimizationEnv::restart`] and shared by `Arc` with every snapshot,
+//! restore and clone of the episodes on that allocation. A restart on the
+//! live episode's own allocation keeps the record and rewinds the schedule
+//! states inside their buffers. The visit order is not stored: op ids are
+//! positions, so with `ops` ops the op visited at cursor `i` is
+//! `ops - 1 - i`. A miss is priced from the record's
 //! operand accesses, built on the module's first miss, so an episode whose
 //! lookups all hit builds none.
 
@@ -45,7 +49,7 @@ use mlir_rl_costmodel::{
 };
 use mlir_rl_ir::{Module, OpId};
 use mlir_rl_obs::ProbeRef;
-use mlir_rl_transforms::{ScheduledModule, TransformError, TransformationKind};
+use mlir_rl_transforms::{ScheduledModule, TransformError, Transformation, TransformationKind};
 
 use crate::action::Action;
 use crate::config::{EnvConfig, RewardMode};
@@ -249,33 +253,49 @@ impl OptimizationEnv {
     }
 
     /// Starts a new episode on the given module and returns the first
-    /// observation (`None` if the module has no operations).
+    /// observation (`None` if the module has no operations): a
+    /// [`Self::restart`], then the observation of its first decision point.
+    pub fn reset(&mut self, module: impl Into<Arc<Module>>) -> Option<Observation> {
+        self.restart(module);
+        self.observation()
+    }
+
+    /// Starts a new episode on the given module without observing it, for
+    /// callers that read only the mask ([`Self::current_mask`]) or the
+    /// schedule; [`Self::reset`] is this plus the first observation.
     ///
     /// A plain `Module` is moved into a new allocation. A search that runs
     /// many episodes on one module wraps it in an `Arc` once and passes
     /// clones of that `Arc`: when it points at the live episode's own
     /// module, the episode keeps that module's record (fingerprint and
-    /// operand accesses) instead of building a new one. That is
+    /// operand accesses) and rewinds its schedule states in place
+    /// ([`ScheduledModule::rewind`]) instead of reallocating them. That is
     /// sound because nothing writes a module once a [`ScheduledModule`]
     /// wraps it, and the live episode's reference keeps the address from
-    /// being reused. Schedule states, histories, counters, the baseline
+    /// being reused. The action histories are cleared inside their buffers
+    /// on every restart. Schedule states, histories, counters, the baseline
     /// lookup and the noise draw are always fresh.
-    pub fn reset(&mut self, module: impl Into<Arc<Module>>) -> Option<Observation> {
+    pub fn restart(&mut self, module: impl Into<Arc<Module>>) {
         let module = module.into();
-        let same_module = self
-            .episode
-            .scheduled
-            .as_ref()
-            .is_some_and(|s| s.shares_module(&module));
-        if !same_module {
-            self.episode.module = Some(Arc::new(ModuleRecord {
-                fingerprint: module_fingerprint(&module),
-                accesses: OnceLock::new(),
-            }));
-        }
-        let scheduled =
-            ScheduledModule::with_max_schedule_len(module, self.config.max_schedule_len);
-        self.episode.histories = vec![ActionHistory::new(); scheduled.module().ops().len()];
+        let max_len = self.config.max_schedule_len;
+        let scheduled = match self.episode.scheduled.take() {
+            Some(mut live) if live.shares_module(&module) && live.max_schedule_len() == max_len => {
+                live.rewind();
+                live
+            }
+            _ => {
+                self.episode.module = Some(Arc::new(ModuleRecord {
+                    fingerprint: module_fingerprint(&module),
+                    accesses: OnceLock::new(),
+                }));
+                ScheduledModule::with_max_schedule_len(module, max_len)
+            }
+        };
+        let ops = scheduled.module().ops().len();
+        let histories = &mut self.episode.histories;
+        histories.truncate(ops);
+        histories.iter_mut().for_each(ActionHistory::clear);
+        histories.resize_with(ops, ActionHistory::new);
         self.episode.current_index = 0;
         self.episode.steps_on_current_op = 0;
         self.episode.total_steps = 0;
@@ -286,7 +306,6 @@ impl OptimizationEnv {
         self.episode.current_s = self.episode.baseline_s;
         self.episode.scheduled = Some(scheduled);
         self.skip_unavailable_ops();
-        self.observation()
     }
 
     /// The operation currently being optimized, if the episode is live.
@@ -581,23 +600,20 @@ impl OptimizationEnv {
         self.episode.steps_on_current_op += 1;
         let previous_s = self.episode.current_s;
 
-        // Decode and apply.
+        // Decode and apply. `apply` consumes the transformation; the rare
+        // downgrade decodes the action a second time.
         let mut applied = false;
         let mut applied_kind = action.kind();
         if let Ok(transformation) = action.to_transformation(&self.config, num_loops, producer) {
-            let result = scheduled.apply(op, transformation.clone());
-            match result {
+            match scheduled.apply(op, transformation) {
                 Ok(()) => applied = true,
                 Err(TransformError::ParallelizingReduction { .. }) => {
                     // Downgrade to plain tiling.
-                    if let mlir_rl_transforms::Transformation::TiledParallelization { tile_sizes } =
-                        transformation
+                    if let Ok(Transformation::TiledParallelization { tile_sizes }) =
+                        action.to_transformation(&self.config, num_loops, producer)
                     {
                         if scheduled
-                            .apply(
-                                op,
-                                mlir_rl_transforms::Transformation::Tiling { tile_sizes },
-                            )
+                            .apply(op, Transformation::Tiling { tile_sizes })
                             .is_ok()
                         {
                             applied = true;
@@ -648,7 +664,7 @@ impl OptimizationEnv {
             // masks report it as closed.
             let scheduled = self.episode.scheduled.as_mut().expect("episode live");
             if !scheduled.state(op).is_terminated() {
-                let _ = scheduled.apply(op, mlir_rl_transforms::Transformation::NoTransformation);
+                let _ = scheduled.apply(op, Transformation::NoTransformation);
             }
             self.episode.current_index += 1;
             self.episode.steps_on_current_op = 0;
@@ -924,35 +940,99 @@ mod tests {
         e.stats()
     }
 
+    /// A matmul feeding two relus: three ops, so one walk can fuse, stop,
+    /// interchange, parallelize and vectorize.
+    fn fused_chain_module() -> Module {
+        let mut b = ModuleBuilder::new("fused_chain");
+        let a = b.argument("A", vec![128, 256]);
+        let w = b.argument("B", vec![256, 64]);
+        let mm = b.matmul(a, w);
+        let r = b.relu(mm);
+        b.relu(r);
+        b.finish()
+    }
+
+    /// Walks `fused_chain_module` so that every `OpScheduleState` field
+    /// leaves its initial value: the last relu is interchanged, tiled in
+    /// parallel and vectorized; the first relu fuses the matmul (its
+    /// `fused_producers`, the matmul's `fused_into`) and is stopped.
+    fn walk_every_field(e: &mut OptimizationEnv) {
+        let actions = [
+            Action::Interchange(InterchangeSpec::Permutation(vec![1, 0])),
+            Action::TiledParallelization {
+                tile_indices: vec![2, 2],
+            },
+            Action::Vectorization,
+            Action::TiledFusion {
+                tile_indices: vec![2, 2],
+            },
+            Action::NoTransformation,
+        ];
+        for action in &actions {
+            assert!(e.step(action).applied, "{action:?}");
+        }
+        assert!(e.current_op().is_none(), "the fused matmul is skipped");
+        let state = |op| e.scheduled().unwrap().state(OpId(op));
+        let (last, first, matmul) = (state(2), state(1), state(0));
+        assert_eq!(last.order, [1, 0]);
+        assert!(last.parallelized && last.vectorized);
+        assert!(first.stopped && first.tile_sizes.iter().all(|t| *t > 0));
+        assert_eq!(first.fused_producers, [OpId(0)]);
+        assert_eq!(matmul.fused_into, Some(OpId(1)));
+        assert!(last.schedule.len() == 3 && first.schedule.len() == 2);
+    }
+
     #[test]
     fn resets_on_the_live_module_share_it_and_match_a_deep_copy() {
         let mut config = EnvConfig::small();
         config.noise_seed = Some(7);
         config.reward_mode = RewardMode::Immediate;
         let mut e = OptimizationEnv::new(config, CostModel::new(MachineModel::default()));
-        let m = Arc::new(matmul_relu_module());
+        let m = Arc::new(fused_chain_module());
         e.reset(Arc::clone(&m)).unwrap();
-        walk_and_stats(&mut e);
+        walk_every_field(&mut e);
+        let buffers = |e: &OptimizationEnv| -> Vec<(*const usize, *const u64)> {
+            let states = e.scheduled().unwrap().states();
+            states
+                .iter()
+                .map(|s| (s.order.as_ptr(), s.tile_sizes.as_ptr()))
+                .collect()
+        };
+        let walked = buffers(&e);
         // The twin copies the episode, the noise stream and the table, then
-        // resets on a deep copy: fingerprint and visit order are recomputed.
+        // resets on a deep copy: the record and every state are rebuilt.
         let mut twin = e.clone();
-        let obs = e.reset(Arc::clone(&m));
+        e.restart(Arc::clone(&m));
         assert!(std::ptr::eq(e.scheduled().unwrap().module(), &*m));
-        assert_eq!(obs, twin.reset((*m).clone()));
+        assert_eq!(buffers(&e), walked, "the states were rewound in place");
+        let twin_obs = twin.reset((*m).clone());
         assert!(!std::ptr::eq(twin.scheduled().unwrap().module(), &*m));
+        assert_eq!(e.scheduled(), twin.scheduled());
+        assert_eq!(e.current_observation(), twin_obs);
         assert_eq!(
             e.episode.baseline_s.to_bits(),
             twin.episode.baseline_s.to_bits()
         );
-        assert_eq!(walk_and_stats(&mut e), walk_and_stats(&mut twin));
+        let episode_lookups = |e: &OptimizationEnv| (e.evaluations(), e.episode.cache_hits);
+        assert_eq!(episode_lookups(&e), episode_lookups(&twin));
+        assert_eq!(e.peek_time_s().to_bits(), twin.peek_time_s().to_bits());
+        assert_eq!(episode_lookups(&e), episode_lookups(&twin));
+        walk_every_field(&mut e);
+        walk_every_field(&mut twin);
+        assert_eq!(e.stats(), twin.stats());
         let table = |env: &OptimizationEnv| env.cache().to_snapshot_bytes();
         assert_eq!(table(&e), table(&twin), "the same keys were looked up");
         assert_eq!(
             (e.lifetime_hits(), e.lifetime_misses()),
             (twin.lifetime_hits(), twin.lifetime_misses())
         );
-        e.reset(Arc::clone(&m));
+        // `reset` is the same restart plus the first observation.
+        let walked = buffers(&e);
+        let obs = e.reset(Arc::clone(&m));
         assert!(std::ptr::eq(e.scheduled().unwrap().module(), &*m));
+        assert_eq!(buffers(&e), walked);
+        assert_eq!(obs, twin.reset((*m).clone()));
+        assert_eq!(e.scheduled(), twin.scheduled());
     }
 
     #[test]

@@ -277,6 +277,12 @@ impl ActionHistory {
         self.interchange.push(None);
     }
 
+    /// Forgets every recorded step, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.tiled.clear();
+        self.interchange.clear();
+    }
+
     /// Number of recorded steps.
     pub fn len(&self) -> usize {
         self.tiled.len()

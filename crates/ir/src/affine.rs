@@ -158,6 +158,52 @@ impl AffineExpr {
         }
     }
 
+    /// The smallest and largest value the expression takes while each
+    /// iterator `d<i>` ranges over `0..bounds[i]` (a zero bound counts as
+    /// `0..1`), exact for any affine expression. `None` when the expression
+    /// reads an iterator `bounds` does not cover, or when a coefficient,
+    /// the constant, a bound or an extreme does not fit an `i64`.
+    pub(crate) fn range_over(&self, bounds: &[u64]) -> Option<(i64, i64)> {
+        let mut coeffs = vec![0i64; bounds.len()];
+        let mut constant = 0i64;
+        self.accumulate_checked(1, &mut coeffs, &mut constant)?;
+        let (mut min, mut max) = (constant, constant);
+        for (coeff, bound) in coeffs.iter().zip(bounds) {
+            let reach = coeff.checked_mul(i64::try_from(bound.saturating_sub(1)).ok()?)?;
+            if reach < 0 {
+                min = min.checked_add(reach)?;
+            } else {
+                max = max.checked_add(reach)?;
+            }
+        }
+        Some((min, max))
+    }
+
+    /// [`Self::accumulate`] in checked arithmetic: `None` on an iterator
+    /// outside `coeffs` or on an `i64` overflow.
+    fn accumulate_checked(
+        &self,
+        factor: i64,
+        coeffs: &mut [i64],
+        constant: &mut i64,
+    ) -> Option<()> {
+        match self {
+            AffineExpr::Dim(d) => {
+                let coeff = coeffs.get_mut(*d)?;
+                *coeff = coeff.checked_add(factor)?;
+            }
+            AffineExpr::Constant(c) => *constant = constant.checked_add(factor.checked_mul(*c)?)?,
+            AffineExpr::Add(a, b) => {
+                a.accumulate_checked(factor, coeffs, constant)?;
+                b.accumulate_checked(factor, coeffs, constant)?;
+            }
+            AffineExpr::Mul(a, f) => {
+                a.accumulate_checked(factor.checked_mul(*f)?, coeffs, constant)?
+            }
+        }
+        Some(())
+    }
+
     /// Rewrites every iterator index through `mapping` (old index -> new index).
     ///
     /// Used by loop interchange: permuting loops renames the iterators that

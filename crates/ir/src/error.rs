@@ -61,6 +61,18 @@ pub enum IrError {
         /// Description of the problem.
         message: String,
     },
+    /// An indexing-map result can leave its tensor dimension over the
+    /// iteration box: its minimum is negative or its maximum reaches the
+    /// extent (or overflows an `i64`), or it is a lone iterator whose bound
+    /// differs from the extent.
+    AccessOutOfBounds {
+        /// Operand position.
+        operand: usize,
+        /// Position of the map result (the tensor dimension).
+        result: usize,
+        /// The tensor's extent in that dimension.
+        extent: u64,
+    },
     /// The product of an operation's loop bounds does not fit in a `u64`.
     IterationCountOverflow {
         /// The loop bounds.
@@ -104,6 +116,14 @@ impl fmt::Display for IrError {
                 }
             }
             IrError::InvalidTensorType { message } => write!(f, "invalid tensor type: {message}"),
+            IrError::AccessOutOfBounds {
+                operand,
+                result,
+                extent,
+            } => write!(
+                f,
+                "operand {operand}: map result {result} does not stay within extent {extent} over the loop bounds"
+            ),
             IrError::IterationCountOverflow { bounds } => {
                 write!(f, "loop bounds {bounds:?} overflow a u64 iteration count")
             }

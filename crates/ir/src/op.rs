@@ -278,7 +278,10 @@ impl ArithCounts {
 /// * every indexing map declares `loop_bounds.len()` iterators;
 /// * every map's result rank equals the rank of the corresponding operand;
 /// * `iterator_types.len() == loop_bounds.len()`;
-/// * the product of the loop bounds fits in a `u64`.
+/// * the product of the loop bounds fits in a `u64`;
+/// * every access stays inside its tensor: over the iteration box each map
+///   result lies in `0..extent` of its tensor dimension, and a result that
+///   is a lone iterator has exactly that extent as its loop bound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinalgOp {
     /// Operation identifier (assigned by the owning module).
@@ -419,17 +422,35 @@ impl LinalgOp {
                     op_dims: num_dims,
                 });
             }
-            let tensor_rank = if i < self.inputs.len() {
-                self.input_types[i].rank()
+            let tensor = if i < self.inputs.len() {
+                &self.input_types[i]
             } else {
-                self.result_type.rank()
+                &self.result_type
             };
+            let tensor_rank = tensor.rank();
             if map.num_results() != tensor_rank {
                 return Err(IrError::RankMismatch {
                     operand: i,
                     map_rank: map.num_results(),
                     tensor_rank,
                 });
+            }
+            for (result, (expr, &extent)) in map.results().iter().zip(tensor.shape()).enumerate() {
+                let in_bounds = match expr.as_dim() {
+                    Some(dim) => self.loop_bounds.get(dim) == Some(&extent),
+                    None => expr
+                        .range_over(&self.loop_bounds)
+                        .is_some_and(|(min, max)| {
+                            min >= 0 && u64::try_from(max).is_ok_and(|max| max < extent)
+                        }),
+                };
+                if !in_bounds {
+                    return Err(IrError::AccessOutOfBounds {
+                        operand: i,
+                        result,
+                        extent,
+                    });
+                }
             }
         }
         Ok(())

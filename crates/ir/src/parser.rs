@@ -608,15 +608,57 @@ mod tests {
                 bounds: vec![u64::MAX; 3]
             }
         );
-        // One bound of u64::MAX alone still counts.
-        let text = text.replace(
-            "bounds = [18446744073709551615, 18446744073709551615, 18446744073709551615]",
-            "bounds = [18446744073709551615, 1, 1]",
-        );
+        // One bound of u64::MAX alone still counts, on shapes that agree
+        // with it.
+        let mut b = ModuleBuilder::new("long");
+        let a = b.argument("A", vec![u64::MAX, 1]);
+        let w = b.argument("B", vec![1, 1]);
+        b.matmul(a, w);
+        let text = print_module(&b.finish());
+        assert!(text.contains("bounds = [18446744073709551615, 1, 1]"));
         assert_eq!(
             parse_module(&text).unwrap().total_flops(),
             u64::MAX as f64 * 2.0
         );
+    }
+
+    #[test]
+    fn parse_rejects_bounds_that_disagree_with_the_shapes() {
+        let mut b = ModuleBuilder::new("small");
+        let a = b.argument("A", vec![4, 8]);
+        let w = b.argument("B", vec![8, 2]);
+        b.matmul(a, w);
+        let text = print_module(&b.finish());
+        assert!(parse_module(&text).is_ok());
+        // The loop nest of a 4x8 * 8x2 matmul under bounds of one: the
+        // lone-iterator results no longer span their extents.
+        let err = parse_module(&text.replace("bounds = [4, 2, 8]", "bounds = [1, 1, 1]"));
+        assert_eq!(
+            err.unwrap_err(),
+            IrError::AccessOutOfBounds {
+                operand: 0,
+                result: 0,
+                extent: 4
+            }
+        );
+        // A compound result is checked over the whole box: `d0 + d2` reads
+        // rows 0..=10 of a 4-row tensor.
+        let text = text.replacen("(d0, d2)>", "(d0 + d2, d2)>", 1);
+        assert!(text.contains("(d0 + d2, d2)>"));
+        assert_eq!(
+            parse_module(&text).unwrap_err(),
+            IrError::AccessOutOfBounds {
+                operand: 0,
+                result: 0,
+                extent: 4
+            }
+        );
+        // Coefficients that overflow an i64 are a rejection, not a panic.
+        let text = text.replacen("(d0 + d2, d2)>", "(d0 * 9223372036854775807 + d2, d2)>", 1);
+        assert!(matches!(
+            parse_module(&text).unwrap_err(),
+            IrError::AccessOutOfBounds { operand: 0, .. }
+        ));
     }
 
     #[test]

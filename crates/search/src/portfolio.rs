@@ -123,7 +123,7 @@ impl<P: PolicyModel> Portfolio<P> {
     /// Degenerate outcome when no member ran: the untransformed schedule.
     fn empty_outcome(&self, env: &mut OptimizationEnv, module: &Module) -> SearchOutcome {
         let meter = crate::searcher::LookupMeter::start(env);
-        let _ = env.reset(module.clone());
+        env.restart(module.clone());
         let baseline_s = env.peek_time_s();
         let best_schedule = env
             .scheduled()

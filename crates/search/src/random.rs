@@ -137,7 +137,7 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
                 break;
             }
             probe.emit(EventKind::RandomEpisode, None, [episode as u64, 0, 0]);
-            let mut mask = env.reset(Arc::clone(&module)).map(|obs| obs.mask);
+            env.restart(Arc::clone(&module));
             if episode == 0 {
                 // The noise-free estimate of the do-nothing schedule is the
                 // baseline and the floor of the best-so-far.
@@ -145,15 +145,14 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
                 best_s = baseline_s;
             }
             let mut actions = Vec::new();
-            while let Some(current) = mask {
-                let action = random_action(&current, &config, &mut rng);
+            while let Some(mask) = env.current_mask() {
+                let action = random_action(&mask, &config, &mut rng);
                 env.step(&action);
                 actions.push(action);
                 nodes += 1;
                 if actions.len() > max_steps {
                     break;
                 }
-                mask = env.current_mask();
             }
             let final_s = env.peek_time_s();
             if final_s < best_s {

@@ -250,7 +250,7 @@ pub(crate) fn materialize_schedule(
     module: &Arc<Module>,
     actions: &[Action],
 ) -> Vec<Schedule> {
-    env.reset(Arc::clone(module));
+    env.restart(Arc::clone(module));
     for action in actions {
         env.step(action);
     }

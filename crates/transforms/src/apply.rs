@@ -48,16 +48,36 @@ pub struct OpScheduleState {
 
 impl OpScheduleState {
     fn new(num_loops: usize) -> Self {
-        Self {
+        let mut state = Self {
             schedule: Vec::new(),
             tile_sizes: vec![0; num_loops],
             parallelized: false,
-            order: (0..num_loops).collect(),
+            order: vec![0; num_loops],
             vectorized: false,
             stopped: false,
             fused_producers: Vec::new(),
             fused_into: None,
+        };
+        state.reset();
+        state
+    }
+
+    /// Puts every field back to the untransformed state — no schedule, no
+    /// tiles, the identity loop order, nothing parallelized, vectorized,
+    /// stopped or fused — inside the buffers the state already owns. The
+    /// one definition of the initial state: [`OpScheduleState::new`] sizes
+    /// the buffers and calls this.
+    fn reset(&mut self) {
+        self.schedule.clear();
+        self.tile_sizes.fill(0);
+        self.parallelized = false;
+        for (position, iterator) in self.order.iter_mut().enumerate() {
+            *iterator = position;
         }
+        self.vectorized = false;
+        self.stopped = false;
+        self.fused_producers.clear();
+        self.fused_into = None;
     }
 
     /// True once no further transformation may be applied to this op.
@@ -120,6 +140,15 @@ impl ScheduledModule {
             module,
             states,
             max_schedule_len,
+        }
+    }
+
+    /// Rewinds every operation to its untransformed state, as
+    /// [`ScheduledModule::with_max_schedule_len`] on the same module would
+    /// build it, reusing each state's buffers instead of reallocating them.
+    pub fn rewind(&mut self) {
+        for state in &mut self.states {
+            state.reset();
         }
     }
 
@@ -375,12 +404,10 @@ impl ScheduledModule {
     }
 
     fn set_tiles(&mut self, op: OpId, tile_sizes: &[u64]) {
-        let order = self.states[op.0].order.clone();
         let state = &mut self.states[op.0];
         for (pos, tile) in tile_sizes.iter().enumerate() {
-            let it = order[pos];
             if *tile > 0 {
-                state.tile_sizes[it] = *tile;
+                state.tile_sizes[state.order[pos]] = *tile;
             }
         }
     }

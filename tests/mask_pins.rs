@@ -9,7 +9,10 @@
 //! these actions and the random searcher must draw exactly these ones. A
 //! second digest covers every observation's consumer and producer feature
 //! lists (columns and value bits), so however or whenever the observation is
-//! built, it must describe exactly these states.
+//! built, it must describe exactly these states. Each module is one shared
+//! allocation, so all but its first episode restart in place.
+
+use std::sync::Arc;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -51,9 +54,13 @@ fn walk(config: &EnvConfig, modules: &[Module]) -> (u64, u64, usize) {
     let mut features = Fnv1a::new();
     let mut steps = 0usize;
     for (index, module) in modules.iter().enumerate() {
+        // One shared allocation per module: every episode after the first
+        // restarts on the live module and rewinds it in place.
+        let module = Arc::new(module.clone());
         for seed in 0..8u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed << 32 | index as u64);
-            let mut observation = env.reset(module.clone());
+            env.restart(Arc::clone(&module));
+            let mut observation = env.current_observation();
             while let Some(obs) = observation {
                 write_mask(&mut fnv, &obs);
                 write_features(&mut features, &obs.consumer);

@@ -349,9 +349,10 @@ proptest! {
 /// Applies one random edit to printed module text: a byte replaced by, or
 /// inserted as, one of the characters the grammar gives meaning to; a byte
 /// deleted; a span of one line reversed (which turns bracket pairs inside
-/// out); one decimal number swapped for `0`, `u32::MAX` or `u64::MAX`; or
-/// one count of an `arith = {..}` line swapped for `u32::MAX`, the largest
-/// count it holds.
+/// out); one decimal number swapped for `0`, `u32::MAX` or `u64::MAX`; one
+/// count of an `arith = {..}` line swapped for `u32::MAX`, the largest
+/// count it holds; or one loop bound or tensor extent given another one's
+/// value, which keeps the text well-formed but the shapes inconsistent.
 fn mutate_text(text: &mut Vec<u8>, rng: &mut ChaCha8Rng) {
     const BYTES: &[u8] = b"()[]{}<>%@,:=+-*dx019 \n";
     if text.is_empty() {
@@ -359,7 +360,7 @@ fn mutate_text(text: &mut Vec<u8>, rng: &mut ChaCha8Rng) {
         return;
     }
     let at = rng.gen_range(0..text.len());
-    match rng.gen_range(0..6) {
+    match rng.gen_range(0..7) {
         0 => text[at] = BYTES[rng.gen_range(0..BYTES.len())],
         1 => text.insert(at, BYTES[rng.gen_range(0..BYTES.len())]),
         2 => {
@@ -385,6 +386,16 @@ fn mutate_text(text: &mut Vec<u8>, rng: &mut ChaCha8Rng) {
             };
             swap_number(text, 0..text.len(), swap, rng);
         }
+        5 => {
+            let sizes = shape_numbers(text);
+            if sizes.is_empty() {
+                return;
+            }
+            let from = sizes[rng.gen_range(0..sizes.len())].clone();
+            let value = text[from].to_vec();
+            let to = sizes[rng.gen_range(0..sizes.len())].clone();
+            text.splice(to, value);
+        }
         _ => {
             let arith: Vec<usize> = text
                 .windows(b"arith = {".len())
@@ -403,6 +414,34 @@ fn mutate_text(text: &mut Vec<u8>, rng: &mut ChaCha8Rng) {
             swap_number(text, start..end, b"4294967295", rng);
         }
     }
+}
+
+/// The byte ranges of the decimal numbers that are loop bounds (on a
+/// `bounds = [..]` line) or tensor extents (after the `<` of a `tensor<..>`
+/// or after an `x` that follows a digit).
+fn shape_numbers(text: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut out = Vec::new();
+    let mut line_start = 0;
+    for (i, &b) in text.iter().enumerate() {
+        if b == b'\n' {
+            line_start = i + 1;
+        }
+        if !b.is_ascii_digit() || (i > 0 && text[i - 1].is_ascii_digit()) {
+            continue;
+        }
+        let line = text[line_start..].trim_ascii_start();
+        let extent = i > 0
+            && (text[i - 1] == b'<'
+                || (text[i - 1] == b'x' && i > 1 && text[i - 2].is_ascii_digit()));
+        if extent || line.starts_with(b"bounds = [") {
+            let end = text[i..]
+                .iter()
+                .position(|b| !b.is_ascii_digit())
+                .map_or(text.len(), |n| i + n);
+            out.push(i..end);
+        }
+    }
+    out
 }
 
 /// Replaces one decimal number that starts inside `span` with `swap`.
@@ -430,9 +469,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// Hostile IR text never panics the parser: printed random operators
-    /// and operator sequences, after one to eight random edits, parse to
-    /// `Ok` or `Err`, and every module that parses counts its flops to a
-    /// finite total.
+    /// and operator sequences, after one to eight random edits (shape and
+    /// bound swaps among them), parse to `Ok` or `Err`, and every module
+    /// that parses counts its flops to a finite total.
     #[test]
     fn mutated_module_text_parses_or_errs_without_panicking(
         seed in 0u64..1 << 32,
@@ -528,8 +567,8 @@ proptest! {
 
     /// An environment prices a miss from operand accesses it keeps per
     /// module allocation, and the price is the estimator's, bit for bit,
-    /// while two modules alternate through `reset`, `snapshot` /
-    /// `restore`, `clone()` and `clone_sharing_cache()` along random masked
+    /// while two modules alternate through `reset`, in-place `restart`,
+    /// `snapshot` / `restore`, `clone()` and `clone_sharing_cache()` along random masked
     /// walks. The walk opens on the case stale accesses would get wrong:
     /// module A's snapshot restored after module B was priced.
     #[test]
@@ -579,9 +618,15 @@ proptest! {
                     current = rng.gen_range(0..2);
                     env.restore(&snapshots[current]);
                 }
+                // Half the resets switch modules; the other half restart
+                // on the live episode's own `Arc`, which rewinds in place.
                 5 => {
-                    current = 1 - current;
-                    env.reset(Arc::clone(&modules[current]));
+                    if rng.gen_bool(0.5) {
+                        current = 1 - current;
+                        env.reset(Arc::clone(&modules[current]));
+                    } else {
+                        env.restart(Arc::clone(&modules[current]));
+                    }
                 }
                 6 => env = env.clone(),
                 _ => env = env.clone_sharing_cache(),
