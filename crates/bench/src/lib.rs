@@ -7,9 +7,10 @@
 //!
 //! * [`paper`] — the paper's tables and figures; deterministic, and pinned
 //!   bit for bit by `tests/golden/paper_{smoke,standard}.json`.
-//! * [`throughput`], [`nn`], [`search`], [`service`], [`load`], [`online`] —
-//!   the engine experiments; timing-dependent, so each report type owns a
-//!   [`report::Report::check`] with its run invariants instead of a pin.
+//! * [`throughput`], [`lookup`], [`nn`], [`search`], [`service`], [`load`],
+//!   [`online`] — the engine experiments; timing-dependent, so each report
+//!   type owns a [`report::Report::check`] with its run invariants instead
+//!   of a pin.
 //! * [`report`] — every report lists its fields once; one renderer prints
 //!   both the text and the `--json` form.
 //! * [`scale`], [`cli`] — the [`ExperimentScale`] and the strict argument
@@ -25,6 +26,7 @@
 
 pub mod cli;
 pub mod load;
+pub mod lookup;
 pub mod nn;
 pub mod online;
 pub mod paper;

@@ -5,7 +5,7 @@ use mlir_rl_obs::TraceSnapshot;
 
 use crate::cli::ExpArgs;
 use crate::report::{Rendered, Report, Row, Value};
-use crate::{load, nn, online, paper, search, service, throughput, ExperimentScale};
+use crate::{load, lookup, nn, online, paper, search, service, throughput, ExperimentScale};
 
 /// What a run hands back: the report, and the trace when one was recorded.
 pub type Outcome = (Box<dyn Report>, Option<TraceSnapshot>);
@@ -51,7 +51,7 @@ fn exhibits<const N: usize>(parts: [(&'static str, Value); N]) -> Outcome {
 
 /// Every experiment, in `exp list` order (the paper set first, in the
 /// order of the golden documents).
-pub static EXPERIMENTS: [Experiment; 16] = [
+pub static EXPERIMENTS: [Experiment; 17] = [
     Experiment {
         name: "action_space_size",
         about: "Sec. IV-A: flat vs multi-discrete action-space size",
@@ -140,6 +140,14 @@ pub static EXPERIMENTS: [Experiment; 16] = [
         workers: true,
         paper: false,
         run: |a| untraced(throughput::rollout_throughput(&a.scale, a.workers)),
+    },
+    Experiment {
+        name: "lookup_split",
+        about: "a cost-model lookup's key read, and a miss's lowering and pricing per op",
+        trace: false,
+        workers: false,
+        paper: false,
+        run: |a| untraced(lookup::lookup_split(&a.scale)),
     },
     Experiment {
         name: "search",

@@ -80,12 +80,23 @@
 //! results are bit-identical regardless of eviction policy,
 //! snapshot/restore cycles, or absorb order.
 //!
-//! Keys are 128 bits (module fingerprint + schedule fingerprint), computed
-//! with [`std::collections::hash_map::DefaultHasher`], which is
-//! deterministic for a fixed Rust release. A collision would silently serve
-//! a wrong estimate; at 2^128 key space this is not a practical concern, and
-//! the `cached_estimates_match_uncached` property test exercises the
-//! construction.
+//! Keys are 128 bits: a module fingerprint plus a schedule fingerprint. The
+//! schedule half is [`ScheduledModule::fingerprint`], which the schedule
+//! keeps up to date as transformations are applied (so a lookup re-hashes
+//! nothing) and which is a fixed function of the transformation lists —
+//! the splitmix64 finalizer over an unambiguous word encoding — the same on
+//! every toolchain. The module half, [`module_fingerprint`], is still
+//! computed with [`std::collections::hash_map::DefaultHasher`], which is
+//! deterministic only for a fixed Rust release, so a snapshot's keys are
+//! portable across builds of one toolchain only. Images written before the
+//! schedule half became the kept fingerprint restore and validate (the
+//! layout and its version are unchanged) but their keys no longer match
+//! any lookup. A collision would silently serve a wrong estimate; at 2^128
+//! key space this is not a practical concern, the
+//! `cached_estimates_match_uncached` property test exercises the
+//! construction, and `distinct_schedules_get_distinct_fingerprints` checks
+//! the encoding on every one- and many two-step schedule of the paper's
+//! operators.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -145,15 +156,12 @@ pub fn module_fingerprint(module: &Module) -> u64 {
 }
 
 /// Fingerprints the schedule state of a module: the ordered transformation
-/// list of every operation (which fully determines tiling, interchange
-/// order, parallelization, fusion and vectorization state).
+/// list and the fusion state of every operation (which fully determine
+/// tiling, interchange order, parallelization, fusion and vectorization).
+/// It is the fingerprint the schedule keeps, [`ScheduledModule::fingerprint`],
+/// so it costs `O(1)`.
 pub fn schedule_fingerprint(scheduled: &ScheduledModule) -> u64 {
-    let mut h = DefaultHasher::new();
-    for state in scheduled.states() {
-        state.schedule.hash(&mut h);
-        state.fused_into.hash(&mut h);
-    }
-    h.finish()
+    scheduled.fingerprint()
 }
 
 /// The canonical cache key of a scheduled module.

@@ -31,6 +31,19 @@ pub struct ModuleEstimate {
     pub total_s: f64,
 }
 
+/// Working memory for pricing schedules op by op: the lowered nest of the op
+/// being priced and the storage of its sub-nest table. Every field is
+/// overwritten before it is read, so what a scratch held never changes a
+/// price; an owner that prices many misses keeps one and allocates nothing
+/// once its buffers are large enough. It is not state: an owner's clone
+/// starts from [`PricingScratch::default`] instead of copying it.
+#[derive(Debug, Default)]
+pub struct PricingScratch {
+    nest: LoopNest,
+    words: Vec<u64>,
+    uses: Vec<bool>,
+}
+
 /// The analytical cost model: a machine plus a code-generation quality.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
@@ -62,9 +75,17 @@ impl CostModel {
         self.quality
     }
 
-    /// Execution time of one scheduled operation, seconds:
-    /// `max(compute, memory) + overhead`.
-    fn op_total_s(&self, op: &LinalgOp, nest: &LoopNest, accesses: &[OperandAccess]) -> f64 {
+    /// Execution time of one scheduled operation of `scheduled`, seconds:
+    /// `max(compute, memory) + overhead`, lowered and tabled in `scratch`.
+    fn op_total_s(
+        &self,
+        scheduled: &ScheduledModule,
+        op: &LinalgOp,
+        accesses: &[OperandAccess],
+        scratch: &mut PricingScratch,
+    ) -> f64 {
+        scheduled.lower_into(op.id, &mut scratch.nest);
+        let nest = &scratch.nest;
         let m = &self.machine;
         let total_iterations = nest.total_iterations() as f64;
         let cores_used = (nest.parallel_degree().min(u64::from(m.cores)) as u32).max(1);
@@ -87,11 +108,17 @@ impl CostModel {
         // Traffic beyond each cache level, served at that level's
         // "next level" bandwidth. Shared L3 capacity is split among active
         // cores. One sub-nest table prices all three levels.
-        let table = SubnestTable::new(accesses, nest);
+        let table = SubnestTable::build_in(
+            accesses,
+            nest,
+            std::mem::take(&mut scratch.words),
+            std::mem::take(&mut scratch.uses),
+        );
         let l1_traffic = table.total_traffic_beyond_cache(m.l1.capacity_bytes);
         let l2_traffic = table.total_traffic_beyond_cache(m.l2.capacity_bytes);
         let l3_capacity = m.l3.capacity_bytes / u64::from(cores_used).max(1);
         let mut dram_traffic = table.total_traffic_beyond_cache(l3_capacity) as f64;
+        (scratch.words, scratch.uses) = table.into_buffers();
 
         // Fusion: the intermediate tensor no longer round-trips through main
         // memory, but the fused producer's own inputs must still be read.
@@ -156,12 +183,12 @@ impl CostModel {
     }
 
     /// The module total of [`CostModel::estimate_scheduled`], priced from
-    /// operand accesses built beforehand: `accesses[i]` must be
-    /// [`operand_accesses`] of the module's op `i` if that op is live (a
-    /// fused op's entry is not read). A caller that prices
-    /// many schedules of one module builds the accesses once. This is the
-    /// model's one module loop: the live ops' times, summed in ascending op
-    /// order from `+0.0`.
+    /// operand accesses built beforehand and in a caller's `scratch`:
+    /// `accesses[i]` must be [`operand_accesses`] of the module's op `i` if
+    /// that op is live (a fused op's entry is not read). A caller that
+    /// prices many schedules of one module builds the accesses once and
+    /// keeps one scratch. This is the model's one module loop: the live
+    /// ops' times, summed in ascending op order from `+0.0`.
     ///
     /// # Panics
     ///
@@ -170,19 +197,21 @@ impl CostModel {
         &self,
         scheduled: &ScheduledModule,
         accesses: &[Vec<OperandAccess>],
+        scratch: &mut PricingScratch,
     ) -> f64 {
         let module = scheduled.module();
         let mut total = 0.0;
         for (op, state) in module.ops().iter().zip(scheduled.states()) {
             if state.fused_into.is_none() {
-                total += self.op_total_s(op, &scheduled.lower(op.id), &accesses[op.id.0]);
+                total += self.op_total_s(scheduled, op, &accesses[op.id.0], scratch);
             }
         }
         total
     }
 
     /// Estimates the execution time of a scheduled module: the live ops'
-    /// times summed. Only live ops' accesses are built.
+    /// times summed. Only live ops' accesses are built, and it prices in a
+    /// fresh [`PricingScratch`].
     ///
     /// # Panics
     ///
@@ -200,7 +229,11 @@ impl CostModel {
             })
             .collect();
         ModuleEstimate {
-            total_s: self.total_s_with_accesses(scheduled, &accesses),
+            total_s: self.total_s_with_accesses(
+                scheduled,
+                &accesses,
+                &mut PricingScratch::default(),
+            ),
         }
     }
 
@@ -491,7 +524,7 @@ mod tests {
         );
         let relu = &fused.module().ops()[1];
         let accesses = operand_accesses(relu).unwrap();
-        let consumer_alone = cm.op_total_s(relu, &fused.lower(OpId(1)), &accesses);
+        let consumer_alone = cm.op_total_s(&fused, relu, &accesses, &mut PricingScratch::default());
         assert_eq!(cm.estimate_scheduled(&fused).total_s, consumer_alone);
     }
 }

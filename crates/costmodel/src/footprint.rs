@@ -235,14 +235,30 @@ pub struct SubnestTable<'a> {
 }
 
 impl<'a> SubnestTable<'a> {
-    /// Builds the table of every sub-nest position of `nest`.
+    /// Builds the table of every sub-nest position of `nest` in new
+    /// storage: [`SubnestTable::build_in`] on empty buffers.
     pub fn new(accesses: &'a [OperandAccess], nest: &'a LoopNest) -> Self {
+        Self::build_in(accesses, nest, Vec::new(), Vec::new())
+    }
+
+    /// Builds the table of every sub-nest position of `nest` inside `words`
+    /// and `uses`, whatever they held; [`SubnestTable::into_buffers`] hands
+    /// them back, so a caller that prices op after op allocates nothing once
+    /// they are large enough.
+    pub fn build_in(
+        accesses: &'a [OperandAccess],
+        nest: &'a LoopNest,
+        mut words: Vec<u64>,
+        mut uses: Vec<bool>,
+    ) -> Self {
         let depth = nest.depth();
         let iterators = nest.full_extents.len();
         let dims: usize = accesses.iter().map(|a| a.matrix.coefficients.len()).sum();
         let stride = iterators + dims + accesses.len() + 1;
-        let mut words = vec![0; (depth + 1) * stride];
-        let mut uses = vec![false; accesses.len() * depth];
+        words.clear();
+        words.resize((depth + 1) * stride, 0);
+        uses.clear();
+        uses.resize(accesses.len() * depth, false);
 
         // Position `depth` is a single iteration point: every iterator and
         // every tensor dimension has extent 1.
@@ -279,6 +295,11 @@ impl<'a> SubnestTable<'a> {
             words,
             uses,
         }
+    }
+
+    /// The table's storage, for the next [`SubnestTable::build_in`].
+    pub fn into_buffers(self) -> (Vec<u64>, Vec<bool>) {
+        (self.words, self.uses)
     }
 
     fn footprint(&self, pos: usize) -> u64 {

@@ -45,7 +45,7 @@ pub use cache::{
     hit_rate, module_fingerprint, schedule_fingerprint, schedule_key, ScheduleKey, SharedEvalCache,
     SnapshotError, DEFAULT_EVAL_CACHE_CAPACITY, SHARED_CACHE_SHARDS,
 };
-pub use estimator::{speedup, CostModel, ModuleEstimate};
+pub use estimator::{speedup, CostModel, ModuleEstimate, PricingScratch};
 pub use footprint::{
     operand_accesses, subnest_footprint, traffic_beyond_cache, OperandAccess, SubnestTable,
 };

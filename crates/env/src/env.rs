@@ -45,7 +45,7 @@ use std::sync::{Arc, OnceLock};
 
 use mlir_rl_costmodel::{
     module_fingerprint, operand_accesses, schedule_fingerprint, CostModel, MeasurementNoise,
-    OperandAccess, ScheduleKey, SharedEvalCache, DEFAULT_EVAL_CACHE_CAPACITY,
+    OperandAccess, PricingScratch, ScheduleKey, SharedEvalCache, DEFAULT_EVAL_CACHE_CAPACITY,
 };
 use mlir_rl_ir::{Module, OpId};
 use mlir_rl_obs::ProbeRef;
@@ -210,6 +210,9 @@ pub struct OptimizationEnv {
     /// Lookups of this environment that ran the estimator, since it was
     /// made.
     misses: u64,
+    /// Where misses are lowered and priced. Not episode state: it sits
+    /// outside [`EpisodeSnapshot`], and duplicates start with an empty one.
+    pricing: PricingScratch,
 }
 
 impl Clone for OptimizationEnv {
@@ -239,6 +242,7 @@ impl OptimizationEnv {
             probe: ProbeRef::none(),
             hits: 0,
             misses: 0,
+            pricing: PricingScratch::default(),
         }
     }
 
@@ -387,6 +391,7 @@ impl OptimizationEnv {
             probe: self.probe.clone(),
             hits: 0,
             misses: 0,
+            pricing: PricingScratch::default(),
         }
     }
 
@@ -478,8 +483,10 @@ impl OptimizationEnv {
 
     /// Evaluates `scheduled` through the schedule-keyed cache, classifying
     /// the request into this episode's and this environment's hit/miss
-    /// counters (the only place that accounting happens). A miss prices the
-    /// schedule from the module record's operand accesses, bit for bit what
+    /// counters (the only place that accounting happens). The key's schedule
+    /// half is the fingerprint `scheduled` keeps, so a hit hashes nothing. A
+    /// miss prices the schedule from the module record's operand accesses
+    /// in the environment's pricing scratch, bit for bit what
     /// [`CostModel::estimate_scheduled`] would report. `scheduled` reads
     /// the episode's module, whose record is [`EpisodeSnapshot`]'s.
     fn cached_total_s(&mut self, scheduled: &ScheduledModule) -> f64 {
@@ -496,7 +503,8 @@ impl OptimizationEnv {
                         |op| operand_accesses(op).expect("validated op has well-formed maps");
                     scheduled.module().ops().iter().map(accesses).collect()
                 });
-                self.cost_model.total_s_with_accesses(scheduled, accesses)
+                self.cost_model
+                    .total_s_with_accesses(scheduled, accesses, &mut self.pricing)
             },
             &self.probe,
         );
@@ -1018,6 +1026,11 @@ mod tests {
         assert_eq!(e.peek_time_s().to_bits(), twin.peek_time_s().to_bits());
         assert_eq!(episode_lookups(&e), episode_lookups(&twin));
         walk_every_field(&mut e);
+        assert_eq!(
+            buffers(&e),
+            walked,
+            "a second walk, interchange included, writes inside the same buffers"
+        );
         walk_every_field(&mut twin);
         assert_eq!(e.stats(), twin.stats());
         let table = |env: &OptimizationEnv| env.cache().to_snapshot_bytes();

@@ -108,15 +108,15 @@ impl Module {
             .ok_or(IrError::UnknownOperation { op: id.0 })
     }
 
-    /// Looks up a value by id.
+    /// Looks up a value by id. A value's id is its position:
+    /// [`Module::add_value`] is the only way in and numbers values in order.
     ///
     /// # Errors
     ///
     /// Returns [`IrError::UnknownValue`] if the id is not present.
     pub fn value(&self, id: ValueId) -> Result<&Value, IrError> {
         self.values
-            .iter()
-            .find(|v| v.id == id)
+            .get(id.0)
             .ok_or(IrError::UnknownValue { value: id.0 })
     }
 
@@ -323,6 +323,24 @@ mod tests {
         let m = chain_module();
         assert!(m.op(OpId(99)).is_err());
         assert!(m.value(ValueId(99)).is_err());
+    }
+
+    #[test]
+    fn every_value_id_resolves_to_its_own_value() {
+        let built = chain_module();
+        let parsed = crate::parser::parse_module(&crate::printer::print_module(&built)).unwrap();
+        for m in [&built, &parsed] {
+            assert_eq!(m.values().len(), 6);
+            for (position, value) in m.values().iter().enumerate() {
+                assert_eq!(value.id, ValueId(position));
+                assert_eq!(m.value(value.id).unwrap(), value);
+            }
+            let unknown = ValueId(m.values().len());
+            assert!(matches!(
+                m.value(unknown),
+                Err(IrError::UnknownValue { value }) if value == unknown.0
+            ));
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::error::IrError;
 use crate::types::TensorType;
 
 /// Identifier of an operation inside a [`crate::module::Module`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub usize);
 
 impl fmt::Display for OpId {

@@ -5,6 +5,16 @@
 //! one at a time (after checking legality via [`ScheduledModule::check`]) and
 //! finally lowers every live operation to a [`LoopNest`] for cost
 //! evaluation.
+//!
+//! A scheduled module keeps its own fingerprint: each op's state folds
+//! every transformation it receives into a running hash, and the module
+//! keeps the wrapping sum of one term per op (its position, that hash and
+//! which consumer it was fused into). [`ScheduledModule::apply`] replaces
+//! the terms it changes, so reading the fingerprint costs nothing, however
+//! long the schedules are. The fold is a fixed function — the splitmix64
+//! finalizer over an unambiguous word encoding (variant tag, length, every
+//! tile size or permutation entry, the producer id) — so its values do not
+//! depend on the toolchain.
 
 use std::sync::Arc;
 
@@ -44,6 +54,8 @@ pub struct OpScheduleState {
     /// Set if this op was fused into a consumer and no longer executes on
     /// its own.
     pub fused_into: Option<OpId>,
+    /// `schedule` folded word by word from `SCHEDULE_SEED`.
+    hash: u64,
 }
 
 impl OpScheduleState {
@@ -57,6 +69,7 @@ impl OpScheduleState {
             stopped: false,
             fused_producers: Vec::new(),
             fused_into: None,
+            hash: SCHEDULE_SEED,
         };
         state.reset();
         state
@@ -78,6 +91,7 @@ impl OpScheduleState {
         self.stopped = false;
         self.fused_producers.clear();
         self.fused_into = None;
+        self.hash = SCHEDULE_SEED;
     }
 
     /// True once no further transformation may be applied to this op.
@@ -118,6 +132,8 @@ pub struct ScheduledModule {
     module: Arc<Module>,
     states: Vec<OpScheduleState>,
     max_schedule_len: usize,
+    /// The wrapping sum of `op_term` over the states.
+    fingerprint: u64,
 }
 
 impl ScheduledModule {
@@ -136,11 +152,14 @@ impl ScheduledModule {
             .iter()
             .map(|o| OpScheduleState::new(o.num_loops()))
             .collect();
-        Self {
+        let mut scheduled = Self {
             module,
             states,
             max_schedule_len,
-        }
+            fingerprint: 0,
+        };
+        scheduled.fingerprint = scheduled.fingerprint_from_scratch();
+        scheduled
     }
 
     /// Rewinds every operation to its untransformed state, as
@@ -150,6 +169,48 @@ impl ScheduledModule {
         for state in &mut self.states {
             state.reset();
         }
+        self.fingerprint = self.fingerprint_from_scratch();
+    }
+
+    /// A 64-bit fingerprint of every op's transformation list and fusion
+    /// state, kept up to date by [`Self::apply`] and [`Self::rewind`], so a
+    /// read is `O(1)`. Equal schedules give equal fingerprints however they
+    /// were reached (applied on a fresh module, after a rewind, in a clone);
+    /// the value is a fixed function of the schedule, the same on every
+    /// toolchain.
+    pub fn fingerprint(&self) -> u64 {
+        debug_assert_eq!(
+            self.fingerprint,
+            self.fingerprint_from_scratch(),
+            "the kept schedule fingerprint drifted from its transformation lists"
+        );
+        self.fingerprint
+    }
+
+    /// The fingerprint recomputed from every op's transformation list: the
+    /// oracle of the kept one.
+    fn fingerprint_from_scratch(&self) -> u64 {
+        self.states
+            .iter()
+            .enumerate()
+            .map(|(position, state)| {
+                let hash = state
+                    .schedule
+                    .iter()
+                    .fold(SCHEDULE_SEED, fold_transformation);
+                op_term(position, hash, state.fused_into)
+            })
+            .fold(0, u64::wrapping_add)
+    }
+
+    /// Runs `edit` on `op`'s state and replaces the op's term of the
+    /// fingerprint by its new one.
+    fn rekey(&mut self, op: OpId, edit: impl FnOnce(&mut OpScheduleState)) {
+        let state = &mut self.states[op.0];
+        let before = op_term(op.0, state.hash, state.fused_into);
+        edit(state);
+        let after = op_term(op.0, state.hash, state.fused_into);
+        self.fingerprint = self.fingerprint.wrapping_sub(before).wrapping_add(after);
     }
 
     /// The underlying module.
@@ -383,14 +444,22 @@ impl ScheduledModule {
             } => {
                 self.set_tiles(op, tile_sizes);
                 self.states[op.0].fused_producers.push(*producer);
-                self.states[producer.0].fused_into = Some(op);
+                self.rekey(*producer, |p| p.fused_into = Some(op));
             }
             Transformation::Interchange { permutation } => {
-                let state = &mut self.states[op.0];
-                let new_order: Vec<usize> =
-                    permutation.iter().map(|pos| state.order[*pos]).collect();
-                state.order = new_order;
-                debug_assert!(is_permutation(&state.order, num_loops));
+                // `order[i] = old[permutation[i]]` in place: each entry
+                // first carries its new value in the digits above `n`
+                // (`old` is still the remainder mod `n` of every entry),
+                // then drops the old one.
+                let order = &mut self.states[op.0].order;
+                let n = order.len();
+                for (i, pos) in permutation.iter().enumerate() {
+                    order[i] += n * (order[*pos] % n);
+                }
+                for iterator in order.iter_mut() {
+                    *iterator /= n;
+                }
+                debug_assert!(is_permutation(order, num_loops));
             }
             Transformation::Vectorization => {
                 self.states[op.0].vectorized = true;
@@ -399,7 +468,10 @@ impl ScheduledModule {
                 self.states[op.0].stopped = true;
             }
         }
-        self.states[op.0].schedule.push(t);
+        self.rekey(op, |state| {
+            state.hash = fold_transformation(state.hash, &t);
+            state.schedule.push(t);
+        });
         Ok(())
     }
 
@@ -412,17 +484,34 @@ impl ScheduledModule {
         }
     }
 
-    /// Lowers one operation to its loop-nest form.
+    /// Lowers one operation to its loop-nest form: a new [`LoopNest`]
+    /// filled by [`Self::lower_into`].
     ///
     /// # Panics
     ///
     /// Panics if the op id does not belong to this module.
     pub fn lower(&self, op: OpId) -> LoopNest {
+        let mut nest = LoopNest::default();
+        self.lower_into(op, &mut nest);
+        nest
+    }
+
+    /// Lowers one operation into `nest`, overwriting every field inside the
+    /// buffers `nest` already owns, whatever it held before: the result
+    /// equals [`Self::lower`] field by field. A caller that lowers op after
+    /// op keeps one nest and allocates nothing once its buffers are large
+    /// enough.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op id does not belong to this module.
+    pub fn lower_into(&self, op: OpId, nest: &mut LoopNest) {
         let linalg_op = self.module.op(op).expect("op belongs to module");
         let state = &self.states[op.0];
         let n = linalg_op.num_loops();
 
-        let mut loops = Vec::new();
+        nest.op = op;
+        nest.loops.clear();
         // Outer tile loops, in current order, for every tiled iterator.
         for pos in 0..n {
             let it = state.order[pos];
@@ -436,7 +525,7 @@ impl ScheduledModule {
                 } else {
                     LoopKind::Tile
                 };
-                loops.push(LoopDim {
+                nest.loops.push(LoopDim {
                     iterator: it,
                     extent: trips,
                     kind,
@@ -447,7 +536,7 @@ impl ScheduledModule {
         // Point loops, in current order.
         for pos in 0..n {
             let it = state.order[pos];
-            loops.push(LoopDim {
+            nest.loops.push(LoopDim {
                 iterator: it,
                 extent: state.point_extent_at(linalg_op, pos),
                 kind: LoopKind::Point,
@@ -455,20 +544,18 @@ impl ScheduledModule {
             });
         }
 
-        let point_extents = (0..n)
-            .map(|it| {
-                if state.tile_sizes[it] == 0 {
-                    linalg_op.loop_bounds[it]
-                } else {
-                    state.tile_sizes[it].min(linalg_op.loop_bounds[it])
-                }
-            })
-            .collect();
+        nest.point_extents.clear();
+        nest.point_extents.extend((0..n).map(|it| {
+            if state.tile_sizes[it] == 0 {
+                linalg_op.loop_bounds[it]
+            } else {
+                state.tile_sizes[it].min(linalg_op.loop_bounds[it])
+            }
+        }));
 
-        let fused_producers = state
-            .fused_producers
-            .iter()
-            .map(|p| {
+        nest.fused_producers.clear();
+        nest.fused_producers
+            .extend(state.fused_producers.iter().map(|p| {
                 let pop = self.module.op(*p).expect("producer belongs to module");
                 FusedProducer {
                     op: *p,
@@ -481,18 +568,13 @@ impl ScheduledModule {
                         .sum(),
                     intermediate_bytes: pop.result_type.size_bytes(),
                 }
-            })
-            .collect();
+            }));
 
-        LoopNest {
-            op,
-            loops,
-            point_extents,
-            full_extents: linalg_op.loop_bounds.clone(),
-            order: state.order.clone(),
-            vectorized: state.vectorized,
-            fused_producers,
-        }
+        nest.full_extents.clear();
+        nest.full_extents.extend_from_slice(&linalg_op.loop_bounds);
+        nest.order.clear();
+        nest.order.extend_from_slice(&state.order);
+        nest.vectorized = state.vectorized;
     }
 
     /// Lowers every live (non-fused-away) operation.
@@ -523,18 +605,70 @@ fn vectorization_blocker(op: &LinalgOp, state: &OpScheduleState) -> Option<Vecto
         .then_some(VectorizationBlocker::InnerExtent(inner_extent))
 }
 
+/// Whether `perm` holds each of `0..n` once. Quadratic and allocation-free:
+/// loop nests are a dozen loops deep at most.
 fn is_permutation(perm: &[usize], n: usize) -> bool {
-    if perm.len() != n {
-        return false;
-    }
-    let mut seen = vec![false; n];
-    for p in perm {
-        if *p >= n || seen[*p] {
-            return false;
+    perm.len() == n
+        && perm
+            .iter()
+            .enumerate()
+            .all(|(i, p)| *p < n && !perm[..i].contains(p))
+}
+
+/// Where every op's transformation-list hash starts.
+const SCHEDULE_SEED: u64 = 0x243f_6a88_85a3_08d3;
+
+/// Where every op's fingerprint term starts.
+const TERM_SEED: u64 = 0x1319_8a2e_0370_7344;
+
+/// The splitmix64 finalizer: a fixed bijection of one 64-bit word.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Folds one word into a running hash.
+fn fold(hash: u64, word: u64) -> u64 {
+    mix(hash ^ word)
+}
+
+/// Folds a length, then every word.
+fn fold_words(hash: u64, words: impl ExactSizeIterator<Item = u64>) -> u64 {
+    let hash = fold(hash, words.len() as u64);
+    words.fold(hash, fold)
+}
+
+/// Folds one transformation as its variant tag, then the length and the
+/// entries of its tile sizes or permutation, then its producer: no two
+/// transformations, and no two lists of them, share a word sequence.
+fn fold_transformation(hash: u64, t: &Transformation) -> u64 {
+    let hash = fold(hash, t.kind().index() as u64);
+    match t {
+        Transformation::Tiling { tile_sizes }
+        | Transformation::TiledParallelization { tile_sizes } => {
+            fold_words(hash, tile_sizes.iter().copied())
         }
-        seen[*p] = true;
+        Transformation::TiledFusion {
+            tile_sizes,
+            producer,
+        } => fold(
+            fold_words(hash, tile_sizes.iter().copied()),
+            producer.0 as u64,
+        ),
+        Transformation::Interchange { permutation } => {
+            fold_words(hash, permutation.iter().map(|p| *p as u64))
+        }
+        Transformation::Vectorization | Transformation::NoTransformation => hash,
     }
-    true
+}
+
+/// One op's share of a module fingerprint: its position, its
+/// transformation-list hash and the consumer it was fused into (`0` when
+/// none, the consumer's id plus one otherwise).
+fn op_term(position: usize, hash: u64, fused_into: Option<OpId>) -> u64 {
+    let fused = fused_into.map_or(0, |consumer| consumer.0 as u64 + 1);
+    fold(fold(fold(TERM_SEED, position as u64), hash), fused)
 }
 
 #[cfg(test)]

@@ -49,8 +49,9 @@ pub struct FusedProducer {
     pub intermediate_bytes: u64,
 }
 
-/// The lowered loop nest of one scheduled operation.
-#[derive(Debug, Clone, PartialEq)]
+/// The lowered loop nest of one scheduled operation. The default is an
+/// empty nest of op 0: storage for `ScheduledModule::lower_into` to fill.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoopNest {
     /// The operation this nest was lowered from.
     pub op: OpId,

@@ -1,6 +1,7 @@
 //! Property-based integration tests over the IR, the transformation engine
 //! and the cost model.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -8,8 +9,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use mlir_rl_costmodel::{
-    module_fingerprint, operand_accesses, schedule_key, traffic_beyond_cache, CostModel,
-    MachineModel, SharedEvalCache, SubnestTable, DEFAULT_EVAL_CACHE_CAPACITY,
+    module_fingerprint, operand_accesses, schedule_fingerprint, schedule_key, traffic_beyond_cache,
+    CostModel, MachineModel, SharedEvalCache, SubnestTable, DEFAULT_EVAL_CACHE_CAPACITY,
 };
 use mlir_rl_env::{
     extract_features_dense, num_enumerated_candidates, Action, ActionHistory, EnvConfig, Features,
@@ -24,12 +25,16 @@ use mlir_rl_workloads::sequences::random_sequence;
 
 /// Checks every live op of `scheduled`: the sub-nest table's per-operand
 /// traffic equals the reference `traffic_beyond_cache`, bit for bit, at the
-/// machine's L1, L2 and per-core L3 capacities and at degenerate ones.
+/// machine's L1, L2 and per-core L3 capacities and at degenerate ones —
+/// both a table in new storage and one built in the storage the previous
+/// op's table handed back.
 fn assert_table_matches_reference(scheduled: &ScheduledModule, machine: &MachineModel) {
+    let mut buffers = (Vec::new(), Vec::new());
     for op in scheduled.live_ops() {
         let accesses = operand_accesses(scheduled.module().op(op).unwrap()).unwrap();
         let nest = scheduled.lower(op);
-        let table = SubnestTable::new(&accesses, &nest);
+        let fresh = SubnestTable::new(&accesses, &nest);
+        let reused = SubnestTable::build_in(&accesses, &nest, buffers.0, buffers.1);
         let cores_used = nest.parallel_degree().min(u64::from(machine.cores)).max(1);
         let capacities = [
             machine.l1.capacity_bytes,
@@ -41,15 +46,19 @@ fn assert_table_matches_reference(scheduled: &ScheduledModule, machine: &Machine
             u64::MAX / 4,
         ];
         for capacity in capacities {
-            let table_traffic: Vec<u64> = table.traffic_beyond_cache(capacity).collect();
-            assert_eq!(
-                table_traffic,
-                traffic_beyond_cache(&accesses, &nest, capacity),
-                "{} {op} at {capacity} bytes, loops {:?}",
-                scheduled.module().name(),
-                nest.extents()
-            );
+            let reference = traffic_beyond_cache(&accesses, &nest, capacity);
+            for table in [&fresh, &reused] {
+                let table_traffic: Vec<u64> = table.traffic_beyond_cache(capacity).collect();
+                assert_eq!(
+                    table_traffic,
+                    reference,
+                    "{} {op} at {capacity} bytes, loops {:?}",
+                    scheduled.module().name(),
+                    nest.extents()
+                );
+            }
         }
+        buffers = reused.into_buffers();
     }
 }
 
@@ -671,6 +680,292 @@ fn a_fixed_two_module_walk_keeps_its_lookup_counts() {
         (2, 3), (6, 2), (5, 2), (1, 2), (13, 2), (10, 2), (3, 2), (5, 2),
     ];
     assert_eq!(counts, pinned);
+}
+
+/// A new schedule of `scheduled`'s module, on a deep copy of it, with every
+/// op's transformations applied again, consumers first: the environment's
+/// visit order, in which a fused producer is still untouched when its
+/// consumer fuses it.
+fn replayed(scheduled: &ScheduledModule) -> ScheduledModule {
+    let mut fresh = ScheduledModule::with_max_schedule_len(
+        scheduled.module().clone(),
+        scheduled.max_schedule_len(),
+    );
+    for (position, state) in scheduled.states().iter().enumerate().rev() {
+        for t in &state.schedule {
+            fresh
+                .apply(OpId(position), t.clone())
+                .expect("a recorded transformation applies again");
+        }
+    }
+    fresh
+}
+
+/// The live schedule's kept fingerprint — which a debug build checks
+/// against its from-scratch oracle on every read — after checking that a
+/// replay of the same transformation lists on a new module reaches the same
+/// states and the same fingerprint.
+fn checked_fingerprint(env: &OptimizationEnv) -> u64 {
+    let scheduled = env.scheduled().expect("episode is live");
+    let kept = schedule_fingerprint(scheduled);
+    let again = replayed(scheduled);
+    assert_eq!(again.states(), scheduled.states());
+    assert_eq!(
+        schedule_fingerprint(&again),
+        kept,
+        "{}",
+        scheduled.module().name()
+    );
+    kept
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The fingerprint a schedule keeps is the one its transformation lists
+    /// give, whatever the path: along random masked walks (fusion among
+    /// their steps) over two modules with in-place restarts, resets to the
+    /// other module, snapshots and restores and both clones, every read
+    /// equals the oracle and a replay on a new module; a restored snapshot
+    /// reads the fingerprint it was taken with, and a rewound episode reads
+    /// the untransformed module's.
+    #[test]
+    fn kept_schedule_fingerprints_equal_the_oracle_on_every_path(
+        seed in 0u64..1 << 32,
+        sequence in 0u32..2,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let draw = |rng: &mut ChaCha8Rng| {
+            if sequence == 1 {
+                let length = rng.gen_range(1..6);
+                random_sequence(length, rng)
+            } else {
+                random_operator(DlOperator::ALL[rng.gen_range(0..DlOperator::ALL.len())], rng)
+            }
+        };
+        let modules = [Arc::new(draw(&mut rng)), Arc::new(draw(&mut rng))];
+        let untransformed = modules
+            .clone()
+            .map(|m| schedule_fingerprint(&ScheduledModule::new(m)));
+        let config = EnvConfig::paper();
+        let mut env = OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
+        let mut current = 0;
+        env.restart(Arc::clone(&modules[current]));
+        let mut snapshots = vec![(env.snapshot(), checked_fingerprint(&env))];
+        for _ in 0..64 {
+            match rng.gen_range(0..10) {
+                0..=4 => match env.current_mask() {
+                    Some(mask) => {
+                        env.step(&random_action(&mask, &config, &mut rng));
+                    }
+                    None => {
+                        env.restart(Arc::clone(&modules[current]));
+                        prop_assert_eq!(checked_fingerprint(&env), untransformed[current]);
+                    }
+                },
+                5 => snapshots.push((env.snapshot(), checked_fingerprint(&env))),
+                6 => {
+                    let (snapshot, fingerprint) = &snapshots[rng.gen_range(0..snapshots.len())];
+                    env.restore(snapshot);
+                    prop_assert_eq!(checked_fingerprint(&env), *fingerprint);
+                    current = usize::from(!env.scheduled().unwrap().shares_module(&modules[0]));
+                }
+                7 => {
+                    if rng.gen_bool(0.5) {
+                        current = 1 - current;
+                    }
+                    env.restart(Arc::clone(&modules[current]));
+                    prop_assert_eq!(checked_fingerprint(&env), untransformed[current]);
+                }
+                8 => {
+                    let before = checked_fingerprint(&env);
+                    env = env.clone();
+                    prop_assert_eq!(checked_fingerprint(&env), before);
+                }
+                _ => {
+                    let before = checked_fingerprint(&env);
+                    env = env.clone_sharing_cache();
+                    prop_assert_eq!(checked_fingerprint(&env), before);
+                }
+            }
+            checked_fingerprint(&env);
+        }
+    }
+
+    /// `lower_into` overwrites every field of a nest another op's lowering
+    /// left behind — loops, extents, order, vectorization and fused
+    /// producers — and gives what `lower` gives, after random masked walks
+    /// over operator sequences (which fuse) and single operators.
+    #[test]
+    fn lowering_into_a_dirty_nest_equals_a_fresh_lowering(
+        seed in 0u64..1 << 32,
+        sequence in 0u32..2,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let module = if sequence == 1 {
+            let length = rng.gen_range(2..6);
+            random_sequence(length, &mut rng)
+        } else {
+            random_operator(DlOperator::ALL[seed as usize % DlOperator::ALL.len()], &mut rng)
+        };
+        let config = EnvConfig::paper();
+        let mut env = OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
+        env.restart(module);
+        while let Some(mask) = env.current_mask() {
+            env.step(&random_action(&mask, &config, &mut rng));
+        }
+        let scheduled = env.scheduled().expect("episode is live");
+        let ops = scheduled.module().ops().len();
+        for dirty in 0..ops {
+            for op in 0..ops {
+                let mut nest = scheduled.lower(OpId(dirty));
+                scheduled.lower_into(OpId(op), &mut nest);
+                prop_assert_eq!(&nest, &scheduled.lower(OpId(op)));
+            }
+        }
+    }
+}
+
+/// Every tile vector with one tiled level, every uniform tile vector, and
+/// every permutation (up to four loops) or every swap of two loops, as the
+/// transformations of each kind an op of `loops` loops could be given.
+fn corpus_transformations(
+    loops: usize,
+    candidates: &[u64],
+    producer: Option<OpId>,
+) -> Vec<Transformation> {
+    let mut tile_vectors: Vec<Vec<u64>> = Vec::new();
+    for tile in candidates.iter().filter(|t| **t > 0) {
+        for level in 0..loops {
+            let mut sizes = vec![0; loops];
+            sizes[level] = *tile;
+            tile_vectors.push(sizes);
+        }
+        if loops > 1 {
+            tile_vectors.push(vec![*tile; loops]);
+        }
+    }
+    let identity: Vec<usize> = (0..loops).collect();
+    let permutations: Vec<Vec<usize>> = if loops <= 4 {
+        // Every permutation: move each element to every earlier place.
+        let mut all = vec![identity];
+        for position in 1..loops {
+            all = all
+                .into_iter()
+                .flat_map(|p| {
+                    (0..=position).map(move |at| {
+                        let mut q = p.clone();
+                        let moved = q.remove(position);
+                        q.insert(at, moved);
+                        q
+                    })
+                })
+                .collect();
+        }
+        all
+    } else {
+        let swaps = (0..loops).flat_map(|a| (a + 1..loops).map(move |b| (a, b)));
+        swaps
+            .map(|(a, b)| {
+                let mut swap = identity.clone();
+                swap.swap(a, b);
+                swap
+            })
+            .collect()
+    };
+    let mut out = vec![
+        Transformation::Vectorization,
+        Transformation::NoTransformation,
+    ];
+    for tile_sizes in tile_vectors {
+        out.push(Transformation::Tiling {
+            tile_sizes: tile_sizes.clone(),
+        });
+        out.push(Transformation::TiledParallelization {
+            tile_sizes: tile_sizes.clone(),
+        });
+        if let Some(producer) = producer {
+            out.push(Transformation::TiledFusion {
+                tile_sizes,
+                producer,
+            });
+        }
+    }
+    out.extend(
+        permutations
+            .into_iter()
+            .map(|permutation| Transformation::Interchange { permutation }),
+    );
+    out
+}
+
+/// Distinct schedules never share a fingerprint: on every operator kind
+/// and on operator sequences (whose consumers can fuse), the untransformed
+/// schedule, every single transformation that applies to any op — each
+/// tiled kind on every one-level and uniform tile vector over the paper's
+/// candidates, every swap and small permutation, vectorization and stop —
+/// and every ordered pair from an evenly thinned list of them on the last
+/// op get pairwise distinct fingerprints within their module.
+#[test]
+fn distinct_schedules_get_distinct_fingerprints() {
+    let candidates = EnvConfig::paper().tile_candidates;
+    let mut rng = ChaCha8Rng::seed_from_u64(44);
+    let mut modules: Vec<_> = DlOperator::ALL
+        .iter()
+        .map(|kind| random_operator(*kind, &mut rng))
+        .collect();
+    modules.extend((2..5).map(|length| random_sequence(length, &mut rng)));
+    let mut schedules = 0;
+    for module in modules {
+        let base = ScheduledModule::new(module);
+        let mut seen: HashMap<u64, Vec<Vec<Transformation>>> = HashMap::new();
+        let mut record = |scheduled: &ScheduledModule| {
+            let lists = scheduled.states().iter().map(|s| s.schedule.clone());
+            let lists: Vec<Vec<Transformation>> = lists.collect();
+            let earlier = seen.insert(schedule_fingerprint(scheduled), lists.clone());
+            assert!(
+                earlier.is_none(),
+                "{}: {:?} and {:?} share a fingerprint",
+                scheduled.module().name(),
+                earlier,
+                lists
+            );
+        };
+        record(&base);
+        let ops = base.module().ops().len();
+        let mut last_op_singles = Vec::new();
+        for op in (0..ops).map(OpId) {
+            let loops = base.module().op(op).unwrap().num_loops();
+            let producer = base.module().last_producer(op);
+            for t in corpus_transformations(loops, &candidates, producer) {
+                let mut one = base.clone();
+                if one.apply(op, t.clone()).is_ok() {
+                    record(&one);
+                    schedules += 1;
+                    if op.0 == ops - 1 {
+                        last_op_singles.push(t);
+                    }
+                }
+            }
+        }
+        let last = OpId(ops - 1);
+        let stride = last_op_singles.len().div_ceil(24).max(1);
+        let thinned: Vec<_> = last_op_singles.iter().step_by(stride).collect();
+        for first in &thinned {
+            for second in &thinned {
+                let mut two = base.clone();
+                two.apply(last, (*first).clone()).unwrap();
+                if two.apply(last, (*second).clone()).is_ok() {
+                    record(&two);
+                    schedules += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        schedules > 3_000,
+        "only {schedules} schedules were fingerprinted"
+    );
 }
 
 /// The action mask as it was computed before it became one flat bitmap:
