@@ -14,8 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlir_rl_costmodel::{
-    median, operand_accesses, schedule_fingerprint, CostModel, MachineModel, OperandAccess,
-    PricingScratch, SubnestTable,
+    median, operand_accesses, CostModel, MachineModel, OperandAccess, PricingScratch, SubnestTable,
 };
 use mlir_rl_env::{EnvConfig, OptimizationEnv};
 use mlir_rl_ir::OpId;
@@ -42,8 +41,8 @@ report! {
         /// Live (not fused-away) ops over all schedules.
         live_ops: usize = "live ops",
         /// Median nanoseconds of one schedule-key read
-        /// (`schedule_fingerprint`; a debug build also recomputes its
-        /// oracle).
+        /// (`ScheduledModule::fingerprint`; a debug build also recomputes
+        /// its oracle).
         key_read_ns: f64 = "schedule-key read (ns)",
         /// Median microseconds per live op of `lower_into` into one kept
         /// nest.
@@ -144,7 +143,7 @@ pub fn lookup_split(scale: &ExperimentScale) -> LookupSplit {
 
     let key_read_ns = median_per_item(priced.len(), 1e9, || {
         for p in &priced {
-            black_box(schedule_fingerprint(black_box(&p.scheduled)));
+            black_box(black_box(&p.scheduled).fingerprint());
         }
     });
     let mut nest = LoopNest::default();

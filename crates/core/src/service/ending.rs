@@ -330,6 +330,17 @@ mod tests {
                 ResponseStatus::Rejected,
             ),
             row(
+                "repeated tile candidate",
+                quick(),
+                |service, _| {
+                    // The service env's shape, so only validation refuses it.
+                    let mut env = EnvConfig::small();
+                    env.tile_candidates = vec![0, 4, 16, 16, 64];
+                    vec![service.submit(greedy(64).with_env(env))]
+                },
+                ResponseStatus::Rejected,
+            ),
+            row(
                 "shape-changing env",
                 quick(),
                 |service, _| {

@@ -68,13 +68,24 @@ fn malformed_spec_and_env_are_rejected_not_fatal() {
     assert_eq!(rejected.status, ResponseStatus::Rejected);
     assert!(rejected.error.as_ref().unwrap().contains("no tiling"));
 
-    // The service survived both and still serves good requests.
+    // A repeated tile candidate is refused by validation, before the shape
+    // check could see its shorter list.
+    let mut repeated = EnvConfig::small();
+    repeated.tile_candidates = vec![0, 4, 4];
+    let rejected = service
+        .submit(OptimizationRequest::new(module(64), SearchSpec::Greedy).with_env(repeated))
+        .wait();
+    assert_eq!(rejected.status, ResponseStatus::Rejected);
+    let error = rejected.error.as_ref().unwrap();
+    assert!(error.contains("invalid environment override") && error.contains("listed twice"));
+
+    // The service survived all three and still serves good requests.
     let ok = service
         .submit(OptimizationRequest::new(module(64), SearchSpec::Greedy))
         .wait();
     assert_eq!(ok.status, ResponseStatus::Completed);
-    assert_eq!(service.metrics().rejected, 2);
-    // Both rejections refunded their reservations in full.
+    assert_eq!(service.metrics().rejected, 3);
+    // Every rejection refunded its reservation in full.
     assert_eq!(
         service.metrics().budget_spent,
         ok.total_lookups() as u64,

@@ -155,20 +155,11 @@ pub fn module_fingerprint(module: &Module) -> u64 {
     h.finish()
 }
 
-/// Fingerprints the schedule state of a module: the ordered transformation
-/// list and the fusion state of every operation (which fully determine
-/// tiling, interchange order, parallelization, fusion and vectorization).
-/// It is the fingerprint the schedule keeps, [`ScheduledModule::fingerprint`],
-/// so it costs `O(1)`.
-pub fn schedule_fingerprint(scheduled: &ScheduledModule) -> u64 {
-    scheduled.fingerprint()
-}
-
 /// The canonical cache key of a scheduled module.
 pub fn schedule_key(scheduled: &ScheduledModule) -> ScheduleKey {
     ScheduleKey {
         module: module_fingerprint(scheduled.module()),
-        schedule: schedule_fingerprint(scheduled),
+        schedule: scheduled.fingerprint(),
     }
 }
 

@@ -42,8 +42,8 @@ pub mod noise;
 
 pub use budget::EvalBudget;
 pub use cache::{
-    hit_rate, module_fingerprint, schedule_fingerprint, schedule_key, ScheduleKey, SharedEvalCache,
-    SnapshotError, DEFAULT_EVAL_CACHE_CAPACITY, SHARED_CACHE_SHARDS,
+    hit_rate, module_fingerprint, schedule_key, ScheduleKey, SharedEvalCache, SnapshotError,
+    DEFAULT_EVAL_CACHE_CAPACITY, SHARED_CACHE_SHARDS,
 };
 pub use estimator::{speedup, CostModel, ModuleEstimate, PricingScratch};
 pub use footprint::{

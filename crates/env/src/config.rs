@@ -35,7 +35,9 @@ pub enum RewardMode {
 pub struct EnvConfig {
     /// Maximum number of loop levels `N` representable in observations.
     pub max_loops: usize,
-    /// Candidate tile sizes (`M` entries); index 0 must be 0 (no tiling).
+    /// Candidate tile sizes (`M` distinct entries); index 0 must be 0 (no
+    /// tiling). Distinct, because an observation's action history names a
+    /// schedule's tile size by its position in this list.
     pub tile_candidates: Vec<u64>,
     /// Maximum number of accessed arrays `L` in the representation.
     pub max_operands: usize,
@@ -126,6 +128,14 @@ impl EnvConfig {
                 self.tile_candidates[0]
             ));
         }
+        if let Some(repeated) = self
+            .tile_candidates
+            .iter()
+            .enumerate()
+            .find_map(|(i, size)| self.tile_candidates[..i].contains(size).then_some(size))
+        {
+            return Err(format!("tile candidate {repeated} is listed twice"));
+        }
         if self.max_loops < 1 {
             return Err("at least one loop level is required".to_string());
         }
@@ -140,8 +150,8 @@ impl EnvConfig {
     /// # Panics
     ///
     /// Panics if [`EnvConfig::try_validate`] finds a problem (empty tile
-    /// candidate list, missing leading 0 tile, zero loops or schedule
-    /// length).
+    /// candidate list, missing leading 0 tile, a repeated tile candidate,
+    /// zero loops or schedule length).
     pub fn validate(&self) {
         if let Err(problem) = self.try_validate() {
             panic!("invalid EnvConfig: {problem}");
@@ -199,6 +209,8 @@ mod tests {
         assert!(c.try_validate().unwrap_err().contains("no tiling"));
         c.tile_candidates = Vec::new();
         assert!(c.try_validate().unwrap_err().contains("empty"));
+        c.tile_candidates = vec![0, 4, 16, 16, 64];
+        assert!(c.try_validate().unwrap_err().contains("16 is listed twice"));
         let mut c = EnvConfig::small();
         c.max_loops = 0;
         assert!(c.try_validate().unwrap_err().contains("loop level"));

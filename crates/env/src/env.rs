@@ -44,8 +44,8 @@
 use std::sync::{Arc, OnceLock};
 
 use mlir_rl_costmodel::{
-    module_fingerprint, operand_accesses, schedule_fingerprint, CostModel, MeasurementNoise,
-    OperandAccess, PricingScratch, ScheduleKey, SharedEvalCache, DEFAULT_EVAL_CACHE_CAPACITY,
+    module_fingerprint, operand_accesses, CostModel, MeasurementNoise, OperandAccess,
+    PricingScratch, ScheduleKey, SharedEvalCache, DEFAULT_EVAL_CACHE_CAPACITY,
 };
 use mlir_rl_ir::{Module, OpId};
 use mlir_rl_obs::ProbeRef;
@@ -53,7 +53,7 @@ use mlir_rl_transforms::{ScheduledModule, TransformError, Transformation, Transf
 
 use crate::action::Action;
 use crate::config::{EnvConfig, RewardMode};
-use crate::features::{extract_features, zero_features, ActionHistory, Features};
+use crate::features::{extract_features, zero_features, Features};
 use crate::mask::{compute_mask, ActionMask};
 use crate::reward::{log_speedup, step_reward};
 
@@ -139,8 +139,9 @@ struct ModuleRecord {
 /// decision point, try an action, and [`OptimizationEnv::restore`] to try
 /// the next one — without re-running the transformation sequence from the
 /// episode start. The snapshot captures everything episode-specific
-/// (schedule state, visit cursor, action histories, timings, counters and
-/// the noise stream); the configuration, cost model and evaluation cache
+/// (schedule state — whose transformation lists are also the observations'
+/// action histories — visit cursor, timings, counters and the noise
+/// stream); the configuration, cost model and evaluation cache
 /// stay with the environment, so all branches of a search share one cache.
 #[derive(Debug, Clone)]
 pub struct EpisodeSnapshot {
@@ -148,7 +149,6 @@ pub struct EpisodeSnapshot {
     /// The record of `scheduled`'s module (`None` exactly when it is).
     module: Option<Arc<ModuleRecord>>,
     current_index: usize,
-    histories: Vec<ActionHistory>,
     baseline_s: f64,
     current_s: f64,
     steps_on_current_op: usize,
@@ -166,7 +166,6 @@ impl EpisodeSnapshot {
             scheduled: None,
             module: None,
             current_index: 0,
-            histories: Vec::new(),
             baseline_s: 0.0,
             current_s: 0.0,
             steps_on_current_op: 0,
@@ -276,9 +275,9 @@ impl OptimizationEnv {
     /// ([`ScheduledModule::rewind`]) instead of reallocating them. That is
     /// sound because nothing writes a module once a [`ScheduledModule`]
     /// wraps it, and the live episode's reference keeps the address from
-    /// being reused. The action histories are cleared inside their buffers
-    /// on every restart. Schedule states, histories, counters, the baseline
-    /// lookup and the noise draw are always fresh.
+    /// being reused. Schedule states (and with them the observations'
+    /// action histories), counters, the baseline lookup and the noise draw
+    /// are always fresh.
     pub fn restart(&mut self, module: impl Into<Arc<Module>>) {
         let module = module.into();
         let max_len = self.config.max_schedule_len;
@@ -295,11 +294,6 @@ impl OptimizationEnv {
                 ScheduledModule::with_max_schedule_len(module, max_len)
             }
         };
-        let ops = scheduled.module().ops().len();
-        let histories = &mut self.episode.histories;
-        histories.truncate(ops);
-        histories.iter_mut().for_each(ActionHistory::clear);
-        histories.resize_with(ops, ActionHistory::new);
         self.episode.current_index = 0;
         self.episode.steps_on_current_op = 0;
         self.episode.total_steps = 0;
@@ -493,7 +487,7 @@ impl OptimizationEnv {
         let record = self.episode.module.as_ref().expect("a reset module");
         let key = ScheduleKey {
             module: record.fingerprint,
-            schedule: schedule_fingerprint(scheduled),
+            schedule: scheduled.fingerprint(),
         };
         let (total_s, was_hit) = self.cache.lookup(
             key,
@@ -528,13 +522,14 @@ impl OptimizationEnv {
     /// Evaluates the current schedule with the cost model, through the
     /// schedule-keyed cache: a repeated schedule is served from memory and
     /// counted as a cache hit, a new schedule runs the roofline estimator
-    /// and counts as an evaluation.
+    /// and counts as an evaluation. It is [`Self::peek_time_s`] plus a
+    /// measurement that becomes the episode's running time; before any
+    /// episode it returns that time without drawing noise.
     pub fn evaluate_current(&mut self) -> f64 {
-        let Some(scheduled) = self.episode.scheduled.take() else {
+        if self.episode.scheduled.is_none() {
             return self.episode.current_s;
-        };
-        let t = self.cached_total_s(&scheduled);
-        self.episode.scheduled = Some(scheduled);
+        }
+        let t = self.peek_time_s();
         let measured = self.measure(t);
         self.episode.current_s = measured;
         measured
@@ -545,9 +540,9 @@ impl OptimizationEnv {
         let scheduled = self.episode.scheduled.as_ref()?;
         let op = self.current_op()?;
         let num_loops = scheduled.module().op(op).ok()?.num_loops();
-        let consumer = extract_features(scheduled, op, &self.episode.histories[op.0], &self.config);
+        let consumer = extract_features(scheduled, op, &self.config);
         let producer = match scheduled.module().last_producer(op) {
-            Some(p) => extract_features(scheduled, p, &self.episode.histories[p.0], &self.config),
+            Some(p) => extract_features(scheduled, p, &self.config),
             None => zero_features(&self.config),
         };
         Some(Observation {
@@ -577,10 +572,10 @@ impl OptimizationEnv {
         self.current_op().is_none()
     }
 
-    /// Applies one agent action: applies the transformation, records the
-    /// action history, advances the visit cursor and scores the reward. It
-    /// builds no observation; read the next one with
-    /// [`Self::current_observation`] or [`Self::current_mask`].
+    /// Applies one agent action: applies the transformation (the schedule
+    /// it joins is also the op's action history), advances the visit cursor
+    /// and scores the reward. It builds no observation; read the next one
+    /// with [`Self::current_observation`] or [`Self::current_mask`].
     ///
     /// Illegal actions (which the masks normally prevent) are not applied
     /// but still consume a step; a tiled parallelization whose outermost
@@ -633,44 +628,13 @@ impl OptimizationEnv {
             }
         }
 
-        // Record the action history (terminal actions record nothing,
-        // Appendix A).
-        if applied && !applied_kind.is_terminal() {
-            let state = self
-                .episode
-                .scheduled
-                .as_ref()
-                .expect("episode live")
-                .state(op);
-            match action {
-                Action::Tiling { tile_indices }
-                | Action::TiledParallelization { tile_indices }
-                | Action::TiledFusion { tile_indices } => {
-                    self.episode.histories[op.0].push_tiled(tile_indices.clone());
-                }
-                Action::Interchange(_) => {
-                    self.episode.histories[op.0].push_interchange(state.order.clone());
-                }
-                _ => self.episode.histories[op.0].push_empty(),
-            }
-        }
-
         // Does this step end the optimization of the current operation?
-        let schedule_len = self
-            .episode
-            .scheduled
-            .as_ref()
-            .expect("episode live")
-            .state(op)
-            .schedule
-            .len();
         let op_finished = applied_kind.is_terminal()
-            || (applied && schedule_len >= self.config.max_schedule_len)
+            || (applied && scheduled.state(op).schedule.len() >= self.config.max_schedule_len)
             || self.episode.steps_on_current_op >= self.config.max_schedule_len + 2;
         if op_finished {
             // Freeze the op if it was not already terminated so that later
             // masks report it as closed.
-            let scheduled = self.episode.scheduled.as_mut().expect("episode live");
             if !scheduled.state(op).is_terminated() {
                 let _ = scheduled.apply(op, Transformation::NoTransformation);
             }

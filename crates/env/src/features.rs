@@ -22,7 +22,7 @@
 use std::sync::OnceLock;
 
 use mlir_rl_ir::{IteratorType, OpId};
-use mlir_rl_transforms::ScheduledModule;
+use mlir_rl_transforms::{ScheduledModule, Transformation};
 
 use crate::config::EnvConfig;
 use crate::env::Observation;
@@ -241,92 +241,67 @@ impl ObservationBatch {
     }
 }
 
-/// The per-operation action history, encoded per Appendix A.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ActionHistory {
-    /// For each time step, the chosen tile-candidate index per loop level
-    /// (`None` when no tiled transformation was applied at that step).
-    pub tiled: Vec<Option<Vec<usize>>>,
-    /// For each time step, the chosen permutation (`permutation[i]` = loop
-    /// placed at position `i`), or `None`.
-    pub interchange: Vec<Option<Vec<usize>>>,
-}
-
-impl ActionHistory {
-    /// Creates an empty history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a step with a tiled transformation.
-    pub fn push_tiled(&mut self, tile_indices: Vec<usize>) {
-        self.tiled.push(Some(tile_indices));
-        self.interchange.push(None);
-    }
-
-    /// Records a step with an interchange.
-    pub fn push_interchange(&mut self, permutation: Vec<usize>) {
-        self.tiled.push(None);
-        self.interchange.push(Some(permutation));
-    }
-
-    /// Records a step with neither (terminal actions record no history,
-    /// Appendix A).
-    pub fn push_empty(&mut self) {
-        self.tiled.push(None);
-        self.interchange.push(None);
-    }
-
-    /// Forgets every recorded step, keeping the buffers.
-    pub(crate) fn clear(&mut self) {
-        self.tiled.clear();
-        self.interchange.clear();
-    }
-
-    /// Number of recorded steps.
-    pub fn len(&self) -> usize {
-        self.tiled.len()
-    }
-
-    /// True if no step was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.tiled.is_empty()
-    }
-
-    /// Flattens the history into the `tau x N x M` + `tau x N x N` feature
-    /// block.
-    pub fn to_features(&self, config: &EnvConfig) -> Vec<f64> {
-        let tau = config.max_schedule_len;
-        let n = config.max_loops;
-        let m = config.num_tile_candidates();
-        let mut out = vec![0.0; tau * n * m + tau * n * n];
-        for (t, entry) in self.tiled.iter().take(tau).enumerate() {
-            if let Some(tiles) = entry {
-                for (level, idx) in tiles.iter().take(n).enumerate() {
-                    if *idx < m {
-                        out[t * n * m + level * m + idx] = 1.0;
-                    }
-                }
-            }
-        }
-        let offset = tau * n * m;
-        for (t, entry) in self.interchange.iter().take(tau).enumerate() {
-            if let Some(perm) = entry {
-                for (pos, loop_idx) in perm.iter().take(n).enumerate() {
-                    if *loop_idx < n {
-                        out[offset + t * n * n + pos * n + loop_idx] = 1.0;
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Log-normalizes a loop bound into roughly `[0, 1]` (bounds up to about a
 /// million map below 1).
 fn normalize_bound(bound: u64) -> f64 {
     ((bound as f64) + 1.0).log2() / 20.0
+}
+
+/// Walks one op's action history (Appendix A) off its schedule and hands
+/// `set` every column the history section holds a one in, relative to the
+/// section's start and ascending: the `tau x N x M` tiled block, then the
+/// `tau x N x N` interchange block.
+///
+/// The steps are the schedule's entries in order, terminal ones
+/// (vectorization, no transformation) skipped, at most `tau` of them. A
+/// tiled step marks, per loop level, the position of its tile size in
+/// `config.tile_candidates` (a size that is not a candidate marks nothing);
+/// an interchange step marks, per position, the loop the composed order
+/// holds there after it (`order[i] = old[permutation[i]]` from the
+/// identity). Both extractors read this walk, so the schedule is the
+/// history's only record.
+fn history_columns(schedule: &[Transformation], config: &EnvConfig, mut set: impl FnMut(usize)) {
+    let (tau, n, m) = (
+        config.max_schedule_len,
+        config.max_loops,
+        config.num_tile_candidates(),
+    );
+    let steps = || {
+        schedule
+            .iter()
+            .enumerate()
+            .filter(|(_, entry)| !entry.kind().is_terminal())
+            .take(tau)
+            .enumerate()
+    };
+    for (t, (_, entry)) in steps() {
+        let Some(tile_sizes) = entry.tile_sizes() else {
+            continue;
+        };
+        for (level, size) in tile_sizes.iter().take(n).enumerate() {
+            if let Some(index) = config.tile_candidates.iter().position(|c| c == size) {
+                set((t * n + level) * m + index);
+            }
+        }
+    }
+    let base = tau * n * m;
+    for (t, (at, entry)) in steps() {
+        let Some(permutation) = entry.permutation() else {
+            continue;
+        };
+        for pos in 0..permutation.len().min(n) {
+            // The composed order at `pos`: chased back through this and
+            // every earlier permutation of the schedule.
+            let loop_idx = schedule[..=at]
+                .iter()
+                .rev()
+                .filter_map(Transformation::permutation)
+                .fold(pos, |slot, earlier| earlier[slot]);
+            if loop_idx < n {
+                set(base + (t * n + pos) * n + loop_idx);
+            }
+        }
+    }
 }
 
 /// Extracts the representation vector of one operation in its current
@@ -335,42 +310,28 @@ fn normalize_bound(bound: u64) -> f64 {
 /// The vector has length [`EnvConfig::feature_len`]. Operations deeper than
 /// `config.max_loops` loops or with more than `config.max_operands` operands
 /// are truncated (the paper fixes the same maxima). The entries are written
-/// straight from the schedule state, the operation's indexing maps and the
-/// action history, section by section in ascending column order; no dense
-/// buffer is involved. [`extract_features_dense`] is the reference this is
+/// straight from the schedule state (its transformation list is the action
+/// history), the operation's indexing maps and its arithmetic profile,
+/// section by section in ascending column order; no dense buffer is
+/// involved. [`extract_features_dense`] is the reference this is
 /// property-tested against, bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if `op` does not belong to the scheduled module.
-pub fn extract_features(
-    scheduled: &ScheduledModule,
-    op: OpId,
-    history: &ActionHistory,
-    config: &EnvConfig,
-) -> Features {
+pub fn extract_features(scheduled: &ScheduledModule, op: OpId, config: &EnvConfig) -> Features {
     let linalg_op = scheduled.module().op(op).expect("op belongs to module");
-    let order = &scheduled.state(op).order;
-    let (n, m) = (config.max_loops, config.num_tile_candidates());
-    let (max_operands, max_rank, tau) = (
-        config.max_operands,
-        config.max_rank,
-        config.max_schedule_len,
-    );
+    let state = scheduled.state(op);
+    let order = &state.order;
+    let n = config.max_loops;
+    let (max_operands, max_rank) = (config.max_operands, config.max_rank);
     let maps = &linalg_op.indexing_maps[..linalg_op.indexing_maps.len().min(max_operands)];
     let loops = order.len().min(n);
 
     // An upper bound on the entries (exact but for zero arithmetic counts
-    // while every map is a projected permutation), so the list is sized
-    // once and owns little more than it holds.
-    let history_entries = |steps: &[Option<Vec<usize>>]| -> usize {
-        steps
-            .iter()
-            .take(tau)
-            .flatten()
-            .map(|s| s.len().min(n))
-            .sum()
-    };
+    // and a terminal schedule entry while every map is a projected
+    // permutation), so the list is sized once and owns little more than it
+    // holds.
     let capacity = 1
         + 2 * loops
         + 1
@@ -379,8 +340,7 @@ pub fn extract_features(
             .map(|map| map.num_results().min(max_rank))
             .sum::<usize>()
         + 5
-        + history_entries(&history.tiled)
-        + history_entries(&history.interchange);
+        + state.schedule.len().min(config.max_schedule_len) * loops;
     let mut out = Features::with_capacity(config.feature_len(), capacity);
 
     // 1. Operation-type one-hot.
@@ -432,18 +392,9 @@ pub fn extract_features(
     }
     base += counts.len();
 
-    // 6. Action history: the `tau x N x M` tiled block, then the
-    //    `tau x N x N` interchange block (Appendix A).
-    for (block, width) in [(&history.tiled, m), (&history.interchange, n)] {
-        for (t, entry) in block.iter().take(tau).enumerate() {
-            for (level, choice) in entry.iter().flatten().take(n).enumerate() {
-                if *choice < width {
-                    out.push(base + (t * n + level) * width + choice, 1.0);
-                }
-            }
-        }
-        base += tau * n * width;
-    }
+    // 6. Action history, read off the schedule (Appendix A).
+    history_columns(&state.schedule, config, |col| out.push(base + col, 1.0));
+    base += config.max_schedule_len * n * (config.num_tile_candidates() + n);
 
     debug_assert_eq!(base, config.feature_len());
     out
@@ -452,9 +403,11 @@ pub fn extract_features(
 /// [`extract_features`] as one dense vector, built the plain way — every
 /// section pushed in order, zeros included, through
 /// [`mlir_rl_ir::LinalgOp::access_matrices`],
-/// [`mlir_rl_ir::affine::AccessMatrix::to_padded_features`] and
-/// [`ActionHistory::to_features`]. This is the reference the list extractor
-/// is tested against bit for bit; it is not a hot path.
+/// [`mlir_rl_ir::affine::AccessMatrix::to_padded_features`] and a zeroed
+/// history section that the action-history walk marks. This is the
+/// reference the list extractor is tested against bit for bit (the history
+/// walk is the one both share, so the property test holds the history to a
+/// recording of its own); it is not a hot path.
 ///
 /// # Panics
 ///
@@ -462,7 +415,6 @@ pub fn extract_features(
 pub fn extract_features_dense(
     scheduled: &ScheduledModule,
     op: OpId,
-    history: &ActionHistory,
     config: &EnvConfig,
 ) -> Vec<f64> {
     let linalg_op = scheduled.module().op(op).expect("op belongs to module");
@@ -511,8 +463,15 @@ pub fn extract_features_dense(
     // 5. Arithmetic-operation counts.
     out.extend(linalg_op.arith.to_features());
 
-    // 6. Action history.
-    out.extend(history.to_features(config));
+    // 6. Action history, read off the schedule.
+    let (tau, n, m) = (
+        config.max_schedule_len,
+        config.max_loops,
+        config.num_tile_candidates(),
+    );
+    let start = out.len();
+    out.resize(start + tau * n * (m + n), 0.0);
+    history_columns(&state.schedule, config, |col| out[start + col] = 1.0);
 
     debug_assert_eq!(out.len(), config.feature_len());
     out
@@ -528,7 +487,6 @@ pub fn zero_features(config: &EnvConfig) -> Features {
 mod tests {
     use super::*;
     use mlir_rl_ir::ModuleBuilder;
-    use mlir_rl_transforms::Transformation;
 
     /// Lists the non-zeros of a dense vector. `-0.0` counts as zero, so it
     /// reads back as `+0.0`.
@@ -553,7 +511,7 @@ mod tests {
     fn feature_vector_has_configured_length() {
         let s = scheduled_chain();
         let config = EnvConfig::small();
-        let f = extract_features(&s, OpId(0), &ActionHistory::new(), &config);
+        let f = extract_features(&s, OpId(0), &config);
         assert_eq!(f.len(), config.feature_len());
         assert_eq!(f.as_slice().len(), config.feature_len());
         let zero = zero_features(&config);
@@ -566,10 +524,10 @@ mod tests {
     fn operation_type_one_hot_is_correct() {
         let s = scheduled_chain();
         let config = EnvConfig::small();
-        let matmul = extract_features(&s, OpId(0), &ActionHistory::new(), &config);
+        let matmul = extract_features(&s, OpId(0), &config);
         // Category order: generic, matmul, conv, pooling, add, other.
         assert_eq!(&matmul.as_slice()[0..6], &[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
-        let relu = extract_features(&s, OpId(1), &ActionHistory::new(), &config);
+        let relu = extract_features(&s, OpId(1), &config);
         assert_eq!(&relu.as_slice()[0..6], &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
@@ -577,7 +535,7 @@ mod tests {
     fn loop_bounds_and_iterator_types_encoded() {
         let s = scheduled_chain();
         let config = EnvConfig::small();
-        let f = extract_features(&s, OpId(0), &ActionHistory::new(), &config);
+        let f = extract_features(&s, OpId(0), &config);
         let f = f.as_slice();
         // Bounds (64, 32, 128) normalized, then padding zero.
         let bounds = &f[6..10];
@@ -595,7 +553,7 @@ mod tests {
     fn interchange_changes_the_observed_loop_order() {
         let mut s = scheduled_chain();
         let config = EnvConfig::small();
-        let before = extract_features(&s, OpId(0), &ActionHistory::new(), &config);
+        let before = extract_features(&s, OpId(0), &config);
         s.apply(
             OpId(0),
             Transformation::Interchange {
@@ -603,7 +561,7 @@ mod tests {
             },
         )
         .unwrap();
-        let after = extract_features(&s, OpId(0), &ActionHistory::new(), &config);
+        let after = extract_features(&s, OpId(0), &config);
         assert_ne!(&before.as_slice()[6..14], &after.as_slice()[6..14]);
         // After interchange the first visible loop is the reduction.
         assert_eq!(after.as_slice()[10], -1.0);
@@ -613,7 +571,7 @@ mod tests {
     fn arithmetic_counts_present() {
         let s = scheduled_chain();
         let config = EnvConfig::small();
-        let f = extract_features(&s, OpId(0), &ActionHistory::new(), &config);
+        let f = extract_features(&s, OpId(0), &config);
         let f = f.as_slice();
         let arith_offset =
             6 + 2 * config.max_loops + 1 + config.max_operands * config.max_rank * config.max_loops;
@@ -624,42 +582,76 @@ mod tests {
         );
     }
 
+    /// The columns of `f`'s history section that hold a one, relative to
+    /// the section's start.
+    fn history_ones(f: &Features, config: &EnvConfig) -> Vec<usize> {
+        let (tau, n, m) = (
+            config.max_schedule_len,
+            config.max_loops,
+            config.num_tile_candidates(),
+        );
+        let start = config.feature_len() - tau * n * (m + n);
+        let (cols, values) = f.nonzeros();
+        cols.iter()
+            .zip(values)
+            .filter(|(col, _)| **col as usize >= start)
+            .map(|(col, value)| {
+                assert_eq!(*value, 1.0);
+                *col as usize - start
+            })
+            .collect()
+    }
+
     #[test]
     fn action_history_encoding() {
         let config = EnvConfig::small(); // N=4, M=5, tau=4
-        let mut h = ActionHistory::new();
-        h.push_tiled(vec![1, 0, 3]);
-        h.push_interchange(vec![2, 0, 1]);
-        assert_eq!(h.len(), 2);
-        assert!(!h.is_empty());
-        let f = h.to_features(&config);
-        let n = config.max_loops;
-        let m = config.num_tile_candidates();
-        assert_eq!(f.len(), 4 * n * m + 4 * n * n);
-        // Step 0, level 0, tile index 1 is set.
-        assert_eq!(f[1], 1.0);
-        // Step 0, level 2, tile index 3 is set.
-        assert_eq!(f[2 * m + 3], 1.0);
-        // Step 1 belongs to the interchange block: position 0 holds loop 2.
-        let offset = 4 * n * m;
-        assert_eq!(f[offset + n * n + 2], 1.0);
-        // Nothing recorded for step 0 in the interchange block.
-        assert!(f[offset..offset + n * n].iter().all(|v| *v == 0.0));
+        let c = &config.tile_candidates;
+        let mut s = scheduled_chain();
+        let tile_sizes = vec![c[1], 0, c[3]];
+        s.apply(OpId(0), Transformation::Tiling { tile_sizes })
+            .unwrap();
+        let permutation = vec![2, 0, 1];
+        s.apply(OpId(0), Transformation::Interchange { permutation })
+            .unwrap();
+        let f = extract_features(&s, OpId(0), &config);
+        let (n, m) = (config.max_loops, config.num_tile_candidates());
+        let step_1 = 4 * n * m + n * n;
+        assert_eq!(
+            history_ones(&f, &config),
+            [
+                // Step 0 is tiled: levels 0, 1, 2 took candidates 1, 0, 3.
+                1,
+                m,
+                2 * m + 3,
+                // Step 1 is the interchange (nothing for step 0 in its
+                // block): positions 0, 1, 2 hold loops 2, 0, 1.
+                step_1 + 2,
+                step_1 + n,
+                step_1 + 2 * n + 1,
+            ]
+        );
+        assert_eq!(f.as_slice(), extract_features_dense(&s, OpId(0), &config));
     }
 
     #[test]
     fn history_truncated_to_schedule_length() {
-        let config = EnvConfig::small();
-        let mut h = ActionHistory::new();
-        for _ in 0..10 {
-            h.push_tiled(vec![1, 1, 1, 1]);
+        let config = EnvConfig::small(); // tau = 4
+        let mut s = scheduled_chain(); // schedules of up to 5
+        let tile = config.tile_candidates[1];
+        for _ in 0..5 {
+            let tile_sizes = vec![tile; 3];
+            s.apply(OpId(0), Transformation::Tiling { tile_sizes })
+                .unwrap();
         }
-        // No panic, and the feature length is unchanged.
-        assert_eq!(
-            h.to_features(&config).len(),
-            config.max_schedule_len * config.max_loops * config.num_tile_candidates()
-                + config.max_schedule_len * config.max_loops * config.max_loops
-        );
+        let f = extract_features(&s, OpId(0), &config);
+        assert_eq!(f.len(), config.feature_len());
+        // Four steps of three levels at candidate 1; the fifth has no row.
+        let (n, m) = (config.max_loops, config.num_tile_candidates());
+        let expected: Vec<usize> = (0..4)
+            .flat_map(|t| (0..3).map(move |level| (t * n + level) * m + 1))
+            .collect();
+        assert_eq!(history_ones(&f, &config), expected);
+        assert_eq!(f.as_slice(), extract_features_dense(&s, OpId(0), &config));
     }
 
     #[test]

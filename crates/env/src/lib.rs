@@ -44,8 +44,7 @@ pub use action::{
 pub use config::{EnvConfig, InterchangeMode, RewardMode};
 pub use env::{EpisodeSnapshot, EpisodeStats, Observation, OptimizationEnv, StepOutcome};
 pub use features::{
-    extract_features, extract_features_dense, zero_features, ActionHistory, Features,
-    ObservationBatch,
+    extract_features, extract_features_dense, zero_features, Features, ObservationBatch,
 };
 pub use mask::{compute_mask, ActionMask};
 pub use reward::{log_speedup, step_reward};

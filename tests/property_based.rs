@@ -9,12 +9,12 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use mlir_rl_costmodel::{
-    module_fingerprint, operand_accesses, schedule_fingerprint, schedule_key, traffic_beyond_cache,
-    CostModel, MachineModel, SharedEvalCache, SubnestTable, DEFAULT_EVAL_CACHE_CAPACITY,
+    module_fingerprint, operand_accesses, schedule_key, traffic_beyond_cache, CostModel,
+    MachineModel, SharedEvalCache, SubnestTable, DEFAULT_EVAL_CACHE_CAPACITY,
 };
 use mlir_rl_env::{
-    extract_features_dense, num_enumerated_candidates, Action, ActionHistory, EnvConfig, Features,
-    Observation, OptimizationEnv, RewardMode,
+    extract_features_dense, num_enumerated_candidates, Action, EnvConfig, Features, Observation,
+    OptimizationEnv, RewardMode,
 };
 use mlir_rl_ir::{parser::parse_module, printer::print_module, IteratorType, ModuleBuilder, OpId};
 use mlir_rl_search::random_action;
@@ -114,6 +114,112 @@ proptest! {
             assert_round_trips(&random_operator(kind, &mut rng));
         }
         assert_round_trips(&random_sequence(length, &mut rng));
+    }
+}
+
+/// One step of an op's action history as the test records it from the
+/// actions it takes (Appendix A): a tiled action's tile-candidate index per
+/// loop level, or the loop order an interchange left.
+#[derive(Debug, Clone)]
+enum RecordedStep {
+    Tiled(Vec<usize>),
+    Interchange(Vec<usize>),
+}
+
+/// Steps `env` with `action` on `op` and, if it applied, records it:
+/// terminal actions record nothing.
+fn step_and_record(
+    env: &mut OptimizationEnv,
+    recorded: &mut [Vec<RecordedStep>],
+    op: OpId,
+    action: &Action,
+) {
+    if !env.step(action).applied {
+        return;
+    }
+    let order = &env.scheduled().expect("episode is live").state(op).order;
+    match action {
+        Action::Tiling { tile_indices }
+        | Action::TiledParallelization { tile_indices }
+        | Action::TiledFusion { tile_indices } => {
+            recorded[op.0].push(RecordedStep::Tiled(tile_indices.clone()));
+        }
+        Action::Interchange(_) => recorded[op.0].push(RecordedStep::Interchange(order.clone())),
+        Action::Vectorization | Action::NoTransformation => {}
+    }
+}
+
+/// The columns Appendix A sets for one op's recorded steps, relative to the
+/// history section's start and ascending: the `tau x N x M` tiled block,
+/// then the `tau x N x N` interchange block.
+fn recorded_history_columns(steps: &[RecordedStep], config: &EnvConfig) -> Vec<usize> {
+    let (tau, n, m) = (
+        config.max_schedule_len,
+        config.max_loops,
+        config.num_tile_candidates(),
+    );
+    let (mut tiled, mut interchange) = (Vec::new(), Vec::new());
+    for (t, step) in steps.iter().take(tau).enumerate() {
+        match step {
+            RecordedStep::Tiled(indices) => {
+                for (level, index) in indices.iter().take(n).enumerate() {
+                    tiled.push((t * n + level) * m + index);
+                }
+            }
+            RecordedStep::Interchange(order) => {
+                for (pos, loop_idx) in order.iter().take(n).enumerate() {
+                    if *loop_idx < n {
+                        interchange.push(tau * n * m + (t * n + pos) * n + loop_idx);
+                    }
+                }
+            }
+        }
+    }
+    tiled.extend(interchange);
+    tiled
+}
+
+/// Checks one observation: both lists are well formed and read back as the
+/// dense reference extractor's vectors bit for bit, and each list's history
+/// section holds ones exactly at the columns the recording gives its op.
+fn check_observation(env: &OptimizationEnv, obs: &Observation, recorded: &[Vec<RecordedStep>]) {
+    let config = env.config();
+    let scheduled = env.scheduled().expect("episode is live");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let history_start = config.feature_len()
+        - config.max_schedule_len
+            * config.max_loops
+            * (config.num_tile_candidates() + config.max_loops);
+    let check = |features: &Features, op: OpId| {
+        let (cols, values) = features.nonzeros();
+        assert_eq!(features.len(), config.feature_len());
+        assert_eq!(cols.len(), values.len());
+        assert!(
+            cols.windows(2).all(|w| w[0] < w[1]),
+            "columns not ascending"
+        );
+        assert!(cols.iter().all(|c| (*c as usize) < features.len()));
+        assert!(values.iter().all(|v| *v != 0.0), "a stored zero");
+        let dense = extract_features_dense(scheduled, op, config);
+        assert_eq!(bits(features.as_slice()), bits(&dense));
+        let history: Vec<usize> = cols
+            .iter()
+            .zip(values)
+            .filter(|(col, _)| **col as usize >= history_start)
+            .map(|(col, value)| {
+                assert_eq!(*value, 1.0, "a history entry other than a one");
+                *col as usize - history_start
+            })
+            .collect();
+        assert_eq!(history, recorded_history_columns(&recorded[op.0], config));
+    };
+    check(&obs.consumer, obs.op);
+    match scheduled.module().last_producer(obs.op) {
+        Some(producer) => check(&obs.producer, producer),
+        None => {
+            assert!(obs.producer.nonzeros().0.is_empty());
+            assert_eq!(obs.producer.len(), config.feature_len());
+        }
     }
 }
 
@@ -273,8 +379,12 @@ proptest! {
     /// the paper's maxima and at the small configuration (where deep nests
     /// and many-operand ops are truncated), both lists read back — bit for
     /// bit — as the dense reference extractor's vectors, and are well
-    /// formed. The reference is fed the action history the test keeps by
-    /// Appendix A's rule, not the environment's copy of it.
+    /// formed. Both extractors read the action history off the schedule, so
+    /// their history sections are held to the Appendix-A history the test
+    /// records from the actions it takes. Some steps are detours: a
+    /// snapshot, a step that is observed, and a restore of the environment
+    /// and of the recording, after which the decision point observes as
+    /// before.
     #[test]
     fn observation_lists_equal_the_dense_reference_extractor(
         seed in 0u64..1 << 32,
@@ -289,51 +399,26 @@ proptest! {
             random_operator(DlOperator::ALL[seed as usize % DlOperator::ALL.len()], &mut rng)
         };
         let config = if paper == 1 { EnvConfig::paper() } else { EnvConfig::small() };
-        let mut histories = vec![ActionHistory::new(); module.ops().len()];
+        let mut recorded = vec![Vec::new(); module.ops().len()];
         let mut env = OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
         let mut observation = env.reset(module);
 
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let check_list = |features: &Features| {
-            let (cols, values) = features.nonzeros();
-            assert_eq!(features.len(), config.feature_len());
-            assert_eq!(cols.len(), values.len());
-            assert!(cols.windows(2).all(|w| w[0] < w[1]), "columns not ascending");
-            assert!(cols.iter().all(|c| (*c as usize) < features.len()));
-            assert!(values.iter().all(|v| *v != 0.0), "a stored zero");
-        };
         while let Some(obs) = observation {
-            let scheduled = env.scheduled().expect("episode is live");
-            let dense = |op: OpId| extract_features_dense(scheduled, op, &histories[op.0], &config);
-            check_list(&obs.consumer);
-            check_list(&obs.producer);
-            prop_assert_eq!(bits(obs.consumer.as_slice()), bits(&dense(obs.op)));
-            match scheduled.module().last_producer(obs.op) {
-                Some(producer) => {
-                    prop_assert_eq!(bits(obs.producer.as_slice()), bits(&dense(producer)));
+            check_observation(&env, &obs, &recorded);
+            if rng.gen_bool(0.25) {
+                let snapshot = env.snapshot();
+                let kept = recorded.clone();
+                let detour = random_action(&obs.mask, &config, &mut rng);
+                step_and_record(&mut env, &mut recorded, obs.op, &detour);
+                if let Some(next) = env.current_observation() {
+                    check_observation(&env, &next, &recorded);
                 }
-                None => {
-                    prop_assert!(obs.producer.nonzeros().0.is_empty());
-                    prop_assert_eq!(bits(obs.producer.as_slice()), vec![0; config.feature_len()]);
-                }
+                env.restore(&snapshot);
+                recorded = kept;
+                prop_assert_eq!(env.current_observation().as_ref(), Some(&obs));
             }
-
             let action = random_action(&obs.mask, &config, &mut rng);
-            let outcome = env.step(&action);
-            if outcome.applied {
-                let state = env.scheduled().expect("episode is live").state(obs.op);
-                match &action {
-                    Action::Tiling { tile_indices }
-                    | Action::TiledParallelization { tile_indices }
-                    | Action::TiledFusion { tile_indices } => {
-                        histories[obs.op.0].push_tiled(tile_indices.clone());
-                    }
-                    Action::Interchange(_) => {
-                        histories[obs.op.0].push_interchange(state.order.clone());
-                    }
-                    Action::Vectorization | Action::NoTransformation => {}
-                }
-            }
+            step_and_record(&mut env, &mut recorded, obs.op, &action);
             observation = env.current_observation();
         }
     }
@@ -707,15 +792,10 @@ fn replayed(scheduled: &ScheduledModule) -> ScheduledModule {
 /// states and the same fingerprint.
 fn checked_fingerprint(env: &OptimizationEnv) -> u64 {
     let scheduled = env.scheduled().expect("episode is live");
-    let kept = schedule_fingerprint(scheduled);
+    let kept = scheduled.fingerprint();
     let again = replayed(scheduled);
     assert_eq!(again.states(), scheduled.states());
-    assert_eq!(
-        schedule_fingerprint(&again),
-        kept,
-        "{}",
-        scheduled.module().name()
-    );
+    assert_eq!(again.fingerprint(), kept, "{}", scheduled.module().name());
     kept
 }
 
@@ -746,7 +826,7 @@ proptest! {
         let modules = [Arc::new(draw(&mut rng)), Arc::new(draw(&mut rng))];
         let untransformed = modules
             .clone()
-            .map(|m| schedule_fingerprint(&ScheduledModule::new(m)));
+            .map(|m| ScheduledModule::new(m).fingerprint());
         let config = EnvConfig::paper();
         let mut env = OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
         let mut current = 0;
@@ -922,7 +1002,7 @@ fn distinct_schedules_get_distinct_fingerprints() {
         let mut record = |scheduled: &ScheduledModule| {
             let lists = scheduled.states().iter().map(|s| s.schedule.clone());
             let lists: Vec<Vec<Transformation>> = lists.collect();
-            let earlier = seen.insert(schedule_fingerprint(scheduled), lists.clone());
+            let earlier = seen.insert(scheduled.fingerprint(), lists.clone());
             assert!(
                 earlier.is_none(),
                 "{}: {:?} and {:?} share a fingerprint",
