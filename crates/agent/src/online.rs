@@ -51,6 +51,7 @@ use rand_chacha::ChaCha8Rng;
 
 use mlir_rl_env::OptimizationEnv;
 use mlir_rl_ir::Module;
+use mlir_rl_nn::Adam;
 use mlir_rl_obs::{EventKind, ProbeRef};
 
 use crate::policy::PolicyNetwork;
@@ -310,6 +311,7 @@ impl OnlineTrainingConfig {
                 self.min_batch, self.capacity
             ));
         }
+        Adam::try_new(self.ppo.learning_rate).map_err(|e| format!("online ppo: {e}"))?;
         if self.max_probe_modules == 0 {
             return Err(
                 "online max_probe_modules must be at least 1 (the gate needs a probe set)".into(),
@@ -733,6 +735,13 @@ mod tests {
             },
             OnlineTrainingConfig {
                 max_probe_modules: 0,
+                ..ok.clone()
+            },
+            OnlineTrainingConfig {
+                ppo: PpoConfig {
+                    learning_rate: f64::NAN,
+                    ..ok.ppo
+                },
                 ..ok.clone()
             },
         ] {

@@ -19,15 +19,15 @@
 //! # The update runs as two chains
 //!
 //! Per minibatch the update is two chains over disjoint state — policy:
-//! `evaluate_batch` → surrogate coefficients → `backward_batch` → clip →
-//! Adam; value: `forward_batch` → squared-error gradients →
-//! `backward_batch` → clip → Adam — that share only read-only inputs (the
-//! samples with their advantages and returns, fixed before the first
-//! minibatch, and each epoch's shuffled index order, drawn before the
-//! chains start). [`PpoTrainer::train_iteration`] therefore runs the value
-//! chain on one scoped thread (`ppo-value-update`) and the policy chain on
-//! the calling thread, each walking every epoch and minibatch on its own
-//! with nothing between them until the join. Each chain adds to its own
+//! `evaluate_batch` → surrogate coefficients → `backward_batch` → one
+//! clip-and-Adam pass ([`Adam::clip_and_step`]); value: `forward_batch` →
+//! squared-error gradients → `backward_batch` → clip-and-Adam — that share
+//! only read-only inputs (the samples with their advantages and returns,
+//! fixed before the first minibatch, and each epoch's shuffled index order,
+//! drawn before the chains start). [`PpoTrainer::train_iteration`]
+//! therefore runs the value chain on one scoped thread (`ppo-value-update`)
+//! and the policy chain on the calling thread, each walking every epoch and
+//! minibatch on its own with nothing between them until the join. Each chain adds to its own
 //! loss sums in the serial order, so the statistics, every weight and both
 //! optimizer states are bit-identical to the interleaved loop (kept as a
 //! test-only reference in this module's tests). There is one code path: on
@@ -63,7 +63,7 @@ use mlir_rl_env::{
     hit_rate, EnvConfig, EpisodeStats, Observation, ObservationBatch, OptimizationEnv,
 };
 use mlir_rl_ir::Module;
-use mlir_rl_nn::{clip_grad_norm, Adam, Param};
+use mlir_rl_nn::{Adam, Param};
 
 use crate::policy::{rank_candidates, ActionRecord, PolicyHyperparams, PolicyNetwork};
 use crate::value::ValueNetwork;
@@ -281,7 +281,8 @@ impl PolicyModel for PolicyNetwork {
 /// PPO hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpoConfig {
-    /// Adam learning rate.
+    /// Adam learning rate: finite and `>= +0.0` ([`Adam::try_new`];
+    /// [`PpoTrainer`] panics on any other rate).
     pub learning_rate: f64,
     /// PPO clipping range ε.
     pub clip_range: f64,
@@ -766,8 +767,7 @@ impl Update<'_> {
             // bit-identical to replaying per-sample backward calls against
             // the stacks.
             policy.backward_batch(&items, &coeffs);
-            clip_grad_norm(&mut policy.parameters_mut(), config.max_grad_norm);
-            optimizer.step(&mut policy.parameters_mut());
+            optimizer.clip_and_step(&mut policy.parameters_mut(), config.max_grad_norm);
         }
         sums
     }
@@ -788,8 +788,7 @@ impl Update<'_> {
                 grads.push(config.value_coef * v_err * scale);
             }
             value.backward_batch(&grads);
-            clip_grad_norm(&mut value.parameters_mut(), config.max_grad_norm);
-            optimizer.step(&mut value.parameters_mut());
+            optimizer.clip_and_step(&mut value.parameters_mut(), config.max_grad_norm);
         }
         value_loss
     }
@@ -1551,20 +1550,13 @@ mod tests {
                 // to replaying per-sample backward calls against the stacks.
                 trainer.policy.backward_batch(&items, &policy_coeffs);
                 trainer.value.backward_batch(&value_grads);
-                clip_grad_norm(
-                    &mut trainer.policy.parameters_mut(),
-                    trainer.config.max_grad_norm,
-                );
-                clip_grad_norm(
-                    &mut trainer.value.parameters_mut(),
-                    trainer.config.max_grad_norm,
-                );
+                let max_norm = trainer.config.max_grad_norm;
                 trainer
                     .policy_optimizer
-                    .step(&mut trainer.policy.parameters_mut());
+                    .clip_and_step(&mut trainer.policy.parameters_mut(), max_norm);
                 trainer
                     .value_optimizer
-                    .step(&mut trainer.value.parameters_mut());
+                    .clip_and_step(&mut trainer.value.parameters_mut(), max_norm);
             }
         }
 

@@ -1,39 +1,226 @@
-//! The Adam optimizer and global-norm gradient clipping.
+//! The Adam optimizer, with global-norm gradient clipping fused into its
+//! step.
+//!
+//! [`Adam::clip_and_step`] scales the gradient of a parameter set to a
+//! global L2 norm and applies one Adam update in the same pass;
+//! [`Adam::step`] is the same body without the clip. Either consumes the
+//! gradients: they read `+0.0` afterwards.
+//!
+//! # Live runs
+//!
+//! Every [`Param`] is stored input-major: one contiguous *run* of `rows`
+//! values per input column (see the storage-order rule in
+//! [`crate::param`]). Next to each parameter's moments the optimizer keeps
+//! one flag per run, set the first time any gradient value in the run has
+//! bits other than `+0.0` and never cleared. A step
+//!
+//! 1. tests only the runs that are not yet live;
+//! 2. folds the clip norm over the live runs, per parameter in logical
+//!    order, row by row from `+0.0` (as [`Param::grad_norm_squared`]
+//!    does), then sums the parameters' folds in order;
+//! 3. runs the Adam arithmetic over the live runs only, scaling each
+//!    gradient element by the clip factor first when the norm exceeds the
+//!    bound.
+//!
+//! A parameter with no live run is not touched at all: its gradient is not
+//! materialised and its values are not un-shared from their clones. Most of
+//! an LSTM's input columns never see a non-zero feature, so most of its
+//! input matrix is never walked.
+//!
+//! # Why skipping is bit-identical
+//!
+//! The reference is the dense loop: every element of every parameter, every
+//! step. Preconditions: a finite learning rate `lr >= +0.0` (checked in
+//! [`Adam::try_new`]; `-0.0` is refused), `ε > 0` and `0 <= β < 1` (constants
+//! below).
+//!
+//! Take a run that is not live after this step's test. Then every gradient
+//! value in it is `+0.0` now, and by induction over the steps, the dense
+//! loop has kept its moments at `m = v = +0.0` (where they start) and its
+//! weights where they were. On such a run the dense loop computes:
+//!
+//! * the clipped gradient `g·s`: `±0.0` (`-0.0` when a negative bound makes
+//!   `s < 0`);
+//! * `m = β₁·(+0.0) + (1−β₁)·(±0.0) = +0.0 + ±0.0 = +0.0`, and likewise
+//!   `v = +0.0 + (1−β₂)·(±0.0)·(±0.0) = +0.0`;
+//! * `m̂ = m / (1−β₁ᵗ) = +0.0` and `v̂ = +0.0`, since `1−βᵗ > 0`; then
+//!   `√v̂ + ε = ε > 0`, so the step is `lr·(+0.0)/ε = +0.0` (it would be
+//!   NaN for an infinite or NaN `lr` and `-0.0` for a negative one), and
+//!   `w − (+0.0) = w` for every `w`: `-0.0`, infinities and NaN included;
+//! * the cleared gradient `+0.0`, which the run already holds.
+//!
+//! So the dense loop writes back exactly what the run holds. Its clip norm
+//! adds `g·g = +0.0` once per element of the run. That fold starts at
+//! `+0.0` and adds only squares (`>= +0.0` or NaN), so its accumulator is
+//! never `-0.0` and `acc + (+0.0) = acc` bit for bit: dropping those terms
+//! leaves every partial sum, and the order of the rest, unchanged. The test
+//! is on bits, not `== 0.0`: a run holding `-0.0` keeps its moments and
+//! weights too, but the dense loop clears its gradient to `+0.0`, so it must
+//! be walked.
+//!
+//! The dense loop is kept in this module's tests as the oracle every step
+//! is compared against, bit for bit.
+
+use std::ops::Range;
 
 use crate::param::Param;
 
-/// Adam optimizer state.
+/// Exponential decay of the first moment (β₁).
+const BETA1: f64 = 0.9;
+/// Exponential decay of the second moment (β₂).
+const BETA2: f64 = 0.999;
+/// Numerical-stability constant (ε).
+const EPSILON: f64 = 1e-8;
+
+/// Adam optimizer state (β₁ = 0.9, β₂ = 0.999, ε = 1e-8).
 ///
 /// The optimizer is created once for a fixed set of parameters and stepped
 /// with the *same parameters in the same order* every time (the per-tensor
-/// first/second-moment state is keyed by position).
+/// state is keyed by position).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Exponential decay for the first moment.
-    pub beta1: f64,
-    /// Exponential decay for the second moment.
-    pub beta2: f64,
-    /// Numerical-stability constant.
-    pub epsilon: f64,
+    learning_rate: f64,
     step: u64,
-    m: Vec<Vec<f64>>,
-    v: Vec<Vec<f64>>,
+    state: Vec<Moments>,
+}
+
+/// One parameter's optimizer state, in the parameter's storage order.
+#[derive(Debug, Clone, PartialEq)]
+struct Moments {
+    m: Vec<f64>,
+    v: Vec<f64>,
+    /// One flag per run: set once a gradient value in the run has had bits
+    /// other than `+0.0`, never cleared.
+    live: Vec<bool>,
+    /// The live runs as maximal ranges of adjacent runs, ascending;
+    /// rebuilt whenever a flag is set.
+    spans: Vec<Range<usize>>,
+}
+
+impl Moments {
+    fn new(p: &Param) -> Self {
+        Self {
+            m: vec![0.0; p.len()],
+            v: vec![0.0; p.len()],
+            live: vec![false; runs(p)],
+            spans: Vec::new(),
+        }
+    }
+
+    /// Sets the flag of every run not yet live that holds a gradient value
+    /// whose bits are not `+0.0`.
+    fn mark_live(&mut self, p: &Param) {
+        let grad = p.grad();
+        if grad.is_empty() {
+            return;
+        }
+        let mut woke = false;
+        for (run, live) in grad.chunks_exact(p.rows).zip(&mut self.live) {
+            if !*live && run.iter().fold(0, |bits, g| bits | g.to_bits()) != 0 {
+                *live = true;
+                woke = true;
+            }
+        }
+        if woke {
+            self.spans.clear();
+            let mut start = None;
+            for (run, &live) in self.live.iter().chain([&false]).enumerate() {
+                match (start, live) {
+                    (None, true) => start = Some(run),
+                    (Some(first), false) => {
+                        self.spans.push(first..run);
+                        start = None;
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// The squared gradient norm over the live runs, folded like
+    /// [`Param::grad_norm_squared`]: logical order, row by row, from
+    /// `+0.0`.
+    fn norm_squared(&self, p: &Param) -> f64 {
+        if self.spans.is_empty() {
+            return 0.0;
+        }
+        let (grad, rows) = (p.grad(), p.rows);
+        let mut acc = 0.0;
+        for row in 0..rows {
+            for span in &self.spans {
+                for col in span.clone() {
+                    let g = grad[col * rows + row];
+                    acc += g * g;
+                }
+            }
+        }
+        acc
+    }
+
+    /// One Adam update of the live runs of `value` (`rows` values per run),
+    /// reading each gradient element through `clip` and clearing it.
+    fn update(
+        &mut self,
+        value: &mut [f64],
+        grad: &mut [f64],
+        rows: usize,
+        (learning_rate, bias1, bias2): (f64, f64, f64),
+        clip: impl Fn(f64) -> f64,
+    ) {
+        for span in &self.spans {
+            let at = span.start * rows..span.end * rows;
+            let moments = self.m[at.clone()].iter_mut().zip(&mut self.v[at.clone()]);
+            let weights = value[at.clone()].iter_mut().zip(&mut grad[at]);
+            for ((w, g), (m, v)) in weights.zip(moments) {
+                let g_clipped = clip(*g);
+                *m = BETA1 * *m + (1.0 - BETA1) * g_clipped;
+                *v = BETA2 * *v + (1.0 - BETA2) * g_clipped * g_clipped;
+                let m_hat = *m / bias1;
+                let v_hat = *v / bias2;
+                *w -= learning_rate * m_hat / (v_hat.sqrt() + EPSILON);
+                *g = 0.0;
+            }
+        }
+    }
+}
+
+/// Number of runs (input columns) of `p`; none for an empty parameter.
+fn runs(p: &Param) -> usize {
+    if p.is_empty() {
+        0
+    } else {
+        p.cols
+    }
 }
 
 impl Adam {
-    /// Creates an Adam optimizer with the usual β₁=0.9, β₂=0.999, ε=1e-8.
+    /// Creates an Adam optimizer with learning rate `learning_rate`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Adam::try_new`] refuses the rate.
     pub fn new(learning_rate: f64) -> Self {
-        Self {
-            learning_rate,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            step: 0,
-            m: Vec::new(),
-            v: Vec::new(),
+        Self::try_new(learning_rate).unwrap_or_else(|problem| panic!("{problem}"))
+    }
+
+    /// Like [`Adam::new`], but a refused rate becomes an error.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a rate that is not finite and `>= +0.0` (`-0.0` is
+    /// refused): the skip of never-live runs is bit-identical only for such
+    /// a rate (module docs).
+    pub fn try_new(learning_rate: f64) -> Result<Self, String> {
+        if !(learning_rate.is_finite() && learning_rate.is_sign_positive()) {
+            return Err(format!(
+                "Adam learning rate must be finite and >= +0.0, got {learning_rate}"
+            ));
         }
+        Ok(Self {
+            learning_rate,
+            step: 0,
+            state: Vec::new(),
+        })
     }
 
     /// Number of update steps taken so far.
@@ -46,59 +233,145 @@ impl Adam {
     ///
     /// # Panics
     ///
-    /// Panics if the number of parameters changes between calls.
+    /// Panics if the number of parameters or a parameter's shape changes
+    /// between calls.
     pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.m.is_empty() {
-            self.m = params.iter().map(|p| vec![0.0; p.len()]).collect();
-            self.v = params.iter().map(|p| vec![0.0; p.len()]).collect();
+        self.mark_live(params);
+        self.apply(params, None);
+    }
+
+    /// Clips the global gradient norm of `params` to `max_norm` and applies
+    /// one Adam update with the clipped gradients, consuming them. Returns
+    /// the norm before clipping.
+    ///
+    /// # Panics
+    ///
+    /// As [`Adam::step`].
+    pub fn clip_and_step(&mut self, params: &mut [&mut Param], max_norm: f64) -> f64 {
+        self.mark_live(params);
+        let norm = params
+            .iter()
+            .zip(&self.state)
+            .map(|(p, state)| state.norm_squared(p))
+            .sum::<f64>()
+            .sqrt();
+        let scale = (norm > max_norm && norm > 0.0).then(|| max_norm / norm);
+        self.apply(params, scale);
+        norm
+    }
+
+    /// Allocates the state on the first call, checks the parameter set
+    /// against it, and flags the runs that went live.
+    fn mark_live(&mut self, params: &[&mut Param]) {
+        if self.state.is_empty() {
+            self.state = params.iter().map(|p| Moments::new(p)).collect();
         }
         assert_eq!(
-            self.m.len(),
+            self.state.len(),
             params.len(),
             "parameter set changed between optimizer steps"
         );
+        for (p, state) in params.iter().zip(&mut self.state) {
+            assert_eq!(
+                (state.m.len(), state.live.len()),
+                (p.len(), runs(p)),
+                "parameter shape changed"
+            );
+            state.mark_live(p);
+        }
+    }
+
+    /// One update over the live runs, each gradient element multiplied by
+    /// `scale` first if there is one.
+    fn apply(&mut self, params: &mut [&mut Param], scale: Option<f64>) {
         self.step += 1;
         let t = self.step as f64;
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
-        for (idx, p) in params.iter_mut().enumerate() {
-            assert_eq!(self.m[idx].len(), p.len(), "parameter shape changed");
+        let rates = (self.learning_rate, 1.0 - BETA1.powf(t), 1.0 - BETA2.powf(t));
+        for (p, state) in params.iter_mut().zip(&mut self.state) {
+            if state.spans.is_empty() {
+                continue;
+            }
+            let rows = p.rows;
             // Resolved once per parameter: the value accessor un-shares the
             // weights, which must not be paid per element.
             let (value, grad) = p.value_and_grad_mut();
-            let moments = self.m[idx].iter_mut().zip(&mut self.v[idx]);
-            for ((w, g), (m, v)) in value.iter_mut().zip(grad).zip(moments) {
-                *m = self.beta1 * *m + (1.0 - self.beta1) * *g;
-                *v = self.beta2 * *v + (1.0 - self.beta2) * *g * *g;
-                let m_hat = *m / bias1;
-                let v_hat = *v / bias2;
-                *w -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
-                *g = 0.0;
+            match scale {
+                Some(scale) => state.update(value, grad, rows, rates, |g| g * scale),
+                None => state.update(value, grad, rows, rates, |g| g),
             }
         }
     }
 }
 
-/// Clips the global gradient norm of a parameter set to `max_norm`,
-/// returning the norm before clipping.
-pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f64) -> f64 {
-    let norm: f64 = params
-        .iter()
-        .map(|p| p.grad_norm_squared())
-        .sum::<f64>()
-        .sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for p in params.iter_mut() {
-            p.scale_grad(scale);
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The dense loop: every element of every parameter, every step — what
+    /// `Adam` computed before it walked live runs only.
+    #[derive(Default)]
+    struct Reference {
+        step: u64,
+        m: Vec<Vec<f64>>,
+        v: Vec<Vec<f64>>,
+    }
+
+    impl Reference {
+        fn step(&mut self, params: &mut [&mut Param], learning_rate: f64) {
+            if self.m.is_empty() {
+                self.m = params.iter().map(|p| vec![0.0; p.len()]).collect();
+                self.v = params.iter().map(|p| vec![0.0; p.len()]).collect();
+            }
+            self.step += 1;
+            let t = self.step as f64;
+            let bias1 = 1.0 - BETA1.powf(t);
+            let bias2 = 1.0 - BETA2.powf(t);
+            for (idx, p) in params.iter_mut().enumerate() {
+                let (value, grad) = p.value_and_grad_mut();
+                let moments = self.m[idx].iter_mut().zip(&mut self.v[idx]);
+                for ((w, g), (m, v)) in value.iter_mut().zip(grad).zip(moments) {
+                    *m = BETA1 * *m + (1.0 - BETA1) * *g;
+                    *v = BETA2 * *v + (1.0 - BETA2) * *g * *g;
+                    let m_hat = *m / bias1;
+                    let v_hat = *v / bias2;
+                    *w -= learning_rate * m_hat / (v_hat.sqrt() + EPSILON);
+                    *g = 0.0;
+                }
+            }
+        }
+    }
+
+    /// The dense clip: the norm over every element, then every element
+    /// scaled (a never-materialised gradient stays so).
+    fn clip_grad_norm(params: &mut [&mut Param], max_norm: f64) -> f64 {
+        let norm: f64 = params
+            .iter()
+            .map(|p| p.grad_norm_squared())
+            .sum::<f64>()
+            .sqrt();
+        if norm > max_norm && norm > 0.0 {
+            let scale = max_norm / norm;
+            for p in params.iter_mut().filter(|p| !p.grad().is_empty()) {
+                p.grad_mut().iter_mut().for_each(|g| *g *= scale);
+            }
+        }
+        norm
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The gradient's bits, a never-materialised one read as its `+0.0`s.
+    fn grad_bits(p: &Param) -> Vec<u64> {
+        match p.grad() {
+            [] => vec![0; p.len()],
+            grad => bits(grad),
+        }
+    }
 
     #[test]
     fn adam_minimizes_a_quadratic() {
@@ -133,29 +406,46 @@ mod tests {
 
     #[test]
     fn step_clears_gradients() {
-        let mut x = Param::zeros(1, 1);
-        x.grad_mut()[0] = 1.0;
-        let mut adam = Adam::new(0.01);
-        adam.step(&mut [&mut x]);
-        assert_eq!(x.grad()[0], 0.0);
+        for clip in [None, Some(1e-3)] {
+            let mut x = Param::zeros(1, 2);
+            x.grad_mut().copy_from_slice(&[1.0, -0.0]);
+            let mut adam = Adam::new(0.01);
+            if let Some(max_norm) = clip {
+                adam.clip_and_step(&mut [&mut x], max_norm);
+            } else {
+                adam.step(&mut [&mut x]);
+            }
+            assert_eq!(bits(x.grad()), [0, 0], "clip {clip:?}");
+        }
     }
 
     #[test]
-    fn clip_grad_norm_scales_large_gradients() {
+    fn clip_and_step_scales_large_gradients() {
+        // The first Adam step moves each weight by lr * g / (|g| + ε): with
+        // the gradient scaled to norm 1, the moment reads the scaled value.
         let mut a = Param::zeros(1, 2);
         a.grad_mut().copy_from_slice(&[3.0, 4.0]);
-        let norm = clip_grad_norm(&mut [&mut a], 1.0);
+        let mut adam = Adam::new(0.1);
+        let norm = adam.clip_and_step(&mut [&mut a], 1.0);
         assert!((norm - 5.0).abs() < 1e-12);
-        let new_norm = a.grad_norm_squared().sqrt();
-        assert!((new_norm - 1.0).abs() < 1e-9);
+        let m = &adam.state[0].m;
+        assert!((m[0] - 0.1 * 0.6).abs() < 1e-12 && (m[1] - 0.1 * 0.8).abs() < 1e-12);
+        assert!(a.value().iter().all(|w| (w + 0.1).abs() < 1e-6));
     }
 
     #[test]
-    fn clip_grad_norm_leaves_small_gradients_alone() {
+    fn clip_and_step_leaves_small_gradients_alone() {
         let mut a = Param::zeros(1, 2);
         a.grad_mut().copy_from_slice(&[0.1, 0.2]);
-        clip_grad_norm(&mut [&mut a], 10.0);
-        assert_eq!(a.grad(), [0.1, 0.2]);
+        let mut clipped = Adam::new(0.01);
+        let norm = clipped.clip_and_step(&mut [&mut a], 10.0);
+        assert_eq!(norm.to_bits(), (0.1f64 * 0.1 + 0.2 * 0.2).sqrt().to_bits());
+        let mut b = Param::zeros(1, 2);
+        b.grad_mut().copy_from_slice(&[0.1, 0.2]);
+        let mut plain = Adam::new(0.01);
+        plain.step(&mut [&mut b]);
+        assert_eq!(bits(a.value()), bits(b.value()));
+        assert_eq!(clipped, plain);
     }
 
     #[test]
@@ -166,5 +456,152 @@ mod tests {
         let mut adam = Adam::new(0.01);
         adam.step(&mut [&mut a]);
         adam.step(&mut [&mut a, &mut b]);
+    }
+
+    #[test]
+    fn a_rate_that_breaks_the_proof_is_refused() {
+        for rate in [f64::NAN, f64::INFINITY, -1e-3, -0.0] {
+            assert!(Adam::try_new(rate).is_err(), "rate {rate}");
+        }
+        assert!(std::panic::catch_unwind(|| Adam::new(-1e-3)).is_err());
+        assert_eq!(Adam::new(0.0).steps(), 0);
+    }
+
+    /// How one input column's gradient behaves over a run of steps.
+    #[derive(Debug, Clone, Copy)]
+    enum Column {
+        /// `+0.0` on every step.
+        Dead,
+        /// `+0.0` until the given step, random after.
+        Late(usize),
+        /// `-0.0` on every step.
+        NegativeZero,
+        /// Random on every step, zeros of both signs included.
+        Live,
+    }
+
+    /// Steps per case.
+    const STEPS: usize = 24;
+
+    /// One parameter of a case: its rows, its columns' behaviour, and
+    /// whether its gradient is never written at all. Shapes are `n x 1`,
+    /// `1 x n` or general, in equal shares.
+    struct Spec {
+        rows: usize,
+        columns: Vec<Column>,
+        unwritten: bool,
+    }
+
+    fn spec(rng: &mut ChaCha8Rng) -> Spec {
+        let (rows, cols) = match rng.gen_range(0..3) {
+            0 => (rng.gen_range(1..6), 1),
+            1 => (1, rng.gen_range(1..9)),
+            _ => (rng.gen_range(1..6), rng.gen_range(1..9)),
+        };
+        let columns = (0..cols)
+            .map(|_| match rng.gen_range(0..8) {
+                0..=2 => Column::Dead,
+                3 | 4 => Column::Late(rng.gen_range(0..STEPS)),
+                5 => Column::NegativeZero,
+                _ => Column::Live,
+            })
+            .collect();
+        Spec {
+            rows,
+            columns,
+            unwritten: rng.gen_range(0..6) == 0,
+        }
+    }
+
+    /// Writes step `step`'s gradient of `spec` into `p`.
+    fn write_gradient(p: &mut Param, spec: &Spec, step: usize, rng: &mut ChaCha8Rng) {
+        let rows = spec.rows;
+        let grad = p.grad_mut();
+        for (c, kind) in spec.columns.iter().enumerate() {
+            for slot in &mut grad[c * rows..(c + 1) * rows] {
+                let random = match rng.gen_range(0..8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-3.0..3.0),
+                };
+                *slot = match *kind {
+                    Column::Dead => 0.0,
+                    Column::Late(from) if step < from => 0.0,
+                    Column::NegativeZero => -0.0,
+                    Column::Late(_) | Column::Live => random,
+                };
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `step` and `clip_and_step` equal the dense loop bit for bit after
+        /// every step — weights, both moments, gradients, the returned norm
+        /// and the step count — over columns that stay `+0.0`, go live
+        /// late, hold only `-0.0` or are live throughout, gradients never
+        /// materialised, a NaN or infinity in some cases, and bounds that
+        /// clip, do not clip, or (negative) flip the scale's sign.
+        #[test]
+        fn fused_steps_equal_the_dense_loop_bit_for_bit(
+            seed in 0u64..1 << 32,
+            count in 1usize..5,
+            bound in 0usize..6,
+            poison in 0usize..4,
+        ) {
+            let max_norm = [None, Some(1e-3), Some(0.5), Some(1e6), Some(f64::INFINITY), Some(-1.0)][bound];
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let set: Vec<Spec> = (0..count).map(|_| spec(&mut rng)).collect();
+            let mut params: Vec<Param> = set
+                .iter()
+                .map(|spec| Param::xavier(spec.rows, spec.columns.len(), &mut rng))
+                .collect();
+            let mut dense = params.clone();
+            let (mut fused_adam, mut dense_adam) = (Adam::new(0.01), Reference::default());
+            // In half the cases one element is poisoned once: NaN or infinity.
+            let poisoned = (poison > 1).then(|| (rng.gen_range(0..count), rng.gen_range(0..STEPS)));
+            for step in 0..STEPS {
+                for (idx, (spec, p)) in set.iter().zip(&mut params).enumerate() {
+                    if spec.unwritten {
+                        continue;
+                    }
+                    write_gradient(p, spec, step, &mut rng);
+                    if poisoned == Some((idx, step)) {
+                        p.grad_mut()[0] = if poison == 2 { f64::NAN } else { f64::INFINITY };
+                    }
+                }
+                for (d, p) in dense.iter_mut().zip(&params) {
+                    if !p.grad().is_empty() {
+                        d.grad_mut().copy_from_slice(p.grad());
+                    }
+                }
+                let mut fused_set: Vec<&mut Param> = params.iter_mut().collect();
+                let mut dense_set: Vec<&mut Param> = dense.iter_mut().collect();
+                let (norm, dense_norm) = match max_norm {
+                    Some(bound) => (
+                        fused_adam.clip_and_step(&mut fused_set, bound),
+                        clip_grad_norm(&mut dense_set, bound),
+                    ),
+                    None => {
+                        fused_adam.step(&mut fused_set);
+                        (0.0, 0.0)
+                    }
+                };
+                dense_adam.step(&mut dense_set, 0.01);
+                prop_assert_eq!(norm.to_bits(), dense_norm.to_bits(), "norm at step {}", step);
+                prop_assert_eq!(fused_adam.steps(), dense_adam.step);
+                for (idx, (p, d)) in params.iter().zip(&dense).enumerate() {
+                    let state = &fused_adam.state[idx];
+                    prop_assert_eq!(bits(p.value()), bits(d.value()), "weights {} at step {}", idx, step);
+                    prop_assert_eq!(bits(&state.m), bits(&dense_adam.m[idx]), "m {} at step {}", idx, step);
+                    prop_assert_eq!(bits(&state.v), bits(&dense_adam.v[idx]), "v {} at step {}", idx, step);
+                    prop_assert_eq!(grad_bits(p), grad_bits(d), "gradient {} at step {}", idx, step);
+                    if set[idx].unwritten {
+                        prop_assert!(p.grad().is_empty(), "an unwritten gradient stays unmaterialised");
+                    }
+                }
+            }
+        }
     }
 }

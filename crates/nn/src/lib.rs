@@ -55,7 +55,7 @@ pub mod tensor;
 pub use activation::{
     masked_softmax, relu, relu_in_place, sigmoid, sigmoid_in_place, softmax, tanh, tanh_in_place,
 };
-pub use adam::{clip_grad_norm, Adam};
+pub use adam::Adam;
 pub use distribution::MaskedCategorical;
 pub use linear::{Linear, Mlp};
 pub use lstm::Lstm;

@@ -8,8 +8,8 @@
 //!   clone is a reference count, whatever the size of the tensor, so
 //!   handing a network to a rollout worker, a service worker, a search
 //!   driver worker or the policy registry copies no weights. The write paths —
-//!   [`Param::value_mut`] / [`Param::value_and_grad_mut`] (init,
-//!   `Adam::step`) — un-share first (`Arc::make_mut`: a private copy if
+//!   [`Param::value_mut`] / [`Param::value_and_grad_mut`] (init, an Adam
+//!   step) — un-share first (`Arc::make_mut`: a private copy if
 //!   anyone else holds the buffer, nothing otherwise), and
 //!   [`Param::set_value`] (weight-snapshot load) swaps in a fresh buffer.
 //!   A reader of a clone therefore never sees a later write to its source:
@@ -48,9 +48,9 @@
 //!   operations as the row-major reference loops perform.
 //! * **Storage order** — the buffers as stored: [`Param::value`],
 //!   [`Param::value_mut`], [`Param::grad`], [`Param::grad_mut`],
-//!   [`Param::value_and_grad_mut`], [`Param::scale_grad`] and
-//!   [`Param::zero_grad`]. They are for elementwise work (Adam, the clip
-//!   scale, a fill); [`Param::storage_index`] places `(row, col)` in them.
+//!   [`Param::value_and_grad_mut`] and [`Param::zero_grad`]. They are for
+//!   elementwise work (Adam and its clip scale, a fill);
+//!   [`Param::storage_index`] places `(row, col)` in them.
 //!   A reader whose result depends on the order (a weight image, a
 //!   fingerprint, a digest) reads the logical iterators instead.
 
@@ -446,19 +446,12 @@ impl Param {
     pub fn grad_norm_squared(&self) -> f64 {
         self.logical_grad().fold(0.0, |acc, g| acc + g * g)
     }
-
-    /// Scales the gradient in place, in storage order (a
-    /// never-materialised gradient is all zeros and stays
-    /// unmaterialised).
-    pub fn scale_grad(&mut self, factor: f64) {
-        self.grad.0.iter_mut().for_each(|g| *g *= factor);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adam::{clip_grad_norm, Adam};
+    use crate::adam::Adam;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -521,12 +514,10 @@ mod tests {
     }
 
     #[test]
-    fn grad_norm_and_scaling() {
+    fn grad_norm() {
         let mut p = Param::zeros(1, 2);
         p.grad_mut().copy_from_slice(&[3.0, 4.0]);
         assert_eq!(p.grad_norm_squared(), 25.0);
-        p.scale_grad(0.5);
-        assert_eq!(p.grad(), [1.5, 2.0]);
     }
 
     fn random_param(rows: usize, cols: usize, seed: u64) -> Param {
@@ -602,10 +593,16 @@ mod tests {
     #[test]
     fn a_gradient_nobody_wrote_costs_nothing() {
         let mut p = random_param(5, 5, 5);
+        let clone = p.clone();
         assert_eq!(p.grad_norm_squared().to_bits(), 0);
-        p.scale_grad(3.0);
-        assert_eq!(clip_grad_norm(&mut [&mut p], 1e-3).to_bits(), 0);
+        let mut adam = Adam::new(0.1);
+        assert_eq!(adam.clip_and_step(&mut [&mut p], 1e-3).to_bits(), 0);
+        adam.step(&mut [&mut p]);
         assert_eq!(p.grad().len() + p.grad.0.capacity(), 0);
+        assert!(
+            p.shares_value_with(&clone),
+            "an untouched parameter stays shared"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! plain sequence of draws in logical order.
 
 use mlir_rl_nn::tensor::matmul_nt;
-use mlir_rl_nn::{sigmoid_in_place, tanh_in_place, Lstm, Param, Tensor2};
+use mlir_rl_nn::{sigmoid_in_place, tanh_in_place, Adam, Lstm, Param, Tensor2};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -338,8 +338,9 @@ proptest! {
     /// input gradients against `matvec` / `matvec_transposed`, gradient
     /// accumulation against one `+=` per element in the reverse batch order
     /// of `add_outer_to_grad` (the LSTM property above covers accumulation
-    /// over listed columns), and the norm and scale against the same folds
-    /// over a logical-order copy.
+    /// over listed columns), the norm against the same fold over a
+    /// logical-order copy, and a clipped Adam step against the update
+    /// written out per logical element.
     #[test]
     fn a_param_computes_what_the_reference_loops_do(
         batch in 0usize..5,
@@ -395,9 +396,25 @@ proptest! {
         prop_assert_eq!(logical_bits(p.logical_grad()), bits(&reference));
         let norm = reference.iter().fold(0.0, |acc, g| acc + g * g);
         prop_assert_eq!(p.grad_norm_squared().to_bits(), norm.to_bits());
-        p.scale_grad(0.3);
-        let scaled: Vec<f64> = reference.iter().map(|g| g * 0.3).collect();
-        prop_assert_eq!(logical_bits(p.logical_grad()), bits(&scaled));
+        // One clipped Adam step from fresh moments, halving the norm: each
+        // weight moves by its own scaled gradient and the gradient clears.
+        let max_norm = 0.5 * norm.sqrt();
+        let returned = Adam::new(0.01).clip_and_step(&mut [&mut p], max_norm);
+        prop_assert_eq!(returned.to_bits(), norm.sqrt().to_bits());
+        let scale = max_norm / norm.sqrt();
+        let stepped: Vec<f64> = image
+            .iter()
+            .zip(&reference)
+            .map(|(w, g)| {
+                let g = if norm > 0.0 { g * scale } else { *g };
+                let m = 0.9 * 0.0 + (1.0 - 0.9) * g;
+                let v = 0.999 * 0.0 + (1.0 - 0.999) * g * g;
+                let (m_hat, v_hat) = (m / (1.0 - 0.9f64.powf(1.0)), v / (1.0 - 0.999f64.powf(1.0)));
+                w - 0.01 * m_hat / (v_hat.sqrt() + 1e-8)
+            })
+            .collect();
+        prop_assert_eq!(logical_bits(p.logical_values()), bits(&stepped));
+        prop_assert!(p.grad().iter().all(|g| g.to_bits() == 0));
     }
 }
 

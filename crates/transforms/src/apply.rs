@@ -273,6 +273,9 @@ impl ScheduledModule {
         if state.vectorized {
             return Err(TransformError::AlreadyVectorized);
         }
+        if state.stopped {
+            return Err(TransformError::OperationStopped { op });
+        }
         if state.schedule.len() >= self.max_schedule_len
             && t.kind() != TransformationKind::NoTransformation
         {
@@ -985,6 +988,28 @@ mod tests {
         let mut s = ScheduledModule::new(matmul_module());
         s.apply(OpId(0), Transformation::NoTransformation).unwrap();
         assert!(s.state(OpId(0)).is_terminated());
+    }
+
+    #[test]
+    fn a_stopped_operation_accepts_no_action() {
+        let mut b = ModuleBuilder::new("m");
+        let a = b.argument("A", vec![64, 128]);
+        let w = b.argument("B", vec![128, 32]);
+        b.matmul(a, w);
+        let mut s = ScheduledModule::new(b.finish());
+        s.apply(OpId(0), Transformation::NoTransformation).unwrap();
+        let (schedule, key) = (s.state(OpId(0)).schedule.clone(), s.fingerprint());
+        for t in [
+            Transformation::Tiling {
+                tile_sizes: vec![4, 4, 4],
+            },
+            Transformation::NoTransformation,
+        ] {
+            let err = s.apply(OpId(0), t).unwrap_err();
+            assert_eq!(err, TransformError::OperationStopped { op: OpId(0) });
+        }
+        assert_eq!(s.state(OpId(0)).schedule, schedule);
+        assert_eq!(s.fingerprint(), key);
     }
 
     #[test]

@@ -72,6 +72,12 @@ pub enum TransformError {
         /// The operation.
         op: OpId,
     },
+    /// The operation's optimization was stopped (`NoTransformation`); its
+    /// schedule is closed.
+    OperationStopped {
+        /// The operation.
+        op: OpId,
+    },
 }
 
 impl fmt::Display for TransformError {
@@ -120,6 +126,9 @@ impl fmt::Display for TransformError {
             }
             TransformError::OperationFusedAway { op } => {
                 write!(f, "operation {op} was fused into its consumer")
+            }
+            TransformError::OperationStopped { op } => {
+                write!(f, "optimization of operation {op} was stopped")
             }
         }
     }

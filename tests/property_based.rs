@@ -565,7 +565,8 @@ proptest! {
     /// Hostile IR text never panics the parser: printed random operators
     /// and operator sequences, after one to eight random edits (shape and
     /// bound swaps among them), parse to `Ok` or `Err`, and every module
-    /// that parses counts its flops to a finite total.
+    /// that parses counts its flops to a finite total and has a finite,
+    /// positive baseline estimate.
     #[test]
     fn mutated_module_text_parses_or_errs_without_panicking(
         seed in 0u64..1 << 32,
@@ -587,6 +588,9 @@ proptest! {
         if let Ok(parsed) = parse_module(&text) {
             let flops = parsed.total_flops();
             prop_assert!(flops.is_finite() && flops >= 0.0, "{text}");
+            // Parsed means priceable.
+            let cost = CostModel::new(MachineModel::xeon_e5_2680_v4()).estimate_baseline(&parsed);
+            prop_assert!(cost.total_s.is_finite() && cost.total_s > 0.0, "{} s for {text}", cost.total_s);
         }
     }
 }
