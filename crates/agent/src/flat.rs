@@ -14,13 +14,12 @@ use mlir_rl_env::{
     flat_action_space, num_enumerated_candidates, EnvConfig, FlatAction, Observation,
     ObservationBatch,
 };
-use mlir_rl_nn::{Linear, Lstm, MaskedCategorical, Mlp, Param, Scratch, Tensor2};
+use mlir_rl_nn::{Linear, MaskedCategorical, Param, Scratch, Tensor2};
 use mlir_rl_transforms::TransformationKind;
 
-use crate::policy::{
-    embed_observation, lstm_step_tensors_into, rank_candidates, ActionRecord, PolicyHyperparams,
-};
+use crate::policy::{rank_candidates, ActionRecord, PolicyHyperparams};
 use crate::ppo::PolicyModel;
+use crate::trunk::Trunk;
 
 /// The flat policy network: same embedding and backbone as the
 /// multi-discrete policy, but a single categorical head over the whole flat
@@ -29,8 +28,7 @@ use crate::ppo::PolicyModel;
 pub struct FlatPolicyNetwork {
     env_config: EnvConfig,
     actions: Vec<FlatAction>,
-    lstm: Lstm,
-    backbone: Mlp,
+    trunk: Trunk,
     head: Linear,
     /// Reusable logits buffer for rollout-time action selection.
     logits_scratch: Scratch<Vec<f64>>,
@@ -38,8 +36,6 @@ pub struct FlatPolicyNetwork {
     /// `backward_batch` so the backward pass never re-runs the forward
     /// network.
     pending_batches: Scratch<Vec<Tensor2>>,
-    /// Reusable LSTM step tensors for the training batches.
-    step_scratch: Scratch<[Tensor2; 2]>,
 }
 
 impl FlatPolicyNetwork {
@@ -47,21 +43,15 @@ impl FlatPolicyNetwork {
     pub fn new<R: Rng>(env_config: EnvConfig, hyper: PolicyHyperparams, rng: &mut R) -> Self {
         env_config.validate();
         let actions = flat_action_space(&env_config);
-        let h = hyper.hidden_size;
-        let lstm = Lstm::new(env_config.feature_len(), h, rng);
-        let mut sizes = vec![h];
-        sizes.extend(std::iter::repeat_n(h, hyper.backbone_layers));
-        let backbone = Mlp::new(&sizes, true, rng);
-        let head = Linear::new(h, actions.len(), rng);
+        let trunk = Trunk::new(&env_config, hyper, rng);
+        let head = Linear::new(hyper.hidden_size, actions.len(), rng);
         Self {
             env_config,
             actions,
-            lstm,
-            backbone,
+            trunk,
             head,
             logits_scratch: Scratch::default(),
             pending_batches: Scratch::default(),
-            step_scratch: Scratch::default(),
         }
     }
 
@@ -97,8 +87,7 @@ impl FlatPolicyNetwork {
 
     /// Allocation-free inference logits into `out`.
     fn infer_logits(&mut self, obs: &Observation, out: &mut Vec<f64>) {
-        let embedding = embed_observation(&mut self.lstm, obs);
-        let z = self.backbone.infer(embedding);
+        let z = self.trunk.infer(obs);
         self.head.infer_into(z, out);
     }
 
@@ -109,11 +98,10 @@ impl FlatPolicyNetwork {
     pub(crate) fn logits_and_dense_oracle(&mut self, obs: &Observation) -> [Vec<f64>; 2] {
         let mut logits = Vec::new();
         self.infer_logits(obs, &mut logits);
-        let embedding = self
-            .lstm
-            .forward_inference(&crate::policy::dense_sequence(obs));
-        let z = self.backbone.forward_inference(&embedding);
-        [logits, self.head.forward_inference(&z)]
+        let oracle = self
+            .head
+            .forward_inference(&self.trunk.forward_inference(obs));
+        [logits, oracle]
     }
 
     /// Batched training-mode logits: one blocked matmul per layer, caching
@@ -121,9 +109,7 @@ impl FlatPolicyNetwork {
     /// bit-identical to [`FlatPolicyNetwork::infer_logits`] on observation
     /// `i`.
     fn logits_train_batch(&mut self, batch: &ObservationBatch) -> Tensor2 {
-        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
-        let embedding = self.lstm.forward_batch(&self.step_scratch.0);
-        let z = self.backbone.forward_batch(&embedding);
+        let z = self.trunk.forward_batch(batch);
         self.head.forward_batch(&z)
     }
 
@@ -190,15 +176,13 @@ impl PolicyModel for FlatPolicyNetwork {
     }
 
     fn zero_grad(&mut self) {
-        self.lstm.zero_grad();
-        self.backbone.zero_grad();
+        self.trunk.zero_grad();
         self.head.zero_grad();
         self.pending_batches.0.clear();
     }
 
     fn parameters_mut(&mut self) -> Vec<&mut Param> {
-        let mut out = self.lstm.parameters_mut();
-        out.extend(self.backbone.parameters_mut());
+        let mut out = self.trunk.parameters_mut();
         out.extend(self.head.parameters_mut());
         out
     }
@@ -250,8 +234,7 @@ impl PolicyModel for FlatPolicyNetwork {
             }
         }
         let grad_z = self.head.backward_batch(&grads);
-        let grad_embedding = self.backbone.backward_batch(&grad_z);
-        self.lstm.backward_params_batch(&grad_embedding);
+        self.trunk.backward_batch(&grad_z);
     }
 
     fn rank_actions(

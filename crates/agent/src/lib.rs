@@ -6,6 +6,12 @@
 //! the flat-action-space policy used by the Fig. 6 ablation, and the PPO
 //! trainer with the paper's hyper-parameters.
 //!
+//! The three networks share one observation embedding, a private `Trunk`
+//! (the LSTM over the producer and consumer vectors, then the backbone),
+//! and differ only in their heads: five for the multi-discrete policy, one
+//! table in head order, and a single linear layer each for the flat policy
+//! and the critic.
+//!
 //! ## Example
 //!
 //! ```
@@ -40,6 +46,7 @@ pub mod online;
 pub mod policy;
 pub mod ppo;
 pub mod snapshot;
+mod trunk;
 pub mod value;
 
 pub use flat::FlatPolicyNetwork;

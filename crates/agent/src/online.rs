@@ -551,15 +551,9 @@ pub fn greedy_geomean(
     for module in modules {
         let mut obs = env.reset(module.clone());
         let baseline_s = env.peek_time_s();
-        let max_steps = (module.ops().len() + 1) * (env.config().max_schedule_len + 3);
-        let mut steps = 0usize;
         while let Some(current) = obs {
             let record = policy.select_action(&current, true, rng);
             env.step(&record.action);
-            steps += 1;
-            if steps > max_steps {
-                break;
-            }
             obs = env.current_observation();
         }
         let final_s = env.peek_time_s();

@@ -2,10 +2,10 @@
 //!
 //! Architecture: the producer and consumer representation vectors are fed
 //! sequentially into an LSTM; the final hidden state goes through a backbone
-//! of three fully connected ReLU layers; five heads map the backbone
-//! embedding to sub-action distributions — transformation selection (6-way),
-//! one `N x M` tile-size head per tiled transformation, and an interchange
-//! head.
+//! of three fully connected ReLU layers (the two are the trunk every network
+//! shares); five heads map the backbone embedding to sub-action
+//! distributions — transformation selection (6-way), one `N x M` tile-size
+//! head per tiled transformation, and an interchange head.
 //!
 //! Interchange comes in the two formulations of Sec. IV-A-1:
 //!
@@ -24,8 +24,10 @@ use mlir_rl_env::{
     num_enumerated_candidates, Action, EnvConfig, InterchangeMode, InterchangeSpec, Observation,
     ObservationBatch,
 };
-use mlir_rl_nn::{Linear, Lstm, MaskedCategorical, Mlp, Param, Scratch, Tensor2};
+use mlir_rl_nn::{Linear, MaskedCategorical, Param, Scratch, Tensor2};
 use mlir_rl_transforms::TransformationKind;
+
+use crate::trunk::Trunk;
 
 /// Hyper-parameters of the network (the paper uses 512 units everywhere;
 /// the default here is smaller so that the benchmark harness trains in
@@ -83,40 +85,23 @@ pub struct ActionRecord {
 pub struct PolicyNetwork {
     env_config: EnvConfig,
     hyper: PolicyHyperparams,
-    lstm: Lstm,
-    backbone: Mlp,
-    transformation_head: Linear,
-    tiling_head: Linear,
-    parallelization_head: Linear,
-    fusion_head: Linear,
-    interchange_head: Linear,
+    trunk: Trunk,
+    /// One linear layer per [`Head`], in [`Head`] order.
+    heads: [Linear; 5],
     /// Reusable batch-1 decoding buffers for [`PolicyNetwork::select_action`]
     /// and [`PolicyNetwork::rank_actions`].
     head_scratch: Scratch<DecodeHeads>,
     /// Batched head outputs of pending [`PolicyNetwork::evaluate_batch`]
     /// calls, consumed by [`PolicyNetwork::backward_batch`].
     pending_batches: Scratch<Vec<HeadBatch>>,
-    /// Reusable LSTM step tensors for the training batches: the packed
-    /// producer/consumer rows are copied into these instead of freshly
-    /// allocated tensors, so PPO minibatches reuse one arena.
-    step_scratch: Scratch<[Tensor2; 2]>,
 }
 
-/// Per-head logits of one forward pass (training mode keeps them to build
-/// gradients).
-#[derive(Debug, Clone, Default)]
-struct HeadOutputs {
-    transformation: Vec<f64>,
-    tiling: Vec<f64>,
-    parallelization: Vec<f64>,
-    fusion: Vec<f64>,
-    interchange: Vec<f64>,
-}
-
-/// The heads [`PolicyNetwork::decide`] may read after the transformation
-/// head, in the order of [`DecodeHeads::ready`].
+/// The policy's heads, in construction, parameter and gradient-summation
+/// order: transformation selection, one tile-size head per tiled
+/// transformation, and the interchange head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Head {
+    Transformation,
     Tiling,
     Parallelization,
     Fusion,
@@ -134,6 +119,14 @@ impl Head {
     }
 }
 
+/// Per-head logits of one forward pass, indexed by [`Head`] (training mode
+/// keeps them to build gradients).
+type HeadOutputs = [Vec<f64>; 5];
+
+/// Per-head logits of one **batched** forward pass, indexed by [`Head`]:
+/// one row per observation in each tensor.
+type HeadBatch = [Tensor2; 5];
+
 /// The head logits one decision reads. A decision reads the
 /// transformation head and then at most one other: the chosen tiled kind's
 /// tile head or the interchange head. Decoding therefore computes the
@@ -145,78 +138,7 @@ struct DecodeHeads {
     z: Vec<f64>,
     logits: HeadOutputs,
     /// Whether each [`Head`]'s logits are this observation's.
-    ready: [bool; 4],
-}
-
-/// Per-head logits of one **batched** forward pass: one row per
-/// observation in each tensor.
-#[derive(Debug, Clone, Default)]
-struct HeadBatch {
-    transformation: Tensor2,
-    tiling: Tensor2,
-    parallelization: Tensor2,
-    fusion: Tensor2,
-    interchange: Tensor2,
-}
-
-impl HeadBatch {
-    /// Extracts observation `i`'s logits as a per-sample [`HeadOutputs`].
-    fn row_outputs(&self, i: usize) -> HeadOutputs {
-        HeadOutputs {
-            transformation: self.transformation.row(i).to_vec(),
-            tiling: self.tiling.row(i).to_vec(),
-            parallelization: self.parallelization.row(i).to_vec(),
-            fusion: self.fusion.row(i).to_vec(),
-            interchange: self.interchange.row(i).to_vec(),
-        }
-    }
-
-    /// A zero-filled batch with the same shapes.
-    fn zeros_like(&self) -> Self {
-        Self {
-            transformation: Tensor2::zeros(self.transformation.rows(), self.transformation.cols()),
-            tiling: Tensor2::zeros(self.tiling.rows(), self.tiling.cols()),
-            parallelization: Tensor2::zeros(
-                self.parallelization.rows(),
-                self.parallelization.cols(),
-            ),
-            fusion: Tensor2::zeros(self.fusion.rows(), self.fusion.cols()),
-            interchange: Tensor2::zeros(self.interchange.rows(), self.interchange.cols()),
-        }
-    }
-}
-
-/// Packs an observation batch into the two LSTM time-step tensors
-/// (producers first, consumers second — the same order the per-vector paths
-/// feed the embedding LSTM), copying the packed rows into existing step
-/// tensors: every network keeps one such pair as scratch, so PPO
-/// minibatches do not allocate two tensors per batch.
-pub(crate) fn lstm_step_tensors_into(batch: &ObservationBatch, steps: &mut [Tensor2; 2]) {
-    let rows = batch.len();
-    let cols = batch.feature_len();
-    steps[0].assign_flat(rows, cols, batch.producers());
-    steps[1].assign_flat(rows, cols, batch.consumers());
-}
-
-/// The embedding LSTM over one observation (producer first, consumer
-/// second) for inference, reading each vector as the list
-/// of non-zeros it is stored as: `O(non-zeros)` input memory and no dense
-/// view, bit-identical to the dense forms.
-pub(crate) fn embed_observation<'a>(lstm: &'a mut Lstm, obs: &Observation) -> &'a [f64] {
-    for features in [&obs.producer, &obs.consumer] {
-        assert_eq!(
-            features.len(),
-            lstm.input_size(),
-            "LSTM input size mismatch"
-        );
-    }
-    lstm.infer_nonzeros(&[obs.producer.nonzeros(), obs.consumer.nonzeros()])
-}
-
-/// An observation's two vectors as the owned dense sequence the
-/// `forward_inference` oracles take.
-pub(crate) fn dense_sequence(obs: &Observation) -> [Vec<f64>; 2] {
-    [obs.producer.to_vec(), obs.consumer.to_vec()]
+    ready: [bool; 5],
 }
 
 /// The shared candidate-ranking procedure behind
@@ -258,31 +180,21 @@ impl PolicyNetwork {
     /// Creates a policy for the given environment configuration.
     pub fn new<R: Rng>(env_config: EnvConfig, hyper: PolicyHyperparams, rng: &mut R) -> Self {
         env_config.validate();
-        let feature_len = env_config.feature_len();
-        let h = hyper.hidden_size;
-        let lstm = Lstm::new(feature_len, h, rng);
-        let mut sizes = vec![h];
-        sizes.extend(std::iter::repeat_n(h, hyper.backbone_layers));
-        let backbone = Mlp::new(&sizes, true, rng);
-        let n = env_config.max_loops;
-        let m = env_config.num_tile_candidates();
-        let interchange_out = match env_config.interchange_mode {
+        let trunk = Trunk::new(&env_config, hyper, rng);
+        let tiles = env_config.max_loops * env_config.num_tile_candidates();
+        let interchange = match env_config.interchange_mode {
             InterchangeMode::EnumeratedCandidates => env_config.num_enumerated_interchanges(),
-            InterchangeMode::LevelPointers => n,
+            InterchangeMode::LevelPointers => env_config.max_loops,
         };
+        let heads = [6, tiles, tiles, tiles, interchange]
+            .map(|outputs| Linear::new(hyper.hidden_size, outputs, rng));
         Self {
-            lstm,
-            backbone,
-            transformation_head: Linear::new(h, 6, rng),
-            tiling_head: Linear::new(h, n * m, rng),
-            parallelization_head: Linear::new(h, n * m, rng),
-            fusion_head: Linear::new(h, n * m, rng),
-            interchange_head: Linear::new(h, interchange_out, rng),
+            trunk,
+            heads,
             env_config,
             hyper,
             head_scratch: Scratch::default(),
             pending_batches: Scratch::default(),
-            step_scratch: Scratch::default(),
         }
     }
 
@@ -306,33 +218,22 @@ impl PolicyNetwork {
     /// left to [`PolicyNetwork::head_logits`] (bit-identical to the layers'
     /// `forward_inference` oracles).
     fn infer_heads(&mut self, obs: &Observation, out: &mut DecodeHeads) {
-        let embedding = embed_observation(&mut self.lstm, obs);
-        let z = self.backbone.infer(embedding);
+        let z = self.trunk.infer(obs);
         out.z.clear();
         out.z.extend_from_slice(z);
-        self.transformation_head
-            .infer_into(z, &mut out.logits.transformation);
-        out.ready = [false; 4];
+        out.ready = [false; 5];
+        self.head_logits(out, Head::Transformation);
     }
 
     /// `head`'s logits, computed from the kept backbone output on the
     /// first read.
     fn head_logits<'h>(&self, heads: &'h mut DecodeHeads, head: Head) -> &'h [f64] {
-        let (layer, logits) = match head {
-            Head::Tiling => (&self.tiling_head, &mut heads.logits.tiling),
-            Head::Parallelization => (
-                &self.parallelization_head,
-                &mut heads.logits.parallelization,
-            ),
-            Head::Fusion => (&self.fusion_head, &mut heads.logits.fusion),
-            Head::Interchange => (&self.interchange_head, &mut heads.logits.interchange),
-        };
-        let ready = &mut heads.ready[head as usize];
-        if !*ready {
-            layer.infer_into(&heads.z, logits);
-            *ready = true;
+        let i = head as usize;
+        if !heads.ready[i] {
+            self.heads[i].infer_into(&heads.z, &mut heads.logits[i]);
+            heads.ready[i] = true;
         }
-        logits
+        &heads.logits[i]
     }
 
     /// Batched training-mode forward pass over a packed observation batch:
@@ -341,25 +242,8 @@ impl PolicyNetwork {
     /// of every head tensor is bit-identical to [`PolicyNetwork::infer_heads`]
     /// on observation `i`.
     fn forward_heads_train_batch(&mut self, batch: &ObservationBatch) -> HeadBatch {
-        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
-        let embedding = self.lstm.forward_batch(&self.step_scratch.0);
-        let z = self.backbone.forward_batch(&embedding);
-        HeadBatch {
-            transformation: self.transformation_head.forward_batch(&z),
-            tiling: self.tiling_head.forward_batch(&z),
-            parallelization: self.parallelization_head.forward_batch(&z),
-            fusion: self.fusion_head.forward_batch(&z),
-            interchange: self.interchange_head.forward_batch(&z),
-        }
-    }
-
-    fn tile_head_logits(outputs: &HeadOutputs, kind: TransformationKind) -> &[f64] {
-        match kind {
-            TransformationKind::Tiling => &outputs.tiling,
-            TransformationKind::TiledParallelization => &outputs.parallelization,
-            TransformationKind::TiledFusion => &outputs.fusion,
-            _ => &outputs.tiling,
-        }
+        let z = self.trunk.forward_batch(batch);
+        self.heads.each_mut().map(|head| head.forward_batch(&z))
     }
 
     /// Samples (or, with `greedy`, takes the most probable) action for an
@@ -392,8 +276,10 @@ impl PolicyNetwork {
         let mask = &obs.mask;
 
         // 1. Transformation selection.
-        let kind_dist =
-            MaskedCategorical::new(&heads.logits.transformation, mask.transformation.as_ref());
+        let kind_dist = MaskedCategorical::new(
+            &heads.logits[Head::Transformation as usize],
+            mask.transformation.as_ref(),
+        );
         let kind_index = if greedy {
             kind_dist.argmax()
         } else {
@@ -508,7 +394,7 @@ impl PolicyNetwork {
         let heads = self.forward_heads_train_batch(batch);
         let mut out = Vec::with_capacity(items.len());
         for (i, (obs, record)) in items.iter().enumerate() {
-            let row = heads.row_outputs(i);
+            let row = heads.each_ref().map(|head| head.row(i).to_vec());
             let (log_prob, entropy, _) = self.log_prob_and_grads(obs, record, &row, 0.0, 0.0);
             out.push((log_prob, entropy));
         }
@@ -545,54 +431,32 @@ impl PolicyNetwork {
             .0
             .pop()
             .expect("backward_batch called without a matching evaluate_batch");
-        assert_eq!(items.len(), heads.transformation.rows(), "batch mismatch");
+        assert_eq!(items.len(), heads[0].rows(), "batch mismatch");
         assert_eq!(items.len(), coeffs.len(), "coefficient count mismatch");
-        let mut grads = heads.zeros_like();
+        let mut grads = heads
+            .each_ref()
+            .map(|head| Tensor2::zeros(head.rows(), head.cols()));
         for (i, ((obs, record), (coeff_logprob, coeff_entropy))) in
             items.iter().zip(coeffs).enumerate()
         {
-            let row = heads.row_outputs(i);
+            let row = heads.each_ref().map(|head| head.row(i).to_vec());
             let (_, _, g) =
                 self.log_prob_and_grads(obs, record, &row, *coeff_logprob, *coeff_entropy);
-            grads
-                .transformation
-                .row_mut(i)
-                .copy_from_slice(&g.transformation);
-            grads.tiling.row_mut(i).copy_from_slice(&g.tiling);
-            grads
-                .parallelization
-                .row_mut(i)
-                .copy_from_slice(&g.parallelization);
-            grads.fusion.row_mut(i).copy_from_slice(&g.fusion);
-            grads.interchange.row_mut(i).copy_from_slice(&g.interchange);
+            for (batch, g) in grads.iter_mut().zip(&g) {
+                batch.row_mut(i).copy_from_slice(g);
+            }
         }
 
         // Push gradients through the heads into the backbone embedding, head
-        // by head, starting from zeros.
-        let rows = items.len();
-        let h = self.hyper.hidden_size;
-        let mut grad_z = Tensor2::zeros(rows, h);
-        let add = |grad_z: &mut Tensor2, g: Tensor2| {
+        // by head in `Head` order, starting from zeros.
+        let mut grad_z = Tensor2::zeros(items.len(), self.hyper.hidden_size);
+        for (head, g) in self.heads.iter_mut().zip(&grads) {
+            let g = head.backward_batch(g);
             for (a, b) in grad_z.data_mut().iter_mut().zip(g.data()) {
                 *a += b;
             }
-        };
-        let g = self
-            .transformation_head
-            .backward_batch(&grads.transformation);
-        add(&mut grad_z, g);
-        let g = self.tiling_head.backward_batch(&grads.tiling);
-        add(&mut grad_z, g);
-        let g = self
-            .parallelization_head
-            .backward_batch(&grads.parallelization);
-        add(&mut grad_z, g);
-        let g = self.fusion_head.backward_batch(&grads.fusion);
-        add(&mut grad_z, g);
-        let g = self.interchange_head.backward_batch(&grads.interchange);
-        add(&mut grad_z, g);
-        let grad_embedding = self.backbone.backward_batch(&grad_z);
-        self.lstm.backward_params_batch(&grad_embedding);
+        }
+        self.trunk.backward_batch(&grad_z);
     }
 
     /// Ranks up to `k` distinct candidate actions for an observation (the
@@ -649,33 +513,24 @@ impl PolicyNetwork {
         let mask = &obs.mask;
         let kind = TransformationKind::from_index(record.kind_index);
 
-        let mut grads = HeadOutputs {
-            transformation: vec![0.0; outputs.transformation.len()],
-            tiling: vec![0.0; outputs.tiling.len()],
-            parallelization: vec![0.0; outputs.parallelization.len()],
-            fusion: vec![0.0; outputs.fusion.len()],
-            interchange: vec![0.0; outputs.interchange.len()],
-        };
+        let mut grads: HeadOutputs = outputs.each_ref().map(|head| vec![0.0; head.len()]);
 
         // Transformation head.
+        let transformation = Head::Transformation as usize;
         let kind_dist =
-            MaskedCategorical::new(&outputs.transformation, mask.transformation.as_ref());
+            MaskedCategorical::new(&outputs[transformation], mask.transformation.as_ref());
         let mut log_prob = kind_dist.log_prob(record.kind_index);
         let mut entropy = kind_dist.entropy();
         let lp_grad = kind_dist.log_prob_grad(record.kind_index);
         let ent_grad = kind_dist.entropy_grad();
-        for i in 0..grads.transformation.len() {
-            grads.transformation[i] = coeff_logprob * lp_grad[i] + coeff_entropy * ent_grad[i];
+        for (i, slot) in grads[transformation].iter_mut().enumerate() {
+            *slot = coeff_logprob * lp_grad[i] + coeff_entropy * ent_grad[i];
         }
 
+        let interchange = Head::Interchange as usize;
         if kind.is_tiled() && !record.tile_indices.is_empty() {
-            let logits = Self::tile_head_logits(outputs, kind);
-            let grad_slot: &mut Vec<f64> = match kind {
-                TransformationKind::Tiling => &mut grads.tiling,
-                TransformationKind::TiledParallelization => &mut grads.parallelization,
-                TransformationKind::TiledFusion => &mut grads.fusion,
-                _ => &mut grads.tiling,
-            };
+            let head = Head::tiles_of(kind) as usize;
+            let (logits, grad_slot) = (&outputs[head], &mut grads[head]);
             for (level, idx) in record.tile_indices.iter().enumerate().take(n) {
                 let head_level = level.min(self.env_config.max_loops - 1);
                 let level_logits = &logits[head_level * m..(head_level + 1) * m];
@@ -693,25 +548,25 @@ impl PolicyNetwork {
                 InterchangeMode::EnumeratedCandidates => {
                     if let Some(c) = record.interchange_candidate {
                         let num_candidates = num_enumerated_candidates(n).max(1);
-                        let len = num_candidates.min(outputs.interchange.len());
-                        let dist = MaskedCategorical::from_logits(&outputs.interchange[..len]);
+                        let len = num_candidates.min(outputs[interchange].len());
+                        let dist = MaskedCategorical::from_logits(&outputs[interchange][..len]);
                         log_prob += dist.log_prob(c);
                         entropy += dist.entropy();
                         let lp = dist.log_prob_grad(c);
                         let eg = dist.entropy_grad();
                         for j in 0..len {
-                            grads.interchange[j] = coeff_logprob * lp[j] + coeff_entropy * eg[j];
+                            grads[interchange][j] = coeff_logprob * lp[j] + coeff_entropy * eg[j];
                         }
                     }
                 }
                 InterchangeMode::LevelPointers => {
                     if let Some(perm) = &record.interchange_permutation {
-                        let len = n.min(outputs.interchange.len());
-                        let logits = &outputs.interchange[..len];
+                        let len = n.min(outputs[interchange].len());
+                        let logits = &outputs[interchange][..len];
                         let (lp, ent, grad) = permutation_log_prob(logits, perm);
                         log_prob += lp;
                         entropy += ent;
-                        for (slot, g) in grads.interchange[..len].iter_mut().zip(&grad) {
+                        for (slot, g) in grads[interchange][..len].iter_mut().zip(&grad) {
                             *slot = coeff_logprob * g + coeff_entropy * 0.0;
                         }
                     }
@@ -724,25 +579,18 @@ impl PolicyNetwork {
 
     /// Clears gradients and cached activations of every component.
     pub fn zero_grad(&mut self) {
-        self.lstm.zero_grad();
-        self.backbone.zero_grad();
-        self.transformation_head.zero_grad();
-        self.tiling_head.zero_grad();
-        self.parallelization_head.zero_grad();
-        self.fusion_head.zero_grad();
-        self.interchange_head.zero_grad();
+        self.trunk.zero_grad();
+        for head in &mut self.heads {
+            head.zero_grad();
+        }
         self.pending_batches.0.clear();
     }
 
-    /// All trainable parameters, in a stable order.
+    /// All trainable parameters, in a stable order: the trunk's, then each
+    /// head's in `Head` order.
     pub fn parameters_mut(&mut self) -> Vec<&mut Param> {
-        let mut out = self.lstm.parameters_mut();
-        out.extend(self.backbone.parameters_mut());
-        out.extend(self.transformation_head.parameters_mut());
-        out.extend(self.tiling_head.parameters_mut());
-        out.extend(self.parallelization_head.parameters_mut());
-        out.extend(self.fusion_head.parameters_mut());
-        out.extend(self.interchange_head.parameters_mut());
+        let mut out = self.trunk.parameters_mut();
+        out.extend(self.heads.iter_mut().flat_map(Linear::parameters_mut));
         out
     }
 }
@@ -874,7 +722,7 @@ mod tests {
             } else {
                 None
             };
-            let ready = ALL_HEADS.map(|head| Some(head) == read);
+            let ready = ALL_HEADS.map(|head| head == Head::Transformation || Some(head) == read);
             assert_eq!(p.head_scratch.0.ready, ready, "{kind}");
             kinds_seen.insert(record.kind_index);
         }
@@ -936,18 +784,12 @@ mod tests {
     /// reference paths: every zero multiplied, one accumulator chain per
     /// output, no tiling and no column lists.
     fn dense_oracle_heads(p: &PolicyNetwork, obs: &Observation) -> HeadOutputs {
-        let embedding = p.lstm.forward_inference(&dense_sequence(obs));
-        let z = p.backbone.forward_inference(&embedding);
-        HeadOutputs {
-            transformation: p.transformation_head.forward_inference(&z),
-            tiling: p.tiling_head.forward_inference(&z),
-            parallelization: p.parallelization_head.forward_inference(&z),
-            fusion: p.fusion_head.forward_inference(&z),
-            interchange: p.interchange_head.forward_inference(&z),
-        }
+        let z = p.trunk.forward_inference(obs);
+        p.heads.each_ref().map(|head| head.forward_inference(&z))
     }
 
-    const ALL_HEADS: [Head; 4] = [
+    const ALL_HEADS: [Head; 5] = [
+        Head::Transformation,
         Head::Tiling,
         Head::Parallelization,
         Head::Fusion,
@@ -965,23 +807,13 @@ mod tests {
         let mut complete = DecodeHeads {
             z: Vec::new(),
             logits: heads.clone(),
-            ready: [true; 4],
+            ready: [true; 5],
         };
         p.decide(obs, &mut complete, greedy, rng)
     }
 
     fn head_bits(heads: &HeadOutputs) -> Vec<u64> {
-        [
-            &heads.transformation,
-            &heads.tiling,
-            &heads.parallelization,
-            &heads.fusion,
-            &heads.interchange,
-        ]
-        .into_iter()
-        .flatten()
-        .map(|v| v.to_bits())
-        .collect()
+        heads.iter().flatten().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -1012,7 +844,8 @@ mod tests {
             let mut got = DecodeHeads::default();
             p.infer_heads(obs, &mut got);
             assert_eq!(
-                got.ready, [false; 4],
+                got.ready,
+                [true, false, false, false, false],
                 "only the transformation head up front"
             );
             for head in ALL_HEADS {

@@ -367,7 +367,8 @@ pub struct Trajectory {
 }
 
 /// Collects one episode on `module` with the given policy and value
-/// networks.
+/// networks. It ends within `ops x (max_schedule_len + 2)` steps
+/// ([`OptimizationEnv::step`]).
 pub fn collect_episode<P: PolicyModel>(
     env: &mut OptimizationEnv,
     module: &Module,
@@ -378,9 +379,6 @@ pub fn collect_episode<P: PolicyModel>(
 ) -> Trajectory {
     let mut transitions = Vec::new();
     let mut obs = env.reset(module.clone());
-    // Guard against malformed modules producing endless episodes.
-    let max_steps = (module.ops().len() + 1) * (env.config().max_schedule_len + 3);
-    let mut steps = 0;
     while let Some(current) = obs {
         let record = policy.select_action(&current, greedy, rng);
         let v = value.predict_fast(&current);
@@ -392,10 +390,6 @@ pub fn collect_episode<P: PolicyModel>(
             value: v,
             done: outcome.done,
         });
-        steps += 1;
-        if steps > max_steps {
-            break;
-        }
         obs = env.current_observation();
     }
     let stats = env.stats();
@@ -733,11 +727,16 @@ impl Update<'_> {
     /// batched forward and one batched backward per layer per minibatch
     /// (the stacked activations mean the backward pass never re-runs the
     /// forward network).
+    ///
+    /// Neither chain calls `zero_grad`: each `backward_batch` pops the
+    /// caches its forward pushed, and the gradients it accumulates into read
+    /// `+0.0` (or are not materialised yet) before every minibatch —
+    /// [`Adam::clip_and_step`] clears them, and a network fresh from `new`,
+    /// a clone or the previous iteration starts that way.
     fn policy_chain<P: PolicyModel>(&self, policy: &mut P, optimizer: &mut Adam) -> PolicySums {
         let config = self.config;
         let mut sums = PolicySums::default();
         for chunk in self.minibatches() {
-            policy.zero_grad();
             let scale = 1.0 / chunk.len() as f64;
             let items: Vec<(&Observation, &ActionRecord)> = chunk
                 .iter()
@@ -778,7 +777,6 @@ impl Update<'_> {
         let config = self.config;
         let mut value_loss = 0.0;
         for chunk in self.minibatches() {
-            value.zero_grad();
             let scale = 1.0 / chunk.len() as f64;
             let values = value.forward_batch(&self.pack(chunk));
             let mut grads: Vec<f64> = Vec::with_capacity(chunk.len());
@@ -979,25 +977,6 @@ impl<P: PolicyModel> PpoTrainer<P> {
             self.train_iteration(env, dataset);
         }
         self.history.clone()
-    }
-
-    /// Greedily optimizes each module with the current policy and returns
-    /// the per-module episode statistics.
-    pub fn evaluate(&mut self, env: &mut OptimizationEnv, modules: &[Module]) -> Vec<EpisodeStats> {
-        modules
-            .iter()
-            .map(|m| {
-                collect_episode(
-                    env,
-                    m,
-                    &mut self.policy,
-                    &mut self.value,
-                    true,
-                    &mut self.rng,
-                )
-                .stats
-            })
-            .collect()
     }
 }
 
@@ -1406,6 +1385,16 @@ mod tests {
         assert!(stats.entropy >= 0.0);
         assert!(stats.evaluations > 0);
         assert_eq!(trainer.history().len(), 1);
+        // The update leaves no gradient behind, which is what lets the
+        // chains skip `zero_grad`: every value is unmaterialised or `+0.0`.
+        let mut params = trainer.policy.parameters_mut();
+        params.extend(trainer.value.parameters_mut());
+        for (i, param) in params.iter().enumerate() {
+            assert!(
+                param.grad().iter().all(|g| g.to_bits() == 0),
+                "parameter {i} holds a gradient after the update"
+            );
+        }
     }
 
     #[test]
@@ -1430,12 +1419,19 @@ mod tests {
             best_late > first * 0.8,
             "training must not collapse: first {first}, best later {best_late}"
         );
-        // Greedy evaluation after training produces finite speedups.
-        let eval = trainer.evaluate(&mut env, &dataset);
-        assert_eq!(eval.len(), dataset.len());
-        assert!(eval
-            .iter()
-            .all(|e| e.speedup.is_finite() && e.speedup > 0.0));
+        // Greedy episodes after training produce finite speedups.
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        for module in &dataset {
+            let greedy = collect_episode(
+                &mut env,
+                module,
+                &mut trainer.policy,
+                &mut trainer.value,
+                true,
+                &mut rng,
+            );
+            assert!(greedy.stats.speedup.is_finite() && greedy.stats.speedup > 0.0);
+        }
     }
 
     /// The parent's `train_iteration`, verbatim: one loop that interleaves

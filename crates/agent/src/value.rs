@@ -1,44 +1,35 @@
 //! The critic (value network, Sec. V-B).
 //!
 //! The first two components are identical to the policy network (the
-//! producer-consumer LSTM embedding and the ReLU backbone); a final linear
-//! layer with a single output estimates the state value `v_pi(s)`.
+//! producer-consumer LSTM embedding and the ReLU backbone, one `Trunk`);
+//! a final linear layer with a single output estimates the state value
+//! `v_pi(s)`.
 
 use rand::Rng;
 
 use mlir_rl_env::{EnvConfig, Observation, ObservationBatch};
-use mlir_rl_nn::{Linear, Lstm, Mlp, Param, Scratch, Tensor2};
+use mlir_rl_nn::{Linear, Param, Scratch, Tensor2};
 
-use crate::policy::{dense_sequence, embed_observation, lstm_step_tensors_into, PolicyHyperparams};
+use crate::policy::PolicyHyperparams;
+use crate::trunk::Trunk;
 
 /// The value network.
 #[derive(Debug, Clone)]
 pub struct ValueNetwork {
-    lstm: Lstm,
-    backbone: Mlp,
+    trunk: Trunk,
     head: Linear,
     /// Reusable one-element output buffer for [`ValueNetwork::predict_fast`].
     infer_out: Scratch<Vec<f64>>,
-    /// Reusable LSTM step tensors for the training batches.
-    step_scratch: Scratch<[Tensor2; 2]>,
 }
 
 impl ValueNetwork {
     /// Creates a value network for the given environment configuration.
     pub fn new<R: Rng>(env_config: &EnvConfig, hyper: PolicyHyperparams, rng: &mut R) -> Self {
-        let feature_len = env_config.feature_len();
-        let h = hyper.hidden_size;
-        let lstm = Lstm::new(feature_len, h, rng);
-        let mut sizes = vec![h];
-        sizes.extend(std::iter::repeat_n(h, hyper.backbone_layers));
-        let backbone = Mlp::new(&sizes, true, rng);
-        let head = Linear::new(h, 1, rng);
+        let trunk = Trunk::new(env_config, hyper, rng);
         Self {
-            lstm,
-            backbone,
-            head,
+            trunk,
+            head: Linear::new(hyper.hidden_size, 1, rng),
             infer_out: Scratch::default(),
-            step_scratch: Scratch::default(),
         }
     }
 
@@ -47,17 +38,15 @@ impl ValueNetwork {
     /// [`ValueNetwork::predict_fast`] is tested bit for bit against, not a
     /// hot path.
     pub fn predict(&self, obs: &Observation) -> f64 {
-        let embedding = self.lstm.forward_inference(&dense_sequence(obs));
-        let z = self.backbone.forward_inference(&embedding);
-        self.head.forward_inference(&z)[0]
+        self.head
+            .forward_inference(&self.trunk.forward_inference(obs))[0]
     }
 
     /// Allocation-free twin of [`ValueNetwork::predict`] using internal
     /// scratch buffers; bit-identical results. This is the path the rollout
     /// engine uses.
     pub fn predict_fast(&mut self, obs: &Observation) -> f64 {
-        let embedding = embed_observation(&mut self.lstm, obs);
-        let z = self.backbone.infer(embedding);
+        let z = self.trunk.infer(obs);
         self.head.infer_into(z, &mut self.infer_out.0);
         self.infer_out.0[0]
     }
@@ -67,9 +56,7 @@ impl ValueNetwork {
     /// [`ValueNetwork::backward_batch`]. Entry `i` is bit-identical to
     /// [`ValueNetwork::predict`] on observation `i`.
     pub fn forward_batch(&mut self, batch: &ObservationBatch) -> Vec<f64> {
-        lstm_step_tensors_into(batch, &mut self.step_scratch.0);
-        let embedding = self.lstm.forward_batch(&self.step_scratch.0);
-        let z = self.backbone.forward_batch(&embedding);
+        let z = self.trunk.forward_batch(batch);
         self.head.forward_batch(&z).into_flat()
     }
 
@@ -85,21 +72,18 @@ impl ValueNetwork {
     pub fn backward_batch(&mut self, grad_values: &[f64]) {
         let g = Tensor2::from_flat(grad_values.len(), 1, grad_values.to_vec());
         let grad_z = self.head.backward_batch(&g);
-        let grad_embedding = self.backbone.backward_batch(&grad_z);
-        self.lstm.backward_params_batch(&grad_embedding);
+        self.trunk.backward_batch(&grad_z);
     }
 
     /// Clears gradients and caches.
     pub fn zero_grad(&mut self) {
-        self.lstm.zero_grad();
-        self.backbone.zero_grad();
+        self.trunk.zero_grad();
         self.head.zero_grad();
     }
 
     /// All trainable parameters, in a stable order.
     pub fn parameters_mut(&mut self) -> Vec<&mut Param> {
-        let mut out = self.lstm.parameters_mut();
-        out.extend(self.backbone.parameters_mut());
+        let mut out = self.trunk.parameters_mut();
         out.extend(self.head.parameters_mut());
         out
     }

@@ -581,6 +581,13 @@ impl OptimizationEnv {
     /// but still consume a step; a tiled parallelization whose outermost
     /// tiled loop is a reduction is downgraded to plain tiling, mirroring
     /// how `scf.forall` tiling skips reduction dimensions.
+    ///
+    /// Every step counts against the current op, and the op is finished
+    /// after at most `max_schedule_len + 2` of them, legal or not; the
+    /// cursor never returns to a finished op. An episode therefore ends
+    /// within `ops x (max_schedule_len + 2)` steps, whatever the actions,
+    /// and a caller stepping until [`Self::current_observation`] reads
+    /// `None` needs no bound of its own.
     pub fn step(&mut self, action: &Action) -> StepOutcome {
         if self.episode_done() || self.episode.scheduled.is_none() {
             return StepOutcome {
@@ -1243,29 +1250,61 @@ mod tests {
     fn the_mask_alone_matches_the_observation_and_ends_with_the_episode() {
         for config in [EnvConfig::paper(), EnvConfig::small()] {
             let mut e = OptimizationEnv::new(config, CostModel::new(MachineModel::default()));
-            let (mut steps, mut applied) = (0usize, 0usize);
+            // A tiling of the wrong arity: never applied, always a step.
+            let illegal = |mask: &ActionMask| Action::Tiling {
+                tile_indices: vec![0; mask.num_loops() + 1],
+            };
+            let (mut steps, mut applied, mut refused) = (0usize, 0usize, 0usize);
             for (index, module) in walk_modules().into_iter().enumerate() {
+                // The bound `step` documents, which callers rely on
+                // instead of a guard of their own.
+                let bound = module.ops().len() * (e.config().max_schedule_len + 2);
                 for seed in 0..8u64 {
                     let mut state = seed << 32 | index as u64;
                     let mut obs = e.reset(module.clone());
                     assert_eq!(obs, e.current_observation());
+                    let mut episode_steps = 0;
                     while let Some(current) = obs {
                         let mask = e.current_mask().expect("live episode has a mask");
                         assert_eq!(mask, current.mask);
                         assert_eq!(mask.num_loops(), current.num_loops);
-                        let out = e.step(&masked_action(&mask, &mut state));
+                        // Odd seeds put an illegal action at every third step.
+                        let out = if seed % 2 == 1 && episode_steps % 3 == 2 {
+                            let out = e.step(&illegal(&mask));
+                            assert!(!out.applied);
+                            refused += 1;
+                            out
+                        } else {
+                            e.step(&masked_action(&mask, &mut state))
+                        };
                         steps += 1;
+                        episode_steps += 1;
                         applied += usize::from(out.applied);
                         obs = e.current_observation();
                         assert_eq!(e.current_mask().is_none(), out.done);
                         assert_eq!(obs.is_none(), out.done);
                     }
+                    assert!(episode_steps <= bound, "{episode_steps} > {bound}");
                     // Stepping a finished episode stays done and unobserved.
                     assert!(e.step(&Action::NoTransformation).done);
                     assert_eq!((e.current_mask(), e.current_observation()), (None, None));
                 }
+                // Only illegal actions: nothing applies, so every op takes
+                // all its steps and the episode reaches the bound exactly.
+                e.reset(module.clone());
+                let mut episode_steps = 0;
+                while let Some(mask) = e.current_mask() {
+                    assert!(!e.step(&illegal(&mask)).applied);
+                    episode_steps += 1;
+                }
+                assert_eq!(episode_steps, bound);
             }
-            assert_eq!(applied, steps, "the mask allowed every drawn action");
+            assert!(refused > 0);
+            assert_eq!(
+                applied + refused,
+                steps,
+                "the mask allowed every drawn action"
+            );
         }
     }
 

@@ -12,8 +12,7 @@ use mlir_rl_obs::EventKind;
 
 use crate::greedy::greedy_rollout;
 use crate::searcher::{
-    finish_outcome, max_episode_steps, reseed_for_search, BestFound, LookupMeter, SearchOutcome,
-    Searcher, StopToken,
+    finish_outcome, reseed_for_search, BestFound, LookupMeter, SearchOutcome, Searcher, StopToken,
 };
 
 /// Beam search over the schedule space.
@@ -109,12 +108,11 @@ impl<P: PolicyModel> Searcher<P> for BeamSearch {
             Vec::new()
         };
 
-        let max_depth = max_episode_steps(env, &module);
+        // An episode ends within `ops x (max_schedule_len + 2)` steps
+        // (`OptimizationEnv::step`), so every beam dies out.
         let probe = env.probe().clone();
-        for depth in 0..max_depth {
-            if beams.is_empty() || stop.stops() {
-                break;
-            }
+        let mut depth = 0;
+        while !beams.is_empty() && !stop.stops() {
             probe.emit(
                 EventKind::BeamDepth,
                 None,
@@ -169,6 +167,7 @@ impl<P: PolicyModel> Searcher<P> for BeamSearch {
             });
             children.truncate(self.width);
             beams = children;
+            depth += 1;
         }
 
         finish_outcome(

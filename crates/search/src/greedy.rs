@@ -11,8 +11,7 @@ use mlir_rl_ir::Module;
 use mlir_rl_obs::EventKind;
 
 use crate::searcher::{
-    finish_outcome, max_episode_steps, reseed_for_search, BestFound, LookupMeter, SearchOutcome,
-    Searcher, StopToken,
+    finish_outcome, reseed_for_search, BestFound, LookupMeter, SearchOutcome, Searcher, StopToken,
 };
 
 /// Greedy decoding: one episode taking the policy's most probable action at
@@ -42,7 +41,6 @@ pub(crate) fn greedy_rollout<P: PolicyModel>(
     module: &Arc<Module>,
     rng: &mut ChaCha8Rng,
 ) -> GreedyRollout {
-    let max_steps = max_episode_steps(env, module);
     let probe = env.probe().clone();
     let mut obs = env.reset(Arc::clone(module));
     let baseline_s = env.peek_time_s();
@@ -57,9 +55,6 @@ pub(crate) fn greedy_rollout<P: PolicyModel>(
             [actions.len() as u64, op, outcome.applied as u64],
         );
         actions.push(record.action);
-        if actions.len() > max_steps {
-            break;
-        }
         obs = env.current_observation();
     }
     let steps = actions.len();

@@ -12,8 +12,7 @@ use mlir_rl_ir::Module;
 use mlir_rl_obs::EventKind;
 
 use crate::searcher::{
-    finish_outcome, max_episode_steps, reseed_for_search, BestFound, LookupMeter, SearchOutcome,
-    Searcher, StopToken,
+    finish_outcome, reseed_for_search, BestFound, LookupMeter, SearchOutcome, Searcher, StopToken,
 };
 
 /// UCT over the schedule tree, AlphaZero-style: expansion is guided by
@@ -170,7 +169,6 @@ impl<P: PolicyModel> Searcher<P> for Mcts {
         reseed_for_search(env, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut nodes_expanded = 0usize;
-        let max_steps = max_episode_steps(env, &module);
 
         let root_obs = env.reset(Arc::clone(&module));
         // The noise-free estimate of the empty schedule is both the
@@ -308,9 +306,6 @@ impl<P: PolicyModel> Searcher<P> for Mcts {
                 env.step(&record.action);
                 playout_actions.push(record.action);
                 nodes_expanded += 1;
-                if playout_actions.len() > max_steps {
-                    break;
-                }
                 obs = env.current_observation();
             }
             let final_s = env.peek_time_s();

@@ -16,8 +16,7 @@ use mlir_rl_obs::EventKind;
 use mlir_rl_transforms::TransformationKind;
 
 use crate::searcher::{
-    finish_outcome, max_episode_steps, reseed_for_search, BestFound, LookupMeter, SearchOutcome,
-    Searcher, StopToken,
+    finish_outcome, reseed_for_search, BestFound, LookupMeter, SearchOutcome, Searcher, StopToken,
 };
 
 /// Uniform-random search over the *masked* action space: `episodes` full
@@ -125,7 +124,6 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
         reseed_for_search(env, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut nodes = 0usize;
-        let max_steps = max_episode_steps(env, &module);
         let config = env.config().clone();
 
         let probe = env.probe().clone();
@@ -150,9 +148,6 @@ impl<P: PolicyModel> Searcher<P> for RandomSearch {
                 env.step(&action);
                 actions.push(action);
                 nodes += 1;
-                if actions.len() > max_steps {
-                    break;
-                }
             }
             let final_s = env.peek_time_s();
             if final_s < best_s {

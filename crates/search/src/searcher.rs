@@ -200,12 +200,6 @@ pub trait Searcher<P: PolicyModel>: Send + Sync {
     }
 }
 
-/// Upper bound on episode length (guards against malformed modules), the
-/// same bound the rollout engine uses.
-pub(crate) fn max_episode_steps(env: &OptimizationEnv, module: &Module) -> usize {
-    (module.ops().len() + 1) * (env.config().max_schedule_len + 3)
-}
-
 /// Puts the environment's measurement-noise stream (when configured) in a
 /// canonical per-search state derived from the search seed, the same way
 /// the rollout engine reseeds per episode — so a search is deterministic in

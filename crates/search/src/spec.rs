@@ -127,12 +127,14 @@ impl SearchSpec {
     /// pure function of `(spec, env, module)`, never of load, cache warmth
     /// or worker count, which is what makes admission decisions derived
     /// from it reproducible for a fixed submission sequence. The formulas
-    /// bound each searcher by its episode budget times the driver's
-    /// episode-length bound; they deliberately over-reserve (refunds are
-    /// cheap, blown ledgers are not).
+    /// bound each searcher by its episode budget times a per-episode lookup
+    /// bound; they deliberately over-reserve (refunds are cheap, blown
+    /// ledgers are not).
     pub fn cost_estimate(&self, env: &EnvConfig, module: &Module) -> u64 {
-        // The same malformed-module-tolerant bound `max_episode_steps`
-        // uses, plus one lookup for the baseline estimate.
+        // Per episode `(ops + 1) x (max_schedule_len + 3)` lookups: above
+        // the `ops x (max_schedule_len + 2)` steps an episode can take
+        // (`OptimizationEnv::step`), plus one lookup for the baseline
+        // estimate.
         let episode = ((module.ops().len() as u64).saturating_add(1))
             .saturating_mul(env.max_schedule_len as u64 + 3);
         let estimate = match self {

@@ -10,10 +10,11 @@ is the census's own (`strip_code`, `test_spans`), so both scripts read a
 file the same way. A line counts when its first non-blank character is code
 outside a test block.
 
-Run: `python3 scripts/program_lines.py [ROOT]` counts the checkout at ROOT
-(default: this script's repository) and prints one `crate  lines` row per
-crate, then the total. Run it on a parent checkout and on a change to report
-the change's net program lines. Always exits 0.
+Run: `python3 scripts/program_lines.py [--base BASE] [ROOT]` counts the
+checkout at ROOT (default: this script's repository) and prints one `crate
+lines` row per crate, then the total. With `--base`, it also counts the
+checkout at BASE (a parent commit) and prints `crate  base -> root  delta`
+rows instead: a change's net program lines. Always exits 0.
 """
 
 import pathlib
@@ -49,16 +50,30 @@ def crate_lines(src):
     )
 
 
-def main():
-    root = pathlib.Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else ROOT
+def counts(root):
+    """Program lines per crate of the checkout at `root`, in print order."""
     crates = [(src.parent.name, src) for src in sorted((root / "crates").glob("*/src"))]
     crates.append(("mlir-rl", root / "src"))
-    total = 0
-    for name, src in crates:
-        lines = crate_lines(src)
-        total += lines
-        print(f"{name:<12} {lines:>6}")
-    print(f"{'total':<12} {total:>6}")
+    return {name: crate_lines(src) for name, src in crates}
+
+
+def main():
+    args = sys.argv[1:]
+    base = None
+    if args[:1] == ["--base"] and len(args) > 1:
+        base = counts(pathlib.Path(args[1]).resolve())
+        args = args[2:]
+    change = counts(pathlib.Path(args[0]).resolve() if args else ROOT)
+    if base is None:
+        for name, lines in change.items():
+            print(f"{name:<12} {lines:>6}")
+        print(f"{'total':<12} {sum(change.values()):>6}")
+        return 0
+    names = list(base) + [name for name in change if name not in base]
+    rows = [(name, base.get(name, 0), change.get(name, 0)) for name in names]
+    rows.append(("total", sum(base.values()), sum(change.values())))
+    for name, before, after in rows:
+        print(f"{name:<12} {before:>6} -> {after:>6}  {after - before:+d}")
     return 0
 
 
