@@ -32,10 +32,11 @@ pub struct FlatPolicyNetwork {
     head: Linear,
     /// Reusable logits buffer for rollout-time action selection.
     logits_scratch: Scratch<Vec<f64>>,
-    /// Batched logits of pending `evaluate_batch` calls, consumed by
-    /// `backward_batch` so the backward pass never re-runs the forward
-    /// network.
-    pending_batches: Scratch<Vec<Tensor2>>,
+    /// What pending `evaluate_batch` calls kept for `backward_batch`, one
+    /// entry per call: each item's `d log_prob / d logits` and `d entropy /
+    /// d logits` (one row per item), so the backward pass re-runs neither
+    /// the forward network nor a distribution.
+    pending_batches: Scratch<Vec<[Tensor2; 2]>>,
 }
 
 impl FlatPolicyNetwork {
@@ -104,11 +105,11 @@ impl FlatPolicyNetwork {
         [logits, oracle]
     }
 
-    /// Batched training-mode logits: one blocked matmul per layer, caching
-    /// every layer's activations for the backward pass; row `i` is
-    /// bit-identical to [`FlatPolicyNetwork::infer_logits`] on observation
-    /// `i`.
-    fn logits_train_batch(&mut self, batch: &ObservationBatch) -> Tensor2 {
+    /// Batched training-mode logits: the trunk's forward pass, then one
+    /// blocked matmul for the head, caching every layer's activations for
+    /// the backward pass; row `i` is bit-identical to
+    /// [`FlatPolicyNetwork::infer_logits`] on observation `i`.
+    fn logits_train_batch(&mut self, batch: &ObservationBatch<'_>) -> Tensor2 {
         let z = self.trunk.forward_batch(batch);
         self.head.forward_batch(&z)
     }
@@ -189,10 +190,10 @@ impl PolicyModel for FlatPolicyNetwork {
 
     fn evaluate_batch(
         &mut self,
-        batch: &ObservationBatch,
+        batch: &ObservationBatch<'_>,
         items: &[(&Observation, &ActionRecord)],
     ) -> Vec<(f64, f64)> {
-        assert_eq!(batch.len(), items.len(), "packed batch size mismatch");
+        assert_eq!(batch.len(), items.len(), "batch size mismatch");
         if items.is_empty() {
             // Nothing evaluated, nothing pushed: the matching
             // `backward_batch` is a no-op, so the pending stack stays
@@ -200,13 +201,16 @@ impl PolicyModel for FlatPolicyNetwork {
             return Vec::new();
         }
         let logits = self.logits_train_batch(batch);
+        let mut factors = [(); 2].map(|()| Tensor2::zeros(0, logits.cols()));
         let mut out = Vec::with_capacity(items.len());
         for (i, (obs, record)) in items.iter().enumerate() {
             let mask = self.flat_mask(obs);
             let dist = MaskedCategorical::new(logits.row(i), &mask);
             out.push((dist.log_prob(record.kind_index), dist.entropy()));
+            factors[0].push_row(&dist.log_prob_grad(record.kind_index));
+            factors[1].push_row(&dist.entropy_grad());
         }
-        self.pending_batches.0.push(logits);
+        self.pending_batches.0.push(factors);
         out
     }
 
@@ -215,21 +219,17 @@ impl PolicyModel for FlatPolicyNetwork {
             assert!(coeffs.is_empty(), "coefficient count mismatch");
             return;
         }
-        let logits = self
+        let [dlogp, dh] = self
             .pending_batches
             .0
             .pop()
             .expect("backward_batch called without a matching evaluate_batch");
-        assert_eq!(items.len(), logits.rows(), "batch mismatch");
-        let mut grads = Tensor2::zeros(logits.rows(), logits.cols());
-        for (i, ((obs, record), (coeff_logprob, coeff_entropy))) in
-            items.iter().zip(coeffs).enumerate()
-        {
-            let mask = self.flat_mask(obs);
-            let dist = MaskedCategorical::new(logits.row(i), &mask);
-            let lp = dist.log_prob_grad(record.kind_index);
-            let eg = dist.entropy_grad();
-            for (slot, (l, e)) in grads.row_mut(i).iter_mut().zip(lp.iter().zip(&eg)) {
+        assert_eq!(items.len(), dlogp.rows(), "batch mismatch");
+        assert_eq!(items.len(), coeffs.len(), "coefficient count mismatch");
+        let mut grads = Tensor2::zeros(dlogp.rows(), dlogp.cols());
+        for (i, (coeff_logprob, coeff_entropy)) in coeffs.iter().enumerate() {
+            let factors = dlogp.row(i).iter().zip(dh.row(i));
+            for (slot, (l, e)) in grads.row_mut(i).iter_mut().zip(factors) {
                 *slot = coeff_logprob * l + coeff_entropy * e;
             }
         }

@@ -91,9 +91,9 @@ pub struct PolicyNetwork {
     /// Reusable batch-1 decoding buffers for [`PolicyNetwork::select_action`]
     /// and [`PolicyNetwork::rank_actions`].
     head_scratch: Scratch<DecodeHeads>,
-    /// Batched head outputs of pending [`PolicyNetwork::evaluate_batch`]
-    /// calls, consumed by [`PolicyNetwork::backward_batch`].
-    pending_batches: Scratch<Vec<HeadBatch>>,
+    /// The logit gradients pending [`PolicyNetwork::evaluate_batch`] calls
+    /// kept for [`PolicyNetwork::backward_batch`], one entry per call.
+    pending_batches: Scratch<Vec<LogitFactors>>,
 }
 
 /// The policy's heads, in construction, parameter and gradient-summation
@@ -126,6 +126,43 @@ type HeadOutputs = [Vec<f64>; 5];
 /// Per-head logits of one **batched** forward pass, indexed by [`Head`]:
 /// one row per observation in each tensor.
 type HeadBatch = [Tensor2; 5];
+
+/// One stretch of an item's head row that one of its distributions covers:
+/// the logit gradients of that distribution are written there, or added
+/// there when several tile levels share a head row.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    item: usize,
+    head: Head,
+    start: usize,
+    len: usize,
+    accumulate: bool,
+}
+
+/// The logit gradients [`PolicyNetwork::evaluate_batch`] keeps for the
+/// matching [`PolicyNetwork::backward_batch`]: per segment, in evaluation
+/// order, its distribution's `d log_prob / d logits` and `d entropy /
+/// d logits`, back to back in `dlogp` / `dh`. The backward pass only
+/// weighs them with the item's coefficients, so no distribution is built
+/// twice.
+#[derive(Debug, Clone, Default)]
+struct LogitFactors {
+    /// Items evaluated.
+    rows: usize,
+    segments: Vec<Segment>,
+    dlogp: Vec<f64>,
+    dh: Vec<f64>,
+}
+
+impl LogitFactors {
+    /// Records one segment's factors (of equal length).
+    fn push(&mut self, segment: Segment, dlogp: &[f64], dh: &[f64]) {
+        debug_assert!(dlogp.len() == segment.len && dh.len() == segment.len);
+        self.segments.push(segment);
+        self.dlogp.extend_from_slice(dlogp);
+        self.dh.extend_from_slice(dh);
+    }
+}
 
 /// The head logits one decision reads. A decision reads the
 /// transformation head and then at most one other: the chosen tiled kind's
@@ -236,12 +273,12 @@ impl PolicyNetwork {
         &heads.logits[i]
     }
 
-    /// Batched training-mode forward pass over a packed observation batch:
-    /// one blocked matmul per layer for the whole batch, caching every
-    /// layer's activations for [`PolicyNetwork::backward_batch`]. Row `i`
+    /// Batched training-mode forward pass over an observation batch (the
+    /// trunk's, then one blocked matmul per head), caching every layer's
+    /// activations for [`PolicyNetwork::backward_batch`]. Row `i`
     /// of every head tensor is bit-identical to [`PolicyNetwork::infer_heads`]
     /// on observation `i`.
-    fn forward_heads_train_batch(&mut self, batch: &ObservationBatch) -> HeadBatch {
+    fn forward_heads_train_batch(&mut self, batch: &ObservationBatch<'_>) -> HeadBatch {
         let z = self.trunk.forward_batch(batch);
         self.heads.each_mut().map(|head| head.forward_batch(&z))
     }
@@ -375,16 +412,17 @@ impl PolicyNetwork {
 
     /// Recomputes the log-probabilities and entropies of a minibatch of
     /// stored actions under the *current* parameters through one batched
-    /// forward pass per layer, caching the batch for
-    /// [`PolicyNetwork::backward_batch`]. `batch` must pack the items'
+    /// forward pass per layer, caching the batch — activations, and each
+    /// distribution's logit gradients — for
+    /// [`PolicyNetwork::backward_batch`]. `batch` must hold the items'
     /// observations in order. Bit-identical, entry for entry, to one call
     /// per item.
     pub fn evaluate_batch(
         &mut self,
-        batch: &ObservationBatch,
+        batch: &ObservationBatch<'_>,
         items: &[(&Observation, &ActionRecord)],
     ) -> Vec<(f64, f64)> {
-        assert_eq!(batch.len(), items.len(), "packed batch size mismatch");
+        assert_eq!(batch.len(), items.len(), "batch size mismatch");
         if items.is_empty() {
             // Nothing to evaluate and nothing pushed onto the pending
             // stack; the matching `backward_batch` call is a no-op too, so
@@ -392,13 +430,19 @@ impl PolicyNetwork {
             return Vec::new();
         }
         let heads = self.forward_heads_train_batch(batch);
-        let mut out = Vec::with_capacity(items.len());
-        for (i, (obs, record)) in items.iter().enumerate() {
-            let row = heads.each_ref().map(|head| head.row(i).to_vec());
-            let (log_prob, entropy, _) = self.log_prob_and_grads(obs, record, &row, 0.0, 0.0);
-            out.push((log_prob, entropy));
-        }
-        self.pending_batches.0.push(heads);
+        let mut factors = LogitFactors {
+            rows: items.len(),
+            ..LogitFactors::default()
+        };
+        let out = items
+            .iter()
+            .enumerate()
+            .map(|(i, (obs, record))| {
+                let row = heads.each_ref().map(|head| head.row(i));
+                self.log_prob_and_factors(obs, record, i, row, &mut factors)
+            })
+            .collect();
+        self.pending_batches.0.push(factors);
         out
     }
 
@@ -408,8 +452,9 @@ impl PolicyNetwork {
     /// parameter gradients, with `coeffs[i]` holding `(coeff_logprob,
     /// coeff_entropy)` for item `i`. Parameter gradients accumulate in
     /// reverse item order — bit-identical to one call per item in reverse
-    /// (the stacked-replay sequence). The head outputs were stored by
-    /// `evaluate_batch`, so no part of the forward network runs again.
+    /// (the stacked-replay sequence). The logit gradients were kept by
+    /// `evaluate_batch`, so no part of the forward network and no
+    /// distribution is built again.
     ///
     /// # Panics
     ///
@@ -426,25 +471,36 @@ impl PolicyNetwork {
             assert!(coeffs.is_empty(), "coefficient count mismatch");
             return;
         }
-        let heads = self
+        let factors = self
             .pending_batches
             .0
             .pop()
             .expect("backward_batch called without a matching evaluate_batch");
-        assert_eq!(items.len(), heads[0].rows(), "batch mismatch");
+        assert_eq!(items.len(), factors.rows, "batch mismatch");
         assert_eq!(items.len(), coeffs.len(), "coefficient count mismatch");
-        let mut grads = heads
+        // Each segment's gradient in evaluation order: the expression and
+        // the `=` / `+=` sequence of one item's distributions built afresh.
+        let mut grads = self
+            .heads
             .each_ref()
-            .map(|head| Tensor2::zeros(head.rows(), head.cols()));
-        for (i, ((obs, record), (coeff_logprob, coeff_entropy))) in
-            items.iter().zip(coeffs).enumerate()
-        {
-            let row = heads.each_ref().map(|head| head.row(i).to_vec());
-            let (_, _, g) =
-                self.log_prob_and_grads(obs, record, &row, *coeff_logprob, *coeff_entropy);
-            for (batch, g) in grads.iter_mut().zip(&g) {
-                batch.row_mut(i).copy_from_slice(g);
+            .map(|head| Tensor2::zeros(items.len(), head.output_size()));
+        let mut at = 0;
+        for segment in &factors.segments {
+            let (coeff_logprob, coeff_entropy) = coeffs[segment.item];
+            let row = grads[segment.head as usize].row_mut(segment.item);
+            let weighed = factors.dlogp[at..].iter().zip(&factors.dh[at..]);
+            for (slot, (lp, eg)) in row[segment.start..segment.start + segment.len]
+                .iter_mut()
+                .zip(weighed)
+            {
+                let g = coeff_logprob * lp + coeff_entropy * eg;
+                if segment.accumulate {
+                    *slot += g;
+                } else {
+                    *slot = g;
+                }
             }
+            at += segment.len;
         }
 
         // Push gradients through the heads into the backbone embedding, head
@@ -497,84 +553,93 @@ impl PolicyNetwork {
             .collect()
     }
 
-    /// Computes the log-prob, entropy and per-head logit gradients
-    /// (`coeff_logprob * dlogp/dlogits + coeff_entropy * dH/dlogits`) of a
-    /// stored action under the given head outputs.
-    fn log_prob_and_grads(
+    /// Computes the log-prob and entropy of stored action `item` under the
+    /// given head rows, and records into `kept` the logit gradients of each
+    /// distribution it builds — in this order: the transformation head, the
+    /// tile levels, the interchange head — for
+    /// [`PolicyNetwork::backward_batch`] to weigh.
+    fn log_prob_and_factors(
         &self,
         obs: &Observation,
         record: &ActionRecord,
-        outputs: &HeadOutputs,
-        coeff_logprob: f64,
-        coeff_entropy: f64,
-    ) -> (f64, f64, HeadOutputs) {
+        item: usize,
+        outputs: [&[f64]; 5],
+        kept: &mut LogitFactors,
+    ) -> (f64, f64) {
         let n = obs.num_loops;
         let m = self.env_config.num_tile_candidates();
         let mask = &obs.mask;
         let kind = TransformationKind::from_index(record.kind_index);
-
-        let mut grads: HeadOutputs = outputs.each_ref().map(|head| vec![0.0; head.len()]);
+        let segment = |head: Head, start: usize, len: usize, accumulate: bool| Segment {
+            item,
+            head,
+            start,
+            len,
+            accumulate,
+        };
 
         // Transformation head.
-        let transformation = Head::Transformation as usize;
-        let kind_dist =
-            MaskedCategorical::new(&outputs[transformation], mask.transformation.as_ref());
+        let transformation = outputs[Head::Transformation as usize];
+        let kind_dist = MaskedCategorical::new(transformation, mask.transformation.as_ref());
         let mut log_prob = kind_dist.log_prob(record.kind_index);
         let mut entropy = kind_dist.entropy();
-        let lp_grad = kind_dist.log_prob_grad(record.kind_index);
-        let ent_grad = kind_dist.entropy_grad();
-        for (i, slot) in grads[transformation].iter_mut().enumerate() {
-            *slot = coeff_logprob * lp_grad[i] + coeff_entropy * ent_grad[i];
-        }
+        kept.push(
+            segment(Head::Transformation, 0, transformation.len(), false),
+            &kind_dist.log_prob_grad(record.kind_index),
+            &kind_dist.entropy_grad(),
+        );
 
-        let interchange = Head::Interchange as usize;
+        let interchange = outputs[Head::Interchange as usize];
         if kind.is_tiled() && !record.tile_indices.is_empty() {
-            let head = Head::tiles_of(kind) as usize;
-            let (logits, grad_slot) = (&outputs[head], &mut grads[head]);
+            let head = Head::tiles_of(kind);
+            let logits = outputs[head as usize];
             for (level, idx) in record.tile_indices.iter().enumerate().take(n) {
                 let head_level = level.min(self.env_config.max_loops - 1);
                 let level_logits = &logits[head_level * m..(head_level + 1) * m];
                 let dist = MaskedCategorical::new(level_logits, mask.tile_row(level));
                 log_prob += dist.log_prob(*idx);
                 entropy += dist.entropy();
-                let lp = dist.log_prob_grad(*idx);
-                let eg = dist.entropy_grad();
-                for j in 0..m {
-                    grad_slot[head_level * m + j] += coeff_logprob * lp[j] + coeff_entropy * eg[j];
-                }
+                kept.push(
+                    segment(head, head_level * m, m, true),
+                    &dist.log_prob_grad(*idx),
+                    &dist.entropy_grad(),
+                );
             }
         } else if kind == TransformationKind::Interchange {
             match self.env_config.interchange_mode {
                 InterchangeMode::EnumeratedCandidates => {
                     if let Some(c) = record.interchange_candidate {
                         let num_candidates = num_enumerated_candidates(n).max(1);
-                        let len = num_candidates.min(outputs[interchange].len());
-                        let dist = MaskedCategorical::from_logits(&outputs[interchange][..len]);
+                        let len = num_candidates.min(interchange.len());
+                        let dist = MaskedCategorical::from_logits(&interchange[..len]);
                         log_prob += dist.log_prob(c);
                         entropy += dist.entropy();
-                        let lp = dist.log_prob_grad(c);
-                        let eg = dist.entropy_grad();
-                        for j in 0..len {
-                            grads[interchange][j] = coeff_logprob * lp[j] + coeff_entropy * eg[j];
-                        }
+                        kept.push(
+                            segment(Head::Interchange, 0, len, false),
+                            &dist.log_prob_grad(c),
+                            &dist.entropy_grad(),
+                        );
                     }
                 }
                 InterchangeMode::LevelPointers => {
                     if let Some(perm) = &record.interchange_permutation {
-                        let len = n.min(outputs[interchange].len());
-                        let logits = &outputs[interchange][..len];
-                        let (lp, ent, grad) = permutation_log_prob(logits, perm);
+                        let len = n.min(interchange.len());
+                        let (lp, ent, grad) = permutation_log_prob(&interchange[..len], perm);
                         log_prob += lp;
                         entropy += ent;
-                        for (slot, g) in grads[interchange][..len].iter_mut().zip(&grad) {
-                            *slot = coeff_logprob * g + coeff_entropy * 0.0;
-                        }
+                        // The permutation's entropy term carries no
+                        // gradient: its factor is `0.0`.
+                        kept.push(
+                            segment(Head::Interchange, 0, len, false),
+                            &grad,
+                            &vec![0.0; len],
+                        );
                     }
                 }
             }
         }
 
-        (log_prob, entropy, grads)
+        (log_prob, entropy)
     }
 
     /// Clears gradients and cached activations of every component.
@@ -953,6 +1018,54 @@ mod tests {
             .map(|param| param.grad_norm_squared())
             .sum();
         assert!(total_grad > 0.0, "backward must produce gradients");
+    }
+
+    #[test]
+    fn tile_levels_past_the_head_add_their_gradients_into_its_last_row() {
+        // A conv2d has seven loops and `small()` heads four tile levels:
+        // levels 3 to 6 read the last row of the head, and their logit
+        // gradients add up there.
+        let mut b = ModuleBuilder::new("conv");
+        let x = b.argument("X", vec![1, 8, 16, 16]);
+        let w = b.argument("W", vec![8, 8, 3, 3]);
+        b.conv2d(x, w, 1);
+        let mut env =
+            OptimizationEnv::new(EnvConfig::small(), CostModel::new(MachineModel::default()));
+        let obs = env.reset(b.finish()).unwrap();
+        let mut p = policy();
+        let config = p.env_config().clone();
+        assert!(obs.num_loops > config.max_loops);
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let record = (0..200)
+            .map(|_| p.select_action(&obs, false, &mut rng))
+            .find(|r| TransformationKind::from_index(r.kind_index).is_tiled())
+            .expect("a tiled action");
+        let head = Head::tiles_of(TransformationKind::from_index(record.kind_index));
+        let (coeff_logprob, coeff_entropy) = (0.7, -0.01);
+        p.evaluate(&obs, &record);
+        p.backward(&obs, &record, coeff_logprob, coeff_entropy);
+
+        // The tile head's logit gradient, level by level from its logits.
+        let mut heads = DecodeHeads::default();
+        p.infer_heads(&obs, &mut heads);
+        let logits = p.head_logits(&mut heads, head).to_vec();
+        let m = config.num_tile_candidates();
+        let mut expected = vec![0.0; logits.len()];
+        for (level, idx) in record.tile_indices.iter().enumerate() {
+            let row = level.min(config.max_loops - 1) * m;
+            let dist = MaskedCategorical::new(&logits[row..row + m], obs.mask.tile_row(level));
+            let factors = dist
+                .log_prob_grad(*idx)
+                .into_iter()
+                .zip(dist.entropy_grad());
+            for (slot, (lp, eg)) in expected[row..row + m].iter_mut().zip(factors) {
+                *slot += coeff_logprob * lp + coeff_entropy * eg;
+            }
+        }
+        // One item: the head's bias gradient is its logit gradient.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bias = p.heads[head as usize].parameters_mut()[1].grad().to_vec();
+        assert_eq!(bits(&bias), bits(&expected));
     }
 
     #[test]

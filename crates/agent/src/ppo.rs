@@ -7,14 +7,16 @@
 //! (coefficient 0.5) and an entropy bonus (coefficient 0.01). The paper's
 //! hyper-parameters are the defaults of [`PpoConfig::paper`].
 //!
-//! Each minibatch is stacked into a packed
-//! [`mlir_rl_env::ObservationBatch`] and pushed through the batched tensor
-//! engine ([`PolicyModel::evaluate_batch`] / `backward_batch` and
-//! [`ValueNetwork::forward_batch`] / `backward_batch`): one blocked matmul
-//! per network layer per minibatch. This pair is the only training code the
-//! networks have; it is bit-identical to the same minibatch fed through it
-//! one sample at a time (property-tested), so batching is a throughput
-//! choice, never a numerics change.
+//! Each minibatch is gathered into an [`mlir_rl_env::ObservationBatch`] —
+//! each row's producer and consumer feature lists, borrowed, no dense row —
+//! and pushed through the batched tensor engine
+//! ([`PolicyModel::evaluate_batch`] / `backward_batch` and
+//! [`ValueNetwork::forward_batch`] / `backward_batch`): the embedding LSTM
+//! contracts each row's input over its own list, and every other layer is
+//! one blocked matmul per minibatch. This pair is the only training code
+//! the networks have; it is bit-identical to the same minibatch fed
+//! through it one sample at a time (property-tested), so batching is a
+//! throughput choice, never a numerics change.
 //!
 //! # The update runs as two chains
 //!
@@ -137,13 +139,12 @@ pub trait PolicyModel: Clone + Send {
 
     /// Recomputes the log-probability and entropy of every stored action
     /// of a minibatch under the current parameters, caching activations
-    /// for the matching [`PolicyModel::backward_batch`]. `batch` must be
-    /// the packed form of the items' observations in the same order (the
-    /// PPO update's policy chain packs it per minibatch; the value chain
-    /// packs its own).
+    /// for the matching [`PolicyModel::backward_batch`]. `batch` must hold
+    /// the items' observations in the same order (the PPO update's policy
+    /// chain gathers it per minibatch; the value chain gathers its own).
     fn evaluate_batch(
         &mut self,
-        batch: &ObservationBatch,
+        batch: &ObservationBatch<'_>,
         items: &[(&Observation, &ActionRecord)],
     ) -> Vec<(f64, f64)>;
 
@@ -260,7 +261,7 @@ impl PolicyModel for PolicyNetwork {
     }
     fn evaluate_batch(
         &mut self,
-        batch: &ObservationBatch,
+        batch: &ObservationBatch<'_>,
         items: &[(&Observation, &ActionRecord)],
     ) -> Vec<(f64, f64)> {
         PolicyNetwork::evaluate_batch(self, batch, items)
@@ -716,10 +717,10 @@ impl Update<'_> {
         self.orders.iter().flat_map(move |order| order.chunks(size))
     }
 
-    /// A minibatch's observations, packed for the batched engine. Each
-    /// chain packs its own, one minibatch at a time: a shared set would
-    /// have to hold every minibatch of the iteration at once.
-    fn pack(&self, chunk: &[usize]) -> ObservationBatch {
+    /// A minibatch's observations as the batched engine reads them: each
+    /// row's feature lists, borrowed from the samples. Each chain gathers
+    /// its own, one minibatch at a time.
+    fn gather(&self, chunk: &[usize]) -> ObservationBatch<'_> {
         ObservationBatch::from_observations(chunk.iter().map(|&idx| self.batch[idx].0))
     }
 
@@ -742,7 +743,7 @@ impl Update<'_> {
                 .iter()
                 .map(|&idx| (self.batch[idx].0, self.batch[idx].1))
                 .collect();
-            let evals = policy.evaluate_batch(&self.pack(chunk), &items);
+            let evals = policy.evaluate_batch(&self.gather(chunk), &items);
             let mut coeffs: Vec<(f64, f64)> = Vec::with_capacity(chunk.len());
             for (&idx, &(log_prob, entropy)) in chunk.iter().zip(&evals) {
                 let (_, record, advantage, _) = &self.batch[idx];
@@ -778,7 +779,7 @@ impl Update<'_> {
         let mut value_loss = 0.0;
         for chunk in self.minibatches() {
             let scale = 1.0 / chunk.len() as f64;
-            let values = value.forward_batch(&self.pack(chunk));
+            let values = value.forward_batch(&self.gather(chunk));
             let mut grads: Vec<f64> = Vec::with_capacity(chunk.len());
             for (&idx, &v) in chunk.iter().zip(&values) {
                 let v_err = v - self.batch[idx].3;
@@ -1507,7 +1508,7 @@ mod tests {
                     .iter()
                     .map(|&idx| (batch[idx].0, batch[idx].1))
                     .collect();
-                // Packed once, shared by the policy and the value network.
+                // Gathered once, shared by the policy and the value network.
                 let obs_batch =
                     ObservationBatch::from_observations(items.iter().map(|(obs, _)| *obs));
                 let evals = trainer.policy.evaluate_batch(&obs_batch, &items);

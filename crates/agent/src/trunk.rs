@@ -7,20 +7,15 @@
 use rand::Rng;
 
 use mlir_rl_env::{EnvConfig, Observation, ObservationBatch};
-use mlir_rl_nn::{Lstm, Mlp, Param, Scratch, Tensor2};
+use mlir_rl_nn::{Lstm, Mlp, Param, Tensor2};
 
 use crate::policy::PolicyHyperparams;
 
-/// The embedding LSTM and the backbone, with the LSTM's training-batch
-/// step tensors as scratch.
+/// The embedding LSTM and the backbone.
 #[derive(Debug, Clone)]
 pub(crate) struct Trunk {
     lstm: Lstm,
     backbone: Mlp,
-    /// The packed producer and consumer rows of the last training batch:
-    /// copied into these instead of freshly allocated tensors, so PPO
-    /// minibatches reuse one arena.
-    steps: Scratch<[Tensor2; 2]>,
 }
 
 impl Trunk {
@@ -37,7 +32,6 @@ impl Trunk {
         Self {
             lstm,
             backbone: Mlp::new(&sizes, true, rng),
-            steps: Scratch::default(),
         }
     }
 
@@ -68,15 +62,25 @@ impl Trunk {
         self.backbone.forward_inference(&embedding)
     }
 
-    /// Training-mode forward pass over a packed batch, one blocked matmul
-    /// per layer, caching activations for [`Trunk::backward_batch`]. Row `i`
-    /// is bit-identical to [`Trunk::infer`] on observation `i`.
-    pub(crate) fn forward_batch(&mut self, batch: &ObservationBatch) -> Tensor2 {
-        let (rows, cols) = (batch.len(), batch.feature_len());
-        let steps = &mut self.steps.0;
-        steps[0].assign_flat(rows, cols, batch.producers());
-        steps[1].assign_flat(rows, cols, batch.consumers());
-        let embedding = self.lstm.forward_batch(steps);
+    /// Training-mode forward pass over a batch, caching activations for
+    /// [`Trunk::backward_batch`]: the LSTM reads each row's producer and
+    /// consumer lists as they are stored, then one blocked matmul per
+    /// backbone layer. Row `i` is bit-identical to [`Trunk::infer`] on
+    /// observation `i`.
+    pub(crate) fn forward_batch(&mut self, batch: &ObservationBatch<'_>) -> Tensor2 {
+        assert_eq!(
+            batch.feature_len(),
+            self.lstm.input_size(),
+            "LSTM input size mismatch"
+        );
+        let [producers, consumers] = [0, 1].map(|step| {
+            batch
+                .rows()
+                .iter()
+                .map(|row| row[step].nonzeros())
+                .collect::<Vec<_>>()
+        });
+        let embedding = self.lstm.forward_batch_nonzeros(&[&producers, &consumers]);
         self.backbone.forward_batch(&embedding)
     }
 

@@ -51,11 +51,11 @@ impl ValueNetwork {
         self.infer_out.0[0]
     }
 
-    /// Estimates every packed observation's value through one batched
+    /// Estimates every batched observation's value through one batched
     /// forward pass per layer, caching activations for
     /// [`ValueNetwork::backward_batch`]. Entry `i` is bit-identical to
     /// [`ValueNetwork::predict`] on observation `i`.
-    pub fn forward_batch(&mut self, batch: &ObservationBatch) -> Vec<f64> {
+    pub fn forward_batch(&mut self, batch: &ObservationBatch<'_>) -> Vec<f64> {
         let z = self.trunk.forward_batch(batch);
         self.head.forward_batch(&z).into_flat()
     }
@@ -114,7 +114,7 @@ mod tests {
         env.reset(b.finish()).unwrap()
     }
 
-    fn one_row(obs: &Observation) -> ObservationBatch {
+    fn one_row(obs: &Observation) -> ObservationBatch<'_> {
         ObservationBatch::from_observations(std::iter::once(obs))
     }
 

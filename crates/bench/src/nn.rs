@@ -59,7 +59,8 @@ report! {
     /// inputs, sequence length 2 — at one batch size: rows/sec on real
     /// reset observations (under 2 % dense, so the kernels contract over
     /// the non-zero columns only) against dense random vectors of the same
-    /// shape (every column contracted over).
+    /// shape (every column contracted over), and at the PPO minibatch size
+    /// one training step on those observations.
     #[derive(Debug, Clone, PartialEq)]
     pub struct ObservationLstmRow {
         /// Sequences per `infer_batch` call (`infer` at 1).
@@ -74,6 +75,14 @@ report! {
         dense_rows: f64 = "dense random",
         /// `observation_rows / dense_rows`.
         speedup: f64 = "x",
+        /// Rows/sec of one training step — `forward_batch_nonzeros`, then
+        /// `backward_params_batch` — fed the observations as their lists,
+        /// what the PPO update runs. Batch 16 only.
+        train_list_rows: Option<f64> = "train step, lists",
+        /// The same training step fed the observations as packed dense
+        /// rows through `forward_batch`, which lists each row before it
+        /// runs the same body. Batch 16 only.
+        train_packed_rows: Option<f64> = "train step, packed rows",
     }
 }
 
@@ -151,10 +160,16 @@ impl Report for NnThroughputReport {
             self.observation_lstm
                 .iter()
                 .all(|r| measured(&r.dense_rows) && r.observation_rows >= r.dense_rows),
-            // The list entry is measured where it runs: at batch 1.
+            // The list entry is measured where it runs: at batch 1; the
+            // training step at the minibatch size.
             self.observation_lstm.iter().all(
                 |r| r.list_rows.is_some() == (r.batch == 1) && r.list_rows.iter().all(measured)
             ),
+            self.observation_lstm.iter().all(|r| {
+                let train = [r.train_list_rows, r.train_packed_rows];
+                train.iter().all(|rate| rate.is_some() == (r.batch == 16))
+                    && train.iter().flatten().all(measured)
+            }),
             self.greedy_stream.calls > 0 && measured(&self.greedy_stream.list_rows),
             (0.0..=1.0).contains(&self.greedy_stream.producer_repeat_fraction),
             (0.0..=1.0).contains(&self.greedy_stream.empty_producer_fraction),
@@ -341,12 +356,19 @@ pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
                 }
             })
         });
+        let [train_list_rows, train_packed_rows] = if batch == 16 {
+            train_step_rows(budget_s, &wide, &lists, &mut rng).map(Some)
+        } else {
+            [None; 2]
+        };
         observation_lstm.push(ObservationLstmRow {
             batch,
             observation_rows,
             list_rows,
             dense_rows,
             speedup: observation_rows / dense_rows.max(1e-9),
+            train_list_rows,
+            train_packed_rows,
         });
     }
 
@@ -380,6 +402,45 @@ pub fn nn_throughput(scale: &ExperimentScale) -> NnThroughputReport {
         observation_lstm,
         greedy_stream,
     }
+}
+
+/// Rows/sec of one 16-row LSTM training step (forward, then the parameter
+/// backward against a fixed random gradient) on the observations `lists`
+/// hold, cycled: `[fed as lists, fed as packed dense rows]`. Both compute
+/// the same bits; the rows are packed once, untimed, so the packed side
+/// pays only for listing them.
+fn train_step_rows(
+    budget_s: f64,
+    lstm: &Lstm,
+    lists: &[[Features; 2]],
+    rng: &mut ChaCha8Rng,
+) -> [f64; 2] {
+    const BATCH: usize = 16;
+    let rows: Vec<&[Features; 2]> = lists.iter().cycle().take(BATCH).collect();
+    let grad = Tensor2::from_flat(
+        BATCH,
+        lstm.hidden_size(),
+        (0..BATCH * lstm.hidden_size())
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect(),
+    );
+    let steps: [Vec<(&[u32], &[f64])>; 2] =
+        std::array::from_fn(|t| rows.iter().map(|row| row[t].nonzeros()).collect());
+    let listed = rows_per_sec(budget_s, BATCH, lstm.clone(), no_setup, |lstm| {
+        black_box(lstm.forward_batch_nonzeros(&[&steps[0], &steps[1]]));
+        lstm.backward_params_batch(&grad);
+    });
+    let packed: Vec<Tensor2> = (0..2)
+        .map(|t| {
+            let vectors: Vec<Vec<f64>> = rows.iter().map(|row| row[t].to_vec()).collect();
+            Tensor2::from_rows(lstm.input_size(), vectors.iter().map(Vec::as_slice))
+        })
+        .collect();
+    let packed = rows_per_sec(budget_s, BATCH, lstm.clone(), no_setup, |lstm| {
+        black_box(lstm.forward_batch(&packed));
+        lstm.backward_params_batch(&grad);
+    });
+    [listed, packed]
 }
 
 /// The `(producer, consumer)` lists of every batch-1 policy call greedy

@@ -16,8 +16,8 @@
 //! At the paper's maxima the vector is 3 252 wide and holds about twenty
 //! non-zeros, so it is built, stored and handed to the networks as the list
 //! of those ([`Features`]); a dense slice exists only where somebody asks
-//! for one ([`Features::as_slice`], [`ObservationBatch`]'s rows, the
-//! [`extract_features_dense`] reference).
+//! for one ([`Features::as_slice`], the [`extract_features_dense`]
+//! reference).
 
 use std::sync::OnceLock;
 
@@ -93,18 +93,12 @@ impl Features {
         (&self.cols, &self.values)
     }
 
-    /// Writes the listed values into an all-zero row of the vector's length.
-    fn scatter_into(&self, row: &mut [f64]) {
-        debug_assert_eq!(row.len(), self.len);
-        for (col, value) in self.cols.iter().zip(&self.values) {
-            row[*col as usize] = *value;
-        }
-    }
-
     /// A freshly allocated dense copy (does not touch the cached view).
     pub fn to_vec(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.len];
-        self.scatter_into(&mut out);
+        for (col, value) in self.cols.iter().zip(&self.values) {
+            out[*col as usize] = *value;
+        }
         out
     }
 
@@ -142,39 +136,35 @@ impl PartialEq for Features {
     }
 }
 
-/// A batch of observations packed for batched network inference: the
-/// producer and consumer feature vectors are stored contiguously row-major
-/// (one observation per row), so a policy or value network can run one
-/// blocked matmul per layer over the whole batch instead of one matvec per
-/// observation. PPO minibatches, beam-search frontiers and MCTS expansions
-/// all pack through this type.
+/// A minibatch of observations for the batched training pass: each row's
+/// producer and consumer [`Features`] lists, borrowed from the
+/// observations, never packed into dense rows. The embedding LSTM reads a
+/// row's lists as its two time steps (`mlir_rl_nn::Lstm::forward_batch_nonzeros`),
+/// so a minibatch costs `O(non-zeros)` input memory. PPO minibatches are
+/// what builds it; inference runs one observation at a time.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ObservationBatch {
+pub struct ObservationBatch<'a> {
     feature_len: usize,
-    len: usize,
-    producers: Vec<f64>,
-    consumers: Vec<f64>,
+    rows: Vec<[&'a Features; 2]>,
 }
 
-impl ObservationBatch {
+impl<'a> ObservationBatch<'a> {
     /// Creates an empty batch for observations with the given feature
     /// length.
     pub fn new(feature_len: usize) -> Self {
         Self {
             feature_len,
-            len: 0,
-            producers: Vec::new(),
-            consumers: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
-    /// Packs a batch from an iterator of observations.
+    /// Collects a batch from an iterator of observations.
     ///
     /// # Panics
     ///
     /// Panics if the iterator is empty or the observations disagree on
     /// feature length.
-    pub fn from_observations<'a, I>(observations: I) -> Self
+    pub fn from_observations<I>(observations: I) -> Self
     where
         I: IntoIterator<Item = &'a Observation>,
     {
@@ -188,12 +178,12 @@ impl ObservationBatch {
         batch
     }
 
-    /// Appends one observation's feature vectors.
+    /// Appends one observation's feature lists.
     ///
     /// # Panics
     ///
     /// Panics if the observation's feature length does not match the batch.
-    pub fn push(&mut self, obs: &Observation) {
+    pub fn push(&mut self, obs: &'a Observation) {
         assert_eq!(
             obs.producer.len(),
             self.feature_len,
@@ -204,40 +194,28 @@ impl ObservationBatch {
             self.feature_len,
             "consumer feature length mismatch"
         );
-        for (rows, features) in [
-            (&mut self.producers, &obs.producer),
-            (&mut self.consumers, &obs.consumer),
-        ] {
-            let start = rows.len();
-            rows.resize(start + self.feature_len, 0.0);
-            features.scatter_into(&mut rows[start..]);
-        }
-        self.len += 1;
+        self.rows.push([&obs.producer, &obs.consumer]);
     }
 
     /// Number of observations in the batch.
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
-    /// True when no observation was packed.
+    /// True when no observation was added.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
     }
 
-    /// Feature length of every packed vector.
+    /// Feature length of every vector in the batch.
     pub fn feature_len(&self) -> usize {
         self.feature_len
     }
 
-    /// The packed producer features, row-major (`len x feature_len`).
-    pub fn producers(&self) -> &[f64] {
-        &self.producers
-    }
-
-    /// The packed consumer features, row-major (`len x feature_len`).
-    pub fn consumers(&self) -> &[f64] {
-        &self.consumers
+    /// Each row's `[producer, consumer]` lists, in the order the
+    /// embedding LSTM reads them.
+    pub fn rows(&self) -> &[[&'a Features; 2]] {
+        &self.rows
     }
 }
 
@@ -655,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn observation_batch_packs_row_major() {
+    fn observation_batch_keeps_the_lists() {
         let obs = |p: f64, c: f64| Observation {
             producer: from_dense(&[p, p + 1.0]),
             consumer: from_dense(&[c, c + 1.0]),
@@ -674,8 +652,12 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert!(!batch.is_empty());
         assert_eq!(batch.feature_len(), 2);
-        assert_eq!(batch.producers(), &[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(batch.consumers(), &[10.0, 11.0, 20.0, 21.0]);
+        assert_eq!(
+            batch.rows(),
+            &[[&a.producer, &a.consumer], [&b.producer, &b.consumer]]
+        );
+        // Lists only: building the batch materialises no dense view.
+        assert!([&a, &b].iter().all(|o| !o.producer.is_materialized()));
     }
 
     #[test]

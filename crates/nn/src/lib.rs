@@ -11,7 +11,9 @@
 //! `backward_batch`, which run one blocked matmul per layer instead of one
 //! matvec per sample. Training has only this path — a single sample is a
 //! batch of one — while inference keeps per-vector entry points (`infer`,
-//! `infer_into`) for batch-1 callers. The kernels fix their accumulation
+//! `infer_into`) for batch-1 callers. The LSTM also takes a training batch
+//! as each row's list of non-zeros (`Lstm::forward_batch_nonzeros`), the
+//! form observations are stored in. The kernels fix their accumulation
 //! order so that every row of a batched result is **bit-for-bit
 //! identical** to the same row run alone and to the plain-loop
 //! `forward_inference` references — batching is purely a throughput knob,

@@ -6,22 +6,30 @@
 //! standard LSTM cell with full backpropagation through time over the short
 //! sequences involved.
 //!
-//! All state is batched: a time step is a row-major [`Tensor2`] with one
-//! sequence per row, so a batch of observations runs one blocked matmul per
-//! gate per step instead of one matvec per observation, and training a
-//! single sequence is a batch of one. The per-vector inference entry points
-//! ([`Lstm::infer`], [`Lstm::infer_nonzeros`]) are bit-identical to the
-//! single-sample [`Lstm::forward_inference`] reference;
-//! [`Lstm::backward_params_batch`] accumulates parameter gradients
-//! sample-major in reverse row order, exactly like one-row calls replayed
-//! in reverse against stacked caches.
+//! Training is batched: a time step holds one sequence per row, the hidden
+//! state is a row-major [`Tensor2`], and a batch of observations runs one
+//! blocked matmul per gate per step for the hidden products, so training a
+//! single sequence is a batch of one. A training step's input is held as
+//! each row's own list of non-zero columns and values
+//! ([`Lstm::forward_batch_nonzeros`], what the networks feed; the dense
+//! [`Lstm::forward_batch`] lists each row once and runs the same body): the
+//! input product contracts row by row over that row's list with the kernel
+//! batch-1 inference runs, the step cache keeps the lists, and the backward
+//! pass accumulates each sample's `W` gradients over its kept list. The
+//! per-vector inference entry points ([`Lstm::infer`],
+//! [`Lstm::infer_nonzeros`]) are bit-identical to the single-sample
+//! [`Lstm::forward_inference`] reference; [`Lstm::backward_params_batch`]
+//! accumulates parameter gradients sample-major in reverse row order,
+//! exactly like one-row calls replayed in reverse against stacked caches.
 //!
 //! The inputs are sparse — an observation vector is under 2 % dense and the
-//! first step's hidden state is all zeros — so each forward step lists the
-//! non-zero columns of `x` and of `h` once for its four gate products, the
-//! backward pass lists each sample's own once for the four gates' `W`/`U`
-//! gradient accumulation, and both contract over the lists alone,
-//! bit-identically (proof in [`crate::tensor`]). Every weight is stored
+//! first step's hidden state is all zeros — so each product contracts over
+//! a list of non-zero columns: a training row's own input list, the batch's
+//! hidden columns (listed once per step for the four gates), a sample's own
+//! hidden columns for its `U` gradients. Each list runs the dense loop
+//! under the same rule when more than half the columns are on it, and the
+//! result is the dense loop's, bit for bit (proof in [`crate::tensor`]).
+//! Every weight is stored
 //! input-major (see [`crate::param`]), so a listed input column of `W` or
 //! `U` is one contiguous run of `hidden` weights, read whole by the forward
 //! product and written whole by the gradient accumulation. An input that
@@ -38,11 +46,88 @@ use crate::param::Param;
 use crate::scratch::Scratch;
 use crate::tensor::{ActiveCols, Tensor2};
 
+/// One time step of a training batch as lists: each row's strictly
+/// ascending non-zero columns and their values, the rows back to back.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ListedRows {
+    /// `ends[b]` is one past row `b`'s last entry in `cols` / `values`.
+    ends: Vec<usize>,
+    cols: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl ListedRows {
+    fn rows(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Row `b`'s columns and values.
+    fn row(&self, b: usize) -> (&[u32], &[f64]) {
+        let start = if b == 0 { 0 } else { self.ends[b - 1] };
+        let end = self.ends[b];
+        (&self.cols[start..end], &self.values[start..end])
+    }
+
+    fn end_row(&mut self) {
+        self.ends.push(self.cols.len());
+    }
+
+    /// Lists every row of a dense step (`-0.0` counts as zero, as in a
+    /// scan).
+    fn from_dense(x: &Tensor2) -> Self {
+        let mut out = Self::default();
+        for b in 0..x.rows() {
+            for (col, value) in x.row(b).iter().enumerate() {
+                if *value != 0.0 {
+                    out.cols.push(col as u32);
+                    out.values.push(*value);
+                }
+            }
+            out.end_row();
+        }
+        out
+    }
+
+    /// Copies rows that are already lists.
+    fn from_lists(rows: &[(&[u32], &[f64])]) -> Self {
+        let mut out = Self::default();
+        for (cols, values) in rows {
+            out.cols.extend_from_slice(cols);
+            out.values.extend_from_slice(values);
+            out.end_row();
+        }
+        out
+    }
+}
+
+/// Runs `f` on `staged`, a `1 x input` row that is all `+0.0` between
+/// uses, with the listed values scattered in; clears exactly those entries
+/// on the way out. This is how a list reaches the kernels that read a dense
+/// row: `O(listed)` memory touched, and with `cols` adopted as the row's
+/// column list, the product runs over the list alone.
+fn with_staged<T>(
+    staged: &mut Tensor2,
+    (cols, values): (&[u32], &[f64]),
+    f: impl FnOnce(&Tensor2) -> T,
+) -> T {
+    let row = staged.data_mut();
+    for (col, value) in cols.iter().zip(values) {
+        row[*col as usize] = *value;
+    }
+    let out = f(staged);
+    let row = staged.data_mut();
+    for col in cols {
+        row[*col as usize] = 0.0;
+    }
+    out
+}
+
 /// Cached values of one (batched) LSTM time step, needed for
-/// backpropagation. Every field is `batch x size` row-major.
+/// backpropagation. The input is kept as its lists; every other field is
+/// `batch x size` row-major.
 #[derive(Debug, Clone, PartialEq)]
 struct StepCache {
-    x: Tensor2,
+    x: ListedRows,
     h_prev: Tensor2,
     c_prev: Tensor2,
     i: Tensor2,
@@ -113,7 +198,8 @@ pub struct Lstm {
     /// wrapper (one per time step).
     infer_inputs: Scratch<Vec<Tensor2>>,
     /// `1 x input` staging rows for [`Lstm::infer_nonzeros`] (one per time
-    /// step), all `+0.0` between calls: a call scatters its listed values
+    /// step; the first also serves the training passes' rows one at a
+    /// time), all `+0.0` between calls: a call scatters its listed values
     /// in and clears exactly those entries on the way out.
     zeroed_inputs: Scratch<Vec<Tensor2>>,
     /// Step 0 of the last multi-step [`Lstm::infer_nonzeros`] call, the
@@ -186,32 +272,45 @@ impl Lstm {
         }
     }
 
-    /// One batched cell step: `x`, `h_prev`, `c_prev` are `batch x size`.
-    /// Row `b` of every output is bit-identical to the single-sample cell
-    /// on row `b` of the inputs. The previous state is taken by value: it
-    /// moves into the step's cache, which is its only later reader.
+    /// One batched training cell step: `h_prev` and `c_prev` are
+    /// `batch x hidden`, and `x` holds each row's input list. Row `b` of
+    /// every output is bit-identical to the single-sample cell on row `b`
+    /// of the inputs: `W_g x` contracts row by row over the row's own list
+    /// (the batch-1 kernel; the dense loop when more than half the columns
+    /// are listed), each entry one ascending sum seeded from `+0.0` like the
+    /// dense loop's. The previous state and the lists are taken by value:
+    /// they move into the step's cache, their only later reader. `staged`
+    /// is an all-`+0.0` `1 x input` row.
     fn step_batch(
         &self,
-        x: &Tensor2,
+        x: ListedRows,
         h_prev: Tensor2,
         c_prev: Tensor2,
+        staged: &mut Tensor2,
     ) -> (Tensor2, Tensor2, StepCache) {
         let rows = x.rows();
+        let mut gates: [Tensor2; 4] =
+            std::array::from_fn(|_| Tensor2::zeros(rows, self.hidden_size));
         let mut x_cols = ActiveCols::default();
-        x_cols.scan(x.data(), rows, x.cols());
+        for b in 0..rows {
+            let listed = x.row(b);
+            x_cols.adopt(listed.0, self.input_size);
+            with_staged(staged, listed, |row| {
+                for (w, z) in self.w.iter().zip(&mut gates) {
+                    w.matvec_cols_into(row.data(), &x_cols, z.row_mut(b));
+                }
+            });
+        }
         let mut h_cols = ActiveCols::default();
         h_cols.scan(h_prev.data(), rows, h_prev.cols());
         let mut uh = Tensor2::default();
-        let mut pre = |gate: usize| -> Tensor2 {
-            let mut z = Tensor2::default();
+        for (gate, z) in gates.iter_mut().enumerate() {
             self.hidden_term_into(gate, &h_prev, &h_cols, &mut uh);
-            self.gate_pre_into(gate, x, &x_cols, &uh, &mut z);
-            z
-        };
-        let mut i = pre(0);
-        let mut f = pre(1);
-        let mut g = pre(2);
-        let mut o = pre(3);
+            for (zi, hi) in z.data_mut().iter_mut().zip(uh.data()) {
+                *zi += hi;
+            }
+        }
+        let [mut i, mut f, mut g, mut o] = gates;
         sigmoid_in_place(i.data_mut());
         sigmoid_in_place(f.data_mut());
         tanh_in_place(g.data_mut());
@@ -236,7 +335,7 @@ impl Lstm {
             *slot = ov * tv;
         }
         let cache = StepCache {
-            x: x.clone(),
+            x,
             h_prev,
             c_prev,
             i,
@@ -257,7 +356,9 @@ impl Lstm {
     /// `batch x input` row-major), starting from zero state, and returns
     /// the final hidden states (`batch x hidden`). Caches everything needed
     /// for [`Lstm::backward_params_batch`]. Row `b` is bit-identical to
-    /// [`Lstm::forward_inference`] on row `b` of every step.
+    /// [`Lstm::forward_inference`] on row `b` of every step. Each row is
+    /// listed once and the lists run [`Lstm::forward_batch_nonzeros`]'s
+    /// body.
     ///
     /// # Panics
     ///
@@ -265,17 +366,78 @@ impl Lstm {
     pub fn forward_batch(&mut self, sequence: &[Tensor2]) -> Tensor2 {
         assert!(!sequence.is_empty(), "LSTM sequence must not be empty");
         let rows = sequence[0].rows();
+        let steps = sequence
+            .iter()
+            .map(|x| {
+                self.check_step(x, rows);
+                ListedRows::from_dense(x)
+            })
+            .collect();
+        self.forward_listed(steps)
+    }
+
+    /// [`Lstm::forward_batch`] for steps held as lists: `sequence[t][b]` is
+    /// row `b`'s input at step `t` as `(columns, values)` — strictly
+    /// ascending columns and, in the same order, the values there; every
+    /// other entry is `+0.0`. Bit-identical to [`Lstm::forward_batch`] on
+    /// the dense rows (and so to [`Lstm::forward_inference`] row by row),
+    /// touching `O(listed)` input memory per row. This is the training
+    /// entry the networks call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sequence is empty, the steps differ in row count, or a
+    /// row's columns and values differ in length or its columns are not
+    /// strictly ascending and below `input_size`.
+    pub fn forward_batch_nonzeros(&mut self, sequence: &[&[(&[u32], &[f64])]]) -> Tensor2 {
+        assert!(!sequence.is_empty(), "LSTM sequence must not be empty");
+        let rows = sequence[0].len();
+        let steps = sequence
+            .iter()
+            .map(|step| {
+                assert_eq!(step.len(), rows, "LSTM batch size mismatch");
+                step.iter().for_each(|row| self.check_list(*row));
+                ListedRows::from_lists(step)
+            })
+            .collect();
+        self.forward_listed(steps)
+    }
+
+    /// The one training forward body: every step from zero state, each
+    /// step's cache pushed for the matching backward call.
+    fn forward_listed(&mut self, steps: Vec<ListedRows>) -> Tensor2 {
+        let rows = steps[0].rows();
+        let mut inputs = self.take_staged();
         let mut h = Tensor2::zeros(rows, self.hidden_size);
         let mut c = Tensor2::zeros(rows, self.hidden_size);
-        let mut caches = Vec::with_capacity(sequence.len());
-        for x in sequence {
-            self.check_step(x, rows);
+        let mut caches = Vec::with_capacity(steps.len());
+        for x in steps {
             let cache;
-            (h, c, cache) = self.step_batch(x, h, c);
+            (h, c, cache) = self.step_batch(x, h, c, &mut inputs[0]);
             caches.push(cache);
         }
+        self.zeroed_inputs = Scratch(inputs);
         self.cached_sequences.push(caches);
         h
+    }
+
+    /// Takes the staging rows out of their scratch, at least one of them.
+    fn take_staged(&mut self) -> Vec<Tensor2> {
+        let mut inputs = std::mem::take(&mut self.zeroed_inputs).0;
+        if inputs.is_empty() {
+            inputs.push(Tensor2::zeros(1, self.input_size));
+        }
+        inputs
+    }
+
+    /// Checks one `(columns, values)` input list.
+    fn check_list(&self, (cols, values): (&[u32], &[f64])) {
+        assert_eq!(cols.len(), values.len(), "LSTM column list mismatch");
+        assert!(
+            cols.windows(2).all(|w| w[0] < w[1])
+                && cols.last().is_none_or(|c| (*c as usize) < self.input_size),
+            "LSTM input columns must be strictly ascending and in range"
+        );
     }
 
     /// Inference-only forward (no caching), written as the plain
@@ -455,12 +617,7 @@ impl Lstm {
         let mut inputs = std::mem::take(&mut self.zeroed_inputs).0;
         inputs.resize_with(sequence.len(), || Tensor2::zeros(1, self.input_size));
         for (staged, (cols, values)) in inputs.iter_mut().zip(sequence).skip(skip) {
-            assert_eq!(cols.len(), values.len(), "LSTM column list mismatch");
-            assert!(
-                cols.windows(2).all(|w| w[0] < w[1])
-                    && cols.last().is_none_or(|c| (*c as usize) < self.input_size),
-                "LSTM input columns must be strictly ascending and in range"
-            );
+            self.check_list((cols, values));
             let row = staged.data_mut();
             for (col, value) in cols.iter().zip(*values) {
                 row[*col as usize] = *value;
@@ -610,24 +767,29 @@ impl Lstm {
 
         // Parameter accumulation in per-sample replay order: sample-major
         // (reverse rows), then reverse time, then gates — the exact `+=`
-        // sequence B stacked per-vector backward calls perform.
+        // sequence B stacked per-vector backward calls perform. A sample's
+        // input columns are its kept list (the columns a scan of its dense
+        // row would find); its hidden columns are listed here.
+        let mut inputs = self.take_staged();
         let (mut x_cols, mut h_cols) = (ActiveCols::default(), ActiveCols::default());
         for b in (0..rows).rev() {
             for (cache, step_dpres) in caches.iter().zip(&dpres).rev() {
-                // This sample's own non-zero columns, shared by the gates.
-                let (x, h_prev) = (cache.x.row(b), cache.h_prev.row(b));
-                x_cols.scan(x, 1, x.len());
+                let (listed, h_prev) = (cache.x.row(b), cache.h_prev.row(b));
+                x_cols.adopt(listed.0, self.input_size);
                 h_cols.scan(h_prev, 1, h_prev.len());
-                for (gate, gate_dpre) in step_dpres.iter().enumerate() {
-                    let dpre = gate_dpre.row(b);
-                    self.w[gate].add_outer_to_grad_cols(dpre, x, &x_cols);
-                    self.u[gate].add_outer_to_grad_cols(dpre, h_prev, &h_cols);
-                    for (gb, g) in self.b[gate].grad_mut().iter_mut().zip(dpre) {
-                        *gb += g;
+                with_staged(&mut inputs[0], listed, |x| {
+                    for (gate, gate_dpre) in step_dpres.iter().enumerate() {
+                        let dpre = gate_dpre.row(b);
+                        self.w[gate].add_outer_to_grad_cols(dpre, x.data(), &x_cols);
+                        self.u[gate].add_outer_to_grad_cols(dpre, h_prev, &h_cols);
+                        for (gb, g) in self.b[gate].grad_mut().iter_mut().zip(dpre) {
+                            *gb += g;
+                        }
                     }
-                }
+                });
             }
         }
+        self.zeroed_inputs = Scratch(inputs);
         grad_x
     }
 

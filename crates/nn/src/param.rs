@@ -377,6 +377,16 @@ impl Param {
         );
     }
 
+    /// One row of [`Param::matmul_batch_cols_into`]: `out = value · x` for
+    /// a lone input row `x` with its column list — the `1 x 16` run tiles
+    /// batch-1 inference runs, over the list alone or, when it is not
+    /// sparse, over every input.
+    pub(crate) fn matvec_cols_into(&self, x: &[f64], cols: &ActiveCols, out: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
+        assert_eq!(out.len(), self.rows, "matvec output size mismatch");
+        matmul_nn_cols(x, &self.value, 1, self.rows, self.cols, cols, out);
+    }
+
     /// Allocating twin of [`Param::matmul_batch_into`].
     pub fn matmul_batch(&self, x: &Tensor2) -> Tensor2 {
         let mut out = Tensor2::zeros(0, 0);

@@ -38,8 +38,9 @@
 //! only. Otherwise they run the dense loop. The choice is made from the
 //! input itself; there is no switch. A caller that already holds the list
 //! (an observation is stored as its non-zeros) hands it over instead of
-//! having it found again ([`crate::Lstm::infer_nonzeros`]): same list,
-//! same rule, same kernel, same bits.
+//! having it found again ([`crate::Lstm::infer_nonzeros`], and
+//! [`crate::Lstm::forward_batch_nonzeros`] row by row): same list, same
+//! rule, same kernel, same bits.
 //!
 //! The result is the same **bit for bit** as the dense loop's whenever the
 //! right operand is finite. Proof. Every output element is one sequential
@@ -216,7 +217,7 @@ impl Tensor2 {
     /// Copies a row-major buffer into the tensor, reshaping to
     /// `rows x cols` while reusing the existing allocation. This is the
     /// arena-friendly counterpart of [`Tensor2::from_flat`]: a long-lived
-    /// scratch tensor (e.g. a network's batched LSTM step tensors) can be
+    /// scratch tensor (e.g. the LSTM's batch-1 staging rows) can be
     /// refilled every call without a fresh `Vec`.
     ///
     /// # Panics

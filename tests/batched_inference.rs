@@ -108,53 +108,139 @@ proptest! {
         }
     }
 
-    /// `Lstm`: batched sequence forward/inference/backward bitwise equal to
-    /// the serial loop (two time steps, the producer-consumer shape, plus
-    /// longer sequences).
+    /// `Lstm`: the list body, the dense wrapper and batched inference
+    /// bitwise equal to the serial loop and the plain-loop reference (two
+    /// time steps, the producer-consumer shape, plus longer sequences), on
+    /// rows of every density the list body distinguishes, in a batch and as
+    /// batches of one.
     #[test]
     fn lstm_batch_paths_match_serial(
         input in 1usize..10, hidden in 1usize..10, batch in 1usize..7,
         steps in 1usize..4, seed in 0u64..512,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut batched = Lstm::new(input, hidden, &mut rng);
-        let mut serial = batched.clone();
-        let sequences: Vec<Vec<Vec<f64>>> =
-            (0..batch).map(|_| random_rows(steps, input, &mut rng)).collect();
+        let lstm = Lstm::new(input, hidden, &mut rng);
+        // Rows the list body must treat alike, one kind per row in turn
+        // from a seeded start: random density, an empty list, a list over
+        // half the width (the dense branch), a copy of the row above.
+        let start = seed as usize;
+        let mut sequences: Vec<Vec<Vec<f64>>> = Vec::new();
+        for b in 0..batch {
+            let sequence = match (start + b) % 4 {
+                3 if b > 0 => sequences[b - 1].clone(),
+                kind => (0..steps).map(|_| sparse_row(input, kind, &mut rng)).collect(),
+            };
+            sequences.push(sequence);
+        }
         let grads = random_rows(batch, hidden, &mut rng);
-        let step_tensors: Vec<Tensor2> = (0..steps)
-            .map(|t| Tensor2::from_rows(input, sequences.iter().map(|s| s[t].as_slice())))
-            .collect();
-
-        let fwd = batched.forward_batch(&step_tensors);
-        let refs: Vec<&Tensor2> = step_tensors.iter().collect();
-        let inferred = batched.infer_batch(&refs).clone();
-        prop_assert_eq!(&fwd, &inferred);
-        for (b, seq) in sequences.iter().enumerate() {
-            prop_assert_eq!(fwd.row(b), serial.forward_inference(seq).as_slice());
-            let borrowed: Vec<&[f64]> = seq.iter().map(Vec::as_slice).collect();
-            prop_assert_eq!(fwd.row(b), serial.infer(&borrowed));
+        check_lstm_paths(&lstm, &sequences, &grads);
+        // The same rows as batches of one.
+        for (sequence, grad) in sequences.iter().zip(&grads) {
+            check_lstm_paths(&lstm, std::slice::from_ref(sequence), std::slice::from_ref(grad));
         }
+    }
+}
 
-        let g = Tensor2::from_rows(hidden, grads.iter().map(Vec::as_slice));
-        let gx = batched.backward_batch(&g);
-        for seq in &sequences {
-            let one_row: Vec<Tensor2> = seq.iter().map(|x| Tensor2::from_row(x)).collect();
-            serial.forward_batch(&one_row);
-        }
-        let mut gx_serial: Vec<Vec<Tensor2>> =
-            grads.iter().rev().map(|gr| serial.backward_batch(&Tensor2::from_row(gr))).collect();
-        gx_serial.reverse();
-        for (b, gs) in gx_serial.iter().enumerate() {
-            for (t, gt) in gs.iter().enumerate() {
-                prop_assert_eq!(gx[t].row(b), gt.data());
+/// One LSTM input row of `kind`: 0 random density (zeros of both signs
+/// between non-zeros), 1 no non-zero (`-0.0`s included), 2 more than half
+/// the columns non-zero.
+fn sparse_row(input: usize, kind: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
+    (0..input)
+        .map(|_| {
+            let live = match kind {
+                0 => rng.gen_range(0.0..1.0) < 0.4,
+                1 => false,
+                _ => true,
+            };
+            match (live, rng.gen_range(0..2)) {
+                (true, _) => rng.gen_range(-2.0..2.0),
+                (false, 0) => 0.0,
+                (false, _) => -0.0,
             }
+        })
+        .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `sequences[b][t]` through every LSTM training and inference path: the
+/// list body (`forward_batch_nonzeros`), the dense wrapper
+/// (`forward_batch`) and `infer_batch` must give, row by row, the bits of
+/// `forward_inference` and `infer`; the list body's and the wrapper's
+/// backward (input and parameter gradients) the bits of one-row
+/// `backward_batch` calls replayed in reverse against stacked caches.
+fn check_lstm_paths(lstm: &Lstm, sequences: &[Vec<Vec<f64>>], grads: &[Vec<f64>]) {
+    let (input, hidden) = (lstm.input_size(), lstm.hidden_size());
+    let steps = sequences[0].len();
+    let (mut listed, mut dense, mut serial) = (lstm.clone(), lstm.clone(), lstm.clone());
+    let step_tensors: Vec<Tensor2> = (0..steps)
+        .map(|t| Tensor2::from_rows(input, sequences.iter().map(|s| s[t].as_slice())))
+        .collect();
+    let lists: Vec<Vec<(Vec<u32>, Vec<f64>)>> = (0..steps)
+        .map(|t| {
+            sequences
+                .iter()
+                .map(|s| {
+                    let nonzero = |c: &usize| s[t][*c] != 0.0;
+                    let cols: Vec<usize> = (0..input).filter(nonzero).collect();
+                    let values = cols.iter().map(|c| s[t][*c]).collect();
+                    (cols.iter().map(|c| *c as u32).collect(), values)
+                })
+                .collect()
+        })
+        .collect();
+    let borrowed: Vec<Vec<(&[u32], &[f64])>> = lists
+        .iter()
+        .map(|step| {
+            step.iter()
+                .map(|(c, v)| (c.as_slice(), v.as_slice()))
+                .collect()
+        })
+        .collect();
+    let sequence: Vec<&[(&[u32], &[f64])]> = borrowed.iter().map(Vec::as_slice).collect();
+
+    let fwd = listed.forward_batch_nonzeros(&sequence);
+    prop_assert_eq!(
+        bits(fwd.data()),
+        bits(dense.forward_batch(&step_tensors).data())
+    );
+    let refs: Vec<&Tensor2> = step_tensors.iter().collect();
+    prop_assert_eq!(bits(fwd.data()), bits(serial.infer_batch(&refs).data()));
+    for (b, seq) in sequences.iter().enumerate() {
+        prop_assert_eq!(bits(fwd.row(b)), bits(&serial.forward_inference(seq)));
+        let rows: Vec<&[f64]> = seq.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(bits(fwd.row(b)), bits(serial.infer(&rows)));
+    }
+
+    let g = Tensor2::from_rows(hidden, grads.iter().map(Vec::as_slice));
+    let gx = listed.backward_batch(&g);
+    let gx_dense = dense.backward_batch(&g);
+    for seq in sequences {
+        let one_row: Vec<Tensor2> = seq.iter().map(|x| Tensor2::from_row(x)).collect();
+        serial.forward_batch(&one_row);
+    }
+    let mut gx_serial: Vec<Vec<Tensor2>> = grads
+        .iter()
+        .rev()
+        .map(|gr| serial.backward_batch(&Tensor2::from_row(gr)))
+        .collect();
+    gx_serial.reverse();
+    for (b, gs) in gx_serial.iter().enumerate() {
+        for (t, gt) in gs.iter().enumerate() {
+            prop_assert_eq!(bits(gx[t].row(b)), bits(gt.data()));
+            prop_assert_eq!(bits(gx_dense[t].row(b)), bits(gt.data()));
         }
-        let pb = batched.parameters_mut();
-        let ps = serial.parameters_mut();
-        for (a, b) in pb.iter().zip(&ps) {
-            prop_assert_eq!(a.grad(), b.grad());
-        }
+    }
+    let (pl, pd, ps) = (
+        listed.parameters_mut(),
+        dense.parameters_mut(),
+        serial.parameters_mut(),
+    );
+    for ((l, d), s) in pl.iter().zip(&pd).zip(&ps) {
+        prop_assert_eq!(bits(l.grad()), bits(s.grad()));
+        prop_assert_eq!(bits(d.grad()), bits(s.grad()));
     }
 }
 

@@ -2,6 +2,9 @@
 //! across worker counts and cost-model cache accounting, exercised through
 //! the public crate APIs end to end.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use mlir_rl_agent::{
     collect_rollouts, episode_seed, ActionRecord, PolicyHyperparams, PolicyModel, PolicyNetwork,
     PpoConfig, PpoTrainer, RolloutBatch, Trajectory,
@@ -432,21 +435,21 @@ fn nothing_on_a_hot_path_builds_a_dense_observation() {
         assert!(batch.total_steps() > 0);
         assert_eq!(dense_views(&batch), 0, "{workers} workers");
 
-        // Packing for the batched networks scatters from the lists.
+        // A batch for the batched networks borrows the lists.
         let (_, mut trainer) = fixture(&config);
         let observations: Vec<_> = batch
             .trajectories
             .iter()
             .flat_map(|t| t.transitions.iter().map(|t| &t.observation))
             .collect();
-        let packed = ObservationBatch::from_observations(observations.iter().copied());
-        assert_eq!(packed.len(), observations.len());
+        let batched = ObservationBatch::from_observations(observations.iter().copied());
+        assert_eq!(batched.len(), observations.len());
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let ranked = trainer
             .policy
             .rank_actions_batch(&observations, 2, &mut rng);
         assert_eq!(ranked.len(), observations.len());
-        assert_eq!(dense_views(&batch), 0, "{workers} workers, after packing");
+        assert_eq!(dense_views(&batch), 0, "{workers} workers, after batching");
 
         // The view exists once somebody asks, stays with the value that was
         // asked, and changes nothing about what the value is.
@@ -457,5 +460,79 @@ fn nothing_on_a_hot_path_builds_a_dense_observation() {
         assert!(!copy.consumer.is_materialized());
         assert_eq!(&copy, obs);
         assert_eq!(dense_views(&batch), 1);
+    }
+}
+
+/// A policy that fails on a dense view of any observation its training
+/// calls see, after running them, and counts the rows it checked.
+#[derive(Clone)]
+struct RefusesDenseViews {
+    inner: PolicyNetwork,
+    checked: Arc<AtomicUsize>,
+}
+
+impl RefusesDenseViews {
+    fn check<'a>(&self, observations: impl Iterator<Item = &'a Observation>) {
+        for obs in observations {
+            assert!(
+                !obs.producer.is_materialized() && !obs.consumer.is_materialized(),
+                "a training call built a dense observation"
+            );
+            self.checked.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl PolicyModel for RefusesDenseViews {
+    fn select_action(
+        &mut self,
+        obs: &Observation,
+        greedy: bool,
+        rng: &mut ChaCha8Rng,
+    ) -> ActionRecord {
+        self.inner.select_action(obs, greedy, rng)
+    }
+    fn evaluate_batch(
+        &mut self,
+        batch: &ObservationBatch,
+        items: &[(&Observation, &ActionRecord)],
+    ) -> Vec<(f64, f64)> {
+        let out = self.inner.evaluate_batch(batch, items);
+        self.check(items.iter().map(|(obs, _)| *obs));
+        out
+    }
+    fn backward_batch(&mut self, items: &[(&Observation, &ActionRecord)], coeffs: &[(f64, f64)]) {
+        self.inner.backward_batch(items, coeffs);
+        self.check(items.iter().map(|(obs, _)| *obs));
+    }
+    fn zero_grad(&mut self) {
+        self.inner.zero_grad();
+    }
+    fn parameters_mut(&mut self) -> Vec<&mut Param> {
+        self.inner.parameters_mut()
+    }
+}
+
+#[test]
+fn a_training_iteration_builds_no_dense_observation() {
+    // The PPO update reads each minibatch as the feature lists the
+    // transitions store: the policy chain and the value chain run the same
+    // trunk, and neither asks an observation for its dense view.
+    let dataset = dataset();
+    for config in [EnvConfig::small(), EnvConfig::paper()] {
+        let (mut env, trainer) = fixture(&config);
+        let checked = Arc::new(AtomicUsize::new(0));
+        let policy = RefusesDenseViews {
+            inner: trainer.policy,
+            checked: Arc::clone(&checked),
+        };
+        let mut trainer = PpoTrainer::with_policy(
+            policy,
+            trainer.value,
+            PpoConfig::small(),
+            ChaCha8Rng::seed_from_u64(13),
+        );
+        trainer.train_iteration(&mut env, &dataset);
+        assert!(checked.load(Ordering::Relaxed) > 0, "{config:?}");
     }
 }
