@@ -14,9 +14,10 @@ use mlir_rl_env::{
     flat_action_space, num_enumerated_candidates, EnvConfig, FlatAction, Observation,
     ObservationBatch,
 };
-use mlir_rl_nn::{Linear, MaskedCategorical, Param, Scratch, Tensor2};
+use mlir_rl_nn::{Linear, Param, Scratch, Tensor2};
 use mlir_rl_transforms::TransformationKind;
 
+use crate::decision::{Draw, LogitFactors, Walk};
 use crate::policy::{rank_candidates, ActionRecord, PolicyHyperparams};
 use crate::ppo::PolicyModel;
 use crate::trunk::Trunk;
@@ -33,10 +34,9 @@ pub struct FlatPolicyNetwork {
     /// Reusable logits buffer for rollout-time action selection.
     logits_scratch: Scratch<Vec<f64>>,
     /// What pending `evaluate_batch` calls kept for `backward_batch`, one
-    /// entry per call: each item's `d log_prob / d logits` and `d entropy /
-    /// d logits` (one row per item), so the backward pass re-runs neither
-    /// the forward network nor a distribution.
-    pending_batches: Scratch<Vec<[Tensor2; 2]>>,
+    /// entry per call: one logit-gradient segment per item, so the backward
+    /// pass re-runs neither the forward network nor a distribution.
+    pending_batches: Scratch<Vec<LogitFactors>>,
 }
 
 impl FlatPolicyNetwork {
@@ -116,7 +116,7 @@ impl FlatPolicyNetwork {
 
     /// Draws one record from fixed logits/mask (the logits never change
     /// between draws of one ranking, so this is bit-identical to repeated
-    /// `select_action` calls).
+    /// `select_action` calls): a walk of one decision.
     fn record_from_logits(
         &self,
         obs: &Observation,
@@ -125,25 +125,12 @@ impl FlatPolicyNetwork {
         greedy: bool,
         rng: &mut ChaCha8Rng,
     ) -> ActionRecord {
-        let dist = MaskedCategorical::new(logits, mask);
-        let index = if greedy {
-            dist.argmax()
-        } else {
-            dist.sample(rng)
-        };
-        self.record_for(obs, index, dist.log_prob(index), dist.entropy())
-    }
-
-    fn record_for(
-        &self,
-        obs: &Observation,
-        index: usize,
-        log_prob: f64,
-        entropy: f64,
-    ) -> ActionRecord {
-        let action = self.actions[index].to_action(obs.num_loops);
+        let mut draw = Draw::new(greedy, rng);
+        // NoTransformation is always allowed, so the mask is never empty.
+        let (log_prob, entropy) = Walk::new(&mut draw, None).flat(logits, mask);
+        let index = draw.kind_index;
         ActionRecord {
-            action,
+            action: self.actions[index].to_action(obs.num_loops),
             kind_index: index,
             tile_indices: Vec::new(),
             interchange_candidate: None,
@@ -163,15 +150,7 @@ impl PolicyModel for FlatPolicyNetwork {
     ) -> ActionRecord {
         let mut logits = std::mem::take(&mut self.logits_scratch).0;
         self.infer_logits(obs, &mut logits);
-        let mask = self.flat_mask(obs);
-        // NoTransformation is always allowed, so the mask is never empty.
-        let dist = MaskedCategorical::new(&logits, &mask);
-        let index = if greedy {
-            dist.argmax()
-        } else {
-            dist.sample(rng)
-        };
-        let record = self.record_for(obs, index, dist.log_prob(index), dist.entropy());
+        let record = self.record_from_logits(obs, &logits, &self.flat_mask(obs), greedy, rng);
         self.logits_scratch = Scratch(logits);
         record
     }
@@ -201,39 +180,26 @@ impl PolicyModel for FlatPolicyNetwork {
             return Vec::new();
         }
         let logits = self.logits_train_batch(batch);
-        let mut factors = [(); 2].map(|()| Tensor2::zeros(0, logits.cols()));
-        let mut out = Vec::with_capacity(items.len());
-        for (i, (obs, record)) in items.iter().enumerate() {
-            let mask = self.flat_mask(obs);
-            let dist = MaskedCategorical::new(logits.row(i), &mask);
-            out.push((dist.log_prob(record.kind_index), dist.entropy()));
-            factors[0].push_row(&dist.log_prob_grad(record.kind_index));
-            factors[1].push_row(&dist.entropy_grad());
-        }
+        let mut factors = LogitFactors::default();
+        let out = items
+            .iter()
+            .enumerate()
+            .map(|(i, (obs, record))| {
+                Walk::new(*record, Some(&mut factors)).flat(logits.row(i), &self.flat_mask(obs))
+            })
+            .collect();
         self.pending_batches.0.push(factors);
         out
     }
 
     fn backward_batch(&mut self, items: &[(&Observation, &ActionRecord)], coeffs: &[(f64, f64)]) {
-        if items.is_empty() {
-            assert!(coeffs.is_empty(), "coefficient count mismatch");
+        let pending = &mut self.pending_batches.0;
+        let Some(factors) = LogitFactors::pop(pending, items.len(), coeffs.len()) else {
             return;
-        }
-        let [dlogp, dh] = self
-            .pending_batches
-            .0
-            .pop()
-            .expect("backward_batch called without a matching evaluate_batch");
-        assert_eq!(items.len(), dlogp.rows(), "batch mismatch");
-        assert_eq!(items.len(), coeffs.len(), "coefficient count mismatch");
-        let mut grads = Tensor2::zeros(dlogp.rows(), dlogp.cols());
-        for (i, (coeff_logprob, coeff_entropy)) in coeffs.iter().enumerate() {
-            let factors = dlogp.row(i).iter().zip(dh.row(i));
-            for (slot, (l, e)) in grads.row_mut(i).iter_mut().zip(factors) {
-                *slot = coeff_logprob * l + coeff_entropy * e;
-            }
-        }
-        let grad_z = self.head.backward_batch(&grads);
+        };
+        let mut grads = [Tensor2::zeros(items.len(), self.head.output_size())];
+        factors.weigh(coeffs, &mut grads);
+        let grad_z = self.head.backward_batch(&grads[0]);
         self.trunk.backward_batch(&grad_z);
     }
 
@@ -258,6 +224,7 @@ impl PolicyModel for FlatPolicyNetwork {
 mod tests {
     use super::*;
     use crate::ppo::{GroupResult, InferenceGroup, InferenceMode};
+    use crate::tests::evaluation_replays_selection;
     use mlir_rl_costmodel::{CostModel, MachineModel};
     use mlir_rl_env::OptimizationEnv;
     use mlir_rl_ir::ModuleBuilder;
@@ -362,12 +329,15 @@ mod tests {
     #[test]
     fn evaluate_is_consistent_with_selection() {
         let mut p = flat_policy();
+        let records = evaluation_replays_selection(&mut p, &EnvConfig::small());
+        let kinds: std::collections::BTreeSet<_> =
+            records.iter().map(|r| r.action.kind().index()).collect();
+        assert!(kinds.len() >= 4, "kinds drawn: {kinds:?}");
+
         let obs = observation();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let record = p.select_action(&obs, false, &mut rng);
-        let (lp, ent) = p.evaluate(&obs, &record);
-        assert!((lp - record.log_prob).abs() < 1e-9);
-        assert!((ent - record.entropy).abs() < 1e-9);
+        p.evaluate(&obs, &record);
         p.backward(&obs, &record, 1.0, 0.0);
         let grads: f64 = p
             .parameters_mut()

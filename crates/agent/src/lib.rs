@@ -12,6 +12,15 @@
 //! table in head order, and a single linear layer each for the flat policy
 //! and the critic.
 //!
+//! Both policies draw an action and re-score it for PPO through one private
+//! walk over the action space's sub-decisions (`decision`): the
+//! transformation kind, then the tile level indices or the interchange
+//! (enumerated candidate or Plackett–Luce level pointers). A chooser picks
+//! each index — the argmax or a sample when selecting, the stored
+//! [`ActionRecord`]'s own picks when re-scoring — so a re-scored record
+//! reproduces its `log_prob` and `entropy` bit for bit, and a record that
+//! does not fit its observation panics instead of being skipped.
+//!
 //! ## Example
 //!
 //! ```
@@ -41,6 +50,7 @@
 
 #![warn(missing_docs)]
 
+mod decision;
 pub mod flat;
 pub mod online;
 pub mod policy;
@@ -54,9 +64,7 @@ pub use online::{
     greedy_geomean, Experience, ExperienceStream, OnlineTrainer, OnlineTrainerStats,
     OnlineTrainingConfig, PolicyRegistry, PolicySnapshot,
 };
-pub use policy::{
-    permutation_log_prob, sample_permutation, ActionRecord, PolicyHyperparams, PolicyNetwork,
-};
+pub use policy::{ActionRecord, PolicyHyperparams, PolicyNetwork};
 pub use ppo::{
     collect_episode, collect_rollouts, compute_gae, default_rollout_workers, episode_seed, fan_out,
     GroupResult, InferenceGroup, InferenceMode, IterationStats, PolicyModel, PpoConfig, PpoTrainer,
@@ -64,3 +72,70 @@ pub use ppo::{
 };
 pub use snapshot::{WeightSnapshot, WeightsError, WEIGHTS_MAGIC, WEIGHTS_VERSION};
 pub use value::ValueNetwork;
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use mlir_rl_costmodel::{CostModel, MachineModel};
+    use mlir_rl_env::{EnvConfig, ObservationBatch, OptimizationEnv};
+    use mlir_rl_ir::ModuleBuilder;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    use crate::{ActionRecord, PolicyModel};
+
+    /// Draws a greedy and a sampled action at every observation of seeded
+    /// episodes (stepping with the sampled one) over a matmul + relu, a
+    /// conv2d deeper than `small()`'s heads and a 4-d add, re-scores every
+    /// record in one batch, and asserts each `(log_prob, entropy)` has its
+    /// record's bits. Returns the records.
+    pub(crate) fn evaluation_replays_selection<P: PolicyModel>(
+        p: &mut P,
+        config: &EnvConfig,
+    ) -> Vec<ActionRecord> {
+        let mut matmul = ModuleBuilder::new("matmul");
+        let a = matmul.argument("A", vec![64, 128]);
+        let w = matmul.argument("B", vec![128, 32]);
+        let mm = matmul.matmul(a, w);
+        matmul.relu(mm);
+        let mut conv = ModuleBuilder::new("conv");
+        let x = conv.argument("X", vec![1, 8, 16, 16]);
+        let w = conv.argument("W", vec![8, 8, 3, 3]);
+        conv.conv2d(x, w, 1);
+        let mut add = ModuleBuilder::new("add");
+        let a = add.argument("A", vec![4, 8, 16, 32]);
+        let b = add.argument("B", vec![4, 8, 16, 32]);
+        add.add(a, b);
+        let mut env = OptimizationEnv::new(config.clone(), CostModel::new(MachineModel::default()));
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut walked = Vec::new();
+        for module in [matmul, conv, add].map(|b| Arc::new(b.finish())) {
+            for _ in 0..4 {
+                let mut next = env.reset(module.clone());
+                while let Some(obs) = next {
+                    let greedy = p.select_action(&obs, true, &mut rng);
+                    let sampled = p.select_action(&obs, false, &mut rng);
+                    let done = env.step(&sampled.action).done;
+                    next = if done {
+                        None
+                    } else {
+                        env.current_observation()
+                    };
+                    walked.push((obs.clone(), greedy));
+                    walked.push((obs, sampled));
+                }
+            }
+        }
+        let items: Vec<_> = walked.iter().map(|(obs, record)| (obs, record)).collect();
+        let batch = ObservationBatch::from_observations(walked.iter().map(|(obs, _)| obs));
+        let scored = p.evaluate_batch(&batch, &items);
+        for ((log_prob, entropy), (_, record)) in scored.into_iter().zip(&walked) {
+            let bits = |lp: f64, h: f64| [lp.to_bits(), h.to_bits()];
+            let drawn = bits(record.log_prob, record.entropy);
+            assert_eq!(bits(log_prob, entropy), drawn, "{:?}", record.action);
+        }
+        p.zero_grad();
+        walked.into_iter().map(|(_, record)| record).collect()
+    }
+}

@@ -16,17 +16,17 @@
 //!   the masked softmax over the remaining loops, exactly the sub-step
 //!   process of Appendix B expressed as a Plackett–Luce distribution over
 //!   permutations. This covers all `N!` permutations with only `N` outputs.
+//!
+//! Drawing an action and re-scoring it for PPO run the same walk over these
+//! sub-decisions (`crate::decision`).
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-use mlir_rl_env::{
-    num_enumerated_candidates, Action, EnvConfig, InterchangeMode, InterchangeSpec, Observation,
-    ObservationBatch,
-};
-use mlir_rl_nn::{Linear, MaskedCategorical, Param, Scratch, Tensor2};
-use mlir_rl_transforms::TransformationKind;
+use mlir_rl_env::{Action, EnvConfig, InterchangeMode, Observation, ObservationBatch};
+use mlir_rl_nn::{Linear, Param, Scratch, Tensor2};
 
+use crate::decision::{Draw, Head, HeadLogits, LogitFactors, Walk};
 use crate::trunk::Trunk;
 
 /// Hyper-parameters of the network (the paper uses 512 units everywhere;
@@ -96,29 +96,6 @@ pub struct PolicyNetwork {
     pending_batches: Scratch<Vec<LogitFactors>>,
 }
 
-/// The policy's heads, in construction, parameter and gradient-summation
-/// order: transformation selection, one tile-size head per tiled
-/// transformation, and the interchange head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Head {
-    Transformation,
-    Tiling,
-    Parallelization,
-    Fusion,
-    Interchange,
-}
-
-impl Head {
-    /// The tile-size head of a tiled transformation kind.
-    fn tiles_of(kind: TransformationKind) -> Self {
-        match kind {
-            TransformationKind::TiledParallelization => Self::Parallelization,
-            TransformationKind::TiledFusion => Self::Fusion,
-            _ => Self::Tiling,
-        }
-    }
-}
-
 /// Per-head logits of one forward pass, indexed by [`Head`] (training mode
 /// keeps them to build gradients).
 type HeadOutputs = [Vec<f64>; 5];
@@ -127,48 +104,11 @@ type HeadOutputs = [Vec<f64>; 5];
 /// one row per observation in each tensor.
 type HeadBatch = [Tensor2; 5];
 
-/// One stretch of an item's head row that one of its distributions covers:
-/// the logit gradients of that distribution are written there, or added
-/// there when several tile levels share a head row.
-#[derive(Debug, Clone, Copy)]
-struct Segment {
-    item: usize,
-    head: Head,
-    start: usize,
-    len: usize,
-    accumulate: bool,
-}
-
-/// The logit gradients [`PolicyNetwork::evaluate_batch`] keeps for the
-/// matching [`PolicyNetwork::backward_batch`]: per segment, in evaluation
-/// order, its distribution's `d log_prob / d logits` and `d entropy /
-/// d logits`, back to back in `dlogp` / `dh`. The backward pass only
-/// weighs them with the item's coefficients, so no distribution is built
-/// twice.
-#[derive(Debug, Clone, Default)]
-struct LogitFactors {
-    /// Items evaluated.
-    rows: usize,
-    segments: Vec<Segment>,
-    dlogp: Vec<f64>,
-    dh: Vec<f64>,
-}
-
-impl LogitFactors {
-    /// Records one segment's factors (of equal length).
-    fn push(&mut self, segment: Segment, dlogp: &[f64], dh: &[f64]) {
-        debug_assert!(dlogp.len() == segment.len && dh.len() == segment.len);
-        self.segments.push(segment);
-        self.dlogp.extend_from_slice(dlogp);
-        self.dh.extend_from_slice(dh);
-    }
-}
-
 /// The head logits one decision reads. A decision reads the
 /// transformation head and then at most one other: the chosen tiled kind's
 /// tile head or the interchange head. Decoding therefore computes the
 /// backbone output and the transformation head up front and each other
-/// head on its first read ([`PolicyNetwork::head_logits`]).
+/// head on its first read (its [`HeadLogits`] implementation).
 #[derive(Debug, Clone, Default)]
 struct DecodeHeads {
     /// The backbone output the heads are computed from.
@@ -176,6 +116,19 @@ struct DecodeHeads {
     logits: HeadOutputs,
     /// Whether each [`Head`]'s logits are this observation's.
     ready: [bool; 5],
+}
+
+/// Batch-1 decoding: each head's logits computed from the kept backbone
+/// output on the first read.
+impl HeadLogits for (&PolicyNetwork, &mut DecodeHeads) {
+    fn of(&mut self, head: Head) -> &[f64] {
+        let (network, heads, i) = (self.0, &mut *self.1, head as usize);
+        if !heads.ready[i] {
+            network.heads[i].infer_into(&heads.z, &mut heads.logits[i]);
+            heads.ready[i] = true;
+        }
+        &heads.logits[i]
+    }
 }
 
 /// The shared candidate-ranking procedure behind
@@ -252,25 +205,14 @@ impl PolicyNetwork {
 
     /// Allocation-free batch-1 inference into reusable buffers: the
     /// backbone output and the transformation head, with every other head
-    /// left to [`PolicyNetwork::head_logits`] (bit-identical to the layers'
+    /// left to their first read (bit-identical to the layers'
     /// `forward_inference` oracles).
     fn infer_heads(&mut self, obs: &Observation, out: &mut DecodeHeads) {
         let z = self.trunk.infer(obs);
         out.z.clear();
         out.z.extend_from_slice(z);
         out.ready = [false; 5];
-        self.head_logits(out, Head::Transformation);
-    }
-
-    /// `head`'s logits, computed from the kept backbone output on the
-    /// first read.
-    fn head_logits<'h>(&self, heads: &'h mut DecodeHeads, head: Head) -> &'h [f64] {
-        let i = head as usize;
-        if !heads.ready[i] {
-            self.heads[i].infer_into(&heads.z, &mut heads.logits[i]);
-            heads.ready[i] = true;
-        }
-        &heads.logits[i]
+        (&*self, out).of(Head::Transformation);
     }
 
     /// Batched training-mode forward pass over an observation batch (the
@@ -292,122 +234,27 @@ impl PolicyNetwork {
         greedy: bool,
         rng: &mut R,
     ) -> ActionRecord {
-        // Temporarily take the scratch so `decide` can borrow `self`
+        // Temporarily take the scratch so the walk can borrow `self`
         // immutably while reading the logits.
         let mut heads = std::mem::take(&mut self.head_scratch).0;
         self.infer_heads(obs, &mut heads);
-        let record = self.decide(obs, &mut heads, greedy, rng);
+        let record = self.record_from_heads(obs, &mut heads, greedy, rng);
         self.head_scratch = Scratch(heads);
         record
     }
 
-    fn decide<R: Rng>(
+    /// Draws one action from an observation's decoded heads (the walk
+    /// builds no gradient).
+    fn record_from_heads<R: Rng>(
         &self,
         obs: &Observation,
         heads: &mut DecodeHeads,
         greedy: bool,
         rng: &mut R,
     ) -> ActionRecord {
-        let n = obs.num_loops;
-        let m = self.env_config.num_tile_candidates();
-        let mask = &obs.mask;
-
-        // 1. Transformation selection.
-        let kind_dist = MaskedCategorical::new(
-            &heads.logits[Head::Transformation as usize],
-            mask.transformation.as_ref(),
-        );
-        let kind_index = if greedy {
-            kind_dist.argmax()
-        } else {
-            kind_dist.sample(rng)
-        };
-        let kind = TransformationKind::from_index(kind_index);
-        let mut log_prob = kind_dist.log_prob(kind_index);
-        let mut entropy = kind_dist.entropy();
-
-        let mut tile_indices = Vec::new();
-        let mut interchange_candidate = None;
-        let mut interchange_permutation = None;
-
-        // 2. Parameters of the selected transformation.
-        if kind.is_tiled() {
-            let logits = self.head_logits(heads, Head::tiles_of(kind));
-            for level in 0..n {
-                // Operations deeper than `max_loops` share the last head row
-                // (the representation is truncated to `max_loops` anyway).
-                let head_level = level.min(self.env_config.max_loops - 1);
-                let level_logits = &logits[head_level * m..(head_level + 1) * m];
-                let dist = MaskedCategorical::new(level_logits, mask.tile_row(level));
-                let idx = if greedy {
-                    dist.argmax()
-                } else {
-                    dist.sample(rng)
-                };
-                log_prob += dist.log_prob(idx);
-                entropy += dist.entropy();
-                tile_indices.push(idx);
-            }
-        } else if kind == TransformationKind::Interchange {
-            let interchange = self.head_logits(heads, Head::Interchange);
-            match self.env_config.interchange_mode {
-                InterchangeMode::EnumeratedCandidates => {
-                    // Every candidate is legal once interchange is.
-                    let num_candidates = num_enumerated_candidates(n).max(1);
-                    let logits = &interchange[..num_candidates.min(interchange.len())];
-                    let dist = MaskedCategorical::from_logits(logits);
-                    let idx = if greedy {
-                        dist.argmax()
-                    } else {
-                        dist.sample(rng)
-                    };
-                    log_prob += dist.log_prob(idx);
-                    entropy += dist.entropy();
-                    interchange_candidate = Some(idx);
-                }
-                InterchangeMode::LevelPointers => {
-                    let head_len = n.min(interchange.len());
-                    let logits = &interchange[..head_len];
-                    let (mut perm, lp, ent) = sample_permutation(logits, greedy, rng);
-                    // Loops beyond the head width keep their positions.
-                    perm.extend(head_len..n);
-                    log_prob += lp;
-                    entropy += ent;
-                    interchange_permutation = Some(perm);
-                }
-            }
-        }
-
-        let action = match kind {
-            TransformationKind::Tiling => Action::Tiling {
-                tile_indices: tile_indices.clone(),
-            },
-            TransformationKind::TiledParallelization => Action::TiledParallelization {
-                tile_indices: tile_indices.clone(),
-            },
-            TransformationKind::TiledFusion => Action::TiledFusion {
-                tile_indices: tile_indices.clone(),
-            },
-            TransformationKind::Interchange => {
-                match (&interchange_candidate, &interchange_permutation) {
-                    (Some(c), _) => Action::Interchange(InterchangeSpec::Candidate(*c)),
-                    (_, Some(p)) => Action::Interchange(InterchangeSpec::Permutation(p.clone())),
-                    _ => Action::NoTransformation,
-                }
-            }
-            TransformationKind::Vectorization => Action::Vectorization,
-            TransformationKind::NoTransformation => Action::NoTransformation,
-        };
-
-        ActionRecord {
-            action,
-            kind_index,
-            tile_indices,
-            interchange_candidate,
-            interchange_permutation,
-            log_prob,
-            entropy,
-        }
+        let mut draw = Draw::new(greedy, rng);
+        let sums = Walk::new(&mut draw, None).action(&self.env_config, obs, &mut (self, heads));
+        draw.record(obs, self.env_config.interchange_mode, sums)
     }
 
     /// Recomputes the log-probabilities and entropies of a minibatch of
@@ -430,16 +277,13 @@ impl PolicyNetwork {
             return Vec::new();
         }
         let heads = self.forward_heads_train_batch(batch);
-        let mut factors = LogitFactors {
-            rows: items.len(),
-            ..LogitFactors::default()
-        };
+        let mut factors = LogitFactors::default();
         let out = items
             .iter()
             .enumerate()
             .map(|(i, (obs, record))| {
-                let row = heads.each_ref().map(|head| head.row(i));
-                self.log_prob_and_factors(obs, record, i, row, &mut factors)
+                let mut rows = heads.each_ref().map(|head| head.row(i));
+                Walk::new(*record, Some(&mut factors)).action(&self.env_config, obs, &mut rows)
             })
             .collect();
         self.pending_batches.0.push(factors);
@@ -465,43 +309,17 @@ impl PolicyNetwork {
         items: &[(&Observation, &ActionRecord)],
         coeffs: &[(f64, f64)],
     ) {
-        if items.is_empty() {
-            // `evaluate_batch` pushes nothing for an empty batch, so the
-            // pending stack stays symmetric by popping nothing here.
-            assert!(coeffs.is_empty(), "coefficient count mismatch");
+        // `evaluate_batch` pushes nothing for an empty batch, so the pending
+        // stack stays symmetric by popping nothing here.
+        let pending = &mut self.pending_batches.0;
+        let Some(factors) = LogitFactors::pop(pending, items.len(), coeffs.len()) else {
             return;
-        }
-        let factors = self
-            .pending_batches
-            .0
-            .pop()
-            .expect("backward_batch called without a matching evaluate_batch");
-        assert_eq!(items.len(), factors.rows, "batch mismatch");
-        assert_eq!(items.len(), coeffs.len(), "coefficient count mismatch");
-        // Each segment's gradient in evaluation order: the expression and
-        // the `=` / `+=` sequence of one item's distributions built afresh.
+        };
         let mut grads = self
             .heads
             .each_ref()
             .map(|head| Tensor2::zeros(items.len(), head.output_size()));
-        let mut at = 0;
-        for segment in &factors.segments {
-            let (coeff_logprob, coeff_entropy) = coeffs[segment.item];
-            let row = grads[segment.head as usize].row_mut(segment.item);
-            let weighed = factors.dlogp[at..].iter().zip(&factors.dh[at..]);
-            for (slot, (lp, eg)) in row[segment.start..segment.start + segment.len]
-                .iter_mut()
-                .zip(weighed)
-            {
-                let g = coeff_logprob * lp + coeff_entropy * eg;
-                if segment.accumulate {
-                    *slot += g;
-                } else {
-                    *slot = g;
-                }
-            }
-            at += segment.len;
-        }
+        factors.weigh(coeffs, &mut grads);
 
         // Push gradients through the heads into the backbone embedding, head
         // by head in `Head` order, starting from zeros.
@@ -529,7 +347,7 @@ impl PolicyNetwork {
         let mut heads = std::mem::take(&mut self.head_scratch).0;
         self.infer_heads(obs, &mut heads);
         let records = rank_candidates(k, rng, |greedy, rng| {
-            self.decide(obs, &mut heads, greedy, rng)
+            self.record_from_heads(obs, &mut heads, greedy, rng)
         });
         self.head_scratch = Scratch(heads);
         records
@@ -553,95 +371,6 @@ impl PolicyNetwork {
             .collect()
     }
 
-    /// Computes the log-prob and entropy of stored action `item` under the
-    /// given head rows, and records into `kept` the logit gradients of each
-    /// distribution it builds — in this order: the transformation head, the
-    /// tile levels, the interchange head — for
-    /// [`PolicyNetwork::backward_batch`] to weigh.
-    fn log_prob_and_factors(
-        &self,
-        obs: &Observation,
-        record: &ActionRecord,
-        item: usize,
-        outputs: [&[f64]; 5],
-        kept: &mut LogitFactors,
-    ) -> (f64, f64) {
-        let n = obs.num_loops;
-        let m = self.env_config.num_tile_candidates();
-        let mask = &obs.mask;
-        let kind = TransformationKind::from_index(record.kind_index);
-        let segment = |head: Head, start: usize, len: usize, accumulate: bool| Segment {
-            item,
-            head,
-            start,
-            len,
-            accumulate,
-        };
-
-        // Transformation head.
-        let transformation = outputs[Head::Transformation as usize];
-        let kind_dist = MaskedCategorical::new(transformation, mask.transformation.as_ref());
-        let mut log_prob = kind_dist.log_prob(record.kind_index);
-        let mut entropy = kind_dist.entropy();
-        kept.push(
-            segment(Head::Transformation, 0, transformation.len(), false),
-            &kind_dist.log_prob_grad(record.kind_index),
-            &kind_dist.entropy_grad(),
-        );
-
-        let interchange = outputs[Head::Interchange as usize];
-        if kind.is_tiled() && !record.tile_indices.is_empty() {
-            let head = Head::tiles_of(kind);
-            let logits = outputs[head as usize];
-            for (level, idx) in record.tile_indices.iter().enumerate().take(n) {
-                let head_level = level.min(self.env_config.max_loops - 1);
-                let level_logits = &logits[head_level * m..(head_level + 1) * m];
-                let dist = MaskedCategorical::new(level_logits, mask.tile_row(level));
-                log_prob += dist.log_prob(*idx);
-                entropy += dist.entropy();
-                kept.push(
-                    segment(head, head_level * m, m, true),
-                    &dist.log_prob_grad(*idx),
-                    &dist.entropy_grad(),
-                );
-            }
-        } else if kind == TransformationKind::Interchange {
-            match self.env_config.interchange_mode {
-                InterchangeMode::EnumeratedCandidates => {
-                    if let Some(c) = record.interchange_candidate {
-                        let num_candidates = num_enumerated_candidates(n).max(1);
-                        let len = num_candidates.min(interchange.len());
-                        let dist = MaskedCategorical::from_logits(&interchange[..len]);
-                        log_prob += dist.log_prob(c);
-                        entropy += dist.entropy();
-                        kept.push(
-                            segment(Head::Interchange, 0, len, false),
-                            &dist.log_prob_grad(c),
-                            &dist.entropy_grad(),
-                        );
-                    }
-                }
-                InterchangeMode::LevelPointers => {
-                    if let Some(perm) = &record.interchange_permutation {
-                        let len = n.min(interchange.len());
-                        let (lp, ent, grad) = permutation_log_prob(&interchange[..len], perm);
-                        log_prob += lp;
-                        entropy += ent;
-                        // The permutation's entropy term carries no
-                        // gradient: its factor is `0.0`.
-                        kept.push(
-                            segment(Head::Interchange, 0, len, false),
-                            &grad,
-                            &vec![0.0; len],
-                        );
-                    }
-                }
-            }
-        }
-
-        (log_prob, entropy)
-    }
-
     /// Clears gradients and cached activations of every component.
     pub fn zero_grad(&mut self) {
         self.trunk.zero_grad();
@@ -660,71 +389,18 @@ impl PolicyNetwork {
     }
 }
 
-/// Samples a permutation from the Plackett–Luce distribution defined by the
-/// per-loop scores (the level-pointer head): position by position, a loop is
-/// drawn from the masked softmax over the loops not yet placed.
-/// Returns the permutation, its log-probability and the summed entropy of
-/// the conditional distributions.
-pub fn sample_permutation<R: Rng>(
-    logits: &[f64],
-    greedy: bool,
-    rng: &mut R,
-) -> (Vec<usize>, f64, f64) {
-    let n = logits.len();
-    let mut remaining = vec![true; n];
-    let mut permutation = Vec::with_capacity(n);
-    let mut log_prob = 0.0;
-    let mut entropy = 0.0;
-    for _ in 0..n {
-        let dist = MaskedCategorical::new(logits, &remaining);
-        let choice = if greedy {
-            dist.argmax()
-        } else {
-            dist.sample(rng)
-        };
-        log_prob += dist.log_prob(choice);
-        entropy += dist.entropy();
-        remaining[choice] = false;
-        permutation.push(choice);
-    }
-    (permutation, log_prob, entropy)
-}
-
-/// Log-probability of a given permutation under the Plackett–Luce
-/// distribution defined by `logits`, its conditional entropy, and the
-/// gradient of the log-probability with respect to the logits.
-pub fn permutation_log_prob(logits: &[f64], permutation: &[usize]) -> (f64, f64, Vec<f64>) {
-    let n = logits.len();
-    let mut remaining = vec![true; n];
-    let mut log_prob = 0.0;
-    let mut entropy = 0.0;
-    let mut grad = vec![0.0; n];
-    for &choice in permutation.iter().take(n) {
-        if choice >= n || !remaining[choice] {
-            // Degenerate stored permutation (should not happen); skip.
-            continue;
-        }
-        let dist = MaskedCategorical::new(logits, &remaining);
-        log_prob += dist.log_prob(choice);
-        entropy += dist.entropy();
-        let g = dist.log_prob_grad(choice);
-        for j in 0..n {
-            grad[j] += g[j];
-        }
-        remaining[choice] = false;
-    }
-    (log_prob, entropy, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flat::FlatPolicyNetwork;
     use crate::ppo::{GroupResult, InferenceGroup, InferenceMode, PolicyModel};
+    use crate::tests::evaluation_replays_selection;
     use crate::value::ValueNetwork;
     use mlir_rl_costmodel::{CostModel, MachineModel};
-    use mlir_rl_env::{Features, OptimizationEnv};
+    use mlir_rl_env::{Features, InterchangeSpec, OptimizationEnv};
     use mlir_rl_ir::ModuleBuilder;
+    use mlir_rl_nn::MaskedCategorical;
+    use mlir_rl_transforms::TransformationKind;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -796,14 +472,55 @@ mod tests {
 
     #[test]
     fn evaluate_matches_selection_log_prob() {
+        for mode in [
+            InterchangeMode::LevelPointers,
+            InterchangeMode::EnumeratedCandidates,
+        ] {
+            let config = EnvConfig {
+                interchange_mode: mode,
+                ..EnvConfig::small()
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(0);
+            let mut p = PolicyNetwork::new(config.clone(), PolicyHyperparams::default(), &mut rng);
+            let records = evaluation_replays_selection(&mut p, &config);
+            // The walks reached every sub-decision: tile levels past the
+            // head's rows, and the interchange head.
+            let deep_tiles = records
+                .iter()
+                .any(|r| r.tile_indices.len() > config.max_loops);
+            let interchange = records.iter().any(|r| match &r.action {
+                Action::Interchange(InterchangeSpec::Candidate(_)) => {
+                    mode == InterchangeMode::EnumeratedCandidates
+                }
+                Action::Interchange(InterchangeSpec::Permutation(_)) => {
+                    mode == InterchangeMode::LevelPointers
+                }
+                _ => false,
+            });
+            assert!(
+                deep_tiles && interchange,
+                "{mode:?}: {} records",
+                records.len()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "replayed record has no Tile(0) pick")]
+    fn replaying_a_record_that_does_not_fit_its_observation_panics() {
         let obs = observation();
-        let mut p = policy();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let record = p.select_action(&obs, false, &mut rng);
-        let (log_prob, entropy) = p.evaluate(&obs, &record);
-        assert!((log_prob - record.log_prob).abs() < 1e-9);
-        assert!((entropy - record.entropy).abs() < 1e-9);
-        p.zero_grad();
+        let record = ActionRecord {
+            action: Action::Tiling {
+                tile_indices: Vec::new(),
+            },
+            kind_index: TransformationKind::Tiling.index(),
+            tile_indices: Vec::new(),
+            interchange_candidate: None,
+            interchange_permutation: None,
+            log_prob: 0.0,
+            entropy: 0.0,
+        };
+        policy().evaluate(&obs, &record);
     }
 
     #[test]
@@ -861,7 +578,7 @@ mod tests {
         Head::Interchange,
     ];
 
-    /// `decide` on logits with every head already computed (the oracle's).
+    /// A draw from logits with every head already computed (the oracle's).
     fn decide_on(
         p: &PolicyNetwork,
         obs: &Observation,
@@ -874,7 +591,7 @@ mod tests {
             logits: heads.clone(),
             ready: [true; 5],
         };
-        p.decide(obs, &mut complete, greedy, rng)
+        p.record_from_heads(obs, &mut complete, greedy, rng)
     }
 
     fn head_bits(heads: &HeadOutputs) -> Vec<u64> {
@@ -914,7 +631,7 @@ mod tests {
                 "only the transformation head up front"
             );
             for head in ALL_HEADS {
-                p.head_logits(&mut got, head);
+                (&p, &mut got).of(head);
             }
             assert_eq!(head_bits(&got.logits), head_bits(heads));
             for greedy in [true, false] {
@@ -1048,17 +765,16 @@ mod tests {
         // The tile head's logit gradient, level by level from its logits.
         let mut heads = DecodeHeads::default();
         p.infer_heads(&obs, &mut heads);
-        let logits = p.head_logits(&mut heads, head).to_vec();
+        let logits = (&p, &mut heads).of(head).to_vec();
         let m = config.num_tile_candidates();
         let mut expected = vec![0.0; logits.len()];
         for (level, idx) in record.tile_indices.iter().enumerate() {
             let row = level.min(config.max_loops - 1) * m;
             let dist = MaskedCategorical::new(&logits[row..row + m], obs.mask.tile_row(level));
-            let factors = dist
-                .log_prob_grad(*idx)
-                .into_iter()
-                .zip(dist.entropy_grad());
-            for (slot, (lp, eg)) in expected[row..row + m].iter_mut().zip(factors) {
+            let [mut dlogp, mut dh] = [(); 2].map(|()| Vec::new());
+            dist.log_prob_grad(*idx, &mut dlogp);
+            dist.entropy_grad(dist.entropy(), &mut dh);
+            for (slot, (lp, eg)) in expected[row..row + m].iter_mut().zip(dlogp.iter().zip(&dh)) {
                 *slot += coeff_logprob * lp + coeff_entropy * eg;
             }
         }
@@ -1093,6 +809,53 @@ mod tests {
         );
     }
 
+    /// A reset observation of a relu over an `n`-d tensor (`n` loops), and
+    /// head rows on which the transformation head all but forces an
+    /// interchange (the other kinds' probabilities underflow to `0.0`, so
+    /// its log-probability and entropy add nothing) and the level-pointer
+    /// head scores `scores`.
+    fn interchange_walk(scores: &[f64]) -> (Observation, [Vec<f64>; 5]) {
+        let mut b = ModuleBuilder::new("relu");
+        let x = b.argument("X", vec![8; scores.len()]);
+        b.relu(x);
+        let mut env =
+            OptimizationEnv::new(EnvConfig::small(), CostModel::new(MachineModel::default()));
+        let obs = env.reset(b.finish()).unwrap();
+        assert!(obs.mask.allows(TransformationKind::Interchange));
+        let mut kinds = vec![-1.0e4; 6];
+        kinds[TransformationKind::Interchange.index()] = 0.0;
+        let heads = [kinds, Vec::new(), Vec::new(), Vec::new(), scores.to_vec()];
+        (obs, heads)
+    }
+
+    /// Re-scores the level-pointer `permutation` under `scores` through the
+    /// walk: `(log_prob, entropy, d log_prob / d scores)`.
+    fn replay_permutation(scores: &[f64], permutation: &[usize]) -> (f64, f64, Vec<f64>) {
+        let (obs, heads) = interchange_walk(scores);
+        let spec = InterchangeSpec::Permutation(permutation.to_vec());
+        let record = ActionRecord {
+            action: Action::Interchange(spec),
+            kind_index: TransformationKind::Interchange.index(),
+            tile_indices: Vec::new(),
+            interchange_candidate: None,
+            interchange_permutation: Some(permutation.to_vec()),
+            log_prob: 0.0,
+            entropy: 0.0,
+        };
+        let mut factors = LogitFactors::default();
+        let mut rows = heads.each_ref().map(Vec::as_slice);
+        let config = EnvConfig::small();
+        let (log_prob, entropy) =
+            Walk::new(&record, Some(&mut factors)).action(&config, &obs, &mut rows);
+        let mut grads = heads.each_ref().map(|head| Tensor2::zeros(1, head.len()));
+        factors.weigh(&[(1.0, 0.0)], &mut grads);
+        (
+            log_prob,
+            entropy,
+            grads[Head::Interchange as usize].row(0).to_vec(),
+        )
+    }
+
     #[test]
     fn plackett_luce_permutation_probabilities_sum_to_one() {
         // For 3 loops, the probabilities of all 6 permutations sum to 1.
@@ -1107,7 +870,7 @@ mod tests {
         ];
         let total: f64 = perms
             .iter()
-            .map(|p| permutation_log_prob(&logits, p).0.exp())
+            .map(|p| replay_permutation(&logits, p).0.exp())
             .sum();
         assert!((total - 1.0).abs() < 1e-9, "total probability {total}");
     }
@@ -1116,12 +879,12 @@ mod tests {
     fn permutation_log_prob_gradient_matches_finite_difference() {
         let logits = [0.2, -0.1, 0.7, 0.0];
         let perm = vec![2, 0, 3, 1];
-        let (lp, _, grad) = permutation_log_prob(&logits, &perm);
+        let (lp, _, grad) = replay_permutation(&logits, &perm);
         let eps = 1e-6;
         for i in 0..logits.len() {
             let mut l2 = logits.to_vec();
             l2[i] += eps;
-            let (lp2, _, _) = permutation_log_prob(&l2, &perm);
+            let (lp2, _, _) = replay_permutation(&l2, &perm);
             let fd = (lp2 - lp) / eps;
             assert!((fd - grad[i]).abs() < 1e-4, "i={i}: {fd} vs {}", grad[i]);
         }
@@ -1129,14 +892,25 @@ mod tests {
 
     #[test]
     fn sampled_permutations_are_valid() {
+        let scores = [0.1, 0.2, 0.3, 0.4];
+        let (obs, heads) = interchange_walk(&scores);
+        let config = EnvConfig::small();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         for _ in 0..20 {
-            let (perm, lp, ent) = sample_permutation(&[0.1, 0.2, 0.3, 0.4], false, &mut rng);
-            let mut sorted = perm.clone();
+            let mut draw = Draw::new(false, &mut rng);
+            let mut rows = heads.each_ref().map(Vec::as_slice);
+            let sums = Walk::new(&mut draw, None).action(&config, &obs, &mut rows);
+            let record = draw.record(&obs, config.interchange_mode, sums);
+            let permutation = record.interchange_permutation.expect("an interchange");
+            assert!(record.log_prob <= 0.0);
+            assert!(record.entropy >= 0.0);
+            // The same walk replayed scores the draw to the bit.
+            let (log_prob, entropy, _) = replay_permutation(&scores, &permutation);
+            assert_eq!(log_prob.to_bits(), record.log_prob.to_bits());
+            assert_eq!(entropy.to_bits(), record.entropy.to_bits());
+            let mut sorted = permutation;
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2, 3]);
-            assert!(lp <= 0.0);
-            assert!(ent >= 0.0);
         }
     }
 

@@ -45,9 +45,10 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
         return Vec::new();
     }
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
+    let mut exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
     let sum: f64 = exps.iter().sum();
-    exps.iter().map(|e| e / sum).collect()
+    exps.iter_mut().for_each(|e| *e /= sum);
+    exps
 }
 
 /// Softmax restricted to the positions where `mask` is `true`; masked-out
@@ -68,13 +69,14 @@ pub fn masked_softmax(logits: &[f64], mask: &[bool]) -> Vec<f64> {
         .filter(|(_, m)| **m)
         .map(|(l, _)| *l)
         .fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits
+    let mut exps: Vec<f64> = logits
         .iter()
         .zip(mask)
         .map(|(l, m)| if *m { (l - max).exp() } else { 0.0 })
         .collect();
     let sum: f64 = exps.iter().sum();
-    exps.iter().map(|e| e / sum).collect()
+    exps.iter_mut().for_each(|e| *e /= sum);
+    exps
 }
 
 #[cfg(test)]
@@ -150,7 +152,8 @@ mod tests {
         grad_probs[target] = -1.0 / probs[target];
         let grad_logits = softmax_backward(&probs, &grad_probs);
         // The policy's own gradient is the negated loss gradient.
-        let log_prob_grad = MaskedCategorical::from_logits(&logits).log_prob_grad(target);
+        let mut log_prob_grad = Vec::new();
+        MaskedCategorical::from_logits(&logits).log_prob_grad(target, &mut log_prob_grad);
         for (analytic, policy) in grad_logits.iter().zip(&log_prob_grad) {
             assert_close(*analytic, -policy);
         }

@@ -8,34 +8,47 @@
 
 use rand::Rng;
 
-use crate::activation::masked_softmax;
+use crate::activation::{masked_softmax, softmax};
 
 /// A categorical distribution over `n` choices, with an optional mask of
-/// allowed choices.
+/// allowed choices that it borrows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MaskedCategorical {
+pub struct MaskedCategorical<'m> {
     probs: Vec<f64>,
-    mask: Vec<bool>,
+    /// `None` when every choice is allowed.
+    mask: Option<&'m [bool]>,
 }
 
-impl MaskedCategorical {
+impl<'m> MaskedCategorical<'m> {
     /// Builds the distribution from raw logits and a mask of allowed
     /// entries.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ or every entry is masked out.
-    pub fn new(logits: &[f64], mask: &[bool]) -> Self {
-        let probs = masked_softmax(logits, mask);
+    pub fn new(logits: &[f64], mask: &'m [bool]) -> Self {
         Self {
-            probs,
-            mask: mask.to_vec(),
+            probs: masked_softmax(logits, mask),
+            mask: Some(mask),
         }
     }
 
-    /// Builds the distribution from raw logits with every entry allowed.
+    /// Builds the distribution from raw logits with every entry allowed
+    /// (the same probabilities, bit for bit, as an all-`true` mask).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logits` is empty.
     pub fn from_logits(logits: &[f64]) -> Self {
-        Self::new(logits, &vec![true; logits.len()])
+        assert!(!logits.is_empty(), "a distribution needs a category");
+        Self {
+            probs: softmax(logits),
+            mask: None,
+        }
+    }
+
+    fn allows(&self, index: usize) -> bool {
+        self.mask.is_none_or(|mask| mask[index])
     }
 
     /// The probabilities (masked entries have probability 0).
@@ -107,47 +120,39 @@ impl MaskedCategorical {
             .sum::<f64>()
     }
 
-    /// Gradient of `log_prob(index)` with respect to the *logits*:
-    /// `d log p_a / d logit_i = 1[i == a] - p_i` (zero on masked entries).
-    pub fn log_prob_grad(&self, index: usize) -> Vec<f64> {
-        self.probs
-            .iter()
-            .zip(&self.mask)
-            .enumerate()
-            .map(|(i, (p, m))| {
-                if !m {
-                    0.0
-                } else if i == index {
-                    1.0 - p
-                } else {
-                    -p
-                }
-            })
-            .collect()
+    /// Appends to `out` the gradient of `log_prob(index)` with respect to
+    /// the *logits*: `d log p_a / d logit_i = 1[i == a] - p_i`, `+0.0` on
+    /// masked entries.
+    pub fn log_prob_grad(&self, index: usize, out: &mut Vec<f64>) {
+        out.extend(self.probs.iter().enumerate().map(|(i, p)| {
+            if !self.allows(i) {
+                0.0
+            } else if i == index {
+                1.0 - p
+            } else {
+                -p
+            }
+        }));
     }
 
-    /// Gradient of the entropy with respect to the logits:
-    /// `dH/dlogit_i = -p_i * (log p_i + H)` on allowed entries.
-    pub fn entropy_grad(&self) -> Vec<f64> {
-        let h = self.entropy();
-        self.probs
-            .iter()
-            .zip(&self.mask)
-            .map(|(p, m)| {
-                if !m || *p <= 0.0 {
-                    0.0
-                } else {
-                    -p * (p.ln() + h)
-                }
-            })
-            .collect()
+    /// Appends to `out` the gradient of the entropy with respect to the
+    /// logits, `dH/dlogit_i = -p_i * (log p_i + H)` on allowed entries
+    /// (`+0.0` elsewhere), given `entropy`, this distribution's
+    /// [`MaskedCategorical::entropy`].
+    pub fn entropy_grad(&self, entropy: f64, out: &mut Vec<f64>) {
+        out.extend(self.probs.iter().enumerate().map(|(i, p)| {
+            if !self.allows(i) || *p <= 0.0 {
+                0.0
+            } else {
+                -p * (p.ln() + entropy)
+            }
+        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::softmax;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -182,6 +187,16 @@ mod tests {
         for (i, p) in probs.iter().enumerate() {
             assert!((d.log_prob(i) - p.ln()).abs() < 1e-12);
         }
+        // Unmasked is an all-`true` mask, bit for bit, gradients included.
+        let all = MaskedCategorical::new(&logits, &[true; 3]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(d.probs()), bits(all.probs()));
+        let [mut unmasked, mut masked] = [(); 2].map(|()| Vec::new());
+        d.log_prob_grad(2, &mut unmasked);
+        d.entropy_grad(d.entropy(), &mut unmasked);
+        all.log_prob_grad(2, &mut masked);
+        all.entropy_grad(all.entropy(), &mut masked);
+        assert_eq!(bits(&unmasked), bits(&masked));
         // Masked category has an extremely low log-prob but no NaN.
         let dm = MaskedCategorical::new(&logits, &[true, false, true]);
         assert!(dm.log_prob(1) < -1.0e8);
@@ -201,7 +216,9 @@ mod tests {
         let mask = [true, true, false, true];
         let target = 0;
         let d = MaskedCategorical::new(&logits, &mask);
-        let grad = d.log_prob_grad(target);
+        let mut grad = vec![7.0];
+        d.log_prob_grad(target, &mut grad);
+        assert_eq!(grad.remove(0), 7.0, "appended after what the buffer held");
         let eps = 1e-6;
         for i in 0..logits.len() {
             let mut lp = logits.to_vec();
@@ -211,9 +228,15 @@ mod tests {
             if mask[i] {
                 assert!((fd - grad[i]).abs() < 1e-4, "i={i}: {fd} vs {}", grad[i]);
             } else {
-                assert_eq!(grad[i], 0.0);
+                assert_eq!(grad[i].to_bits(), 0.0f64.to_bits());
             }
         }
+        // An allowed entry whose probability underflowed keeps `-p`.
+        let peaked = MaskedCategorical::new(&[0.0, -1.0e4], &[true, true]);
+        let mut grad = Vec::new();
+        peaked.log_prob_grad(0, &mut grad);
+        assert_eq!(peaked.probs()[1], 0.0);
+        assert_eq!(grad[1].to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -221,7 +244,9 @@ mod tests {
         let logits = [0.1, 0.9, -0.5];
         let mask = [true, true, true];
         let d = MaskedCategorical::new(&logits, &mask);
-        let grad = d.entropy_grad();
+        let mut grad = vec![7.0];
+        d.entropy_grad(d.entropy(), &mut grad);
+        assert_eq!(grad.remove(0), 7.0, "appended after what the buffer held");
         let eps = 1e-6;
         for i in 0..logits.len() {
             let mut lp = logits.to_vec();

@@ -37,7 +37,9 @@
 //! assert!(action != 4, "masked actions are never selected");
 //!
 //! // One policy-gradient step on that action.
-//! let grad_logits: Vec<f64> = dist.log_prob_grad(action).iter().map(|g| -g).collect();
+//! let mut grad_logits = Vec::new();
+//! dist.log_prob_grad(action, &mut grad_logits);
+//! grad_logits.iter_mut().for_each(|g| *g = -*g);
 //! head.backward_batch(&Tensor2::from_row(&grad_logits));
 //! let mut adam = Adam::new(1e-3);
 //! adam.step(&mut head.parameters_mut());

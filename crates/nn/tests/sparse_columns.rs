@@ -252,9 +252,11 @@ proptest! {
     }
 
     /// The LSTM over observation-shaped steps: every forward form equals
-    /// the dense reference cell; the parameters-only backward, the
-    /// input-gradient-returning backward and a per-sample replay all leave
-    /// the gradients the reference accumulates, `W` included.
+    /// the dense reference cell, the list entry `forward_batch_nonzeros`
+    /// included; the parameters-only backward (after the dense wrapper and
+    /// after the list entry), the input-gradient-returning backward and a
+    /// per-sample replay all leave the gradients the reference accumulates,
+    /// `W` included.
     #[test]
     fn lstm_forward_and_weight_gradients_equal_the_dense_reference(
         batch in 0usize..5,
@@ -302,6 +304,33 @@ proptest! {
         }
 
         // The parameters-only backward (what the networks call).
+        lstm.backward_params_batch(&grad_h);
+        prop_assert_eq!(lstm_grads(&mut lstm), reference.grads());
+
+        // The list entry (what the networks' trunk calls): the same rows
+        // as each row's non-zero `(columns, values)`, then the same
+        // parameters-only backward.
+        lstm.zero_grad();
+        let listed: Vec<Vec<(Vec<u32>, Vec<f64>)>> = steps
+            .iter()
+            .map(|step| {
+                (0..m)
+                    .map(|r| {
+                        let nonzeros = step.row(r).iter().enumerate().filter(|(_, v)| **v != 0.0);
+                        nonzeros.map(|(c, v)| (c as u32, *v)).unzip()
+                    })
+                    .collect()
+            })
+            .collect();
+        let lists: Vec<Vec<(&[u32], &[f64])>> = listed
+            .iter()
+            .map(|step| step.iter().map(|(c, v)| (c.as_slice(), v.as_slice())).collect())
+            .collect();
+        let sequence: Vec<&[(&[u32], &[f64])]> = lists.iter().map(Vec::as_slice).collect();
+        let from_lists = lstm.forward_batch_nonzeros(&sequence);
+        for (r, (h, _)) in forwards.iter().enumerate() {
+            prop_assert_eq!(bits(from_lists.row(r)), bits(h), "forward_batch_nonzeros row {}", r);
+        }
         lstm.backward_params_batch(&grad_h);
         prop_assert_eq!(lstm_grads(&mut lstm), reference.grads());
 
