@@ -41,21 +41,32 @@
 //! Episode collection is handled by [`collect_rollouts`]: every episode of
 //! a batch gets its own RNG (and, when measurement noise is enabled, its
 //! own noise stream) derived deterministically from a base seed and the
-//! episode index. Because no state flows between episodes, the batch fans
-//! out through [`fan_out`], the workspace's one claim loop — the caller is
-//! worker 0 on its own environment and networks, every further worker
-//! takes an environment duplicate, an inference-only snapshot of the policy
-//! and a value network clone, and each claims the next uncollected episode
-//! index from one shared counter until none is left — and the merged result
-//! is **bit-for-bit identical to serial collection** for a fixed seed, no
-//! matter the worker count or which thread collected which episode. The
-//! worker environments share the master environment's own sharded
-//! cost-model table ([`OptimizationEnv::clone_sharing_cache`]), so the
-//! parallel hit-rate matches serial collection and warmth persists across
-//! iterations with no fold-back step. The search crate's batch driver fans
-//! out through the same [`fan_out`].
+//! episode index. An episode is collected in two passes: the policy *acts*
+//! it to the end (`select_action`, `env.step`), then the critic *estimates*
+//! the value of every observation it stored (`predict_fast`). No action
+//! depends on a value, so the second pass may run later and elsewhere.
+//!
+//! With one worker the caller acts episode after episode and hands each
+//! finished one to a scoped critic thread (`rollout-critic`), which fills
+//! its values while the caller acts the next. With two or more workers the
+//! batch fans out through [`fan_out`], the workspace's one claim loop — the
+//! caller is worker 0 on its own environment and networks, every further
+//! worker takes an environment duplicate, an inference-only snapshot of the
+//! policy and a value network clone, each claims the next uncollected
+//! episode index from one shared counter until none is left, and each runs
+//! both passes of the episodes it claims. Because no state flows between
+//! episodes, and `predict_fast` is a pure function of the weights and the
+//! observation, the merged result is **bit-for-bit identical to serial
+//! collection** for a fixed seed, no matter the worker count or which
+//! thread acted or estimated which episode. The worker environments share
+//! the master environment's own sharded cost-model table
+//! ([`OptimizationEnv::clone_sharing_cache`]), so the parallel hit-rate
+//! matches serial collection and warmth persists across iterations with no
+//! fold-back step. The search crate's batch driver fans out through the
+//! same [`fan_out`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -303,9 +314,9 @@ pub struct PpoConfig {
     pub entropy_coef: f64,
     /// Global gradient-norm clip.
     pub max_grad_norm: f64,
-    /// Worker threads used by the rollout engine (1 = collect in the
-    /// calling thread). Collection is deterministic in the seed regardless
-    /// of this value.
+    /// Worker threads used by the rollout engine (1 = the caller acts, one
+    /// critic thread estimates; see [`collect_rollouts`]). Collection is
+    /// deterministic in the seed regardless of this value.
     pub rollout_workers: usize,
 }
 
@@ -368,8 +379,12 @@ pub struct Trajectory {
 }
 
 /// Collects one episode on `module` with the given policy and value
-/// networks. It ends within `ops x (max_schedule_len + 2)` steps
-/// ([`OptimizationEnv::step`]).
+/// networks, on the calling thread: the policy acts the episode to its end,
+/// then `value` estimates every stored observation. It ends within
+/// `ops x (max_schedule_len + 2)` steps ([`OptimizationEnv::step`]).
+///
+/// The trajectory is bit-identical to what [`collect_rollouts`] collects
+/// for the same episode RNG at any worker count.
 pub fn collect_episode<P: PolicyModel>(
     env: &mut OptimizationEnv,
     module: &Module,
@@ -378,23 +393,44 @@ pub fn collect_episode<P: PolicyModel>(
     greedy: bool,
     rng: &mut ChaCha8Rng,
 ) -> Trajectory {
+    let mut trajectory = act_episode(env, module, policy, greedy, rng);
+    estimate_values(value, &mut trajectory);
+    trajectory
+}
+
+/// The acting pass of an episode: every transition but its `value`, which
+/// reads `0.0` until [`estimate_values`] fills it.
+fn act_episode<P: PolicyModel>(
+    env: &mut OptimizationEnv,
+    module: &Module,
+    policy: &mut P,
+    greedy: bool,
+    rng: &mut ChaCha8Rng,
+) -> Trajectory {
     let mut transitions = Vec::new();
     let mut obs = env.reset(module.clone());
     while let Some(current) = obs {
         let record = policy.select_action(&current, greedy, rng);
-        let v = value.predict_fast(&current);
         let outcome = env.step(&record.action);
         transitions.push(Transition {
             observation: current,
             record,
             reward: outcome.reward,
-            value: v,
+            value: 0.0,
             done: outcome.done,
         });
         obs = env.current_observation();
     }
     let stats = env.stats();
     Trajectory { transitions, stats }
+}
+
+/// The estimating pass of an episode: the critic's value of every stored
+/// observation, in order.
+fn estimate_values(value: &mut ValueNetwork, trajectory: &mut Trajectory) {
+    for transition in &mut trajectory.transitions {
+        transition.value = value.predict_fast(&transition.observation);
+    }
 }
 
 /// Mixes a base seed and an episode index into an independent 64-bit seed
@@ -413,9 +449,11 @@ pub fn episode_seed(base: u64, episode: u64) -> u64 {
 /// parallelism (fallback 1).
 ///
 /// Whether fanning out pays depends on the batch, not only on the cores.
-/// [`collect_rollouts`] makes its caller worker 0, so `W` workers cost
+/// [`collect_rollouts`] makes its caller worker 0, so `W >= 2` workers cost
 /// `W - 1` spawns and one set of clones per spawned thread (a scope with
-/// one spawn reads 56-105 us, `exp rollout_throughput`). Measured at
+/// one spawn reads 56-105 us, `exp rollout_throughput`); one worker spawns
+/// its critic thread and clones nothing. The readings below predate the
+/// critic thread, so their serial side acted and estimated inline. Measured at
 /// 2 vCPUs with 32x2 networks at paper width (PR 23, three traced
 /// `rollout-collect` runs a side): 2 workers collect 4-episode batches at
 /// **0.99-1.01x** of one worker (34.8-35.6k steps/s serial against
@@ -474,8 +512,9 @@ impl RolloutBatch {
 /// and the caller's claim loop *is* the serial loop. Which thread runs
 /// which index depends on timing, so `job`'s result must depend on the
 /// index alone (not on what its state ran before) for the output to be the
-/// same at any thread count. [`collect_rollouts`] and the search crate's
-/// batch driver both fan out through here.
+/// same at any thread count. [`collect_rollouts`] (at two or more workers,
+/// or for a batch of at most one episode) and the search crate's batch
+/// driver fan out through here.
 ///
 /// # Panics
 ///
@@ -527,14 +566,13 @@ pub fn fan_out<S: Send, T: Send>(
     results.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Collects one episode with a per-episode RNG (and noise stream) derived
-/// from `(base_seed, episode)`, making the episode independent of whatever
-/// was collected before it.
-fn collect_seeded_episode<P: PolicyModel>(
+/// Acts one episode with a per-episode RNG (and noise stream) derived from
+/// `(base_seed, episode)`, making the episode independent of whatever was
+/// collected before it.
+fn act_seeded_episode<P: PolicyModel>(
     env: &mut OptimizationEnv,
     module: &Module,
     policy: &mut P,
-    value: &mut ValueNetwork,
     greedy: bool,
     base_seed: u64,
     episode: usize,
@@ -546,22 +584,69 @@ fn collect_seeded_episode<P: PolicyModel>(
             episode as u64,
         ));
     }
-    collect_episode(env, module, policy, value, greedy, &mut rng)
+    act_episode(env, module, policy, greedy, &mut rng)
 }
 
-/// Collects `modules.len()` episodes, fanning them out over `workers`
-/// threads.
+/// Runs `act(episode)` for every episode of `0..n` in order on the calling
+/// thread while one scoped thread (`rollout-critic`) fills each finished
+/// episode's values with `value`, and returns the trajectories in episode
+/// order. The critic borrows `value`; nothing is cloned.
 ///
-/// The caller is worker 0 and collects on `env`, `policy` and `value`
-/// themselves; each of the other `workers - 1` threads (`rollout-worker-<w>`)
-/// gets its own duplicate of the environment, an inference-only snapshot
-/// of the policy and a clone of the value network. Every thread claims the
-/// next uncollected episode index from one shared counter until none is
-/// left, and results are merged back in episode order. Every episode's
-/// randomness comes from [`episode_seed`]`(base_seed, episode)`, so a fixed
-/// `base_seed` produces bit-for-bit identical trajectories for any worker
-/// count and any claim order — with `workers == 1` nothing is spawned and
-/// the caller's claim loop *is* serial collection.
+/// # Panics
+///
+/// If `act` panics, the critic finishes what it was handed and the
+/// caller's panic resumes; if the critic panics, the caller stops at its
+/// next hand-over and the critic's panic resumes.
+fn act_beside_critic(
+    n: usize,
+    value: &mut ValueNetwork,
+    mut act: impl FnMut(usize) -> Trajectory,
+) -> Vec<Trajectory> {
+    std::thread::scope(|scope| {
+        let (hand_over, finished) = mpsc::channel::<Trajectory>();
+        let critic = std::thread::Builder::new()
+            .name("rollout-critic".into())
+            .spawn_scoped(scope, move || {
+                let estimate = |mut trajectory| {
+                    estimate_values(value, &mut trajectory);
+                    trajectory
+                };
+                finished.into_iter().map(estimate).collect()
+            })
+            .expect("failed to spawn the rollout critic");
+        for episode in 0..n {
+            if hand_over.send(act(episode)).is_err() {
+                break;
+            }
+        }
+        drop(hand_over);
+        critic
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
+
+/// Collects `modules.len()` episodes on `workers` threads.
+///
+/// Every episode's randomness comes from
+/// [`episode_seed`]`(base_seed, episode)`, so a fixed `base_seed` produces
+/// bit-for-bit identical trajectories for any worker count and any claim
+/// order (module docs, "Rollout engine"). `workers` is clamped to
+/// `1..=modules.len()`.
+///
+/// * **One worker.** The caller acts every episode, in order, on `env` and
+///   `policy`, and hands each finished one to a scoped critic thread that
+///   borrows `value` and fills the transitions' values while the caller
+///   acts the next. A batch of at most one episode has nothing to overlap
+///   and is collected inline.
+/// * **Two or more.** The caller is worker 0 and collects on `env`,
+///   `policy` and `value` themselves; each of the other `workers - 1`
+///   threads (`rollout-worker-<w>`) gets its own duplicate of the
+///   environment, an inference-only snapshot of the policy and a clone of
+///   the value network. Every thread claims the next uncollected episode
+///   index from one shared counter until none is left ([`fan_out`]), acts
+///   it and estimates its values, and results are merged back in episode
+///   order.
 ///
 /// Which episode `env` is left holding afterwards is unspecified (the last
 /// one the caller happened to claim); only its noise stream is put in a
@@ -577,7 +662,8 @@ fn collect_seeded_episode<P: PolicyModel>(
 ///
 /// # Panics
 ///
-/// Panics if collecting an episode panics on any thread (see [`fan_out`]).
+/// Panics if acting or estimating an episode panics on any thread, with
+/// that panic's payload (see [`fan_out`] and the critic above).
 pub fn collect_rollouts<P: PolicyModel>(
     env: &mut OptimizationEnv,
     modules: &[&Module],
@@ -588,31 +674,34 @@ pub fn collect_rollouts<P: PolicyModel>(
     workers: usize,
 ) -> RolloutBatch {
     let n = modules.len();
-    // The worker environments look up in the master's table, so an
-    // estimate computed by any thread serves hits to every other within the
-    // same batch — the parallel hit-rate matches serial collection instead
-    // of every worker re-discovering the same schedules on a cold copy.
-    let mut forks: Vec<_> = (1..workers.max(1).min(n.max(1)))
-        .map(|_| (env.clone_sharing_cache(), policy.clone(), value.clone()))
-        .collect();
-    let mut states = vec![(&mut *env, policy, value)];
-    states.extend(forks.iter_mut().map(|(e, p, v)| (e, p, v)));
-    let trajectories = fan_out(
-        n,
-        "rollout-worker",
-        states,
-        |(env, policy, value), episode| {
-            collect_seeded_episode::<P>(
-                env,
-                modules[episode],
-                policy,
-                value,
-                greedy,
-                base_seed,
-                episode,
-            )
-        },
-    );
+    let workers = workers.max(1).min(n.max(1));
+    let act = |env: &mut OptimizationEnv, policy: &mut P, episode: usize| {
+        act_seeded_episode(env, modules[episode], policy, greedy, base_seed, episode)
+    };
+    let trajectories = if workers == 1 && n > 1 {
+        act_beside_critic(n, value, |episode| act(env, policy, episode))
+    } else {
+        // The worker environments look up in the master's table, so an
+        // estimate computed by any thread serves hits to every other within
+        // the same batch — the parallel hit-rate matches serial collection
+        // instead of every worker re-discovering the same schedules on a
+        // cold copy.
+        let mut forks: Vec<_> = (1..workers)
+            .map(|_| (env.clone_sharing_cache(), policy.clone(), value.clone()))
+            .collect();
+        let mut states = vec![(&mut *env, policy, value)];
+        states.extend(forks.iter_mut().map(|(e, p, v)| (e, p, v)));
+        fan_out(
+            n,
+            "rollout-worker",
+            states,
+            |(env, policy, value), episode| {
+                let mut trajectory = act(env, policy, episode);
+                estimate_values(value, &mut trajectory);
+                trajectory
+            },
+        )
+    };
 
     // Leave the master environment's noise stream in a canonical post-batch
     // state: it was last reseeded for whichever episode the caller claimed

@@ -7,8 +7,8 @@
 //!
 //! * [`paper`] — the paper's tables and figures; deterministic, and pinned
 //!   bit for bit by `tests/golden/paper_{smoke,standard}.json`.
-//! * [`throughput`], [`lookup`], [`nn`], [`search`], [`service`], [`load`],
-//!   [`online`] — the engine experiments; timing-dependent, so each report
+//! * [`throughput`], [`train`], [`lookup`], [`nn`], [`search`], [`service`],
+//!   [`load`], [`online`] — the engine experiments; timing-dependent, so each report
 //!   type owns a [`report::Report::check`] with its run invariants instead
 //!   of a pin.
 //! * [`report`] — every report lists its fields once; one renderer prints
@@ -36,6 +36,7 @@ pub mod scale;
 pub mod search;
 pub mod service;
 pub mod throughput;
+pub mod train;
 
 use mlir_rl_agent::{PolicyHyperparams, PpoConfig};
 use mlir_rl_core::{MlirRlOptimizer, OptimizationResponse, OptimizerConfig, ResponseStatus};
@@ -205,6 +206,11 @@ mod tests {
     #[test]
     fn smoke_rollout_throughput_reports_cache_hits() {
         assert_eq!(smoke("rollout_throughput").check(), Ok(()));
+    }
+
+    #[test]
+    fn smoke_train_split_collects_the_same_trajectories_both_ways() {
+        assert_eq!(smoke("train_split").check(), Ok(()));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use mlir_rl_obs::TraceSnapshot;
 
 use crate::cli::ExpArgs;
 use crate::report::{Rendered, Report, Row, Value};
-use crate::{load, lookup, nn, online, paper, search, service, throughput, ExperimentScale};
+use crate::{load, lookup, nn, online, paper, search, service, throughput, train, ExperimentScale};
 
 /// What a run hands back: the report, and the trace when one was recorded.
 pub type Outcome = (Box<dyn Report>, Option<TraceSnapshot>);
@@ -51,7 +51,7 @@ fn exhibits<const N: usize>(parts: [(&'static str, Value); N]) -> Outcome {
 
 /// Every experiment, in `exp list` order (the paper set first, in the
 /// order of the golden documents).
-pub static EXPERIMENTS: [Experiment; 17] = [
+pub static EXPERIMENTS: [Experiment; 18] = [
     Experiment {
         name: "action_space_size",
         about: "Sec. IV-A: flat vs multi-discrete action-space size",
@@ -140,6 +140,14 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         workers: true,
         paper: false,
         run: |a| untraced(throughput::rollout_throughput(&a.scale, a.workers)),
+    },
+    Experiment {
+        name: "train_split",
+        about: "one PPO iteration by phase: collection with the critic beside and inline, update chains",
+        trace: false,
+        workers: false,
+        paper: false,
+        run: |a| untraced(train::train_split(&a.scale)),
     },
     Experiment {
         name: "lookup_split",

@@ -22,7 +22,8 @@ report! {
         episodes: usize = "episodes",
         /// Environment steps in one collection batch.
         steps: usize = "steps per batch",
-        /// Steps per second with one worker (serial collection).
+        /// Steps per second with one worker: the caller acts every
+        /// episode and one critic thread estimates their values beside it.
         serial_steps_per_sec: f64 = "serial steps/sec",
         /// Steps per second with `workers` workers.
         parallel_steps_per_sec: f64 = "parallel steps/sec",
@@ -68,8 +69,11 @@ impl Report for RolloutThroughput {
 ///
 /// Both configurations share the same base seed, so they collect
 /// bit-for-bit identical trajectories; the comparison is pure engine
-/// overhead/parallelism. On a single-core machine the parallel figure is
-/// bounded by the hardware — the speedup scales with available cores.
+/// overhead/parallelism. The serial row is one worker, which already runs
+/// two threads (the caller acts, a critic thread estimates), so the
+/// speedup is workers against the actor/critic pair, not against one
+/// thread. On a single-core machine the parallel figure is bounded by the
+/// hardware — the speedup scales with available cores.
 pub fn rollout_throughput(scale: &ExperimentScale, workers: usize) -> RolloutThroughput {
     let env_config = EnvConfig::small();
     let dataset = dl_ops::training_dataset(scale.dataset_scale.max(0.005), 71);

@@ -21,6 +21,7 @@ fn timing_reports() -> Vec<(&'static str, String)> {
     let args = ExpArgs::new(ExperimentScale::smoke(), 2);
     let names = [
         "rollout_throughput",
+        "train_split",
         "lookup_split",
         "nn_throughput",
         "portfolio",

@@ -58,6 +58,45 @@
 //! weights too, but the dense loop clears its gradient to `+0.0`, so it must
 //! be walked.
 //!
+//! # Tiny moments
+//!
+//! A run that goes idle keeps its moments and multiplies them by β every
+//! step: after some 6 600 steps its `m` falls below the smallest normal
+//! number, and every vector `mul` or `div` whose operand or result is
+//! subnormal takes a microcode assist that costs far more than the
+//! arithmetic. A lane is *tiny* when its `m` or `v` is non-zero with
+//! `|x| <= 2⁻¹⁰⁰⁰`. The vector loop ORs that test over the moments it
+//! writes, so each parameter knows whether its last update left a tiny
+//! lane (moments change only there, and a run that goes live starts at
+//! `+0.0`). Only then does the next update scan each span for the tiny
+//! lanes, save their `(w, g, m, v)`, and let the vector loop read `+0.0`
+//! for their moments (no assist; its results for those lanes are
+//! discarded). Each saved lane is then recomputed from the saved values:
+//!
+//! * A *dormant* lane — gradient bits `+0.0`, `|m| <= 2⁻¹⁰⁰⁰`, a finite
+//!   `w` with `|w| >= 2⁻⁸⁰⁰`, and `lr <= 2²⁰` — keeps `w`, and its moments
+//!   decay as `β·x`, the product formed exactly in `u128` and rounded to
+//!   nearest, ties to even (the hardware product's bits, without the
+//!   assist). The `(1−β)·clip(g)` term is added in hardware only when that
+//!   product is `±0`.
+//! * Every other saved lane runs the plain formula, in the same expression
+//!   as the vector loop.
+//!
+//! Why a dormant lane is bit-identical to the dense loop. Its clipped
+//! gradient is `gc = (+0.0)·s = ±0.0` for the finite clip factor `s`, so
+//! `(1−β₁)·gc` is `±0.0`, and `(1−β₂)·gc·gc` is `+0.0`. The dense loop's
+//! new moment is `fl(β·x) + (±0.0)`: that is `fl(β·x)` itself when the
+//! product is not zero, and the signed-zero sum the hardware computes
+//! otherwise — exactly what the fix-up does. The dense step is
+//! `Δ = lr·m̂/(√v̂ + ε)` with `m̂ = m/(1−β₁ᵗ)`, `1−β₁ᵗ >= fl(1−β₁) > 2⁻³·⁴`,
+//! `√v̂ >= +0.0` (or `+∞`, which only shrinks `Δ`) and the new
+//! `|m| <= 2⁻¹⁰⁰⁰`, so
+//! `|Δ| <= lr·|m|/fl(1−β₁)/ε < 2²⁰·2⁻¹⁰⁰⁰·2³·⁴·2²⁶·⁶ < 2⁻⁹⁴⁸`, rounding
+//! included. Half an ulp of a finite `|w| >= 2⁻⁸⁰⁰` is at least `2⁻⁸⁵⁴`
+//! (`2⁻⁸⁰⁰⁻⁵⁴` below a power of two), so `w − Δ` rounds back to `w`. A
+//! zero, tiny, infinite or NaN `w` is not dormant: there the step could
+//! move it or change a NaN's bits, and the plain formula runs.
+//!
 //! The dense loop is kept in this module's tests as the oracle every step
 //! is compared against, bit for bit.
 
@@ -71,6 +110,19 @@ const BETA1: f64 = 0.9;
 const BETA2: f64 = 0.999;
 /// Numerical-stability constant (ε).
 const EPSILON: f64 = 1e-8;
+
+/// The sign bit of an `f64`.
+const SIGN: u64 = 1 << 63;
+/// The bits of `2⁻¹⁰⁰⁰`: a non-zero moment at most this large is tiny.
+const TINY: u64 = (1023 - 1000) << 52;
+/// The bits of `2⁻⁸⁰⁰`: a dormant lane's weight is at least this large.
+const WEIGHT_FLOOR: u64 = (1023 - 800) << 52;
+/// `2²⁰`: a dormant lane's learning rate is at most this large.
+const RATE_CEILING: f64 = 1_048_576.0;
+/// The 52 stored fraction bits of an `f64`.
+const FRACTION: u64 = (1 << 52) - 1;
+/// The implicit leading bit of a normal `f64`'s significand.
+const IMPLICIT: u64 = 1 << 52;
 
 /// Adam optimizer state (β₁ = 0.9, β₂ = 0.999, ε = 1e-8).
 ///
@@ -95,6 +147,9 @@ struct Moments {
     /// The live runs as maximal ranges of adjacent runs, ascending;
     /// rebuilt whenever a flag is set.
     spans: Vec<Range<usize>>,
+    /// Whether the last update left a tiny `m` or `v` in some lane (a
+    /// summary of its outputs; a run that goes live starts at `+0.0`).
+    tiny: bool,
 }
 
 impl Moments {
@@ -104,6 +159,7 @@ impl Moments {
             v: vec![0.0; p.len()],
             live: vec![false; runs(p)],
             spans: Vec::new(),
+            tiny: false,
         }
     }
 
@@ -158,30 +214,145 @@ impl Moments {
     }
 
     /// One Adam update of the live runs of `value` (`rows` values per run),
-    /// reading each gradient element through `clip` and clearing it.
+    /// reading each gradient element through `clip`, each first moment's
+    /// bias correction through `unbias`, and clearing the gradient. When
+    /// the last update left a tiny lane, the tiny lanes are set aside and
+    /// recomputed after each span's vector loop (module docs, "Tiny
+    /// moments").
     fn update(
         &mut self,
         value: &mut [f64],
         grad: &mut [f64],
         rows: usize,
-        (learning_rate, bias1, bias2): (f64, f64, f64),
+        rates: (f64, f64),
         clip: impl Fn(f64) -> f64,
+        unbias: impl Fn(f64) -> f64 + Copy,
     ) {
+        let mut saved = Vec::new();
+        let mut left_tiny = false;
         for span in &self.spans {
             let at = span.start * rows..span.end * rows;
-            let moments = self.m[at.clone()].iter_mut().zip(&mut self.v[at.clone()]);
-            let weights = value[at.clone()].iter_mut().zip(&mut grad[at]);
-            for ((w, g), (m, v)) in weights.zip(moments) {
-                let g_clipped = clip(*g);
-                *m = BETA1 * *m + (1.0 - BETA1) * g_clipped;
-                *v = BETA2 * *v + (1.0 - BETA2) * g_clipped * g_clipped;
-                let m_hat = *m / bias1;
-                let v_hat = *v / bias2;
-                *w -= learning_rate * m_hat / (v_hat.sqrt() + EPSILON);
+            let (m, v) = (&mut self.m[at.clone()], &mut self.v[at.clone()]);
+            let (value, grad) = (&mut value[at.clone()], &mut grad[at]);
+            if self.tiny {
+                for lane in 0..m.len() {
+                    if tiny(m[lane]) || tiny(v[lane]) {
+                        saved.push((lane, value[lane], grad[lane], m[lane], v[lane]));
+                        (m[lane], v[lane]) = (0.0, 0.0);
+                    }
+                }
+            }
+            let weights = value.iter_mut().zip(grad.iter_mut());
+            for ((w, g), (m, v)) in weights.zip(m.iter_mut().zip(v.iter_mut())) {
+                adam_lane(w, clip(*g), m, v, rates, unbias);
                 *g = 0.0;
+                left_tiny |= tiny(*m) | tiny(*v);
+            }
+            for (lane, w, g, m_old, v_old) in saved.drain(..) {
+                let g_clipped = clip(g);
+                let dormant = g.to_bits() == 0
+                    && m_old.to_bits() & !SIGN <= TINY
+                    && w.is_finite()
+                    && w.to_bits() & !SIGN >= WEIGHT_FLOOR
+                    && rates.0 <= RATE_CEILING;
+                (value[lane], m[lane], v[lane]) = (w, m_old, v_old);
+                if dormant {
+                    m[lane] = decay(BETA1, m_old, (1.0 - BETA1) * g_clipped);
+                    v[lane] = decay(BETA2, v_old, (1.0 - BETA2) * g_clipped * g_clipped);
+                } else {
+                    adam_lane(
+                        &mut value[lane],
+                        g_clipped,
+                        &mut m[lane],
+                        &mut v[lane],
+                        rates,
+                        unbias,
+                    );
+                }
+                left_tiny |= tiny(m[lane]) | tiny(v[lane]);
             }
         }
+        self.tiny = left_tiny;
     }
+}
+
+/// One lane of the Adam arithmetic: both moments, then the weight.
+#[inline(always)]
+fn adam_lane(
+    w: &mut f64,
+    g_clipped: f64,
+    m: &mut f64,
+    v: &mut f64,
+    (learning_rate, bias2): (f64, f64),
+    unbias: impl Fn(f64) -> f64,
+) {
+    *m = BETA1 * *m + (1.0 - BETA1) * g_clipped;
+    *v = BETA2 * *v + (1.0 - BETA2) * g_clipped * g_clipped;
+    let m_hat = unbias(*m);
+    let v_hat = *v / bias2;
+    *w -= learning_rate * m_hat / (v_hat.sqrt() + EPSILON);
+}
+
+/// Whether `x` is non-zero with `|x| <= 2⁻¹⁰⁰⁰`.
+#[inline(always)]
+fn tiny(x: f64) -> bool {
+    (x.to_bits() & !SIGN).wrapping_sub(1) < TINY
+}
+
+/// A dormant lane's new moment, `β·x + addend` with `addend` a signed
+/// zero: the exact product's bits, and the hardware sum only when the
+/// product is `±0`.
+fn decay(beta: f64, x: f64, addend: f64) -> f64 {
+    let product = scale_exactly(beta, x);
+    if product == 0.0 {
+        product + addend
+    } else {
+        product
+    }
+}
+
+/// `beta · x` rounded to nearest, ties to even — the hardware product's
+/// bits — from integer arithmetic, for a normal `beta` in `[2⁻⁶⁴, 1)` and a
+/// finite `x`. Neither operand nor the result takes a subnormal assist.
+fn scale_exactly(beta: f64, x: f64) -> f64 {
+    debug_assert!(beta < 1.0 && beta >= 2f64.powi(-64) && x.is_finite());
+    let (beta_bits, x_bits) = (beta.to_bits(), x.to_bits());
+    let magnitude = x_bits & !SIGN;
+    if magnitude == 0 {
+        return x;
+    }
+    // x = significand · 2^exponent, with no implicit bit when subnormal.
+    let (x_significand, x_exponent) = match (magnitude >> 52) as i32 {
+        0 => (magnitude, -1074),
+        biased => ((magnitude & FRACTION) | IMPLICIT, biased - 1075),
+    };
+    let beta_significand = (beta_bits & FRACTION) | IMPLICIT;
+    let exponent = (beta_bits >> 52) as i32 - 1075 + x_exponent;
+    let product = u128::from(beta_significand) * u128::from(x_significand);
+    let length = 128 - product.leading_zeros() as i32;
+    // Keep 53 significant bits, but none below 2⁻¹⁰⁷⁴; `length >= 53`
+    // because `beta` is normal, so the shift is never negative.
+    let shift = (length - 53).max(-1074 - exponent) as u32;
+    let mut kept = (product >> shift) as u64;
+    if shift > 0 {
+        let rest = product & ((1u128 << shift) - 1);
+        let half = 1u128 << (shift - 1);
+        if rest > half || (rest == half && kept & 1 == 1) {
+            kept += 1;
+        }
+    }
+    let mut exponent = exponent + shift as i32;
+    if kept == IMPLICIT << 1 {
+        kept >>= 1;
+        exponent += 1;
+    }
+    // A significand below 2⁵² only occurs at exponent -1074: subnormal.
+    let bits = if kept >= IMPLICIT {
+        (((exponent + 1075) as u64) << 52) | (kept & FRACTION)
+    } else {
+        kept
+    };
+    f64::from_bits((x_bits & SIGN) | bits)
 }
 
 /// Number of runs (input columns) of `p`; none for an empty parameter.
@@ -282,11 +453,16 @@ impl Adam {
     }
 
     /// One update over the live runs, each gradient element multiplied by
-    /// `scale` first if there is one.
+    /// `scale` first if there is one. Once `1−β₁ᵗ` rounds to exactly `1.0`
+    /// (from step 356 on) the first moment's division by it is skipped:
+    /// `m / 1.0` is `m`, bit for bit, for every value a moment can hold
+    /// (arithmetic never yields a signalling NaN).
     fn apply(&mut self, params: &mut [&mut Param], scale: Option<f64>) {
         self.step += 1;
         let t = self.step as f64;
-        let rates = (self.learning_rate, 1.0 - BETA1.powf(t), 1.0 - BETA2.powf(t));
+        let bias1 = 1.0 - BETA1.powf(t);
+        let rates = (self.learning_rate, 1.0 - BETA2.powf(t));
+        let biased = bias1 != 1.0;
         for (p, state) in params.iter_mut().zip(&mut self.state) {
             if state.spans.is_empty() {
                 continue;
@@ -296,8 +472,12 @@ impl Adam {
             // weights, which must not be paid per element.
             let (value, grad) = p.value_and_grad_mut();
             match scale {
-                Some(scale) => state.update(value, grad, rows, rates, |g| g * scale),
-                None => state.update(value, grad, rows, rates, |g| g),
+                Some(s) if biased => {
+                    state.update(value, grad, rows, rates, |g| g * s, |m| m / bias1)
+                }
+                Some(s) => state.update(value, grad, rows, rates, |g| g * s, |m| m),
+                None if biased => state.update(value, grad, rows, rates, |g| g, |m| m / bias1),
+                None => state.update(value, grad, rows, rates, |g| g, |m| m),
             }
         }
     }
@@ -531,6 +711,172 @@ mod tests {
                     Column::Late(_) | Column::Live => random,
                 };
             }
+        }
+    }
+
+    #[test]
+    fn scale_exactly_is_the_hardware_product() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let min_normal = f64::MIN_POSITIVE.to_bits();
+        let mut inputs: Vec<u64> =
+            vec![0, 1, 2, 3, 5, 7, FRACTION - 1, FRACTION, TINY, WEIGHT_FLOOR];
+        // Both sides of the subnormal boundary and of 2⁻¹⁰⁰⁰.
+        for centre in [min_normal, TINY] {
+            inputs.extend((centre - 4)..=(centre + 4));
+        }
+        inputs.extend((0..4096).map(|_| rng.gen_range(1..min_normal)));
+        inputs.extend((0..4096).map(|_| rng.gen_range(1..TINY + 1)));
+        inputs.extend((0..4096).map(|_| rng.gen_range(1..f64::MAX.to_bits())));
+        // `0.5` and `0.75` halve an odd subnormal significand: exact ties.
+        let betas = [
+            BETA1,
+            BETA2,
+            0.5,
+            0.75,
+            1.0 - f64::EPSILON / 2.0,
+            2f64.powi(-64),
+        ];
+        let mut ties = 0;
+        for &beta in &betas {
+            for &magnitude in &inputs {
+                for x in [f64::from_bits(magnitude), -f64::from_bits(magnitude)] {
+                    let hardware = beta * x;
+                    assert_eq!(
+                        scale_exactly(beta, x).to_bits(),
+                        hardware.to_bits(),
+                        "{beta:e} * {x:e}"
+                    );
+                    ties +=
+                        usize::from(beta == 0.5 && magnitude < min_normal && magnitude & 1 == 1);
+                    for addend in [0.0, -0.0] {
+                        let dense = beta * x + addend;
+                        assert_eq!(
+                            decay(beta, x, addend).to_bits(),
+                            dense.to_bits(),
+                            "{beta:e} * {x:e} + {addend}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(ties > 1000, "{ties} ties");
+    }
+
+    /// How one column of the long oracle run behaves.
+    #[derive(Debug, Clone, Copy)]
+    enum Phase {
+        /// Random gradients until the given step, `+0.0` after.
+        LiveUntil(usize),
+        /// `±1e-156` gradients until the given step, `+0.0` after: the
+        /// second moment is subnormal at once, also when clipped.
+        FaintUntil(usize),
+        /// Random gradients before the first step given and from the
+        /// second on, `+0.0` between.
+        Pause(usize, usize),
+        /// `+0.0` on every step.
+        Dead,
+    }
+
+    /// Steps of the long oracle run: past the ~6 600 steps after which an
+    /// idle first moment turns subnormal, and the ~500 more after which it
+    /// decays to zero.
+    const LONG_STEPS: usize = 8_200;
+
+    #[test]
+    fn idle_moments_through_the_subnormal_range_equal_the_dense_loop() {
+        use Phase::*;
+        let columns = [
+            [
+                LiveUntil(LONG_STEPS),
+                LiveUntil(40),
+                LiveUntil(300),
+                FaintUntil(20),
+            ],
+            [Pause(10, 7_400), LiveUntil(5), Dead, FaintUntil(1)],
+        ];
+        // Weights overwritten at a step, as (step, (parameter, column),
+        // weight): a faint column's, small enough for its normal first
+        // moment to move it while the second is subnormal; then, once the
+        // idle columns' moments are tiny, a zero weight, one below the
+        // dormancy floor and one just above it.
+        let overwrites = [
+            (100, (0, 3), 1e-200),
+            (7_000, (0, 1), 0.0),
+            (7_000, (1, 1), 1e-250),
+            (7_000, (0, 2), 2f64.powi(-799)),
+        ];
+        for max_norm in [None, Some(0.5), Some(-1.0)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(8);
+            let mut params: Vec<Param> = (0..2).map(|_| Param::xavier(3, 4, &mut rng)).collect();
+            let mut dense = params.clone();
+            let (mut fused_adam, mut dense_adam) = (Adam::new(0.01), Reference::default());
+            let (mut tiny_m, mut tiny_v, mut zeroed_m) = (0usize, 0usize, 0usize);
+            for step in 0..LONG_STEPS {
+                for (p, phases) in params.iter_mut().zip(&columns) {
+                    let grad = p.grad_mut();
+                    for (c, phase) in phases.iter().enumerate() {
+                        for slot in &mut grad[c * 3..(c + 1) * 3] {
+                            let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                            *slot = match *phase {
+                                LiveUntil(end) if step < end => rng.gen_range(-3.0..3.0),
+                                FaintUntil(end) if step < end => sign * 1e-156,
+                                Pause(from, to) if step < from || step >= to => {
+                                    rng.gen_range(-3.0..3.0)
+                                }
+                                _ => 0.0,
+                            };
+                        }
+                    }
+                }
+                for &(_, (idx, col), w) in overwrites.iter().filter(|o| o.0 == step) {
+                    for p in [&mut params[idx], &mut dense[idx]] {
+                        p.value_mut()[col * 3] = w;
+                    }
+                }
+                for (d, p) in dense.iter_mut().zip(&params) {
+                    d.grad_mut().copy_from_slice(p.grad());
+                }
+                let mut fused_set: Vec<&mut Param> = params.iter_mut().collect();
+                let mut dense_set: Vec<&mut Param> = dense.iter_mut().collect();
+                let (norm, dense_norm) = match max_norm {
+                    Some(bound) => (
+                        fused_adam.clip_and_step(&mut fused_set, bound),
+                        clip_grad_norm(&mut dense_set, bound),
+                    ),
+                    None => {
+                        fused_adam.step(&mut fused_set);
+                        (0.0, 0.0)
+                    }
+                };
+                dense_adam.step(&mut dense_set, 0.01);
+                assert_eq!(norm.to_bits(), dense_norm.to_bits(), "norm at step {step}");
+                for (idx, (p, d)) in params.iter().zip(&dense).enumerate() {
+                    let state = &fused_adam.state[idx];
+                    let case = format!("parameter {idx} at step {step}, clip {max_norm:?}");
+                    assert_eq!(bits(p.value()), bits(d.value()), "weights of {case}");
+                    assert_eq!(bits(&state.m), bits(&dense_adam.m[idx]), "m of {case}");
+                    assert_eq!(bits(&state.v), bits(&dense_adam.v[idx]), "v of {case}");
+                    let tiny_lanes = state.m.iter().chain(&state.v).filter(|x| tiny(**x)).count();
+                    // The summary the next update reads: a tiny lane the
+                    // flag missed would take the slow vector loop.
+                    assert!(
+                        state.tiny || tiny_lanes == 0,
+                        "unflagged tiny lane in {case}"
+                    );
+                    tiny_m += state.m.iter().filter(|m| tiny(**m)).count();
+                    tiny_v += state.v.iter().filter(|v| tiny(**v)).count();
+                    if step + 1 == LONG_STEPS {
+                        zeroed_m += state.m.iter().filter(|m| **m == 0.0).count();
+                    }
+                }
+            }
+            // The run reached every branch: tiny first and second moments,
+            // and first moments that decayed all the way to zero.
+            assert!(
+                tiny_m > 1_000 && tiny_v > 1_000,
+                "{tiny_m} tiny m, {tiny_v} tiny v"
+            );
+            assert!(zeroed_m >= 3, "{zeroed_m} first moments reached zero");
         }
     }
 

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mlir_rl_agent::{
-    collect_rollouts, episode_seed, ActionRecord, PolicyHyperparams, PolicyModel, PolicyNetwork,
-    PpoConfig, PpoTrainer, RolloutBatch, Trajectory,
+    collect_episode, collect_rollouts, episode_seed, ActionRecord, PolicyHyperparams, PolicyModel,
+    PolicyNetwork, PpoConfig, PpoTrainer, RolloutBatch, Trajectory, ValueNetwork,
 };
 use mlir_rl_costmodel::{CostModel, MachineModel, SharedEvalCache};
 use mlir_rl_env::{Action, EnvConfig, Observation, ObservationBatch, OptimizationEnv, RewardMode};
@@ -143,7 +143,11 @@ fn assert_trajectories_identical(a: &[Trajectory], b: &[Trajectory], case: &str)
             );
             assert_eq!(x.record, y.record, "{case}: actions diverged");
             assert_eq!(x.reward, y.reward, "{case}: rewards diverged");
-            assert_eq!(x.value, y.value, "{case}: values diverged");
+            assert_eq!(
+                x.value.to_bits(),
+                y.value.to_bits(),
+                "{case}: values diverged"
+            );
             assert_eq!(x.done, y.done, "{case}");
         }
         assert_eq!(ta.stats.baseline_s, tb.stats.baseline_s, "{case}");
@@ -151,6 +155,95 @@ fn assert_trajectories_identical(a: &[Trajectory], b: &[Trajectory], case: &str)
         assert_eq!(ta.stats.speedup, tb.stats.speedup, "{case}");
         assert_eq!(ta.stats.steps, tb.stats.steps, "{case}");
         assert_eq!(ta.stats.total_lookups(), tb.stats.total_lookups(), "{case}");
+    }
+}
+
+#[test]
+fn a_one_worker_batch_is_collect_episode_run_episode_by_episode() {
+    // One worker acts on the caller and estimates on the critic thread (a
+    // batch of at most one episode runs inline); either way each episode
+    // is what `collect_episode` collects on its own with that episode's
+    // seed, on clones of the networks.
+    let dataset = dataset();
+    let base_seed = 41;
+    for noise_seed in [None, Some(5)] {
+        let mut config = EnvConfig::small();
+        config.noise_seed = noise_seed;
+        for episodes in [0, 1, 2, 7] {
+            let modules: Vec<&Module> = dataset.iter().cycle().take(episodes).collect();
+            let (mut env, mut trainer) = fixture(&config);
+            let batch = collect_rollouts(
+                &mut env,
+                &modules,
+                &mut trainer.policy,
+                &mut trainer.value,
+                false,
+                base_seed,
+                1,
+            );
+            let (mut alone_env, _) = fixture(&config);
+            let alone: Vec<Trajectory> = modules
+                .iter()
+                .enumerate()
+                .map(|(episode, module)| {
+                    let seed = episode_seed(base_seed, episode as u64);
+                    if let Some(noise_seed) = noise_seed {
+                        let noise = noise_seed.wrapping_add(base_seed);
+                        alone_env.reseed_noise(episode_seed(noise, episode as u64));
+                    }
+                    collect_episode(
+                        &mut alone_env,
+                        module,
+                        &mut trainer.policy.clone(),
+                        &mut trainer.value.clone(),
+                        false,
+                        &mut ChaCha8Rng::seed_from_u64(seed),
+                    )
+                })
+                .collect();
+            let case = format!("{episodes} episodes, noise {noise_seed:?}");
+            assert_trajectories_identical(&alone, &batch.trajectories, &case);
+            assert!(batch.trajectories.iter().all(|t| t
+                .transitions
+                .iter()
+                .all(|t| t.value.is_finite() && t.value != 0.0)));
+        }
+    }
+}
+
+#[test]
+fn a_panicking_critic_panics_the_batch_with_its_own_message() {
+    // A critic built for the paper's feature width refuses the small
+    // configuration's observations. Whether it runs on the critic thread
+    // (one worker, several episodes) or inline, the batch must raise that
+    // panic — not hang on the hand-over, and not return unestimated values.
+    let dataset = dataset();
+    let hyper = PolicyHyperparams {
+        hidden_size: 16,
+        backbone_layers: 1,
+    };
+    for workers in [1, 2] {
+        for episodes in [1, 2, 7] {
+            let modules: Vec<&Module> = dataset.iter().cycle().take(episodes).collect();
+            let (mut env, mut trainer) = fixture(&EnvConfig::small());
+            let mut rng = ChaCha8Rng::seed_from_u64(2);
+            let mut wrong_width = ValueNetwork::new(&EnvConfig::paper(), hyper, &mut rng);
+            let message = panic_message(|| {
+                collect_rollouts(
+                    &mut env,
+                    &modules,
+                    &mut trainer.policy,
+                    &mut wrong_width,
+                    false,
+                    3,
+                    workers,
+                );
+            });
+            assert!(
+                message.contains("LSTM input size mismatch"),
+                "{workers} workers, {episodes} episodes: unexpected panic {message:?}"
+            );
+        }
     }
 }
 
@@ -391,27 +484,37 @@ fn training_through_the_engine_is_reproducible() {
 fn fan_out_leaves_no_share_of_the_callers_weights_behind() {
     // Workers read the caller's weight buffers through their clones; once
     // the fan-out returns, the caller must be the only holder again, or the
-    // trainer's next `Adam::step` would copy every tensor for nothing.
+    // trainer's next `Adam::step` would copy every tensor for nothing. At
+    // one worker the critic thread borrows the value network and clones
+    // nothing.
     let config = EnvConfig::small();
     let dataset = dataset();
     let modules: Vec<&Module> = dataset.iter().collect();
-    let (mut env, mut trainer) = fixture(&config);
-    assert!(owns_its_weights(&mut trainer));
-    collect_rollouts(
-        &mut env,
-        &modules,
-        &mut trainer.policy,
-        &mut trainer.value,
-        false,
-        5,
-        2,
-    );
-    assert!(owns_its_weights(&mut trainer), "collect_rollouts leaked");
-    SearchDriver::new(2).run(&env, &trainer.policy, &GreedyPolicy, &dataset);
-    assert!(owns_its_weights(&mut trainer), "SearchDriver leaked");
-    // A live clone is what sharing looks like — the check is not vacuous.
-    let _clone = trainer.policy.clone();
-    assert!(!owns_its_weights(&mut trainer));
+    for workers in [1, 2] {
+        let (mut env, mut trainer) = fixture(&config);
+        assert!(owns_its_weights(&mut trainer));
+        collect_rollouts(
+            &mut env,
+            &modules,
+            &mut trainer.policy,
+            &mut trainer.value,
+            false,
+            5,
+            workers,
+        );
+        assert!(
+            owns_its_weights(&mut trainer),
+            "collect_rollouts leaked at {workers} workers"
+        );
+        SearchDriver::new(workers).run(&env, &trainer.policy, &GreedyPolicy, &dataset);
+        assert!(
+            owns_its_weights(&mut trainer),
+            "SearchDriver leaked at {workers} workers"
+        );
+        // A live clone is what sharing looks like — the check is not vacuous.
+        let _clone = trainer.policy.clone();
+        assert!(!owns_its_weights(&mut trainer));
+    }
 }
 
 #[test]
